@@ -1,5 +1,6 @@
 //! Beyond the paper — batch fusion: the pre-fusion per-input `par_map`
-//! forward-trace loop vs one fused NCHW batched im2col/matmul trace
+//! forward-trace loop (run at the workspace's work gate, so on one thread at
+//! these batch sizes) vs one fused NCHW batched im2col/matmul trace
 //! (`Network::forward_trace_batch`), across batch sizes.
 //!
 //! The fused trace stacks B inputs into one `[B, C, H, W]` tensor and runs
@@ -65,18 +66,21 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             .map(|i| unique[i % unique.len()].clone())
             .collect();
 
+        // What the engine hands the work gate for a batch: its forward MACs.
+        let work = network.total_macs() as usize * batch_size;
+
         // Warm both paths once (page in weights, fault in allocations).
-        let warm = par_map(&inputs, |x| network.forward_trace(x));
+        let warm = par_map(&inputs, work, |x| network.forward_trace(x));
         for trace in &warm {
             checksum += f64::from(trace.as_ref().map(|t| t.logits().sum()).unwrap_or(0.0));
         }
         checksum += f64::from(network.forward_trace_batch(&inputs)?.logits(0)?.sum());
 
         // The pre-fusion detect_batch inner loop: one independent trace per
-        // input, fanned out over scoped threads.
+        // input.
         let start_ns = clock.now_ns();
         for _ in 0..reps {
-            let traces = par_map(&inputs, |x| network.forward_trace(x));
+            let traces = par_map(&inputs, work, |x| network.forward_trace(x));
             for trace in traces {
                 checksum += f64::from(trace?.logits().sum());
             }

@@ -1,28 +1,29 @@
 //! Beyond the paper — streaming extraction: the materialized
-//! trace-then-extract pipeline (PR 3) vs the streaming pipeline that overlaps
-//! path extraction with the forward pass and drops activations eagerly.
+//! trace-then-extract pipeline (PR 3) vs the streaming pipeline that extracts
+//! while the forward pass runs and never materializes the trace — compared on
+//! end-to-end detect time and on resident activation bytes.
 //!
 //! The streaming pipeline plugs the extractor into the forward pass as a
-//! `TraceSink`: forward programs mask each enabled layer's output the moment
-//! the layer finishes (on a worker thread overlapped with the next layer's
-//! compute) and release the activation; backward programs retain only the
-//! boundaries the reverse walk reads.  Both are bit-for-bit identical to the
-//! materialized path — checked here per batch size, not assumed.
+//! `TraceSink`: forward programs mask each enabled layer's output inline the
+//! moment the layer finishes and retain nothing; backward programs retain
+//! only the boundaries the reverse walk reads.  Everything runs on the
+//! calling thread (the overlap worker this experiment was named after lost to
+//! its own spawn cost and is gone).  Both pipelines are bit-for-bit identical
+//! — checked here per batch size, not assumed.
 //!
 //! Shapes to check: streamed end-to-end detection is no slower than the
 //! materialized pipeline from batch size ~4 (the acceptance bar), and the
 //! streamed peak resident activation bytes are **strictly below** what the
-//! materialized trace holds (for forward programs by an order of magnitude —
-//! O(largest layer) vs O(network)).
+//! materialized trace holds (zero for forward programs).
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{
     extract_path, extract_paths_streaming_batch, par_map, variants, CoreError, Detection,
     DetectionEngine, DetectionProgram,
 };
-use ptolemy_obs::Clock;
 use ptolemy_tensor::Tensor;
 
+use crate::workbench::interleaved_best_ms;
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
 
 /// Batch sizes compared (the acceptance bar reads the `>= 4` rows).
@@ -35,27 +36,6 @@ fn repetitions(scale: BenchScale) -> usize {
     }
 }
 
-/// Timing rounds per cell: the two pipelines are measured in interleaved
-/// rounds and each reports its fastest round, so a scheduler hiccup landing on
-/// one side cannot flip a comparison of ~0.1 ms batches.
-const TIMING_ROUNDS: usize = 5;
-
-/// Fastest-of-[`TIMING_ROUNDS`] ms per invocation of `work`.
-fn best_ms<F: FnMut() -> BenchResult<()>>(reps: usize, mut work: F) -> BenchResult<f64> {
-    let clock = Clock::monotonic();
-    let per_round = reps.div_ceil(TIMING_ROUNDS);
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_ROUNDS {
-        let start_ns = clock.now_ns();
-        for _ in 0..per_round {
-            work()?;
-        }
-        let round_ms = clock.now_ns().saturating_sub(start_ns) as f64 / 1e6;
-        best = best.min(round_ms / per_round as f64);
-    }
-    Ok(best)
-}
-
 /// The PR 3 pipeline this experiment retires from the hot path: materialize
 /// one fused batch trace, then extract each sample's path from the slices.
 fn materialized_detect_batch(
@@ -65,7 +45,8 @@ fn materialized_detect_batch(
     let network = engine.network();
     let batch_trace = network.forward_trace_batch(inputs)?;
     let indices: Vec<usize> = (0..inputs.len()).collect();
-    let scored = par_map(&indices, |&b| -> Result<(usize, f32), CoreError> {
+    let work = network.total_macs() as usize * inputs.len();
+    let scored = par_map(&indices, work, |&b| -> Result<(usize, f32), CoreError> {
         let trace = batch_trace.trace(b).map_err(CoreError::from)?;
         let predicted = trace.predicted_class().map_err(CoreError::from)?;
         let path = extract_path(network, &trace, engine.program())?;
@@ -110,8 +91,8 @@ fn program_table(
         .build()?;
 
     let mut table = Table::new(format!(
-        "Extraction overlap ({label}) — materialized trace-then-extract vs \
-         streaming extraction overlapped with the forward pass"
+        "Streaming extraction ({label}) — materialized trace-then-extract vs \
+         extraction streamed inline with the forward pass"
     ))
     .header([
         "batch size",
@@ -134,18 +115,26 @@ fn program_table(
         checksum += f64::from(warm[0].score);
         checksum += f64::from(engine.detect_batch(&inputs)?[0].score);
 
-        let mut sink = 0.0f64;
-        let materialized_ms = best_ms(reps, || {
-            let verdicts = materialized_detect_batch(&engine, &inputs)?;
-            sink += f64::from(verdicts[0].similarity);
-            Ok(())
-        })?;
-        let streamed_ms = best_ms(reps, || {
-            let verdicts = engine.detect_batch(&inputs)?;
-            sink += f64::from(verdicts[0].similarity);
-            Ok(())
-        })?;
-        checksum += sink;
+        // Interleaved rounds, fastest round each: the two pipelines run the
+        // same arithmetic, so only scheduling noise separates them.
+        let mut sinks = [0.0f64; 2];
+        let [materialized_sink, streamed_sink] = &mut sinks;
+        let [materialized_ms, streamed_ms] = interleaved_best_ms(
+            reps,
+            [
+                &mut || {
+                    let verdicts = materialized_detect_batch(&engine, &inputs)?;
+                    *materialized_sink += f64::from(verdicts[0].similarity);
+                    Ok(())
+                },
+                &mut || {
+                    let verdicts = engine.detect_batch(&inputs)?;
+                    *streamed_sink += f64::from(verdicts[0].similarity);
+                    Ok(())
+                },
+            ],
+        )?;
+        checksum += sinks.iter().sum::<f64>();
 
         // Parity: streamed verdicts equal the materialized pipeline's bit for
         // bit (the serving-facing guarantee of the refactor).
@@ -225,7 +214,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         memory_always_lower: true,
     };
 
-    // The forward program is the paper's Sec. III-C overlap case; the backward
+    // The forward program masks in flight and retains nothing; the backward
     // program exercises the retention plan.
     let fw = program_table(
         &wb,
@@ -246,7 +235,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         &mut checks,
     )?;
 
-    let mut summary = Table::new("Extraction overlap — shape checks");
+    let mut summary = Table::new("Streaming extraction — shape checks");
     summary.check(
         "streamed detection is bit-for-bit identical to the materialized \
          pipeline",

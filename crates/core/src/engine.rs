@@ -71,11 +71,11 @@ use ptolemy_nn::{ForwardTrace, Network, QuantizedNetwork};
 use ptolemy_obs::{Counter, HistogramHandle, Registry};
 use ptolemy_tensor::Tensor;
 
+use ptolemy_tensor::parallel::{par_chunks, par_map};
+
 use crate::extraction::{
-    extract_path, extract_path_streaming, extract_path_streaming_nested, path_layout,
-    stream_batch_with,
+    extract_path, extract_path_streaming, forward_work, path_layout, stream_batch_with,
 };
-use crate::parallel::par_map;
 use crate::{
     software_cost, ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result,
     SoftwareCostReport,
@@ -165,15 +165,15 @@ fn trace_similarity(
         .map(|(predicted, similarity, path)| (predicted, similarity, path.density()))
 }
 
-/// Fused-batch counterpart of [`trace_path`]: one batched NCHW forward pass
-/// drives the **streaming** extraction of every sample's path
-/// ([`crate::extract_paths_streaming_batch`] — forward programs mask each
-/// stacked boundary on an overlap worker and drop it eagerly, backward
-/// programs retain only the boundaries the reverse walk reads and fan the
-/// per-sample walks out with [`par_map`]); path-similarity scoring completes
-/// each sample inside the same fan-out.  Falls back to the per-input
-/// streaming path when any input is mis-shaped (preserving that input's exact
-/// error while still serving the rest) or the fused pass itself fails.
+/// Fused-batch counterpart of [`trace_path`]: batched NCHW forward passes
+/// drive the **streaming** extraction of every sample's path
+/// ([`crate::extract_paths_streaming_batch`] — the batch splits into as many
+/// contiguous sub-batches as its work buys idle cores, each one fused pass
+/// with inline masking / reverse walks); path-similarity scoring completes
+/// each sample on the thread that extracted it.  Falls back to the per-input
+/// streaming path ([`par_map`] at the same work gate) when any input is
+/// mis-shaped (preserving that input's exact error while still serving the
+/// rest) or the fused pass itself fails.
 fn trace_path_batch(
     network: &Network,
     program: &DetectionProgram,
@@ -196,10 +196,8 @@ fn trace_path_batch(
         None
     };
     let Some((samples, _footprint)) = fused else {
-        return par_map(inputs, |input| {
-            // Nested streaming: this par_map already saturates the cores, so
-            // per-sample overlap workers would only add spawn overhead.
-            let streamed = extract_path_streaming_nested(network, program, input)?;
+        return par_map(inputs, forward_work(network, inputs.len()), |input| {
+            let streamed = extract_path_streaming(network, program, input)?;
             finish(streamed.predicted_class, streamed.path)
         });
     };
@@ -685,11 +683,12 @@ impl DetectionEngine {
         Ok((predicted, similarity, path))
     }
 
-    /// Quantized counterpart of [`trace_path_batch`]: one fused int8 batched
-    /// forward pass materialises the stacked trace, then per-sample slices are
-    /// extracted and scored in a [`par_map`] fan-out.  Falls back to per-input
-    /// quantized passes when any input is mis-shaped, preserving that input's
-    /// exact error while still serving the rest.
+    /// Quantized counterpart of [`trace_path_batch`]: the batch splits into
+    /// contiguous sub-batches at the work gate, each one fused int8 forward
+    /// pass that materialises its stacked trace and then extracts and scores
+    /// its samples inline.  Falls back to per-input quantized passes when any
+    /// input is mis-shaped (preserving that input's exact error while still
+    /// serving the rest) or a fused pass fails.
     fn trace_path_quantized_batch(
         &self,
         qnet: &QuantizedNetwork,
@@ -698,25 +697,30 @@ impl DetectionEngine {
         if inputs.is_empty() {
             return Vec::new();
         }
+        let work = forward_work(&self.network, inputs.len());
         let fused = if inputs
             .iter()
             .all(|input| input.dims() == self.network.input_shape())
         {
-            qnet.forward_trace_batch(inputs).ok()
+            par_chunks(inputs, work, |sub_batch| {
+                let batch = qnet.forward_trace_batch(sub_batch)?;
+                Ok((0..sub_batch.len())
+                    .map(|i| self.finish_quantized_trace(&batch.trace(i)?))
+                    .collect::<Vec<_>>())
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>>>()
+            .ok()
         } else {
             None
         };
-        let Some(batch) = fused else {
-            return par_map(inputs, |input| {
+        let Some(sub_batches) = fused else {
+            return par_map(inputs, work, |input| {
                 let trace = qnet.forward_trace(input)?;
                 self.finish_quantized_trace(&trace)
             });
         };
-        let indices: Vec<usize> = (0..inputs.len()).collect();
-        par_map(&indices, |&i| {
-            let trace = batch.trace(i)?;
-            self.finish_quantized_trace(&trace)
-        })
+        sub_batches.into_iter().flatten().collect()
     }
 
     /// Detects a whole batch through **one fused int8 forward pass** — the

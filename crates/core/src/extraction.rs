@@ -18,11 +18,9 @@
 //! [`extract_paths_streaming_batch`]), which plug a [`ptolemy_nn::TraceSink`]
 //! into the forward pass itself:
 //!
-//! * **forward programs** mask each enabled layer's output the moment the
-//!   layer finishes — on multi-core hosts the selection runs on a scoped
-//!   worker thread *overlapped with the next layer's forward compute* — and
-//!   release the activation immediately, so peak resident trace state is
-//!   O(largest layer) instead of O(network);
+//! * **forward programs** mask each enabled layer's output inline, the moment
+//!   the layer finishes, and never retain or clone an activation, so the
+//!   resident trace state is zero instead of O(network);
 //! * **backward programs** retain only the boundaries the reverse walk will
 //!   actually read: enabled weight layers' inputs and outputs, plus the inputs
 //!   of pass-through layers whose routing is data-dependent
@@ -35,28 +33,12 @@
 //! selection kernels with the same tensors (pinned by `tests/streaming.rs`).
 
 use std::collections::BTreeSet;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 use ptolemy_nn::{predicted_class, Contribution, ForwardTrace, Network, TraceSink};
+use ptolemy_tensor::parallel::par_chunks;
 use ptolemy_tensor::Tensor;
 
-use crate::parallel::par_map;
 use crate::{ActivationPath, CoreError, DetectionProgram, Direction, Result, ThresholdKind};
-
-/// Minimum **enabled** output elements (per-sample, × batch size) before the
-/// streaming forward-program extractor spawns an overlap worker thread: below
-/// this, a thread spawn costs more than the selection it would hide, so
-/// extraction runs inline in the sink (bit-identical either way — the gate
-/// changes scheduling, never arithmetic).
-const OVERLAP_MIN_ELEMENTS: usize = 2048;
-
-/// In-flight bound of the overlap channel: one boundary queued + one being
-/// masked keeps peak resident state at O(largest layer) while still hiding the
-/// selection latency behind the next layer's forward compute.
-const OVERLAP_QUEUE: usize = 1;
 
 /// Computes the `(network layer index, mask length)` layout of paths extracted with
 /// `program` on `network`.
@@ -103,10 +85,12 @@ pub fn materialized_trace_bytes(network: &Network, batch_size: usize) -> usize {
 /// Peak activation bytes the streaming extraction pipeline kept resident,
 /// against the bytes a materialized trace would have held.
 ///
-/// "Resident" counts the **trace state** that outlives a layer — retained
-/// boundaries and boundaries queued for the overlap worker.  It deliberately
-/// excludes state both strategies hold identically, so the two numbers stay
-/// comparable: the driver's transient current-layer input/output, and the
+/// "Resident" counts the **trace state** that outlives a layer — the
+/// boundaries a backward program retains for its reverse walk (forward
+/// programs retain none), summed over the sub-batches a fanned-out batch runs
+/// concurrently.  It deliberately excludes state both strategies hold
+/// identically, so the two numbers stay comparable: the driver's transient
+/// current-layer input/output, and the
 /// per-sample extraction scratch of backward batches (the streamed walk
 /// slices each retained stacked boundary per sample exactly as the
 /// materialized `BatchTrace::trace(b)` does — in fact it slices a subset).
@@ -182,12 +166,11 @@ pub fn extract_path(
 /// Runs one forward pass and extracts the activation path **while inferring**:
 /// the streaming counterpart of `forward_trace` + [`extract_path`].
 ///
-/// Forward programs mask each enabled layer's output as soon as the layer
-/// finishes (on a scoped worker thread overlapped with the next layer's
-/// compute, when worthwhile) and release the activation eagerly; backward
-/// programs retain only the boundaries the reverse walk reads.  The returned
-/// path, predicted class and logits are bit-for-bit identical to the
-/// materialized pipeline's.
+/// Forward programs mask each enabled layer's output inline as soon as the
+/// layer finishes and retain nothing; backward programs retain only the
+/// boundaries the reverse walk reads.  The whole call runs on the calling
+/// thread.  The returned path, predicted class and logits are bit-for-bit
+/// identical to the materialized pipeline's.
 ///
 /// # Errors
 ///
@@ -200,46 +183,24 @@ pub fn extract_path_streaming(
     program: &DetectionProgram,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    stream_single(network, program, input, true)
-}
-
-/// Like [`extract_path_streaming`], but never spawns an overlap worker — for
-/// callers already inside a scoped-thread fan-out (the profiler and the
-/// engine's per-input fallback `par_map` over samples), where an extra worker
-/// per sample has no idle core to hide work on and only adds spawn and
-/// channel overhead.  Bit-for-bit identical results either way.
-pub(crate) fn extract_path_streaming_nested(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-) -> Result<StreamedExtraction> {
-    stream_single(network, program, input, false)
-}
-
-fn stream_single(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-    allow_overlap: bool,
-) -> Result<StreamedExtraction> {
     let layout = path_layout(network, program)?;
     match program.direction() {
-        Direction::Forward => {
-            stream_forward_single(network, program, input, &layout, allow_overlap)
-        }
+        Direction::Forward => stream_forward_single(network, program, input, &layout),
         Direction::Backward => stream_backward_single(network, program, input, &layout),
     }
 }
 
-/// Fused-batch counterpart of [`extract_path_streaming`]: one stacked NCHW
-/// forward pass drives the extraction of every sample's path.
+/// Fused-batch counterpart of [`extract_path_streaming`]: stacked NCHW
+/// forward passes drive the extraction of every sample's path.
 ///
-/// Forward programs overlap the per-sample masking of layer `i`'s stacked
-/// output with layer `i + 1`'s fused compute and drop each stacked boundary
-/// eagerly; backward programs retain only the planned stacked boundaries and
-/// fan the per-sample reverse walks out over scoped threads.  Sample `b` of
-/// the result is bit-for-bit `extract_path_streaming(network, program,
-/// &inputs[b])`.
+/// The batch is split into as many contiguous sub-batches as its forward
+/// MACs buy at the workspace's work gate ([`ptolemy_tensor::parallel`]; one,
+/// on the calling thread, for small batches or when every core is busy).
+/// Each sub-batch runs one fused forward pass with its masking (forward
+/// programs) or its per-sample reverse walks (backward programs) inline on
+/// the same thread.  Sample `b` of the result is bit-for-bit
+/// `extract_path_streaming(network, program, &inputs[b])` whatever the split:
+/// a fused pass slices back to the per-input pass exactly.
 ///
 /// # Errors
 ///
@@ -258,11 +219,20 @@ pub fn extract_paths_streaming_batch(
     Ok(StreamedBatchExtraction { samples, footprint })
 }
 
+/// Forward MACs of `batch` inputs: the work estimate every per-input and
+/// per-batch fan-out in this crate hands the work gate.  (A lower bound for
+/// backward programs, whose reverse walk adds to it.)
+pub(crate) fn forward_work(network: &Network, batch: usize) -> usize {
+    usize::try_from(network.total_macs())
+        .unwrap_or(usize::MAX)
+        .saturating_mul(batch)
+}
+
 /// Crate-internal driver behind [`extract_paths_streaming_batch`] and the
 /// engine's fused batch path: `finish(predicted_class, path)` completes each
-/// sample, and for backward programs it runs **inside the per-sample parallel
-/// region**, so engine-level completion work (path-similarity scoring) rides
-/// the same scoped-thread fan-out instead of serialising after it.
+/// sample on the thread that extracted it, so engine-level completion work
+/// (path-similarity scoring) rides the same fan-out instead of serialising
+/// after it.
 pub(crate) fn stream_batch_with<T, F>(
     network: &Network,
     program: &DetectionProgram,
@@ -274,10 +244,25 @@ where
     F: Fn(usize, ActivationPath) -> Result<T> + Sync,
 {
     let layout = path_layout(network, program)?;
-    match program.direction() {
-        Direction::Forward => stream_forward_batch(network, program, inputs, &layout, finish),
-        Direction::Backward => stream_backward_batch(network, program, inputs, &layout, finish),
+    let stream = |sub_batch: &[Tensor]| match program.direction() {
+        Direction::Forward => stream_forward_batch(network, program, sub_batch, &layout, finish),
+        Direction::Backward => stream_backward_batch(network, program, sub_batch, &layout, finish),
+    };
+    let mut samples = Vec::with_capacity(inputs.len());
+    let mut peak_streamed_bytes = 0;
+    for streamed in par_chunks(inputs, forward_work(network, inputs.len()), stream) {
+        let (sub_samples, sub_peak) = streamed?;
+        samples.extend(sub_samples);
+        // Sub-batches run side by side, so their retained state adds up.
+        peak_streamed_bytes += sub_peak;
     }
+    Ok((
+        samples,
+        ActivationFootprint {
+            peak_streamed_bytes,
+            materialized_bytes: materialized_trace_bytes(network, inputs.len()),
+        },
+    ))
 }
 
 /// Selects contributor indices from weighted partial sums according to a threshold.
@@ -510,9 +495,9 @@ fn extract_forward<S: BoundarySource + ?Sized>(
     Ok(())
 }
 
-/// The single forward-program masking step shared by the materialized walk,
-/// the inline streaming sink and the overlap worker — one implementation, so
-/// every pipeline is bit-for-bit the same selection.
+/// The single forward-program masking step shared by the materialized walk
+/// and the streaming sinks — one implementation, so every pipeline is
+/// bit-for-bit the same selection.
 fn mask_forward_selection(
     path: &mut ActivationPath,
     layer_idx: usize,
@@ -529,33 +514,6 @@ fn mask_forward_selection(
             segment.mask.set(idx);
         }
     }
-}
-
-/// Peak/current resident-byte accounting shared between a streaming sink (adds
-/// on retain/queue) and its overlap worker (subtracts after masking).
-#[derive(Default)]
-struct Meter {
-    resident: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl Meter {
-    fn add(&self, bytes: usize) {
-        let now = self.resident.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-    }
-
-    fn sub(&self, bytes: usize) {
-        self.resident.fetch_sub(bytes, Ordering::SeqCst);
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
-    }
-}
-
-fn tensor_bytes(t: &Tensor) -> usize {
-    t.len() * std::mem::size_of::<f32>()
 }
 
 /// Per-network-layer threshold of enabled weight layers (`None` for disabled
@@ -599,39 +557,14 @@ fn backward_retention(network: &Network, program: &DetectionProgram) -> Result<V
     Ok(retain)
 }
 
-/// `true` when the forward-program extractor should pay a worker thread to
-/// overlap selection with the next layer's compute: overlap must be allowed
-/// (callers already inside a scoped-thread fan-out pass `false` — an extra
-/// worker per sample has no idle core to hide work on), the host must be
-/// multi-core, and the **enabled** output volume must make the masking work
-/// worth a thread spawn (gating on the whole network would spawn workers for
-/// late-start programs that only ever mask one small layer).
-fn overlap_worthwhile(
-    network: &Network,
-    specs: &[Option<ThresholdKind>],
-    batch_size: usize,
-    allow_overlap: bool,
-) -> bool {
-    if !allow_overlap || ptolemy_nn::available_parallelism() <= 1 {
-        return false;
-    }
-    let enabled_elements: usize = network
-        .layers()
-        .zip(specs)
-        .filter(|(_, spec)| spec.is_some())
-        .map(|(layer, _)| layer.output_len())
-        .sum();
-    enabled_elements.saturating_mul(batch_size) >= OVERLAP_MIN_ELEMENTS
-}
-
-/// Streaming sink for forward programs without an overlap worker: enabled
-/// outputs are masked inline, nothing is ever retained or cloned.
-struct InlineForwardSink<'a> {
+/// Streaming sink for single-input forward programs: enabled outputs are
+/// masked inline, nothing is ever retained or cloned.
+struct ForwardSink<'a> {
     specs: &'a [Option<ThresholdKind>],
     path: ActivationPath,
 }
 
-impl TraceSink for InlineForwardSink<'_> {
+impl TraceSink for ForwardSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
         if let Some(threshold) = self.specs[index] {
             mask_forward_selection(&mut self.path, index, output.as_slice(), threshold);
@@ -639,25 +572,32 @@ impl TraceSink for InlineForwardSink<'_> {
     }
 }
 
-/// Streaming sink for forward programs with an overlap worker: enabled outputs
-/// are cloned into a bounded channel and masked on the worker while the next
-/// layer computes.
-struct OverlapForwardSink<'a> {
+/// [`ForwardSink`] over a stacked batch: each sample's slice of an enabled
+/// output is masked into that sample's path.
+struct ForwardBatchSink<'a> {
     specs: &'a [Option<ThresholdKind>],
-    tx: mpsc::SyncSender<(usize, Tensor)>,
-    meter: &'a Meter,
+    paths: Vec<ActivationPath>,
+    error: Option<CoreError>,
 }
 
-impl TraceSink for OverlapForwardSink<'_> {
+impl TraceSink for ForwardBatchSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        if self.specs[index].is_none() {
+        let Some(threshold) = self.specs[index] else {
+            return;
+        };
+        if self.error.is_some() {
             return;
         }
-        self.meter.add(tensor_bytes(output));
-        // A send error means the worker died; its panic resurfaces at join,
-        // so the boundary is simply dropped here.
-        if self.tx.send((index, output.clone())).is_err() {
-            self.meter.sub(tensor_bytes(output));
+        for (b, path) in self.paths.iter_mut().enumerate() {
+            // The slice is bit-for-bit the per-sample output, so the
+            // selection matches the single-input pipeline exactly.
+            match output.slice_batch(b) {
+                Ok(sample) => mask_forward_selection(path, index, sample.as_slice(), threshold),
+                Err(e) => {
+                    self.error = Some(e.into());
+                    return;
+                }
+            }
         }
     }
 }
@@ -667,21 +607,23 @@ impl TraceSink for OverlapForwardSink<'_> {
 struct RetainSink<'a> {
     retain: &'a [bool],
     boundaries: Vec<Option<Tensor>>,
-    meter: &'a Meter,
+    /// Bytes retained so far — nothing is released before the walk ends, so
+    /// this is also the pass's peak.
+    retained_bytes: usize,
 }
 
 impl<'a> RetainSink<'a> {
-    fn new(retain: &'a [bool], meter: &'a Meter) -> Self {
+    fn new(retain: &'a [bool]) -> Self {
         RetainSink {
             retain,
             boundaries: vec![None; retain.len()],
-            meter,
+            retained_bytes: 0,
         }
     }
 
     fn keep(&mut self, boundary: usize, activation: &Tensor) {
         if self.retain[boundary] {
-            self.meter.add(tensor_bytes(activation));
+            self.retained_bytes += activation.len() * std::mem::size_of::<f32>();
             self.boundaries[boundary] = Some(activation.clone());
         }
     }
@@ -697,80 +639,25 @@ impl TraceSink for RetainSink<'_> {
     }
 }
 
-/// The overlap scaffolding shared by the single-input and fused-batch forward
-/// extractors: spawns one scoped worker that folds every enabled boundary
-/// into `state` via `mask` while `drive` runs the forward pass on the calling
-/// thread, then joins and pairs the final state with the driver's logits.
-/// Channel close, worker panics (resurfaced via [`resume_unwind`]) and driver
-/// errors resolve identically for every caller.
-fn drive_with_overlap<S, M, D>(
-    specs: &[Option<ThresholdKind>],
-    meter: &Meter,
-    initial: S,
-    mask: M,
-    drive: D,
-) -> Result<(S, Tensor)>
-where
-    S: Send,
-    M: Fn(&mut S, usize, &Tensor, ThresholdKind) -> Result<()> + Send,
-    D: FnOnce(&mut OverlapForwardSink<'_>) -> Result<Tensor>,
-{
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<(usize, Tensor)>(OVERLAP_QUEUE);
-        let worker = scope.spawn(move || -> Result<S> {
-            let mut state = initial;
-            while let Ok((layer_idx, boundary)) = rx.recv() {
-                if let Some(threshold) = specs[layer_idx] {
-                    mask(&mut state, layer_idx, &boundary, threshold)?;
-                }
-                // The boundary dies here — eager release.
-                meter.sub(tensor_bytes(&boundary));
-            }
-            Ok(state)
-        });
-        let mut sink = OverlapForwardSink { specs, tx, meter };
-        let driven = drive(&mut sink);
-        drop(sink); // close the channel so the worker drains and exits
-        let state = worker.join().unwrap_or_else(|panic| resume_unwind(panic))?;
-        Ok((state, driven?))
-    })
-}
-
 fn stream_forward_single(
     network: &Network,
     program: &DetectionProgram,
     input: &Tensor,
     layout: &[(usize, usize)],
-    allow_overlap: bool,
 ) -> Result<StreamedExtraction> {
     let specs = enabled_specs_by_layer(network, program);
-    let meter = Meter::default();
-    let (path, logits) = if overlap_worthwhile(network, &specs, 1, allow_overlap) {
-        drive_with_overlap(
-            &specs,
-            &meter,
-            ActivationPath::empty(layout),
-            |path, layer_idx, output, threshold| {
-                mask_forward_selection(path, layer_idx, output.as_slice(), threshold);
-                Ok(())
-            },
-            |sink| Ok(network.forward_with_sink(input, sink)?),
-        )?
-    } else {
-        let mut sink = InlineForwardSink {
-            specs: &specs,
-            path: ActivationPath::empty(layout),
-        };
-        let logits = network.forward_with_sink(input, &mut sink)?;
-        (sink.path, logits)
+    let mut sink = ForwardSink {
+        specs: &specs,
+        path: ActivationPath::empty(layout),
     };
+    let logits = network.forward_with_sink(input, &mut sink)?;
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
     Ok(StreamedExtraction {
         predicted_class: predicted,
-        path,
+        path: sink.path,
         logits,
         footprint: ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
+            peak_streamed_bytes: 0,
             materialized_bytes: materialized_trace_bytes(network, 1),
         },
     })
@@ -783,8 +670,7 @@ fn stream_backward_single(
     layout: &[(usize, usize)],
 ) -> Result<StreamedExtraction> {
     let retain = backward_retention(network, program)?;
-    let meter = Meter::default();
-    let mut sink = RetainSink::new(&retain, &meter);
+    let mut sink = RetainSink::new(&retain);
     let logits = network.forward_with_sink(input, &mut sink)?;
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
     let mut path = ActivationPath::empty(layout);
@@ -797,81 +683,36 @@ fn stream_backward_single(
         path,
         logits,
         footprint: ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
+            peak_streamed_bytes: sink.retained_bytes,
             materialized_bytes: materialized_trace_bytes(network, 1),
         },
     })
 }
 
+/// One fused forward-program pass over `inputs`, on the calling thread.
+/// Returns the finished samples and the peak retained bytes (always zero).
 fn stream_forward_batch<T, F>(
     network: &Network,
     program: &DetectionProgram,
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
+) -> Result<(Vec<T>, usize)>
 where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let specs = enabled_specs_by_layer(network, program);
-    let batch = inputs.len();
-    let meter = Meter::default();
-    let (paths, logits) = if overlap_worthwhile(network, &specs, batch, true) {
-        drive_with_overlap(
-            &specs,
-            &meter,
-            vec![ActivationPath::empty(layout); batch],
-            |paths: &mut Vec<ActivationPath>, layer_idx, stacked, threshold| {
-                for (b, path) in paths.iter_mut().enumerate() {
-                    // The slice is bit-for-bit the per-sample output, so the
-                    // selection matches the single-input pipeline exactly.
-                    let output = stacked.slice_batch(b)?;
-                    mask_forward_selection(path, layer_idx, output.as_slice(), threshold);
-                }
-                Ok(())
-            },
-            |sink| Ok(network.forward_with_sink_batch(inputs, sink)?),
-        )?
-    } else {
-        struct InlineBatchSink<'a> {
-            specs: &'a [Option<ThresholdKind>],
-            paths: Vec<ActivationPath>,
-            error: Option<CoreError>,
-        }
-        impl TraceSink for InlineBatchSink<'_> {
-            fn on_layer(&mut self, index: usize, output: &Tensor) {
-                let Some(threshold) = self.specs[index] else {
-                    return;
-                };
-                if self.error.is_some() {
-                    return;
-                }
-                for (b, path) in self.paths.iter_mut().enumerate() {
-                    match output.slice_batch(b) {
-                        Ok(sample) => {
-                            mask_forward_selection(path, index, sample.as_slice(), threshold);
-                        }
-                        Err(e) => {
-                            self.error = Some(e.into());
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        let mut sink = InlineBatchSink {
-            specs: &specs,
-            paths: vec![ActivationPath::empty(layout); batch],
-            error: None,
-        };
-        let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
-        if let Some(error) = sink.error {
-            return Err(error);
-        }
-        (sink.paths, logits)
+    let mut sink = ForwardBatchSink {
+        specs: &specs,
+        paths: vec![ActivationPath::empty(layout); inputs.len()],
+        error: None,
     };
-    let samples = paths
+    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    if let Some(error) = sink.error {
+        return Err(error);
+    }
+    let samples = sink
+        .paths
         .into_iter()
         .enumerate()
         .map(|(b, path)| {
@@ -880,73 +721,61 @@ where
             finish(predicted, path)
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok((
-        samples,
-        ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, batch),
-        },
-    ))
+    Ok((samples, 0))
 }
 
+/// One fused backward-program pass over `inputs` plus every sample's reverse
+/// walk, on the calling thread.  Returns the finished samples and the peak
+/// retained bytes.
 fn stream_backward_batch<T, F>(
     network: &Network,
     program: &DetectionProgram,
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
+) -> Result<(Vec<T>, usize)>
 where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let retain = backward_retention(network, program)?;
-    let meter = Meter::default();
-    let mut sink = RetainSink::new(&retain, &meter);
+    let mut sink = RetainSink::new(&retain);
     let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
     let boundaries = sink.boundaries;
-    let indices: Vec<usize> = (0..inputs.len()).collect();
-    let samples = par_map(&indices, |&b| -> Result<T> {
-        // Slice this sample's view of every retained stacked boundary — the
-        // same slices a materialized `BatchTrace::trace(b)` would hand the
-        // walk, so the extraction is bit-for-bit the per-input path.
-        let sliced: Vec<Option<Tensor>> = boundaries
-            .iter()
-            .map(|stacked| {
-                stacked
-                    .as_ref()
-                    .map(|t| t.slice_batch(b))
-                    .transpose()
-                    .map_err(CoreError::from)
-            })
-            .collect::<Result<_>>()?;
-        // The logits boundary is usually already retained and sliced; only
-        // fall back to slicing the driver's stacked logits when it is not.
-        let fallback_logits;
-        let sample_logits = match sliced.last().and_then(Option::as_ref) {
-            Some(retained_logits) => retained_logits,
-            None => {
-                fallback_logits = logits.slice_batch(b)?;
-                &fallback_logits
-            }
-        };
-        let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
-        let mut path = ActivationPath::empty(layout);
-        let source = PartialBoundaries {
-            boundaries: &sliced,
-        };
-        extract_backward(network, &source, predicted, program, &mut path)?;
-        finish(predicted, path)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>>>()?;
-    Ok((
-        samples,
-        ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, inputs.len()),
-        },
-    ))
+    let samples = (0..inputs.len())
+        .map(|b| -> Result<T> {
+            // Slice this sample's view of every retained stacked boundary — the
+            // same slices a materialized `BatchTrace::trace(b)` would hand the
+            // walk, so the extraction is bit-for-bit the per-input path.
+            let sliced: Vec<Option<Tensor>> = boundaries
+                .iter()
+                .map(|stacked| {
+                    stacked
+                        .as_ref()
+                        .map(|t| t.slice_batch(b))
+                        .transpose()
+                        .map_err(CoreError::from)
+                })
+                .collect::<Result<_>>()?;
+            // The logits boundary is usually already retained and sliced; only
+            // fall back to slicing the driver's stacked logits when it is not.
+            let fallback_logits;
+            let sample_logits = match sliced.last().and_then(Option::as_ref) {
+                Some(retained_logits) => retained_logits,
+                None => {
+                    fallback_logits = logits.slice_batch(b)?;
+                    &fallback_logits
+                }
+            };
+            let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
+            let mut path = ActivationPath::empty(layout);
+            let source = PartialBoundaries {
+                boundaries: &sliced,
+            };
+            extract_backward(network, &source, predicted, program, &mut path)?;
+            finish(predicted, path)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((samples, sink.retained_bytes))
 }
 
 #[cfg(test)]

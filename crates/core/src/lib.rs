@@ -39,12 +39,11 @@
 //! [`extract_paths_streaming_batch`], which plug a path extractor into the
 //! forward pass itself via [`ptolemy_nn::TraceSink`]:
 //!
-//! * **forward programs** select each enabled layer's important neurons the
-//!   moment the layer finishes — on a scoped worker thread *overlapped with
-//!   the next layer's compute* on multi-core hosts — and release the
-//!   activation immediately, holding O(largest layer) instead of O(network)
-//!   activation bytes (Sec. III-C's compiler insight, now the serving hot
-//!   path);
+//! * **forward programs** select each enabled layer's important neurons
+//!   inline, the moment the layer finishes, and never retain an activation —
+//!   zero resident trace bytes instead of O(network) (Sec. III-C's compiler
+//!   insight that forward extraction needs nothing beyond the layer just
+//!   computed, now the serving hot path);
 //! * **backward programs** retain only the boundaries the reverse walk reads
 //!   (enabled weight layers' inputs/outputs plus data-dependently-routed
 //!   pass-through inputs such as max-pool windows) and drop everything else
@@ -98,7 +97,6 @@ pub mod engine;
 mod error;
 mod extraction;
 pub use ptolemy_obs::json;
-mod parallel;
 mod path;
 mod profile;
 mod program;
@@ -115,12 +113,12 @@ pub use extraction::{
     extract_path, extract_path_streaming, extract_paths_streaming_batch, materialized_trace_bytes,
     path_layout, ActivationFootprint, StreamedBatchExtraction, StreamedExtraction,
 };
-pub use parallel::par_map;
 pub use path::{ActivationPath, ClassPath, ClassPathSet, PathSegment};
 pub use profile::{class_similarity_matrix, similarity_stats, Profiler, SimilarityStats};
 pub use program::{
     DetectionProgram, DetectionProgramBuilder, Direction, ExtractionSpec, ThresholdKind,
 };
+pub use ptolemy_tensor::parallel::par_map;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

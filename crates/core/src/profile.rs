@@ -3,15 +3,15 @@
 use ptolemy_nn::Network;
 use ptolemy_tensor::Tensor;
 
-use crate::extraction::{extract_path_streaming, path_layout};
+use crate::extraction::{extract_path_streaming, forward_work, path_layout};
 use crate::{ActivationPath, ClassPath, ClassPathSet, CoreError, DetectionProgram, Result};
 
 /// Offline profiler: extracts activation paths for correctly-predicted training
 /// samples and aggregates them into per-class canary paths.
 ///
-/// Profiling parallelises over samples with scoped threads
-/// ([`crate::parallel::par_map`]), each sample running through the streaming
-/// extraction pipeline ([`extract_path_streaming`]) so no full trace is ever
+/// Profiling parallelises over samples ([`crate::par_map`], gated on the
+/// set's forward MACs), each sample running through the streaming extraction
+/// pipeline ([`extract_path_streaming`]) so no full trace is ever
 /// materialized; aggregation itself is a cheap sequential OR.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -67,15 +67,10 @@ impl Profiler {
         }
         let layout = path_layout(network, &self.program)?;
 
+        let work = forward_work(network, samples.len());
         let extracted: Vec<Result<Option<(usize, ActivationPath)>>> =
-            crate::parallel::par_map(samples, |(input, label)| {
-                // The nested variant: par_map already saturates the cores, so
-                // per-sample overlap workers would only add spawn overhead.
-                let streamed = crate::extraction::extract_path_streaming_nested(
-                    network,
-                    &self.program,
-                    input,
-                )?;
+            crate::par_map(samples, work, |(input, label)| {
+                let streamed = extract_path_streaming(network, &self.program, input)?;
                 if streamed.predicted_class != *label {
                     return Ok(None);
                 }

@@ -61,13 +61,20 @@ pub const LINTS: &[(&str, &str)] = &[
          audited crates/tensor/src/quant.rs module — call its QuantParams API instead",
     ),
     (
+        "raw-thread-spawn",
+        "thread::scope / thread::spawn / Builder::spawn outside the allow-list: data parallelism \
+         goes through ptolemy_tensor::parallel::fork_join, the one spawn site that gates on work \
+         and counts claimed cores — a second site oversubscribes it",
+    ),
+    (
         "suppression",
         "malformed lint:allow comment (unknown lint name, or missing the mandatory ': reason')",
     ),
 ];
 
 /// Lints that do **not** run in relaxed scope (test/bench/example code): tests
-/// deliberately unwrap, compare floats and probe std's parallelism lookup.
+/// deliberately unwrap, compare floats, probe std's parallelism lookup and
+/// spawn threads to force interleavings.
 /// `undocumented-unsafe` (and `suppression` well-formedness) stay on
 /// everywhere.
 pub const RELAXED_IN_TESTS: &[&str] = &[
@@ -78,6 +85,7 @@ pub const RELAXED_IN_TESTS: &[&str] = &[
     "todo-marker",
     "raw-instant",
     "raw-numeric-cast",
+    "raw-thread-spawn",
 ];
 
 /// `true` if `name` names a registered lint.
@@ -166,6 +174,29 @@ pub fn check_file(path: &str, tokens: &[Token], context: &FileContext) -> Vec<Fi
                      call (~10µs, the exact hot-path regression PR 4 removed); call the cached \
                      ptolemy_nn::available_parallelism() instead"
                         .into(),
+                );
+            }
+            Some(name @ ("scope" | "spawn")) if prev2_path(i, "thread") => {
+                emit(
+                    "raw-thread-spawn",
+                    token,
+                    format!(
+                        "thread::{name} outside the allow-list — fan work out through \
+                         ptolemy_tensor::parallel (fork_join / par_row_chunks / par_chunks / \
+                         par_map), which gates on work size and on the cores already claimed; \
+                         long-lived service threads belong in the allow-listed start-up files"
+                    ),
+                );
+            }
+            Some(name @ ("spawn" | "spawn_scoped")) if prev_punct(i, ".") && punct(i + 1, "(") => {
+                emit(
+                    "raw-thread-spawn",
+                    token,
+                    format!(
+                        ".{name}() starts a thread (Builder::spawn / Scope::spawn) outside the \
+                         allow-list — fan work out through ptolemy_tensor::parallel instead; \
+                         long-lived service threads belong in the allow-listed start-up files"
+                    ),
                 );
             }
             Some("now") if prev2_path(i, "Instant") => {
@@ -659,6 +690,38 @@ mod tests {
              }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn raw_thread_spawn_flags_every_spawn_form_and_spares_look_alikes() {
+        let findings = strict(
+            "fn f() {\n\
+             std::thread::scope(|s| { s.spawn(|| 1); });\n\
+             let h = thread::spawn(|| 2);\n\
+             let b = std::thread::Builder::new().name(n).spawn(move || 3);\n\
+             let c = Builder::new().spawn_scoped(scope, || 4);\n\
+             }",
+        );
+        assert_eq!(lints_of(&findings), vec!["raw-thread-spawn"; 5]);
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 2, 3, 4, 5]
+        );
+        // A field or free function that merely shares the name, the gated
+        // primitives, and anything inside test regions stay legal.
+        let findings = strict(
+            "fn f(scope: usize) {\n\
+             let spawn = scope + 1;\n\
+             ptolemy_tensor::parallel::fork_join(4, w, split, run);\n\
+             let n = ptolemy_tensor::parallel::helpers_spawned();\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+             #[test]\n\
+             fn t() { std::thread::spawn(|| 1).join().unwrap(); }\n\
+             }\n",
+        );
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

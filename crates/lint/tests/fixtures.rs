@@ -39,6 +39,8 @@ fn positive_fixture_trips_every_lint() {
             "panic-in-worker", // panic!("boom")
             "raw-instant",
             "raw-numeric-cast",
+            "raw-thread-spawn", // std::thread::scope
+            "raw-thread-spawn", // scope.spawn(..)
             "todo-marker",
             "unbounded-channel",
             "undocumented-unsafe",

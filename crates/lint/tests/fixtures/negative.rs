@@ -59,8 +59,21 @@ fn range_not_float() -> u32 {
     (1..8).sum()
 }
 
+fn gated_fan_out(items: &[u32]) -> Vec<u32> {
+    // The work-gated primitives are the sanctioned way to use more cores; a
+    // local that happens to be called `scope` or `spawn` is just a name.
+    let scope = items.len();
+    let spawn = scope * 2;
+    ptolemy_tensor::parallel::par_map(items, spawn, |x| x + 1)
+}
+
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn threads_are_fine_in_tests() {
+        assert_eq!(std::thread::spawn(|| 3).join().ok(), Some(3));
+    }
+
     #[test]
     fn unwraps_are_fine_in_tests() {
         let v: Option<u32> = Some(3);

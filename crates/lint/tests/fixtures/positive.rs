@@ -49,3 +49,8 @@ fn lossy_quantize(x: f32) -> i8 {
     // raw-numeric-cast: saturating rounding casts live in the quant module.
     (x * 127.0) as i8
 }
+
+fn hand_rolled_fan_out(items: &[u32]) -> u32 {
+    // raw-thread-spawn: data parallelism goes through ptolemy_tensor::parallel.
+    std::thread::scope(|scope| scope.spawn(|| items.iter().sum()).join().unwrap_or(0))
+}

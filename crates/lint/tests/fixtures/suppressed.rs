@@ -29,3 +29,8 @@ fn field_encoding(word: u32) -> u8 {
     // lint:allow(raw-numeric-cast): fixture stands in for an ISA word-field mask
     (word & 0xFF) as u8
 }
+
+fn sanctioned_service_thread() {
+    // lint:allow(raw-thread-spawn): fixture stands in for a server's worker start-up
+    let _worker = std::thread::spawn(|| ());
+}

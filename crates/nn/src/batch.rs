@@ -12,14 +12,6 @@ use ptolemy_tensor::Tensor;
 
 use crate::{NnError, Result};
 
-/// Cached core count, shared workspace-wide.  The cache itself now lives in
-/// `ptolemy_tensor::parallel` (so large standalone `Tensor::matmul` calls
-/// parallelize too); this remains the nn-internal accessor and
-/// [`crate::available_parallelism`] the workspace-facing export.
-pub(crate) fn parallelism() -> usize {
-    ptolemy_tensor::available_parallelism()
-}
-
 /// Validates that `batch` has shape `[B] ++ sample_shape` with `B >= 1` and
 /// returns `B`.
 pub(crate) fn check_batch(batch: &Tensor, sample_shape: &[usize], layer: &str) -> Result<usize> {
@@ -33,27 +25,9 @@ pub(crate) fn check_batch(batch: &Tensor, sample_shape: &[usize], layer: &str) -
     Ok(dims[0])
 }
 
-/// Row-chunk partitioner — re-exported from `ptolemy_tensor::parallel`, where
-/// it moved so the tensor crate's own kernels can fan rows out.  Each row is
-/// computed by exactly one invocation, so per-element arithmetic is identical
-/// to a serial pass — threading partitions the output, never a reduction.
-pub(crate) use ptolemy_tensor::par_row_chunks;
-
-/// Matrix multiplication `a · b` with rows of the result computed in parallel.
-///
-/// Delegates to the blocked row-parallel kernel in `ptolemy_tensor::gemm`:
-/// per output element the reduction runs in exactly the same order as
-/// [`Tensor::matmul`] (ascending `k`, skipping zero `a` entries), so the
-/// result is bit-for-bit identical to the serial product — rows are
-/// independent, and threading only partitions them.
-pub(crate) fn matmul_rows_parallel(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    Ok(ptolemy_tensor::matmul_parallel(a, b)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptolemy_tensor::{Initializer, Rng64};
 
     #[test]
     fn check_batch_accepts_and_rejects() {
@@ -62,46 +36,5 @@ mod tests {
         assert!(check_batch(&batch, &[3, 2], "test").is_err());
         assert!(check_batch(&Tensor::zeros(&[2, 3]), &[2, 3], "test").is_err());
         assert!(check_batch(&Tensor::zeros(&[0, 2, 3]), &[2, 3], "test").is_err());
-    }
-
-    #[test]
-    fn parallel_matmul_is_bit_identical_to_serial() {
-        let mut rng = Rng64::new(42);
-        let a = Initializer::Uniform(1.0).build(&[7, 13], &mut rng).unwrap();
-        let mut a = a;
-        // Sprinkle zeros so the skip branch is exercised.
-        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if i % 5 == 0 {
-                *v = 0.0;
-            }
-        }
-        let b = Initializer::Uniform(1.0)
-            .build(&[13, 33], &mut rng)
-            .unwrap();
-        let serial = a.matmul(&b).unwrap();
-        let parallel = matmul_rows_parallel(&a, &b).unwrap();
-        assert_eq!(serial.dims(), parallel.dims());
-        for (s, p) in serial.as_slice().iter().zip(parallel.as_slice()) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-        // Shape errors surface like the serial path's.
-        assert!(matmul_rows_parallel(&a, &Tensor::zeros(&[5, 2])).is_err());
-    }
-
-    #[test]
-    fn par_row_chunks_covers_every_row_once() {
-        let rows = 11;
-        let row_len = 3;
-        let mut out = vec![0.0f32; rows * row_len];
-        par_row_chunks(&mut out, rows, row_len, |first_row, chunk| {
-            for (local, row) in chunk.chunks_mut(row_len).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first_row + local) as f32;
-                }
-            }
-        });
-        for (i, row) in out.chunks(row_len).enumerate() {
-            assert!(row.iter().all(|v| *v == i as f32));
-        }
     }
 }

@@ -1,6 +1,6 @@
 use ptolemy_tensor::{col2im, im2col, im2col_batch, Conv2dGeometry, Initializer, Rng64, Tensor};
 
-use crate::batch::{check_batch, matmul_rows_parallel};
+use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// 2-D convolution over CHW activations, lowered to `im2col` + matmul.
@@ -137,7 +137,7 @@ impl Layer for Conv2d {
         // same order as the per-input path (weight rows stream once across
         // all B inputs instead of once per input).
         let cols = im2col_batch(batch, &self.geom)?;
-        let fused = matmul_rows_parallel(&self.weight, &cols)?; // [out_c, B·patches]
+        let fused = self.weight.matmul(&cols)?; // [out_c, B·patches]
         let wide = fused.as_slice();
         let sample_out = self.out_channels * patches;
         let mut data = vec![0.0f32; batch_size * sample_out];

@@ -1,6 +1,6 @@
-use ptolemy_tensor::{Initializer, Rng64, Tensor};
+use ptolemy_tensor::{par_row_chunks, Initializer, Rng64, Tensor};
 
-use crate::batch::{check_batch, par_row_chunks};
+use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
@@ -138,9 +138,10 @@ impl Layer for Dense {
         for row in out.chunks_mut(outputs) {
             row.copy_from_slice(b);
         }
-        par_row_chunks(&mut out, batch_size, outputs, |first_sample, chunk| {
+        let macs = batch_size * inputs * outputs;
+        par_row_chunks(&mut out, batch_size, outputs, macs, |first, chunk| {
             let samples = chunk.len() / outputs;
-            let x = &xs[first_sample * inputs..(first_sample + samples) * inputs];
+            let x = &xs[first * inputs..(first + samples) * inputs];
             ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
         });
         Ok(Tensor::from_vec(out, &[batch_size, outputs])?)

@@ -1,6 +1,6 @@
-use ptolemy_tensor::Tensor;
+use ptolemy_tensor::{par_row_chunks, Tensor};
 
-use crate::batch::{check_batch, par_row_chunks};
+use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Shared geometry for the pooling layers.
@@ -98,9 +98,11 @@ impl PoolGeom {
         let in_len = self.channels * self.in_h * self.in_w;
         let out_len = self.channels * self.out_h * self.out_w;
         let mut out = vec![0.0f32; batch_size * out_len];
-        par_row_chunks(&mut out, batch_size, out_len, |first_sample, chunk| {
+        // One fold per window element: the pool's MAC-equivalent.
+        let work = batch_size * out_len * self.window * self.window;
+        par_row_chunks(&mut out, batch_size, out_len, work, |first, chunk| {
             for (s, sample_out) in chunk.chunks_mut(out_len).enumerate() {
-                let x = &xs[(first_sample + s) * in_len..(first_sample + s + 1) * in_len];
+                let x = &xs[(first + s) * in_len..(first + s + 1) * in_len];
                 let mut idx = 0usize;
                 for c in 0..self.channels {
                     for oy in 0..self.out_h {

@@ -16,9 +16,9 @@
 //!   next layer starts.  The driver itself keeps only the current layer's
 //!   input and output alive, so what outlives a layer is entirely the sink's
 //!   decision — a selective sink observes a whole inference in O(largest
-//!   layer) memory.  This is the hook `ptolemy-core` uses to overlap path
-//!   extraction with the next layer's inference (the paper's Sec. III-C
-//!   compiler insight) and to drop activations eagerly;
+//!   layer) memory.  This is the hook `ptolemy-core` uses to extract paths
+//!   while the forward pass runs (the paper's Sec. III-C compiler insight)
+//!   and to drop activations eagerly;
 //! * [`Network::forward_trace`] — the materializing adapter over the streaming
 //!   driver: a keep-everything sink recording each activation boundary
 //!   **once** (`activations[i + 1]` is both layer `i`'s output and layer
@@ -79,15 +79,7 @@ pub use quant::QuantizedNetwork;
 pub use trace::{predicted_class, BatchTrace, ForwardTrace, LayerTimingSink, TraceSink};
 pub use train::{TrainConfig, TrainReport, Trainer};
 
-/// Cached [`std::thread::available_parallelism`] (clamped to at least 1).
-///
-/// The std lookup re-reads cgroup state on Linux — microseconds per call, far
-/// too slow for per-layer or per-batch queries on hot paths.  Every Ptolemy
-/// crate that fans work out over scoped threads (the fused batch kernels here,
-/// `ptolemy_core::par_map`) shares this single cached read.
-pub fn available_parallelism() -> usize {
-    batch::parallelism()
-}
+pub use ptolemy_tensor::available_parallelism;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -15,7 +15,7 @@ use ptolemy_core::{Detection, DetectionEngine};
 use ptolemy_nn::QuantizedNetwork;
 use ptolemy_obs::json::JsonValue;
 use ptolemy_obs::{Clock, HistogramHandle, Registry, Stage, Timeline};
-use ptolemy_tensor::Tensor;
+use ptolemy_tensor::{Tensor, ThreadClaim};
 
 use crate::admission::{AdmissionPolicy, DegradePolicy};
 use crate::batch::{adaptive_cap_tiered, BatchPolicy};
@@ -791,8 +791,8 @@ fn write_snapshot(shared: &Shared, path: &std::path::Path) {
 /// batch *k* runs concurrently with screening of batch *k+1*), repeat until
 /// shutdown drains the queue.
 fn worker_loop(shared: &Shared) {
-    // The overlap thread mirrors core's streaming-extraction overlap worker: a
-    // bounded rendezvous (sync_channel(1)) so at most one tier-2 sliver waits
+    // The overlap thread is fed through a bounded rendezvous
+    // (sync_channel(1)) so at most one tier-2 sliver waits
     // while one executes — tier-2 work can lag the screen by a batch, never
     // pile up unboundedly.  When the channel is full the sliver runs inline
     // (counted as a serial batch), which keeps the worker making progress even
@@ -803,6 +803,8 @@ fn worker_loop(shared: &Shared) {
             let (tx, rx) = std::sync::mpsc::sync_channel::<EscalationJob>(1);
             let handle = scope.spawn(move || {
                 while let Ok(job) = rx.recv() {
+                    // Busy only while a sliver executes: see the worker's claim.
+                    let _busy = ThreadClaim::acquire();
                     run_escalations_caught(shared, job);
                 }
             });
@@ -820,6 +822,10 @@ fn worker_loop(shared: &Shared) {
             let Some(formed) = next_batch(shared, cap) else {
                 break;
             };
+            // While this worker holds a batch it occupies a core: the engines'
+            // fork-joins count it, so a saturated server fans nothing out
+            // while a lone busy worker still borrows the idle cores.
+            let _busy = ThreadClaim::acquire();
             let FormedBatch {
                 requests: batch,
                 form_start_ns,
@@ -2110,6 +2116,24 @@ mod tests {
             .calibrate(&fx.benign, &fx.adversarial)
     }
 
+    /// Asserts that no thread claim outlives the servers that took it.  The
+    /// claim count is process-wide and other tests' workers claim themselves
+    /// while they hold a batch, so this waits for a quiet instant: live
+    /// servers release their claims between batches, a leaked claim never
+    /// goes away.
+    fn assert_thread_claims_drain() {
+        let clock = Clock::monotonic();
+        let give_up_ns = clock.now_ns() + 60_000_000_000;
+        while ptolemy_tensor::parallel::claimed_threads() != 0 {
+            assert!(
+                clock.now_ns() < give_up_ns,
+                "a thread claim leaked: {} still held",
+                ptolemy_tensor::parallel::claimed_threads()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn tiered(fx: &Fixture) -> (Arc<DetectionEngine>, Arc<DetectionEngine>) {
         let screen = engine(fx, variants::fw_ab(&fx.network, 0.3).unwrap())
             .build()
@@ -2167,6 +2191,8 @@ mod tests {
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
         assert!(stats.batches > 0);
         assert!(stats.p99_latency_ms >= stats.p50_latency_ms);
+        // Workers and escalators gave their cores back.
+        assert_thread_claims_drain();
     }
 
     #[test]
@@ -2927,6 +2953,7 @@ mod tests {
         assert_eq!(served.tier, Tier::Screen);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
+        assert_thread_claims_drain();
         assert!(stats.failed >= 1, "{stats:?}");
         assert!(stats.completed >= 1, "{stats:?}");
     }
@@ -2963,6 +2990,7 @@ mod tests {
         assert_eq!(served.tier, Tier::Escalated);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
+        assert_thread_claims_drain();
     }
 
     #[test]
@@ -2997,6 +3025,7 @@ mod tests {
         assert_eq!(served.tier, Tier::Escalated);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
+        assert_thread_claims_drain();
     }
 
     /// Parses a named stage histogram out of a metrics snapshot.

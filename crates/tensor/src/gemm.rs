@@ -27,7 +27,7 @@
 //! `NR` is chosen at build time by `build.rs` (16 on AVX/NEON targets, 8
 //! otherwise); the choice affects speed only, never results.
 
-use crate::parallel::{available_parallelism, par_row_chunks};
+use crate::parallel::par_row_chunks;
 use crate::{Result, Tensor, TensorError};
 
 /// Rows of the register tile.
@@ -53,10 +53,6 @@ const MC: usize = 64;
 /// Below this `m * n * k` volume the packing setup outweighs its cache wins;
 /// the naive loop is used instead (bit-identical results either way).
 const SMALL_FLOPS: usize = 16 * 1024;
-
-/// Above this `m * n * k` volume a standalone matmul fans rows out over the
-/// cached core count (scoped-thread spawn costs dwarf smaller products).
-const PARALLEL_FLOPS: usize = 1 << 20;
 
 /// The shared accumulation core of both microkernel paths: `kc` ascending
 /// steps of `acc[r][j] += a[k][r] * b[k][j]` over the full (zero-padded)
@@ -315,13 +311,13 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Row-parallel blocked matrix product: output rows are partitioned over the
-/// cached core count ([`available_parallelism`]) and each chunk runs the
-/// serial blocked kernel — per-element arithmetic is untouched, so the result
-/// is bit-for-bit [`matmul_blocked`] (and therefore the naive kernel).
-///
-/// Used by the fused batched conv kernel in `ptolemy-nn` and by
-/// [`Tensor::matmul`] for large products; benchmarks call it directly.
+/// Row-parallel blocked matrix product — the kernel behind
+/// [`Tensor::matmul`]: output rows are partitioned over as many threads as
+/// the product's `m·k·n` MACs buy at the workspace's one work gate
+/// ([`crate::parallel::fork_join`]; none below
+/// [`crate::parallel::MIN_WORK_PER_THREAD`] per thread) and each chunk runs
+/// the serial blocked kernel — per-element arithmetic is untouched, so the
+/// result is bit-for-bit [`matmul_blocked`] (and therefore the naive kernel).
 ///
 /// # Errors
 ///
@@ -331,7 +327,7 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let av = a.as_slice();
     let bv = b.as_slice();
     let mut out = vec![0.0f32; m * n];
-    par_row_chunks(&mut out, m, n, |first_row, chunk| {
+    par_row_chunks(&mut out, m, n, m * k * n, |first_row, chunk| {
         let rows = chunk.len() / n.max(1);
         matmul_blocked_into(
             chunk,
@@ -343,13 +339,6 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         );
     });
     Tensor::from_vec(out, &[m, n])
-}
-
-/// `true` when a standalone `m x k x n` product is worth fanning out over
-/// scoped threads (enough arithmetic to amortise the spawns, more than one
-/// core cached).
-pub(crate) fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
-    m >= 2 && m * n * k >= PARALLEL_FLOPS && available_parallelism() > 1
 }
 
 #[cfg(test)]
@@ -449,11 +438,5 @@ mod tests {
                 assert_eq!(blocked[s * n + j].to_bits(), acc.to_bits(), "({s},{j})");
             }
         }
-    }
-
-    #[test]
-    fn parallel_threshold_requires_size_and_cores() {
-        assert!(!parallel_worthwhile(1, 4096, 4096));
-        assert!(!parallel_worthwhile(8, 2, 2));
     }
 }

@@ -22,7 +22,7 @@
 //! same cache footprint covers 4x the operands — the bandwidth win that
 //! makes int8 the serving fast path.
 
-use crate::gemm::{parallel_worthwhile, MR, NR};
+use crate::gemm::{MR, NR};
 use crate::parallel::par_row_chunks;
 use crate::quant::check_i8_dims;
 use crate::Result;
@@ -285,10 +285,10 @@ pub fn matmul_i8_blocked_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) ->
 }
 
 /// Row-parallel blocked integer GEMM `A · B`: output rows are partitioned
-/// over the cached core count and each chunk runs the serial blocked kernel.
-/// Rows are independent, so this equals [`matmul_i8_blocked`] — which equals
-/// the naive kernel by exactness.  Falls back to the serial kernel below the
-/// parallel threshold.
+/// over as many threads as the product's MACs buy at the work gate
+/// ([`crate::parallel::fork_join`]) and each chunk runs the serial blocked
+/// kernel.  Rows are independent, so this equals [`matmul_i8_blocked`] —
+/// which equals the naive kernel by exactness.
 ///
 /// # Errors
 ///
@@ -297,27 +297,23 @@ pub fn matmul_i8_blocked_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) ->
 pub fn matmul_i8_parallel(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
     check_i8_dims(a.len(), b.len(), [m, k], [k, n], "matmul_i8_parallel")?;
     let mut out = vec![0i32; m * n];
-    if parallel_worthwhile(m, k, n) {
-        par_row_chunks(&mut out, m, n, |first_row, chunk| {
-            let rows = chunk.len() / n.max(1);
-            matmul_i8_blocked_into(
-                chunk,
-                &a[first_row * k..(first_row + rows) * k],
-                b,
-                rows,
-                k,
-                n,
-            );
-        });
-    } else {
-        matmul_i8_blocked_into(&mut out, a, b, m, k, n);
-    }
+    par_row_chunks(&mut out, m, n, m * k * n, |first_row, chunk| {
+        let rows = chunk.len() / n.max(1);
+        matmul_i8_blocked_into(
+            chunk,
+            &a[first_row * k..(first_row + rows) * k],
+            b,
+            rows,
+            k,
+            n,
+        );
+    });
     Ok(out)
 }
 
 /// Row-parallel blocked integer GEMM `A · Bᵀ` (B `[n, k]` row-major): the
-/// quantized batched-dense kernel, partitioning the batch rows of `A` over
-/// the cached core count.  Equal to [`matmul_i8_blocked_nt`] by exactness.
+/// quantized batched-dense kernel, partitioning the batch rows of `A` at the
+/// same work gate.  Equal to [`matmul_i8_blocked_nt`] by exactness.
 ///
 /// # Errors
 ///
@@ -326,21 +322,17 @@ pub fn matmul_i8_parallel(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> R
 pub fn matmul_i8_parallel_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
     check_i8_dims(a.len(), b.len(), [m, k], [n, k], "matmul_i8_parallel_nt")?;
     let mut out = vec![0i32; m * n];
-    if parallel_worthwhile(m, k, n) {
-        par_row_chunks(&mut out, m, n, |first_row, chunk| {
-            let rows = chunk.len() / n.max(1);
-            matmul_i8_blocked_nt_into(
-                chunk,
-                &a[first_row * k..(first_row + rows) * k],
-                b,
-                rows,
-                k,
-                n,
-            );
-        });
-    } else {
-        matmul_i8_blocked_nt_into(&mut out, a, b, m, k, n);
-    }
+    par_row_chunks(&mut out, m, n, m * k * n, |first_row, chunk| {
+        let rows = chunk.len() / n.max(1);
+        matmul_i8_blocked_nt_into(
+            chunk,
+            &a[first_row * k..(first_row + rows) * k],
+            b,
+            rows,
+            k,
+            n,
+        );
+    });
     Ok(out)
 }
 

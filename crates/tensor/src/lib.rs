@@ -48,7 +48,7 @@ pub use gemm_i8::{matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel};
 pub use im2col::{col2im, im2col, im2col_batch, Conv2dGeometry};
 pub use im2col_i8::{im2col_i8, im2col_i8_batch};
 pub use init::{Initializer, Rng64};
-pub use parallel::{available_parallelism, par_row_chunks};
+pub use parallel::{available_parallelism, par_row_chunks, ThreadClaim};
 pub use quant::{max_abs, quantize_slice, QuantParams};
 pub use shape::Shape;
 pub use tensor::Tensor;

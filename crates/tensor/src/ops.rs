@@ -97,29 +97,17 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors.
     ///
     /// Runs the blocked, register-tiled kernel from [`crate::gemm`], fanning
-    /// rows out over the cached core count for large products.  Every routing
-    /// choice (blocked vs naive, serial vs parallel) is bit-for-bit identical
-    /// to [`Tensor::matmul_naive`] — see the `gemm` module docs for why.
+    /// rows out when the product's MACs pass the work gate
+    /// ([`crate::gemm::matmul_parallel`]).  Every routing choice (blocked vs
+    /// naive, serial vs parallel) is bit-for-bit identical to
+    /// [`Tensor::matmul_naive`] — see the `gemm` module docs for why.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidRank`] if either operand is not rank 2 and
     /// [`TensorError::IncompatibleShapes`] if the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = self.shape().as_matrix()?;
-        let (k2, n) = other.shape().as_matrix()?;
-        if k != k2 {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "matmul",
-            });
-        }
-        if crate::gemm::parallel_worthwhile(m, k, n) {
-            crate::gemm::matmul_parallel(self, other)
-        } else {
-            crate::gemm::matmul_blocked(self, other)
-        }
+        crate::gemm::matmul_parallel(self, other)
     }
 
     /// Matrix multiplication via the original naive scalar triple loop.

@@ -18,6 +18,13 @@ use ptolemy_tensor::{
 
 /// Random `[rows, cols]` tensor with zeros sprinkled in so the sparsity-skip
 /// branch of the kernel is exercised alongside the dense lanes.
+/// Runs the row-parallel entry points three threads wide: these shapes sit
+/// far below the work gate, where the product would otherwise stay on one
+/// thread and the row partitioning would go untested.
+fn fanned<R>(f: impl FnOnce() -> R) -> R {
+    ptolemy_tensor::parallel::with_forced_width(3, f)
+}
+
 fn random_matrix(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Tensor {
     let mut rng = Rng64::new(seed);
     let data: Vec<f32> = (0..rows * cols)
@@ -84,7 +91,7 @@ proptest! {
         let naive = a.matmul_naive(&b).unwrap();
         assert_bits_equal("matmul", &a.matmul(&b).unwrap(), &naive)?;
         assert_bits_equal("blocked", &matmul_blocked(&a, &b).unwrap(), &naive)?;
-        assert_bits_equal("parallel", &matmul_parallel(&a, &b).unwrap(), &naive)?;
+        assert_bits_equal("parallel", &fanned(|| matmul_parallel(&a, &b)).unwrap(), &naive)?;
     }
 
     /// Skinny shapes: row vectors, column vectors and K=1 outer products all
@@ -96,7 +103,7 @@ proptest! {
             let b = random_matrix(k, n, seed.wrapping_add(9), 0);
             let naive = a.matmul_naive(&b).unwrap();
             assert_bits_equal("skinny", &matmul_blocked(&a, &b).unwrap(), &naive)?;
-            assert_bits_equal("skinny-par", &matmul_parallel(&a, &b).unwrap(), &naive)?;
+            assert_bits_equal("skinny-par", &fanned(|| matmul_parallel(&a, &b)).unwrap(), &naive)?;
         }
     }
 
@@ -178,7 +185,7 @@ proptest! {
         let b = random_i8(k * n, seed.wrapping_add(1), 0);
         let naive = matmul_i8(&a, &b, m, k, n).unwrap();
         prop_assert_eq!(&matmul_i8_blocked(&a, &b, m, k, n).unwrap(), &naive);
-        prop_assert_eq!(&matmul_i8_parallel(&a, &b, m, k, n).unwrap(), &naive);
+        prop_assert_eq!(&fanned(|| matmul_i8_parallel(&a, &b, m, k, n)).unwrap(), &naive);
 
         // The transposed-B entry points, against the same logical operands.
         let mut bt = vec![0i8; n * k];
@@ -189,7 +196,7 @@ proptest! {
         }
         prop_assert_eq!(&matmul_i8_nt(&a, &bt, m, k, n).unwrap(), &naive);
         prop_assert_eq!(&matmul_i8_blocked_nt(&a, &bt, m, k, n).unwrap(), &naive);
-        prop_assert_eq!(&matmul_i8_parallel_nt(&a, &bt, m, k, n).unwrap(), &naive);
+        prop_assert_eq!(&fanned(|| matmul_i8_parallel_nt(&a, &bt, m, k, n)).unwrap(), &naive);
     }
 
     /// The integer GEMMs agree with an exact i32 reference (and with each
@@ -238,8 +245,14 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
     assert!(naive.iter().all(|&v| v == 128 * 128 * k as i32));
     assert_eq!(matmul_i8_blocked(&a, &b, m, k, n).unwrap(), naive);
     assert_eq!(matmul_i8_blocked_nt(&a, &b, m, k, n).unwrap(), naive);
-    assert_eq!(matmul_i8_parallel(&a, &b, m, k, n).unwrap(), naive);
-    assert_eq!(matmul_i8_parallel_nt(&a, &b, m, k, n).unwrap(), naive);
+    assert_eq!(
+        fanned(|| matmul_i8_parallel(&a, &b, m, k, n)).unwrap(),
+        naive
+    );
+    assert_eq!(
+        fanned(|| matmul_i8_parallel_nt(&a, &b, m, k, n)).unwrap(),
+        naive
+    );
 }
 
 /// Non-finite values in B make the sparsity skip *observable* (0.0 · inf is
@@ -257,7 +270,7 @@ fn sparsity_skip_parity_with_non_finite_b() {
     b.as_mut_slice()[100] = f32::NAN;
     let naive = a.matmul_naive(&b).unwrap();
     let blocked = matmul_blocked(&a, &b).unwrap();
-    let parallel = matmul_parallel(&a, &b).unwrap();
+    let parallel = fanned(|| matmul_parallel(&a, &b)).unwrap();
     for ((x, y), z) in naive
         .as_slice()
         .iter()

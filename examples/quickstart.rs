@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 4. Online phase (Fig. 4 right): detect held-out benign and adversarial inputs
-    //    in one batch each (traces fan out over scoped threads).
+    //    in one batch each (one fused pass, split over idle cores when large).
     let mut correct = 0usize;
     let mut total = 0usize;
     for (inputs, expected) in [

@@ -50,6 +50,20 @@ if ! grep -q "todo-marker" <<<"$out"; then
     exit 1
 fi
 
+echo "== a second spawn site must fail as raw-thread-spawn"
+spawn_rel="crates/core/src/extraction.rs"
+printf '\npub fn injected_spawn_site() { std::thread::scope(|_| ()); }\n' >>"$tmp/$spawn_rel"
+spawn_line="$(wc -l <"$tmp/$spawn_rel")"
+set +e
+out="$("$bin" --root "$tmp")"
+code=$?
+set -e
+if [[ "$code" -ne 1 ]] || ! grep -q "$spawn_rel:$spawn_line:.*raw-thread-spawn" <<<"$out"; then
+    echo "FAIL: a thread::scope outside the allow-list was not reported (exit $code)"
+    echo "$out"
+    exit 1
+fi
+
 echo "== --json must agree"
 set +e
 json="$("$bin" --root "$tmp" --json)"

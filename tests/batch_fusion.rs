@@ -3,16 +3,19 @@
 //! `forward_trace_batch` and the fused `detect_batch` must be **bit-for-bit
 //! identical** to the per-input path — each output column depends only on its
 //! own input column, and every fused kernel preserves the per-input reduction
-//! order.
+//! order.  The same holds for the hoisted fan-out: however many contiguous
+//! sub-batches a batch is split into, every fused and quantized batch entry
+//! point returns the bits it returns on one thread.
 
 mod common;
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use ptolemy::core::{variants, DetectionEngine, Profiler};
+use ptolemy::core::{variants, ActivationPath, CoreError, Detection, DetectionEngine, Profiler};
 use ptolemy::nn::Network;
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
+use ptolemy::tensor::parallel::{helpers_spawned, with_forced_width};
 use ptolemy::tensor::Rng64;
 
 /// One trained victim plus a calibrated engine per `variants::*` constructor.
@@ -60,6 +63,7 @@ fn fixture() -> &'static Fixture {
                     .unwrap();
                 let engine = DetectionEngine::builder(network.clone(), program, class_paths)
                     .calibrate(&benign, &adversarial)
+                    .quantized(&benign)
                     .build()
                     .unwrap();
                 (name, engine)
@@ -188,6 +192,106 @@ proptest! {
                     path.prefix_fingerprint(usize::MAX),
                     single_path.prefix_fingerprint(usize::MAX)
                 );
+            }
+        }
+    }
+}
+
+/// Widths the hoisted split is pinned at: one thread, the two-way split a
+/// 2-core box takes, and an odd width that leaves ragged sub-batches.
+const WIDTHS: [usize; 3] = [1, 2, 3];
+
+type Traced = Vec<Result<(Detection, ActivationPath), CoreError>>;
+
+/// `true` if two with-paths results agree bit for bit: same verdict bits and
+/// same path where both served, an error in the same slot otherwise.
+fn same_results(left: &Traced, right: &Traced) -> bool {
+    left.len() == right.len()
+        && left.iter().zip(right).all(|pair| match pair {
+            (Ok((a, path_a)), Ok((b, path_b))) => {
+                a.score.to_bits() == b.score.to_bits()
+                    && a.similarity.to_bits() == b.similarity.to_bits()
+                    && a.is_adversary == b.is_adversary
+                    && a.predicted_class == b.predicted_class
+                    && path_a == path_b
+            }
+            (Err(a), Err(b)) => a.to_string() == b.to_string(),
+            _ => false,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Splitting a batch into contiguous sub-batches over helper threads
+    /// changes scheduling only: `detect_batch`, `detect_batch_with_paths` and
+    /// the `detect_batch_quantized*` family return the same bits at width 1
+    /// and width N for every `variants::*` program and batch sizes 1..8 —
+    /// on the fused path and on the per-input fallback a mis-shaped input
+    /// forces.
+    #[test]
+    fn hoisted_split_is_bit_identical_at_every_width(
+        seed in 0u64..10_000,
+        len in 1usize..=8,
+        scale in 0.1f32..2.0,
+    ) {
+        let fx = fixture();
+        let well_shaped = batch(seed, len, scale);
+        let mut with_misfit = well_shaped.clone();
+        with_misfit.insert(len / 2, Tensor::full(&[5], 0.1));
+        for (name, engine) in &fx.engines {
+            for inputs in [&well_shaped, &with_misfit] {
+                let serial = with_forced_width(1, || engine.detect_batch_with_paths(inputs));
+                let serial_q =
+                    with_forced_width(1, || engine.detect_batch_quantized_with_paths(inputs));
+                for width in WIDTHS {
+                    let spawned = helpers_spawned();
+                    let fanned =
+                        with_forced_width(width, || engine.detect_batch_with_paths(inputs));
+                    prop_assert!(
+                        same_results(&serial, &fanned),
+                        "variant {}: detect_batch_with_paths diverged at width {}",
+                        name,
+                        width
+                    );
+                    // The width is real: a forced split of 2+ inputs spawns.
+                    prop_assert!(
+                        width == 1 || inputs.len() == 1 || helpers_spawned() > spawned,
+                        "width {} never fanned out",
+                        width
+                    );
+                    let fanned_q = with_forced_width(width, || {
+                        engine.detect_batch_quantized_with_paths(inputs)
+                    });
+                    prop_assert!(
+                        same_results(&serial_q, &fanned_q),
+                        "variant {}: detect_batch_quantized_with_paths diverged at width {}",
+                        name,
+                        width
+                    );
+
+                    // The verdict-only surfaces are the same calls minus the
+                    // paths: same verdicts, or the same first error.
+                    let verdicts = with_forced_width(width, || engine.detect_batch(inputs));
+                    let verdicts_q =
+                        with_forced_width(width, || engine.detect_batch_quantized(inputs));
+                    for (traced, verdicts) in [(&serial, verdicts), (&serial_q, verdicts_q)] {
+                        match verdicts {
+                            Ok(verdicts) => {
+                                prop_assert_eq!(verdicts.len(), traced.len());
+                                for (verdict, traced) in verdicts.iter().zip(traced) {
+                                    let (expected, _) = traced.as_ref().unwrap();
+                                    prop_assert_eq!(
+                                        verdict.score.to_bits(),
+                                        expected.score.to_bits()
+                                    );
+                                    prop_assert_eq!(verdict, expected);
+                                }
+                            }
+                            Err(_) => prop_assert!(traced.iter().any(Result::is_err)),
+                        }
+                    }
+                }
             }
         }
     }

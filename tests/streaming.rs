@@ -18,6 +18,7 @@ use ptolemy::core::{
 };
 use ptolemy::nn::Network;
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
+use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
 
 /// One trained victim plus a calibrated engine per `variants::*` constructor.
@@ -162,6 +163,32 @@ proptest! {
                 {
                     prop_assert_eq!(s.to_bits(), m.to_bits());
                 }
+            }
+
+            // The hoisted split: however many contiguous sub-batches the
+            // batch fans out into, every sample is the same bits, and the
+            // sub-batches together retain what the single pass retains.
+            for width in [2usize, 3] {
+                let fanned = with_forced_width(width, || {
+                    extract_paths_streaming_batch(&fx.network, program, &inputs)
+                })
+                .unwrap();
+                prop_assert!(
+                    fanned.samples == streamed.samples,
+                    "variant {}: width {} changed a streamed sample",
+                    name,
+                    width
+                );
+                prop_assert_eq!(fanned.footprint, streamed.footprint);
+
+                // A mis-shaped input fails the whole streamed batch at every
+                // width (per-input granularity is the engine's fallback).
+                let mut misfit = inputs.clone();
+                misfit.insert(len / 2, Tensor::full(&[5], 0.1));
+                let failed = with_forced_width(width, || {
+                    extract_paths_streaming_batch(&fx.network, program, &misfit)
+                });
+                prop_assert!(failed.is_err(), "variant {}: misfit served", name);
             }
 
             // Memory guarantee: the streamed pipeline never holds the full
