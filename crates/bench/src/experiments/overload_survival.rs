@@ -14,7 +14,7 @@
 //! control + EDF deadlines only, once with degradation added — so the
 //! goodput (completions inside their deadline) comparison is paired.  Hard
 //! gates: the overload machinery is **inert at 0.5× capacity** (zero shed,
-//! zero degraded verdicts), degradation **engages at 2× the fused rate** and
+//! zero degraded verdicts), degradation **engages at 4× the fused rate** and
 //! its goodput there — summed over three seed-varied paired trials, so one
 //! replay's scheduling noise cannot flip the comparison — is **no worse**
 //! than the undegraded run's, and every
@@ -291,7 +291,9 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         }
     };
 
-    let requests = limit * 6;
+    // Long enough that the overloaded points build a backlog deeper than the
+    // deadline budget — a short burst drains before any deadline bites.
+    let requests = limit * 12;
     let mut table = Table::new(
         "Overload survival — goodput vs offered load, admission + EDF deadlines \
          with and without mixed-criticality degradation",
@@ -333,14 +335,15 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         results.push((label, undegraded, degraded));
     }
 
-    // The goodput gate sits on the 2.0x-fused point, where the gap between
-    // screen-only and two-tier service capacity is structural (at 4.0x the
-    // per-class deadlines — which scale with the offered rate — get so tight
-    // that both runs collapse toward zero and the comparison degenerates to
-    // a tie).  One open-loop replay's goodput delta is within scheduling
-    // noise of zero, so the gate sums three seed-varied paired trials: the
+    // The goodput gate sits on the 4.0x-fused point, where the gap between
+    // screen-only and two-tier service capacity is structural.  (At 2.0x the
+    // undegraded server meets every deadline too — open-loop arrivals fuse
+    // larger batches than the capacity probe did, and a backward tier-2 detect
+    // costs little more than its forward pass — so the comparison there is a
+    // tie decided by scheduling noise.)  One open-loop replay's goodput still
+    // jitters, so the gate sums three seed-varied paired trials: the
     // displayed row plus two more.
-    const GATED: usize = 2;
+    const GATED: usize = 3;
     let (_, gated_mult, gated_relative_to) = OFFERED[GATED];
     let mut extra_trials: Vec<(Replay, Replay)> = Vec::new();
     for trial in 0..2u64 {
@@ -406,7 +409,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     }
     let uncontrolled_stats = uncontrolled.shutdown();
     table.row([
-        "2.0 (uncontrolled)".to_string(),
+        "4.0 (uncontrolled)".to_string(),
         "-".to_string(),
         "-".to_string(),
         "0".to_string(),
@@ -444,7 +447,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
          {:.0} req/s fused; {} requests per offered-load point, Poisson arrivals, UUniFast \
          over 3 classes, Weibull(1.5) sizes, deadlines {DEADLINE_FACTOR}x each class period; \
          band [{:.3}, {:.3}]; queue {QUEUE_CAPACITY}, degrade watermarks {}/{}; \
-         goodput gate sums 3 paired trials at 2.0x fused",
+         goodput gate sums 3 paired trials at 4.0x fused",
         capacity_rps,
         per_request_ns,
         fused_capacity_rps,
@@ -463,11 +466,11 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             && under_guarded.stats.degrade_entered == 0,
     );
     table.check(
-        "degradation engages under 2x overload",
+        "degradation engages under 4x overload",
         gate_degraded_served >= 1 && gate_degrade_entered >= 1,
     );
     table.check(
-        "goodput with degradation >= goodput without, at 2x overload summed over 3 paired trials",
+        "goodput with degradation >= goodput without, at 4x overload summed over 3 paired trials",
         gate_degraded_goodput >= gate_plain_goodput,
     );
     table.check(
@@ -490,7 +493,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             }),
     );
     table.timing_check(
-        "degradation strictly improves goodput at 2x overload summed over 3 paired trials",
+        "degradation strictly improves goodput at 4x overload summed over 3 paired trials",
         gate_degraded_goodput > gate_plain_goodput,
     );
     table.timing_check(
@@ -511,7 +514,7 @@ mod tests {
         let rendered = tables[0].to_string();
         for gate in [
             "zero degraded verdicts: holds",
-            "engages under 2x overload: holds",
+            "engages under 4x overload: holds",
             "summed over 3 paired trials: holds",
             "direct detect: holds",
             "every ticket: holds",

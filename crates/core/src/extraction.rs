@@ -21,18 +21,33 @@
 //! * **forward programs** mask each enabled layer's output inline, the moment
 //!   the layer finishes, and never retain or clone an activation, so the
 //!   resident trace state is zero instead of O(network);
-//! * **backward programs** retain only the boundaries the reverse walk will
-//!   actually read: enabled weight layers' inputs and outputs, plus the inputs
-//!   of pass-through layers whose routing is data-dependent
-//!   ([`ptolemy_nn::Layer::has_static_routing`] is `false`, e.g. max pooling).
-//!   Early-termination programs drop everything below the first disabled
-//!   weight layer as it streams past.
+//! * **backward programs** retain only what the reverse walk will actually
+//!   read: enabled weight layers' inputs and outputs, their interior
+//!   activations ([`ptolemy_nn::TraceSink::on_interior`] — a residual block's
+//!   last body layer's input), plus the inputs of pass-through layers whose
+//!   routing is data-dependent ([`ptolemy_nn::Layer::has_static_routing`] is
+//!   `false`, e.g. max pooling).  Early-termination programs drop everything
+//!   below the first disabled weight layer as it streams past.
 //!
 //! Streamed and materialized extraction are **bit-for-bit identical**: the
 //! forward compute is the same driver either way, and both feed the same
 //! selection kernels with the same tensors (pinned by `tests/streaming.rs`).
+//!
+//! # Cost of the reverse walk
+//!
+//! The walk reads partial sums off activations the inference already produced
+//! (paper Sec. III-A): per layer it asks for the decompositions of *all*
+//! currently-important outputs in one [`ptolemy_nn::Layer::contributions_many`]
+//! call and never runs a layer forward in the streaming pipelines — a residual
+//! block decomposes against the interior its own forward pass handed the sink.
+//! A [`ForwardTrace`] recorded by `Network::forward_trace` carries the same
+//! interiors, so [`extract_path`] over it runs nothing either; a trace
+//! assembled from boundaries alone (`ForwardTrace::from_activations` — the
+//! int8 path's requantized boundaries) makes each block re-run its body head
+//! once per block, never per neuron.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use ptolemy_nn::{predicted_class, Contribution, ForwardTrace, Network, TraceSink};
 use ptolemy_tensor::parallel::par_chunks;
@@ -51,35 +66,86 @@ use crate::{ActivationPath, CoreError, DetectionProgram, Direction, Result, Thre
 /// Returns [`CoreError::InvalidProgram`] if the program does not describe the same
 /// number of weight layers as the network has.
 pub fn path_layout(network: &Network, program: &DetectionProgram) -> Result<Vec<(usize, usize)>> {
-    let weight_layers = network.weight_layer_indices();
-    if weight_layers.len() != program.num_weight_layers() {
-        return Err(CoreError::InvalidProgram(format!(
-            "program describes {} weight layers but the network has {}",
-            program.num_weight_layers(),
-            weight_layers.len()
-        )));
+    Ok(ExtractionPlan::new(network, program)?.layout)
+}
+
+/// What an extraction walk does at one network layer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LayerRole {
+    /// ReLU, pooling, flatten: importance is re-mapped to input indices.
+    PassThrough,
+    /// A weight layer the program skips; a backward walk terminates here
+    /// (early termination, Sec. VII-F).
+    Disabled,
+    /// An enabled weight layer: select with `threshold`, record the mask in
+    /// path segment `segment`.
+    Enabled {
+        threshold: ThresholdKind,
+        segment: usize,
+    },
+}
+
+/// `program` resolved against `network` once per call: the path layout plus
+/// the per-network-layer role table every walk, retention plan and streaming
+/// sink indexes by layer — nothing searches for an ordinal or a segment.
+#[derive(Debug, Clone)]
+struct ExtractionPlan {
+    layout: Vec<(usize, usize)>,
+    roles: Vec<LayerRole>,
+}
+
+impl ExtractionPlan {
+    fn new(network: &Network, program: &DetectionProgram) -> Result<Self> {
+        let mut specs = program.specs().iter();
+        let mut layout = Vec::new();
+        let mut roles = Vec::with_capacity(network.num_layers());
+        for (layer_idx, layer) in network.layers().enumerate() {
+            if !layer.kind().is_weight_layer() {
+                roles.push(LayerRole::PassThrough);
+                continue;
+            }
+            let spec = specs.next().ok_or_else(|| mismatch(network, program))?;
+            roles.push(if spec.enabled {
+                let len = match program.direction() {
+                    Direction::Backward => layer.input_len(),
+                    Direction::Forward => layer.output_len(),
+                };
+                layout.push((layer_idx, len));
+                LayerRole::Enabled {
+                    threshold: spec.threshold,
+                    segment: layout.len() - 1,
+                }
+            } else {
+                LayerRole::Disabled
+            });
+        }
+        if specs.next().is_some() {
+            return Err(mismatch(network, program));
+        }
+        Ok(ExtractionPlan { layout, roles })
     }
-    let mut layout = Vec::new();
-    for ordinal in program.enabled_layers() {
-        let layer_idx = weight_layers[ordinal];
-        let layer = network.layer(layer_idx)?;
-        let len = match program.direction() {
-            Direction::Backward => layer.input_len(),
-            Direction::Forward => layer.output_len(),
-        };
-        layout.push((layer_idx, len));
-    }
-    Ok(layout)
+}
+
+fn mismatch(network: &Network, program: &DetectionProgram) -> CoreError {
+    CoreError::InvalidProgram(format!(
+        "program describes {} weight layers but the network has {}",
+        program.num_weight_layers(),
+        network.weight_layer_indices().len()
+    ))
 }
 
 /// Activation bytes a fully materialized trace of `network` holds resident for
 /// a batch of `batch_size` samples — every boundary (the input plus each
-/// layer's output) at once, the baseline the streaming pipeline's
-/// [`ActivationFootprint::peak_streamed_bytes`] is measured against.
+/// layer's output) and every layer interior at once, the baseline the
+/// streaming pipeline's [`ActivationFootprint::peak_streamed_bytes`] is
+/// measured against.
 pub fn materialized_trace_bytes(network: &Network, batch_size: usize) -> usize {
     let input: usize = network.input_shape().iter().product();
-    let outputs: usize = network.layers().map(|l| l.output_len()).sum();
-    (input + outputs) * std::mem::size_of::<f32>() * batch_size
+    let layers: usize = network
+        .layers()
+        .map(|l| l.output_len() + l.interior_len())
+        .sum();
+    (input + layers) * std::mem::size_of::<f32>() * batch_size
 }
 
 /// Peak activation bytes the streaming extraction pipeline kept resident,
@@ -151,14 +217,14 @@ pub fn extract_path(
             network.num_layers()
         )));
     }
-    let layout = path_layout(network, program)?;
-    let mut path = ActivationPath::empty(&layout);
+    let plan = ExtractionPlan::new(network, program)?;
+    let mut path = ActivationPath::empty(&plan.layout);
     match program.direction() {
         Direction::Backward => {
             let predicted = trace.predicted_class()?;
-            extract_backward(network, trace, predicted, program, &mut path)?;
+            extract_backward(network, &plan, trace, predicted, &mut path)?;
         }
-        Direction::Forward => extract_forward(network, trace, program, &mut path)?,
+        Direction::Forward => extract_forward(&plan, trace, &mut path)?,
     }
     Ok(path)
 }
@@ -183,10 +249,10 @@ pub fn extract_path_streaming(
     program: &DetectionProgram,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    let layout = path_layout(network, program)?;
+    let plan = ExtractionPlan::new(network, program)?;
     match program.direction() {
-        Direction::Forward => stream_forward_single(network, program, input, &layout),
-        Direction::Backward => stream_backward_single(network, program, input, &layout),
+        Direction::Forward => stream_forward_single(network, &plan, input),
+        Direction::Backward => stream_backward_single(network, &plan, input),
     }
 }
 
@@ -220,8 +286,9 @@ pub fn extract_paths_streaming_batch(
 }
 
 /// Forward MACs of `batch` inputs: the work estimate every per-input and
-/// per-batch fan-out in this crate hands the work gate.  (A lower bound for
-/// backward programs, whose reverse walk adds to it.)
+/// per-batch fan-out in this crate hands the work gate.  The reverse walk of
+/// a backward program runs no layer forward; it adds only the decomposition of
+/// the few neurons it marks, which this estimate leaves out.
 pub(crate) fn forward_work(network: &Network, batch: usize) -> usize {
     usize::try_from(network.total_macs())
         .unwrap_or(usize::MAX)
@@ -243,10 +310,10 @@ where
     T: Send,
     F: Fn(usize, ActivationPath) -> Result<T> + Sync,
 {
-    let layout = path_layout(network, program)?;
+    let plan = ExtractionPlan::new(network, program)?;
     let stream = |sub_batch: &[Tensor]| match program.direction() {
-        Direction::Forward => stream_forward_batch(network, program, sub_batch, &layout, finish),
-        Direction::Backward => stream_backward_batch(network, program, sub_batch, &layout, finish),
+        Direction::Forward => stream_forward_batch(network, &plan, sub_batch, finish),
+        Direction::Backward => stream_backward_batch(network, &plan, sub_batch, finish),
     };
     let mut samples = Vec::with_capacity(inputs.len());
     let mut peak_streamed_bytes = 0;
@@ -265,32 +332,90 @@ where
     ))
 }
 
+/// The typed rejection of a NaN reaching a selection kernel.  `partial_cmp`
+/// is a total order on everything else (infinities included), so a NaN is the
+/// one value the rankings below cannot place — the `sort_by` they grew out of
+/// panicked on it ("does not correctly implement a total order").
+fn nan_error(what: &str) -> CoreError {
+    CoreError::InvalidInput(format!(
+        "{what} is NaN: the input (or an activation it produced) is not a number, \
+         so no important neurons can be ranked"
+    ))
+}
+
+/// One value in a [`descending`] ranking.
+struct Ranked {
+    value: f32,
+    position: usize,
+}
+
+impl Ord for Ranked {
+    /// Greater value first; among equal values the earlier position first.
+    /// Total because [`descending`] is never handed a NaN.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value
+            .partial_cmp(&other.value)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.position.cmp(&self.position))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Ranks NaN-free `values` from largest to smallest, equal values in input
+/// order — the order a stable descending sort produces — yielding
+/// `(position, value)` lazily off a heap.  Cumulative thresholds stop after
+/// the few largest contributors, so building the heap (linear) and popping a
+/// handful beats sorting every candidate of every important neuron.
+fn descending(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (usize, f32)> {
+    let mut heap: BinaryHeap<Ranked> = values
+        .enumerate()
+        .map(|(position, value)| Ranked { value, position })
+        .collect();
+    std::iter::from_fn(move || heap.pop().map(|top| (top.position, top.value)))
+}
+
 /// Selects contributor indices from weighted partial sums according to a threshold.
 ///
 /// * Cumulative: minimal prefix of the descending-sorted partial sums whose
 ///   cumulative sum reaches `theta × target` (paper Fig. 3).  If the target is not
 ///   positive, only the single largest contributor is kept.
 /// * Absolute: every partial sum `≥ phi × |target|`.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidInput`] if any partial sum is NaN.
 pub(crate) fn select_contributors(
     pairs: &[(usize, f32)],
     target: f32,
     threshold: ThresholdKind,
-) -> Vec<usize> {
-    if pairs.is_empty() {
-        return Vec::new();
+) -> Result<Vec<usize>> {
+    if pairs.iter().any(|(_, partial)| partial.is_nan()) {
+        return Err(nan_error("a partial sum"));
     }
-    match threshold {
+    Ok(match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let mut sorted: Vec<(usize, f32)> = pairs.to_vec();
-            sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            let ranked = descending(pairs.iter().map(|(_, partial)| *partial));
             if target <= 0.0 {
-                return vec![sorted[0].0];
+                return Ok(ranked.take(1).map(|(at, _)| pairs[at].0).collect());
             }
             let goal = theta * target;
             let mut cum = 0.0;
             let mut selected = Vec::new();
-            for (idx, partial) in sorted {
-                selected.push(idx);
+            for (at, partial) in ranked {
+                selected.push(pairs[at].0);
                 cum += partial;
                 if cum >= goal {
                     break;
@@ -306,36 +431,38 @@ pub(crate) fn select_contributors(
                 .map(|(i, _)| *i)
                 .collect()
         }
-    }
+    })
 }
 
 /// Selects important neurons of a layer output directly from activation values
 /// (forward extraction, where no downstream importance information exists yet).
-pub(crate) fn select_from_activations(values: &[f32], threshold: ThresholdKind) -> Vec<usize> {
-    if values.is_empty() {
-        return Vec::new();
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidInput`] if any activation is NaN.
+pub(crate) fn select_from_activations(
+    values: &[f32],
+    threshold: ThresholdKind,
+) -> Result<Vec<usize>> {
+    if values.iter().any(|v| v.is_nan()) {
+        return Err(nan_error("an activation"));
     }
-    match threshold {
+    Ok(match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let mut order: Vec<usize> = (0..values.len()).collect();
-            order.sort_by(|&a, &b| {
-                values[b]
-                    .partial_cmp(&values[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            let ranked = descending(values.iter().copied());
             let total: f32 = values.iter().filter(|v| **v > 0.0).sum();
             if total <= 0.0 {
-                return vec![order[0]];
+                return Ok(ranked.take(1).map(|(idx, _)| idx).collect());
             }
             let goal = theta * total;
             let mut cum = 0.0;
             let mut selected = Vec::new();
-            for idx in order {
-                if values[idx] <= 0.0 {
+            for (idx, value) in ranked {
+                if value <= 0.0 {
                     break;
                 }
                 selected.push(idx);
-                cum += values[idx];
+                cum += value;
                 if cum >= goal {
                     break;
                 }
@@ -345,7 +472,7 @@ pub(crate) fn select_from_activations(values: &[f32], threshold: ThresholdKind) 
         ThresholdKind::Absolute { phi } => {
             let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             if max <= 0.0 {
-                return Vec::new();
+                return Ok(Vec::new());
             }
             let cutoff = phi * max;
             values
@@ -355,7 +482,7 @@ pub(crate) fn select_from_activations(values: &[f32], threshold: ThresholdKind) 
                 .map(|(i, _)| i)
                 .collect()
         }
-    }
+    })
 }
 
 /// Access to the activation boundaries of one forward pass: boundary `i` is
@@ -366,6 +493,9 @@ pub(crate) fn select_from_activations(values: &[f32], threshold: ThresholdKind) 
 /// identically on either.
 trait BoundarySource {
     fn boundary(&self, index: usize) -> Result<&Tensor>;
+
+    /// Layer `layer`'s interior activation, when the source kept it.
+    fn interior(&self, layer: usize) -> Option<&Tensor>;
 }
 
 impl BoundarySource for ForwardTrace {
@@ -377,14 +507,21 @@ impl BoundarySource for ForwardTrace {
             ))
         })
     }
+
+    fn interior(&self, layer: usize) -> Option<&Tensor> {
+        ForwardTrace::interior(self, layer)
+    }
 }
 
-/// The subset of boundaries a streaming backward pass retained.
-struct PartialBoundaries<'a> {
-    boundaries: &'a [Option<Tensor>],
+/// What a streaming backward pass retained: `boundaries[i]` enters layer `i`,
+/// `interiors[i]` is layer `i`'s interior.
+#[derive(Debug)]
+struct Retained {
+    boundaries: Vec<Option<Tensor>>,
+    interiors: Vec<Option<Tensor>>,
 }
 
-impl BoundarySource for PartialBoundaries<'_> {
+impl BoundarySource for Retained {
     fn boundary(&self, index: usize) -> Result<&Tensor> {
         self.boundaries
             .get(index)
@@ -395,102 +532,92 @@ impl BoundarySource for PartialBoundaries<'_> {
                 ))
             })
     }
+
+    fn interior(&self, layer: usize) -> Option<&Tensor> {
+        self.interiors.get(layer).and_then(Option::as_ref)
+    }
 }
 
 fn extract_backward<S: BoundarySource + ?Sized>(
     network: &Network,
+    plan: &ExtractionPlan,
     source: &S,
     predicted_class: usize,
-    program: &DetectionProgram,
     path: &mut ActivationPath,
 ) -> Result<()> {
-    let weight_layers = network.weight_layer_indices();
-    // Important neurons at the *output* of the layer currently being examined.
-    // The walk starts at the last layer with the predicted class (paper: "the last
-    // layer has only one important neuron").
-    let mut important: BTreeSet<usize> = BTreeSet::new();
-    important.insert(predicted_class);
+    // Important neurons at the *output* of the layer currently being examined,
+    // ascending.  The walk starts at the last layer with the predicted class
+    // (paper: "the last layer has only one important neuron").
+    let mut important = vec![predicted_class];
 
-    for layer_idx in (0..network.num_layers()).rev() {
+    for (layer_idx, role) in plan.roles.iter().enumerate().rev() {
         if important.is_empty() {
             break;
         }
         let layer = network.layer(layer_idx)?;
-        let is_weight = layer.kind().is_weight_layer();
-
-        if is_weight {
-            let ordinal = weight_layers
-                .iter()
-                .position(|&l| l == layer_idx)
-                // lint:allow(panic-in-worker): layer_idx was taken from this list
-                .expect("weight layer index");
-            let spec = program.specs()[ordinal];
-            if !spec.enabled {
-                // Early termination: the backward walk stops at the first disabled
-                // weight layer (Sec. VII-F).
-                break;
-            }
-            let input = source.boundary(layer_idx)?;
-            let output = source.boundary(layer_idx + 1)?;
-            let mut next: BTreeSet<usize> = BTreeSet::new();
-            for &neuron in &important {
-                let target = output.as_slice()[neuron];
-                match layer.contributions(input, neuron)? {
-                    Contribution::Weighted(pairs) => {
-                        for idx in select_contributors(&pairs, target, spec.threshold) {
-                            next.insert(idx);
+        let mut next: BTreeSet<usize> = BTreeSet::new();
+        match *role {
+            // Early termination: the backward walk stops at the first disabled
+            // weight layer (Sec. VII-F).
+            LayerRole::Disabled => break,
+            LayerRole::Enabled { threshold, segment } => {
+                let input = source.boundary(layer_idx)?;
+                let output = source.boundary(layer_idx + 1)?.as_slice();
+                // One call decomposes every important output, so a composite
+                // layer touches its body at most once — and not at all when
+                // the source kept the interior.
+                let decompositions =
+                    layer.contributions_many(input, source.interior(layer_idx), &important)?;
+                for (&neuron, contribution) in important.iter().zip(decompositions) {
+                    match contribution {
+                        Contribution::Weighted(pairs) => {
+                            next.extend(select_contributors(&pairs, output[neuron], threshold)?);
                         }
-                    }
-                    Contribution::PassThrough(indices) => {
-                        next.extend(indices);
+                        Contribution::PassThrough(indices) => next.extend(indices),
                     }
                 }
-            }
-            // Record the mask over this layer's input feature map.
-            if let Some(segment) = path
-                .segments_mut()
-                .iter_mut()
-                .find(|s| s.layer == layer_idx)
-            {
+                // Record the mask over this layer's input feature map.
+                let mask = &mut path.segments_mut()[segment].mask;
                 for &idx in &next {
-                    segment.mask.set(idx);
+                    mask.set(idx);
                 }
             }
-            important = next;
-        } else {
-            // Pass-through layer: re-map the important output indices to input
-            // indices (identity for ReLU/flatten, argmax routing for max pooling,
-            // window members for average pooling).  Statically-routed layers
-            // never touch their input activations, which is what lets the
-            // streaming pipeline drop those boundaries eagerly.
-            let mut next: BTreeSet<usize> = BTreeSet::new();
-            for &neuron in &important {
-                if let Some(route) = layer.static_routing(neuron)? {
-                    next.extend(route);
-                } else {
+            LayerRole::PassThrough => {
+                // Re-map the important output indices to input indices (identity
+                // for ReLU/flatten, argmax routing for max pooling, window
+                // members for average pooling).  Statically-routed layers never
+                // touch their input activations, which is what lets the
+                // streaming pipeline drop those boundaries eagerly.
+                let mut data_dependent = Vec::new();
+                for &neuron in &important {
+                    match layer.static_routing(neuron)? {
+                        Some(route) => next.extend(route),
+                        None => data_dependent.push(neuron),
+                    }
+                }
+                if !data_dependent.is_empty() {
                     let input = source.boundary(layer_idx)?;
-                    let contribution = layer.contributions(input, neuron)?;
-                    next.extend(contribution.indices());
+                    for contribution in layer.contributions_many(input, None, &data_dependent)? {
+                        next.extend(contribution.indices());
+                    }
                 }
             }
-            important = next;
         }
+        important = next.into_iter().collect();
     }
     Ok(())
 }
 
 fn extract_forward<S: BoundarySource + ?Sized>(
-    network: &Network,
+    plan: &ExtractionPlan,
     source: &S,
-    program: &DetectionProgram,
     path: &mut ActivationPath,
 ) -> Result<()> {
-    let weight_layers = network.weight_layer_indices();
-    for ordinal in program.enabled_layers() {
-        let layer_idx = weight_layers[ordinal];
-        let spec = program.specs()[ordinal];
-        let output = source.boundary(layer_idx + 1)?;
-        mask_forward_selection(path, layer_idx, output.as_slice(), spec.threshold);
+    for (layer_idx, role) in plan.roles.iter().enumerate() {
+        if let LayerRole::Enabled { threshold, segment } = *role {
+            let output = source.boundary(layer_idx + 1)?;
+            mask_forward_selection(path, segment, output.as_slice(), threshold)?;
+        }
     }
     Ok(())
 }
@@ -500,58 +627,36 @@ fn extract_forward<S: BoundarySource + ?Sized>(
 /// bit-for-bit the same selection.
 fn mask_forward_selection(
     path: &mut ActivationPath,
-    layer_idx: usize,
+    segment: usize,
     output: &[f32],
     threshold: ThresholdKind,
-) {
-    let selected = select_from_activations(output, threshold);
-    if let Some(segment) = path
-        .segments_mut()
-        .iter_mut()
-        .find(|s| s.layer == layer_idx)
-    {
-        for idx in selected {
-            segment.mask.set(idx);
-        }
+) -> Result<()> {
+    let mask = &mut path.segments_mut()[segment].mask;
+    for idx in select_from_activations(output, threshold)? {
+        mask.set(idx);
     }
-}
-
-/// Per-network-layer threshold of enabled weight layers (`None` for disabled
-/// or pass-through layers), the lookup table the forward streaming sinks key on.
-fn enabled_specs_by_layer(
-    network: &Network,
-    program: &DetectionProgram,
-) -> Vec<Option<ThresholdKind>> {
-    let weight_layers = network.weight_layer_indices();
-    let mut specs = vec![None; network.num_layers()];
-    for ordinal in program.enabled_layers() {
-        specs[weight_layers[ordinal]] = Some(program.specs()[ordinal].threshold);
-    }
-    specs
+    Ok(())
 }
 
 /// Boundaries a streaming backward pass must retain: enabled weight layers'
 /// inputs and outputs, data-dependently-routed pass-through layers' inputs,
-/// and nothing below the walk's early-termination point.
-fn backward_retention(network: &Network, program: &DetectionProgram) -> Result<Vec<bool>> {
-    let weight_layers = network.weight_layer_indices();
+/// and nothing below the walk's early-termination point.  A layer's interior
+/// is retained exactly when its input boundary is.
+fn backward_retention(network: &Network, plan: &ExtractionPlan) -> Result<Vec<bool>> {
     let mut retain = vec![false; network.num_layers() + 1];
-    for layer_idx in (0..network.num_layers()).rev() {
-        let layer = network.layer(layer_idx)?;
-        if layer.kind().is_weight_layer() {
-            let ordinal = weight_layers
-                .iter()
-                .position(|&l| l == layer_idx)
-                // lint:allow(panic-in-worker): layer_idx was taken from this list
-                .expect("weight layer index");
-            if !program.specs()[ordinal].enabled {
-                // The reverse walk breaks here; nothing below is ever read.
-                break;
+    for (layer_idx, role) in plan.roles.iter().enumerate().rev() {
+        match role {
+            // The reverse walk breaks here; nothing below is ever read.
+            LayerRole::Disabled => break,
+            LayerRole::Enabled { .. } => {
+                retain[layer_idx] = true;
+                retain[layer_idx + 1] = true;
             }
-            retain[layer_idx] = true;
-            retain[layer_idx + 1] = true;
-        } else if !layer.has_static_routing() {
-            retain[layer_idx] = true;
+            LayerRole::PassThrough => {
+                if !network.layer(layer_idx)?.has_static_routing() {
+                    retain[layer_idx] = true;
+                }
+            }
         }
     }
     Ok(retain)
@@ -560,14 +665,18 @@ fn backward_retention(network: &Network, program: &DetectionProgram) -> Result<V
 /// Streaming sink for single-input forward programs: enabled outputs are
 /// masked inline, nothing is ever retained or cloned.
 struct ForwardSink<'a> {
-    specs: &'a [Option<ThresholdKind>],
+    roles: &'a [LayerRole],
     path: ActivationPath,
+    /// Sinks are infallible; the first selection failure waits here.
+    error: Option<CoreError>,
 }
 
 impl TraceSink for ForwardSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        if let Some(threshold) = self.specs[index] {
-            mask_forward_selection(&mut self.path, index, output.as_slice(), threshold);
+        if let (None, LayerRole::Enabled { threshold, segment }) = (&self.error, self.roles[index])
+        {
+            self.error =
+                mask_forward_selection(&mut self.path, segment, output.as_slice(), threshold).err();
         }
     }
 }
@@ -575,38 +684,40 @@ impl TraceSink for ForwardSink<'_> {
 /// [`ForwardSink`] over a stacked batch: each sample's slice of an enabled
 /// output is masked into that sample's path.
 struct ForwardBatchSink<'a> {
-    specs: &'a [Option<ThresholdKind>],
+    roles: &'a [LayerRole],
     paths: Vec<ActivationPath>,
     error: Option<CoreError>,
 }
 
 impl TraceSink for ForwardBatchSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        let Some(threshold) = self.specs[index] else {
+        let (None, LayerRole::Enabled { threshold, segment }) = (&self.error, self.roles[index])
+        else {
             return;
         };
-        if self.error.is_some() {
-            return;
-        }
         for (b, path) in self.paths.iter_mut().enumerate() {
             // The slice is bit-for-bit the per-sample output, so the
             // selection matches the single-input pipeline exactly.
-            match output.slice_batch(b) {
-                Ok(sample) => mask_forward_selection(path, index, sample.as_slice(), threshold),
-                Err(e) => {
-                    self.error = Some(e.into());
-                    return;
-                }
+            let masked = output
+                .slice_batch(b)
+                .map_err(CoreError::from)
+                .and_then(|sample| {
+                    mask_forward_selection(path, segment, sample.as_slice(), threshold)
+                });
+            if let Err(e) = masked {
+                self.error = Some(e);
+                return;
             }
         }
     }
 }
 
 /// Streaming sink for backward programs: retains exactly the planned
-/// boundaries, drops everything else the moment the driver moves on.
+/// boundaries and interiors, drops everything else the moment the driver
+/// moves on.
 struct RetainSink<'a> {
     retain: &'a [bool],
-    boundaries: Vec<Option<Tensor>>,
+    kept: Retained,
     /// Bytes retained so far — nothing is released before the walk ends, so
     /// this is also the pass's peak.
     retained_bytes: usize,
@@ -616,41 +727,52 @@ impl<'a> RetainSink<'a> {
     fn new(retain: &'a [bool]) -> Self {
         RetainSink {
             retain,
-            boundaries: vec![None; retain.len()],
+            kept: Retained {
+                boundaries: vec![None; retain.len()],
+                interiors: vec![None; retain.len()],
+            },
             retained_bytes: 0,
         }
     }
 
-    fn keep(&mut self, boundary: usize, activation: &Tensor) {
-        if self.retain[boundary] {
+    /// A counted clone of `activation` if the plan retains boundary `planned`.
+    fn keep(&mut self, planned: usize, activation: &Tensor) -> Option<Tensor> {
+        self.retain[planned].then(|| {
             self.retained_bytes += activation.len() * std::mem::size_of::<f32>();
-            self.boundaries[boundary] = Some(activation.clone());
-        }
+            activation.clone()
+        })
     }
 }
 
 impl TraceSink for RetainSink<'_> {
     fn on_input(&mut self, input: &Tensor) {
-        self.keep(0, input);
+        self.kept.boundaries[0] = self.keep(0, input);
+    }
+
+    fn on_interior(&mut self, index: usize, interior: &Tensor) {
+        // The walk decomposes layer `index` iff it reads the layer's input.
+        self.kept.interiors[index] = self.keep(index, interior);
     }
 
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        self.keep(index + 1, output);
+        self.kept.boundaries[index + 1] = self.keep(index + 1, output);
     }
 }
 
 fn stream_forward_single(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     input: &Tensor,
-    layout: &[(usize, usize)],
 ) -> Result<StreamedExtraction> {
-    let specs = enabled_specs_by_layer(network, program);
     let mut sink = ForwardSink {
-        specs: &specs,
-        path: ActivationPath::empty(layout),
+        roles: &plan.roles,
+        path: ActivationPath::empty(&plan.layout),
+        error: None,
     };
     let logits = network.forward_with_sink(input, &mut sink)?;
+    if let Some(error) = sink.error {
+        return Err(error);
+    }
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
     Ok(StreamedExtraction {
         predicted_class: predicted,
@@ -665,19 +787,15 @@ fn stream_forward_single(
 
 fn stream_backward_single(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     input: &Tensor,
-    layout: &[(usize, usize)],
 ) -> Result<StreamedExtraction> {
-    let retain = backward_retention(network, program)?;
+    let retain = backward_retention(network, plan)?;
     let mut sink = RetainSink::new(&retain);
     let logits = network.forward_with_sink(input, &mut sink)?;
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
-    let mut path = ActivationPath::empty(layout);
-    let source = PartialBoundaries {
-        boundaries: &sink.boundaries,
-    };
-    extract_backward(network, &source, predicted, program, &mut path)?;
+    let mut path = ActivationPath::empty(&plan.layout);
+    extract_backward(network, plan, &sink.kept, predicted, &mut path)?;
     Ok(StreamedExtraction {
         predicted_class: predicted,
         path,
@@ -693,18 +811,16 @@ fn stream_backward_single(
 /// Returns the finished samples and the peak retained bytes (always zero).
 fn stream_forward_batch<T, F>(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     inputs: &[Tensor],
-    layout: &[(usize, usize)],
     finish: &F,
 ) -> Result<(Vec<T>, usize)>
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
-    let specs = enabled_specs_by_layer(network, program);
     let mut sink = ForwardBatchSink {
-        specs: &specs,
-        paths: vec![ActivationPath::empty(layout); inputs.len()],
+        roles: &plan.roles,
+        paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
         error: None,
     };
     let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
@@ -729,37 +845,35 @@ where
 /// retained bytes.
 fn stream_backward_batch<T, F>(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     inputs: &[Tensor],
-    layout: &[(usize, usize)],
     finish: &F,
 ) -> Result<(Vec<T>, usize)>
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
-    let retain = backward_retention(network, program)?;
+    let retain = backward_retention(network, plan)?;
     let mut sink = RetainSink::new(&retain);
     let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
-    let boundaries = sink.boundaries;
+    // Slice sample `b`'s view of every retained stacked tensor — the same
+    // slices a materialized `BatchTrace::trace(b)` would hand the walk, so the
+    // extraction is bit-for-bit the per-input path.
+    let slice_all = |stacked: &[Option<Tensor>], b: usize| -> Result<Vec<Option<Tensor>>> {
+        stacked
+            .iter()
+            .map(|kept| Ok(kept.as_ref().map(|t| t.slice_batch(b)).transpose()?))
+            .collect()
+    };
     let samples = (0..inputs.len())
         .map(|b| -> Result<T> {
-            // Slice this sample's view of every retained stacked boundary — the
-            // same slices a materialized `BatchTrace::trace(b)` would hand the
-            // walk, so the extraction is bit-for-bit the per-input path.
-            let sliced: Vec<Option<Tensor>> = boundaries
-                .iter()
-                .map(|stacked| {
-                    stacked
-                        .as_ref()
-                        .map(|t| t.slice_batch(b))
-                        .transpose()
-                        .map_err(CoreError::from)
-                })
-                .collect::<Result<_>>()?;
+            let sliced = Retained {
+                boundaries: slice_all(&sink.kept.boundaries, b)?,
+                interiors: slice_all(&sink.kept.interiors, b)?,
+            };
             // The logits boundary is usually already retained and sliced; only
             // fall back to slicing the driver's stacked logits when it is not.
             let fallback_logits;
-            let sample_logits = match sliced.last().and_then(Option::as_ref) {
+            let sample_logits = match sliced.boundaries.last().and_then(Option::as_ref) {
                 Some(retained_logits) => retained_logits,
                 None => {
                     fallback_logits = logits.slice_batch(b)?;
@@ -767,11 +881,8 @@ where
                 }
             };
             let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
-            let mut path = ActivationPath::empty(layout);
-            let source = PartialBoundaries {
-                boundaries: &sliced,
-            };
-            extract_backward(network, &source, predicted, program, &mut path)?;
+            let mut path = ActivationPath::empty(&plan.layout);
+            extract_backward(network, plan, &sliced, predicted, &mut path)?;
             finish(predicted, path)
         })
         .collect::<Result<Vec<_>>>()?;
@@ -798,13 +909,16 @@ mod tests {
             (3, 0.3 * 0.2),
             (4, 0.2 * 0.1),
         ];
-        let selected = select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 });
+        let selected =
+            select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 }).unwrap();
         assert_eq!(selected, vec![0, 1]);
         // With θ = 0.9 more neurons are needed.
-        let selected = select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 });
+        let selected =
+            select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 }).unwrap();
         assert!(selected.len() > 2);
         // Absolute thresholding keeps only partial sums above φ × |target|.
-        let selected = select_contributors(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 });
+        let selected =
+            select_contributors(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 }).unwrap();
         assert_eq!(selected, vec![0]);
     }
 
@@ -813,35 +927,97 @@ mod tests {
         let pairs = vec![(0, 0.5), (1, 0.3), (2, 0.2)];
         // θ = 0.5 of target 1.0 is reached by the single largest partial sum.
         assert_eq!(
-            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }),
+            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
             vec![0]
         );
         // θ = 1.0 needs all of them.
         assert_eq!(
-            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 }).len(),
+            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 })
+                .unwrap()
+                .len(),
             3
         );
         // Non-positive target degenerates to the single largest contributor.
         assert_eq!(
-            select_contributors(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }),
+            select_contributors(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
             vec![0]
         );
-        assert!(select_contributors(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 }).is_empty());
+        assert!(
+            select_contributors(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 })
+                .unwrap()
+                .is_empty()
+        );
+    }
+
+    #[test]
+    fn lazy_ranking_is_the_stable_descending_sort() {
+        // Few distinct values, so ties (and -0.0 vs 0.0, equal under
+        // `partial_cmp`) are everywhere: ties must keep input order.
+        let mut rng = Rng64::new(5);
+        for len in [0usize, 1, 2, 7, 73, 200] {
+            let palette = [-1.5f32, -0.0, 0.0, 0.25, 0.25, 3.0, f32::INFINITY];
+            let values: Vec<f32> = (0..len)
+                .map(|_| palette[rng.below(palette.len())])
+                .collect();
+            let mut sorted: Vec<(usize, f32)> = values.iter().copied().enumerate().collect();
+            sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
+            let ranked: Vec<(usize, f32)> = descending(values.iter().copied()).collect();
+            assert_eq!(ranked.len(), sorted.len());
+            for (r, s) in ranked.iter().zip(&sorted) {
+                assert_eq!((r.0, r.1.to_bits()), (s.0, s.1.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn nan_is_a_typed_error_not_a_sort_panic() {
+        let cumulative = ThresholdKind::Cumulative { theta: 0.5 };
+        let absolute = ThresholdKind::Absolute { phi: 0.5 };
+        // Enough NaN-bearing candidates that std's sort would notice the
+        // broken order (it panics from 21 elements up).
+        let pairs: Vec<(usize, f32)> = (0..64)
+            .map(|i| (i, if i % 3 == 0 { f32::NAN } else { i as f32 }))
+            .collect();
+        let values: Vec<f32> = pairs.iter().map(|(_, v)| *v).collect();
+        for threshold in [cumulative, absolute] {
+            assert!(matches!(
+                select_contributors(&pairs, 1.0, threshold),
+                Err(CoreError::InvalidInput(_))
+            ));
+            assert!(matches!(
+                select_from_activations(&values, threshold),
+                Err(CoreError::InvalidInput(_))
+            ));
+        }
+        // Infinities are ordered like any other value and still select.
+        let saturated = [(0usize, f32::INFINITY), (1, 1.0), (2, f32::NEG_INFINITY)];
+        assert_eq!(
+            select_contributors(&saturated, 1.0, cumulative).unwrap(),
+            vec![0]
+        );
     }
 
     #[test]
     fn forward_selection_from_activations() {
         let values = [0.1, 3.0, 0.0, 1.0, -0.5];
-        let selected = select_from_activations(&values, ThresholdKind::Cumulative { theta: 0.7 });
+        let selected =
+            select_from_activations(&values, ThresholdKind::Cumulative { theta: 0.7 }).unwrap();
         // 3.0 alone is 3.0/4.1 ≈ 0.73 ≥ 0.7 of the positive mass.
         assert_eq!(selected, vec![1]);
-        let selected = select_from_activations(&values, ThresholdKind::Absolute { phi: 0.3 });
+        let selected =
+            select_from_activations(&values, ThresholdKind::Absolute { phi: 0.3 }).unwrap();
         assert_eq!(selected, vec![1, 3]);
         // All-negative activations select nothing under absolute thresholds.
         assert!(
-            select_from_activations(&[-1.0, -2.0], ThresholdKind::Absolute { phi: 0.1 }).is_empty()
+            select_from_activations(&[-1.0, -2.0], ThresholdKind::Absolute { phi: 0.1 })
+                .unwrap()
+                .is_empty()
         );
-        assert!(select_from_activations(&[], ThresholdKind::Absolute { phi: 0.1 }).is_empty());
+        assert!(
+            select_from_activations(&[], ThresholdKind::Absolute { phi: 0.1 })
+                .unwrap()
+                .is_empty()
+        );
     }
 
     fn two_layer_net() -> Network {
@@ -942,8 +1118,21 @@ mod tests {
         // The streaming retention plan drops everything below the termination
         // point: boundaries 0..=2 (flatten input, dense-1 input, relu input)
         // are never retained, only the last dense layer's input and output.
-        let retain = backward_retention(&net, &program).unwrap();
+        let plan = ExtractionPlan::new(&net, &program).unwrap();
+        let retain = backward_retention(&net, &plan).unwrap();
         assert_eq!(retain, vec![false, false, false, true, true]);
+        assert_eq!(
+            plan.roles,
+            vec![
+                LayerRole::PassThrough,
+                LayerRole::Disabled,
+                LayerRole::PassThrough,
+                LayerRole::Enabled {
+                    threshold: ThresholdKind::Cumulative { theta: 0.5 },
+                    segment: 0
+                },
+            ]
+        );
     }
 
     #[test]
@@ -955,7 +1144,8 @@ mod tests {
             .unwrap();
         // Flatten (layer 0) and ReLU (layer 2) route statically, so their
         // input boundaries are dropped; both dense layers retain input+output.
-        let retain = backward_retention(&net, &program).unwrap();
+        let plan = ExtractionPlan::new(&net, &program).unwrap();
+        let retain = backward_retention(&net, &plan).unwrap();
         assert_eq!(retain, vec![false, true, true, true, true]);
 
         // Forward programs retain nothing at all (masking happens in flight).

@@ -44,11 +44,13 @@
 //!   zero resident trace bytes instead of O(network) (Sec. III-C's compiler
 //!   insight that forward extraction needs nothing beyond the layer just
 //!   computed, now the serving hot path);
-//! * **backward programs** retain only the boundaries the reverse walk reads
-//!   (enabled weight layers' inputs/outputs plus data-dependently-routed
-//!   pass-through inputs such as max-pool windows) and drop everything else
-//!   in flight; early-termination programs never retain layers below their
-//!   cut.
+//! * **backward programs** retain only what the reverse walk reads (enabled
+//!   weight layers' inputs/outputs and residual-block interiors, plus
+//!   data-dependently-routed pass-through inputs such as max-pool windows)
+//!   and drop everything else in flight; early-termination programs never
+//!   retain layers below their cut.  The walk itself runs no layer forward:
+//!   a backward detect costs one forward pass plus the decomposition of the
+//!   few neurons it marks.
 //!
 //! Streamed extraction is **bit-for-bit identical** to the materialized
 //! [`extract_path`] pipeline (same driver, same selection kernels, same

@@ -197,29 +197,39 @@ impl Layer for Conv2d {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        _interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.check_input(input)?;
         let patches = self.geom.num_patches();
-        if out_idx >= self.out_channels * patches {
-            return Err(NnError::InvalidConfig(format!(
-                "conv2d output index {out_idx} out of range"
-            )));
-        }
-        let oc = out_idx / patches;
-        let pos = out_idx % patches;
-        let oy = pos / self.geom.out_w;
-        let ox = pos % self.geom.out_w;
+        let patch_len = self.geom.patch_len();
         let x = input.as_slice();
-        let w_row =
-            &self.weight.as_slice()[oc * self.geom.patch_len()..(oc + 1) * self.geom.patch_len()];
-        let mut partials = Vec::with_capacity(self.geom.patch_len());
-        for (p, w) in w_row.iter().enumerate() {
-            if let Some((c, y, xx)) = self.geom.patch_source(oy, ox, p) {
-                let idx = self.geom.input_index(c, y, xx);
-                partials.push((idx, x[idx] * w));
-            }
-        }
-        Ok(Contribution::Weighted(partials))
+        out_idxs
+            .iter()
+            .map(|&out_idx| {
+                if out_idx >= self.out_channels * patches {
+                    return Err(NnError::InvalidConfig(format!(
+                        "conv2d output index {out_idx} out of range"
+                    )));
+                }
+                let oc = out_idx / patches;
+                let pos = out_idx % patches;
+                let oy = pos / self.geom.out_w;
+                let ox = pos % self.geom.out_w;
+                let w_row = &self.weight.as_slice()[oc * patch_len..(oc + 1) * patch_len];
+                let mut partials = Vec::with_capacity(patch_len);
+                for (p, w) in w_row.iter().enumerate() {
+                    if let Some((c, y, xx)) = self.geom.patch_source(oy, ox, p) {
+                        let idx = self.geom.input_index(c, y, xx);
+                        partials.push((idx, x[idx] * w));
+                    }
+                }
+                Ok(Contribution::Weighted(partials))
+            })
+            .collect()
     }
 
     fn kind(&self) -> LayerKind {

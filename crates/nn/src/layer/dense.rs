@@ -187,23 +187,34 @@ impl Layer for Dense {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        _interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.check_input(input)?;
-        if out_idx >= self.outputs {
-            return Err(NnError::InvalidConfig(format!(
-                "output index {out_idx} out of range for {} outputs",
-                self.outputs
-            )));
-        }
         let x = input.as_slice();
-        let row = &self.weight.as_slice()[out_idx * self.inputs..(out_idx + 1) * self.inputs];
-        let partials = x
+        out_idxs
             .iter()
-            .zip(row)
-            .enumerate()
-            .map(|(i, (xi, wi))| (i, xi * wi))
-            .collect();
-        Ok(Contribution::Weighted(partials))
+            .map(|&out_idx| {
+                if out_idx >= self.outputs {
+                    return Err(NnError::InvalidConfig(format!(
+                        "output index {out_idx} out of range for {} outputs",
+                        self.outputs
+                    )));
+                }
+                let row =
+                    &self.weight.as_slice()[out_idx * self.inputs..(out_idx + 1) * self.inputs];
+                let partials = x
+                    .iter()
+                    .zip(row)
+                    .enumerate()
+                    .map(|(i, (xi, wi))| (i, xi * wi))
+                    .collect();
+                Ok(Contribution::Weighted(partials))
+            })
+            .collect()
     }
 
     fn kind(&self) -> LayerKind {

@@ -71,14 +71,24 @@ impl Layer for Flatten {
         Vec::new()
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        _interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.check(input)?;
-        if out_idx >= input.len() {
-            return Err(NnError::InvalidConfig(format!(
-                "flatten output index {out_idx} out of range"
-            )));
-        }
-        Ok(Contribution::PassThrough(vec![out_idx]))
+        out_idxs
+            .iter()
+            .map(|&out_idx| {
+                if out_idx >= input.len() {
+                    return Err(NnError::InvalidConfig(format!(
+                        "flatten output index {out_idx} out of range"
+                    )));
+                }
+                Ok(Contribution::PassThrough(vec![out_idx]))
+            })
+            .collect()
     }
 
     fn has_static_routing(&self) -> bool {

@@ -175,13 +175,70 @@ pub trait Layer: Send + Sync {
     /// Mutable access to trainable parameters, in the same order as [`Layer::params`].
     fn params_mut(&mut self) -> Vec<&mut Tensor>;
 
-    /// Partial-sum decomposition of output neuron `out_idx` (flat index into the
-    /// output) for the given input.
+    /// [`Layer::forward`] that also hands back the layer's **interior
+    /// activation**: the one intermediate tensor [`Layer::contributions_many`]
+    /// needs beyond the layer's own input.  Only composite layers have one
+    /// ([`Residual`]: the input of its last body layer); everything else
+    /// returns `None`, which is the default.
+    ///
+    /// [`crate::Network::forward_with_sink`] passes the interior to
+    /// [`crate::TraceSink::on_interior`], so a sink that keeps it lets the
+    /// reverse walk decompose the layer without re-running its body.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::forward`].
+    fn forward_interior(&self, input: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
+        Ok((self.forward(input)?, None))
+    }
+
+    /// Batched twin of [`Layer::forward_interior`]: the interior is stacked
+    /// (`[B] ++ interior_shape`) and slice `b` is bit-for-bit the interior of
+    /// sample `b` alone (the [`Layer::forward_batch`] parity contract).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::forward_batch`].
+    fn forward_batch_interior(&self, batch: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
+        Ok((self.forward_batch(batch)?, None))
+    }
+
+    /// Partial-sum decompositions of the output neurons `out_idxs` (flat
+    /// indices into the output) for the given input, one per index, in order.
+    ///
+    /// `interior` is what [`Layer::forward_interior`] returned for this same
+    /// `input`, if the caller kept it.  Layers without an interior ignore it;
+    /// a composite layer given `None` recomputes it — **once per call**, not
+    /// once per index, which is why the reverse walk asks for all of a layer's
+    /// important neurons together.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any index is out of range or `input` (or
+    /// `interior`) has the wrong shape.
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>>;
+
+    /// Partial-sum decomposition of output neuron `out_idx`: the one-element
+    /// form of [`Layer::contributions_many`].
     ///
     /// # Errors
     ///
     /// Returns an error if `out_idx` is out of range or `input` has the wrong shape.
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution>;
+    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+        self.contributions_many(input, None, &[out_idx])?
+            .pop()
+            .ok_or_else(|| {
+                crate::NnError::InvalidConfig(format!(
+                    "{} returned no decomposition for output {out_idx}",
+                    self.name()
+                ))
+            })
+    }
 
     /// `true` if the *index routing* of [`Layer::contributions`] never depends
     /// on activation values — i.e. [`Layer::static_routing`] returns `Some`
@@ -226,6 +283,12 @@ pub trait Layer: Send + Sync {
     fn input_len(&self) -> usize {
         self.input_shape().iter().product()
     }
+
+    /// Flat number of elements of the interior [`Layer::forward_interior`]
+    /// hands out (`0` for a layer without one).
+    fn interior_len(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +301,61 @@ mod tests {
         assert_eq!(w.indices(), vec![3, 7]);
         let p = Contribution::PassThrough(vec![2]);
         assert_eq!(p.indices(), vec![2]);
+    }
+
+    /// For every layer kind the zoo builds (conv, dense, ReLU, flatten, max and
+    /// average pooling, residual): one batched call decomposes exactly what
+    /// one call per neuron does, and a composite layer handed the interior its
+    /// forward pass produced decomposes exactly what it recomputes.
+    #[test]
+    fn contributions_many_is_the_per_neuron_decomposition() {
+        use crate::zoo;
+        use ptolemy_tensor::Rng64;
+
+        let mut rng = Rng64::new(23);
+        let networks = [
+            zoo::resnet_mini(4, &mut rng).unwrap(),
+            zoo::inception_mini(4, &mut rng).unwrap(),
+        ];
+        let mut kinds_seen = std::collections::BTreeSet::new();
+        for network in &networks {
+            let len = network.input_shape().iter().product();
+            let input = Tensor::from_vec(
+                (0..len).map(|_| rng.normal()).collect(),
+                network.input_shape(),
+            )
+            .unwrap();
+            let mut cur = input;
+            for layer in network.layers() {
+                let (out, interior) = layer.forward_interior(&cur).unwrap();
+                assert_eq!(
+                    interior.as_ref().map_or(0, Tensor::len),
+                    layer.interior_len()
+                );
+                // Every output neuron, in a scrambled order with a repeat.
+                let mut idxs: Vec<usize> = (0..layer.output_len()).rev().collect();
+                idxs.push(0);
+                let many = layer.contributions_many(&cur, None, &idxs).unwrap();
+                assert_eq!(many.len(), idxs.len());
+                for (&idx, batched) in idxs.iter().zip(&many) {
+                    assert_eq!(batched, &layer.contributions(&cur, idx).unwrap());
+                }
+                let kept = layer
+                    .contributions_many(&cur, interior.as_ref(), &idxs)
+                    .unwrap();
+                assert_eq!(kept, many, "{}: kept interior != recomputed", layer.name());
+                assert!(layer
+                    .contributions_many(&cur, None, &[layer.output_len()])
+                    .is_err());
+                assert!(layer
+                    .contributions_many(&cur, None, &[])
+                    .unwrap()
+                    .is_empty());
+                kinds_seen.insert(layer.name());
+                cur = out;
+            }
+        }
+        assert_eq!(kinds_seen.len(), 7, "{kinds_seen:?}");
     }
 
     #[test]

@@ -248,21 +248,31 @@ impl Layer for MaxPool2d {
         Vec::new()
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        _interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.geom.check(input)?;
-        let (c, oy, ox) = self.geom.decompose(out_idx)?;
         let x = input.as_slice();
-        let win = self.geom.window_indices(c, oy, ox);
-        let best = win
+        out_idxs
             .iter()
-            .copied()
-            .max_by(|a, b| {
-                x[*a]
-                    .partial_cmp(&x[*b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+            .map(|&out_idx| {
+                let (c, oy, ox) = self.geom.decompose(out_idx)?;
+                let win = self.geom.window_indices(c, oy, ox);
+                let best = win
+                    .iter()
+                    .copied()
+                    .max_by(|a, b| {
+                        x[*a]
+                            .partial_cmp(&x[*b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .unwrap_or(win[0]);
+                Ok(Contribution::PassThrough(vec![best]))
             })
-            .unwrap_or(win[0]);
-        Ok(Contribution::PassThrough(vec![best]))
+            .collect()
     }
 
     fn kind(&self) -> LayerKind {
@@ -377,18 +387,28 @@ impl Layer for AvgPool2d {
         Vec::new()
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        _interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.geom.check(input)?;
-        let (c, oy, ox) = self.geom.decompose(out_idx)?;
         let x = input.as_slice();
         let norm = (self.geom.window * self.geom.window) as f32;
-        let pairs = self
-            .geom
-            .window_indices(c, oy, ox)
-            .into_iter()
-            .map(|i| (i, x[i] / norm))
-            .collect();
-        Ok(Contribution::Weighted(pairs))
+        out_idxs
+            .iter()
+            .map(|&out_idx| {
+                let (c, oy, ox) = self.geom.decompose(out_idx)?;
+                let pairs = self
+                    .geom
+                    .window_indices(c, oy, ox)
+                    .into_iter()
+                    .map(|i| (i, x[i] / norm))
+                    .collect();
+                Ok(Contribution::Weighted(pairs))
+            })
+            .collect()
     }
 
     fn has_static_routing(&self) -> bool {

@@ -11,6 +11,12 @@ use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 /// the last inner layer (computed on the body's intermediate activation) with the
 /// identity shortcut contribution `x[out_idx]` (paper Sec. III-A generalises
 /// naturally: the shortcut is a partial sum with weight 1).
+///
+/// That intermediate activation — the input of the last body layer — is the
+/// block's *interior* ([`Layer::forward_interior`]): the forward pass produces
+/// it anyway, so a caller that keeps it decomposes any number of output neurons
+/// without re-running the body, and one that does not pays for the body's head
+/// once per [`Layer::contributions_many`] call.
 pub struct Residual {
     body: Vec<Box<dyn Layer>>,
     shape: Vec<usize>,
@@ -82,6 +88,45 @@ impl Residual {
         Ok(acts)
     }
 
+    /// The body split into the layers before the last one and the last one.
+    fn split_body(&self) -> (&[Box<dyn Layer>], &dyn Layer) {
+        // lint:allow(panic-in-worker): an empty body is rejected at construction
+        let (last, head) = self.body.split_last().expect("non-empty");
+        (head, last.as_ref())
+    }
+
+    /// Runs every body layer but the last through `step`, returning the
+    /// activation entering the last one — `None` when the body is a single
+    /// layer, whose input is the block input itself.
+    fn run_head(
+        &self,
+        input: &Tensor,
+        step: impl Fn(&dyn Layer, &Tensor) -> Result<Tensor>,
+    ) -> Result<Option<Tensor>> {
+        let mut cur = None;
+        for layer in self.split_body().0 {
+            cur = Some(step(layer.as_ref(), cur.as_ref().unwrap_or(input))?);
+        }
+        Ok(cur)
+    }
+
+    /// `relu?(body(x) + x)` with the body driven by `step` (the single-sample
+    /// or the fused-batch kernel; the shortcut add and the post-ReLU are
+    /// element-wise, so they are the same code for both), plus the interior.
+    fn run(
+        &self,
+        input: &Tensor,
+        step: impl Fn(&dyn Layer, &Tensor) -> Result<Tensor>,
+    ) -> Result<(Tensor, Option<Tensor>)> {
+        let interior = self.run_head(input, &step)?;
+        let body_out = step(self.split_body().1, interior.as_ref().unwrap_or(input))?;
+        let mut out = body_out.add(input)?;
+        if self.post_relu {
+            out.map_inplace(|v| v.max(0.0));
+        }
+        Ok((out, interior))
+    }
+
     fn check(&self, input: &Tensor) -> Result<()> {
         if input.dims() != self.shape.as_slice() {
             return Err(NnError::InvalidConfig(format!(
@@ -108,32 +153,23 @@ impl Layer for Residual {
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check(input)?;
-        let acts = self.body_trace(input)?;
-        // lint:allow(panic-in-worker): body_trace always yields the seed input
-        let mut out = acts.last().expect("non-empty").add(input)?;
-        if self.post_relu {
-            out.map_inplace(|v| v.max(0.0));
-        }
-        Ok(out)
+        Ok(self.forward_interior(input)?.0)
     }
 
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
+        Ok(self.forward_batch_interior(batch)?.0)
+    }
+
+    fn forward_interior(&self, input: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
+        self.check(input)?;
+        self.run(input, |layer, x| layer.forward(x))
+    }
+
+    fn forward_batch_interior(&self, batch: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
         crate::batch::check_batch(batch, &self.shape, self.name())?;
-        // Chain the body's fused kernels, then apply the shortcut add (and the
-        // optional post-ReLU) element-wise over the stacked buffer — the same
-        // per-element operations as the single-sample path, in the same order.
-        // lint:allow(panic-in-worker): an empty body is rejected at construction
-        let (first, rest) = self.body.split_first().expect("non-empty");
-        let mut cur = first.forward_batch(batch)?;
-        for layer in rest {
-            cur = layer.forward_batch(&cur)?;
-        }
-        let mut out = cur.add(batch)?;
-        if self.post_relu {
-            out.map_inplace(|v| v.max(0.0));
-        }
-        Ok(out)
+        // The body's fused kernels chained, then the same element-wise
+        // shortcut add / post-ReLU as the single-sample path, in the same order.
+        self.run(batch, |layer, x| layer.forward_batch(x))
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
@@ -187,28 +223,58 @@ impl Layer for Residual {
         self.body.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
 
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>> {
         self.check(input)?;
-        if out_idx >= self.output_len() {
+        if let Some(out_idx) = out_idxs.iter().find(|&&i| i >= self.output_len()) {
             return Err(NnError::InvalidConfig(format!(
                 "residual output index {out_idx} out of range"
             )));
         }
-        let acts = self.body_trace(input)?;
-        let last_input = &acts[acts.len() - 2];
-        // lint:allow(panic-in-worker): an empty body is rejected at construction
-        let last = self.body.last().expect("non-empty");
-        let mut pairs = match last.contributions(last_input, out_idx)? {
-            Contribution::Weighted(pairs) => pairs,
-            Contribution::PassThrough(idx) => idx
-                .into_iter()
-                .map(|i| (i, last_input.as_slice()[i]))
-                .collect(),
+        let (head, last) = self.split_body();
+        // The last body layer's input: the block input for a one-layer body,
+        // else the interior the forward pass handed out — recomputed here,
+        // once for all of `out_idxs`, only when the caller did not keep it.
+        let recomputed;
+        let last_input = if head.is_empty() {
+            input
+        } else if let Some(kept) = interior {
+            kept
+        } else {
+            recomputed = self.run_head(input, |layer, x| layer.forward(x))?;
+            recomputed.as_ref().unwrap_or(input)
         };
-        // Identity shortcut: the block input contributes its own value at the same
-        // position.
-        pairs.push((out_idx, input.as_slice()[out_idx]));
-        Ok(Contribution::Weighted(pairs))
+        let decompositions = last.contributions_many(last_input, None, out_idxs)?;
+        Ok(out_idxs
+            .iter()
+            .zip(decompositions)
+            .map(|(&out_idx, decomposition)| {
+                let mut pairs = match decomposition {
+                    Contribution::Weighted(pairs) => pairs,
+                    Contribution::PassThrough(idx) => idx
+                        .into_iter()
+                        .map(|i| (i, last_input.as_slice()[i]))
+                        .collect(),
+                };
+                // Identity shortcut: the block input contributes its own value
+                // at the same position.
+                pairs.push((out_idx, input.as_slice()[out_idx]));
+                Contribution::Weighted(pairs)
+            })
+            .collect())
+    }
+
+    fn interior_len(&self) -> usize {
+        let (head, last) = self.split_body();
+        if head.is_empty() {
+            0
+        } else {
+            last.input_len()
+        }
     }
 
     fn kind(&self) -> LayerKind {
@@ -273,6 +339,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn interior_is_the_last_body_layers_input() {
+        let mut rng = Rng64::new(5);
+        let res = block(&mut rng, true);
+        let x = Initializer::Uniform(1.0)
+            .build(&[2, 4, 4], &mut rng)
+            .unwrap();
+        let (y, interior) = res.forward_interior(&x).unwrap();
+        let acts = res.body_trace(&x).unwrap();
+        assert_eq!(interior.as_ref(), Some(&acts[2]));
+        assert_eq!(res.interior_len(), acts[2].len());
+        assert_eq!(y, res.forward(&x).unwrap());
+
+        // A one-layer body has no interior: its last layer reads the block
+        // input, and the decomposition is that layer's plus the shortcut.
+        let conv = Conv2d::new(2, 2, 4, 4, 3, 1, 1, &mut rng).unwrap();
+        let single = Residual::new(vec![Box::new(conv.clone())], false).unwrap();
+        assert!(single.forward_interior(&x).unwrap().1.is_none());
+        assert_eq!(single.interior_len(), 0);
+        let Contribution::Weighted(mut expected) = conv.contributions(&x, 9).unwrap() else {
+            panic!("conv contributions are weighted");
+        };
+        expected.push((9, x.as_slice()[9]));
+        assert_eq!(
+            single.contributions(&x, 9).unwrap(),
+            Contribution::Weighted(expected)
+        );
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //! much?".  This crate therefore exposes, in addition to the usual
 //! forward/backward/training machinery:
 //!
-//! * [`Layer::contributions`] — the per-output-neuron partial-sum decomposition used
-//!   by the important-neuron extraction algorithms (paper Fig. 3);
+//! * [`Layer::contributions_many`] (and its one-neuron form
+//!   [`Layer::contributions`]) — the per-output-neuron partial-sum decomposition
+//!   used by the important-neuron extraction algorithms (paper Fig. 3), asked
+//!   for all of a layer's important neurons at once so a composite layer never
+//!   works per neuron; a [`layer::Residual`] block decomposes against the
+//!   interior activation its forward pass hands out
+//!   ([`Layer::forward_interior`], [`TraceSink::on_interior`]);
 //! * [`Network::forward_with_sink`] / [`Network::forward_with_sink_batch`] —
 //!   the **streaming drivers**: a forward pass hands each activation boundary
 //!   to a [`TraceSink`] the moment the producing layer finishes, before the

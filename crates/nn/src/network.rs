@@ -139,9 +139,11 @@ impl Network {
         Ok(cur)
     }
 
-    /// Runs a forward pass, handing every activation boundary to `sink` as it
-    /// is produced — the streaming driver both [`Network::forward_trace`] and
-    /// the `ptolemy-core` streaming extraction pipeline are adapters over.
+    /// Runs a forward pass, handing every activation boundary (and, just
+    /// before a residual block's output, the block's interior —
+    /// [`TraceSink::on_interior`]) to `sink` as it is produced — the streaming
+    /// driver both [`Network::forward_trace`] and the `ptolemy-core` streaming
+    /// extraction pipeline are adapters over.
     ///
     /// The driver itself holds only the current layer's input and output; what
     /// outlives a layer is entirely the sink's decision, so a selective sink
@@ -159,7 +161,10 @@ impl Network {
         sink.on_input(input);
         let mut cur = input.clone();
         for (index, layer) in self.layers.iter().enumerate() {
-            let out = layer.forward(&cur)?;
+            let (out, interior) = layer.forward_interior(&cur)?;
+            if let Some(interior) = &interior {
+                sink.on_interior(index, interior);
+            }
             sink.on_layer(index, &out);
             cur = out;
         }
@@ -175,7 +180,7 @@ impl Network {
     pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
         let mut recorder = TraceRecorder::with_capacity(self.layers.len());
         self.forward_with_sink(input, &mut recorder)?;
-        ForwardTrace::from_activations(recorder.activations)
+        ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
     }
 
     /// Stacks `inputs` into one `[B] ++ input_shape` batch, validating shapes.
@@ -233,7 +238,10 @@ impl Network {
         let mut cur = self.stack_batch(inputs)?;
         sink.on_input(&cur);
         for (index, layer) in self.layers.iter().enumerate() {
-            let out = layer.forward_batch(&cur)?;
+            let (out, interior) = layer.forward_batch_interior(&cur)?;
+            if let Some(interior) = &interior {
+                sink.on_interior(index, interior);
+            }
             sink.on_layer(index, &out);
             cur = out;
         }
@@ -255,7 +263,11 @@ impl Network {
     pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
         let mut recorder = TraceRecorder::with_capacity(self.layers.len());
         self.forward_with_sink_batch(inputs, &mut recorder)?;
-        Ok(BatchTrace::new(inputs.len(), recorder.activations))
+        Ok(BatchTrace::new(
+            inputs.len(),
+            recorder.activations,
+            recorder.interiors,
+        ))
     }
 
     /// Predicted class of `input` (argmax of the logits).

@@ -430,7 +430,7 @@ impl QuantizedNetwork {
             cur = self.forward_layer_batch(i, layer, &cur)?;
             activations.push(cur.clone());
         }
-        Ok(BatchTrace::new(inputs.len(), activations))
+        Ok(BatchTrace::new(inputs.len(), activations, Vec::new()))
     }
 
     /// Argmax class of the quantized logits.

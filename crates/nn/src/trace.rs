@@ -23,11 +23,13 @@ use crate::{NnError, Result};
 /// [`crate::Network::forward_with_sink`] (and its batched twin) call
 /// [`TraceSink::on_input`] once with the activation entering layer 0, then
 /// [`TraceSink::on_layer`] after each layer finishes, **before** the next
-/// layer starts.  The sink only borrows the activation: it clones what it
-/// needs to keep and lets everything else die with the driver's scratch
-/// buffer, so a sink that retains nothing observes an entire forward pass in
-/// O(largest layer) memory.  For the batched driver the tensors are stacked
-/// (`[B] ++ shape`, NCHW).
+/// layer starts — preceded, for a layer that has one, by
+/// [`TraceSink::on_interior`] with the layer's interior activation.  The sink
+/// only borrows the activation: it clones what it needs to keep and lets
+/// everything else die with the driver's scratch buffer, so a sink that
+/// retains nothing observes an entire forward pass in O(largest layer)
+/// memory.  For the batched driver the tensors are stacked (`[B] ++ shape`,
+/// NCHW).
 ///
 /// Sinks are infallible by design — a sink that can fail (e.g. a channel to a
 /// worker thread) records the failure internally and surfaces it after the
@@ -36,22 +38,31 @@ pub trait TraceSink {
     /// Observes the activation entering layer 0 (boundary 0).
     fn on_input(&mut self, _input: &Tensor) {}
 
+    /// Observes layer `index`'s interior activation
+    /// ([`crate::Layer::forward_interior`] — a residual block's last body
+    /// layer's input), called just before that layer's [`TraceSink::on_layer`].
+    /// A sink that keeps it spares the reverse walk a re-run of the block's
+    /// body; the default ignores it.
+    fn on_interior(&mut self, _index: usize, _interior: &Tensor) {}
+
     /// Observes layer `index`'s freshly produced output activation (boundary
     /// `index + 1`), called before layer `index + 1` runs.
     fn on_layer(&mut self, index: usize, output: &Tensor);
 }
 
-/// A [`TraceSink`] that keeps every boundary — the adapter that turns the
-/// streaming driver back into a materialized trace.
+/// A [`TraceSink`] that keeps every boundary and every interior — the adapter
+/// that turns the streaming driver back into a materialized trace.
 #[derive(Debug, Default)]
 pub(crate) struct TraceRecorder {
     pub(crate) activations: Vec<Tensor>,
+    pub(crate) interiors: Vec<Option<Tensor>>,
 }
 
 impl TraceRecorder {
     pub(crate) fn with_capacity(num_layers: usize) -> Self {
         TraceRecorder {
             activations: Vec::with_capacity(num_layers + 1),
+            interiors: vec![None; num_layers],
         }
     }
 }
@@ -59,6 +70,10 @@ impl TraceRecorder {
 impl TraceSink for TraceRecorder {
     fn on_input(&mut self, input: &Tensor) {
         self.activations.push(input.clone());
+    }
+
+    fn on_interior(&mut self, index: usize, interior: &Tensor) {
+        self.interiors[index] = Some(interior.clone());
     }
 
     fn on_layer(&mut self, _index: usize, output: &Tensor) {
@@ -121,6 +136,10 @@ impl<S: TraceSink> TraceSink for LayerTimingSink<S> {
         }
     }
 
+    fn on_interior(&mut self, index: usize, interior: &Tensor) {
+        self.inner.on_interior(index, interior);
+    }
+
     fn on_layer(&mut self, index: usize, output: &Tensor) {
         self.inner.on_layer(index, output);
         if !self.registry.enabled() {
@@ -176,12 +195,22 @@ pub fn predicted_class(logits: &Tensor) -> Result<usize> {
 /// algorithms consume this trace: backward extraction walks it from the last
 /// layer to the first, forward extraction walks it in layer order, and the
 /// per-layer partial sums are recomputed on demand from `input(i)` via
-/// [`crate::Layer::contributions`].
+/// [`crate::Layer::contributions_many`].
+///
+/// A trace recorded by [`crate::Network::forward_trace`] also keeps each
+/// layer's *interior* ([`crate::Layer::forward_interior`] — a residual block's
+/// last body layer's input), so decomposing that layer later re-runs nothing;
+/// a trace assembled from boundaries alone ([`ForwardTrace::from_activations`],
+/// e.g. the int8 path's requantized boundaries) has none, and the layer
+/// recomputes its interior from the boundary it is given.
 #[derive(Debug, Clone)]
 pub struct ForwardTrace {
     /// `activations[0]` is the network input; `activations[i + 1]` is layer
     /// `i`'s output.
     activations: Vec<Tensor>,
+    /// `interiors[i]` is layer `i`'s interior, where recorded (empty for a
+    /// boundaries-only trace).
+    interiors: Vec<Option<Tensor>>,
 }
 
 impl ForwardTrace {
@@ -199,7 +228,25 @@ impl ForwardTrace {
                 activations.len()
             )));
         }
-        Ok(ForwardTrace { activations })
+        Ok(ForwardTrace {
+            activations,
+            interiors: Vec::new(),
+        })
+    }
+
+    /// A trace of boundaries plus the interiors recorded alongside them.
+    pub(crate) fn with_interiors(
+        activations: Vec<Tensor>,
+        interiors: Vec<Option<Tensor>>,
+    ) -> Result<Self> {
+        let mut trace = ForwardTrace::from_activations(activations)?;
+        trace.interiors = interiors;
+        Ok(trace)
+    }
+
+    /// Layer `index`'s interior activation, if this trace recorded one.
+    pub fn interior(&self, index: usize) -> Option<&Tensor> {
+        self.interiors.get(index).and_then(Option::as_ref)
     }
 
     /// Number of layers traced.
@@ -252,15 +299,20 @@ impl ForwardTrace {
         predicted_class(self.logits())
     }
 
-    /// Total bytes of activation data this materialized trace holds resident —
-    /// the baseline the streaming extraction pipeline's peak footprint is
-    /// compared against.
+    /// Total bytes of activation data this materialized trace holds resident
+    /// (boundaries and recorded interiors) — the baseline the streaming
+    /// extraction pipeline's peak footprint is compared against.
     pub fn activation_bytes(&self) -> usize {
-        self.activations
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<f32>())
-            .sum()
+        resident_bytes(&self.activations, &self.interiors)
     }
+}
+
+fn resident_bytes(activations: &[Tensor], interiors: &[Option<Tensor>]) -> usize {
+    activations
+        .iter()
+        .chain(interiors.iter().flatten())
+        .map(|t| t.len() * std::mem::size_of::<f32>())
+        .sum()
 }
 
 /// Record of one fused forward pass over a whole batch
@@ -279,14 +331,22 @@ pub struct BatchTrace {
     /// `activations[0]` is the stacked batch input; `activations[i + 1]` is
     /// layer `i`'s stacked output.
     activations: Vec<Tensor>,
+    /// `interiors[i]` is layer `i`'s stacked interior, where recorded.
+    interiors: Vec<Option<Tensor>>,
 }
 
 impl BatchTrace {
-    /// Assembles a batch trace from stacked activation boundaries.
-    pub(crate) fn new(batch_size: usize, activations: Vec<Tensor>) -> Self {
+    /// Assembles a batch trace from stacked activation boundaries and the
+    /// stacked interiors recorded alongside them (empty for none).
+    pub(crate) fn new(
+        batch_size: usize,
+        activations: Vec<Tensor>,
+        interiors: Vec<Option<Tensor>>,
+    ) -> Self {
         BatchTrace {
             batch_size,
             activations,
+            interiors,
         }
     }
 
@@ -336,7 +396,12 @@ impl BatchTrace {
             .iter()
             .map(|t| Ok(t.slice_batch(index)?))
             .collect::<Result<Vec<Tensor>>>()?;
-        ForwardTrace::from_activations(activations)
+        let interiors = self
+            .interiors
+            .iter()
+            .map(|kept| Ok(kept.as_ref().map(|t| t.slice_batch(index)).transpose()?))
+            .collect::<Result<Vec<Option<Tensor>>>>()?;
+        ForwardTrace::with_interiors(activations, interiors)
     }
 
     /// Final logits of sample `index`.
@@ -359,12 +424,9 @@ impl BatchTrace {
     }
 
     /// Total bytes of stacked activation data this materialized batch trace
-    /// holds resident.
+    /// holds resident (boundaries and recorded interiors).
     pub fn activation_bytes(&self) -> usize {
-        self.activations
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<f32>())
-            .sum()
+        resident_bytes(&self.activations, &self.interiors)
     }
 }
 
@@ -429,7 +491,7 @@ mod tests {
         // Two samples, one layer: inputs [2, 4], outputs [2, 3].
         let inputs = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 4]).unwrap();
         let outputs = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.7, 0.2, 0.1], &[2, 3]).unwrap();
-        let batch = BatchTrace::new(2, vec![inputs, outputs]);
+        let batch = BatchTrace::new(2, vec![inputs, outputs], Vec::new());
         assert_eq!(batch.batch_size(), 2);
         assert_eq!(batch.num_layers(), 1);
         assert_eq!(batch.input(0).dims(), &[2, 4]);
@@ -502,6 +564,7 @@ mod tests {
         recorder.on_layer(1, &y);
         let trace = ForwardTrace::from_activations(recorder.activations).unwrap();
         assert_eq!(trace.num_layers(), 2);
+        assert!(trace.interior(0).is_none());
         assert_eq!(trace.input(1).as_slice(), h.as_slice());
         assert_eq!(trace.logits().as_slice(), y.as_slice());
     }

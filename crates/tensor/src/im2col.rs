@@ -118,6 +118,116 @@ impl Conv2dGeometry {
     }
 }
 
+/// One maximal in-bounds run of a patch-matrix row: columns `col..col + len` of
+/// row `row` read the sample's elements `src`, `src + stride`, ….
+pub(crate) struct RowRun {
+    pub(crate) row: usize,
+    pub(crate) col: usize,
+    pub(crate) len: usize,
+    pub(crate) src: usize,
+}
+
+impl Conv2dGeometry {
+    /// The one lowering traversal every `im2col`/`col2im` flavour shares: for
+    /// each patch row `(c, ky, kx)` and output row `oy` whose source row lies
+    /// inside the input, the in-bounds `ox` range is computed once and visited
+    /// as a single [`RowRun`]; everything outside a run is zero padding.  This
+    /// is the [`Conv2dGeometry::patch_source`] definition with its div/mods and
+    /// bounds branch hoisted out of the element loop.  Kernel offsets run high
+    /// to low so that each input element is reached in ascending `(oy, ox)`
+    /// order — the order [`col2im`] has always accumulated in (f32 addition
+    /// does not re-associate).
+    pub(crate) fn for_each_row_run(&self, mut visit: impl FnMut(RowRun)) {
+        let (kernel, stride, padding) = (self.kernel, self.stride, self.padding);
+        // Output positions `o` along one axis with `0 <= o·stride + k - padding < extent`.
+        let in_bounds = |k: usize, extent: usize, outputs: usize| {
+            let lo = padding.saturating_sub(k).div_ceil(stride);
+            let hi = (extent + padding)
+                .checked_sub(k + 1)
+                .map_or(0, |last| (last / stride + 1).min(outputs));
+            lo..hi
+        };
+        for c in 0..self.in_channels {
+            for ky in (0..kernel).rev() {
+                let rows = in_bounds(ky, self.in_h, self.out_h);
+                for kx in (0..kernel).rev() {
+                    let run = in_bounds(kx, self.in_w, self.out_w);
+                    if run.is_empty() {
+                        continue;
+                    }
+                    let x = run.start * stride + kx - padding;
+                    for oy in rows.clone() {
+                        let y = oy * stride + ky - padding;
+                        visit(RowRun {
+                            row: (c * kernel + ky) * kernel + kx,
+                            col: oy * self.out_w + run.start,
+                            len: run.len(),
+                            src: self.input_index(c, y, x),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    fn sample_len(&self) -> usize {
+        self.in_channels * self.in_h * self.in_w
+    }
+
+    /// Number of CHW samples in `input`: at least one if `stacked`, else exactly one.
+    pub(crate) fn sample_count(
+        &self,
+        input: &Tensor,
+        stacked: bool,
+        op: &'static str,
+    ) -> Result<usize> {
+        let sample_len = self.sample_len();
+        let fits = if stacked {
+            sample_len != 0 && !input.is_empty() && input.len() % sample_len == 0
+        } else {
+            input.len() == sample_len
+        };
+        if !fits {
+            return Err(TensorError::IncompatibleShapes {
+                lhs: input.dims().to_vec(),
+                rhs: vec![self.in_channels, self.in_h, self.in_w],
+                op,
+            });
+        }
+        Ok(if stacked { input.len() / sample_len } else { 1 })
+    }
+}
+
+/// Lowers `batch_size` stacked CHW samples into a row-major
+/// `[patch_len, batch_size * num_patches]` patch matrix (sample `b` owns columns
+/// `b * num_patches..` of every row; padding keeps `T`'s zero).  Pure data
+/// movement — the int8 lowering runs it over an already-quantized image — so
+/// every value is the [`Conv2dGeometry::patch_source`] definition's by construction.
+pub(crate) fn lower<T: Copy + Default>(
+    samples: &[T],
+    geom: &Conv2dGeometry,
+    batch_size: usize,
+) -> Vec<T> {
+    let patches = geom.num_patches();
+    let cols = batch_size * patches;
+    let sample_len = geom.sample_len();
+    let mut out = vec![T::default(); geom.patch_len() * cols];
+    geom.for_each_row_run(|run| {
+        for b in 0..batch_size {
+            let dst = &mut out[run.row * cols + b * patches + run.col..][..run.len];
+            let src = &samples[b * sample_len + run.src..];
+            if geom.stride == 1 {
+                dst.copy_from_slice(&src[..run.len]);
+            } else {
+                for (d, v) in dst.iter_mut().zip(src.iter().step_by(geom.stride)) {
+                    *d = *v;
+                }
+            }
+        }
+    });
+    out
+}
+
 /// Lowers one CHW image into a patch matrix of shape `[patch_len, out_h * out_w]`.
 ///
 /// Column `j` of the result is the receptive field of output position
@@ -129,29 +239,11 @@ impl Conv2dGeometry {
 /// Returns [`TensorError::IncompatibleShapes`] if `image` does not have
 /// `in_channels * in_h * in_w` elements.
 pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let expected = geom.in_channels * geom.in_h * geom.in_w;
-    if image.len() != expected {
-        return Err(TensorError::IncompatibleShapes {
-            lhs: image.dims().to_vec(),
-            rhs: vec![geom.in_channels, geom.in_h, geom.in_w],
-            op: "im2col",
-        });
-    }
-    let src = image.as_slice();
-    let rows = geom.patch_len();
-    let cols = geom.num_patches();
-    let mut out = vec![0.0f32; rows * cols];
-    for oy in 0..geom.out_h {
-        for ox in 0..geom.out_w {
-            let col = oy * geom.out_w + ox;
-            for p in 0..rows {
-                if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
-                    out[p * cols + col] = src[geom.input_index(c, y, x)];
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[rows, cols])
+    geom.sample_count(image, false, "im2col")?;
+    Tensor::from_vec(
+        lower(image.as_slice(), geom, 1),
+        &[geom.patch_len(), geom.num_patches()],
+    )
 }
 
 /// Lowers a stacked NCHW batch into one patch matrix of shape
@@ -170,34 +262,11 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 /// Returns [`TensorError::IncompatibleShapes`] if `batch` is empty or its
 /// element count is not a multiple of `in_channels * in_h * in_w`.
 pub fn im2col_batch(batch: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let sample_len = geom.in_channels * geom.in_h * geom.in_w;
-    if sample_len == 0 || batch.is_empty() || batch.len() % sample_len != 0 {
-        return Err(TensorError::IncompatibleShapes {
-            lhs: batch.dims().to_vec(),
-            rhs: vec![geom.in_channels, geom.in_h, geom.in_w],
-            op: "im2col_batch",
-        });
-    }
-    let batch_size = batch.len() / sample_len;
-    let src = batch.as_slice();
-    let rows = geom.patch_len();
-    let patches = geom.num_patches();
-    let cols = batch_size * patches;
-    let mut out = vec![0.0f32; rows * cols];
-    for b in 0..batch_size {
-        let sample = &src[b * sample_len..(b + 1) * sample_len];
-        for oy in 0..geom.out_h {
-            for ox in 0..geom.out_w {
-                let col = b * patches + oy * geom.out_w + ox;
-                for p in 0..rows {
-                    if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
-                        out[p * cols + col] = sample[geom.input_index(c, y, x)];
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[rows, cols])
+    let batch_size = geom.sample_count(batch, true, "im2col_batch")?;
+    Tensor::from_vec(
+        lower(batch.as_slice(), geom, batch_size),
+        &[geom.patch_len(), batch_size * geom.num_patches()],
+    )
 }
 
 /// Adjoint of [`im2col`]: scatters a patch matrix of shape
@@ -209,8 +278,7 @@ pub fn im2col_batch(batch: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 /// Returns [`TensorError::IncompatibleShapes`] if `cols` does not have the shape
 /// implied by the geometry.
 pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let rows = geom.patch_len();
-    let ncols = geom.num_patches();
+    let (rows, ncols) = (geom.patch_len(), geom.num_patches());
     if cols.dims() != [rows, ncols] {
         return Err(TensorError::IncompatibleShapes {
             lhs: cols.dims().to_vec(),
@@ -219,17 +287,13 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let src = cols.as_slice();
-    let mut out = vec![0.0f32; geom.in_channels * geom.in_h * geom.in_w];
-    for oy in 0..geom.out_h {
-        for ox in 0..geom.out_w {
-            let col = oy * geom.out_w + ox;
-            for p in 0..rows {
-                if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
-                    out[geom.input_index(c, y, x)] += src[p * ncols + col];
-                }
-            }
+    let mut out = vec![0.0f32; geom.sample_len()];
+    geom.for_each_row_run(|run| {
+        let run_src = &src[run.row * ncols + run.col..][..run.len];
+        for (i, v) in run_src.iter().enumerate() {
+            out[run.src + i * geom.stride] += v;
         }
-    }
+    });
     Tensor::from_vec(out, &[geom.in_channels, geom.in_h, geom.in_w])
 }
 

@@ -1,33 +1,17 @@
 //! Fused int8 `im2col`: lowers convolution inputs straight into quantized
 //! patch matrices, skipping the f32 column intermediate entirely.
 //!
-//! The f32 quantized-conv path materialised `im2col(input)` (a `[patch_len,
-//! patches]` f32 tensor) and then quantized it element-wise.  These kernels
-//! fuse the two: each in-bounds patch element is quantized as it is packed,
-//! and padding positions are left at the quantized zero (`quantize(0.0)` is
-//! exactly `0` for every scale).  The output is therefore **bit-for-bit**
-//! `quantize_slice(im2col(input), params)` — same values, same column layout
-//! — at a quarter of the write traffic and without the f32 allocation.
-//!
-//! This module is the second place (after [`crate::quant`]) allowed to
-//! perform the lossy `as i8` saturating cast: the fused pack inlines the
-//! exact [`QuantParams::quantize`] expression so the hot loop stays free of
-//! any round-trip through a staging buffer.  The inline copy is pinned
-//! bit-identical to [`QuantParams::quantize`] by the tests below.
+//! Quantizing `im2col(input)` element-wise rounds every input element once per
+//! receptive field covering it.  These kernels quantize the *image* once
+//! ([`quantize_slice`], the audited expression) and run the shared row-run
+//! traversal ([`crate::im2col`]'s) over the int8 image; padding stays at the
+//! quantized zero (`quantize(0.0)` is `0` for every scale).  Quantization is
+//! element-wise, so it commutes with the data movement: the output is
+//! **bit-for-bit** `quantize_slice(im2col(input), params)`.
 
-use crate::im2col::Conv2dGeometry;
-use crate::quant::QuantParams;
-use crate::{Result, Tensor, TensorError};
-
-/// The audited quantization step, inlined from [`QuantParams::quantize`]:
-/// round-to-nearest (ties away from zero) then saturate to `[-127, 127]`.
-/// Must stay expression-for-expression identical to the `quant` module's —
-/// `inline_quantize_matches_quant_params` pins it.
-#[inline(always)]
-fn quantize(scale: f32, x: f32) -> i8 {
-    // lint:allow(raw-numeric-cast): the audited saturating quantization cast
-    (x / scale).round().clamp(-127.0, 127.0) as i8
-}
+use crate::im2col::{lower, Conv2dGeometry};
+use crate::quant::{quantize_slice, QuantParams};
+use crate::{Result, Tensor};
 
 /// Lowers one CHW image into a quantized patch matrix of `[patch_len,
 /// out_h * out_w]` layout (returned as a flat `Vec<i8>`).
@@ -38,33 +22,11 @@ fn quantize(scale: f32, x: f32) -> i8 {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::IncompatibleShapes`] if `image` does not have
+/// Returns [`crate::TensorError::IncompatibleShapes`] if `image` does not have
 /// `in_channels * in_h * in_w` elements (same contract as [`crate::im2col`]).
 pub fn im2col_i8(image: &Tensor, geom: &Conv2dGeometry, params: QuantParams) -> Result<Vec<i8>> {
-    let expected = geom.in_channels * geom.in_h * geom.in_w;
-    if image.len() != expected {
-        return Err(TensorError::IncompatibleShapes {
-            lhs: image.dims().to_vec(),
-            rhs: vec![geom.in_channels, geom.in_h, geom.in_w],
-            op: "im2col_i8",
-        });
-    }
-    let src = image.as_slice();
-    let scale = params.scale();
-    let rows = geom.patch_len();
-    let cols = geom.num_patches();
-    let mut out = vec![0i8; rows * cols];
-    for oy in 0..geom.out_h {
-        for ox in 0..geom.out_w {
-            let col = oy * geom.out_w + ox;
-            for p in 0..rows {
-                if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
-                    out[p * cols + col] = quantize(scale, src[geom.input_index(c, y, x)]);
-                }
-            }
-        }
-    }
-    Ok(out)
+    geom.sample_count(image, false, "im2col_i8")?;
+    Ok(lower(&quantize_slice(image.as_slice(), params), geom, 1))
 }
 
 /// Lowers a stacked NCHW batch into one quantized patch matrix of
@@ -77,64 +39,22 @@ pub fn im2col_i8(image: &Tensor, geom: &Conv2dGeometry, params: QuantParams) -> 
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::IncompatibleShapes`] if `batch` is empty or its
+/// Returns [`crate::TensorError::IncompatibleShapes`] if `batch` is empty or its
 /// element count is not a multiple of `in_channels * in_h * in_w`.
 pub fn im2col_i8_batch(
     batch: &Tensor,
     geom: &Conv2dGeometry,
     params: QuantParams,
 ) -> Result<Vec<i8>> {
-    let sample_len = geom.in_channels * geom.in_h * geom.in_w;
-    if sample_len == 0 || batch.is_empty() || batch.len() % sample_len != 0 {
-        return Err(TensorError::IncompatibleShapes {
-            lhs: batch.dims().to_vec(),
-            rhs: vec![geom.in_channels, geom.in_h, geom.in_w],
-            op: "im2col_i8_batch",
-        });
-    }
-    let batch_size = batch.len() / sample_len;
-    let src = batch.as_slice();
-    let scale = params.scale();
-    let rows = geom.patch_len();
-    let patches = geom.num_patches();
-    let cols = batch_size * patches;
-    let mut out = vec![0i8; rows * cols];
-    for b in 0..batch_size {
-        let sample = &src[b * sample_len..(b + 1) * sample_len];
-        for oy in 0..geom.out_h {
-            for ox in 0..geom.out_w {
-                let col = b * patches + oy * geom.out_w + ox;
-                for p in 0..rows {
-                    if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
-                        out[p * cols + col] = quantize(scale, sample[geom.input_index(c, y, x)]);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+    let batch_size = geom.sample_count(batch, true, "im2col_i8_batch")?;
+    let quantized = quantize_slice(batch.as_slice(), params);
+    Ok(lower(&quantized, geom, batch_size))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::quantize_slice;
     use crate::{im2col, Rng64};
-
-    #[test]
-    fn inline_quantize_matches_quant_params() {
-        for max_abs in [0.5f32, 1.0, 3.7, 100.0] {
-            let params = QuantParams::from_max_abs(max_abs);
-            for i in -500..=500 {
-                let x = i as f32 * max_abs / 400.0;
-                assert_eq!(quantize(params.scale(), x), params.quantize(x), "{x}");
-            }
-            assert_eq!(
-                quantize(params.scale(), f32::NAN),
-                params.quantize(f32::NAN)
-            );
-        }
-    }
 
     fn random_image(dims: &[usize], rng: &mut Rng64) -> Tensor {
         let len: usize = dims.iter().product();

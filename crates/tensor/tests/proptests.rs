@@ -1,14 +1,114 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use ptolemy_tensor::{col2im, im2col, Conv2dGeometry, Rng64, Shape, Tensor};
+use ptolemy_tensor::{
+    col2im, im2col, im2col_batch, im2col_i8, im2col_i8_batch, quantize_slice, Conv2dGeometry,
+    QuantParams, Rng64, Shape, Tensor,
+};
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..5, 1..4)
 }
 
+/// `im2col` of `batch` stacked samples, straight from the
+/// `patch_source`/`input_index` definition: element `(p, b·patches + oy·out_w
+/// + ox)` is the input element that definition names, or zero padding.
+fn im2col_by_definition(samples: &[f32], geom: &Conv2dGeometry, batch: usize) -> Vec<f32> {
+    let (rows, patches) = (geom.patch_len(), geom.num_patches());
+    let sample_len = samples.len() / batch;
+    let mut out = vec![0.0f32; rows * batch * patches];
+    for b in 0..batch {
+        for oy in 0..geom.out_h {
+            for ox in 0..geom.out_w {
+                for p in 0..rows {
+                    if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
+                        out[p * batch * patches + b * patches + oy * geom.out_w + ox] =
+                            samples[b * sample_len + geom.input_index(c, y, x)];
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The scatter-sum definition of `col2im`, accumulating in `(oy, ox, p)` order.
+fn col2im_by_definition(cols: &[f32], geom: &Conv2dGeometry) -> Vec<f32> {
+    let patches = geom.num_patches();
+    let mut out = vec![0.0f32; geom.in_channels * geom.in_h * geom.in_w];
+    for oy in 0..geom.out_h {
+        for ox in 0..geom.out_w {
+            for p in 0..geom.patch_len() {
+                if let Some((c, y, x)) = geom.patch_source(oy, ox, p) {
+                    out[geom.input_index(c, y, x)] += cols[p * patches + oy * geom.out_w + ox];
+                }
+            }
+        }
+    }
+    out
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// All five lowerings equal the `patch_source` definition element for
+    /// element over random geometries: strides 1–3, padding from none to wider
+    /// than the kernel reaches, 1×1 kernels, kernels as large as the padded
+    /// input, non-square images, batches of 1–5.
+    #[test]
+    fn row_run_lowerings_match_the_definition(
+        channels in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        padding in 0usize..4,
+        fit in 0usize..3,
+        batch in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        // One case in three stretches the kernel over the whole padded extent.
+        let kernel = if fit == 0 { h.min(w) + 2 * padding } else { kernel };
+        let Ok(geom) = Conv2dGeometry::new(channels, h, w, kernel, stride, padding) else {
+            return Ok(()); // kernel larger than the padded input
+        };
+        let mut rng = Rng64::new(seed);
+        let sample_len = channels * h * w;
+        let data: Vec<f32> = (0..batch * sample_len).map(|_| rng.normal()).collect();
+        let stacked = Tensor::from_vec(data.clone(), &[batch, channels, h, w]).unwrap();
+        let first = stacked.slice_batch(0).unwrap();
+        let params = QuantParams::from_max_abs(ptolemy_tensor::max_abs(&data));
+
+        let wide = im2col_batch(&stacked, &geom).unwrap();
+        let wide_def = im2col_by_definition(&data, &geom, batch);
+        prop_assert_eq!(wide.dims(), &[geom.patch_len(), batch * geom.num_patches()][..]);
+        prop_assert_eq!(bits(wide.as_slice()), bits(&wide_def));
+        prop_assert_eq!(
+            im2col_i8_batch(&stacked, &geom, params).unwrap(),
+            quantize_slice(&wide_def, params)
+        );
+
+        let single = im2col(&first, &geom).unwrap();
+        let single_def = im2col_by_definition(&data[..sample_len], &geom, 1);
+        prop_assert_eq!(bits(single.as_slice()), bits(&single_def));
+        prop_assert_eq!(
+            im2col_i8(&first, &geom, params).unwrap(),
+            quantize_slice(&single_def, params)
+        );
+
+        // Random (not im2col-shaped) columns, so overlapping fields really sum.
+        let cols: Vec<f32> = (0..geom.patch_len() * geom.num_patches()).map(|_| rng.normal()).collect();
+        let scattered = col2im(
+            &Tensor::from_vec(cols.clone(), &[geom.patch_len(), geom.num_patches()]).unwrap(),
+            &geom,
+        )
+        .unwrap();
+        prop_assert_eq!(bits(scattered.as_slice()), bits(&col2im_by_definition(&cols, &geom)));
+    }
 
     /// offset/unravel round-trips for every flat index of arbitrary small shapes.
     #[test]

@@ -45,3 +45,21 @@ pub fn correct_samples(network: &Network, dataset: &SyntheticDataset) -> Vec<(Te
         .cloned()
         .collect()
 }
+
+/// A ResNet-class victim with its own predictions as labels, so every sample
+/// counts as correctly classified without paying for training: parity suites
+/// compare pipelines with each other, not with ground truth.  Returns the
+/// network and `(input, predicted class)` samples.
+pub fn self_labelled_resnet(seed: u64, samples: usize) -> (Network, Vec<(Tensor, usize)>) {
+    let mut rng = Rng64::new(seed);
+    let network = zoo::resnet_mini(4, &mut rng).expect("network");
+    let labelled = (0..samples)
+        .map(|_| {
+            let data = (0..3 * 8 * 8).map(|_| rng.normal()).collect();
+            let input = Tensor::from_vec(data, &[3, 8, 8]).expect("input");
+            let label = network.predict(&input).expect("prediction");
+            (input, label)
+        })
+        .collect();
+    (network, labelled)
+}

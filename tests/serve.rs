@@ -10,6 +10,7 @@ mod common;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use ptolemy::core::CoreError;
 use ptolemy::prelude::*;
 
 /// Engines and a request pool shared by every test case: building engines
@@ -200,6 +201,45 @@ fn duplicated_workload_reports_cache_hits() {
     let stats = server.shutdown();
     assert_eq!(stats.cache_hits, fx.inputs.len() as u64);
     assert!(stats.cache_hit_rate() > 0.0);
+}
+
+/// A NaN-bearing request is an engine error on its own ticket (or, when the
+/// reverse walk never reaches the poisoned partial sums, an ordinary
+/// verdict): no worker panics, and the requests batched around it are served
+/// their direct results.  Covers a backward-cumulative and a forward screen.
+#[test]
+fn a_nan_request_fails_alone_without_panicking_a_worker() {
+    let fx = fixtures();
+    for screen in [fx.expensive.clone(), fx.screen.clone()] {
+        let server = Server::builder(screen.clone()).workers(2).start().unwrap();
+        let mut requests = Vec::new();
+        for (i, input) in fx.inputs.iter().take(24).enumerate() {
+            let mut input = input.clone();
+            if i % 3 == 1 {
+                // Enough NaN pixels that every receptive field covers one.
+                for pixel in input.as_mut_slice().iter_mut().skip(i % 5).step_by(5) {
+                    *pixel = f32::NAN;
+                }
+            }
+            requests.push((i % 3 == 1, input.clone(), server.submit(input).unwrap()));
+        }
+        let mut rejected = 0;
+        for (poisoned, input, ticket) in requests {
+            match (ticket.wait(), screen.detect(&input)) {
+                (Ok(served), Ok(direct)) => {
+                    assert_eq!(served.detection.score.to_bits(), direct.score.to_bits())
+                }
+                (Err(ServeError::Engine(CoreError::InvalidInput(_))), Err(_)) => {
+                    assert!(poisoned, "a clean request was rejected");
+                    rejected += 1;
+                }
+                (served, direct) => panic!("served {served:?} but direct {direct:?}"),
+            }
+        }
+        assert!(rejected > 0, "no request reached the NaN");
+        let stats = server.shutdown();
+        assert_eq!(stats.worker_panics, 0, "{stats:?}");
+    }
 }
 
 proptest! {
