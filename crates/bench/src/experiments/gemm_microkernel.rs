@@ -17,10 +17,17 @@
 //! fan-out has to pay for itself, so losing means the gate constant is wrong.
 //! The shape list brackets the gate: 128x128x120 is the last product that
 //! stays on one thread, 128x128x128 the first that may take two.
+//!
+//! The conv-shaped rows put the fused conv kernel (`conv2d_forward`: lowering
+//! straight into packed panels against weights packed once, bias in the last
+//! store) beside the `im2col` + `matmul` + bias path it replaced, on the
+//! served models' own convolutions — two **hard** gates per row: bit parity,
+//! and "fused is not slower".
 
 use ptolemy_tensor::quant::matmul_i8;
 use ptolemy_tensor::{
-    matmul_blocked, matmul_i8_blocked, matmul_i8_parallel, matmul_parallel, Rng64, Tensor,
+    conv2d_forward, im2col, matmul_blocked, matmul_i8_blocked, matmul_i8_parallel, matmul_parallel,
+    Conv2dGeometry, PackedWeights, Rng64, Tensor,
 };
 
 use crate::workbench::{interleaved_best_ms, TIMING_ROUNDS};
@@ -35,6 +42,21 @@ const SHAPES: [(usize, usize, usize); 5] = [
     (128, 128, 120),
     (128, 128, 128),
     (256, 256, 256),
+];
+
+/// `(name, in_channels, out_channels, height = width)` of the 3x3 / stride 1 /
+/// padding 1 convolutions the served models run, as `m x k x n` products: the
+/// five `conv_net` convs (8x27x256, 12x72x64, 12x108x16 twice, 8x108x16) and
+/// `resnet_mini`'s stage-1 body conv (8x72x64) and last-stage conv (16x144x4,
+/// four columns — half a register tile on the narrowest build).
+const CONV_SHAPES: [(&str, usize, usize, usize); 7] = [
+    ("conv_net_conv1", 3, 8, 16),
+    ("conv_net_conv2", 8, 12, 8),
+    ("conv_net_conv3", 12, 12, 4),
+    ("conv_net_conv4", 12, 12, 4),
+    ("conv_net_conv5", 12, 8, 4),
+    ("resnet_mini_stage1", 8, 8, 8),
+    ("resnet_mini_stage3", 16, 16, 2),
 ];
 
 fn repetitions(scale: BenchScale, flops: usize) -> usize {
@@ -81,6 +103,105 @@ fn random_i8(len: usize, seed: u64) -> Vec<i8> {
             }
         })
         .collect()
+}
+
+/// The lowered convolution the fused kernel replaced (and still the parity
+/// reference): `im2col`, `Tensor::matmul`, then the bias loop.
+fn conv_lowered(
+    image: &Tensor,
+    geom: &Conv2dGeometry,
+    weight: &Tensor,
+    bias: &[f32],
+) -> BenchResult<Vec<f32>> {
+    let mut out = weight.matmul(&im2col(image, geom)?)?.into_vec();
+    for (row, bias) in out.chunks_mut(geom.num_patches()).zip(bias) {
+        for v in row {
+            *v += bias;
+        }
+    }
+    Ok(out)
+}
+
+/// Conv-shaped rows: the fused lowering + GEMM + bias kernel against the
+/// lowered path on the served models' own shapes.
+fn conv_table(scale: BenchScale) -> BenchResult<Table> {
+    let mut table = Table::new(
+        "Fused conv kernel — im2col + matmul + bias vs one kernel lowering \
+         straight into packed panels against weights packed once",
+    )
+    .header([
+        "conv (m.k.n)",
+        "lowered (us)",
+        "fused (us)",
+        "fused speedup",
+        "bit parity",
+    ]);
+    let mut parity_everywhere = true;
+    let mut fused_keeps_up = true;
+    let mut checksum = 0.0f64;
+    for (idx, &(name, in_c, out_c, hw)) in CONV_SHAPES.iter().enumerate() {
+        let geom = Conv2dGeometry::new(in_c, hw, hw, 3, 1, 1)?;
+        let (k, n) = (geom.patch_len(), geom.num_patches());
+        let weight = random_matrix(out_c, k, 0xC0_u64.wrapping_add(idx as u64));
+        let image = random_matrix(in_c, hw * hw, 0xD1_u64.wrapping_add(idx as u64))
+            .reshape(&[in_c, hw, hw])?;
+        let bias = random_matrix(1, out_c, 0xE2_u64.wrapping_add(idx as u64)).into_vec();
+        let packed = PackedWeights::pack(&weight)?;
+        let reps = repetitions(scale, 40 * out_c * k * n);
+
+        let lowered = conv_lowered(&image, &geom, &weight, &bias)?;
+        let fused = conv2d_forward(&image, &geom, &packed, &bias)?;
+        let parity = lowered.len() == fused.len()
+            && lowered
+                .iter()
+                .zip(&fused)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        parity_everywhere &= parity;
+
+        let mut sums = [0.0f64; 2];
+        let [lowered_sum, fused_sum] = &mut sums;
+        let [lowered_ms, fused_ms] = interleaved_best_ms(
+            reps,
+            [
+                &mut || {
+                    *lowered_sum += f64::from(conv_lowered(&image, &geom, &weight, &bias)?[0]);
+                    Ok(())
+                },
+                &mut || {
+                    *fused_sum += f64::from(conv2d_forward(&image, &geom, &packed, &bias)?[0]);
+                    Ok(())
+                },
+            ],
+        )?;
+        checksum += sums.iter().sum::<f64>();
+        // Same rule as the row-parallel gate, with the slack scaled to rows
+        // that take microseconds: within noise of the lowered path, or faster.
+        fused_keeps_up &= fused_ms <= lowered_ms * 1.15 + 0.0005;
+
+        table.metric(format!("{name}_lowered_ns"), (lowered_ms * 1e6) as u64);
+        table.metric(format!("{name}_fused_ns"), (fused_ms * 1e6) as u64);
+        table.row([
+            format!("{name} ({out_c}x{k}x{n})"),
+            fmt3((lowered_ms * 1e3) as f32),
+            fmt3((fused_ms * 1e3) as f32),
+            format!("{:.2}x", lowered_ms / fused_ms.max(1e-12)),
+            if parity { "bit-for-bit" } else { "DIVERGED" }.to_string(),
+        ]);
+    }
+    table.note(format!(
+        "single-sample forward, weights packed outside the timed region (once \
+         per weight version in the layer); fastest of {TIMING_ROUNDS} interleaved \
+         rounds; checksum {checksum:.3}"
+    ));
+    table.check(
+        "fused conv kernel is bit-for-bit im2col + matmul + bias at every conv shape",
+        parity_everywhere,
+    );
+    table.check(
+        "fused conv kernel is no slower than im2col + matmul + bias at any conv shape",
+        fused_keeps_up,
+    );
+    Ok(table)
 }
 
 /// Runs the experiment.
@@ -278,7 +399,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         i8_blocked_competitive_at_large,
     );
 
-    Ok(vec![table, i8_table])
+    Ok(vec![table, conv_table(scale)?, i8_table])
 }
 
 #[cfg(test)]
@@ -288,12 +409,13 @@ mod tests {
     #[test]
     fn kernels_stay_bit_identical_and_blocked_is_competitive() {
         let tables = run(BenchScale::Quick).unwrap();
-        assert_eq!(tables.len(), 2);
-        let rendered = format!("{}\n{}", tables[0], tables[1]);
+        assert_eq!(tables.len(), 3);
+        let rendered = format!("{}\n{}\n{}", tables[0], tables[1], tables[2]);
         // Deterministic gates: blocking must never change a single bit in
         // either precision, whatever the machine.
         assert!(
-            rendered.matches("at every shape: holds").count() == 2,
+            rendered.matches("at every shape: holds").count() == 2
+                && rendered.contains("at every conv shape: holds"),
             "bit parity gate failed:\n{rendered}"
         );
         // The speedup bars are wall-clock and advisory under an unoptimized

@@ -60,6 +60,27 @@ impl BitVec {
         self.words[index / 64] |= 1u64 << (index % 64);
     }
 
+    /// Sets bit `i` wherever `marked(&items[i])` holds, a word at a time
+    /// (no per-bit read-modify-write); bits already set stay set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items.len() != len()`.
+    pub fn set_where<T>(&mut self, items: &[T], marked: impl Fn(&T) -> bool) {
+        assert_eq!(
+            items.len(),
+            self.len,
+            "one item per bit: {} items for {} bits",
+            items.len(),
+            self.len
+        );
+        for (word, chunk) in self.words.iter_mut().zip(items.chunks(64)) {
+            *word |= chunk.iter().enumerate().fold(0u64, |bits, (bit, item)| {
+                bits | (u64::from(marked(item)) << bit)
+            });
+        }
+    }
+
     /// Clears bit `index`.
     ///
     /// # Panics
@@ -190,6 +211,28 @@ mod tests {
         b.clear(64);
         assert!(!b.get(64));
         assert_eq!(b.count_ones(), 3);
+    }
+
+    #[test]
+    fn set_where_marks_exactly_the_matching_items_and_keeps_earlier_bits() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let items: Vec<usize> = (0..len).collect();
+            let mut bits = BitVec::new(len);
+            if len > 1 {
+                bits.set(1);
+            }
+            bits.set_where(&items, |i| i % 3 == 0);
+            let expected: Vec<usize> = (0..len).filter(|i| i % 3 == 0 || *i == 1).collect();
+            assert_eq!(bits.iter_ones().collect::<Vec<_>>(), expected, "len {len}");
+            // The unused tail of the last word stays clear.
+            assert_eq!(bits.count_ones(), expected.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one item per bit")]
+    fn set_where_rejects_a_length_mismatch() {
+        BitVec::new(10).set_where(&[0u8; 9], |_| true);
     }
 
     #[test]

@@ -73,9 +73,7 @@ use ptolemy_tensor::Tensor;
 
 use ptolemy_tensor::parallel::{par_chunks, par_map};
 
-use crate::extraction::{
-    extract_path, extract_path_streaming, forward_work, path_layout, stream_batch_with,
-};
+use crate::extraction::{path_layout, ExtractionPlan};
 use crate::{
     software_cost, ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result,
     SoftwareCostReport,
@@ -128,7 +126,8 @@ pub fn path_similarity(
             program.fingerprint()
         )));
     }
-    let (predicted, similarity, _) = trace_similarity(network, program, class_paths, input)?;
+    let plan = ExtractionPlan::new(network, program)?;
+    let (predicted, similarity, _) = trace_path(network, &plan, class_paths, input)?;
     Ok((predicted, similarity))
 }
 
@@ -137,32 +136,22 @@ pub fn path_similarity(
 ///
 /// This is the single scoring primitive behind the per-input *and* the fused
 /// batch paths: extraction runs through the streaming pipeline
-/// ([`extract_path_streaming`] — masks computed while the forward pass is
-/// still running, activations dropped eagerly instead of materialising a full
-/// trace), which is bit-for-bit identical to the historical
-/// trace-then-extract pipeline.
+/// ([`crate::extract_path_streaming`] — masks computed while the forward pass
+/// is still running, activations dropped eagerly instead of materialising a
+/// full trace), which is bit-for-bit identical to the historical
+/// trace-then-extract pipeline.  `plan` is the program resolved against
+/// `network` — the engine's, bound at build time.
 fn trace_path(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     class_paths: &ClassPathSet,
     input: &Tensor,
 ) -> Result<(usize, f32, ActivationPath)> {
-    let streamed = extract_path_streaming(network, program, input)?;
+    let streamed = plan.stream(network, input)?;
     let similarity = streamed
         .path
         .similarity(class_paths.class_path(streamed.predicted_class)?)?;
     Ok((streamed.predicted_class, similarity, streamed.path))
-}
-
-/// Like [`trace_path`], reducing the path to its density.
-fn trace_similarity(
-    network: &Network,
-    program: &DetectionProgram,
-    class_paths: &ClassPathSet,
-    input: &Tensor,
-) -> Result<(usize, f32, f32)> {
-    trace_path(network, program, class_paths, input)
-        .map(|(predicted, similarity, path)| (predicted, similarity, path.density()))
 }
 
 /// Fused-batch counterpart of [`trace_path`]: batched NCHW forward passes
@@ -176,7 +165,7 @@ fn trace_similarity(
 /// rest) or the fused pass itself fails.
 fn trace_path_batch(
     network: &Network,
-    program: &DetectionProgram,
+    plan: &ExtractionPlan,
     class_paths: &ClassPathSet,
     inputs: &[Tensor],
 ) -> Vec<Result<(usize, f32, ActivationPath)>> {
@@ -191,13 +180,13 @@ fn trace_path_batch(
         .iter()
         .all(|input| input.dims() == network.input_shape())
     {
-        stream_batch_with(network, program, inputs, &finish).ok()
+        plan.stream_batch_with(network, inputs, &finish).ok()
     } else {
         None
     };
     let Some((samples, _footprint)) = fused else {
-        return par_map(inputs, forward_work(network, inputs.len()), |input| {
-            let streamed = extract_path_streaming(network, program, input)?;
+        return par_map(inputs, plan.forward_work(inputs.len()), |input| {
+            let streamed = plan.stream(network, input)?;
             finish(streamed.predicted_class, streamed.path)
         });
     };
@@ -333,6 +322,8 @@ impl EngineObs {
 pub struct DetectionEngine {
     network: Arc<Network>,
     program: DetectionProgram,
+    /// `program` resolved against `network`, once, at build time.
+    plan: ExtractionPlan,
     class_paths: ClassPathSet,
     forest: Option<RandomForest>,
     threshold: f32,
@@ -374,7 +365,7 @@ impl DetectionEngine {
     /// Propagates extraction errors.
     pub fn path_similarity(&self, input: &Tensor) -> Result<(usize, f32)> {
         let (predicted, similarity, _) =
-            trace_similarity(&self.network, &self.program, &self.class_paths, input)?;
+            trace_path(&self.network, &self.plan, &self.class_paths, input)?;
         Ok((predicted, similarity))
     }
 
@@ -435,7 +426,7 @@ impl DetectionEngine {
     ) -> Vec<Result<(Detection, ActivationPath)>> {
         let obs = self.stage_obs();
         let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = trace_path_batch(&self.network, &self.program, &self.class_paths, inputs);
+        let traced = trace_path_batch(&self.network, &self.plan, &self.class_paths, inputs);
         let mid = if let (Some(o), Some(start)) = (obs, start) {
             let now = o.registry.clock().now_ns();
             o.trace_ns.record(now.saturating_sub(start));
@@ -553,7 +544,7 @@ impl DetectionEngine {
         let obs = self.stage_obs();
         let start = obs.map(|o| o.registry.clock().now_ns());
         let (predicted_class, similarity, path) =
-            trace_path(&self.network, &self.program, &self.class_paths, input)?;
+            trace_path(&self.network, &self.plan, &self.class_paths, input)?;
         let mid = obs.map(|o| {
             let now = o.registry.clock().now_ns();
             o.trace_ns.record(now.saturating_sub(start.unwrap_or(now)));
@@ -650,7 +641,7 @@ impl DetectionEngine {
         // unchanged; only the activations differ from f32 inference.
         let trace = qnet.forward_trace(input)?;
         let predicted = trace.predicted_class()?;
-        let path = extract_path(&self.network, &trace, &self.program)?;
+        let path = self.plan.extract(&self.network, &trace)?;
         let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity))
     }
@@ -678,7 +669,7 @@ impl DetectionEngine {
     /// quantized entry point — the source of their mutual bit parity.
     fn finish_quantized_trace(&self, trace: &ForwardTrace) -> Result<(usize, f32, ActivationPath)> {
         let predicted = trace.predicted_class()?;
-        let path = extract_path(&self.network, trace, &self.program)?;
+        let path = self.plan.extract(&self.network, trace)?;
         let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity, path))
     }
@@ -697,7 +688,7 @@ impl DetectionEngine {
         if inputs.is_empty() {
             return Vec::new();
         }
-        let work = forward_work(&self.network, inputs.len());
+        let work = self.plan.forward_work(inputs.len());
         let fused = if inputs
             .iter()
             .all(|input| input.dims() == self.network.input_shape())
@@ -933,7 +924,8 @@ impl DetectionEngineBuilder {
         // profiled on a different network can carry the same fingerprint with
         // different mask layouts or class counts.  Check the structure here so
         // serving never fails per call.
-        let layout = path_layout(&self.network, &self.program)?;
+        let plan = ExtractionPlan::new(&self.network, &self.program)?;
+        let layout = plan.layout();
         if self.class_paths.num_classes() != self.network.num_classes() {
             return Err(CoreError::InvalidProgram(format!(
                 "class paths cover {} classes but the network predicts {}",
@@ -946,7 +938,7 @@ impl DetectionEngineBuilder {
             let mismatched = segments.len() != layout.len()
                 || segments
                     .iter()
-                    .zip(&layout)
+                    .zip(layout)
                     .any(|(seg, (layer, len))| seg.layer != *layer || seg.mask.len() != *len);
             if mismatched {
                 return Err(CoreError::InvalidProgram(format!(
@@ -967,7 +959,6 @@ impl DetectionEngineBuilder {
                     ));
                 }
                 let network = &self.network;
-                let program = &self.program;
                 let class_paths = &self.class_paths;
                 let mut features = Vec::with_capacity(benign.len() + adversarial.len());
                 let mut labels = Vec::with_capacity(benign.len() + adversarial.len());
@@ -979,7 +970,7 @@ impl DetectionEngineBuilder {
                     // arbitrarily large calibration set in one shot would make
                     // peak memory O(set size × total activations).
                     for chunk in inputs.chunks(CALIBRATION_FUSED_CHUNK) {
-                        let similarities = trace_path_batch(network, program, class_paths, chunk);
+                        let similarities = trace_path_batch(network, &plan, class_paths, chunk);
                         for similarity in similarities {
                             features.push(vec![similarity.map(|(_, s, _)| s)?]);
                             labels.push(is_adversarial);
@@ -1009,6 +1000,7 @@ impl DetectionEngineBuilder {
         Ok(DetectionEngine {
             network: self.network,
             program: self.program,
+            plan,
             class_paths: self.class_paths,
             forest,
             threshold: self.threshold,

@@ -53,7 +53,9 @@ use ptolemy_nn::{predicted_class, Contribution, ForwardTrace, Network, TraceSink
 use ptolemy_tensor::parallel::par_chunks;
 use ptolemy_tensor::Tensor;
 
-use crate::{ActivationPath, CoreError, DetectionProgram, Direction, Result, ThresholdKind};
+use crate::{
+    ActivationPath, BitVec, CoreError, DetectionProgram, Direction, Result, ThresholdKind,
+};
 
 /// Computes the `(network layer index, mask length)` layout of paths extracted with
 /// `program` on `network`.
@@ -85,17 +87,32 @@ enum LayerRole {
     },
 }
 
-/// `program` resolved against `network` once per call: the path layout plus
-/// the per-network-layer role table every walk, retention plan and streaming
-/// sink indexes by layer — nothing searches for an ordinal or a segment.
+/// `program` resolved against `network`, once: the path layout, the
+/// per-network-layer role table every walk and streaming sink indexes by layer
+/// (nothing searches for an ordinal or a segment), the boundaries a streaming
+/// backward pass retains, and the two per-input sizes every call reports —
+/// everything an extraction needs that depends on the model alone.
+///
+/// [`crate::DetectionEngineBuilder::build`] binds one to the engine, so
+/// serving walks the layer list zero times per call; the free functions
+/// ([`extract_path`], [`extract_path_streaming`], …) build their own.  A plan
+/// is only meaningful for the network it was built from.
 #[derive(Debug, Clone)]
-struct ExtractionPlan {
+pub(crate) struct ExtractionPlan {
+    direction: Direction,
     layout: Vec<(usize, usize)>,
     roles: Vec<LayerRole>,
+    /// Boundaries a streaming backward pass must retain (see
+    /// [`backward_retention`]); empty for forward programs, which retain none.
+    retain: Vec<bool>,
+    /// Forward MACs of one input.
+    forward_macs: usize,
+    /// [`materialized_trace_bytes`] of one input.
+    trace_bytes: usize,
 }
 
 impl ExtractionPlan {
-    fn new(network: &Network, program: &DetectionProgram) -> Result<Self> {
+    pub(crate) fn new(network: &Network, program: &DetectionProgram) -> Result<Self> {
         let mut specs = program.specs().iter();
         let mut layout = Vec::new();
         let mut roles = Vec::with_capacity(network.num_layers());
@@ -122,7 +139,101 @@ impl ExtractionPlan {
         if specs.next().is_some() {
             return Err(mismatch(network, program));
         }
-        Ok(ExtractionPlan { layout, roles })
+        let retain = match program.direction() {
+            Direction::Backward => backward_retention(network, &roles)?,
+            Direction::Forward => Vec::new(),
+        };
+        Ok(ExtractionPlan {
+            direction: program.direction(),
+            layout,
+            roles,
+            retain,
+            forward_macs: usize::try_from(network.total_macs()).unwrap_or(usize::MAX),
+            trace_bytes: materialized_trace_bytes(network, 1),
+        })
+    }
+
+    /// The `(network layer index, mask length)` layout of extracted paths.
+    pub(crate) fn layout(&self) -> &[(usize, usize)] {
+        &self.layout
+    }
+
+    /// Forward MACs of `batch` inputs: the work estimate every per-input and
+    /// per-batch fan-out in this crate hands the work gate.  The reverse walk
+    /// of a backward program runs no layer forward; it adds only the
+    /// decomposition of the few neurons it marks, which this estimate leaves
+    /// out.
+    pub(crate) fn forward_work(&self, batch: usize) -> usize {
+        self.forward_macs.saturating_mul(batch)
+    }
+
+    fn footprint(&self, peak_streamed_bytes: usize, batch: usize) -> ActivationFootprint {
+        ActivationFootprint {
+            peak_streamed_bytes,
+            materialized_bytes: self.trace_bytes * batch,
+        }
+    }
+
+    /// [`extract_path`] against this plan.
+    pub(crate) fn extract(
+        &self,
+        network: &Network,
+        trace: &ForwardTrace,
+    ) -> Result<ActivationPath> {
+        if trace.num_layers() != network.num_layers() {
+            return Err(CoreError::InvalidInput(format!(
+                "trace covers {} layers but the network has {}",
+                trace.num_layers(),
+                network.num_layers()
+            )));
+        }
+        let mut path = ActivationPath::empty(&self.layout);
+        match self.direction {
+            Direction::Backward => {
+                let predicted = trace.predicted_class()?;
+                extract_backward(network, self, trace, predicted, &mut path)?;
+            }
+            Direction::Forward => extract_forward(self, trace, &mut path)?,
+        }
+        Ok(path)
+    }
+
+    /// [`extract_path_streaming`] against this plan.
+    pub(crate) fn stream(&self, network: &Network, input: &Tensor) -> Result<StreamedExtraction> {
+        match self.direction {
+            Direction::Forward => stream_forward_single(network, self, input),
+            Direction::Backward => stream_backward_single(network, self, input),
+        }
+    }
+
+    /// Driver behind [`extract_paths_streaming_batch`] and the engine's fused
+    /// batch path: `finish(predicted_class, path)` completes each sample on
+    /// the thread that extracted it, so engine-level completion work
+    /// (path-similarity scoring) rides the same fan-out instead of
+    /// serialising after it.
+    pub(crate) fn stream_batch_with<T, F>(
+        &self,
+        network: &Network,
+        inputs: &[Tensor],
+        finish: &F,
+    ) -> Result<(Vec<T>, ActivationFootprint)>
+    where
+        T: Send,
+        F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    {
+        let stream = |sub_batch: &[Tensor]| match self.direction {
+            Direction::Forward => stream_forward_batch(network, self, sub_batch, finish),
+            Direction::Backward => stream_backward_batch(network, self, sub_batch, finish),
+        };
+        let mut samples = Vec::with_capacity(inputs.len());
+        let mut peak_streamed_bytes = 0;
+        for streamed in par_chunks(inputs, self.forward_work(inputs.len()), stream) {
+            let (sub_samples, sub_peak) = streamed?;
+            samples.extend(sub_samples);
+            // Sub-batches run side by side, so their retained state adds up.
+            peak_streamed_bytes += sub_peak;
+        }
+        Ok((samples, self.footprint(peak_streamed_bytes, inputs.len())))
     }
 }
 
@@ -210,23 +321,7 @@ pub fn extract_path(
     trace: &ForwardTrace,
     program: &DetectionProgram,
 ) -> Result<ActivationPath> {
-    if trace.num_layers() != network.num_layers() {
-        return Err(CoreError::InvalidInput(format!(
-            "trace covers {} layers but the network has {}",
-            trace.num_layers(),
-            network.num_layers()
-        )));
-    }
-    let plan = ExtractionPlan::new(network, program)?;
-    let mut path = ActivationPath::empty(&plan.layout);
-    match program.direction() {
-        Direction::Backward => {
-            let predicted = trace.predicted_class()?;
-            extract_backward(network, &plan, trace, predicted, &mut path)?;
-        }
-        Direction::Forward => extract_forward(&plan, trace, &mut path)?,
-    }
-    Ok(path)
+    ExtractionPlan::new(network, program)?.extract(network, trace)
 }
 
 /// Runs one forward pass and extracts the activation path **while inferring**:
@@ -249,11 +344,7 @@ pub fn extract_path_streaming(
     program: &DetectionProgram,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    let plan = ExtractionPlan::new(network, program)?;
-    match program.direction() {
-        Direction::Forward => stream_forward_single(network, &plan, input),
-        Direction::Backward => stream_backward_single(network, &plan, input),
-    }
+    ExtractionPlan::new(network, program)?.stream(network, input)
 }
 
 /// Fused-batch counterpart of [`extract_path_streaming`]: stacked NCHW
@@ -279,57 +370,10 @@ pub fn extract_paths_streaming_batch(
     program: &DetectionProgram,
     inputs: &[Tensor],
 ) -> Result<StreamedBatchExtraction> {
-    let (samples, footprint) = stream_batch_with(network, program, inputs, &|predicted, path| {
-        Ok((predicted, path))
-    })?;
-    Ok(StreamedBatchExtraction { samples, footprint })
-}
-
-/// Forward MACs of `batch` inputs: the work estimate every per-input and
-/// per-batch fan-out in this crate hands the work gate.  The reverse walk of
-/// a backward program runs no layer forward; it adds only the decomposition of
-/// the few neurons it marks, which this estimate leaves out.
-pub(crate) fn forward_work(network: &Network, batch: usize) -> usize {
-    usize::try_from(network.total_macs())
-        .unwrap_or(usize::MAX)
-        .saturating_mul(batch)
-}
-
-/// Crate-internal driver behind [`extract_paths_streaming_batch`] and the
-/// engine's fused batch path: `finish(predicted_class, path)` completes each
-/// sample on the thread that extracted it, so engine-level completion work
-/// (path-similarity scoring) rides the same fan-out instead of serialising
-/// after it.
-pub(crate) fn stream_batch_with<T, F>(
-    network: &Network,
-    program: &DetectionProgram,
-    inputs: &[Tensor],
-    finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
-where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
-{
     let plan = ExtractionPlan::new(network, program)?;
-    let stream = |sub_batch: &[Tensor]| match program.direction() {
-        Direction::Forward => stream_forward_batch(network, &plan, sub_batch, finish),
-        Direction::Backward => stream_backward_batch(network, &plan, sub_batch, finish),
-    };
-    let mut samples = Vec::with_capacity(inputs.len());
-    let mut peak_streamed_bytes = 0;
-    for streamed in par_chunks(inputs, forward_work(network, inputs.len()), stream) {
-        let (sub_samples, sub_peak) = streamed?;
-        samples.extend(sub_samples);
-        // Sub-batches run side by side, so their retained state adds up.
-        peak_streamed_bytes += sub_peak;
-    }
-    Ok((
-        samples,
-        ActivationFootprint {
-            peak_streamed_bytes,
-            materialized_bytes: materialized_trace_bytes(network, inputs.len()),
-        },
-    ))
+    let (samples, footprint) =
+        plan.stream_batch_with(network, inputs, &|predicted, path| Ok((predicted, path)))?;
+    Ok(StreamedBatchExtraction { samples, footprint })
 }
 
 /// The typed rejection of a NaN reaching a selection kernel.  `partial_cmp`
@@ -434,55 +478,96 @@ pub(crate) fn select_contributors(
     })
 }
 
-/// Selects important neurons of a layer output directly from activation values
-/// (forward extraction, where no downstream importance information exists yet).
+/// Marks the important neurons of a layer output in `mask`, selecting directly
+/// from the activation values (forward extraction, where no downstream
+/// importance information exists yet) — the single forward-program masking
+/// step shared by the materialized walk and the streaming sinks, so every
+/// pipeline is bit-for-bit the same selection.
+///
+/// * Cumulative: the minimal prefix of the descending-sorted positive
+///   activations whose sum reaches `theta ×` the positive mass (the single
+///   largest activation when there is no positive mass).
+/// * Absolute: every positive activation `≥ phi × max`.  Two passes over the
+///   values: NaN check and maximum together, then the mask a word at a time.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidInput`] if any activation is NaN.
-pub(crate) fn select_from_activations(
+pub(crate) fn mask_from_activations(
     values: &[f32],
     threshold: ThresholdKind,
-) -> Result<Vec<usize>> {
-    if values.iter().any(|v| v.is_nan()) {
-        return Err(nan_error("an activation"));
-    }
-    Ok(match threshold {
+    mask: &mut BitVec,
+) -> Result<()> {
+    match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let ranked = descending(values.iter().copied());
+            if values.iter().any(|v| v.is_nan()) {
+                return Err(nan_error("an activation"));
+            }
+            let mut ranked = descending(values.iter().copied());
             let total: f32 = values.iter().filter(|v| **v > 0.0).sum();
             if total <= 0.0 {
-                return Ok(ranked.take(1).map(|(idx, _)| idx).collect());
+                if let Some((idx, _)) = ranked.next() {
+                    mask.set(idx);
+                }
+                return Ok(());
             }
             let goal = theta * total;
             let mut cum = 0.0;
-            let mut selected = Vec::new();
             for (idx, value) in ranked {
                 if value <= 0.0 {
                     break;
                 }
-                selected.push(idx);
+                mask.set(idx);
                 cum += value;
                 if cum >= goal {
                     break;
                 }
             }
-            selected
         }
         ThresholdKind::Absolute { phi } => {
-            let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            if max <= 0.0 {
-                return Ok(Vec::new());
+            let (max, any_nan) = max_and_nan(values);
+            if any_nan {
+                return Err(nan_error("an activation"));
             }
-            let cutoff = phi * max;
-            values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v >= cutoff && **v > 0.0)
-                .map(|(i, _)| i)
-                .collect()
+            if max > 0.0 {
+                let cutoff = phi * max;
+                mask.set_where(values, |v| *v >= cutoff && *v > 0.0);
+            }
         }
-    })
+    }
+    Ok(())
+}
+
+/// The maximum of `values` (`-inf` when empty) and whether any of them is NaN,
+/// in one pass.  Eight running maxima instead of one: a single one is a chain
+/// of dependent compares, four cycles an element.
+fn max_and_nan(values: &[f32]) -> (f32, bool) {
+    const LANES: usize = 8;
+    // A NaN never compares greater, so it never becomes a maximum.
+    let keep_greater = |max: &mut f32, v: f32| {
+        if v > *max {
+            *max = v;
+        }
+    };
+    let mut maxima = [f32::NEG_INFINITY; LANES];
+    let mut any_nan = false;
+    let chunks = values.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (max, &v) in maxima.iter_mut().zip(chunk) {
+            any_nan |= v.is_nan();
+            keep_greater(max, v);
+        }
+    }
+    for (max, &v) in maxima.iter_mut().zip(rest) {
+        any_nan |= v.is_nan();
+        keep_greater(max, v);
+    }
+    let mut max = f32::NEG_INFINITY;
+    for lane in maxima {
+        keep_greater(&mut max, lane);
+    }
+    (max, any_nan)
 }
 
 /// Access to the activation boundaries of one forward pass: boundary `i` is
@@ -622,29 +707,23 @@ fn extract_forward<S: BoundarySource + ?Sized>(
     Ok(())
 }
 
-/// The single forward-program masking step shared by the materialized walk
-/// and the streaming sinks — one implementation, so every pipeline is
-/// bit-for-bit the same selection.
+/// [`mask_from_activations`] into path segment `segment`.
 fn mask_forward_selection(
     path: &mut ActivationPath,
     segment: usize,
     output: &[f32],
     threshold: ThresholdKind,
 ) -> Result<()> {
-    let mask = &mut path.segments_mut()[segment].mask;
-    for idx in select_from_activations(output, threshold)? {
-        mask.set(idx);
-    }
-    Ok(())
+    mask_from_activations(output, threshold, &mut path.segments_mut()[segment].mask)
 }
 
 /// Boundaries a streaming backward pass must retain: enabled weight layers'
 /// inputs and outputs, data-dependently-routed pass-through layers' inputs,
 /// and nothing below the walk's early-termination point.  A layer's interior
 /// is retained exactly when its input boundary is.
-fn backward_retention(network: &Network, plan: &ExtractionPlan) -> Result<Vec<bool>> {
+fn backward_retention(network: &Network, roles: &[LayerRole]) -> Result<Vec<bool>> {
     let mut retain = vec![false; network.num_layers() + 1];
-    for (layer_idx, role) in plan.roles.iter().enumerate().rev() {
+    for (layer_idx, role) in roles.iter().enumerate().rev() {
         match role {
             // The reverse walk breaks here; nothing below is ever read.
             LayerRole::Disabled => break,
@@ -695,16 +774,16 @@ impl TraceSink for ForwardBatchSink<'_> {
         else {
             return;
         };
-        for (b, path) in self.paths.iter_mut().enumerate() {
-            // The slice is bit-for-bit the per-sample output, so the
-            // selection matches the single-input pipeline exactly.
-            let masked = output
-                .slice_batch(b)
-                .map_err(CoreError::from)
-                .and_then(|sample| {
-                    mask_forward_selection(path, segment, sample.as_slice(), threshold)
-                });
-            if let Err(e) = masked {
+        // Sample `b`'s slab of the stacked output is bit-for-bit its
+        // per-sample output, so the selection matches the single-input
+        // pipeline exactly.
+        let sample_len = output.len() / self.paths.len().max(1);
+        for (path, sample) in self
+            .paths
+            .iter_mut()
+            .zip(output.as_slice().chunks_exact(sample_len.max(1)))
+        {
+            if let Err(e) = mask_forward_selection(path, segment, sample, threshold) {
                 self.error = Some(e);
                 return;
             }
@@ -778,10 +857,7 @@ fn stream_forward_single(
         predicted_class: predicted,
         path: sink.path,
         logits,
-        footprint: ActivationFootprint {
-            peak_streamed_bytes: 0,
-            materialized_bytes: materialized_trace_bytes(network, 1),
-        },
+        footprint: plan.footprint(0, 1),
     })
 }
 
@@ -790,8 +866,7 @@ fn stream_backward_single(
     plan: &ExtractionPlan,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    let retain = backward_retention(network, plan)?;
-    let mut sink = RetainSink::new(&retain);
+    let mut sink = RetainSink::new(&plan.retain);
     let logits = network.forward_with_sink(input, &mut sink)?;
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
     let mut path = ActivationPath::empty(&plan.layout);
@@ -800,10 +875,7 @@ fn stream_backward_single(
         predicted_class: predicted,
         path,
         logits,
-        footprint: ActivationFootprint {
-            peak_streamed_bytes: sink.retained_bytes,
-            materialized_bytes: materialized_trace_bytes(network, 1),
-        },
+        footprint: plan.footprint(sink.retained_bytes, 1),
     })
 }
 
@@ -852,8 +924,7 @@ fn stream_backward_batch<T, F>(
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
-    let retain = backward_retention(network, plan)?;
-    let mut sink = RetainSink::new(&retain);
+    let mut sink = RetainSink::new(&plan.retain);
     let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
     // Slice sample `b`'s view of every retained stacked tensor — the same
     // slices a materialized `BatchTrace::trace(b)` would hand the walk, so the
@@ -985,7 +1056,7 @@ mod tests {
                 Err(CoreError::InvalidInput(_))
             ));
             assert!(matches!(
-                select_from_activations(&values, threshold),
+                mask_from_activations(&values, threshold, &mut BitVec::new(values.len())),
                 Err(CoreError::InvalidInput(_))
             ));
         }
@@ -997,27 +1068,65 @@ mod tests {
         );
     }
 
+    /// The indices [`mask_from_activations`] marks, ascending.
+    fn selected(values: &[f32], threshold: ThresholdKind) -> Vec<usize> {
+        let mut mask = BitVec::new(values.len());
+        mask_from_activations(values, threshold, &mut mask).unwrap();
+        mask.iter_ones().collect()
+    }
+
     #[test]
     fn forward_selection_from_activations() {
         let values = [0.1, 3.0, 0.0, 1.0, -0.5];
-        let selected =
-            select_from_activations(&values, ThresholdKind::Cumulative { theta: 0.7 }).unwrap();
         // 3.0 alone is 3.0/4.1 ≈ 0.73 ≥ 0.7 of the positive mass.
-        assert_eq!(selected, vec![1]);
-        let selected =
-            select_from_activations(&values, ThresholdKind::Absolute { phi: 0.3 }).unwrap();
-        assert_eq!(selected, vec![1, 3]);
-        // All-negative activations select nothing under absolute thresholds.
-        assert!(
-            select_from_activations(&[-1.0, -2.0], ThresholdKind::Absolute { phi: 0.1 })
-                .unwrap()
-                .is_empty()
+        assert_eq!(
+            selected(&values, ThresholdKind::Cumulative { theta: 0.7 }),
+            vec![1]
         );
-        assert!(
-            select_from_activations(&[], ThresholdKind::Absolute { phi: 0.1 })
-                .unwrap()
-                .is_empty()
+        assert_eq!(
+            selected(&values, ThresholdKind::Absolute { phi: 0.3 }),
+            vec![1, 3]
         );
+        // All-negative activations select nothing under absolute thresholds
+        // and the single largest one under cumulative ones.
+        assert!(selected(&[-1.0, -2.0], ThresholdKind::Absolute { phi: 0.1 }).is_empty());
+        assert_eq!(
+            selected(&[-2.0, -1.0], ThresholdKind::Cumulative { theta: 0.5 }),
+            vec![1]
+        );
+        assert!(selected(&[], ThresholdKind::Absolute { phi: 0.1 }).is_empty());
+        assert!(selected(&[], ThresholdKind::Cumulative { theta: 0.5 }).is_empty());
+    }
+
+    /// The word-at-a-time absolute mask is the per-element filter it replaced,
+    /// across word boundaries, with infinities, signed zeros and a zero `phi`
+    /// (where `v >= cutoff` alone would let `0.0` through).
+    #[test]
+    fn absolute_mask_is_the_per_element_filter() {
+        let mut rng = Rng64::new(41);
+        let palette = [-1.0f32, -0.0, 0.0, 0.25, 0.5, 2.0, f32::INFINITY];
+        for len in [1usize, 63, 64, 65, 200] {
+            for phi in [0.0f32, 0.3, 1.0] {
+                let values: Vec<f32> = (0..len)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            palette[rng.below(palette.len())]
+                        } else {
+                            rng.normal()
+                        }
+                    })
+                    .collect();
+                let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let expected: Vec<usize> = (0..len)
+                    .filter(|&i| max > 0.0 && values[i] >= phi * max && values[i] > 0.0)
+                    .collect();
+                assert_eq!(
+                    selected(&values, ThresholdKind::Absolute { phi }),
+                    expected,
+                    "len {len}, phi {phi}"
+                );
+            }
+        }
     }
 
     fn two_layer_net() -> Network {
@@ -1119,8 +1228,7 @@ mod tests {
         // point: boundaries 0..=2 (flatten input, dense-1 input, relu input)
         // are never retained, only the last dense layer's input and output.
         let plan = ExtractionPlan::new(&net, &program).unwrap();
-        let retain = backward_retention(&net, &plan).unwrap();
-        assert_eq!(retain, vec![false, false, false, true, true]);
+        assert_eq!(plan.retain, vec![false, false, false, true, true]);
         assert_eq!(
             plan.roles,
             vec![
@@ -1145,14 +1253,15 @@ mod tests {
         // Flatten (layer 0) and ReLU (layer 2) route statically, so their
         // input boundaries are dropped; both dense layers retain input+output.
         let plan = ExtractionPlan::new(&net, &program).unwrap();
-        let retain = backward_retention(&net, &plan).unwrap();
-        assert_eq!(retain, vec![false, true, true, true, true]);
+        assert_eq!(plan.retain, vec![false, true, true, true, true]);
+        assert_eq!(plan.forward_work(3), 3 * (4 * 3 + 3 * 2));
 
         // Forward programs retain nothing at all (masking happens in flight).
         let fw = DetectionProgram::builder(Direction::Forward, 2)
             .all_layers(ThresholdKind::Absolute { phi: 0.5 })
             .build()
             .unwrap();
+        assert!(ExtractionPlan::new(&net, &fw).unwrap().retain.is_empty());
         let streamed = extract_path_streaming(&net, &fw, &Tensor::ones(&[4])).unwrap();
         assert_eq!(streamed.footprint.peak_streamed_bytes, 0);
         assert_eq!(

@@ -3,7 +3,7 @@
 use ptolemy_nn::Network;
 use ptolemy_tensor::Tensor;
 
-use crate::extraction::{extract_path_streaming, forward_work, path_layout};
+use crate::extraction::{extract_path_streaming, ExtractionPlan};
 use crate::{ActivationPath, ClassPath, ClassPathSet, CoreError, DetectionProgram, Result};
 
 /// Offline profiler: extracts activation paths for correctly-predicted training
@@ -65,12 +65,12 @@ impl Profiler {
                 network.num_classes()
             )));
         }
-        let layout = path_layout(network, &self.program)?;
+        let plan = ExtractionPlan::new(network, &self.program)?;
 
-        let work = forward_work(network, samples.len());
+        let work = plan.forward_work(samples.len());
         let extracted: Vec<Result<Option<(usize, ActivationPath)>>> =
             crate::par_map(samples, work, |(input, label)| {
-                let streamed = extract_path_streaming(network, &self.program, input)?;
+                let streamed = plan.stream(network, input)?;
                 if streamed.predicted_class != *label {
                     return Ok(None);
                 }
@@ -78,7 +78,7 @@ impl Profiler {
             });
 
         let mut class_paths: Vec<ClassPath> = (0..network.num_classes())
-            .map(|c| ClassPath::empty(c, &layout))
+            .map(|c| ClassPath::empty(c, plan.layout()))
             .collect();
         for item in extracted {
             if let Some((class, path)) = item? {

@@ -1,15 +1,27 @@
-use ptolemy_tensor::{col2im, im2col, im2col_batch, Conv2dGeometry, Initializer, Rng64, Tensor};
+use std::sync::OnceLock;
+
+use ptolemy_tensor::{
+    col2im, conv2d_forward, im2col, Conv2dGeometry, Initializer, PackedWeights, Rng64, Tensor,
+};
 
 use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
-/// 2-D convolution over CHW activations, lowered to `im2col` + matmul.
+/// 2-D convolution over CHW activations: one fused lowering + GEMM + bias
+/// kernel ([`conv2d_forward`]) for a single sample and a stacked batch alike,
+/// bit-for-bit `im2col` + matmul + bias.
 ///
 /// The weight tensor is stored as `[out_channels, in_channels * k * k]`, i.e. one
 /// flattened kernel per output channel, which makes the per-output-neuron partial
 /// sums (the quantity Ptolemy extracts, Fig. 3 middle panel) directly addressable:
 /// output neuron `(oc, oy, ox)` receives partial sum `w[oc][p] * patch[p]` from the
 /// `p`-th element of its receptive field.
+///
+/// The kernel multiplies against the weights' packed micro-panels, which
+/// depend only on the weights: they are packed by the first forward pass
+/// after construction or after [`Layer::params_mut`] handed the weights out
+/// (never eagerly — training mutates them every step), and reused by every
+/// pass until then.
 ///
 /// # Example
 ///
@@ -32,6 +44,9 @@ pub struct Conv2d {
     bias: Tensor,
     geom: Conv2dGeometry,
     out_channels: usize,
+    /// `weight` packed for the fused kernel; empty until a forward pass needs
+    /// it, emptied again whenever `weight` may have changed.
+    packed: OnceLock<PackedWeights>,
 }
 
 impl Conv2d {
@@ -67,6 +82,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             geom,
             out_channels,
+            packed: OnceLock::new(),
         })
     }
 
@@ -83,6 +99,24 @@ impl Conv2d {
     /// Per-output-channel biases.
     pub fn bias(&self) -> &Tensor {
         &self.bias
+    }
+
+    /// The fused kernel over one sample or a stacked batch (shape already
+    /// checked), against the packed weights of the current weight version.
+    fn convolve(&self, samples: &Tensor) -> Result<Vec<f32>> {
+        let packed = match self.packed.get() {
+            Some(packed) => packed,
+            None => {
+                let packed = PackedWeights::pack(&self.weight)?;
+                self.packed.get_or_init(|| packed)
+            }
+        };
+        Ok(conv2d_forward(
+            samples,
+            &self.geom,
+            packed,
+            self.bias.as_slice(),
+        )?)
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {
@@ -112,50 +146,23 @@ impl Layer for Conv2d {
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let cols = im2col(input, &self.geom)?;
-        let out = self.weight.matmul(&cols)?; // [out_c, patches]
-        let mut data = out.into_vec();
-        let patches = self.geom.num_patches();
-        for (oc, chunk) in data.chunks_mut(patches).enumerate() {
-            let b = self.bias.as_slice()[oc];
-            for v in chunk {
-                *v += b;
-            }
-        }
         Ok(Tensor::from_vec(
-            data,
+            self.convolve(input)?,
             &[self.out_channels, self.geom.out_h, self.geom.out_w],
         )?)
     }
 
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let batch_size = check_batch(batch, &self.input_shape(), self.name())?;
-        let patches = self.geom.num_patches();
-        // One wide patch matrix prices the whole batch: column
-        // `b * patches + j` of `cols` is exactly column `j` of sample `b`'s
-        // own im2col, so the fused matmul reduces every output element in the
-        // same order as the per-input path (weight rows stream once across
-        // all B inputs instead of once per input).
-        let cols = im2col_batch(batch, &self.geom)?;
-        let fused = self.weight.matmul(&cols)?; // [out_c, B·patches]
-        let wide = fused.as_slice();
-        let sample_out = self.out_channels * patches;
-        let mut data = vec![0.0f32; batch_size * sample_out];
-        let bias = self.bias.as_slice();
-        for oc in 0..self.out_channels {
-            let b_oc = bias[oc];
-            let row = &wide[oc * batch_size * patches..(oc + 1) * batch_size * patches];
-            for b in 0..batch_size {
-                let dst = &mut data[b * sample_out + oc * patches..][..patches];
-                let src = &row[b * patches..(b + 1) * patches];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = s + b_oc;
-                }
-            }
-        }
-        let mut dims = vec![batch_size];
-        dims.extend(self.output_shape());
-        Ok(Tensor::from_vec(data, &dims)?)
+        Ok(Tensor::from_vec(
+            self.convolve(batch)?,
+            &[
+                batch_size,
+                self.out_channels,
+                self.geom.out_h,
+                self.geom.out_w,
+            ],
+        )?)
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
@@ -194,6 +201,8 @@ impl Layer for Conv2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        // The caller may rewrite the weights: the packed panels are stale.
+        self.packed = OnceLock::new();
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -249,7 +258,7 @@ mod tests {
         let mut rng = Rng64::new(0);
         let mut conv = Conv2d::new(1, 1, 3, 3, 1, 1, 0, &mut rng).unwrap();
         // Make the 1x1 kernel an identity.
-        conv.weight = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
+        *conv.params_mut()[0] = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
         let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 3, 3]).unwrap();
         let y = conv.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 3, 3]);
@@ -260,8 +269,8 @@ mod tests {
     fn forward_matches_manual_3x3() {
         let mut rng = Rng64::new(1);
         let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 0, &mut rng).unwrap();
-        conv.weight = Tensor::ones(&[1, 9]);
-        conv.bias = Tensor::from_vec(vec![0.5], &[1]).unwrap();
+        *conv.params_mut()[0] = Tensor::ones(&[1, 9]);
+        *conv.params_mut()[1] = Tensor::from_vec(vec![0.5], &[1]).unwrap();
         let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 3, 3]).unwrap();
         let y = conv.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 1, 1]);
@@ -328,11 +337,11 @@ mod tests {
         let eps = 1e-3;
         for wi in 0..4 {
             let orig = conv.weight.as_slice()[wi];
-            conv.weight.as_mut_slice()[wi] = orig + eps;
+            conv.params_mut()[0].as_mut_slice()[wi] = orig + eps;
             let plus = conv.forward(&x).unwrap().sum();
-            conv.weight.as_mut_slice()[wi] = orig - eps;
+            conv.params_mut()[0].as_mut_slice()[wi] = orig - eps;
             let minus = conv.forward(&x).unwrap().sum();
-            conv.weight.as_mut_slice()[wi] = orig;
+            conv.params_mut()[0].as_mut_slice()[wi] = orig;
             let num = (plus - minus) / (2.0 * eps);
             let ana = grads.param_grads[0].as_slice()[wi];
             assert!((num - ana).abs() < 1e-2, "weight grad {wi}: {num} vs {ana}");

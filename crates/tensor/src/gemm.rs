@@ -44,9 +44,9 @@ pub(crate) const NR: usize = 16;
 pub(crate) const NR: usize = 8;
 
 /// K-panel depth: one packed panel of B is `KC x NC` floats (L2-resident).
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column-panel width of packed B.
-const NC: usize = 256;
+pub(crate) const NC: usize = 256;
 /// Row-panel height of packed A (`MC x KC` floats stay cache-resident).
 const MC: usize = 64;
 
@@ -63,7 +63,12 @@ const SMALL_FLOPS: usize = 16 * 1024;
 /// sparsity skip; without it every term is accumulated (the dense-layer
 /// contract, whose reference kernel never skipped).
 #[inline(always)]
-fn tile_accumulate<const SKIP: bool>(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+pub(crate) fn tile_accumulate<const SKIP: bool>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
     // chunks_exact gives the optimiser constant-length rows (no per-k bounds
     // checks in the hot loop).
     for (arow, brow) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
@@ -158,7 +163,15 @@ fn pack_b<const TRANS: bool>(
 /// Packs `mc x kc` of A (starting at `(i0, k0)`, row stride `lda`) into
 /// `MR`-row micro-panels (`into[(ir/MR) * kc * MR + k * MR + r]`),
 /// zero-padding the last panel.
-fn pack_a(a: &[f32], lda: usize, i0: usize, mc: usize, k0: usize, kc: usize, into: &mut [f32]) {
+pub(crate) fn pack_a(
+    a: &[f32],
+    lda: usize,
+    i0: usize,
+    mc: usize,
+    k0: usize,
+    kc: usize,
+    into: &mut [f32],
+) {
     for (panel, ir) in (0..mc).step_by(MR).enumerate() {
         let mr = MR.min(mc - ir);
         let dst = &mut into[panel * kc * MR..(panel + 1) * kc * MR];

@@ -170,7 +170,7 @@ impl Conv2dGeometry {
         }
     }
 
-    fn sample_len(&self) -> usize {
+    pub(crate) fn sample_len(&self) -> usize {
         self.in_channels * self.in_h * self.in_w
     }
 

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conv;
 mod error;
 pub mod gemm;
 pub mod gemm_i8;
@@ -42,6 +43,7 @@ pub mod quant;
 mod shape;
 mod tensor;
 
+pub use conv::{conv2d_forward, PackedWeights};
 pub use error::TensorError;
 pub use gemm::{gemm_nt_into, matmul_blocked, matmul_parallel};
 pub use gemm_i8::{matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel};

@@ -12,8 +12,9 @@ use proptest::prelude::*;
 use ptolemy_tensor::gemm_i8::matmul_i8_parallel_nt;
 use ptolemy_tensor::quant::{dequantize_slice, matmul_i8, matmul_i8_nt};
 use ptolemy_tensor::{
-    gemm_nt_into, matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel,
-    matmul_parallel, quantize_slice, QuantParams, Rng64, Tensor,
+    conv2d_forward, gemm_nt_into, im2col, matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt,
+    matmul_i8_parallel, matmul_parallel, quantize_slice, Conv2dGeometry, PackedWeights,
+    QuantParams, Rng64, Tensor,
 };
 
 /// Random `[rows, cols]` tensor with zeros sprinkled in so the sparsity-skip
@@ -70,6 +71,15 @@ fn assert_bits_equal(
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
     Ok(())
+}
+
+/// Bit equality, except that any NaN equals any NaN: when an accumulator and
+/// a product are both NaN (`inf - inf` met an input NaN), which payload the
+/// sum keeps depends on the operand order the compiler picked for that loop —
+/// Rust leaves the bits of an arithmetic NaN unspecified.  *Whether* an
+/// element is NaN is what the zero-skip makes observable, and that is exact.
+fn same_float(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 proptest! {
@@ -144,6 +154,70 @@ proptest! {
                     acc += a.as_slice()[s * k + kk] * w.as_slice()[j * k + kk];
                 }
                 prop_assert_eq!(blocked[s * n + j].to_bits(), acc.to_bits());
+            }
+        }
+    }
+
+    /// The fused conv kernel (lowering straight into packed panels, weights
+    /// packed once, bias in the last store) is bit-for-bit `im2col` +
+    /// `matmul_naive` + bias, sample by sample: kernels 1/3/5, strides 1/2,
+    /// paddings 0..=2, column counts on and off the register-tile width (so
+    /// panels straddle samples), depths past one K panel (12 x 5 x 5 = 300),
+    /// batches 1..=8 split three threads wide.  Weights carry sprinkled
+    /// `+0.0`/`-0.0` and inputs `inf`/`NaN`, which make the per-panel
+    /// zero-skip decision observable (`0.0 * inf` is NaN); a bias folded in
+    /// before the accumulation instead of after it would round differently.
+    #[test]
+    fn fused_conv_matches_lowered_reference_bit_for_bit(
+        kernel_idx in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        in_c in 1usize..13,
+        out_c in 1usize..11,
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
+        batch in 1usize..9,
+        zero_every in 0usize..5,
+        non_finite_every in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let kernel = [1, 3, 5][kernel_idx];
+        let (in_h, in_w) = (kernel + extra_h, kernel + extra_w);
+        let geom = Conv2dGeometry::new(in_c, in_h, in_w, kernel, stride, padding).unwrap();
+        let mut rng = Rng64::new(seed);
+        let mut weight = random_matrix(out_c, geom.patch_len(), seed.wrapping_add(1), 0);
+        if zero_every > 0 {
+            for (i, w) in weight.as_mut_slice().iter_mut().enumerate() {
+                if i % (zero_every + 1) == 0 {
+                    *w = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        let bias: Vec<f32> = (0..out_c).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let sample_len = in_c * in_h * in_w;
+        let mut stacked: Vec<f32> = (0..batch * sample_len).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        if non_finite_every > 0 {
+            let palette = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+            for (i, v) in stacked.iter_mut().enumerate() {
+                if i % (7 * non_finite_every + 4) == 3 {
+                    *v = palette[i % 3];
+                }
+            }
+        }
+        let stacked = Tensor::from_vec(stacked, &[batch, in_c, in_h, in_w]).unwrap();
+
+        let packed = PackedWeights::pack(&weight).unwrap();
+        let fused = fanned(|| conv2d_forward(&stacked, &geom, &packed, &bias)).unwrap();
+        let sample_out = out_c * geom.num_patches();
+        prop_assert_eq!(fused.len(), batch * sample_out);
+        for b in 0..batch {
+            let sample = stacked.slice_batch(b).unwrap();
+            let product = weight.matmul_naive(&im2col(&sample, &geom).unwrap()).unwrap();
+            let alone = conv2d_forward(&sample, &geom, &packed, &bias).unwrap();
+            for (i, reference) in product.as_slice().iter().enumerate() {
+                let expected = reference + bias[i / geom.num_patches()];
+                prop_assert!(same_float(fused[b * sample_out + i], expected));
+                prop_assert!(same_float(alone[i], expected));
             }
         }
     }

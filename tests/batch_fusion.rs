@@ -6,6 +6,12 @@
 //! order.  The same holds for the hoisted fan-out: however many contiguous
 //! sub-batches a batch is split into, every fused and quantized batch entry
 //! point returns the bits it returns on one thread.
+//!
+//! Two properties ride along because the single-sample pass *is* the fused
+//! kernel at batch 1: the pooling layers' one kernel is pinned against the
+//! window definition (strides off the window size, `-inf`/`NaN` inside
+//! windows), and a training step must drop the packed weight panels a
+//! convolution cached for its previous weights.
 
 mod common;
 
@@ -13,7 +19,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use ptolemy::core::{variants, ActivationPath, CoreError, Detection, DetectionEngine, Profiler};
-use ptolemy::nn::Network;
+use ptolemy::nn::layer::{AvgPool2d, MaxPool2d};
+use ptolemy::nn::{softmax_cross_entropy_grad, zoo, Layer, Network};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::{helpers_spawned, with_forced_width};
 use ptolemy::tensor::Rng64;
@@ -192,6 +199,174 @@ proptest! {
                     path.prefix_fingerprint(usize::MAX),
                     single_path.prefix_fingerprint(usize::MAX)
                 );
+            }
+        }
+    }
+}
+
+/// Bit equality, with any NaN equal to any other: which of two NaN payloads
+/// an addition propagates depends on operand order, which the compiler is
+/// free to pick per call site.
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Both pooling layers run one kernel: `forward(x)` is bit-for-bit sample
+    /// 0 of `forward_batch([x])` and slab `b` of any batch, and both are the
+    /// window definition — each window folded `wy` outer, `wx` inner from
+    /// `-inf` (max, `f32::max`) or `0.0` (average, then `/ window²`) — for
+    /// windows 1..=3 at strides 1..=3 (overlapping, exact and gapped tilings)
+    /// over inputs that put `-inf`, `+inf` and `NaN` inside windows.
+    #[test]
+    fn pooling_single_sample_is_the_fused_kernel_and_the_window_definition(
+        channels in 1usize..4,
+        window in 1usize..4,
+        stride in 1usize..4,
+        extra_h in 0usize..6,
+        extra_w in 0usize..6,
+        len in 1usize..=5,
+        non_finite_every in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let (in_h, in_w) = (window + extra_h, window + extra_w);
+        let (out_h, out_w) = ((in_h - window) / stride + 1, (in_w - window) / stride + 1);
+        let mut rng = Rng64::new(seed);
+        let palette = [f32::NEG_INFINITY, f32::NAN, f32::INFINITY, -0.0];
+        let samples: Vec<Tensor> = (0..len)
+            .map(|_| {
+                let data = (0..channels * in_h * in_w)
+                    .map(|i| {
+                        if non_finite_every > 0 && i % (3 * non_finite_every + 2) == 1 {
+                            palette[rng.below(palette.len())]
+                        } else {
+                            rng.normal()
+                        }
+                    })
+                    .collect();
+                Tensor::from_vec(data, &[channels, in_h, in_w]).unwrap()
+            })
+            .collect();
+        let stacked = Tensor::stack(&samples).unwrap();
+        let norm = (window * window) as f32;
+        type Fold = fn(f32, f32) -> f32;
+        let layers: [(Box<dyn Layer>, f32, Fold, f32); 2] = [
+            (
+                Box::new(MaxPool2d::new(channels, in_h, in_w, window, stride).unwrap()),
+                f32::NEG_INFINITY,
+                f32::max,
+                1.0,
+            ),
+            (
+                Box::new(AvgPool2d::new(channels, in_h, in_w, window, stride).unwrap()),
+                0.0,
+                |acc, v| acc + v,
+                norm,
+            ),
+        ];
+        for (layer, init, fold, divisor) in &layers {
+            let fused = layer.forward_batch(&stacked).unwrap();
+            prop_assert_eq!(fused.dims(), &[len, channels, out_h, out_w][..]);
+            for (b, sample) in samples.iter().enumerate() {
+                let single = layer.forward(sample).unwrap();
+                prop_assert_eq!(single.dims(), &[channels, out_h, out_w][..]);
+                let alone = layer
+                    .forward_batch(&Tensor::stack(std::slice::from_ref(sample)).unwrap())
+                    .unwrap();
+                let slab = fused.slice_batch(b).unwrap();
+                let x = sample.as_slice();
+                for (i, value) in single.as_slice().iter().enumerate() {
+                    prop_assert_eq!(value.to_bits(), alone.as_slice()[i].to_bits());
+                    prop_assert_eq!(value.to_bits(), slab.as_slice()[i].to_bits());
+                    let (c, oy, ox) = (i / (out_h * out_w), i / out_w % out_h, i % out_w);
+                    let mut acc = *init;
+                    for wy in 0..window {
+                        for wx in 0..window {
+                            let at = (c * in_h + oy * stride + wy) * in_w + ox * stride + wx;
+                            acc = fold(acc, x[at]);
+                        }
+                    }
+                    prop_assert!(
+                        same_value(*value, acc / divisor),
+                        "{} output {} of sample {}: {} vs definition {}",
+                        layer.name(),
+                        i,
+                        b,
+                        value,
+                        acc / divisor
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A convolution packs its weights into micro-panels on its first forward pass
+/// and keeps them; a training step rewrites the weights underneath.  After one
+/// `apply_gradients` the warm network (panels packed for the old weights, by
+/// single-sample *and* fused passes) must compute exactly what a network that
+/// never ran a forward before receiving the same weights computes — a stale
+/// panel passes every other parity test, because every other test compares a
+/// network with itself.  Convolutions inside residual bodies are reached
+/// through `Residual::params_mut`.
+#[test]
+fn a_training_step_drops_the_packed_weight_panels() {
+    type Build = fn(usize, &mut Rng64) -> ptolemy::nn::Result<Network>;
+    let builders: [(&str, Build); 2] = [
+        ("conv_net", zoo::conv_net),
+        ("resnet_mini", zoo::resnet_mini),
+    ];
+    for (name, build) in builders {
+        let mut warm = build(4, &mut Rng64::new(0x5EED)).unwrap();
+        let mut cold = build(4, &mut Rng64::new(0x5EED)).unwrap();
+        let shape = warm.input_shape().to_vec();
+        let mut rng = Rng64::new(9);
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| {
+                let data = (0..shape.iter().product()).map(|_| rng.normal()).collect();
+                Tensor::from_vec(data, &shape).unwrap()
+            })
+            .collect();
+
+        // Warm every conv's panels through both entry points.
+        let before = warm.forward(&inputs[0]).unwrap();
+        warm.forward_batch(&inputs).unwrap();
+        let trace = warm.forward_trace(&inputs[0]).unwrap();
+        let grad_logits = softmax_cross_entropy_grad(trace.logits(), 1).unwrap();
+        let grads = warm.backward(&trace, &grad_logits).unwrap();
+        warm.apply_gradients(&grads, 0.05).unwrap();
+        cold.apply_gradients(&grads, 0.05).unwrap();
+
+        let after = warm.forward(&inputs[0]).unwrap();
+        assert!(
+            before
+                .as_slice()
+                .iter()
+                .zip(after.as_slice())
+                .any(|(b, a)| b.to_bits() != a.to_bits()),
+            "{name}: the step changed no logit, so it would not expose a stale panel"
+        );
+        let warm_batch = warm.forward_batch(&inputs).unwrap();
+        let cold_batch = cold.forward_batch(&inputs).unwrap();
+        for (b, input) in inputs.iter().enumerate() {
+            let warm_logits = warm.forward(input).unwrap();
+            let cold_logits = cold.forward(input).unwrap();
+            for (i, (w, c)) in warm_logits
+                .as_slice()
+                .iter()
+                .zip(cold_logits.as_slice())
+                .enumerate()
+            {
+                assert_eq!(
+                    w.to_bits(),
+                    c.to_bits(),
+                    "{name}: forward logit {i} of input {b}"
+                );
+                let slab = b * warm_logits.len() + i;
+                assert_eq!(w.to_bits(), warm_batch.as_slice()[slab].to_bits());
+                assert_eq!(w.to_bits(), cold_batch.as_slice()[slab].to_bits());
             }
         }
     }
