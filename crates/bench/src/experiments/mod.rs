@@ -56,9 +56,10 @@ pub mod tab02_theta_sensitivity;
 
 use crate::{BenchResult, BenchScale, Table};
 
-/// Identifier + runner for one experiment, used by the `all_experiments` binary.
+/// Identifier + runner for one experiment, used by the `ptolemy-bench` binary.
 pub struct Experiment {
-    /// Short identifier (also the name of the binary that runs just this one).
+    /// Short identifier: the `ptolemy-bench` argument that runs just this one,
+    /// and the `<id>` of its `BENCH_<id>.json` report.
     pub id: &'static str,
     /// The paper artifact this experiment regenerates.
     pub paper_artifact: &'static str,

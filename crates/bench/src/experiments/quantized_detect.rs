@@ -70,7 +70,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             class_agree += usize::from(full.predicted_class == quant.predicted_class);
             // ROC scores: higher = more suspicious, so 1 - path similarity.
             f32_scores.push(1.0 - engine.path_similarity(input)?.1);
-            int8_scores.push(1.0 - engine.path_similarity_quantized(input)?.1);
+            int8_scores.push(1.0 - quant.similarity);
             labels.push(is_adv);
         }
     }

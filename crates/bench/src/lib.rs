@@ -13,8 +13,9 @@
 //! * [`experiments`] — one module per paper artifact (Fig. 5 … Fig. 18, Table II,
 //!   Sec. VII-A/G/H and the Sec. III-B software-cost analysis), each returning a
 //!   printable report;
-//! * `src/bin/` — one thin binary per experiment plus `all_experiments`, which runs
-//!   everything and prints the EXPERIMENTS.md-style summary.
+//! * `src/bin/ptolemy-bench.rs` — the one CLI over [`experiments::all`]:
+//!   `ptolemy-bench [all | list | <experiment-id>…]` runs the selection and
+//!   prints the EXPERIMENTS.md-style summary.
 //!
 //! Absolute numbers differ from the paper (the substrate is a scaled-down simulator,
 //! not the authors' 15 nm testbed); what the harnesses reproduce is the *shape* of
@@ -32,27 +33,3 @@ mod workbench;
 pub use scale::BenchScale;
 pub use table::{fmt3, fmt_factor, fmt_percent, Table};
 pub use workbench::{auc_summary, standard_attacks, BenchResult, Workbench};
-
-/// Shared `main` of the per-experiment binaries: looks the experiment up in
-/// [`experiments::all`], runs it at the env-selected [`BenchScale`], prints
-/// its tables, writes its `BENCH_<id>.json` perf report (see [`emit`]) and
-/// exits non-zero on failure.
-pub fn run_binary(id: &str) {
-    let scale = BenchScale::from_env();
-    let Some(experiment) = experiments::all().into_iter().find(|e| e.id == id) else {
-        eprintln!("unknown experiment: {id}");
-        std::process::exit(2);
-    };
-    match experiments::run_and_emit(&experiment, scale) {
-        Ok((tables, report)) => {
-            for table in tables {
-                println!("{table}");
-            }
-            println!("perf report: {}", report.display());
-        }
-        Err(error) => {
-            eprintln!("experiment {id} failed: {error}");
-            std::process::exit(1);
-        }
-    }
-}

@@ -15,17 +15,19 @@
 //!   fused NCHW forward pass over the whole batch (batched `im2col`/matmul
 //!   across inputs) and extracts each input's [`ActivationPath`] **while the
 //!   pass is still running** ([`crate::extract_paths_streaming_batch`]):
-//!   forward programs mask each enabled layer's stacked output on a scoped
-//!   worker overlapped with the next layer's compute and release the
-//!   activation eagerly, backward programs retain only the boundaries the
-//!   reverse walk reads — peak activation memory drops from O(network) to the
-//!   retained set.  Every fused kernel preserves the per-input reduction
-//!   order and the selection kernels are shared with the materialized
-//!   pipeline, so batch verdicts stay **bit-for-bit identical** to the
-//!   single-input path;
-//! * **streaming** — [`DetectionEngine::score_stream`] /
-//!   [`DetectionEngine::detect_stream`] lazily drive an input iterator
-//!   without materialising the batch;
+//!   forward programs mask each enabled layer's stacked output inline, the
+//!   moment the layer finishes, and retain nothing; backward programs retain
+//!   only the boundaries the reverse walk reads — peak activation memory
+//!   drops from O(network) to the retained set.  Every fused kernel preserves
+//!   the per-input reduction order and the selection kernels are shared with
+//!   the materialized pipeline, so batch verdicts stay **bit-for-bit
+//!   identical** to the single-input path;
+//! * **precision is an argument** — the program, the canary paths, the
+//!   classifier and the threshold never depend on what multiplied the
+//!   activations, so there is one detect path:
+//!   [`DetectionEngine::detect_batch_on`] takes the [`ForwardProvider`] that
+//!   runs the forward pass (the engine's f32 network, or an int8
+//!   [`QuantizedNetwork`] view of it) and everything downstream is shared;
 //! * **pluggable cost backends** — a [`DetectionBackend`] prices every batch.
 //!   [`SoftwareBackend`] reports the algorithm-level op counts of a pure
 //!   software implementation ([`crate::software_cost`]); the `AccelBackend` in
@@ -67,11 +69,11 @@
 use std::sync::Arc;
 
 use ptolemy_forest::{ForestConfig, RandomForest};
-use ptolemy_nn::{ForwardTrace, Network, QuantizedNetwork};
+use ptolemy_nn::{ForwardProvider, Network, QuantizedNetwork};
 use ptolemy_obs::{Counter, HistogramHandle, Registry};
 use ptolemy_tensor::Tensor;
 
-use ptolemy_tensor::parallel::{par_chunks, par_map};
+use ptolemy_tensor::parallel::par_map;
 
 use crate::extraction::{path_layout, ExtractionPlan};
 use crate::{
@@ -140,14 +142,14 @@ pub fn path_similarity(
 /// is still running, activations dropped eagerly instead of materialising a
 /// full trace), which is bit-for-bit identical to the historical
 /// trace-then-extract pipeline.  `plan` is the program resolved against
-/// `network` — the engine's, bound at build time.
-fn trace_path(
-    network: &Network,
+/// `provider`'s network — the engine's, bound at build time.
+fn trace_path<P: ForwardProvider>(
+    provider: &P,
     plan: &ExtractionPlan,
     class_paths: &ClassPathSet,
     input: &Tensor,
 ) -> Result<(usize, f32, ActivationPath)> {
-    let streamed = plan.stream(network, input)?;
+    let streamed = plan.stream(provider, input)?;
     let similarity = streamed
         .path
         .similarity(class_paths.class_path(streamed.predicted_class)?)?;
@@ -163,8 +165,8 @@ fn trace_path(
 /// streaming path ([`par_map`] at the same work gate) when any input is
 /// mis-shaped (preserving that input's exact error while still serving the
 /// rest) or the fused pass itself fails.
-fn trace_path_batch(
-    network: &Network,
+fn trace_path_batch<P: ForwardProvider>(
+    provider: &P,
     plan: &ExtractionPlan,
     class_paths: &ClassPathSet,
     inputs: &[Tensor],
@@ -176,17 +178,15 @@ fn trace_path_batch(
         let similarity = path.similarity(class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity, path))
     };
-    let fused = if inputs
-        .iter()
-        .all(|input| input.dims() == network.input_shape())
-    {
-        plan.stream_batch_with(network, inputs, &finish).ok()
+    let input_shape = provider.network().input_shape();
+    let fused = if inputs.iter().all(|input| input.dims() == input_shape) {
+        plan.stream_batch_with(provider, inputs, &finish).ok()
     } else {
         None
     };
     let Some((samples, _footprint)) = fused else {
         return par_map(inputs, plan.forward_work(inputs.len()), |input| {
-            let streamed = plan.stream(network, input)?;
+            let streamed = plan.stream(provider, input)?;
             finish(streamed.predicted_class, streamed.path)
         });
     };
@@ -365,7 +365,7 @@ impl DetectionEngine {
     /// Propagates extraction errors.
     pub fn path_similarity(&self, input: &Tensor) -> Result<(usize, f32)> {
         let (predicted, similarity, _) =
-            trace_path(&self.network, &self.plan, &self.class_paths, input)?;
+            trace_path(self.network.as_ref(), &self.plan, &self.class_paths, input)?;
         Ok((predicted, similarity))
     }
 
@@ -376,7 +376,7 @@ impl DetectionEngine {
     /// Returns [`CoreError::InvalidInput`] if the engine was built without a
     /// classifier, and propagates extraction/classifier errors.
     pub fn detect(&self, input: &Tensor) -> Result<Detection> {
-        Ok(self.detect_traced(input)?.0)
+        Ok(self.detect_with_path(input)?.0)
     }
 
     /// Like [`DetectionEngine::detect`], additionally returning the extracted
@@ -390,7 +390,7 @@ impl DetectionEngine {
     ///
     /// See [`DetectionEngine::detect`].
     pub fn detect_with_path(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        self.detect_traced(input)
+        self.detect_one(self.network.as_ref(), input)
     }
 
     /// Detects a whole batch through **one streamed fused forward pass**: the
@@ -424,29 +424,44 @@ impl DetectionEngine {
         &self,
         inputs: &[Tensor],
     ) -> Vec<Result<(Detection, ActivationPath)>> {
-        let obs = self.stage_obs();
-        let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = trace_path_batch(&self.network, &self.plan, &self.class_paths, inputs);
-        let mid = if let (Some(o), Some(start)) = (obs, start) {
-            let now = o.registry.clock().now_ns();
-            o.trace_ns.record(now.saturating_sub(start));
-            Some(now)
-        } else {
-            None
-        };
-        let verdicts: Vec<Result<(Detection, ActivationPath)>> = traced
-            .into_iter()
-            .map(|r| {
-                let (predicted, similarity, path) = r?;
-                Ok((self.judge(predicted, similarity)?, path))
-            })
-            .collect();
-        if let (Some(o), Some(mid)) = (obs, mid) {
-            o.score_ns
-                .record(o.registry.clock().now_ns().saturating_sub(mid));
-            o.detections.add(verdicts.len() as u64);
+        self.detect_batch_on(self.network.as_ref(), inputs)
+    }
+
+    /// [`DetectionEngine::detect_batch_with_paths`] with the forward pass run
+    /// by `provider`: the engine's own network (what every f32 entry point
+    /// passes) or an int8 [`QuantizedNetwork`] view of it — the engine's own
+    /// ([`DetectionEngine::quantized_network`]) or the one a serving layer's
+    /// builder validated.  Extraction, similarity, classifier and threshold are
+    /// the same code whatever the provider.
+    ///
+    /// `provider` must run *this engine's* network instance — the verdict
+    /// compares the extracted path against this engine's canary paths, which
+    /// only makes sense for the same weights — so any other is rejected per
+    /// input, never silently scored.
+    ///
+    /// Results through an int8 provider are *not* bit-parity pinned against
+    /// f32: rounding perturbs activations, so class, path and verdict may
+    /// differ — by design; the `quantized_detect` benchmark measures how
+    /// often.  The int8 pass itself is exactly deterministic (i32
+    /// accumulation), and sample `b` of a batch is bit-for-bit the batch of
+    /// one.
+    pub fn detect_batch_on<P: ForwardProvider>(
+        &self,
+        provider: &P,
+        inputs: &[Tensor],
+    ) -> Vec<Result<(Detection, ActivationPath)>> {
+        if !std::ptr::eq(provider.network(), self.network.as_ref()) {
+            let foreign = CoreError::InvalidInput(
+                "the forward provider runs a different network instance than this engine serves"
+                    .into(),
+            );
+            return inputs.iter().map(|_| Err(foreign.clone())).collect();
         }
-        verdicts
+        self.staged(
+            inputs.len(),
+            || trace_path_batch(provider, &self.plan, &self.class_paths, inputs),
+            |traced| traced.into_iter().map(|r| self.judge(r)).collect(),
+        )
     }
 
     /// Like [`DetectionEngine::detect_batch`], additionally pricing the batch
@@ -490,28 +505,6 @@ impl DetectionEngine {
         Ok(self.detect(input)?.score)
     }
 
-    /// Lazily scores a stream of inputs, yielding each input's adversarial
-    /// probability (the streaming counterpart of [`DetectionEngine::score`]):
-    /// items are detected as the iterator is advanced, so unbounded workloads
-    /// run in constant memory.
-    pub fn score_stream<'a, I>(&'a self, inputs: I) -> impl Iterator<Item = Result<f32>> + 'a
-    where
-        I: IntoIterator<Item = Tensor>,
-        I::IntoIter: 'a,
-    {
-        inputs.into_iter().map(move |input| self.score(&input))
-    }
-
-    /// Lazily detects a stream of inputs, yielding full verdicts (the
-    /// streaming counterpart of [`DetectionEngine::detect`]).
-    pub fn detect_stream<'a, I>(&'a self, inputs: I) -> impl Iterator<Item = Result<Detection>> + 'a
-    where
-        I: IntoIterator<Item = Tensor>,
-        I::IntoIter: 'a,
-    {
-        inputs.into_iter().map(move |input| self.detect(&input))
-    }
-
     /// Prices a hypothetical batch on the backend without running detection
     /// (used by capacity planning and the figure harnesses).
     ///
@@ -523,46 +516,65 @@ impl DetectionEngine {
             .estimate_batch(&self.network, &self.program, batch_size, mean_density)
     }
 
-    /// The single scoring step shared by `detect`, `detect_with_path` and the
-    /// fused batch methods — the source of their bit-for-bit parity.
-    fn judge(&self, predicted_class: usize, similarity: f32) -> Result<Detection> {
+    /// The single scoring step shared by every entry point — the source of
+    /// their bit-for-bit parity: one traced `(class, similarity, path)` in, the
+    /// classifier's verdict out.
+    fn judge(
+        &self,
+        traced: Result<(usize, f32, ActivationPath)>,
+    ) -> Result<(Detection, ActivationPath)> {
+        let (predicted_class, similarity, path) = traced?;
         let forest = self.forest.as_ref().ok_or_else(|| {
             CoreError::InvalidInput(
                 "engine was built without a classifier; add .forest(..) or .calibrate(..)".into(),
             )
         })?;
         let score = forest.predict_proba(&[similarity])?;
-        Ok(Detection {
+        let detection = Detection {
             is_adversary: score >= self.threshold,
             score,
             similarity,
             predicted_class,
-        })
-    }
-
-    fn detect_traced(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        let obs = self.stage_obs();
-        let start = obs.map(|o| o.registry.clock().now_ns());
-        let (predicted_class, similarity, path) =
-            trace_path(&self.network, &self.plan, &self.class_paths, input)?;
-        let mid = obs.map(|o| {
-            let now = o.registry.clock().now_ns();
-            o.trace_ns.record(now.saturating_sub(start.unwrap_or(now)));
-            now
-        });
-        let detection = self.judge(predicted_class, similarity)?;
-        if let (Some(o), Some(mid)) = (obs, mid) {
-            o.score_ns
-                .record(o.registry.clock().now_ns().saturating_sub(mid));
-            o.detections.incr();
-        }
+        };
         Ok((detection, path))
     }
 
-    /// The attached observability hook, only while its registry is enabled —
-    /// the disabled path costs one relaxed atomic load.
-    fn stage_obs(&self) -> Option<&EngineObs> {
-        self.obs.as_ref().filter(|o| o.registry.enabled())
+    /// One input through `provider`'s single-sample streamed pass.
+    fn detect_one<P: ForwardProvider>(
+        &self,
+        provider: &P,
+        input: &Tensor,
+    ) -> Result<(Detection, ActivationPath)> {
+        self.staged(
+            1,
+            || trace_path(provider, &self.plan, &self.class_paths, input),
+            |traced| self.judge(traced),
+        )
+    }
+
+    /// The one timed detect body: `trace` (streamed forward pass, extraction
+    /// and similarity) then `score` (the classifier), each recorded into its
+    /// stage histogram when a registry is attached and enabled, plus `inputs`
+    /// detections counted.
+    fn staged<T, U>(
+        &self,
+        inputs: usize,
+        trace: impl FnOnce() -> T,
+        score: impl FnOnce(T) -> U,
+    ) -> U {
+        let Some(obs) = self.obs.as_ref().filter(|o| o.registry.enabled()) else {
+            // The disabled path costs one relaxed atomic load.
+            return score(trace());
+        };
+        let clock = obs.registry.clock();
+        let start = clock.now_ns();
+        let traced = trace();
+        let mid = clock.now_ns();
+        obs.trace_ns.record(mid.saturating_sub(start));
+        let scored = score(traced);
+        obs.score_ns.record(clock.now_ns().saturating_sub(mid));
+        obs.detections.add(inputs as u64);
+        scored
     }
 
     /// The network this engine serves.
@@ -615,196 +627,25 @@ impl DetectionEngine {
         self.quantized.as_ref()
     }
 
-    /// `(predicted class, path similarity)` of one input through the **int8
-    /// quantized** forward pass.
-    ///
-    /// Unlike every other engine entry point this is *not* bit-parity pinned
-    /// against [`DetectionEngine::path_similarity`]: int8 rounding perturbs
-    /// activations, so the predicted class and extracted path may differ from
-    /// f32 — by design.  The behavioural contract (activation-path agreement
-    /// rate, detection-AUC delta) is measured by the `quantized_detect`
-    /// benchmark.  The quantized pass itself is exactly deterministic (i32
-    /// accumulation), so repeated calls always agree with each other.
+    /// Detects whether one input is adversarial with the forward pass on the
+    /// engine's own **int8 quantized** network — [`DetectionEngine::detect`]
+    /// with the other provider, bit-for-bit what
+    /// [`DetectionEngine::detect_batch_on`] (whose docs carry the accuracy
+    /// contract) returns for the input in any batch.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the engine was built without
-    /// [`DetectionEngineBuilder::quantized`]; propagates extraction errors.
-    pub fn path_similarity_quantized(&self, input: &Tensor) -> Result<(usize, f32)> {
+    /// [`DetectionEngineBuilder::quantized`] or without a classifier, or if
+    /// the input (or an activation about to be quantized) is NaN; propagates
+    /// extraction and classifier errors.
+    pub fn detect_quantized(&self, input: &Tensor) -> Result<Detection> {
         let qnet = self.quantized.as_ref().ok_or_else(|| {
             CoreError::InvalidInput(
                 "engine was built without a quantized network; add .quantized(..)".into(),
             )
         })?;
-        // The quantized pass emits f32 activation boundaries (requantized on
-        // output), so the standard materialized-trace extraction applies
-        // unchanged; only the activations differ from f32 inference.
-        let trace = qnet.forward_trace(input)?;
-        let predicted = trace.predicted_class()?;
-        let path = self.plan.extract(&self.network, &trace)?;
-        let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
-        Ok((predicted, similarity))
-    }
-
-    /// Detects whether one input is adversarial using the int8 quantized
-    /// inference path; scoring (forest + threshold) is shared with
-    /// [`DetectionEngine::detect`], only the forward pass and extraction run
-    /// over quantized activations.  See
-    /// [`DetectionEngine::path_similarity_quantized`] for the accuracy
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the engine was built without a
-    /// quantized network or without a classifier; propagates extraction and
-    /// classifier errors.
-    pub fn detect_quantized(&self, input: &Tensor) -> Result<Detection> {
-        let (predicted, similarity) = self.path_similarity_quantized(input)?;
-        self.judge(predicted, similarity)
-    }
-
-    /// Scores one already-materialised quantized trace: predicted class, path
-    /// extraction against this engine's program, similarity against the
-    /// predicted class's canary path.  The single scoring step shared by every
-    /// quantized entry point — the source of their mutual bit parity.
-    fn finish_quantized_trace(&self, trace: &ForwardTrace) -> Result<(usize, f32, ActivationPath)> {
-        let predicted = trace.predicted_class()?;
-        let path = self.plan.extract(&self.network, trace)?;
-        let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
-        Ok((predicted, similarity, path))
-    }
-
-    /// Quantized counterpart of [`trace_path_batch`]: the batch splits into
-    /// contiguous sub-batches at the work gate, each one fused int8 forward
-    /// pass that materialises its stacked trace and then extracts and scores
-    /// its samples inline.  Falls back to per-input quantized passes when any
-    /// input is mis-shaped (preserving that input's exact error while still
-    /// serving the rest) or a fused pass fails.
-    fn trace_path_quantized_batch(
-        &self,
-        qnet: &QuantizedNetwork,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(usize, f32, ActivationPath)>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let work = self.plan.forward_work(inputs.len());
-        let fused = if inputs
-            .iter()
-            .all(|input| input.dims() == self.network.input_shape())
-        {
-            par_chunks(inputs, work, |sub_batch| {
-                let batch = qnet.forward_trace_batch(sub_batch)?;
-                Ok((0..sub_batch.len())
-                    .map(|i| self.finish_quantized_trace(&batch.trace(i)?))
-                    .collect::<Vec<_>>())
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>>>()
-            .ok()
-        } else {
-            None
-        };
-        let Some(sub_batches) = fused else {
-            return par_map(inputs, work, |input| {
-                let trace = qnet.forward_trace(input)?;
-                self.finish_quantized_trace(&trace)
-            });
-        };
-        sub_batches.into_iter().flatten().collect()
-    }
-
-    /// Detects a whole batch through **one fused int8 forward pass** — the
-    /// quantized twin of [`DetectionEngine::detect_batch_with_paths`], keyed
-    /// to an explicitly supplied [`QuantizedNetwork`] (serving layers pass the
-    /// one their builder validated; [`detect_batch_quantized_with_paths`]
-    /// passes the engine's own).
-    ///
-    /// `qnet` must have been calibrated from *this engine's* network instance
-    /// — the verdict compares the quantized trace against this engine's canary
-    /// paths, which only makes sense for the same weights.
-    ///
-    /// Per-sample results are bit-for-bit [`DetectionEngine::detect_quantized`]
-    /// on the same input: the fused batch slices back losslessly (i32
-    /// accumulation is exact) and the scoring step is shared.
-    ///
-    /// [`detect_batch_quantized_with_paths`]: DetectionEngine::detect_batch_quantized_with_paths
-    pub fn detect_batch_quantized_with(
-        &self,
-        qnet: &QuantizedNetwork,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(Detection, ActivationPath)>> {
-        if !std::ptr::eq(qnet.network().as_ref(), self.network.as_ref()) {
-            return inputs
-                .iter()
-                .map(|_| {
-                    Err(CoreError::InvalidInput(
-                        "quantized network was calibrated from a different network \
-                         instance than this engine serves"
-                            .into(),
-                    ))
-                })
-                .collect();
-        }
-        let obs = self.stage_obs();
-        let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = self.trace_path_quantized_batch(qnet, inputs);
-        let mid = if let (Some(o), Some(start)) = (obs, start) {
-            let now = o.registry.clock().now_ns();
-            o.trace_ns.record(now.saturating_sub(start));
-            Some(now)
-        } else {
-            None
-        };
-        let verdicts: Vec<Result<(Detection, ActivationPath)>> = traced
-            .into_iter()
-            .map(|r| {
-                let (predicted, similarity, path) = r?;
-                Ok((self.judge(predicted, similarity)?, path))
-            })
-            .collect();
-        if let (Some(o), Some(mid)) = (obs, mid) {
-            o.score_ns
-                .record(o.registry.clock().now_ns().saturating_sub(mid));
-            o.detections.add(verdicts.len() as u64);
-        }
-        verdicts
-    }
-
-    /// Like [`DetectionEngine::detect_batch_quantized_with`] but using the
-    /// engine's own quantized network
-    /// ([`DetectionEngineBuilder::quantized`]); every input fails with
-    /// [`CoreError::InvalidInput`] if the engine has none.
-    pub fn detect_batch_quantized_with_paths(
-        &self,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(Detection, ActivationPath)>> {
-        let Some(qnet) = self.quantized.as_ref() else {
-            return inputs
-                .iter()
-                .map(|_| {
-                    Err(CoreError::InvalidInput(
-                        "engine was built without a quantized network; add .quantized(..)".into(),
-                    ))
-                })
-                .collect();
-        };
-        self.detect_batch_quantized_with(qnet, inputs)
-    }
-
-    /// Batched [`DetectionEngine::detect_quantized`]: verdicts only, first
-    /// error wins — the quantized twin of [`DetectionEngine::detect_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-input error, if any, or
-    /// [`CoreError::InvalidInput`] if the engine was built without a
-    /// quantized network.
-    pub fn detect_batch_quantized(&self, inputs: &[Tensor]) -> Result<Vec<Detection>> {
-        self.detect_batch_quantized_with_paths(inputs)
-            .into_iter()
-            .map(|r| r.map(|(d, _)| d))
-            .collect()
+        Ok(self.detect_one(qnet, input)?.0)
     }
 }
 
@@ -874,9 +715,10 @@ impl DetectionEngineBuilder {
     /// Opts the engine into the int8 quantized inference path: `build` runs
     /// the f32 network over `calibration` to fix per-layer activation scales,
     /// quantizes the weights, and attaches a [`QuantizedNetwork`] served via
-    /// [`DetectionEngine::detect_quantized`] /
-    /// [`DetectionEngine::path_similarity_quantized`].  The f32 entry points
-    /// are unaffected.
+    /// [`DetectionEngine::detect_quantized`] (and handed out by
+    /// [`DetectionEngine::quantized_network`] for
+    /// [`DetectionEngine::detect_batch_on`]).  The f32 entry points are
+    /// unaffected.
     pub fn quantized(mut self, calibration: &[Tensor]) -> Self {
         self.quantization = Some(calibration.to_vec());
         self
@@ -970,7 +812,8 @@ impl DetectionEngineBuilder {
                     // arbitrarily large calibration set in one shot would make
                     // peak memory O(set size × total activations).
                     for chunk in inputs.chunks(CALIBRATION_FUSED_CHUNK) {
-                        let similarities = trace_path_batch(network, &plan, class_paths, chunk);
+                        let similarities =
+                            trace_path_batch(network.as_ref(), &plan, class_paths, chunk);
                         for similarity in similarities {
                             features.push(vec![similarity.map(|(_, s, _)| s)?]);
                             labels.push(is_adversarial);
@@ -1096,20 +939,9 @@ mod tests {
             );
         }
 
-        // Streaming agrees with the batch path.
-        let streamed: Vec<Detection> = engine
-            .detect_stream(all.clone())
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(streamed, batch);
-        let scores: Vec<f32> = engine
-            .score_stream(all.clone())
-            .collect::<Result<_>>()
-            .unwrap();
-        assert!(scores
-            .iter()
-            .zip(&batch)
-            .all(|(score, verdict)| score.to_bits() == verdict.score.to_bits()));
+        // `score` is the verdict's score.
+        let score = engine.score(&all[0]).unwrap();
+        assert_eq!(score.to_bits(), batch[0].score.to_bits());
 
         // The software backend prices the batch with algorithm-level counts.
         let (again, estimate) = engine.detect_batch_with_estimate(&all).unwrap();
@@ -1149,9 +981,6 @@ mod tests {
             if q.is_adversary == f.is_adversary {
                 verdict_agree += 1;
             }
-            let (class, similarity) = engine.path_similarity_quantized(input).unwrap();
-            assert_eq!(class, q.predicted_class);
-            assert_eq!(similarity.to_bits(), q.similarity.to_bits());
         }
         // int8 rounding may flip a handful of verdicts, never most of them.
         let total = benign.len() + adversarial.len();
@@ -1174,48 +1003,75 @@ mod tests {
             .build()
             .unwrap();
 
+        let qnet = engine.quantized_network().expect("quantized network");
         let all: Vec<Tensor> = benign.iter().chain(&adversarial).cloned().collect();
-        let batch = engine.detect_batch_quantized(&all).unwrap();
+        let batch = engine.detect_batch_on(qnet, &all);
         assert_eq!(batch.len(), all.len());
-        let with_paths = engine.detect_batch_quantized_with_paths(&all);
-        for ((input, batched), traced) in all.iter().zip(&batch).zip(with_paths) {
+        for (input, traced) in all.iter().zip(batch) {
             let single = engine.detect_quantized(input).unwrap();
+            let (batched, path) = traced.unwrap();
             assert_eq!(single.score.to_bits(), batched.score.to_bits());
             assert_eq!(single.similarity.to_bits(), batched.similarity.to_bits());
-            assert_eq!(single.predicted_class, batched.predicted_class);
-            assert_eq!(single.is_adversary, batched.is_adversary);
-            let (d, path) = traced.unwrap();
-            assert_eq!(d, *batched);
+            assert_eq!(single, batched);
             assert!(path.count_ones() > 0);
         }
 
         // A mis-shaped input fails alone; the rest of the batch still serves.
         let mut mixed = all[..3].to_vec();
         mixed.push(Tensor::zeros(&[3]));
-        let results = engine.detect_batch_quantized_with_paths(&mixed);
+        let results = engine.detect_batch_on(qnet, &mixed);
         assert!(results[..3].iter().all(Result::is_ok));
         assert!(results[3].is_err());
 
-        // An external qnet calibrated from a different network instance is
+        // A provider over a different network instance — int8 or f32 — is
         // rejected per input, never silently scored.
         let (other_net, _, other_benign, _) = setup();
-        let foreign = QuantizedNetwork::quantize(Arc::new(other_net), &other_benign[..4]).unwrap();
-        let rejected = engine.detect_batch_quantized_with(&foreign, &all[..2]);
-        assert_eq!(rejected.len(), 2);
-        assert!(rejected.iter().all(Result::is_err));
+        let other_net = Arc::new(other_net);
+        let foreign = QuantizedNetwork::quantize(other_net.clone(), &other_benign[..4]).unwrap();
+        for rejected in [
+            engine.detect_batch_on(&foreign, &all[..2]),
+            engine.detect_batch_on(other_net.as_ref(), &all[..2]),
+        ] {
+            assert_eq!(rejected.len(), 2);
+            assert!(rejected
+                .iter()
+                .all(|r| matches!(r, Err(CoreError::InvalidInput(_)))));
+        }
+    }
 
-        // Without a quantized network every input fails, matching the
-        // single-input contract.
-        let (net2, samples2, benign2, adversarial2) = setup();
-        let program2 = variants::bw_cu(&net2, 0.5).unwrap();
-        let class_paths2 = Profiler::new(program2.clone())
-            .profile(&net2, &samples2)
-            .unwrap();
-        let plain = DetectionEngine::builder(net2, program2, class_paths2)
-            .calibrate(&benign2, &adversarial2)
-            .build()
-            .unwrap();
-        assert!(plain.detect_batch_quantized(&all[..2]).is_err());
+    /// Quantizing a NaN yields 0, which used to launder an all-NaN input into
+    /// an ordinary verdict on forward programs; now the int8 pass rejects it
+    /// for either direction, exactly as `detect` does.
+    #[test]
+    fn quantized_detection_rejects_nan_like_f32() {
+        let (net, samples, benign, adversarial) = setup();
+        let net = Arc::new(net);
+        for program in [
+            variants::fw_ab(&net, 0.3).unwrap(),
+            variants::bw_cu(&net, 0.5).unwrap(),
+        ] {
+            let class_paths = Profiler::new(program.clone())
+                .profile(&net, &samples)
+                .unwrap();
+            let engine = DetectionEngine::builder(net.clone(), program, class_paths)
+                .calibrate(&benign, &adversarial)
+                .quantized(&benign)
+                .build()
+                .unwrap();
+            let poisoned = Tensor::full(&[8], f32::NAN);
+            for verdict in [engine.detect(&poisoned), engine.detect_quantized(&poisoned)] {
+                assert!(
+                    matches!(verdict, Err(CoreError::InvalidInput(_))),
+                    "{verdict:?}"
+                );
+            }
+            // In a batch it fails alone.
+            let qnet = engine.quantized_network().unwrap();
+            let served = engine.detect_batch_on(qnet, &[benign[0].clone(), poisoned]);
+            let (clean, _) = served[0].as_ref().unwrap();
+            assert_eq!(*clean, engine.detect_quantized(&benign[0]).unwrap());
+            assert!(matches!(served[1], Err(CoreError::InvalidInput(_))));
+        }
     }
 
     #[test]
@@ -1236,7 +1092,6 @@ mod tests {
             .unwrap();
         assert!(engine.quantized_network().is_none());
         assert!(engine.detect_quantized(&benign[0]).is_err());
-        assert!(engine.path_similarity_quantized(&benign[0]).is_err());
     }
 
     #[test]

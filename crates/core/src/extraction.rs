@@ -42,14 +42,24 @@
 //! block decomposes against the interior its own forward pass handed the sink.
 //! A [`ForwardTrace`] recorded by `Network::forward_trace` carries the same
 //! interiors, so [`extract_path`] over it runs nothing either; a trace
-//! assembled from boundaries alone (`ForwardTrace::from_activations` — the
-//! int8 path's requantized boundaries) makes each block re-run its body head
-//! once per block, never per neuron.
+//! assembled from boundaries alone (`ForwardTrace::from_activations`) makes
+//! each block re-run its body head once per block, never per neuron.
+//!
+//! # Precision
+//!
+//! Nothing above depends on what multiplied the activations.  The streaming
+//! drivers are generic over a [`ForwardProvider`] — the f32 [`Network`] or its
+//! int8 view `ptolemy_nn::QuantizedNetwork` — statically dispatched, so an
+//! int8 pass streams through the same sinks and selection kernels (its
+//! residual blocks run f32 and hand the sink the same interior a recompute
+//! would produce).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use ptolemy_nn::{predicted_class, Contribution, ForwardTrace, Network, TraceSink};
+use ptolemy_nn::{
+    predicted_class, Contribution, ForwardProvider, ForwardTrace, Network, TraceSink,
+};
 use ptolemy_tensor::parallel::par_chunks;
 use ptolemy_tensor::Tensor;
 
@@ -198,11 +208,16 @@ impl ExtractionPlan {
         Ok(path)
     }
 
-    /// [`extract_path_streaming`] against this plan.
-    pub(crate) fn stream(&self, network: &Network, input: &Tensor) -> Result<StreamedExtraction> {
+    /// [`extract_path_streaming`] against this plan, over whichever
+    /// `provider` runs the forward pass (the f32 network or its int8 view).
+    pub(crate) fn stream<P: ForwardProvider>(
+        &self,
+        provider: &P,
+        input: &Tensor,
+    ) -> Result<StreamedExtraction> {
         match self.direction {
-            Direction::Forward => stream_forward_single(network, self, input),
-            Direction::Backward => stream_backward_single(network, self, input),
+            Direction::Forward => stream_forward_single(provider, self, input),
+            Direction::Backward => stream_backward_single(provider, self, input),
         }
     }
 
@@ -211,19 +226,20 @@ impl ExtractionPlan {
     /// the thread that extracted it, so engine-level completion work
     /// (path-similarity scoring) rides the same fan-out instead of
     /// serialising after it.
-    pub(crate) fn stream_batch_with<T, F>(
+    pub(crate) fn stream_batch_with<P, T, F>(
         &self,
-        network: &Network,
+        provider: &P,
         inputs: &[Tensor],
         finish: &F,
     ) -> Result<(Vec<T>, ActivationFootprint)>
     where
+        P: ForwardProvider,
         T: Send,
         F: Fn(usize, ActivationPath) -> Result<T> + Sync,
     {
         let stream = |sub_batch: &[Tensor]| match self.direction {
-            Direction::Forward => stream_forward_batch(network, self, sub_batch, finish),
-            Direction::Backward => stream_backward_batch(network, self, sub_batch, finish),
+            Direction::Forward => stream_forward_batch(provider, self, sub_batch, finish),
+            Direction::Backward => stream_backward_batch(provider, self, sub_batch, finish),
         };
         let mut samples = Vec::with_capacity(inputs.len());
         let mut peak_streamed_bytes = 0;
@@ -838,8 +854,8 @@ impl TraceSink for RetainSink<'_> {
     }
 }
 
-fn stream_forward_single(
-    network: &Network,
+fn stream_forward_single<P: ForwardProvider>(
+    provider: &P,
     plan: &ExtractionPlan,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
@@ -848,7 +864,7 @@ fn stream_forward_single(
         path: ActivationPath::empty(&plan.layout),
         error: None,
     };
-    let logits = network.forward_with_sink(input, &mut sink)?;
+    let logits = provider.forward_with_sink(input, &mut sink)?;
     if let Some(error) = sink.error {
         return Err(error);
     }
@@ -861,16 +877,16 @@ fn stream_forward_single(
     })
 }
 
-fn stream_backward_single(
-    network: &Network,
+fn stream_backward_single<P: ForwardProvider>(
+    provider: &P,
     plan: &ExtractionPlan,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
     let mut sink = RetainSink::new(&plan.retain);
-    let logits = network.forward_with_sink(input, &mut sink)?;
+    let logits = provider.forward_with_sink(input, &mut sink)?;
     let predicted = predicted_class(&logits).map_err(CoreError::from)?;
     let mut path = ActivationPath::empty(&plan.layout);
-    extract_backward(network, plan, &sink.kept, predicted, &mut path)?;
+    extract_backward(provider.network(), plan, &sink.kept, predicted, &mut path)?;
     Ok(StreamedExtraction {
         predicted_class: predicted,
         path,
@@ -881,13 +897,14 @@ fn stream_backward_single(
 
 /// One fused forward-program pass over `inputs`, on the calling thread.
 /// Returns the finished samples and the peak retained bytes (always zero).
-fn stream_forward_batch<T, F>(
-    network: &Network,
+fn stream_forward_batch<P, T, F>(
+    provider: &P,
     plan: &ExtractionPlan,
     inputs: &[Tensor],
     finish: &F,
 ) -> Result<(Vec<T>, usize)>
 where
+    P: ForwardProvider,
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let mut sink = ForwardBatchSink {
@@ -895,7 +912,7 @@ where
         paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
         error: None,
     };
-    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
     if let Some(error) = sink.error {
         return Err(error);
     }
@@ -915,17 +932,18 @@ where
 /// One fused backward-program pass over `inputs` plus every sample's reverse
 /// walk, on the calling thread.  Returns the finished samples and the peak
 /// retained bytes.
-fn stream_backward_batch<T, F>(
-    network: &Network,
+fn stream_backward_batch<P, T, F>(
+    provider: &P,
     plan: &ExtractionPlan,
     inputs: &[Tensor],
     finish: &F,
 ) -> Result<(Vec<T>, usize)>
 where
+    P: ForwardProvider,
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let mut sink = RetainSink::new(&plan.retain);
-    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
     // Slice sample `b`'s view of every retained stacked tensor — the same
     // slices a materialized `BatchTrace::trace(b)` would hand the walk, so the
     // extraction is bit-for-bit the per-input path.
@@ -953,7 +971,7 @@ where
             };
             let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
             let mut path = ActivationPath::empty(&plan.layout);
-            extract_backward(network, plan, &sliced, predicted, &mut path)?;
+            extract_backward(provider.network(), plan, &sliced, predicted, &mut path)?;
             finish(predicted, path)
         })
         .collect::<Result<Vec<_>>>()?;

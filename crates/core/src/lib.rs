@@ -22,15 +22,16 @@
 //!                                                     .backend(..)     ◄ software | accel
 //!                                                     .build()?        ◄ fingerprint checked once
 //!                                                        │
-//!              detect(&x) / detect_batch(&xs) / detect_stream(xs) / score_stream(xs)
+//!          detect(&x) / detect_batch(&xs) / detect_batch_on(&provider, &xs)   ◄ f32 | int8
 //!                                                        ▼
 //!                                          Detection { is_adversary, … }
 //!                                          + BackendEstimate per batch
 //! ```
 //!
 //! [`DetectionEngine`] is the only online surface (the historical one-shot
-//! `Detector` shim is gone): bind once, then drive per input, per fused NCHW
-//! batch or as a stream (see [`engine`]).
+//! `Detector` shim is gone): bind once, then drive per input or per fused NCHW
+//! batch, at whichever inference precision the caller's
+//! [`ptolemy_nn::ForwardProvider`] runs (see [`engine`]).
 //!
 //! # Streaming extraction
 //!

@@ -28,6 +28,13 @@ pub enum NnError {
     /// The network produced logits no class can be predicted from (empty
     /// tensor, or no finite value to take an argmax over).
     InvalidLogits(String),
+    /// The activation entering an int8 layer holds a NaN.  Quantization would
+    /// round it to 0 and launder a poisoned input into an ordinary verdict, so
+    /// the quantized pass refuses it instead.
+    NanActivation {
+        /// The quantized layer about to consume the NaN.
+        layer: usize,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -47,6 +54,9 @@ impl fmt::Display for NnError {
             NnError::EmptyDataset => write!(f, "training requires a non-empty sample set"),
             NnError::InvalidLogits(msg) => {
                 write!(f, "no class can be predicted from the logits: {msg}")
+            }
+            NnError::NanActivation { layer } => {
+                write!(f, "an activation entering quantized layer {layer} is NaN")
             }
         }
     }

@@ -24,6 +24,11 @@
 //!   layer) memory.  This is the hook `ptolemy-core` uses to extract paths
 //!   while the forward pass runs (the paper's Sec. III-C compiler insight)
 //!   and to drop activations eagerly;
+//! * [`ForwardProvider`] — the two streaming drivers as a trait, implemented
+//!   by [`Network`] (f32) and [`QuantizedNetwork`] (int8, one fused integer
+//!   kernel per layer kind, the single-sample pass being batch 1): inference
+//!   precision is an argument to `ptolemy-core`'s extraction, not a parallel
+//!   API;
 //! * [`Network::forward_trace`] — the materializing adapter over the streaming
 //!   driver: a keep-everything sink recording each activation boundary
 //!   **once** (`activations[i + 1]` is both layer `i`'s output and layer
@@ -79,9 +84,9 @@ pub mod zoo;
 pub use error::NnError;
 pub use layer::{Contribution, Layer, LayerGrads, LayerKind};
 pub use loss::{cross_entropy_loss, softmax_cross_entropy_grad};
-pub use network::{Network, NetworkGrads};
+pub use network::{ForwardProvider, Network, NetworkGrads};
 pub use quant::QuantizedNetwork;
-pub use trace::{predicted_class, BatchTrace, ForwardTrace, LayerTimingSink, TraceSink};
+pub use trace::{predicted_class, BatchTrace, ForwardTrace, TraceSink};
 pub use train::{TrainConfig, TrainReport, Trainer};
 
 pub use ptolemy_tensor::available_parallelism;

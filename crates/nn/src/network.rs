@@ -1,7 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::trace::TraceRecorder;
-use crate::{BatchTrace, ForwardTrace, Layer, NnError, Result, TraceSink};
+use crate::{trace, BatchTrace, ForwardTrace, Layer, NnError, Result, TraceSink};
 
 /// Parameter gradients for a whole network, one entry per layer (in layer order).
 #[derive(Debug, Clone)]
@@ -158,10 +157,26 @@ impl Network {
         input: &Tensor,
         sink: &mut S,
     ) -> Result<Tensor> {
-        sink.on_input(input);
-        let mut cur = input.clone();
+        self.drive(input.clone(), sink, |_, layer, cur| {
+            layer.forward_interior(cur)
+        })
+    }
+
+    /// The one forward driver, behind every streaming pass of every
+    /// [`ForwardProvider`]: `input` (one sample, or a stacked batch) goes
+    /// through the layers in order, `step(index, layer, boundary)` producing
+    /// each layer's output and interior, and `sink` observes every boundary
+    /// under the [`TraceSink`] delivery contract.
+    pub(crate) fn drive<S: TraceSink + ?Sized>(
+        &self,
+        input: Tensor,
+        sink: &mut S,
+        mut step: impl FnMut(usize, &dyn Layer, &Tensor) -> Result<(Tensor, Option<Tensor>)>,
+    ) -> Result<Tensor> {
+        sink.on_input(&input);
+        let mut cur = input;
         for (index, layer) in self.layers.iter().enumerate() {
-            let (out, interior) = layer.forward_interior(&cur)?;
+            let (out, interior) = step(index, layer.as_ref(), &cur)?;
             if let Some(interior) = &interior {
                 sink.on_interior(index, interior);
             }
@@ -178,26 +193,30 @@ impl Network {
     ///
     /// Returns an error if `input` does not match the network input shape.
     pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
-        let mut recorder = TraceRecorder::with_capacity(self.layers.len());
-        self.forward_with_sink(input, &mut recorder)?;
-        ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
+        trace::record(self, input)
+    }
+
+    /// Rejects an `input` that is not of the network's input shape.
+    pub(crate) fn check_input(&self, input: &Tensor) -> Result<()> {
+        if input.dims() != self.input_shape {
+            return Err(NnError::InvalidConfig(format!(
+                "network expects input shape {:?}, got {:?}",
+                self.input_shape,
+                input.dims()
+            )));
+        }
+        Ok(())
     }
 
     /// Stacks `inputs` into one `[B] ++ input_shape` batch, validating shapes.
-    fn stack_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
+    pub(crate) fn stack_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
         if inputs.is_empty() {
             return Err(NnError::InvalidConfig(
                 "batched forward pass requires at least one input".into(),
             ));
         }
         for input in inputs {
-            if input.dims() != self.input_shape {
-                return Err(NnError::InvalidConfig(format!(
-                    "network expects input shape {:?}, got {:?}",
-                    self.input_shape,
-                    input.dims()
-                )));
-            }
+            self.check_input(input)?;
         }
         Ok(Tensor::stack(inputs)?)
     }
@@ -235,17 +254,9 @@ impl Network {
         inputs: &[Tensor],
         sink: &mut S,
     ) -> Result<Tensor> {
-        let mut cur = self.stack_batch(inputs)?;
-        sink.on_input(&cur);
-        for (index, layer) in self.layers.iter().enumerate() {
-            let (out, interior) = layer.forward_batch_interior(&cur)?;
-            if let Some(interior) = &interior {
-                sink.on_interior(index, interior);
-            }
-            sink.on_layer(index, &out);
-            cur = out;
-        }
-        Ok(cur)
+        self.drive(self.stack_batch(inputs)?, sink, |_, layer, cur| {
+            layer.forward_batch_interior(cur)
+        })
     }
 
     /// Runs one fused forward pass over a whole batch, recording every stacked
@@ -261,13 +272,7 @@ impl Network {
     /// Returns an error if `inputs` is empty or any input does not match the
     /// network input shape.
     pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
-        let mut recorder = TraceRecorder::with_capacity(self.layers.len());
-        self.forward_with_sink_batch(inputs, &mut recorder)?;
-        Ok(BatchTrace::new(
-            inputs.len(),
-            recorder.activations,
-            recorder.interiors,
-        ))
+        trace::record_batch(self, inputs)
     }
 
     /// Predicted class of `input` (argmax of the logits).
@@ -349,6 +354,69 @@ impl Network {
             }
         }
         Ok(())
+    }
+}
+
+/// Whatever runs a [`Network`]'s layers over an input while handing every
+/// activation boundary to a [`TraceSink`]: the f32 [`Network`] itself, or its
+/// int8 view [`crate::QuantizedNetwork`].
+///
+/// Inference precision is this argument, nothing more: the streaming path
+/// extraction in `ptolemy-core` is generic over the provider (statically
+/// dispatched), so every precision streams through the same sinks and the same
+/// selection kernels.  Both drivers follow the [`TraceSink`] delivery
+/// contract; the batched one hands out stacked `[B] ++ shape` tensors whose
+/// slice `b` is bit-for-bit the single-input pass of sample `b`.
+pub trait ForwardProvider: Sync {
+    /// The network whose layers the passes run (and whose layers decompose
+    /// the boundaries afterwards).
+    fn network(&self) -> &Network;
+
+    /// One forward pass over `input`, streaming boundaries to `sink`; returns
+    /// the logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `input` does not match the network input shape.
+    fn forward_with_sink<S: TraceSink + ?Sized>(
+        &self,
+        input: &Tensor,
+        sink: &mut S,
+    ) -> Result<Tensor>;
+
+    /// One fused forward pass over `inputs`, streaming stacked boundaries to
+    /// `sink`; returns the stacked logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `inputs` is empty or any input does not match the
+    /// network input shape.
+    fn forward_with_sink_batch<S: TraceSink + ?Sized>(
+        &self,
+        inputs: &[Tensor],
+        sink: &mut S,
+    ) -> Result<Tensor>;
+}
+
+impl ForwardProvider for Network {
+    fn network(&self) -> &Network {
+        self
+    }
+
+    fn forward_with_sink<S: TraceSink + ?Sized>(
+        &self,
+        input: &Tensor,
+        sink: &mut S,
+    ) -> Result<Tensor> {
+        Network::forward_with_sink(self, input, sink)
+    }
+
+    fn forward_with_sink_batch<S: TraceSink + ?Sized>(
+        &self,
+        inputs: &[Tensor],
+        sink: &mut S,
+    ) -> Result<Tensor> {
+        Network::forward_with_sink_batch(self, inputs, sink)
     }
 }
 

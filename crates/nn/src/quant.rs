@@ -34,51 +34,142 @@
 //!
 //! All integer matmuls route through the blocked, register-tiled i8 GEMM in
 //! `ptolemy_tensor::gemm_i8`; conv inputs lower through the fused int8
-//! `im2col` (`ptolemy_tensor::im2col_i8`), which quantizes while packing
-//! instead of staging an f32 column matrix.  Because i32 accumulation is
+//! `im2col` (`ptolemy_tensor::im2col_i8_batch`), which quantizes the image
+//! once instead of staging an f32 column matrix.  Because i32 accumulation is
 //! exact, the blocked/fused kernels are *bit-identical* to the naive
-//! references — the kernel swap changes throughput, never results.  The same
-//! exactness makes [`QuantizedNetwork::forward_batch`] trivially parity-safe:
-//! sample `b` of a fused batch equals `forward(&inputs[b])` bit-for-bit, the
-//! same widening-only contract as the f32 `Network::forward_batch`.
+//! references — the kernel swap changes throughput, never results.  There is
+//! one kernel per layer kind and it takes a batch: a single-sample pass is
+//! that kernel at batch 1, so sample `b` of a fused batch equals the
+//! single-input pass of `inputs[b]` bit-for-bit by construction (the same
+//! widening-only contract as the f32 `Network::forward_batch`).
+//!
+//! # One driver
+//!
+//! [`QuantizedNetwork`] implements [`ForwardProvider`] — the same two
+//! streaming passes [`Network`] has, over the same layer loop with
+//! [`QuantizedNetwork`]'s own per-layer step — and `forward` / `forward_batch` /
+//! `forward_trace` / `forward_trace_batch` are adapters over them, so
+//! `ptolemy-core` extracts activation paths from an int8 pass through exactly
+//! the sinks it uses for f32.
+//!
+//! # NaN
+//!
+//! `QuantParams::quantize(NaN)` is `0`: quantizing a poisoned boundary would
+//! launder it into an ordinary activation (and, downstream, an ordinary
+//! verdict).  Every boundary about to be quantized is therefore checked, and a
+//! NaN is the typed [`NnError::NanActivation`]; ±∞ saturates to ±127 as any
+//! out-of-range value does.
 
 use std::sync::Arc;
 
-use ptolemy_tensor::gemm_i8::{matmul_i8_blocked_nt, matmul_i8_parallel, matmul_i8_parallel_nt};
+use ptolemy_tensor::gemm_i8::{matmul_i8_parallel, matmul_i8_parallel_nt};
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
-use ptolemy_tensor::{im2col_i8, im2col_i8_batch, Conv2dGeometry, Tensor};
+use ptolemy_tensor::{im2col_i8_batch, Conv2dGeometry, Tensor};
 
-use crate::batch::check_batch;
-use crate::trace::predicted_class;
-use crate::{BatchTrace, ForwardTrace, LayerKind, Network, NnError, Result, TraceSink};
+use crate::trace::{self, predicted_class};
+use crate::{
+    BatchTrace, ForwardProvider, ForwardTrace, Layer, LayerKind, Network, NnError, Result,
+    TraceSink,
+};
 
-/// One layer's pre-quantized integer kernel.
+/// What a slot's weight matrix multiplies.
 #[derive(Debug, Clone)]
-enum QuantKernel {
-    /// Dense: `qweight` is `[outputs, inputs]` row-major i8.
-    Dense {
-        qweight: Vec<i8>,
-        wparams: QuantParams,
-        bias: Vec<f32>,
-        inputs: usize,
-        outputs: usize,
-    },
-    /// Conv2d: `qweight` is `[out_channels, patch_len]` row-major i8.
+enum QuantShape {
+    /// Dense: `qweight` is `[outputs, inputs]`.
+    Dense { inputs: usize, outputs: usize },
+    /// Conv2d: `qweight` is `[out_channels, patch_len]`.
     Conv {
-        qweight: Vec<i8>,
-        wparams: QuantParams,
-        bias: Vec<f32>,
         geometry: Conv2dGeometry,
         out_channels: usize,
     },
 }
 
-/// A layer slot: integer kernel plus the calibrated input-activation scale,
-/// or `None` for layers that run the f32 path.
+/// One layer's pre-quantized integer kernel (layers without one run f32).
 #[derive(Debug, Clone)]
 struct QuantSlot {
-    kernel: QuantKernel,
+    /// Row-major i8 weights.
+    qweight: Vec<i8>,
+    bias: Vec<f32>,
+    /// The calibrated scale of the layer's input activations.
     act: QuantParams,
+    /// What one accumulator step is worth in f32: `act` scale × weight scale.
+    scale: f32,
+    shape: QuantShape,
+}
+
+impl QuantSlot {
+    /// Pre-quantizes a `[weight, bias]` dense / conv layer; `None` for every
+    /// other layer kind or parameter layout.
+    fn build(kind: LayerKind, params: Vec<&Tensor>, act: QuantParams) -> Option<Self> {
+        let [weight, bias] = params.as_slice() else {
+            return None;
+        };
+        let shape = match kind {
+            LayerKind::Dense { inputs, outputs } => QuantShape::Dense { inputs, outputs },
+            LayerKind::Conv2d {
+                geometry,
+                out_channels,
+            } => QuantShape::Conv {
+                geometry,
+                out_channels,
+            },
+            _ => return None,
+        };
+        let wparams = QuantParams::from_max_abs(tensor_max_abs(weight));
+        Some(QuantSlot {
+            qweight: quantize_slice(weight.as_slice(), wparams),
+            bias: bias.as_slice().to_vec(),
+            act,
+            scale: act.scale() * wparams.scale(),
+            shape,
+        })
+    }
+
+    /// The fused integer kernel over `batch` stacked samples (the flat data of
+    /// `samples`; 1 for an unbatched sample), requantized to f32 on the way
+    /// out.  Sample `b`'s slab of the result depends on sample `b` alone and
+    /// i32 accumulation is exact, so a batch slices back to its per-sample
+    /// passes bit for bit.
+    fn run(&self, samples: &Tensor, batch: usize) -> Result<Vec<f32>> {
+        let (qweight, scale) = (&self.qweight, self.scale);
+        match &self.shape {
+            QuantShape::Dense { inputs, outputs } => {
+                let qx = quantize_slice(samples.as_slice(), self.act);
+                let acc = matmul_i8_parallel_nt(&qx, qweight, batch, *inputs, *outputs)?;
+                let mut out = vec![0.0f32; batch * outputs];
+                for (orow, arow) in out.chunks_mut(*outputs).zip(acc.chunks(*outputs)) {
+                    for ((o, a), b) in orow.iter_mut().zip(arow).zip(&self.bias) {
+                        *o = *a as f32 * scale + b;
+                    }
+                }
+                Ok(out)
+            }
+            QuantShape::Conv {
+                geometry,
+                out_channels,
+            } => {
+                let (patches, patch_len) = (geometry.num_patches(), geometry.patch_len());
+                // Column `b * patches + j` is column `j` of sample `b`'s own
+                // lowering.
+                let qcols = im2col_i8_batch(samples, geometry, self.act)?;
+                let cols = batch * patches;
+                let acc = matmul_i8_parallel(qweight, &qcols, *out_channels, patch_len, cols)?;
+                // Re-layout [out_c, B * patches] -> [B, out_c, out_h, out_w],
+                // requantizing on the way out.
+                let mut out = vec![0.0f32; cols * out_channels];
+                for b in 0..batch {
+                    for (oc, bv) in self.bias.iter().enumerate() {
+                        let arow = &acc[oc * cols + b * patches..oc * cols + (b + 1) * patches];
+                        let orow = &mut out[(b * out_channels + oc) * patches..][..patches];
+                        for (o, a) in orow.iter_mut().zip(arow) {
+                            *o = *a as f32 * scale + bv;
+                        }
+                    }
+                }
+                Ok(out)
+            }
+        }
+    }
 }
 
 /// Records the max-abs of every activation boundary across calibration runs.
@@ -153,42 +244,10 @@ impl QuantizedNetwork {
             .enumerate()
             .map(|(i, layer)| {
                 let act = QuantParams::from_max_abs(sink.maxes[i]);
-                Self::build_kernel(layer.kind(), layer.params())
-                    .map(|kernel| QuantSlot { kernel, act })
+                QuantSlot::build(layer.kind(), layer.params(), act)
             })
             .collect();
         Ok(QuantizedNetwork { network, slots })
-    }
-
-    /// Builds the integer kernel for a layer, or `None` when the layer kind
-    /// (or its parameter layout) doesn't support quantization.
-    fn build_kernel(kind: LayerKind, params: Vec<&Tensor>) -> Option<QuantKernel> {
-        let [weight, bias] = params.as_slice() else {
-            return None;
-        };
-        let wparams = QuantParams::from_max_abs(tensor_max_abs(weight));
-        let qweight = quantize_slice(weight.as_slice(), wparams);
-        let bias = bias.as_slice().to_vec();
-        match kind {
-            LayerKind::Dense { inputs, outputs } => Some(QuantKernel::Dense {
-                qweight,
-                wparams,
-                bias,
-                inputs,
-                outputs,
-            }),
-            LayerKind::Conv2d {
-                geometry,
-                out_channels,
-            } => Some(QuantKernel::Conv {
-                qweight,
-                wparams,
-                bias,
-                geometry,
-                out_channels,
-            }),
-            _ => None,
-        }
     }
 
     /// The underlying f32 network.
@@ -201,236 +260,72 @@ impl QuantizedNetwork {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    fn forward_layer(
+    /// Runs layer `index` over `cur` — one unbatched sample when `batch` is
+    /// `None`, a stacked `[B] ++ shape` boundary otherwise — through its
+    /// integer kernel, or through the f32 layer where it has none.
+    fn run_layer(
         &self,
         index: usize,
-        layer: &dyn crate::Layer,
-        input: &Tensor,
-    ) -> Result<Tensor> {
+        layer: &dyn Layer,
+        cur: &Tensor,
+        batch: Option<usize>,
+    ) -> Result<(Tensor, Option<Tensor>)> {
         let Some(slot) = &self.slots[index] else {
-            return layer.forward(input);
+            return match batch {
+                Some(_) => layer.forward_batch_interior(cur),
+                None => layer.forward_interior(cur),
+            };
         };
-        match &slot.kernel {
-            QuantKernel::Dense {
-                qweight,
-                wparams,
-                bias,
-                inputs,
-                outputs,
-            } => {
-                if input.len() != *inputs {
-                    return layer.forward(input);
-                }
-                let qx = quantize_slice(input.as_slice(), slot.act);
-                let acc = matmul_i8_blocked_nt(&qx, qweight, 1, *inputs, *outputs)?;
-                let scale = slot.act.scale() * wparams.scale();
-                let out: Vec<f32> = acc
-                    .iter()
-                    .zip(bias)
-                    .map(|(a, b)| *a as f32 * scale + b)
-                    .collect();
-                Ok(Tensor::from_vec(out, &[*outputs])?)
-            }
-            QuantKernel::Conv {
-                qweight,
-                wparams,
-                bias,
-                geometry,
-                out_channels,
-            } => {
-                let expected = [geometry.in_channels, geometry.in_h, geometry.in_w];
-                if input.dims() != expected {
-                    return layer.forward(input);
-                }
-                let qcols = im2col_i8(input, geometry, slot.act)?;
-                let patches = geometry.num_patches();
-                let patch_len = geometry.patch_len();
-                let acc = matmul_i8_parallel(qweight, &qcols, *out_channels, patch_len, patches)?;
-                let scale = slot.act.scale() * wparams.scale();
-                let mut out = vec![0.0f32; out_channels * patches];
-                for (oc, (chunk, b)) in out.chunks_mut(patches).zip(bias).enumerate() {
-                    let row = &acc[oc * patches..(oc + 1) * patches];
-                    for (o, a) in chunk.iter_mut().zip(row) {
-                        *o = *a as f32 * scale + b;
-                    }
-                }
-                Ok(Tensor::from_vec(
-                    out,
-                    &[*out_channels, geometry.out_h, geometry.out_w],
-                )?)
-            }
+        if cur.as_slice().iter().any(|v| v.is_nan()) {
+            return Err(NnError::NanActivation { layer: index });
         }
-    }
-
-    /// Batched twin of [`Self::forward_layer`]: runs one fused integer kernel
-    /// over a stacked `[B] ++ sample_shape` boundary.  Row `b` of the output
-    /// is bit-for-bit `forward_layer` of sample `b` — i32 accumulation is
-    /// exact, so fusing the batch into one GEMM cannot change results, and
-    /// the requantization expression is textually the single-input one.
-    fn forward_layer_batch(
-        &self,
-        index: usize,
-        layer: &dyn crate::Layer,
-        batch: &Tensor,
-    ) -> Result<Tensor> {
-        let Some(slot) = &self.slots[index] else {
-            return layer.forward_batch(batch);
-        };
-        match &slot.kernel {
-            QuantKernel::Dense {
-                qweight,
-                wparams,
-                bias,
-                inputs,
-                outputs,
-            } => {
-                if check_batch(batch, &[*inputs], "quantized dense").is_err() {
-                    return layer.forward_batch(batch);
-                }
-                let b_sz = batch.dims()[0];
-                // One quantization sweep over the whole [B, inputs] slab: the
-                // per-element expression is identical to the single-input
-                // path's, so slicing the batch preserves bits.
-                let qx = quantize_slice(batch.as_slice(), slot.act);
-                let acc = matmul_i8_parallel_nt(&qx, qweight, b_sz, *inputs, *outputs)?;
-                let scale = slot.act.scale() * wparams.scale();
-                let mut out = vec![0.0f32; b_sz * *outputs];
-                for (orow, arow) in out.chunks_mut(*outputs).zip(acc.chunks(*outputs)) {
-                    for ((o, a), b) in orow.iter_mut().zip(arow).zip(bias) {
-                        *o = *a as f32 * scale + b;
-                    }
-                }
-                Ok(Tensor::from_vec(out, &[b_sz, *outputs])?)
-            }
-            QuantKernel::Conv {
-                qweight,
-                wparams,
-                bias,
-                geometry,
-                out_channels,
-            } => {
-                let expected = [geometry.in_channels, geometry.in_h, geometry.in_w];
-                if check_batch(batch, &expected, "quantized conv").is_err() {
-                    return layer.forward_batch(batch);
-                }
-                let b_sz = batch.dims()[0];
-                let patches = geometry.num_patches();
-                let patch_len = geometry.patch_len();
-                // Fused batched int8 im2col: column `b * patches + j` is
-                // bit-for-bit column `j` of the per-sample lowering.
-                let qcols = im2col_i8_batch(batch, geometry, slot.act)?;
-                let cols = b_sz * patches;
-                let acc = matmul_i8_parallel(qweight, &qcols, *out_channels, patch_len, cols)?;
-                let scale = slot.act.scale() * wparams.scale();
-                // Re-layout [out_c, B * patches] -> [B, out_c, out_h, out_w],
-                // requantizing on the way out.
-                let mut out = vec![0.0f32; b_sz * out_channels * patches];
-                for b in 0..b_sz {
-                    for (oc, bv) in bias.iter().enumerate() {
-                        let arow = &acc[oc * cols + b * patches..oc * cols + (b + 1) * patches];
-                        let orow = &mut out[(b * out_channels + oc) * patches..][..patches];
-                        for (o, a) in orow.iter_mut().zip(arow) {
-                            *o = *a as f32 * scale + bv;
-                        }
-                    }
-                }
-                Ok(Tensor::from_vec(
-                    out,
-                    &[b_sz, *out_channels, geometry.out_h, geometry.out_w],
-                )?)
-            }
-        }
-    }
-
-    /// Stacks `inputs` into one `[B] ++ input_shape` batch, validating shapes
-    /// (same contract as the f32 `Network::forward_batch` entry).
-    fn stack_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        if inputs.is_empty() {
-            return Err(NnError::InvalidConfig(
-                "batched quantized forward pass requires at least one input".into(),
-            ));
-        }
-        for input in inputs {
-            if input.dims() != self.network.input_shape() {
-                return Err(NnError::InvalidConfig(format!(
-                    "network expects input shape {:?}, got {:?}",
-                    self.network.input_shape(),
-                    input.dims()
-                )));
-            }
-        }
-        Ok(Tensor::stack(inputs)?)
+        let dims: Vec<usize> = batch.into_iter().chain(layer.output_shape()).collect();
+        let out = slot.run(cur, batch.unwrap_or(1))?;
+        Ok((Tensor::from_vec(out, &dims)?, None))
     }
 
     /// Runs the quantized forward pass, returning the logits.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers.
+    /// Returns an error if `input` does not match the network input shape or
+    /// a boundary about to be quantized holds a NaN
+    /// ([`NnError::NanActivation`]).
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for (i, layer) in self.network.layers().enumerate() {
-            x = self.forward_layer(i, layer, &x)?;
-        }
-        Ok(x)
+        self.forward_with_sink(input, &mut ())
     }
 
     /// Runs the quantized forward pass, materialising every activation
-    /// boundary as a standard [`ForwardTrace`] — the entry point for
-    /// activation-path extraction over quantized inference.
+    /// boundary (and residual interior) as a standard [`ForwardTrace`].
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers.
+    /// See [`QuantizedNetwork::forward`].
     pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
-        let mut activations = Vec::with_capacity(self.network.num_layers() + 1);
-        activations.push(input.clone());
-        let mut x = input.clone();
-        for (i, layer) in self.network.layers().enumerate() {
-            x = self.forward_layer(i, layer, &x)?;
-            activations.push(x.clone());
-        }
-        ForwardTrace::from_activations(activations)
+        trace::record(self, input)
     }
 
     /// Runs one fused quantized forward pass over a whole batch and returns
-    /// the stacked logits (`[B, num_classes]`).
-    ///
-    /// Row `b` is bit-for-bit identical to `forward(&inputs[b])`: integer
-    /// accumulation is exact, the batched int8 `im2col` widens columns
-    /// without reordering them, and every f32-fallback layer already carries
-    /// the same guarantee through `Layer::forward_batch`.
+    /// the stacked logits (`[B, num_classes]`); row `b` is bit-for-bit
+    /// `forward(&inputs[b])`.
     ///
     /// # Errors
     ///
-    /// Returns an error if `inputs` is empty or any input does not match the
-    /// network input shape.
+    /// Returns an error if `inputs` is empty, any input does not match the
+    /// network input shape, or a boundary about to be quantized holds a NaN.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        let mut cur = self.stack_batch(inputs)?;
-        for (i, layer) in self.network.layers().enumerate() {
-            cur = self.forward_layer_batch(i, layer, &cur)?;
-        }
-        Ok(cur)
+        self.forward_with_sink_batch(inputs, &mut ())
     }
 
     /// Runs one fused quantized forward pass over a whole batch, materialising
-    /// every stacked activation boundary as a [`BatchTrace`] — the batched
-    /// twin of [`Self::forward_trace`], and the entry point for batched
-    /// quantized path extraction in `ptolemy-core`.
+    /// every stacked activation boundary as a [`BatchTrace`] whose slice `b`
+    /// is bit-for-bit `forward_trace(&inputs[b])`.
     ///
     /// # Errors
     ///
-    /// Returns an error if `inputs` is empty or any input does not match the
-    /// network input shape.
+    /// See [`QuantizedNetwork::forward_batch`].
     pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
-        let mut activations = Vec::with_capacity(self.network.num_layers() + 1);
-        let mut cur = self.stack_batch(inputs)?;
-        activations.push(cur.clone());
-        for (i, layer) in self.network.layers().enumerate() {
-            cur = self.forward_layer_batch(i, layer, &cur)?;
-            activations.push(cur.clone());
-        }
-        Ok(BatchTrace::new(inputs.len(), activations, Vec::new()))
+        trace::record_batch(self, inputs)
     }
 
     /// Argmax class of the quantized logits.
@@ -440,6 +335,35 @@ impl QuantizedNetwork {
     /// Propagates forward errors; fails on empty or NaN logits.
     pub fn predict(&self, input: &Tensor) -> Result<usize> {
         predicted_class(&self.forward(input)?)
+    }
+}
+
+impl ForwardProvider for QuantizedNetwork {
+    fn network(&self) -> &Network {
+        &self.network
+    }
+
+    fn forward_with_sink<S: TraceSink + ?Sized>(
+        &self,
+        input: &Tensor,
+        sink: &mut S,
+    ) -> Result<Tensor> {
+        self.network.check_input(input)?;
+        self.network
+            .drive(input.clone(), sink, |index, layer, cur| {
+                self.run_layer(index, layer, cur, None)
+            })
+    }
+
+    fn forward_with_sink_batch<S: TraceSink + ?Sized>(
+        &self,
+        inputs: &[Tensor],
+        sink: &mut S,
+    ) -> Result<Tensor> {
+        let stacked = self.network.stack_batch(inputs)?;
+        self.network.drive(stacked, sink, |index, layer, cur| {
+            self.run_layer(index, layer, cur, Some(inputs.len()))
+        })
     }
 }
 
@@ -500,22 +424,47 @@ mod tests {
         }
     }
 
+    /// The single-sample pass is the fused kernel at batch 1, so slice `b` of
+    /// a batch of N is the batch of one — and the unbatched pass — bit for bit.
     #[test]
     fn batched_quantized_forward_is_bit_identical_to_single() {
         let mut rng = Rng64::new(11);
         for network in [
             Arc::new(zoo::mlp_net(&[16, 12], 4, &mut rng).unwrap()),
             Arc::new(zoo::lenet(1, 4, &mut rng).unwrap()),
+            Arc::new(zoo::resnet_mini(4, &mut rng).unwrap()),
         ] {
             let cal = calibration(&network, &mut rng, 6);
             let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
             let stacked = qnet.forward_batch(&cal).unwrap();
             for (b, input) in cal.iter().enumerate() {
-                let single = qnet.forward(input).unwrap();
                 let row = stacked.slice_batch(b).unwrap();
-                assert_bits_eq(&row, &single, "logits row");
+                let one = qnet.forward_batch(std::slice::from_ref(input)).unwrap();
+                assert_bits_eq(&row, &one.slice_batch(0).unwrap(), "batch of one");
+                assert_bits_eq(&row, &qnet.forward(input).unwrap(), "unbatched pass");
             }
         }
+    }
+
+    /// A NaN entering a quantized layer is a typed error on every entry point
+    /// (quantizing it would yield 0 and an ordinary-looking result); an
+    /// infinity saturates like any out-of-range value.
+    #[test]
+    fn nan_boundaries_are_rejected_and_infinities_saturate() {
+        let mut rng = Rng64::new(19);
+        let network = Arc::new(zoo::lenet(1, 4, &mut rng).unwrap());
+        let cal = calibration(&network, &mut rng, 3);
+        let qnet = QuantizedNetwork::quantize(network, &cal).unwrap();
+        let mut poisoned = cal[0].clone();
+        poisoned.as_mut_slice()[5] = f32::NAN;
+        let nan = Err(NnError::NanActivation { layer: 0 });
+        assert_eq!(qnet.forward(&poisoned), nan);
+        assert_eq!(qnet.forward_batch(&[cal[1].clone(), poisoned.clone()]), nan);
+        assert!(qnet.forward_trace(&poisoned).is_err());
+        assert!(qnet.forward_trace_batch(&[poisoned.clone()]).is_err());
+        poisoned.as_mut_slice()[5] = f32::INFINITY;
+        let saturated = qnet.forward(&poisoned).unwrap();
+        assert!(saturated.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

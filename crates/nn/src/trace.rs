@@ -10,12 +10,9 @@
 //! the hook that lets `ptolemy-core` run path extraction *during* inference
 //! and drop activations eagerly instead of materialising the whole trace.
 
-use std::sync::Arc;
-
-use ptolemy_obs::{HistogramHandle, Registry};
 use ptolemy_tensor::Tensor;
 
-use crate::{NnError, Result};
+use crate::{ForwardProvider, NnError, Result};
 
 /// Layer-indexed observer of a forward pass — the streaming alternative to
 /// materialising a full [`ForwardTrace`].
@@ -81,80 +78,31 @@ impl TraceSink for TraceRecorder {
     }
 }
 
-/// A [`TraceSink`] decorator that times the gap between consecutive boundary
-/// deliveries — i.e. each layer's compute *plus* whatever per-layer work the
-/// wrapped sink does with the boundary (for `ptolemy-core`'s streaming
-/// extraction sinks, that is exactly the paper's per-layer
-/// forward+extraction cost).
-///
-/// Timings flow into the `nn.layer_ns` histogram of the supplied
-/// [`Registry`] and into a per-drive `(layer index, ns)` list retrievable
-/// with [`LayerTimingSink::layer_timings`].  The whole observer is behind
-/// the registry's [`Registry::enabled`] gate: when disabled, `on_input` /
-/// `on_layer` forward to the wrapped sink with one relaxed atomic load of
-/// added cost and record nothing.
-#[derive(Debug)]
-pub struct LayerTimingSink<S> {
-    inner: S,
-    registry: Arc<Registry>,
-    hist: HistogramHandle,
-    last_ns: Option<u64>,
-    layers: Vec<(usize, u64)>,
+/// The sink that observes nothing: driving it is a plain forward pass.
+impl TraceSink for () {
+    fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
 }
 
-impl<S: TraceSink> LayerTimingSink<S> {
-    /// Wraps `inner`, recording per-layer timings into `registry`'s
-    /// `nn.layer_ns` histogram whenever the registry is enabled.
-    pub fn new(inner: S, registry: Arc<Registry>) -> Self {
-        let hist = registry.histogram("nn.layer_ns");
-        LayerTimingSink {
-            inner,
-            registry,
-            hist,
-            last_ns: None,
-            layers: Vec::new(),
-        }
-    }
-
-    /// The per-layer `(layer index, duration ns)` pairs recorded so far, in
-    /// delivery order (empty while the registry is disabled).
-    pub fn layer_timings(&self) -> &[(usize, u64)] {
-        &self.layers
-    }
-
-    /// Unwraps the decorated sink, returning it with the recorded timings.
-    pub fn into_inner(self) -> (S, Vec<(usize, u64)>) {
-        (self.inner, self.layers)
-    }
+/// One pass of `provider` over `input` with a keep-everything sink — the
+/// materializing adapter behind every `forward_trace`.
+pub(crate) fn record<P: ForwardProvider>(provider: &P, input: &Tensor) -> Result<ForwardTrace> {
+    let mut recorder = TraceRecorder::with_capacity(provider.network().num_layers());
+    provider.forward_with_sink(input, &mut recorder)?;
+    ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
 }
 
-impl<S: TraceSink> TraceSink for LayerTimingSink<S> {
-    fn on_input(&mut self, input: &Tensor) {
-        self.inner.on_input(input);
-        if self.registry.enabled() {
-            self.last_ns = Some(self.registry.clock().now_ns());
-        }
-    }
-
-    fn on_interior(&mut self, index: usize, interior: &Tensor) {
-        self.inner.on_interior(index, interior);
-    }
-
-    fn on_layer(&mut self, index: usize, output: &Tensor) {
-        self.inner.on_layer(index, output);
-        if !self.registry.enabled() {
-            return;
-        }
-        let now = self.registry.clock().now_ns();
-        // Without an observed on_input (sink attached mid-drive) the first
-        // layer has no start mark; begin timing from here instead.
-        if let Some(last) = self.last_ns {
-            let dur = now.saturating_sub(last);
-            self.hist.record(dur);
-            self.layers.push((index, dur));
-        }
-        self.last_ns = Some(now);
-    }
+/// Fused-batch twin of [`record`], behind every `forward_trace_batch`.
+pub(crate) fn record_batch<P: ForwardProvider>(
+    provider: &P,
+    inputs: &[Tensor],
+) -> Result<BatchTrace> {
+    let mut recorder = TraceRecorder::with_capacity(provider.network().num_layers());
+    provider.forward_with_sink_batch(inputs, &mut recorder)?;
+    Ok(BatchTrace::new(
+        inputs.len(),
+        recorder.activations,
+        recorder.interiors,
+    ))
 }
 
 /// Picks the predicted class from a logits tensor: the index of the largest
@@ -200,9 +148,9 @@ pub fn predicted_class(logits: &Tensor) -> Result<usize> {
 /// A trace recorded by [`crate::Network::forward_trace`] also keeps each
 /// layer's *interior* ([`crate::Layer::forward_interior`] — a residual block's
 /// last body layer's input), so decomposing that layer later re-runs nothing;
-/// a trace assembled from boundaries alone ([`ForwardTrace::from_activations`],
-/// e.g. the int8 path's requantized boundaries) has none, and the layer
-/// recomputes its interior from the boundary it is given.
+/// a trace assembled from boundaries alone ([`ForwardTrace::from_activations`])
+/// has none, and the layer recomputes its interior from the boundary it is
+/// given.
 #[derive(Debug, Clone)]
 pub struct ForwardTrace {
     /// `activations[0]` is the network input; `activations[i + 1]` is layer
@@ -504,53 +452,6 @@ mod tests {
         assert_eq!(t1.predicted_class().unwrap(), 0);
         assert_eq!(batch.logits(1).unwrap().as_slice(), &[0.7, 0.2, 0.1]);
         assert!(batch.trace(2).is_err());
-    }
-
-    #[test]
-    fn layer_timing_sink_times_gaps_and_respects_the_gate() {
-        use ptolemy_obs::Clock;
-
-        /// A sink that scripts the manual clock: each boundary "costs" 100 ns
-        /// more than the previous one.
-        struct Advancer {
-            registry: Arc<Registry>,
-            next_cost: u64,
-        }
-        impl TraceSink for Advancer {
-            fn on_layer(&mut self, _index: usize, _output: &Tensor) {
-                self.registry.clock().advance(self.next_cost);
-                self.next_cost += 100;
-            }
-        }
-
-        let registry = Arc::new(Registry::with_clock("nn", Clock::manual()));
-        let advancer = Advancer {
-            registry: Arc::clone(&registry),
-            next_cost: 100,
-        };
-        let mut sink = LayerTimingSink::new(advancer, Arc::clone(&registry));
-        let x = Tensor::zeros(&[4]);
-        sink.on_input(&x);
-        sink.on_layer(0, &x);
-        sink.on_layer(1, &x);
-        assert_eq!(sink.layer_timings(), &[(0, 100), (1, 200)]);
-        let hist = registry.histogram("nn.layer_ns").snapshot();
-        assert_eq!(hist.count(), 2);
-        assert_eq!(hist.min(), Some(100));
-        assert_eq!(hist.max(), Some(200));
-
-        // Disabled registry: the decorator forwards but records nothing.
-        registry.set_enabled(false);
-        let advancer = Advancer {
-            registry: Arc::clone(&registry),
-            next_cost: 100,
-        };
-        let mut sink = LayerTimingSink::new(advancer, Arc::clone(&registry));
-        sink.on_input(&x);
-        sink.on_layer(0, &x);
-        let (_, timings) = sink.into_inner();
-        assert!(timings.is_empty());
-        assert_eq!(registry.histogram("nn.layer_ns").snapshot().count(), 2);
     }
 
     #[test]

@@ -539,7 +539,7 @@ impl Server {
                 let rounds = depth.div_ceil(self.shared.workers.max(1) as u64);
                 let estimate_ns = (ema_ns.saturating_mul(rounds) as f64 * policy.headroom) as u64;
                 if now_ns.saturating_add(estimate_ns) > deadline {
-                    lock(&self.shared.stats).shed_admission += 1;
+                    lock(&self.shared.stats).counters.shed_admission += 1;
                     return Err(ServeError::Shed(ShedReason::Admission));
                 }
             }
@@ -563,7 +563,7 @@ impl Server {
             .queue
             .partition_point(|queued| queued.edf_key() <= key);
         state.queue.insert(at, request);
-        lock(&self.shared.stats).submitted += 1;
+        lock(&self.shared.stats).counters.submitted += 1;
         update_degrade(&self.shared, state.queue.len());
         self.shared.not_empty.notify_one();
         Ok(Ticket { slot })
@@ -657,7 +657,7 @@ impl Server {
                 &lock(cache),
             );
             if let Ok(written) = written {
-                lock(&self.shared.stats).cache_entries_persisted = written as u64;
+                lock(&self.shared.stats).counters.cache_entries_persisted = written as u64;
             }
         }
     }
@@ -671,101 +671,13 @@ impl Drop for Server {
 
 /// Renders the metrics snapshot for [`Server::metrics_json`] and the periodic
 /// snapshot thread.  Integer-only (the workspace JSON dialect): exact
-/// nanoseconds where the source is exact, `mean_batch` scaled by 1000.
+/// nanoseconds where the source is exact, the counters as
+/// [`ServeStats::into_json`] scales them.
 fn metrics_json_of(shared: &Shared) -> JsonValue {
-    let (stats, latency) = {
-        let inner = lock(&shared.stats);
-        (inner.clone(), inner.latency_histogram())
-    };
-    let snapshot = stats.snapshot();
-    let shard_escalations = snapshot
-        .shard_escalations
-        .iter()
-        .map(|&n| JsonValue::UInt(n))
-        .collect();
-    let counters = vec![
-        ("submitted".into(), JsonValue::UInt(snapshot.submitted)),
-        ("completed".into(), JsonValue::UInt(snapshot.completed)),
-        ("failed".into(), JsonValue::UInt(snapshot.failed)),
-        (
-            "worker_panics".into(),
-            JsonValue::UInt(snapshot.worker_panics),
-        ),
-        (
-            "screen_served".into(),
-            JsonValue::UInt(snapshot.screen_served),
-        ),
-        (
-            "int8_screens".into(),
-            JsonValue::UInt(snapshot.int8_screens),
-        ),
-        ("escalated".into(), JsonValue::UInt(snapshot.escalated)),
-        (
-            "shard_escalations".into(),
-            JsonValue::Array(shard_escalations),
-        ),
-        (
-            "pipelined_batches".into(),
-            JsonValue::UInt(snapshot.pipelined_batches),
-        ),
-        (
-            "serial_batches".into(),
-            JsonValue::UInt(snapshot.serial_batches),
-        ),
-        ("cache_hits".into(), JsonValue::UInt(snapshot.cache_hits)),
-        (
-            "cache_misses".into(),
-            JsonValue::UInt(snapshot.cache_misses),
-        ),
-        (
-            "shed_admission".into(),
-            JsonValue::UInt(snapshot.shed_admission),
-        ),
-        (
-            "shed_expired".into(),
-            JsonValue::UInt(snapshot.shed_expired),
-        ),
-        (
-            "deadline_misses".into(),
-            JsonValue::UInt(snapshot.deadline_misses),
-        ),
-        (
-            "degraded_served".into(),
-            JsonValue::UInt(snapshot.degraded_served),
-        ),
-        (
-            "degrade_entered".into(),
-            JsonValue::UInt(snapshot.degrade_entered),
-        ),
-        (
-            "degrade_exited".into(),
-            JsonValue::UInt(snapshot.degrade_exited),
-        ),
-        ("batches".into(), JsonValue::UInt(snapshot.batches)),
-        (
-            "max_batch".into(),
-            JsonValue::UInt(snapshot.max_batch as u64),
-        ),
-        (
-            "mean_batch_milli".into(),
-            JsonValue::UInt((snapshot.mean_batch * 1000.0).round() as u64),
-        ),
-        (
-            "p50_latency_us".into(),
-            JsonValue::UInt((snapshot.p50_latency_ms * 1000.0).round() as u64),
-        ),
-        (
-            "p90_latency_us".into(),
-            JsonValue::UInt((snapshot.p90_latency_ms * 1000.0).round() as u64),
-        ),
-        (
-            "p99_latency_us".into(),
-            JsonValue::UInt((snapshot.p99_latency_ms * 1000.0).round() as u64),
-        ),
-    ];
+    let stats = lock(&shared.stats).clone();
     let mut fields = vec![
-        ("stats".into(), JsonValue::Object(counters)),
-        ("latency_ns".into(), latency.to_json()),
+        ("stats".into(), stats.snapshot().into_json()),
+        ("latency_ns".into(), stats.latency_ns.to_json()),
     ];
     if let Some(obs) = &shared.obs {
         fields.push(("registry".into(), obs.registry.snapshot()));
@@ -835,10 +747,10 @@ fn worker_loop(shared: &Shared) {
             let batch_index;
             {
                 let mut stats = lock(&shared.stats);
-                stats.batches += 1;
-                batch_index = stats.batches;
+                stats.counters.batches += 1;
+                batch_index = stats.counters.batches;
                 stats.batched_requests += batch.len() as u64;
-                stats.max_batch = stats.max_batch.max(batch.len());
+                stats.counters.max_batch = stats.counters.max_batch.max(batch.len());
             }
             // Per-batch stage timeline + queue-wait/batch-form histograms,
             // only when a registry is attached and enabled.
@@ -869,17 +781,17 @@ fn worker_loop(shared: &Shared) {
                     Some((tx, _)) => {
                         job.overlapped = true;
                         match tx.try_send(job) {
-                            Ok(()) => lock(&shared.stats).pipelined_batches += 1,
+                            Ok(()) => lock(&shared.stats).counters.pipelined_batches += 1,
                             Err(TrySendError::Full(mut job))
                             | Err(TrySendError::Disconnected(mut job)) => {
                                 job.overlapped = false;
-                                lock(&shared.stats).serial_batches += 1;
+                                lock(&shared.stats).counters.serial_batches += 1;
                                 run_escalations_caught(shared, job);
                             }
                         }
                     }
                     None => {
-                        lock(&shared.stats).serial_batches += 1;
+                        lock(&shared.stats).counters.serial_batches += 1;
                         run_escalations_caught(shared, job);
                     }
                 },
@@ -890,7 +802,7 @@ fn worker_loop(shared: &Shared) {
                     // Resolve every still-unresolved ticket of the batch
                     // instead of stranding its waiter, and keep the worker
                     // alive for the rest of the queue.
-                    lock(&shared.stats).worker_panics += 1;
+                    lock(&shared.stats).counters.worker_panics += 1;
                     cancel_unresolved(shared, &slots);
                 }
             }
@@ -913,10 +825,10 @@ fn update_degrade(shared: &Shared, depth: usize) {
     }
     if depth >= shared.degrade_enter_at {
         if !shared.degraded.swap(true, Ordering::Relaxed) {
-            lock(&shared.stats).degrade_entered += 1;
+            lock(&shared.stats).counters.degrade_entered += 1;
         }
     } else if depth <= shared.degrade_exit_at && shared.degraded.swap(false, Ordering::Relaxed) {
-        lock(&shared.stats).degrade_exited += 1;
+        lock(&shared.stats).counters.degrade_exited += 1;
     }
 }
 
@@ -950,7 +862,7 @@ fn cancel_unresolved(shared: &Shared, slots: &[Arc<TicketSlot>]) {
                 "a worker panicked while serving this request".into(),
             )),
         ) {
-            lock(&shared.stats).failed += 1;
+            lock(&shared.stats).counters.failed += 1;
         }
     }
 }
@@ -1057,17 +969,17 @@ fn finish(shared: &Shared, request: &InFlight, outcome: Result<Served>) {
         let mut stats = lock(&shared.stats);
         match &outcome {
             Ok(_) => {
-                stats.completed += 1;
+                stats.counters.completed += 1;
                 if request
                     .deadline_ns
                     .is_some_and(|deadline| now_ns > deadline)
                 {
-                    stats.deadline_misses += 1;
+                    stats.counters.deadline_misses += 1;
                 }
             }
-            Err(_) => stats.failed += 1,
+            Err(_) => stats.counters.failed += 1,
         }
-        stats.record_latency(latency_ns);
+        stats.latency_ns.record(latency_ns);
     }
     resolve(&request.slot, outcome);
 }
@@ -1108,16 +1020,11 @@ fn run_escalations_caught(shared: &Shared, job: EscalationJob) {
         run_escalations(shared, job)
     }));
     if outcome.is_err() {
-        lock(&shared.stats).worker_panics += 1;
+        lock(&shared.stats).counters.worker_panics += 1;
         cancel_unresolved(shared, &slots);
     }
 }
 
-/// One fused tier-2 pass per shard group: verdicts, cache fills, ticket
-/// resolution.  Grouping per shard changes only which fused batch an input
-/// rides in, and the fused kernels preserve per-input arithmetic — so the
-/// union of shard verdicts is bit-for-bit what the unsharded escalation
-/// engine returns.
 /// Panics iff the given injection flag was armed, consuming it.  Test-only:
 /// the drain tests arm these flags to prove a panicking worker degrades
 /// (tickets cancelled, `worker_panics` bumped) instead of wedging the server.
@@ -1128,6 +1035,11 @@ fn maybe_inject_panic(flag: &std::sync::atomic::AtomicBool, what: &str) {
     }
 }
 
+/// One fused tier-2 pass per shard group: verdicts, cache fills, ticket
+/// resolution.  Grouping per shard changes only which fused batch an input
+/// rides in, and the fused kernels preserve per-input arithmetic — so the
+/// union of shard verdicts is bit-for-bit what the unsharded escalation
+/// engine returns.
 fn run_escalations(shared: &Shared, job: EscalationJob) {
     #[cfg(test)]
     maybe_inject_panic(&shared.fail_next_escalation, "escalation");
@@ -1151,8 +1063,8 @@ fn run_escalations(shared: &Shared, job: EscalationJob) {
                 Ok((detection, _)) => {
                     {
                         let mut stats = lock(&shared.stats);
-                        stats.escalated += 1;
-                        stats.shard_escalations[group.shard] += 1;
+                        stats.counters.escalated += 1;
+                        stats.counters.shard_escalations[group.shard] += 1;
                     }
                     if let (Some(cache), Some(key)) = (&shared.cache, path_key) {
                         lock(cache).insert(
@@ -1207,9 +1119,11 @@ fn run_escalations(shared: &Shared, job: EscalationJob) {
 /// 1. exact-duplicate fast path per request (byte-identical repeats resolve
 ///    straight from the cache, skipping even the screening extraction);
 /// 2. one streamed fused tier-1 pass over the whole remainder
-///    ([`DetectionEngine::detect_batch_with_paths`] — a single batched
-///    im2col/matmul forward pass whose paths are extracted in-flight, stacked
-///    activations released eagerly instead of materialising a trace);
+///    ([`DetectionEngine::detect_batch_on`] with whichever forward provider
+///    [`ServerBuilder::start`] validated, the screen's f32 network or its
+///    int8 view — a single batched forward pass whose paths are extracted
+///    in-flight, stacked activations released eagerly instead of
+///    materialising a trace);
 /// 3. per-request path-prefix cache lookup and uncertainty-band routing: each
 ///    in-band request joins the group of the escalation shard that owns its
 ///    screened class.
@@ -1233,7 +1147,7 @@ fn screen_batch(
     maybe_inject_panic(&shared.fail_next_screen, "screening");
     let obs = shared.stage_obs();
     let cache_hit = |cached: CachedVerdict| {
-        lock(&shared.stats).cache_hits += 1;
+        lock(&shared.stats).counters.cache_hits += 1;
         Served {
             detection: cached.detection,
             tier: cached.tier,
@@ -1270,7 +1184,7 @@ fn screen_batch(
         // requests that can still make their deadlines.
         if deadline_ns.is_some_and(|deadline| phase1_start_ns > deadline) {
             expired += 1;
-            lock(&shared.stats).shed_expired += 1;
+            lock(&shared.stats).counters.shed_expired += 1;
             finish(
                 shared,
                 &in_flight,
@@ -1315,12 +1229,16 @@ fn screen_batch(
     // Timed unconditionally: the admission EMA needs the per-request cost
     // whether or not a registry is attached.
     let screen_start_ns = shared.now_ns();
-    let screened = match &shared.quantized {
+    let (screened, stage) = match &shared.quantized {
         Some(qnet) => {
-            lock(&shared.stats).int8_screens += inputs.len() as u64;
-            shared.screen.detect_batch_quantized_with(qnet, &inputs)
+            lock(&shared.stats).counters.int8_screens += inputs.len() as u64;
+            let screened = shared.screen.detect_batch_on(qnet.as_ref(), &inputs);
+            (screened, Stage::ScreenInt8)
         }
-        None => shared.screen.detect_batch_with_paths(&inputs),
+        None => (
+            shared.screen.detect_batch_with_paths(&inputs),
+            Stage::Screen,
+        ),
     };
     let screen_end_ns = shared.now_ns();
     observe_service(
@@ -1332,11 +1250,6 @@ fn screen_batch(
         obs.screen_ns
             .record(screen_end_ns.saturating_sub(screen_start_ns));
         if let Some(timeline) = &mut timeline {
-            let stage = if shared.quantized.is_some() {
-                Stage::ScreenInt8
-            } else {
-                Stage::Screen
-            };
             timeline.record(stage, screen_start_ns, screen_end_ns);
         }
     }
@@ -1369,7 +1282,7 @@ fn screen_batch(
                 finish(shared, &request, Ok(cache_hit(cached)));
                 continue;
             }
-            lock(&shared.stats).cache_misses += 1;
+            lock(&shared.stats).counters.cache_misses += 1;
         }
         let in_band = detection.score >= shared.band.0 && detection.score <= shared.band.1;
         if !shared.escalate.is_empty() && in_band {
@@ -1381,8 +1294,8 @@ fn screen_batch(
                 // masquerade as a full-pipeline verdict on a later hit.
                 {
                     let mut stats = lock(&shared.stats);
-                    stats.screen_served += 1;
-                    stats.degraded_served += 1;
+                    stats.counters.screen_served += 1;
+                    stats.counters.degraded_served += 1;
                 }
                 degraded_served += 1;
                 finish(
@@ -1413,7 +1326,7 @@ fn screen_batch(
             groups[shard].inputs.push(input);
             continue;
         }
-        lock(&shared.stats).screen_served += 1;
+        lock(&shared.stats).counters.screen_served += 1;
         if let (Some(cache), Some(key)) = (&shared.cache, path_key) {
             lock(cache).insert(
                 key,
@@ -1579,8 +1492,8 @@ impl ServerBuilder {
 
     /// Runs the tier-1 screening pass on the **int8 quantized** inference
     /// path: one fused blocked-i8-GEMM forward per batch
-    /// ([`ptolemy_core::DetectionEngine::detect_batch_quantized_with`])
-    /// instead of the f32 kernels.  `calibration` is the
+    /// ([`ptolemy_core::DetectionEngine::detect_batch_on`] with the int8
+    /// provider) instead of the f32 kernels.  `calibration` is the
     /// [`QuantizedNetwork`] calibrated from the screening engine's own
     /// network — typically `screen.quantized_network()` when the engine was
     /// built with `DetectionEngineBuilder::quantized`, or a
@@ -1890,7 +1803,8 @@ impl ServerBuilder {
         // Build the result cache, reloading a persisted file only when it was
         // written under this screening engine's fingerprint (mode-suffixed)
         // and prefix depth.
-        let mut stats = StatsInner::new(self.escalate.len());
+        let mut stats = StatsInner::default();
+        stats.counters.shard_escalations = vec![0; self.escalate.len()];
         let (cache, input_keys, prefix_segments, persist_path) = match &self.cache {
             None => (None, None, 0, None),
             Some(config) => {
@@ -1898,7 +1812,7 @@ impl ServerBuilder {
                 if let Some(path) = &config.persist_path {
                     match cache::load_persisted(path, &cache_fingerprint, config.prefix_segments) {
                         CacheLoad::Missing => {}
-                        CacheLoad::Rejected => stats.cache_load_rejected = 1,
+                        CacheLoad::Rejected => stats.counters.cache_load_rejected = 1,
                         CacheLoad::Loaded(entries) => {
                             // Entries are most-recently-used first; insert in
                             // reverse so the restored cache replays the saved
@@ -1906,7 +1820,7 @@ impl ServerBuilder {
                             for (key, verdict) in entries.into_iter().rev() {
                                 cache.insert(key, verdict);
                             }
-                            stats.cache_entries_loaded = cache.len() as u64;
+                            stats.counters.cache_entries_loaded = cache.len() as u64;
                         }
                     }
                 }
@@ -3087,6 +3001,42 @@ mod tests {
                 .and_then(|s| s.get("completed"))
                 .and_then(JsonValue::as_u64),
             Some(6)
+        );
+        // The exported counters are a contract with whatever reads the
+        // snapshot: names and order pinned literally, so a rename (or a new
+        // counter) is a deliberate edit here.
+        let Some(JsonValue::Object(stats)) = parsed.get("stats") else {
+            panic!("stats is not an object");
+        };
+        let keys: Vec<&str> = stats.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "submitted",
+                "completed",
+                "failed",
+                "worker_panics",
+                "screen_served",
+                "int8_screens",
+                "escalated",
+                "shard_escalations",
+                "pipelined_batches",
+                "serial_batches",
+                "cache_hits",
+                "cache_misses",
+                "shed_admission",
+                "shed_expired",
+                "deadline_misses",
+                "degraded_served",
+                "degrade_entered",
+                "degrade_exited",
+                "batches",
+                "max_batch",
+                "mean_batch_milli",
+                "p50_latency_us",
+                "p90_latency_us",
+                "p99_latency_us",
+            ]
         );
         // One queue-wait observation per batched request; the batch stages
         // recorded at least one batch each.

@@ -8,6 +8,7 @@
 //! clamped to the exact recorded `[min, max]`, so reported values are
 //! monotone in the quantile and can never leave the observed range.
 
+use ptolemy_obs::json::JsonValue;
 use ptolemy_obs::Histogram;
 
 /// A point-in-time snapshot of the server's counters, taken with
@@ -79,9 +80,9 @@ pub struct ServeStats {
     pub pipelined_batches: u64,
     /// Batches whose tier-2 sliver ran inline on the worker — pipelining
     /// disabled ([`crate::ServerBuilder::pipeline_escalation`]), or the
-    /// overlap thread was still busy with the previous batch (the handoff is
-    /// bounded, like core's streaming-extraction overlap worker, so tier-2
-    /// work can never pile up unboundedly).
+    /// overlap thread was still busy with the previous batch (the handoff is a
+    /// bounded rendezvous, so tier-2 work can lag the screen by one batch and
+    /// never pile up unboundedly).
     pub serial_batches: u64,
     /// Requests resolved from the path-prefix result cache.
     pub cache_hits: u64,
@@ -130,101 +131,111 @@ impl ServeStats {
             self.cache_hits as f64 / lookups as f64
         }
     }
+
+    /// The `"stats"` object of [`crate::Server::metrics_json`], integer-only
+    /// (the workspace JSON dialect): `mean_batch` scaled by 1000, latencies in
+    /// microseconds.
+    ///
+    /// The destructuring is exhaustive on purpose — no `..` — so a new field
+    /// is a compile error here until it is exported or visibly left out.
+    pub(crate) fn into_json(self) -> JsonValue {
+        let ServeStats {
+            submitted,
+            completed,
+            failed,
+            worker_panics,
+            screen_served,
+            int8_screens,
+            escalated,
+            shed_admission,
+            shed_expired,
+            deadline_misses,
+            degraded_served,
+            degrade_entered,
+            degrade_exited,
+            shard_escalations,
+            pipelined_batches,
+            serial_batches,
+            cache_hits,
+            cache_misses,
+            // What the persisted cache did at startup and shutdown: facts of
+            // one moment, read off `Server::stats`, not serving counters.
+            cache_entries_loaded: _,
+            cache_load_rejected: _,
+            cache_entries_persisted: _,
+            batches,
+            max_batch,
+            mean_batch,
+            p50_latency_ms,
+            p90_latency_ms,
+            p99_latency_ms,
+        } = self;
+        let milli = |x: f64| JsonValue::UInt((x * 1000.0).round() as u64);
+        let shards = shard_escalations.into_iter().map(JsonValue::UInt);
+        let fields = [
+            ("submitted", JsonValue::UInt(submitted)),
+            ("completed", JsonValue::UInt(completed)),
+            ("failed", JsonValue::UInt(failed)),
+            ("worker_panics", JsonValue::UInt(worker_panics)),
+            ("screen_served", JsonValue::UInt(screen_served)),
+            ("int8_screens", JsonValue::UInt(int8_screens)),
+            ("escalated", JsonValue::UInt(escalated)),
+            ("shard_escalations", JsonValue::Array(shards.collect())),
+            ("pipelined_batches", JsonValue::UInt(pipelined_batches)),
+            ("serial_batches", JsonValue::UInt(serial_batches)),
+            ("cache_hits", JsonValue::UInt(cache_hits)),
+            ("cache_misses", JsonValue::UInt(cache_misses)),
+            ("shed_admission", JsonValue::UInt(shed_admission)),
+            ("shed_expired", JsonValue::UInt(shed_expired)),
+            ("deadline_misses", JsonValue::UInt(deadline_misses)),
+            ("degraded_served", JsonValue::UInt(degraded_served)),
+            ("degrade_entered", JsonValue::UInt(degrade_entered)),
+            ("degrade_exited", JsonValue::UInt(degrade_exited)),
+            ("batches", JsonValue::UInt(batches)),
+            ("max_batch", JsonValue::UInt(max_batch as u64)),
+            ("mean_batch_milli", milli(mean_batch)),
+            ("p50_latency_us", milli(p50_latency_ms)),
+            ("p90_latency_us", milli(p90_latency_ms)),
+            ("p99_latency_us", milli(p99_latency_ms)),
+        ];
+        JsonValue::Object(fields.map(|(key, value)| (key.into(), value)).into())
+    }
 }
 
-/// The mutable counters behind [`ServeStats`], guarded by the server's stats
-/// mutex.  `Clone` exists so snapshots can copy the counters out under the
-/// lock and derive percentiles *outside* it — workers take this lock on
-/// every request.  (The histogram walk is O(buckets), far cheaper than the
-/// historical ring sort, but the discipline of doing no derived work under
-/// the lock stays.)
+/// The live state behind [`ServeStats`], guarded by the server's stats mutex:
+/// the counters themselves (written in place — their derived fields stay 0
+/// here) plus what the derived fields are computed from.  `Clone` exists so a
+/// snapshot copies the state out under the lock and derives percentiles
+/// *outside* it — workers take this lock on every request.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct StatsInner {
-    pub submitted: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub worker_panics: u64,
-    pub screen_served: u64,
-    pub int8_screens: u64,
-    pub escalated: u64,
-    pub shed_admission: u64,
-    pub shed_expired: u64,
-    pub deadline_misses: u64,
-    pub degraded_served: u64,
-    pub degrade_entered: u64,
-    pub degrade_exited: u64,
-    pub shard_escalations: Vec<u64>,
-    pub pipelined_batches: u64,
-    pub serial_batches: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_entries_loaded: u64,
-    pub cache_load_rejected: u64,
-    pub cache_entries_persisted: u64,
-    pub batches: u64,
-    pub max_batch: usize,
+    pub counters: ServeStats,
+    /// Requests over all batches cut (the numerator of `mean_batch`).
     pub batched_requests: u64,
-    latency_ns: Histogram,
+    /// Every queue-to-result latency since startup (bounded memory however
+    /// many requests complete).
+    pub latency_ns: Histogram,
 }
 
 impl StatsInner {
-    /// Fresh counters for a server with `num_shards` tier-2 engines.
-    pub fn new(num_shards: usize) -> Self {
-        StatsInner {
-            shard_escalations: vec![0; num_shards],
-            ..StatsInner::default()
-        }
-    }
-
-    /// Records one queue-to-result latency into the all-time histogram
-    /// (bounded memory however many requests complete).
-    pub fn record_latency(&mut self, ns: u64) {
-        self.latency_ns.record(ns);
-    }
-
-    /// A copy of the latency histogram, for export alongside the snapshot.
-    pub fn latency_histogram(&self) -> Histogram {
-        self.latency_ns.clone()
-    }
-
+    /// The counters plus the four derived fields.
     pub fn snapshot(&self) -> ServeStats {
-        let percentile = |q: f64| -> f64 {
+        let percentile_ms = |q: f64| -> f64 {
             self.latency_ns
                 .percentile(q)
                 .map_or(0.0, |ns| ns as f64 / 1e6)
         };
+        let batches = self.counters.batches;
         ServeStats {
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            worker_panics: self.worker_panics,
-            screen_served: self.screen_served,
-            int8_screens: self.int8_screens,
-            escalated: self.escalated,
-            shed_admission: self.shed_admission,
-            shed_expired: self.shed_expired,
-            deadline_misses: self.deadline_misses,
-            degraded_served: self.degraded_served,
-            degrade_entered: self.degrade_entered,
-            degrade_exited: self.degrade_exited,
-            shard_escalations: self.shard_escalations.clone(),
-            pipelined_batches: self.pipelined_batches,
-            serial_batches: self.serial_batches,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            cache_entries_loaded: self.cache_entries_loaded,
-            cache_load_rejected: self.cache_load_rejected,
-            cache_entries_persisted: self.cache_entries_persisted,
-            batches: self.batches,
-            max_batch: self.max_batch,
-            mean_batch: if self.batches == 0 {
+            mean_batch: if batches == 0 {
                 0.0
             } else {
-                self.batched_requests as f64 / self.batches as f64
+                self.batched_requests as f64 / batches as f64
             },
-            p50_latency_ms: percentile(0.50),
-            p90_latency_ms: percentile(0.90),
-            p99_latency_ms: percentile(0.99),
+            p50_latency_ms: percentile_ms(0.50),
+            p90_latency_ms: percentile_ms(0.90),
+            p99_latency_ms: percentile_ms(0.99),
+            ..self.counters.clone()
         }
     }
 }
@@ -239,11 +250,11 @@ mod tests {
         assert_eq!(inner.snapshot().p50_latency_ms, 0.0);
         assert_eq!(inner.snapshot().p99_latency_ms, 0.0);
         for i in 1..=100u64 {
-            inner.record_latency(i * 1_000_000); // 1..=100 ms
+            inner.latency_ns.record(i * 1_000_000); // 1..=100 ms
         }
-        inner.batches = 4;
+        inner.counters.batches = 4;
         inner.batched_requests = 10;
-        inner.max_batch = 5;
+        inner.counters.max_batch = 5;
         let stats = inner.snapshot();
         // Histogram-derived percentiles: monotone and inside [min, max].
         assert!(stats.p50_latency_ms <= stats.p99_latency_ms);
@@ -256,6 +267,13 @@ mod tests {
         assert!(stats.p99_latency_ms >= 85.0);
         assert_eq!(stats.mean_batch, 2.5);
         assert_eq!(stats.max_batch, 5);
+        // The export is integer-only: milli-batches, microseconds.
+        let p50_us = (stats.p50_latency_ms * 1000.0).round() as u64;
+        let json = stats.into_json();
+        let exported = |key: &str| json.get(key).and_then(JsonValue::as_u64);
+        assert_eq!(exported("mean_batch_milli"), Some(2500));
+        assert_eq!(exported("max_batch"), Some(5));
+        assert_eq!(exported("p50_latency_us"), Some(p50_us));
     }
 
     #[test]
@@ -268,7 +286,7 @@ mod tests {
         // monotone, and stay inside the exact recorded extremes.
         let mut inner = StatsInner::default();
         for i in 1..=1_000u64 {
-            inner.record_latency(i * 1_000_000);
+            inner.latency_ns.record(i * 1_000_000);
         }
         let stats = inner.snapshot();
         assert!(
@@ -303,10 +321,10 @@ mod tests {
         // jumped to the slow regime.  The histogram keeps both.
         let mut inner = StatsInner::default();
         for _ in 0..4096 {
-            inner.record_latency(1_000_000); // 1 ms regime
+            inner.latency_ns.record(1_000_000); // 1 ms regime
         }
         for _ in 0..4096 {
-            inner.record_latency(9_000_000); // 9 ms regime
+            inner.latency_ns.record(9_000_000); // 9 ms regime
         }
         let stats = inner.snapshot();
         // Half the history is 1 ms, so the median stays in the fast regime
@@ -314,17 +332,6 @@ mod tests {
         assert!(stats.p50_latency_ms <= 1.2, "{}", stats.p50_latency_ms);
         assert!(stats.p99_latency_ms >= 8.0, "{}", stats.p99_latency_ms);
         assert!(stats.p99_latency_ms <= 9.0, "{}", stats.p99_latency_ms);
-    }
-
-    #[test]
-    fn latency_histogram_is_exported_with_exact_extremes() {
-        let mut inner = StatsInner::default();
-        inner.record_latency(250);
-        inner.record_latency(750);
-        let hist = inner.latency_histogram();
-        assert_eq!(hist.count(), 2);
-        assert_eq!(hist.min(), Some(250));
-        assert_eq!(hist.max(), Some(750));
     }
 
     #[test]

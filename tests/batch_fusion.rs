@@ -4,8 +4,9 @@
 //! identical** to the per-input path — each output column depends only on its
 //! own input column, and every fused kernel preserves the per-input reduction
 //! order.  The same holds for the hoisted fan-out: however many contiguous
-//! sub-batches a batch is split into, every fused and quantized batch entry
-//! point returns the bits it returns on one thread.
+//! sub-batches a batch is split into, the batched detect entry returns the
+//! bits it returns on one thread, whichever forward provider (f32 or int8)
+//! runs the pass.
 //!
 //! Two properties ride along because the single-sample pass *is* the fused
 //! kernel at batch 1: the pooling layers' one kernel is pinned against the
@@ -18,9 +19,10 @@ mod common;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use ptolemy::core::{variants, ActivationPath, CoreError, Detection, DetectionEngine, Profiler};
 use ptolemy::nn::layer::{AvgPool2d, MaxPool2d};
-use ptolemy::nn::{softmax_cross_entropy_grad, zoo, Layer, Network};
+use ptolemy::nn::{softmax_cross_entropy_grad, zoo, ForwardProvider, Layer, Network};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::{helpers_spawned, with_forced_width};
 use ptolemy::tensor::Rng64;
@@ -395,15 +397,42 @@ fn same_results(left: &Traced, right: &Traced) -> bool {
         })
 }
 
+/// `engine.detect_batch_on(provider, inputs)` returns the same bits at every
+/// width as on one thread — and a forced split of 2+ inputs really spawns.
+fn split_changes_no_bit<P: ForwardProvider>(
+    name: &str,
+    engine: &DetectionEngine,
+    provider: &P,
+    inputs: &[Tensor],
+) -> Result<Traced, TestCaseError> {
+    let serial = with_forced_width(1, || engine.detect_batch_on(provider, inputs));
+    for width in WIDTHS {
+        let spawned = helpers_spawned();
+        let fanned = with_forced_width(width, || engine.detect_batch_on(provider, inputs));
+        prop_assert!(
+            same_results(&serial, &fanned),
+            "variant {}: detect_batch_on diverged at width {}",
+            name,
+            width
+        );
+        prop_assert!(
+            width == 1 || inputs.len() == 1 || helpers_spawned() > spawned,
+            "width {} never fanned out",
+            width
+        );
+    }
+    Ok(serial)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Splitting a batch into contiguous sub-batches over helper threads
-    /// changes scheduling only: `detect_batch`, `detect_batch_with_paths` and
-    /// the `detect_batch_quantized*` family return the same bits at width 1
-    /// and width N for every `variants::*` program and batch sizes 1..8 —
-    /// on the fused path and on the per-input fallback a mis-shaped input
-    /// forces.
+    /// changes scheduling only: the one batched entry, under the f32 and the
+    /// int8 provider alike, and the f32 adapters over it (`detect_batch`,
+    /// `detect_batch_with_paths`) return the same bits at width 1 and width N
+    /// for every `variants::*` program and batch sizes 1..8 — on the fused
+    /// path and on the per-input fallback a mis-shaped input forces.
     #[test]
     fn hoisted_split_is_bit_identical_at_every_width(
         seed in 0u64..10_000,
@@ -415,56 +444,46 @@ proptest! {
         let mut with_misfit = well_shaped.clone();
         with_misfit.insert(len / 2, Tensor::full(&[5], 0.1));
         for (name, engine) in &fx.engines {
+            let qnet = engine.quantized_network().expect("fixture engines are quantized");
             for inputs in [&well_shaped, &with_misfit] {
-                let serial = with_forced_width(1, || engine.detect_batch_with_paths(inputs));
-                let serial_q =
-                    with_forced_width(1, || engine.detect_batch_quantized_with_paths(inputs));
-                for width in WIDTHS {
-                    let spawned = helpers_spawned();
-                    let fanned =
-                        with_forced_width(width, || engine.detect_batch_with_paths(inputs));
-                    prop_assert!(
-                        same_results(&serial, &fanned),
-                        "variant {}: detect_batch_with_paths diverged at width {}",
-                        name,
-                        width
-                    );
-                    // The width is real: a forced split of 2+ inputs spawns.
-                    prop_assert!(
-                        width == 1 || inputs.len() == 1 || helpers_spawned() > spawned,
-                        "width {} never fanned out",
-                        width
-                    );
-                    let fanned_q = with_forced_width(width, || {
-                        engine.detect_batch_quantized_with_paths(inputs)
-                    });
-                    prop_assert!(
-                        same_results(&serial_q, &fanned_q),
-                        "variant {}: detect_batch_quantized_with_paths diverged at width {}",
-                        name,
-                        width
-                    );
-
-                    // The verdict-only surfaces are the same calls minus the
-                    // paths: same verdicts, or the same first error.
-                    let verdicts = with_forced_width(width, || engine.detect_batch(inputs));
-                    let verdicts_q =
-                        with_forced_width(width, || engine.detect_batch_quantized(inputs));
-                    for (traced, verdicts) in [(&serial, verdicts), (&serial_q, verdicts_q)] {
-                        match verdicts {
-                            Ok(verdicts) => {
-                                prop_assert_eq!(verdicts.len(), traced.len());
-                                for (verdict, traced) in verdicts.iter().zip(traced) {
-                                    let (expected, _) = traced.as_ref().unwrap();
-                                    prop_assert_eq!(
-                                        verdict.score.to_bits(),
-                                        expected.score.to_bits()
-                                    );
-                                    prop_assert_eq!(verdict, expected);
-                                }
-                            }
-                            Err(_) => prop_assert!(traced.iter().any(Result::is_err)),
+                let serial = split_changes_no_bit(name, engine, fx.network.as_ref(), inputs)?;
+                let serial_q = split_changes_no_bit(name, engine, qnet, inputs)?;
+                // Slice `b` of the int8 batch is the single int8 detect.
+                for (input, traced) in inputs.iter().zip(&serial_q) {
+                    match (traced, engine.detect_quantized(input)) {
+                        (Ok((batched, _)), Ok(single)) => {
+                            prop_assert_eq!(batched.score.to_bits(), single.score.to_bits());
+                            prop_assert_eq!(batched, &single);
                         }
+                        (Err(_), Err(_)) => {}
+                        (batched, single) => prop_assert!(
+                            false,
+                            "variant {}: batched {:?} but single {:?}",
+                            name,
+                            batched,
+                            single
+                        ),
+                    }
+                }
+                for width in WIDTHS {
+                    // The f32 adapters are the same call: with the paths, or
+                    // the verdicts alone with the first error winning.
+                    let with_paths =
+                        with_forced_width(width, || engine.detect_batch_with_paths(inputs));
+                    prop_assert!(same_results(&serial, &with_paths));
+                    match with_forced_width(width, || engine.detect_batch(inputs)) {
+                        Ok(verdicts) => {
+                            prop_assert_eq!(verdicts.len(), serial.len());
+                            for (verdict, traced) in verdicts.iter().zip(&serial) {
+                                let (expected, _) = traced.as_ref().unwrap();
+                                prop_assert_eq!(
+                                    verdict.score.to_bits(),
+                                    expected.score.to_bits()
+                                );
+                                prop_assert_eq!(verdict, expected);
+                            }
+                        }
+                        Err(_) => prop_assert!(serial.iter().any(Result::is_err)),
                     }
                 }
             }

@@ -110,23 +110,6 @@ proptest! {
             }
         }
     }
-
-    /// The streaming path agrees with the batch path.
-    #[test]
-    fn detect_stream_matches_detect_batch(seed in 0u64..10_000, len in 1usize..6) {
-        let fx = fixture();
-        let mut rng = Rng64::new(seed);
-        let (_, engine) = &fx.engines[rng.below(fx.engines.len())];
-        let batch: Vec<Tensor> = (0..len)
-            .map(|_| fx.inputs[rng.below(fx.inputs.len())].clone())
-            .collect();
-        let batched = engine.detect_batch(&batch).unwrap();
-        let streamed: Vec<_> = engine
-            .detect_stream(batch.clone())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        prop_assert_eq!(batched, streamed);
-    }
 }
 
 #[test]

@@ -25,8 +25,9 @@ use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
 
-/// The backward programs (forward programs never decompose a layer), each with
-/// an engine profiled and calibrated on the network's own predictions.
+/// Every `variants::*` program — the backward ones decompose the blocks, the
+/// forward ones ride along for the int8 parity case — each with an engine
+/// profiled, calibrated and quantized on the network's own predictions.
 fn engines(
     network: &Arc<Network>,
     samples: &[(Tensor, usize)],
@@ -45,6 +46,12 @@ fn engines(
             "bw_cu_early_termination",
             variants::bw_cu_early_termination(network, 0.5, 6).unwrap(),
         ),
+        ("fw_ab", variants::fw_ab(network, 0.05).unwrap()),
+        ("fw_cu", variants::fw_cu(network, 0.5).unwrap()),
+        (
+            "fw_ab_late_start",
+            variants::fw_ab_late_start(network, 0.05, 2).unwrap(),
+        ),
     ];
     programs
         .into_iter()
@@ -54,6 +61,7 @@ fn engines(
                 .unwrap();
             let engine = DetectionEngine::builder(network.clone(), program, class_paths)
                 .calibrate(&benign, &adversarial)
+                .quantized(&benign)
                 .build()
                 .unwrap();
             (name, engine)
@@ -93,8 +101,8 @@ fn batch(seed: u64, len: usize, scale: f32) -> Vec<Tensor> {
     batch
 }
 
-/// `trace` stripped to its boundaries, the way the int8 path assembles one:
-/// every residual block has to recompute its interior.
+/// `trace` stripped to its boundaries: every residual block has to recompute
+/// its interior.
 fn boundaries_only(trace: &ForwardTrace) -> ForwardTrace {
     ForwardTrace::from_activations(trace.activations().to_vec()).unwrap()
 }
@@ -171,6 +179,21 @@ proptest! {
                     "variant {}: materialized batch slice {} diverged",
                     name,
                     b
+                );
+            }
+            // The int8 provider's residual blocks run f32 and hand the sink
+            // their interior, so the streamed int8 walk is the materialized
+            // one over a boundaries-only trace of the same int8 boundaries
+            // (which recomputes that interior).
+            let qnet = engine.quantized_network().expect("quantized fixture");
+            for (input, served) in inputs.iter().zip(engine.detect_batch_on(qnet, &inputs)) {
+                let (detection, path) = served.unwrap();
+                let trace = boundaries_only(&qnet.forward_trace(input).unwrap());
+                prop_assert!(
+                    detection.predicted_class == trace.predicted_class().unwrap()
+                        && path == extract_path(&fx.network, &trace, program).unwrap(),
+                    "variant {}: streamed int8 extraction diverged",
+                    name
                 );
             }
             // The sink really kept the interiors: it holds more than the
@@ -388,8 +411,8 @@ fn the_reverse_walk_runs_no_body_layer_forward() {
         "extract_path over a recorded trace"
     );
 
-    // Boundaries only (the int8 path's traces): conv → relu re-run once per
-    // block, the last body layer never.
+    // Boundaries only: conv → relu re-run once per block, the last body layer
+    // never.
     let recomputed = extract_path(&network, &boundaries_only(&trace), &program).unwrap();
     assert_eq!(drain(&counters), vec![vec![1, 1, 0]; 2]);
     assert_eq!(recorded, recomputed);

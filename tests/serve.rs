@@ -46,6 +46,7 @@ fn fixtures() -> &'static Fixtures {
             Arc::new(
                 DetectionEngine::builder(network.clone(), program, class_paths)
                     .calibrate(&benign, &adversarial)
+                    .quantized(&benign)
                     .build()
                     .unwrap(),
             )
@@ -206,12 +207,22 @@ fn duplicated_workload_reports_cache_hits() {
 /// A NaN-bearing request is an engine error on its own ticket (or, when the
 /// reverse walk never reaches the poisoned partial sums, an ordinary
 /// verdict): no worker panics, and the requests batched around it are served
-/// their direct results.  Covers a backward-cumulative and a forward screen.
+/// their direct results.  Covers a backward-cumulative screen, a forward
+/// screen, and that forward screen on the int8 tier — where quantizing the NaN
+/// to 0 used to launder it into a verdict.
 #[test]
 fn a_nan_request_fails_alone_without_panicking_a_worker() {
     let fx = fixtures();
-    for screen in [fx.expensive.clone(), fx.screen.clone()] {
-        let server = Server::builder(screen.clone()).workers(2).start().unwrap();
+    for (screen, int8) in [
+        (fx.expensive.clone(), false),
+        (fx.screen.clone(), false),
+        (fx.screen.clone(), true),
+    ] {
+        let mut builder = Server::builder(screen.clone()).workers(2);
+        if int8 {
+            builder = builder.quantized_screen(screen.quantized_network().unwrap().clone());
+        }
+        let server = builder.start().unwrap();
         let mut requests = Vec::new();
         for (i, input) in fx.inputs.iter().take(24).enumerate() {
             let mut input = input.clone();
@@ -225,7 +236,12 @@ fn a_nan_request_fails_alone_without_panicking_a_worker() {
         }
         let mut rejected = 0;
         for (poisoned, input, ticket) in requests {
-            match (ticket.wait(), screen.detect(&input)) {
+            let direct = if int8 {
+                screen.detect_quantized(&input)
+            } else {
+                screen.detect(&input)
+            };
+            match (ticket.wait(), direct) {
                 (Ok(served), Ok(direct)) => {
                     assert_eq!(served.detection.score.to_bits(), direct.score.to_bits())
                 }

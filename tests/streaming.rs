@@ -3,7 +3,8 @@
 //! termination and late start) and batch sizes 1..8, the streamed pipeline —
 //! masks computed while the forward pass runs, activations dropped eagerly —
 //! must be **bit-for-bit identical** to the materialized trace-then-extract
-//! pipeline: same paths, same similarities/scores, same detect verdicts.
+//! pipeline: same paths, same similarities/scores, same detect verdicts —
+//! whichever forward provider (f32 or int8) produced the activations.
 //! The suite also pins the memory guarantee: the streamed peak resident
 //! activation bytes stay strictly below what the materialized trace holds.
 
@@ -16,7 +17,7 @@ use ptolemy::core::{
     extract_path, extract_path_streaming, extract_paths_streaming_batch, variants, DetectionEngine,
     DetectionProgram, Profiler,
 };
-use ptolemy::nn::Network;
+use ptolemy::nn::{ForwardTrace, Network};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
@@ -66,6 +67,7 @@ fn fixture() -> &'static Fixture {
                     .unwrap();
                 let engine = DetectionEngine::builder(network.clone(), program, class_paths)
                     .calibrate(&benign, &adversarial)
+                    .quantized(&benign)
                     .build()
                     .unwrap();
                 (name, engine)
@@ -163,6 +165,22 @@ proptest! {
                 {
                     prop_assert_eq!(s.to_bits(), m.to_bits());
                 }
+            }
+
+            // Precision is an argument: the int8 provider streams through the
+            // same sinks, so its (class, path) is the materialized pipeline's
+            // over a boundaries-only trace of the same int8 boundaries.
+            let qnet = engine.quantized_network().expect("quantized fixture");
+            for (input, served) in inputs.iter().zip(engine.detect_batch_on(qnet, &inputs)) {
+                let (detection, path) = served.unwrap();
+                let boundaries = qnet.forward_trace(input).unwrap().activations().to_vec();
+                let trace = ForwardTrace::from_activations(boundaries).unwrap();
+                prop_assert!(
+                    detection.predicted_class == trace.predicted_class().unwrap()
+                        && path == extract_path(&fx.network, &trace, program).unwrap(),
+                    "variant {}: streamed int8 extraction diverged",
+                    name
+                );
             }
 
             // The hoisted split: however many contiguous sub-batches the
