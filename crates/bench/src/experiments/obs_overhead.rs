@@ -15,7 +15,6 @@
 //! baseline.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
@@ -80,7 +79,6 @@ fn server(
         .queue_capacity(queue)
         .batch_policy(BatchPolicy {
             max_batch: 8,
-            latency_budget: Duration::from_millis(1),
             ..BatchPolicy::default()
         });
     let registry = match mode {

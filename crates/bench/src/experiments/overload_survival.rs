@@ -4,8 +4,9 @@
 //! mixed-criticality degradation.
 //!
 //! Two capacities are probed first: the small-batch closed-loop rate
-//! (`WORKERS` in flight) and the fully-fused submit-all rate, which adaptive
-//! batch forming pushes roughly an order of magnitude higher.  The workload
+//! (`WORKERS` in flight, so every cut is a batch of about one) and the
+//! fully-fused submit-all rate, which fusing cap-sized batches pushes about
+//! half again higher.  The workload
 //! generator offers Poisson traffic at multiples of the small-batch rate for
 //! the inert low end of the sweep and multiples of the fused rate for the
 //! genuinely-overloaded high end (loads between the two are absorbed by
@@ -48,9 +49,9 @@ const QUEUE_CAPACITY: usize = 64;
 
 /// Offered loads: multiples of the small-batch (windowed) capacity for the
 /// inert low end, multiples of the fully-fused (submit-all) capacity for the
-/// genuinely-overloaded high end — adaptive batch fusion raises the
-/// server's capacity many-fold as the queue deepens, so only loads beyond
-/// the *fused* rate actually overwhelm it.
+/// genuinely-overloaded high end — batches grow as the queue deepens and
+/// fusion raises the server's capacity with them, so only loads beyond the
+/// *fused* rate actually overwhelm it.
 const OFFERED: [(&str, f64, Capacity); 4] = [
     ("0.5", 0.5, Capacity::SmallBatch),
     ("1.0", 1.0, Capacity::SmallBatch),
@@ -261,10 +262,10 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         (probe_ns.saturating_mul(WORKERS as u64) / pool.len().max(1) as u64).max(1);
     let capacity_rps = pool.len() as f64 / (probe_ns as f64 / 1e9);
 
-    // Fused capacity probe: everything queued up front, so the adaptive batch
-    // former fuses maximal batches.  This is the server's true saturation
-    // throughput — typically an order of magnitude above the small-batch rate
-    // — and the rate an offered load must exceed to genuinely overwhelm it.
+    // Fused capacity probe: everything queued up front, so every cut is a
+    // cap-sized fused batch.  This is the server's true saturation throughput
+    // — above the small-batch rate — and the rate an offered load must exceed
+    // to genuinely overwhelm it.
     let probe = Server::builder(screen.clone())
         .escalate(expensive.clone(), band.0, band.1)
         .workers(WORKERS)

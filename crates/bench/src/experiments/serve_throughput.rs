@@ -1,12 +1,11 @@
 //! Beyond the paper — serving-runtime throughput: a direct single-engine
 //! `detect` loop vs the `ptolemy-serve` `Server` (multi-worker queue, adaptive
 //! batching, FwAb→BwCu tiered routing, path-prefix result cache), varying the
-//! worker count and batch latency budget.
+//! worker count.
 //!
 //! The workload repeats every input `DUPLICATION` times, interleaved — the
 //! retry/replay redundancy real traffic exhibits — so the path-prefix cache
-//! has duplicates to hit and the run is long enough to amortise the batch
-//! former's trailing latency budget.
+//! has duplicates to hit.
 //!
 //! Shape to check: served throughput overtakes the direct loop once enough
 //! workers are attached (the acceptance bar is ≥ 4), and the stats snapshot
@@ -107,18 +106,16 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         "-".to_string(),
     ]);
 
-    let configs: &[(usize, u64)] = &[(1, 2), (2, 2), (4, 2), (4, 1), (8, 2)];
     let mut four_worker_speedup = 0.0f64;
     let mut saw_escalations = false;
     let mut saw_cache_hits = false;
-    for &(workers, budget_ms) in configs {
+    for workers in [1, 2, 4, 8] {
         let builder: ServerBuilder = Server::builder(screen.clone())
             .escalate(expensive.clone(), BAND.0, BAND.1)
             .workers(workers)
             .queue_capacity(workload.len().max(1))
             .batch_policy(BatchPolicy {
                 max_batch: 16,
-                latency_budget: Duration::from_millis(budget_ms),
                 ..BatchPolicy::default()
             })
             .cache(CacheConfig::default());
@@ -146,12 +143,12 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         total_escalated += stats.escalated;
         total_cache_hits += stats.cache_hits;
         table.metric(
-            format!("served_{workers}w_{budget_ms}ms_throughput_milli"),
+            format!("served_{workers}w_throughput_milli"),
             (served * 1000.0) as u64,
         );
 
         table.row([
-            format!("served: {workers} workers, {budget_ms} ms budget"),
+            format!("served: {workers} workers"),
             fmt3(served as f32),
             format!("{speedup:.3}x"),
             stats.escalated.to_string(),

@@ -22,7 +22,6 @@
 //! modes execute identical arithmetic, pipelining only overlaps it).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
@@ -97,7 +96,7 @@ fn server(
     pipelined: bool,
     queue: usize,
 ) -> BenchResult<Server> {
-    // One worker and eagerly-cut small batches: the pipeline (worker screens
+    // One worker and small batches: the pipeline (worker screens
     // batch k+1 while the overlap thread escalates batch k) is then the only
     // source of concurrency between the tiers, which is what this experiment
     // measures.
@@ -107,7 +106,6 @@ fn server(
         .queue_capacity(queue)
         .batch_policy(BatchPolicy {
             max_batch: 4,
-            latency_budget: Duration::ZERO,
             ..BatchPolicy::default()
         })
         .pipeline_escalation(pipelined);

@@ -1,38 +1,33 @@
 //! Adaptive batch sizing driven by [`BackendEstimate`].
 //!
-//! The batch former accumulates queued requests and cuts a batch when either
-//! (a) the oldest queued request has waited out the latency budget, or (b) the
-//! batch has reached the *adaptive cap* — the largest size whose modelled
-//! execution latency on the screening engine's backend stays within the target.
-//! The cap therefore differs per backend: an
-//! [`ptolemy_core::SoftwareBackend`]-bound engine is capped through its
-//! algorithm-level op counts (converted to a pseudo-latency by
+//! A free worker takes whatever is queued, at once, up to the *adaptive cap*
+//! — the largest batch whose modelled execution latency on the screening
+//! engine's backend stays within the target.  The cap therefore differs per
+//! backend: an [`ptolemy_core::SoftwareBackend`]-bound engine is capped
+//! through its algorithm-level op counts (converted to a pseudo-latency by
 //! [`BatchPolicy::software_ops_per_ms`]), while an accelerator-bound engine is
 //! capped through the cycle model's modelled milliseconds — exactly the
-//! `estimate_batch` contract the engine API exposes.
-
-use std::time::Duration;
+//! `estimate_batch` contract the engine API exposes.  The cut itself is the
+//! queue model's (`queue.rs`); this module only sizes it.
 
 use ptolemy_core::{BackendEstimate, DetectionEngine};
 
-/// Policy knobs of the adaptive batch former.
+/// Sizing knobs of the batch cut.
+///
+/// There is no batching *delay* to configure: the cut is work-conserving.  A
+/// worker that becomes free while requests are queued takes
+/// `min(queued, cap)` of them immediately, and sleeps only on an empty queue.
+/// Batches execute **fused** (one batched forward pass per cut), and they grow
+/// exactly when fusing pays — requests accumulate while every worker is busy,
+/// so a loaded server cuts cap-sized batches while a lightly loaded one
+/// answers each request as soon as a worker sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Hard upper bound on requests per batch, whatever the backend estimate
     /// says.
     pub max_batch: usize,
-    /// How long the former waits for more requests after the *oldest* queued
-    /// request arrived before cutting an undersized batch anyway.
-    ///
-    /// This trades queue latency for batch size: under sparse traffic every
-    /// request can wait up to the full budget.  Batches execute **fused** (one
-    /// batched im2col/matmul trace per formed batch), so a larger batch
-    /// amortises weight streaming across its inputs; latency-critical
-    /// deployments can still set this to [`Duration::ZERO`], which cuts a
-    /// batch the moment a worker is free.
-    pub latency_budget: Duration,
-    /// Target modelled execution latency for one batch, in milliseconds; the
-    /// former cuts before the backend estimate would exceed it.
+    /// Target modelled execution latency for one batch, in milliseconds; a
+    /// cut never takes more requests than the backend estimate fits in it.
     pub target_batch_latency_ms: f64,
     /// Operation throughput (ops per millisecond) used to turn software-backend
     /// op counts into a pseudo-latency, since [`ptolemy_core::SoftwareBackend`]
@@ -44,7 +39,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 32,
-            latency_budget: Duration::from_millis(2),
             target_batch_latency_ms: 5.0,
             software_ops_per_ms: 5.0e5,
         }

@@ -11,21 +11,26 @@
 //!   (std threads + condvars, no external executor).  [`Server::submit`]
 //!   returns a [`Ticket`] that resolves to a [`Served`] verdict; full queues
 //!   apply backpressure.
-//! * **Adaptive batch forming** ([`BatchPolicy`]) — workers accumulate queued
-//!   requests and cut a batch when either the oldest request has waited out
-//!   the latency budget or the backend's
-//!   [`ptolemy_core::DetectionEngine::estimate_batch`] predicts the batch
-//!   would exceed a target latency.  The cap adapts per backend: a
+//! * **Work-conserving batching** ([`BatchPolicy`]) — a worker that becomes
+//!   free while requests are queued takes whatever is there, at once, up to
+//!   an adaptive cap, and sleeps only on an empty queue: there is no
+//!   batch-forming delay.  Batches grow when every worker is busy and
+//!   requests accumulate behind them, which is exactly when fusing them buys
+//!   throughput.  The cap is the largest batch the backend's
+//!   [`ptolemy_core::DetectionEngine::estimate_batch`] predicts to fit a
+//!   target latency, and adapts per backend: a
 //!   [`ptolemy_core::SoftwareBackend`] engine is capped through its op counts,
 //!   an accelerator-bound engine through the cycle model's modelled
-//!   milliseconds.
+//!   milliseconds.  Every queue decision (admission, EDF order, the cut,
+//!   degradation, shutdown flush) is made by a pure state machine in
+//!   `queue.rs`; the threaded code only acts on its answers.
 //! * **Streamed fused batch execution** — each formed batch runs through
 //!   [`ptolemy_core::DetectionEngine::detect_batch_with_paths`]: one batched
 //!   NCHW `im2col`/matmul forward pass (tier 1, and again for the uncertain
 //!   sliver on tier 2) whose activation paths are extracted **while the pass
 //!   runs** ([`ptolemy_core::extract_paths_streaming_batch`]) — stacked
 //!   boundaries are masked and released eagerly instead of materialising a
-//!   full trace, so batch forming buys kernel fusion *and* O(retained
+//!   full trace, so batching buys kernel fusion *and* O(retained
 //!   boundaries) peak activation memory per worker, not just shared
 //!   scheduling.
 //! * **Two-tier routing** ([`ServerBuilder::escalate`]) — a cheap screening
@@ -116,6 +121,7 @@ mod admission;
 mod batch;
 mod cache;
 mod error;
+mod queue;
 mod server;
 mod stats;
 mod sync;

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -21,6 +21,7 @@ use crate::admission::{AdmissionPolicy, DegradePolicy};
 use crate::batch::{adaptive_cap_tiered, BatchPolicy};
 use crate::cache::{self, CacheConfig, CacheLoad, CachedVerdict, LruCache};
 use crate::error::{Result, ServeError, ShedReason};
+use crate::queue::{DegradeTransition, Next, QueueModel};
 use crate::stats::{ServeStats, StatsInner};
 use crate::sync::{self, lock};
 
@@ -104,23 +105,6 @@ struct Request {
     deadline_ns: Option<u64>,
 }
 
-impl Request {
-    /// The EDF ordering key: the absolute deadline, with deadline-less
-    /// requests at `u64::MAX` (after everything that can miss).
-    fn edf_key(&self) -> u64 {
-        self.deadline_ns.unwrap_or(u64::MAX)
-    }
-}
-
-struct QueueState {
-    queue: VecDeque<Request>,
-    /// Submitters currently blocked in [`Server::submit`] on a full queue;
-    /// the batch former cuts a stalled batch immediately instead of waiting
-    /// out the latency budget while the queue provably cannot grow.
-    blocked_submitters: usize,
-    shutdown: bool,
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -202,7 +186,10 @@ impl ServeObs {
 }
 
 struct Shared {
-    state: Mutex<QueueState>,
+    /// The queue policy ([`QueueModel`]): every admission, ordering, cut and
+    /// degradation decision is the model's; the code holding this lock only
+    /// acts on what it returns (count, notify, resolve).
+    state: Mutex<QueueModel<Request>>,
     /// Signals workers that requests arrived (or shutdown began).
     not_empty: Condvar,
     /// Signals blocked submitters that queue space freed up.
@@ -230,29 +217,12 @@ struct Shared {
     /// them inline.
     pipeline: bool,
     policy: BatchPolicy,
-    queue_capacity: usize,
-    /// Worker-thread count, cached for the admission wait estimate.
-    workers: usize,
-    /// Deadline admission control ([`ServerBuilder::admission`]); `None`
-    /// admits everything.
-    admission: Option<AdmissionPolicy>,
-    /// Mixed-criticality degradation ([`ServerBuilder::degradation`]);
-    /// `None` never degrades.
-    degrade: Option<DegradePolicy>,
-    /// Queue depth at/above which the server enters degraded mode
-    /// (`usize::MAX` without a degradation policy).
-    degrade_enter_at: usize,
-    /// Queue depth at/below which a degraded server recovers.
-    degrade_exit_at: usize,
-    /// Whether the server is currently in degraded (screen-tier-only) mode.
-    /// Transitions happen under the state lock (`update_degrade`), so the
-    /// entered/exited counters pair exactly.
-    degraded: AtomicBool,
     /// EMA of per-request service time (screen and escalation passes), the
-    /// denominator of the admission wait estimate.  0 = unseeded: admission
+    /// denominator of the admission wait estimate; present iff admission
+    /// control ([`ServerBuilder::admission`]) is.  0 = unseeded: admission
     /// is inert until the first timed batch (and stays inert under manual
     /// clocks, keeping deterministic tests deterministic).
-    service_ema_ns: AtomicU64,
+    service_ema_ns: Option<AtomicU64>,
     cache: Option<Mutex<LruCache<CachedVerdict>>>,
     /// Exact-duplicate fast path: maps an input fingerprint to the path-prefix
     /// key its screening extraction produced, so a byte-identical repeat skips
@@ -280,8 +250,6 @@ struct Shared {
     /// (with one attached, its clock is used so manual-clock tests stay
     /// deterministic end to end).
     fallback_clock: Clock,
-    /// Latency budget in nanoseconds (cached off `policy.latency_budget`).
-    latency_budget_ns: u64,
     /// Where the periodic snapshot thread writes metrics JSON, if configured.
     snapshot_path: Option<PathBuf>,
     /// Running mean activation-path density (f32 bits), fed back into the
@@ -433,7 +401,7 @@ impl Server {
     ///
     /// Returns [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn submit(&self, input: Tensor) -> Result<Ticket> {
-        self.submit_opt(input, None)
+        self.submit_opt(input, None, true)
     }
 
     /// Submits one input with a completion deadline, blocking while the
@@ -454,7 +422,7 @@ impl Server {
     /// ([`ServerBuilder::admission`]) predicts the deadline cannot be met at
     /// the current queue depth.
     pub fn submit_with_deadline(&self, input: Tensor, deadline: Duration) -> Result<Ticket> {
-        self.submit_opt(input, Some(deadline))
+        self.submit_opt(input, Some(deadline), true)
     }
 
     /// Submits one input without blocking.
@@ -464,7 +432,7 @@ impl Server {
     /// Returns [`ServeError::QueueFull`] if the queue is at capacity and
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn try_submit(&self, input: Tensor) -> Result<Ticket> {
-        self.try_submit_opt(input, None)
+        self.submit_opt(input, None, false)
     }
 
     /// Submits one input with a completion deadline, without blocking — the
@@ -476,102 +444,66 @@ impl Server {
     /// [`ServeError::ShuttingDown`] once shutdown has begun, and
     /// [`ServeError::Shed`] when admission control predicts a miss.
     pub fn try_submit_with_deadline(&self, input: Tensor, deadline: Duration) -> Result<Ticket> {
-        self.try_submit_opt(input, Some(deadline))
+        self.submit_opt(input, Some(deadline), false)
     }
 
-    fn submit_opt(&self, input: Tensor, deadline: Option<Duration>) -> Result<Ticket> {
-        let deadline_ns = self.absolute_deadline(deadline);
-        let mut state = lock(&self.shared.state);
-        loop {
-            if state.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            if state.queue.len() < self.shared.queue_capacity {
-                break;
-            }
-            state.blocked_submitters += 1;
-            // Wake a worker waiting out its latency budget: with a submitter
-            // blocked, the current batch cannot grow any further.
-            self.shared.not_empty.notify_one();
-            let mut woken = sync::wait(&self.shared.not_full, state);
-            woken.blocked_submitters -= 1;
-            state = woken;
-        }
-        self.enqueue(&mut state, input, deadline_ns)
-    }
-
-    fn try_submit_opt(&self, input: Tensor, deadline: Option<Duration>) -> Result<Ticket> {
-        let deadline_ns = self.absolute_deadline(deadline);
-        let mut state = lock(&self.shared.state);
-        if state.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
-        if state.queue.len() >= self.shared.queue_capacity {
-            return Err(ServeError::QueueFull);
-        }
-        self.enqueue(&mut state, input, deadline_ns)
-    }
-
-    /// Converts a relative deadline into an absolute reading on the server's
-    /// clock, taken at submission-call time.
-    fn absolute_deadline(&self, deadline: Option<Duration>) -> Option<u64> {
-        deadline.map(|d| {
-            let budget_ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-            self.shared.now_ns().saturating_add(budget_ns)
-        })
-    }
-
-    fn enqueue(
+    /// The one submission path: lock, ask the model, act on its answer.
+    fn submit_opt(
         &self,
-        state: &mut QueueState,
         input: Tensor,
-        deadline_ns: Option<u64>,
+        deadline: Option<Duration>,
+        block_while_full: bool,
     ) -> Result<Ticket> {
-        let now_ns = self.shared.now_ns();
-        // Admission control: estimate this request's completion time from the
-        // queue depth ahead of it and the per-request service EMA; shed it
-        // now (no ticket, no queue slot) if the deadline is predicted
-        // unmeetable.  Deadline-less submissions are never shed.
-        if let (Some(policy), Some(deadline)) = (&self.shared.admission, deadline_ns) {
-            let ema_ns = self.shared.service_ema_ns.load(Ordering::Relaxed);
-            if ema_ns > 0 {
-                let depth = state.queue.len() as u64 + 1;
-                let rounds = depth.div_ceil(self.shared.workers.max(1) as u64);
-                let estimate_ns = (ema_ns.saturating_mul(rounds) as f64 * policy.headroom) as u64;
-                if now_ns.saturating_add(estimate_ns) > deadline {
-                    lock(&self.shared.stats).counters.shed_admission += 1;
-                    return Err(ServeError::Shed(ShedReason::Admission));
+        let shared = &*self.shared;
+        // An absolute reading on the server's clock, taken at the submission
+        // call: time spent blocked on backpressure consumes budget.
+        let deadline_ns = deadline.map(|d| {
+            let budget_ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            shared.now_ns().saturating_add(budget_ns)
+        });
+        let mut state = lock(&shared.state);
+        let submitted_ns = loop {
+            let now_ns = shared.now_ns();
+            let ema_ns = shared
+                .service_ema_ns
+                .as_ref()
+                .map_or(0, |ema| ema.load(Ordering::Relaxed));
+            match state.admit(now_ns, ema_ns, deadline_ns) {
+                Ok(()) => break now_ns,
+                Err(ServeError::QueueFull) if block_while_full => {
+                    state = sync::wait(&shared.not_full, state);
+                }
+                Err(refused) => {
+                    if matches!(refused, ServeError::Shed(_)) {
+                        lock(&shared.stats).counters.shed_admission += 1;
+                    }
+                    return Err(refused);
                 }
             }
-        }
+        };
         let slot = Arc::new(TicketSlot {
             result: Mutex::new(None),
             ready: Condvar::new(),
         });
-        let request = Request {
-            input,
-            slot: slot.clone(),
-            submitted_ns: now_ns,
+        let transition = state.push(
             deadline_ns,
-        };
-        // EDF insertion: before every queued request with a strictly later
-        // deadline.  `partition_point` keeps FIFO order among equal keys, so
-        // deadline-less traffic (key u64::MAX throughout) preserves the exact
-        // historical FIFO behavior.
-        let key = request.edf_key();
-        let at = state
-            .queue
-            .partition_point(|queued| queued.edf_key() <= key);
-        state.queue.insert(at, request);
-        lock(&self.shared.stats).counters.submitted += 1;
-        update_degrade(&self.shared, state.queue.len());
-        self.shared.not_empty.notify_one();
+            Request {
+                input,
+                slot: slot.clone(),
+                submitted_ns,
+                deadline_ns,
+            },
+        );
+        lock(&shared.stats).counters.submitted += 1;
+        count_transition(shared, transition);
+        drop(state);
+        shared.not_empty.notify_one();
         Ok(Ticket { slot })
     }
 
     /// Number of requests currently queued (not yet picked up by a worker).
     pub fn pending(&self) -> usize {
-        lock(&self.shared.state).queue.len()
+        lock(&self.shared.state).len()
     }
 
     /// A point-in-time snapshot of the serving counters.
@@ -626,10 +558,7 @@ impl Server {
         if self.workers.is_empty() {
             return; // already shut down (shutdown() ran; this is the Drop)
         }
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-        }
+        lock(&self.shared.state).shut_down();
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         self.shared.monitor_wake.notify_all();
@@ -816,19 +745,14 @@ fn worker_loop(shared: &Shared) {
     });
 }
 
-/// Flips the degradation flag against the watermark thresholds for `depth`
-/// queued requests, counting transitions.  Callers hold the state lock, which
-/// serialises transitions — the entered/exited counters pair exactly.
-fn update_degrade(shared: &Shared, depth: usize) {
-    if shared.degrade.is_none() {
-        return;
-    }
-    if depth >= shared.degrade_enter_at {
-        if !shared.degraded.swap(true, Ordering::Relaxed) {
-            lock(&shared.stats).counters.degrade_entered += 1;
-        }
-    } else if depth <= shared.degrade_exit_at && shared.degraded.swap(false, Ordering::Relaxed) {
-        lock(&shared.stats).counters.degrade_exited += 1;
+/// Counts a degraded-mode edge the model reported.  Callers still hold the
+/// state lock the edge was decided under, so every snapshot of the two
+/// counters reads `entered - exited` as 0 or 1.
+fn count_transition(shared: &Shared, transition: Option<DegradeTransition>) {
+    match transition {
+        Some(DegradeTransition::Entered) => lock(&shared.stats).counters.degrade_entered += 1,
+        Some(DegradeTransition::Exited) => lock(&shared.stats).counters.degrade_exited += 1,
+        None => {}
     }
 }
 
@@ -837,20 +761,23 @@ fn update_degrade(shared: &Shared, depth: usize) {
 /// and a zero per-request cost (manual clocks) leaves the EMA unseeded — so
 /// admission stays inert in deterministic-clock tests.
 fn observe_service(shared: &Shared, elapsed_ns: u64, requests: usize) {
-    if shared.admission.is_none() || requests == 0 {
+    let Some(ema) = &shared.service_ema_ns else {
+        return;
+    };
+    if requests == 0 {
         return;
     }
     let per_request_ns = elapsed_ns / requests as u64;
     if per_request_ns == 0 {
         return;
     }
-    let current = shared.service_ema_ns.load(Ordering::Relaxed);
+    let current = ema.load(Ordering::Relaxed);
     let next = if current == 0 {
         per_request_ns
     } else {
         current.saturating_mul(3).saturating_add(per_request_ns) / 4
     };
-    shared.service_ema_ns.store(next, Ordering::Relaxed);
+    ema.store(next, Ordering::Relaxed);
 }
 
 /// Resolves every still-unresolved ticket in `slots` as canceled.
@@ -884,67 +811,42 @@ fn resolve(slot: &TicketSlot, result: Result<Served>) -> bool {
 /// instrumentation needs (when it is on) to account batch-forming time.
 struct FormedBatch {
     requests: Vec<Request>,
-    /// When the worker first saw a non-empty queue for this batch.
+    /// When the worker saw the non-empty queue it cut this batch from.
     form_start_ns: u64,
-    /// When the batch was cut.
+    /// When the batch was cut.  Nothing waits to be batched, so
+    /// `cut_ns - form_start_ns` is the cost of the cut itself.
     cut_ns: u64,
     /// Whether degraded (screen-tier-only) mode was in effect at the cut —
     /// the whole batch routes in the mode it was cut under.
     degraded: bool,
 }
 
-/// Blocks until a batch can be cut (queue reached the adaptive cap, the oldest
-/// request waited out the latency budget, or shutdown flushes what's left).
-/// Returns `None` when the queue is drained and the server is shutting down.
+/// Takes the next batch for a free worker: whatever is queued, up to `cap`,
+/// at once — the worker sleeps only on an empty queue.  Returns `None` when
+/// the queue is drained and the server is shutting down.
 fn next_batch(shared: &Shared, cap: usize) -> Option<FormedBatch> {
     let mut state = lock(&shared.state);
-    // Batch-forming starts when the worker first observes a request, not when
-    // it starts idling on an empty queue.
-    let mut form_start_ns: Option<u64> = None;
     loop {
-        if state.queue.is_empty() {
-            if state.shutdown {
-                return None;
-            }
-            form_start_ns = None;
-            state = sync::wait(&shared.not_empty, state);
-            continue;
-        }
-        let oldest_ns = match state.queue.front() {
-            Some(request) => request.submitted_ns,
-            None => continue, // re-check emptiness/shutdown at the top
-        };
-        let now_ns = shared.now_ns();
-        let form_start = *form_start_ns.get_or_insert(now_ns);
-        let waited_ns = now_ns.saturating_sub(oldest_ns);
-        // Cut when the batch is as large as it can get: the adaptive cap is
-        // reached, or the queue is at capacity with a submitter blocked on
-        // backpressure (it cannot grow, so waiting out the budget would only
-        // stall the pipeline).
-        let stalled = state.blocked_submitters > 0 && state.queue.len() >= shared.queue_capacity;
-        if state.queue.len() >= cap
-            || stalled
-            || waited_ns >= shared.latency_budget_ns
-            || state.shutdown
-        {
-            // The pre-drain depth decides the degradation transition (it is
-            // the pressure that triggered this cut); the batch then routes
-            // in whatever mode is in effect at the cut.
-            update_degrade(shared, state.queue.len());
-            let degraded = shared.degrade.is_some() && shared.degraded.load(Ordering::Relaxed);
-            let n = state.queue.len().min(cap);
-            let requests: Vec<Request> = state.queue.drain(..n).collect();
-            shared.not_full.notify_all();
-            return Some(FormedBatch {
-                requests,
-                form_start_ns: form_start,
-                cut_ns: shared.now_ns(),
+        let form_start_ns = shared.now_ns();
+        match state.cut(cap) {
+            Next::Batch {
+                items,
                 degraded,
-            });
+                transition,
+            } => {
+                count_transition(shared, transition);
+                drop(state);
+                shared.not_full.notify_all();
+                return Some(FormedBatch {
+                    requests: items,
+                    form_start_ns,
+                    cut_ns: shared.now_ns(),
+                    degraded,
+                });
+            }
+            Next::Sleep => state = sync::wait(&shared.not_empty, state),
+            Next::Exit => return None,
         }
-        let remaining = Duration::from_nanos(shared.latency_budget_ns - waited_ns);
-        let (guard, _timeout) = sync::wait_timeout(&shared.not_empty, state, remaining);
-        state = guard;
     }
 }
 
@@ -1837,22 +1739,17 @@ impl ServerBuilder {
         let obs = self
             .registry
             .map(|registry| ServeObs::attach(registry, shards, int8_screen));
-        let latency_budget_ns =
-            u64::try_from(self.policy.latency_budget.as_nanos()).unwrap_or(u64::MAX);
         let (snapshot_path, snapshot_interval) = match self.snapshot {
             Some((path, interval)) => (Some(path), Some(interval)),
             None => (None, None),
         };
-        let (degrade_enter_at, degrade_exit_at) = self
-            .degrade
-            .map(|policy| policy.thresholds(self.queue_capacity))
-            .unwrap_or((usize::MAX, 0));
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::with_capacity(self.queue_capacity),
-                blocked_submitters: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(QueueModel::new(
+                self.queue_capacity,
+                self.workers,
+                self.admission,
+                self.degrade,
+            )),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             monitor_wake: Condvar::new(),
@@ -1863,14 +1760,7 @@ impl ServerBuilder {
             band: self.band,
             pipeline: self.pipeline,
             policy: self.policy,
-            queue_capacity: self.queue_capacity,
-            workers: self.workers,
-            admission: self.admission,
-            degrade: self.degrade,
-            degrade_enter_at,
-            degrade_exit_at,
-            degraded: AtomicBool::new(false),
-            service_ema_ns: AtomicU64::new(0),
+            service_ema_ns: self.admission.map(|_| AtomicU64::new(0)),
             cache,
             input_keys,
             cache_seed,
@@ -1880,7 +1770,6 @@ impl ServerBuilder {
             stats: Mutex::new(stats),
             obs,
             fallback_clock: Clock::monotonic(),
-            latency_budget_ns,
             snapshot_path,
             density_ema_bits: AtomicU32::new(0.0f32.to_bits()),
             cap_cache: Mutex::new(None),
@@ -1935,7 +1824,7 @@ fn monitor_loop(shared: &Shared, interval: Duration) {
     let mut deadline_ns = shared.now_ns().saturating_add(interval_ns);
     let mut state = lock(&shared.state);
     loop {
-        if state.shutdown {
+        if state.is_shut_down() {
             return; // stop_and_join writes the final snapshot after the join
         }
         let now_ns = shared.now_ns();
@@ -2327,7 +2216,6 @@ mod tests {
             max_batch: 32,
             target_batch_latency_ms: 8.0,
             software_ops_per_ms: screen_ops as f64,
-            ..BatchPolicy::default()
         };
         let screen_cap = adaptive_cap(&screen, &policy, 1.0);
         assert_eq!(screen_cap, 8);
@@ -2511,51 +2399,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_submitters_cut_stalled_batches_immediately() {
-        let fx = fixture(2);
-        let (screen, _) = tiered(&fx);
-        // Queue of 2, one worker, and a latency budget far beyond the test:
-        // only the stalled-batch cut (or shutdown) can release anything.
-        let server = Server::builder(screen)
-            .workers(1)
-            .queue_capacity(2)
-            .batch_policy(BatchPolicy {
-                max_batch: 16,
-                latency_budget: Duration::from_secs(30),
-                target_batch_latency_ms: 1e9,
-                ..BatchPolicy::default()
-            })
-            .start()
-            .unwrap();
-
-        let started = std::time::Instant::now();
-        // The third blocking submit fills the queue; the worker must cut the
-        // stalled batch right away instead of waiting out the 30 s budget.
-        let tickets: Vec<Ticket> = std::thread::scope(|scope| {
-            let server = &server;
-            scope
-                .spawn(move || {
-                    (0..3)
-                        .map(|i| server.submit(fx.benign[i].clone()).unwrap())
-                        .collect()
-                })
-                .join()
-                .unwrap()
-        });
-        let mut tickets = tickets.into_iter();
-        tickets.next().unwrap().wait().unwrap();
-        tickets.next().unwrap().wait().unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "stalled batch must cut on backpressure, not on the latency budget"
-        );
-        // The last request sits alone under the huge budget; shutdown flushes it.
-        let last = tickets.next().unwrap();
-        server.shutdown();
-        last.wait().unwrap();
-    }
-
-    #[test]
     fn engine_errors_resolve_tickets_instead_of_stranding_them() {
         let fx = fixture(2);
         let (screen, _) = tiered(&fx);
@@ -2572,24 +2415,60 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
+    /// A cost backend whose first estimate blocks until the test drops the
+    /// paired sender.  `worker_loop` sizes its cap (`current_cap`) before it
+    /// asks for a batch, so this parks the worker *outside* the queue — a
+    /// deterministic hold with no timing and nothing added to the server.
+    #[derive(Debug)]
+    struct GatedBackend(Mutex<std::sync::mpsc::Receiver<()>>);
+
+    impl ptolemy_core::DetectionBackend for GatedBackend {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn bind(
+            &mut self,
+            _: &ptolemy_nn::Network,
+            _: &ptolemy_core::DetectionProgram,
+        ) -> ptolemy_core::Result<()> {
+            Ok(())
+        }
+
+        fn estimate_batch(
+            &self,
+            _: &ptolemy_nn::Network,
+            _: &ptolemy_core::DetectionProgram,
+            batch_size: usize,
+            _: f32,
+        ) -> ptolemy_core::Result<ptolemy_core::BackendEstimate> {
+            // Blocks while the sender lives; a dropped sender is `Err` at once.
+            let _ = lock(&self.0).recv();
+            // Models no cost: the cap falls back to `max_batch`.
+            Ok(ptolemy_core::BackendEstimate {
+                backend: "gated",
+                batch_size,
+                ..Default::default()
+            })
+        }
+    }
+
     #[test]
     fn bounded_queue_applies_backpressure_and_drains_on_shutdown() {
         let fx = fixture(2);
-        let (screen, _) = tiered(&fx);
-        // A huge latency budget keeps the single worker waiting to fill its
-        // batch, so the queue deterministically fills up.
+        let (gate, gated) = std::sync::mpsc::channel();
+        let screen = engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
+            .backend(Box::new(GatedBackend(Mutex::new(gated))))
+            .build()
+            .unwrap();
         let server = Server::builder(screen)
             .workers(1)
             .queue_capacity(2)
-            .batch_policy(BatchPolicy {
-                max_batch: 16,
-                latency_budget: Duration::from_secs(30),
-                target_batch_latency_ms: 1e9,
-                ..BatchPolicy::default()
-            })
             .start()
             .unwrap();
 
+        // The single worker is parked sizing its first batch, so the queue
+        // deterministically fills up.
         let t1 = server.try_submit(fx.benign[0].clone()).unwrap();
         let t2 = server.try_submit(fx.benign[1].clone()).unwrap();
         assert!(matches!(
@@ -2599,7 +2478,9 @@ mod tests {
         assert_eq!(server.pending(), 2);
         assert!(!t1.is_ready());
 
-        // Shutdown flushes the partial batch; every ticket resolves.
+        // Released, the worker takes everything queued in one cut; shutdown
+        // drains before it joins, so every ticket resolves.
+        drop(gate);
         let stats = server.shutdown();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);

@@ -14,7 +14,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ptolemy::prelude::*;
 use ptolemy::tensor::Rng64;
@@ -122,7 +121,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .queue_capacity(512)
             .batch_policy(BatchPolicy {
                 max_batch: 16,
-                latency_budget: Duration::from_millis(2),
                 ..BatchPolicy::default()
             })
             .cache(cache_config.clone())

@@ -2,7 +2,8 @@
 //! (deadline-aware serving is bit-for-bit identical to plain serving for
 //! every `variants::*` escalation engine), degraded-mode parity against the
 //! screen engine, admission-control shedding, deadline expiry in the queue,
-//! and degradation engaging/disengaging across a burst.
+//! degradation engaging/disengaging across a burst, and the work-conserving
+//! cut on a clock that never moves.
 
 mod common;
 
@@ -280,6 +281,39 @@ fn expired_requests_are_dropped_in_the_queue() {
     assert_eq!(stats.shed_expired, 1);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.failed, 1, "the expired request resolves as failed");
+}
+
+/// A free worker cuts whatever is queued at once: on a manual clock that
+/// nobody advances, a lone request still resolves.  (The batch former used to
+/// wait for the request to *age* on the server's clock, so this hung until
+/// someone advanced it.)
+#[test]
+fn lone_request_resolves_on_a_manual_clock_without_an_advance() {
+    let fx = fixtures();
+    let registry = Arc::new(Registry::with_clock("frozen-clock", Clock::manual()));
+    let server = Server::builder(fx.screen.clone())
+        .workers(1)
+        .instrument(registry.clone())
+        .start()
+        .unwrap();
+
+    let ticket = server.submit(fx.inputs[0].clone()).unwrap();
+    // Bounded in wall time so a regression fails instead of hanging the suite.
+    let give_up = std::time::Instant::now() + Duration::from_secs(60);
+    while !ticket.is_ready() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "a lone request waited on a clock nobody advances"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let served = ticket.wait().unwrap();
+    let direct = fx.screen.detect(&fx.inputs[0]).unwrap();
+    assert_same_detection(&served.detection, &direct, "frozen clock");
+    assert_eq!(registry.clock().now_ns(), 0, "nobody advanced the clock");
+
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.batches, stats.max_batch), (1, 1, 1));
 }
 
 /// Degradation engages while a burst keeps the queue above the high
