@@ -10,6 +10,10 @@
 //! Shape to check: served throughput overtakes the direct loop once enough
 //! workers are attached (the acceptance bar is ≥ 4), and the stats snapshot
 //! reports nonzero tier-2 escalations and cache hits on this workload.
+//!
+//! A second table names the miss path's residual: a traced server screens a
+//! batch of one in 2–2.6× what `detect` costs, so the three candidate causes
+//! are timed apart on one warm thread (`miss_path_residual`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,7 +22,9 @@ use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
 use ptolemy_obs::Clock;
 use ptolemy_serve::{BatchPolicy, CacheConfig, Server, ServerBuilder, Ticket};
+use ptolemy_tensor::{Tensor, ThreadClaim};
 
+use crate::workbench::interleaved_best_ms;
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
 
 /// Escalation band: screening scores in this range re-score on the BwCu tier.
@@ -29,6 +35,76 @@ const DUPLICATION: usize = 10;
 
 fn throughput(count: usize, elapsed: Duration) -> f64 {
     count as f64 / elapsed.as_secs_f64().max(1e-9)
+}
+
+/// Calls per kernel in [`miss_path_residual`].
+const RESIDUAL_REPS: usize = 2_000;
+
+/// One screen of one input, on one warm thread, the three ways that separate
+/// what a served miss pays beyond `detect`: the single-sample entry point,
+/// the fused entry point on a batch of one (what a worker calls), and the
+/// same inside a [`ThreadClaim`] (what a worker holds while it screens).
+/// Whatever the server's `screen` stage still costs above the last row is
+/// the worker itself — a thread that was parked a moment ago.
+fn miss_path_residual(screen: &DetectionEngine, input: &Tensor) -> BenchResult<Table> {
+    let batch = std::slice::from_ref(input);
+    let fused = || -> BenchResult<f64> {
+        let (verdict, _) = screen.detect_batch_with_paths(batch).remove(0)?;
+        Ok(f64::from(verdict.similarity))
+    };
+    // Warm both entry points, then time them interleaved.
+    let mut sinks = [f64::from(screen.detect(input)?.similarity), fused()?, 0.0];
+    let [single_sink, fused_sink, claimed_sink] = &mut sinks;
+    let [single_ms, fused_ms, claimed_ms] = interleaved_best_ms(
+        RESIDUAL_REPS,
+        [
+            &mut || {
+                *single_sink += f64::from(screen.detect(input)?.similarity);
+                Ok(())
+            },
+            &mut || {
+                *fused_sink += fused()?;
+                Ok(())
+            },
+            &mut || {
+                let _busy = ThreadClaim::acquire();
+                *claimed_sink += fused()?;
+                Ok(())
+            },
+        ],
+    )?;
+    let sink: f64 = sinks.iter().sum();
+
+    let mut table =
+        Table::new("Miss-path residual — one FwAb screen of one input on a warm thread").header([
+            "call",
+            "ns / call",
+            "vs detect",
+        ]);
+    for (call, key, ms) in [
+        ("detect(x)", "detect_single_ns", single_ms),
+        (
+            "detect_batch_with_paths(&[x])",
+            "detect_batch_of_one_ns",
+            fused_ms,
+        ),
+        (
+            "detect_batch_with_paths(&[x]) under a ThreadClaim",
+            "detect_batch_of_one_claimed_ns",
+            claimed_ms,
+        ),
+    ] {
+        table.metric(key, (ms * 1e6) as u64);
+        table.row([
+            call.to_string(),
+            format!("{:.0}", ms * 1e6),
+            format!("{:.2}x", ms / single_ms),
+        ]);
+    }
+    table.note(format!(
+        "fastest of 5 interleaved rounds, {RESIDUAL_REPS} calls per row (checksum {sink:.3})"
+    ));
+    Ok(table)
 }
 
 /// Runs the experiment.
@@ -175,7 +251,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         "tiered routing escalates and the cache hits on duplicates",
         saw_escalations && saw_cache_hits,
     );
-    Ok(vec![table])
+    Ok(vec![table, miss_path_residual(&screen, &benign[0])?])
 }
 
 #[cfg(test)]
@@ -185,7 +261,7 @@ mod tests {
     #[test]
     fn serving_beats_the_direct_loop_with_enough_workers() {
         let tables = run(BenchScale::Quick).unwrap();
-        assert_eq!(tables.len(), 1);
+        assert_eq!(tables.len(), 2);
         let rendered = tables[0].to_string();
         // Deterministic check: tiered routing escalates and the cache hits on
         // the duplicated workload, whatever the machine.
@@ -206,5 +282,8 @@ mod tests {
         assert_eq!(tables[0].checks().len(), 1);
         assert_eq!(tables[0].advisory_checks().len(), 1);
         assert!(!tables[0].metrics().is_empty());
+        // The residual table is timing only: three rows, three metrics.
+        assert_eq!(tables[1].metrics().len(), 3);
+        assert!(tables[1].checks().is_empty());
     }
 }

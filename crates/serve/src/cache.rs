@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use ptolemy_core::json::{self, JsonValue};
 use ptolemy_core::Detection;
 
-use crate::server::Tier;
+use crate::server::{Served, Tier};
 
 /// Configuration of the path-prefix result cache.
 ///
@@ -94,6 +94,20 @@ impl Default for CacheConfig {
 pub(crate) struct CachedVerdict {
     pub(crate) detection: Detection,
     pub(crate) tier: Tier,
+}
+
+impl CachedVerdict {
+    /// The [`Served`] a hit on this entry resolves to: the stored verdict and
+    /// tier, flagged as a hit.  Never degraded — degraded verdicts are not
+    /// cached.
+    pub(crate) fn hit(self) -> Served {
+        Served {
+            detection: self.detection,
+            tier: self.tier,
+            cache_hit: true,
+            degraded: false,
+        }
+    }
 }
 
 /// Format version of the persisted cache file.

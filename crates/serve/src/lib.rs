@@ -54,7 +54,10 @@
 //! * **Persistent path-prefix result cache** ([`CacheConfig`]) — an LRU cache
 //!   keyed on [`ptolemy_core::ActivationPath::prefix_fingerprint`] of the
 //!   screening path, so repeated/near-duplicate inputs skip re-scoring (most
-//!   importantly the tier-2 re-extraction).  With
+//!   importantly the tier-2 re-extraction).  A byte-identical repeat of a
+//!   cached input is answered inside [`Server::submit`] itself, as a
+//!   [`Ticket`] that is already resolved — it never reaches the queue
+//!   ([`ServeStats::cache_hits_at_submit`]).  With
 //!   [`CacheConfig::persist_path`] set the cache survives restarts: flushed on
 //!   shutdown, reloaded on start, and keyed on the engine fingerprint so a
 //!   file written by a different engine is ignored (with a counter) instead of
@@ -123,6 +126,7 @@ mod cache;
 mod error;
 mod queue;
 mod server;
+mod stage;
 mod stats;
 mod sync;
 

@@ -20,8 +20,9 @@ use ptolemy_tensor::{Tensor, ThreadClaim};
 use crate::admission::{AdmissionPolicy, DegradePolicy};
 use crate::batch::{adaptive_cap_tiered, BatchPolicy};
 use crate::cache::{self, CacheConfig, CacheLoad, CachedVerdict, LruCache};
-use crate::error::{Result, ServeError, ShedReason};
+use crate::error::{Result, ServeError};
 use crate::queue::{DegradeTransition, Next, QueueModel};
+use crate::stage::probe_stage;
 use crate::stats::{ServeStats, StatsInner};
 use crate::sync::{self, lock};
 
@@ -55,9 +56,20 @@ pub struct Served {
 }
 
 #[derive(Debug)]
-struct TicketSlot {
+pub(crate) struct TicketSlot {
     result: Mutex<Option<Result<Served>>>,
     ready: Condvar,
+}
+
+impl TicketSlot {
+    /// A slot holding `result`: `None` for a queued request, `Some` for one
+    /// answered inside `submit` — its ticket is born resolved.
+    pub(crate) fn new(result: Option<Result<Served>>) -> Arc<TicketSlot> {
+        Arc::new(TicketSlot {
+            result: Mutex::new(result),
+            ready: Condvar::new(),
+        })
+    }
 }
 
 /// A handle to one submitted request; resolves to a [`Served`] verdict.
@@ -94,15 +106,25 @@ impl Ticket {
     }
 }
 
-struct Request {
-    input: Tensor,
-    slot: Arc<TicketSlot>,
+pub(crate) struct Request {
+    pub(crate) input: Tensor,
+    pub(crate) flight: InFlight,
+}
+
+/// Everything about a request but its input tensor (which moves into the
+/// fused-batch buffer): what resolution still needs.
+pub(crate) struct InFlight {
+    pub(crate) slot: Arc<TicketSlot>,
     /// Enqueue time on the server's clock ([`Shared::now_ns`]).
-    submitted_ns: u64,
+    pub(crate) submitted_ns: u64,
     /// Absolute completion deadline on the server's clock
     /// ([`Server::submit_with_deadline`]); `None` for deadline-less
-    /// submissions, which sort after every deadline-carrying request.
-    deadline_ns: Option<u64>,
+    /// submissions, which sort after every deadline-carrying request.  Drives
+    /// the expiry drop in [`probe_stage`] and the deadline-miss accounting.
+    pub(crate) deadline_ns: Option<u64>,
+    /// Exact-input cache key ([`Shared::input_key`]), hashed once by the
+    /// submitter; `None` with the cache off.
+    pub(crate) input_key: Option<u64>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -331,10 +353,31 @@ impl Shared {
         )
     }
 
+    /// The exact-input fingerprint: FNV-1a over the shape and every element's
+    /// bit pattern.  It runs inside `submit`, so the elements go through four
+    /// interleaved lanes — one serial chain waits out a multiply per element
+    /// (≈ 1 µs for a 3×16×16 input, against ≈ 0.3 µs this way).
     fn input_key(&self, input: &Tensor) -> u64 {
+        let mut lanes = [self.cache_seed; 4];
+        let mut chunks = input.as_slice().chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (lane, value) in lanes.iter_mut().zip(chunk) {
+                *lane = (*lane ^ u64::from(value.to_bits())).wrapping_mul(FNV_PRIME);
+            }
+        }
+        let tail = chunks.remainder().iter().map(|v| u64::from(v.to_bits()));
         let dims = input.dims().iter().map(|d| *d as u64);
-        let data = input.as_slice().iter().map(|v| u64::from(v.to_bits()));
-        fnv1a_u64(self.cache_seed, dims.chain(data))
+        fnv1a_u64(self.cache_seed, dims.chain(lanes).chain(tail))
+    }
+
+    /// The exact-input probe: input fingerprint → path-prefix key → cached
+    /// verdict.  One body for both callers — `submit` on the submitting
+    /// thread, and a worker's [`probe_stage`].  Takes `input_keys`, releases
+    /// it, then takes `cache`; never called with `state` held.
+    fn probe(&self, input_key: u64) -> Option<Served> {
+        let (input_keys, cache) = (self.input_keys.as_ref()?, self.cache.as_ref()?);
+        let path_key = lock(input_keys).get(input_key).copied()?;
+        lock(cache).get(path_key).copied().map(CachedVerdict::hit)
     }
 }
 
@@ -397,6 +440,15 @@ impl Server {
     /// Submits one input, blocking while the submission queue is full
     /// (backpressure).
     ///
+    /// With the cache on, every submission path first probes the exact-input
+    /// cache on the calling thread.  A byte-identical repeat of a cached input
+    /// comes back as an already-ready [`Ticket`] ([`Served::cache_hit`],
+    /// counted in [`ServeStats::cache_hits_at_submit`]): it occupies no queue
+    /// slot and wakes no worker, so it is served even while the queue is full
+    /// ([`Server::try_submit`] does not see [`ServeError::QueueFull`]) or
+    /// admission control would shed ([`Server::submit_with_deadline`] does
+    /// not see [`ServeError::Shed`]).  Only shutdown refuses it.
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::ShuttingDown`] once shutdown has begun.
@@ -420,7 +472,8 @@ impl Server {
     /// Returns [`ServeError::ShuttingDown`] once shutdown has begun, and
     /// [`ServeError::Shed`] when admission control
     /// ([`ServerBuilder::admission`]) predicts the deadline cannot be met at
-    /// the current queue depth.
+    /// the current queue depth (a cached input needs no estimate and is never
+    /// shed, see [`Server::submit`]).
     pub fn submit_with_deadline(&self, input: Tensor, deadline: Duration) -> Result<Ticket> {
         self.submit_opt(input, Some(deadline), true)
     }
@@ -429,7 +482,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::QueueFull`] if the queue is at capacity and
+    /// Returns [`ServeError::QueueFull`] if the queue is at capacity (unless
+    /// the input is answered from the cache, see [`Server::submit`]) and
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn try_submit(&self, input: Tensor) -> Result<Ticket> {
         self.submit_opt(input, None, false)
@@ -442,12 +496,14 @@ impl Server {
     ///
     /// Returns [`ServeError::QueueFull`] if the queue is at capacity,
     /// [`ServeError::ShuttingDown`] once shutdown has begun, and
-    /// [`ServeError::Shed`] when admission control predicts a miss.
+    /// [`ServeError::Shed`] when admission control predicts a miss — the
+    /// first and last never for a cached input, see [`Server::submit`].
     pub fn try_submit_with_deadline(&self, input: Tensor, deadline: Duration) -> Result<Ticket> {
         self.submit_opt(input, Some(deadline), false)
     }
 
-    /// The one submission path: lock, ask the model, act on its answer.
+    /// The one submission path: probe the exact-input cache on this thread;
+    /// on a miss lock, ask the model, act on its answer.
     fn submit_opt(
         &self,
         input: Tensor,
@@ -461,6 +517,37 @@ impl Server {
             let budget_ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
             shared.now_ns().saturating_add(budget_ns)
         });
+        // The input is hashed once, here, where it is at hand anyway.  A hit
+        // is counted under one stats lock and returns a ticket born resolved:
+        // no queue slot, no admission estimate, no worker.  `ShuttingDown`
+        // still wins; `state` is held for that check alone.
+        let mut input_key = None;
+        if shared.cache.is_some() {
+            let start_ns = shared.now_ns();
+            let key = shared.input_key(&input);
+            input_key = Some(key);
+            let hit = shared.probe(key);
+            let now_ns = shared.now_ns();
+            if let Some(obs) = shared.stage_obs() {
+                obs.cache_lookup_ns.record(now_ns.saturating_sub(start_ns));
+            }
+            if let Some(served) = hit {
+                if lock(&shared.state).is_shut_down() {
+                    return Err(ServeError::ShuttingDown);
+                }
+                let mut stats = lock(&shared.stats);
+                stats.counters.submitted += 1;
+                stats.counters.completed += 1;
+                stats.counters.cache_hits += 1;
+                stats.counters.cache_hits_at_submit += 1;
+                stats.counters.deadline_misses +=
+                    u64::from(deadline_ns.is_some_and(|deadline| now_ns > deadline));
+                stats.latency_ns.record(now_ns.saturating_sub(start_ns));
+                drop(stats);
+                let slot = TicketSlot::new(Some(Ok(served)));
+                return Ok(Ticket { slot });
+            }
+        }
         let mut state = lock(&shared.state);
         let submitted_ns = loop {
             let now_ns = shared.now_ns();
@@ -481,17 +568,17 @@ impl Server {
                 }
             }
         };
-        let slot = Arc::new(TicketSlot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        });
+        let slot = TicketSlot::new(None);
         let transition = state.push(
             deadline_ns,
             Request {
                 input,
-                slot: slot.clone(),
-                submitted_ns,
-                deadline_ns,
+                flight: InFlight {
+                    slot: slot.clone(),
+                    submitted_ns,
+                    deadline_ns,
+                    input_key,
+                },
             },
         );
         lock(&shared.stats).counters.submitted += 1;
@@ -688,12 +775,12 @@ fn worker_loop(shared: &Shared) {
                     .record(cut_ns.saturating_sub(form_start_ns));
                 let earliest = batch
                     .iter()
-                    .map(|r| r.submitted_ns)
+                    .map(|r| r.flight.submitted_ns)
                     .min()
                     .unwrap_or(form_start_ns);
                 for request in &batch {
                     obs.queue_wait_ns
-                        .record(cut_ns.saturating_sub(request.submitted_ns));
+                        .record(cut_ns.saturating_sub(request.flight.submitted_ns));
                 }
                 let origin = earliest.min(form_start_ns);
                 let mut timeline = Timeline::new(&format!("batch-{batch_index}"), origin);
@@ -701,7 +788,7 @@ fn worker_loop(shared: &Shared) {
                 timeline.record(Stage::BatchForm, form_start_ns, cut_ns);
                 timeline
             });
-            let slots: Vec<Arc<TicketSlot>> = batch.iter().map(|r| r.slot.clone()).collect();
+            let slots: Vec<Arc<TicketSlot>> = batch.iter().map(|r| r.flight.slot.clone()).collect();
             let screened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 screen_batch(shared, batch, timeline, degraded)
             }));
@@ -749,10 +836,11 @@ fn worker_loop(shared: &Shared) {
 /// state lock the edge was decided under, so every snapshot of the two
 /// counters reads `entered - exited` as 0 or 1.
 fn count_transition(shared: &Shared, transition: Option<DegradeTransition>) {
-    match transition {
-        Some(DegradeTransition::Entered) => lock(&shared.stats).counters.degrade_entered += 1,
-        Some(DegradeTransition::Exited) => lock(&shared.stats).counters.degrade_exited += 1,
-        None => {}
+    let Some(edge) = transition else { return };
+    let mut stats = lock(&shared.stats);
+    match edge {
+        DegradeTransition::Entered => stats.counters.degrade_entered += 1,
+        DegradeTransition::Exited => stats.counters.degrade_exited += 1,
     }
 }
 
@@ -850,18 +938,6 @@ fn next_batch(shared: &Shared, cap: usize) -> Option<FormedBatch> {
     }
 }
 
-/// A request whose input tensor has been moved into the fused-batch buffer:
-/// only what resolution still needs.
-struct InFlight {
-    slot: Arc<TicketSlot>,
-    submitted_ns: u64,
-    /// Absolute deadline carried from the [`Request`]; drives the expiry
-    /// drop at batch formation and the deadline-miss accounting at finish.
-    deadline_ns: Option<u64>,
-    /// Exact-input cache key, computed in phase 1 while the input was at hand.
-    input_key: Option<u64>,
-}
-
 /// Resolves one request: updates the completion counters, queue-to-result
 /// latency and deadline-miss accounting, then wakes the waiter.
 fn finish(shared: &Shared, request: &InFlight, outcome: Result<Served>) {
@@ -870,8 +946,9 @@ fn finish(shared: &Shared, request: &InFlight, outcome: Result<Served>) {
     {
         let mut stats = lock(&shared.stats);
         match &outcome {
-            Ok(_) => {
+            Ok(served) => {
                 stats.counters.completed += 1;
+                stats.counters.cache_hits += u64::from(served.cache_hit);
                 if request
                     .deadline_ns
                     .is_some_and(|deadline| now_ns > deadline)
@@ -1018,8 +1095,9 @@ fn run_escalations(shared: &Shared, job: EscalationJob) {
 /// tier-2 sliver (if any) for the caller to run inline or hand to the overlap
 /// thread:
 ///
-/// 1. exact-duplicate fast path per request (byte-identical repeats resolve
-///    straight from the cache, skipping even the screening extraction);
+/// 1. [`probe_stage`]: expired requests are shed, and byte-identical repeats
+///    whose verdict landed after `submit` probed resolve straight from the
+///    cache, skipping even the screening extraction;
 /// 2. one streamed fused tier-1 pass over the whole remainder
 ///    ([`DetectionEngine::detect_batch_on`] with whichever forward provider
 ///    [`ServerBuilder::start`] validated, the screen's f32 network or its
@@ -1048,75 +1126,31 @@ fn screen_batch(
     #[cfg(test)]
     maybe_inject_panic(&shared.fail_next_screen, "screening");
     let obs = shared.stage_obs();
-    let cache_hit = |cached: CachedVerdict| {
-        lock(&shared.stats).counters.cache_hits += 1;
-        Served {
-            detection: cached.detection,
-            tier: cached.tier,
-            cache_hit: true,
-            degraded: false,
-        }
-    };
 
-    // Phase 1: deadline-expiry drop, then the exact-duplicate fast path.
-    // Inputs that miss are *moved* (not cloned) into the fused-batch buffer.
+    // Phase 1 ([`probe_stage`]): the delta is folded before the tickets
+    // resolve, so a waiter that wakes finds its own request counted.
     let phase1_start_ns = shared.now_ns();
-    let mut expired = 0u64;
-    let lookup_start_ns = obs
-        .filter(|_| shared.cache.is_some())
-        .map(|_| phase1_start_ns);
-    let mut pending: Vec<InFlight> = Vec::with_capacity(batch.len());
-    let mut inputs: Vec<Tensor> = Vec::with_capacity(batch.len());
-    for request in batch {
-        let Request {
-            input,
-            slot,
-            submitted_ns,
-            deadline_ns,
-        } = request;
-        let input_key = shared.cache.is_some().then(|| shared.input_key(&input));
-        let in_flight = InFlight {
-            slot,
-            submitted_ns,
-            deadline_ns,
-            input_key,
-        };
-        // A request whose deadline already passed gets no inference: resolve
-        // it shed (the answer could help nobody) and spend the cycles on
-        // requests that can still make their deadlines.
-        if deadline_ns.is_some_and(|deadline| phase1_start_ns > deadline) {
-            expired += 1;
-            lock(&shared.stats).counters.shed_expired += 1;
-            finish(
-                shared,
-                &in_flight,
-                Err(ServeError::Shed(ShedReason::DeadlineExpired)),
-            );
-            continue;
+    let probed = probe_stage(batch, phase1_start_ns, |key| shared.probe(key));
+    if !probed.answered.is_empty() {
+        lock(&shared.stats).fold(&probed.delta);
+        for (slot, outcome) in probed.answered {
+            resolve(&slot, outcome);
         }
-        if let (Some(cache), Some(input_keys), Some(key)) =
-            (&shared.cache, &shared.input_keys, input_key)
-        {
-            if let Some(path_key) = lock(input_keys).get(key).copied() {
-                if let Some(cached) = lock(cache).get(path_key).copied() {
-                    finish(shared, &in_flight, Ok(cache_hit(cached)));
-                    continue;
-                }
+    }
+    let (pending, inputs) = (probed.pending, probed.inputs);
+    if let Some(obs) = obs {
+        let (end_ns, cached) = (shared.now_ns(), shared.cache.is_some());
+        if cached {
+            let lookup_ns = end_ns.saturating_sub(phase1_start_ns);
+            obs.cache_lookup_ns.record(lookup_ns);
+        }
+        if let Some(timeline) = &mut timeline {
+            if probed.delta.shed_expired > 0 {
+                timeline.record(Stage::Shed, phase1_start_ns, end_ns);
             }
-        }
-        pending.push(in_flight);
-        inputs.push(input);
-    }
-    if expired > 0 {
-        if let Some(timeline) = &mut timeline {
-            timeline.record(Stage::Shed, phase1_start_ns, shared.now_ns());
-        }
-    }
-    if let (Some(obs), Some(start_ns)) = (obs, lookup_start_ns) {
-        let end_ns = shared.now_ns();
-        obs.cache_lookup_ns.record(end_ns.saturating_sub(start_ns));
-        if let Some(timeline) = &mut timeline {
-            timeline.record(Stage::CacheLookup, start_ns, end_ns);
+            if cached {
+                timeline.record(Stage::CacheLookup, phase1_start_ns, end_ns);
+            }
         }
     }
     if pending.is_empty() {
@@ -1181,7 +1215,7 @@ fn screen_batch(
                 lock(input_keys).insert(input_key, key);
             }
             if let Some(cached) = lock(cache).get(key).copied() {
-                finish(shared, &request, Ok(cache_hit(cached)));
+                finish(shared, &request, Ok(cached.hit()));
                 continue;
             }
             lock(&shared.stats).counters.cache_misses += 1;
@@ -2173,7 +2207,13 @@ mod tests {
             replayed.detection.score.to_bits(),
             first.detection.score.to_bits()
         );
-        drop(server);
+        // The persisted file holds path-prefix keys only, so that replay was
+        // screened; the next repeat is answered inside `submit`, same bits.
+        let again = server.submit(fx.benign[0].clone()).unwrap();
+        assert!(again.is_ready());
+        assert_eq!(again.wait().unwrap(), replayed);
+        let stats = server.shutdown();
+        assert_eq!((stats.cache_hits, stats.cache_hits_at_submit), (2, 1));
 
         // The *same* engine in f32 mode must reject the int8-fingerprinted
         // file: an int8 verdict may disagree with the f32 one for the same
@@ -2246,6 +2286,32 @@ mod tests {
     }
 
     #[test]
+    fn input_keys_tell_shape_order_and_tail_apart() {
+        let fx = fixture(2);
+        let (screen, _) = tiered(&fx);
+        let server = Server::builder(screen).workers(1).start().unwrap();
+        let key = |data: &[f32], dims: &[usize]| {
+            let input = Tensor::from_vec(data.to_vec(), dims).unwrap();
+            server.shared.input_key(&input)
+        };
+        // Ten elements: two full rounds of the four lanes and a tail of two.
+        let base: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        assert_eq!(key(&base, &[10]), key(&base, &[10]));
+        assert_ne!(key(&base, &[10]), key(&base, &[2, 5]));
+        // Swaps within a round, across rounds of one lane, within the tail
+        // and between a lane and the tail all change the key.
+        for (i, j) in [(0, 1), (0, 4), (8, 9), (3, 9)] {
+            let mut swapped = base.clone();
+            swapped.swap(i, j);
+            assert_ne!(key(&base, &[10]), key(&swapped, &[10]), "swap {i} {j}");
+        }
+        // Bit patterns, not values: -0.0 is not 0.0.
+        let mut negated = base.clone();
+        negated[0] = -0.0;
+        assert_ne!(key(&base, &[10]), key(&negated, &[10]));
+    }
+
+    #[test]
     fn duplicate_inputs_hit_the_path_prefix_cache() {
         let fx = fixture(2);
         let (screen, expensive) = tiered(&fx);
@@ -2265,13 +2331,17 @@ mod tests {
         let first = server.submit(fx.benign[0].clone()).unwrap().wait().unwrap();
         assert!(!first.cache_hit);
         assert_eq!(first.tier, Tier::Escalated);
-        let second = server.submit(fx.benign[0].clone()).unwrap().wait().unwrap();
+        let second = server.submit(fx.benign[0].clone()).unwrap();
+        assert!(second.is_ready(), "a repeat is answered inside submit");
+        let second = second.wait().unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.detection, first.detection);
         assert_eq!(second.tier, first.tier);
 
         let stats = server.shutdown();
         assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.cache_hits_at_submit, 1);
+        assert_eq!(stats.batches, 1);
         assert_eq!(stats.cache_misses, 1);
         assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-12);
         // The cached request skipped tier-2 re-scoring entirely.
@@ -2490,6 +2560,83 @@ mod tests {
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.max_batch, 2);
         assert_eq!(stats.mean_batch, 2.0);
+    }
+
+    /// The behaviour decision of the submit-side probe: a hit occupies no
+    /// queue slot and needs no admission estimate, so it is served where an
+    /// uncached input is refused.
+    #[test]
+    fn a_cached_input_is_answered_at_submit_past_a_full_queue_and_admission() {
+        use crate::error::ShedReason;
+
+        let fx = fixture(2);
+        let (gate, gated) = std::sync::mpsc::channel();
+        let screen = engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
+            .backend(Box::new(GatedBackend(Mutex::new(gated))))
+            .build()
+            .unwrap();
+        let server = Server::builder(screen)
+            .workers(1)
+            .queue_capacity(2)
+            .admission(AdmissionPolicy::default())
+            .cache(CacheConfig {
+                capacity: 64,
+                prefix_segments: usize::MAX,
+                persist_path: None,
+            })
+            .start()
+            .unwrap();
+
+        // One token lets the worker size its first batch.  It serves (and
+        // caches) the first input, seeds the service-time EMA, and parks again
+        // re-sizing the cap for the path density it just observed.
+        gate.send(()).unwrap();
+        let first = server.submit(fx.benign[0].clone()).unwrap().wait().unwrap();
+        assert!(!first.cache_hit);
+        let doomed = Duration::from_nanos(1);
+
+        // Admission: one request queued ahead dooms a 1 ns deadline — for an
+        // uncached input.  The cached one is answered without an estimate.
+        let t1 = server.try_submit(fx.benign[1].clone()).unwrap();
+        assert!(matches!(
+            server.try_submit_with_deadline(fx.benign[2].clone(), doomed),
+            Err(ServeError::Shed(ShedReason::Admission))
+        ));
+        let hit = server
+            .try_submit_with_deadline(fx.benign[0].clone(), doomed)
+            .unwrap();
+        assert!(hit.is_ready());
+        assert_eq!(server.stats().shed_admission, 1);
+
+        // A full queue: the uncached input is refused, the cached one served —
+        // by `try_submit` and by a `submit` that would otherwise block forever.
+        let t2 = server.try_submit(fx.benign[2].clone()).unwrap();
+        assert!(matches!(
+            server.try_submit(fx.benign[3].clone()),
+            Err(ServeError::QueueFull)
+        ));
+        let hit = server.try_submit(fx.benign[0].clone()).unwrap();
+        assert!(hit.is_ready());
+        let served = hit.wait().unwrap();
+        assert!(served.cache_hit && !served.degraded);
+        assert_eq!(served.tier, first.tier);
+        assert_eq!(served.detection, first.detection);
+        assert!(server.submit(fx.benign[0].clone()).unwrap().is_ready());
+        assert_eq!(server.pending(), 2);
+        assert!(!t1.is_ready() && !t2.is_ready());
+
+        let stats = server.stats();
+        assert_eq!(stats.shed_admission, 1);
+        assert_eq!((stats.cache_hits, stats.cache_hits_at_submit), (3, 3));
+        assert_eq!((stats.submitted, stats.completed), (6, 4));
+        assert_eq!(stats.batches, 1, "a hit cuts no batch");
+
+        drop(gate);
+        let stats = server.shutdown();
+        assert!(t1.is_ready() && t2.is_ready());
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (6, 6, 0));
+        assert_eq!(stats.cache_hits_at_submit, 3);
+        assert_eq!(stats.mean_batch, 1.5, "three batched requests, two batches");
     }
 
     /// Escalation shards built from `full`'s canary set, forest and threshold
@@ -2904,6 +3051,7 @@ mod tests {
                 "pipelined_batches",
                 "serial_batches",
                 "cache_hits",
+                "cache_hits_at_submit",
                 "cache_misses",
                 "shed_admission",
                 "shed_expired",

@@ -21,7 +21,10 @@ use ptolemy_obs::Histogram;
 /// re-scoring.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
-    /// Requests accepted into the submission queue.
+    /// Requests accepted: queued for a worker, or answered from the
+    /// exact-input cache inside `submit` without taking a queue slot
+    /// ([`ServeStats::cache_hits_at_submit`]).  Always
+    /// `completed + failed + in flight`.
     pub submitted: u64,
     /// Requests resolved with a verdict.
     pub completed: u64,
@@ -86,6 +89,13 @@ pub struct ServeStats {
     pub serial_batches: u64,
     /// Requests resolved from the path-prefix result cache.
     pub cache_hits: u64,
+    /// The subset of [`ServeStats::cache_hits`] answered on the submitting
+    /// thread, inside `submit`: a byte-identical repeat of a cached input,
+    /// returned as an already-ready [`crate::Ticket`] that took no queue slot,
+    /// woke no worker and joined no batch.  The remainder were answered by a
+    /// worker (the entry appeared while the request was queued, or only the
+    /// path prefix matched).
+    pub cache_hits_at_submit: u64,
     /// Cache lookups that missed (always 0 with the cache disabled).
     pub cache_misses: u64,
     /// Entries restored from the persisted cache file at startup
@@ -103,7 +113,8 @@ pub struct ServeStats {
     pub batches: u64,
     /// Largest batch cut so far.
     pub max_batch: usize,
-    /// Mean requests per batch.
+    /// Mean requests per batch: requests the workers cut ÷ batches.  A hit
+    /// answered inside `submit` joins no batch and counts in neither.
     pub mean_batch: f64,
     /// Median queue-to-result latency over all completed requests, in
     /// milliseconds (0.0 before the first completion).  Histogram-derived:
@@ -157,6 +168,7 @@ impl ServeStats {
             pipelined_batches,
             serial_batches,
             cache_hits,
+            cache_hits_at_submit,
             cache_misses,
             // What the persisted cache did at startup and shutdown: facts of
             // one moment, read off `Server::stats`, not serving counters.
@@ -184,6 +196,10 @@ impl ServeStats {
             ("pipelined_batches", JsonValue::UInt(pipelined_batches)),
             ("serial_batches", JsonValue::UInt(serial_batches)),
             ("cache_hits", JsonValue::UInt(cache_hits)),
+            (
+                "cache_hits_at_submit",
+                JsonValue::UInt(cache_hits_at_submit),
+            ),
             ("cache_misses", JsonValue::UInt(cache_misses)),
             ("shed_admission", JsonValue::UInt(shed_admission)),
             ("shed_expired", JsonValue::UInt(shed_expired)),
@@ -217,7 +233,31 @@ pub(crate) struct StatsInner {
     pub latency_ns: Histogram,
 }
 
+/// What one pass of a batch's expiry-and-probe stage
+/// (`crate::stage::probe_stage`) changes in the counters.  The stage takes no lock; the worker
+/// folds this once per batch ([`StatsInner::fold`]).
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct ProbeDelta {
+    /// Requests answered from the exact-input cache.
+    pub cache_hits: u64,
+    /// Requests dropped because their deadline had passed.
+    pub shed_expired: u64,
+    /// Queue-to-result latency of every request counted above.
+    pub latencies_ns: Vec<u64>,
+}
+
 impl StatsInner {
+    /// Applies one batch's [`ProbeDelta`]: a hit completed, an expiry failed.
+    pub fn fold(&mut self, delta: &ProbeDelta) {
+        self.counters.completed += delta.cache_hits;
+        self.counters.cache_hits += delta.cache_hits;
+        self.counters.failed += delta.shed_expired;
+        self.counters.shed_expired += delta.shed_expired;
+        for latency_ns in &delta.latencies_ns {
+            self.latency_ns.record(*latency_ns);
+        }
+    }
+
     /// The counters plus the four derived fields.
     pub fn snapshot(&self) -> ServeStats {
         let percentile_ms = |q: f64| -> f64 {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Guards the work-conserving batch cut: runs the e2e benchmark's light-load
-# serving workload and fails unless every verdict is correct, nothing failed
-# and the median latency stays well under a millisecond.
+# Guards the work-conserving batch cut and the submit-side cache probe: runs
+# the e2e benchmark's light-load serving workload and fails unless every
+# verdict is correct, nothing failed, the median latency stays well under a
+# millisecond and cache hits cut no batches.
 #
 #   scripts/serve_latency_check.sh
 #
@@ -12,21 +13,32 @@
 # ~1 400 us here) or any other wait on a non-empty queue lands above the
 # limit.  The limit is loose on purpose: it catches a policy regression, not
 # machine noise.
+#
+# Some 85 % of those requests repeat a cached input, and a repeat is answered
+# inside `submit`: it joins no batch.  A second, traced run therefore counts
+# batches per attempted request — about 0.15 here, about 0.9 when every hit
+# still crosses to a worker.  A count over counts, so host-time noise cannot
+# move it (`bench.samples` would: it drops the segments a stall invalidated,
+# while `serve.batches` covers the whole timed phase).
 set -euo pipefail
 
 LIMIT_US=1000
+BATCHES_PER_10_REQUESTS=3
 manifest=benchmarks/e2e/Cargo.toml
 # Building the benchmark rewrites one stale line of its lock file (see
 # ROADMAP "Infra"); put it back so the check leaves the tree clean.
 trap 'git checkout -q -- benchmarks/e2e/Cargo.lock 2>/dev/null || true' EXIT
 
-result="$(cargo run --release --quiet --manifest-path "$manifest" -- \
-    run --workload serve_steady_zipf --seconds 5 --trace 0 | tail -n 1)"
-echo "$result"
-
+run() { # run <seconds> <trace 0|1>: the benchmark's result line
+    cargo run --release --quiet --manifest-path "$manifest" -- \
+        run --workload serve_steady_zipf --seconds "$1" --trace "$2" | tail -n 1
+}
 field() { # field <regex with one capture group>
     sed -nE "s/.*$1.*/\1/p" <<<"$result"
 }
+
+result="$(run 5 0)"
+echo "$result"
 correct="$(field '"correct": (true|false)')"
 failed="$(field '"failed": ([0-9]+)')"
 p50_us="$(field '"latency_p50_us": \{"value": ([0-9]+)')"
@@ -43,4 +55,18 @@ if ((p50_us >= LIMIT_US)); then
     status=1
 fi
 ((status != 0)) || echo "serve latency check: p50 ${p50_us} us < ${LIMIT_US} us, ${failed} failed, verdicts correct"
+
+result="$(run 3 1)"
+batches="$(field '"serve.batches": \{"value": ([0-9]+)')"
+attempted="$(field '"attempted": ([0-9]+)')"
+if [[ -z "$batches" || -z "$attempted" ]]; then
+    echo "FAIL: could not read serve.batches / attempted from the traced result line" >&2
+    exit 2
+fi
+if ((batches * 10 > attempted * BATCHES_PER_10_REQUESTS)); then
+    echo "FAIL: ${batches} batches for ${attempted} requests (> 0.${BATCHES_PER_10_REQUESTS} each): cache hits are crossing to a worker"
+    status=1
+else
+    echo "serve batch check: ${batches} batches for ${attempted} requests (<= 0.${BATCHES_PER_10_REQUESTS} each)"
+fi
 exit "$status"

@@ -2,12 +2,14 @@
 //! (deadline-aware serving is bit-for-bit identical to plain serving for
 //! every `variants::*` escalation engine), degraded-mode parity against the
 //! screen engine, admission-control shedding, deadline expiry in the queue,
-//! degradation engaging/disengaging across a burst, and the work-conserving
-//! cut on a clock that never moves.
+//! degradation engaging/disengaging across a burst, a degraded verdict never
+//! coming back from the cache, and the work-conserving cut on a clock that
+//! never moves.
 
 mod common;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use ptolemy::obs::{Clock, Registry};
@@ -16,6 +18,7 @@ use ptolemy::prelude::*;
 /// Engines and a request pool shared by every test: building engines needs
 /// training + profiling, far too slow to repeat per test.
 struct Fixtures {
+    network: Arc<Network>,
     screen: Arc<DetectionEngine>,
     /// One calibrated escalation engine per `variants::*` constructor.
     escalations: Vec<(&'static str, Arc<DetectionEngine>)>,
@@ -79,6 +82,7 @@ fn fixtures() -> &'static Fixtures {
         scores.sort_by(f32::total_cmp);
         let band = (scores[scores.len() / 4], scores[scores.len() * 3 / 4]);
         Fixtures {
+            network,
             screen,
             escalations,
             inputs,
@@ -373,4 +377,128 @@ fn degradation_engages_and_disengages_across_a_burst() {
     );
     assert!(stats.degraded_served >= 1, "the burst must degrade traffic");
     assert_eq!(stats.shed_admission, 0, "no admission policy configured");
+}
+
+/// A cost backend whose every estimate blocks until the test sends a token
+/// (or drops the sender).  A worker sizes its batch cap before it asks for a
+/// batch, and re-sizes it when the observed path density drifts — as it does
+/// after the first batch — so this parks the worker *outside* the queue at
+/// exactly those two points, with no timing involved.
+#[derive(Debug)]
+struct GatedBackend(Mutex<Receiver<()>>);
+
+impl DetectionBackend for GatedBackend {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn bind(&mut self, _: &Network, _: &DetectionProgram) -> ptolemy::core::Result<()> {
+        Ok(())
+    }
+
+    fn estimate_batch(
+        &self,
+        _: &Network,
+        _: &DetectionProgram,
+        batch_size: usize,
+        _: f32,
+    ) -> ptolemy::core::Result<BackendEstimate> {
+        let _ = self.0.lock().unwrap().recv();
+        // Models no cost: the cap falls back to `max_batch`.
+        Ok(BackendEstimate {
+            backend: "gated",
+            batch_size,
+            ..Default::default()
+        })
+    }
+}
+
+/// A degraded verdict is never cached, so neither cache probe may ever return
+/// one: after recovery, resubmitting an input that was just served
+/// `degraded: true` misses the probe inside `submit` (the ticket is not born
+/// resolved), takes the full two-tier pipeline, and only *that* verdict is
+/// what a later repeat is answered with.
+#[test]
+fn a_degraded_verdict_never_comes_back_from_the_submit_side_probe() {
+    let fx = fixtures();
+    let (_, escalate) = &fx.escalations[0];
+    let (gate, gated) = channel();
+    // The fixture's screen engine, re-bound to the gated cost backend.
+    let screen = DetectionEngine::builder(
+        fx.network.clone(),
+        fx.screen.program().clone(),
+        fx.screen.class_paths().clone(),
+    )
+    .forest(fx.screen.forest().expect("calibrated").clone())
+    .threshold(fx.screen.threshold())
+    .backend(Box::new(GatedBackend(Mutex::new(gated))))
+    .build()
+    .unwrap();
+    // Capacity 4: degraded from depth 3, recovered at depth 1.
+    let server = Server::builder(screen)
+        .escalate(escalate.clone(), fx.band.0, fx.band.1)
+        .workers(1)
+        .queue_capacity(4)
+        .cache(CacheConfig {
+            capacity: 64,
+            prefix_segments: usize::MAX,
+            persist_path: None,
+        })
+        .degradation(DegradePolicy {
+            high_watermark: 0.75,
+            low_watermark: 0.25,
+        })
+        .start()
+        .unwrap();
+
+    // With the worker parked sizing its first batch, three in-band inputs
+    // pile the queue to the high watermark; one token releases one cut, which
+    // serves all three degraded.
+    let in_band: Vec<&Tensor> = fx
+        .inputs
+        .iter()
+        .filter(|x| (fx.band.0..=fx.band.1).contains(&fx.screen.detect(x).unwrap().score))
+        .take(3)
+        .collect();
+    let tickets: Vec<Ticket> = in_band
+        .iter()
+        .map(|x| server.submit((*x).clone()).unwrap())
+        .collect();
+    gate.send(()).unwrap();
+    for ticket in tickets {
+        let served = ticket.wait().unwrap();
+        assert!(served.degraded && !served.cache_hit);
+    }
+    let stats = server.stats();
+    assert_eq!((stats.batches, stats.degraded_served), (1, 3));
+    assert_eq!((stats.degrade_entered, stats.degrade_exited), (1, 0));
+
+    // The worker is parked again (re-sizing its cap) and the queue is empty:
+    // this push observes depth 1 and recovers.  Nothing can resolve the
+    // ticket before the gate opens, so "not ready" is the probe missing.
+    let again = server.submit(in_band[0].clone()).unwrap();
+    assert!(
+        !again.is_ready(),
+        "a degraded verdict was answered from the cache"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.degrade_exited, 1);
+    assert_eq!(stats.cache_hits, 0);
+    drop(gate);
+    let full = again.wait().unwrap();
+    assert!(!full.cache_hit && !full.degraded);
+    assert_eq!(full.tier, Tier::Escalated);
+    let expected = escalate.detect(in_band[0]).unwrap();
+    assert_same_detection(&full.detection, &expected, "after recovery");
+
+    // The full-pipeline verdict *is* cached: the next repeat is born resolved.
+    let hit = server.submit(in_band[0].clone()).unwrap();
+    assert!(hit.is_ready());
+    let hit = hit.wait().unwrap();
+    assert!(hit.cache_hit && !hit.degraded);
+    assert_eq!(hit.tier, Tier::Escalated);
+    assert_same_detection(&hit.detection, &expected, "replayed");
+    let stats = server.shutdown();
+    assert_eq!((stats.cache_hits, stats.cache_hits_at_submit), (1, 1));
+    assert_eq!(stats.submitted, stats.completed + stats.failed);
 }

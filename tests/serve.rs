@@ -185,14 +185,24 @@ fn duplicated_workload_reports_cache_hits() {
         .into_iter()
         .map(|t| t.wait().unwrap())
         .collect();
+    // Every verdict of the first pass is cached by now, so the exact-input
+    // probe inside `submit` answers the whole second pass: each ticket is born
+    // resolved and no worker cuts a batch for it.
+    let before = server.stats();
     let second: Vec<Served> = fx
         .inputs
         .iter()
-        .map(|x| server.submit(x.clone()).unwrap())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|t| t.wait().unwrap())
+        .map(|x| {
+            let ticket = server.submit(x.clone()).unwrap();
+            assert!(ticket.is_ready(), "a repeat must be answered inside submit");
+            ticket.wait().unwrap()
+        })
         .collect();
+    assert_eq!(
+        server.stats().batches,
+        before.batches,
+        "a hit cuts no batch"
+    );
 
     for (a, b) in first.iter().zip(&second) {
         assert!(b.cache_hit, "second pass must be served from the cache");
@@ -201,7 +211,97 @@ fn duplicated_workload_reports_cache_hits() {
     }
     let stats = server.shutdown();
     assert_eq!(stats.cache_hits, fx.inputs.len() as u64);
+    assert_eq!(stats.cache_hits_at_submit, fx.inputs.len() as u64);
+    assert_eq!(stats.submitted, 2 * fx.inputs.len() as u64);
+    assert_eq!(stats.submitted, stats.completed + stats.failed);
     assert!(stats.cache_hit_rate() > 0.0);
+}
+
+/// Two submitters race two workers over a four-input pool with Zipf-skewed
+/// popularity: a request may be answered by the probe inside `submit`, by the
+/// worker-side probe (its twin finished while it was queued), by the
+/// path-prefix lookup after a screen, or by the engines.  Whichever path
+/// wins, the verdict is bit for bit the cache-off server's, and every ticket
+/// is counted exactly once.
+#[test]
+fn racing_submitters_get_the_cache_off_verdicts_and_tickets_are_conserved() {
+    const REQUESTS_PER_SUBMITTER: usize = 2_500;
+    let fx = fixtures();
+    let pool = &fx.inputs[..4];
+    let builder = || {
+        Server::builder(fx.screen.clone())
+            .escalate(fx.expensive.clone(), BAND.0, BAND.1)
+            .workers(2)
+    };
+    let reference: Vec<Served> = {
+        let server = builder().start().unwrap();
+        pool.iter()
+            .map(|x| server.submit(x.clone()).unwrap().wait().unwrap())
+            .collect()
+    };
+
+    let server = builder()
+        .cache(CacheConfig {
+            capacity: 256,
+            prefix_segments: usize::MAX,
+            persist_path: None,
+        })
+        .start()
+        .unwrap();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for submitter in 0..2u64 {
+            let (server, start, reference) = (&server, &start, &reference);
+            scope.spawn(move || {
+                let mut rng = ptolemy::tensor::Rng64::new(0xCAC4E + submitter);
+                start.wait();
+                // Zipf(1) over four ranks: weights 1, 1/2, 1/3, 1/4.
+                let picks: Vec<usize> = (0..REQUESTS_PER_SUBMITTER)
+                    .map(|_| match rng.next_f32() * (25.0 / 12.0) {
+                        u if u < 1.0 => 0,
+                        u if u < 1.5 => 1,
+                        u if u < 11.0 / 6.0 => 2,
+                        _ => 3,
+                    })
+                    .collect();
+                let tickets: Vec<Ticket> = picks
+                    .iter()
+                    .map(|&i| server.submit(pool[i].clone()).unwrap())
+                    .collect();
+                for (i, ticket) in picks.into_iter().zip(tickets) {
+                    let served = ticket.wait().unwrap();
+                    let expected = &reference[i];
+                    assert_eq!(served.tier, expected.tier);
+                    assert!(!served.degraded);
+                    assert_eq!(served.detection, expected.detection);
+                    assert_eq!(
+                        served.detection.score.to_bits(),
+                        expected.detection.score.to_bits()
+                    );
+                    assert_eq!(
+                        served.detection.similarity.to_bits(),
+                        expected.detection.similarity.to_bits()
+                    );
+                }
+            });
+        }
+    });
+
+    let stats = server.shutdown();
+    let total = 2 * REQUESTS_PER_SUBMITTER as u64;
+    assert_eq!(stats.submitted, total);
+    assert_eq!((stats.completed, stats.failed), (total, 0));
+    assert_eq!(
+        stats.screen_served + stats.escalated + stats.cache_hits,
+        total,
+        "every completion is counted under exactly one source"
+    );
+    assert!(stats.cache_hits_at_submit <= stats.cache_hits);
+    assert!(stats.cache_hits_at_submit > 0, "{stats:?}");
+    assert!(
+        stats.batches < total,
+        "hits at submit cut no batch: {stats:?}"
+    );
 }
 
 /// A NaN-bearing request is an engine error on its own ticket (or, when the
