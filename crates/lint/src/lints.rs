@@ -67,6 +67,12 @@ pub const LINTS: &[(&str, &str)] = &[
          and counts claimed cores — a second site oversubscribes it",
     ),
     (
+        "test-hook-in-prod",
+        "#[cfg(test)] on a struct field, statement or expression threads a test hook through \
+         production code (a fault flag and the call that reads it); only whole items may be test-only — inject \
+         the fault from a test-side implementation of a public trait",
+    ),
+    (
         "suppression",
         "malformed lint:allow comment (unknown lint name, or missing the mandatory ': reason')",
     ),
@@ -86,6 +92,7 @@ pub const RELAXED_IN_TESTS: &[&str] = &[
     "raw-instant",
     "raw-numeric-cast",
     "raw-thread-spawn",
+    "test-hook-in-prod",
 ];
 
 /// `true` if `name` names a registered lint.
@@ -130,7 +137,7 @@ pub struct FileContext {
 
 /// Runs every lint over one file's token stream.
 pub fn check_file(path: &str, tokens: &[Token], context: &FileContext) -> Vec<Finding> {
-    let regions = test_regions(tokens);
+    let (regions, test_hooks) = test_regions(tokens);
     let (suppressions, mut findings) = parse_suppressions(path, tokens);
     let safety_lines: HashSet<usize> = tokens
         .iter()
@@ -164,6 +171,17 @@ pub fn check_file(path: &str, tokens: &[Token], context: &FileContext) -> Vec<Fi
         });
     };
 
+    for attribute in test_hooks {
+        emit(
+            "test-hook-in-prod",
+            attribute,
+            "#[cfg(test)] on something that is not an item — a field, statement or expression \
+             that exists only under test is a hook threaded through production code; keep the \
+             production type closed and inject the fault from the test side (a test-only \
+             implementation of a public trait), or gate a whole item"
+                .into(),
+        );
+    }
     for (i, token) in code.iter().enumerate() {
         match token.kind.ident() {
             Some("available_parallelism") if prev2_path(i, "thread") => {
@@ -351,11 +369,21 @@ impl Region {
     }
 }
 
+/// What a `#[cfg(test)]` attribute may gate: a whole item (`pub`-qualified or
+/// not).  On anything else — a struct field, a statement, an expression — it
+/// is a test hook inside production code (`test-hook-in-prod`).
+const ITEM_KEYWORDS: &[&str] = &[
+    "mod", "fn", "use", "impl", "struct", "enum", "const", "static", "type", "trait",
+];
+
 /// Finds the line ranges covered by `#[cfg(test)]` / `#[test]` / `#[bench]`
 /// items: the attribute, through the matching close brace of the item's body.
-fn test_regions(tokens: &[Token]) -> Vec<Region> {
+/// Also returns the `#` of every `#[cfg(test)]` outside those ranges whose
+/// target is not an item; such an attribute opens no range.
+fn test_regions(tokens: &[Token]) -> (Vec<Region>, Vec<&Token>) {
     let code: Vec<&Token> = tokens.iter().filter(|t| !t.kind.is_comment()).collect();
     let mut regions = Vec::new();
+    let mut test_hooks = Vec::new();
     let mut i = 0;
     while i < code.len() {
         // An outer attribute: `#` `[` … `]` (inner `#![…]` attributes are
@@ -404,6 +432,23 @@ fn test_regions(tokens: &[Token]) -> Vec<Region> {
             }
             j = k;
         }
+        // The target: an optional `pub` / `pub(…)`, then an item keyword.
+        let mut at = j;
+        if code.get(at).and_then(|t| t.kind.ident()) == Some("pub") {
+            at += 1;
+            if code.get(at).is_some_and(|t| t.kind.is_punct("(")) {
+                while at < code.len() && !code[at].kind.is_punct(")") {
+                    at += 1;
+                }
+                at += 1;
+            }
+        }
+        let keyword = code.get(at).and_then(|t| t.kind.ident());
+        if idents.first() == Some(&"cfg") && !keyword.is_some_and(|k| ITEM_KEYWORDS.contains(&k)) {
+            test_hooks.push(code[i]);
+            i = j;
+            continue;
+        }
         // The item body: first `{` before a `;` at the item level; a `;`
         // first means a body-less item (`#[cfg(test)] mod tests;`).
         let mut body_open = None;
@@ -449,7 +494,7 @@ fn test_regions(tokens: &[Token]) -> Vec<Region> {
         });
         i = k.max(j) + 1;
     }
-    regions
+    (regions, test_hooks)
 }
 
 /// Parses `// lint:allow(name, …): reason` comments.  Returns the map of
@@ -585,6 +630,53 @@ mod tests {
         );
         assert_eq!(lints_of(&findings), vec!["panic-in-worker"]);
         assert_eq!(findings[0].line, 1);
+    }
+
+    #[test]
+    fn cfg_test_on_a_field_statement_or_expression_is_a_test_hook() {
+        let findings = strict(
+            "struct Shared {\n\
+             #[cfg(test)]\n\
+             fail_next: bool,\n\
+             }\n\
+             fn run() -> Shared {\n\
+             #[cfg(test)]\n\
+             inject_fault();\n\
+             Shared {\n\
+             #[cfg(test)]\n\
+             fail_next: false,\n\
+             }\n\
+             }\n\
+             fn after() { x.unwrap(); }\n",
+        );
+        // The hook opens no test region: the code after it stays strict.
+        assert_eq!(
+            lints_of(&findings),
+            vec![
+                "test-hook-in-prod",
+                "test-hook-in-prod",
+                "test-hook-in-prod",
+                "panic-in-worker"
+            ]
+        );
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 6, 9, 13]
+        );
+        // Whole items stay legal, `pub`-qualified or not, and so does a hook
+        // inside a test region or a relaxed file.
+        let items = "#[cfg(test)]\npub(crate) fn helper() {}\n\
+                     #[cfg(test)]\nuse std::sync::Arc;\n\
+                     #[cfg(test)]\npub struct Probe;\n\
+                     #[cfg(test)]\nimpl Probe {}\n\
+                     #[cfg(test)]\nmod tests {\nfn t() {\n#[cfg(test)]\nlet x = 1;\n}\n}\n";
+        assert!(strict(items).is_empty(), "{:?}", strict(items));
+        let relaxed = FileContext {
+            relaxed: true,
+            allowed: HashSet::new(),
+        };
+        let tokens = lex("struct S {\n#[cfg(test)]\nhook: bool,\n}\n");
+        assert!(check_file("tests/t.rs", &tokens, &relaxed).is_empty());
     }
 
     #[test]

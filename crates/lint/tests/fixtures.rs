@@ -41,11 +41,17 @@ fn positive_fixture_trips_every_lint() {
             "raw-numeric-cast",
             "raw-thread-spawn", // std::thread::scope
             "raw-thread-spawn", // scope.spawn(..)
+            "test-hook-in-prod",
             "todo-marker",
             "unbounded-channel",
             "undocumented-unsafe",
         ]
     );
+}
+
+#[test]
+fn test_hook_fixture_flags_the_field_the_statement_and_the_expression_only() {
+    assert_eq!(check_fixture("test_hook.rs"), vec!["test-hook-in-prod"; 3]);
 }
 
 #[test]

@@ -54,3 +54,9 @@ fn hand_rolled_fan_out(items: &[u32]) -> u32 {
     // raw-thread-spawn: data parallelism goes through ptolemy_tensor::parallel.
     std::thread::scope(|scope| scope.spawn(|| items.iter().sum()).join().unwrap_or(0))
 }
+
+fn hooked(flag: &std::sync::atomic::AtomicBool) {
+    // test-hook-in-prod: a statement that exists only under test.
+    #[cfg(test)]
+    flag.store(false, std::sync::atomic::Ordering::SeqCst);
+}

@@ -23,7 +23,15 @@
 //!   an accelerator-bound engine through the cycle model's modelled
 //!   milliseconds.  Every queue decision (admission, EDF order, the cut,
 //!   degradation, shutdown flush) is made by a pure state machine in
-//!   `queue.rs`; the threaded code only acts on its answers.
+//!   `queue.rs`, and what a batch's requests resolve to — shed, cache hit,
+//!   screen verdict, degraded verdict, escalation group, escalated verdict —
+//!   by three stage functions in `stage.rs` that return the tickets they
+//!   answered plus one counter delta.  The threaded code in `server.rs` only
+//!   acts on those answers: it reads the clock, calls the engines, folds each
+//!   delta into [`ServeStats`] under one lock and then resolves the tickets,
+//!   so a [`Server::stats`] read taken right after [`Ticket::wait`] returns
+//!   already counts that request — on the success, error, expiry and
+//!   worker-panic paths alike.
 //! * **Streamed fused batch execution** — each formed batch runs through
 //!   [`ptolemy_core::DetectionEngine::detect_batch_with_paths`]: one batched
 //!   NCHW `im2col`/matmul forward pass (tier 1, and again for the uncertain
@@ -43,14 +51,15 @@
 //!   by the shard owning its screened class, so shard engines hold only their
 //!   slice of canary memory while the union of shard verdicts stays
 //!   **bit-for-bit identical** to the unsharded escalation engine.
-//! * **Cross-batch tier-2 pipelining** (default on,
-//!   [`ServerBuilder::pipeline_escalation`]) — each worker hands its
-//!   escalation sliver to a bounded overlap thread and immediately screens the
-//!   next formed batch, so tier-2 extraction of batch *k* overlaps tier-1 of
-//!   batch *k+1* (both tiers stream through the `TraceSink` drivers, so the
-//!   in-flight sliver holds only its retained boundaries).
-//!   [`ServeStats::pipelined_batches`] / [`ServeStats::serial_batches`] report
-//!   how often the handoff won.
+//! * **Cross-batch tier-2 pipelining** — each worker hands its escalation
+//!   sliver to a bounded overlap thread and immediately screens the next
+//!   formed batch, so tier-2 extraction of batch *k* overlaps tier-1 of batch
+//!   *k+1* (both tiers stream through the `TraceSink` drivers, so the
+//!   in-flight sliver holds only its retained boundaries).  This is the one
+//!   way tier 2 runs; the worker executes a sliver itself only when the
+//!   overlap thread already has one running and one waiting.
+//!   [`ServeStats::pipelined_batches`] / [`ServeStats::serial_batches`] count
+//!   the two outcomes.
 //! * **Persistent path-prefix result cache** ([`CacheConfig`]) — an LRU cache
 //!   keyed on [`ptolemy_core::ActivationPath::prefix_fingerprint`] of the
 //!   screening path, so repeated/near-duplicate inputs skip re-scoring (most

@@ -1,12 +1,15 @@
 //! The multi-worker serving runtime: bounded submission queue, adaptive batch
 //! former, two-tier router (optionally sharded across escalation engines, with
 //! tier-2 work pipelined against the next batch's screening) and the
-//! persistent path-prefix result cache.
+//! persistent path-prefix result cache.  The decisions live elsewhere — the
+//! queue policy in `queue.rs`, what a batch's requests resolve to in
+//! `stage.rs`; this file is the threaded shell that locks, reads the clock,
+//! calls the engines and acts on what those return.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::TrySendError;
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -22,7 +25,7 @@ use crate::batch::{adaptive_cap_tiered, BatchPolicy};
 use crate::cache::{self, CacheConfig, CacheLoad, CachedVerdict, LruCache};
 use crate::error::{Result, ServeError};
 use crate::queue::{DegradeTransition, Next, QueueModel};
-use crate::stage::probe_stage;
+use crate::stage::{self, Answers, EscalationGroup, Routing};
 use crate::stats::{ServeStats, StatsInner};
 use crate::sync::{self, lock};
 
@@ -120,7 +123,7 @@ pub(crate) struct InFlight {
     /// Absolute completion deadline on the server's clock
     /// ([`Server::submit_with_deadline`]); `None` for deadline-less
     /// submissions, which sort after every deadline-carrying request.  Drives
-    /// the expiry drop in [`probe_stage`] and the deadline-miss accounting.
+    /// the expiry drop in [`stage::probe_stage`] and the deadline-miss accounting.
     pub(crate) deadline_ns: Option<u64>,
     /// Exact-input cache key ([`Shared::input_key`]), hashed once by the
     /// submitter; `None` with the cache off.
@@ -159,6 +162,9 @@ struct ServeObs {
     batch_form_ns: HistogramHandle,
     cache_lookup_ns: HistogramHandle,
     screen_ns: HistogramHandle,
+    /// Which screening pass `screen_ns` times: [`Stage::Screen`], or
+    /// [`Stage::ScreenInt8`] under the quantized screen.
+    screen_stage: Stage,
     /// One histogram per escalation shard, indexed like `Shared::escalate`.
     escalate_ns: Vec<HistogramHandle>,
     /// Occupancy of the cross-batch overlap thread: how long each pipelined
@@ -173,16 +179,17 @@ impl ServeObs {
     /// registry snapshot unambiguously says which inference path the screen
     /// tier ran.
     fn attach(registry: Arc<Registry>, shards: usize, int8_screen: bool) -> ServeObs {
-        let screen_hist = if int8_screen {
-            "serve.screen_int8_ns"
+        let (screen_hist, screen_stage) = if int8_screen {
+            ("serve.screen_int8_ns", Stage::ScreenInt8)
         } else {
-            "serve.screen_ns"
+            ("serve.screen_ns", Stage::Screen)
         };
         ServeObs {
             queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
             batch_form_ns: registry.histogram("serve.batch_form_ns"),
             cache_lookup_ns: registry.histogram("serve.cache_lookup_ns"),
             screen_ns: registry.histogram(screen_hist),
+            screen_stage,
             escalate_ns: (0..shards)
                 .map(|shard| {
                     registry.histogram(&format!(
@@ -197,8 +204,29 @@ impl ServeObs {
         }
     }
 
+    /// Records one stage interval of a batch: into the stage's histogram (a
+    /// stage without one only marks the timeline) and into the batch's
+    /// timeline, when it has one.
+    fn stage(&self, timeline: &mut Option<Timeline>, stage: Stage, start_ns: u64, end_ns: u64) {
+        let hist = match stage {
+            Stage::BatchForm => Some(&self.batch_form_ns),
+            Stage::CacheLookup => Some(&self.cache_lookup_ns),
+            Stage::Screen | Stage::ScreenInt8 => Some(&self.screen_ns),
+            Stage::Escalate(shard) => self.escalate_ns.get(shard as usize),
+            Stage::Overlap => Some(&self.overlap_ns),
+            Stage::QueueWait | Stage::Shed | Stage::Degraded => None,
+        };
+        if let Some(hist) = hist {
+            hist.record(end_ns.saturating_sub(start_ns));
+        }
+        if let Some(timeline) = timeline {
+            timeline.record(stage, start_ns, end_ns);
+        }
+    }
+
     /// Pushes a finished per-batch timeline into the bounded ring.
-    fn retain_timeline(&self, timeline: Timeline) {
+    fn retain_timeline(&self, timeline: Option<Timeline>) {
+        let Some(timeline) = timeline else { return };
         let mut ring = lock(&self.timelines);
         if ring.len() == TIMELINE_RING {
             ring.pop_front();
@@ -235,9 +263,6 @@ struct Shared {
     owner_of: Vec<usize>,
     /// Screening scores in `[band.0, band.1]` escalate to tier 2.
     band: (f32, f32),
-    /// Hand tier-2 slivers to the per-worker overlap thread instead of running
-    /// them inline.
-    pipeline: bool,
     policy: BatchPolicy,
     /// EMA of per-request service time (screen and escalation passes), the
     /// denominator of the admission wait estimate; present iff admission
@@ -280,13 +305,6 @@ struct Shared {
     /// `(density the cap was computed at (bits), cap)` — recomputed when the
     /// observed density drifts.
     cap_cache: Mutex<Option<(f32, usize)>>,
-    /// Test-only fault injection: makes the next screening pass panic once
-    /// (the flag self-clears), exercising the poison-recovery path end-to-end.
-    #[cfg(test)]
-    fail_next_screen: std::sync::atomic::AtomicBool,
-    /// Test-only fault injection: makes the next escalation pass panic once.
-    #[cfg(test)]
-    fail_next_escalation: std::sync::atomic::AtomicBool,
 }
 
 impl Shared {
@@ -372,7 +390,7 @@ impl Shared {
 
     /// The exact-input probe: input fingerprint → path-prefix key → cached
     /// verdict.  One body for both callers — `submit` on the submitting
-    /// thread, and a worker's [`probe_stage`].  Takes `input_keys`, releases
+    /// thread, and a worker's [`stage::probe_stage`].  Takes `input_keys`, releases
     /// it, then takes `cache`; never called with `state` held.
     fn probe(&self, input_key: u64) -> Option<Served> {
         let (input_keys, cache) = (self.input_keys.as_ref()?, self.cache.as_ref()?);
@@ -430,7 +448,6 @@ impl Server {
             admission: None,
             degrade: None,
             cache: None,
-            pipeline: true,
             tiering_requested: false,
             registry: None,
             snapshot: None,
@@ -581,8 +598,12 @@ impl Server {
                 },
             },
         );
-        lock(&shared.stats).counters.submitted += 1;
-        count_transition(shared, transition);
+        // One stats lock, taken under the state lock the edge was decided
+        // under (see [`count_transition`]).
+        let mut stats = lock(&shared.stats);
+        stats.counters.submitted += 1;
+        count_transition(&mut stats.counters, transition);
+        drop(stats);
         drop(state);
         shared.not_empty.notify_one();
         Ok(Ticket { slot })
@@ -615,16 +636,6 @@ impl Server {
     /// The tier-1 screening engine.
     pub fn screen_engine(&self) -> &DetectionEngine {
         &self.shared.screen
-    }
-
-    /// The single tier-2 escalation engine, if exactly one is configured
-    /// (`None` without tiered routing *and* under sharded escalation — use
-    /// [`Server::escalation_shards`] for the general view).
-    pub fn escalation_engine(&self) -> Option<&DetectionEngine> {
-        match self.shared.escalate.as_slice() {
-            [only] => Some(only),
-            _ => None,
-        }
     }
 
     /// The tier-2 escalation engines, in shard order (empty without tiered
@@ -714,10 +725,10 @@ fn write_snapshot(shared: &Shared, path: &std::path::Path) {
     }
 }
 
-/// One worker: form a batch adaptively, screen it **fused**, hand the tier-2
-/// sliver to the worker's bounded overlap thread (so escalation extraction of
-/// batch *k* runs concurrently with screening of batch *k+1*), repeat until
-/// shutdown drains the queue.
+/// One worker: take whatever is queued (up to the adaptive cap), screen it
+/// **fused**, hand the tier-2 sliver to the worker's bounded overlap thread (so
+/// escalation extraction of batch *k* runs concurrently with screening of
+/// batch *k+1*), repeat until shutdown drains the queue.
 fn worker_loop(shared: &Shared) {
     // The overlap thread is fed through a bounded rendezvous
     // (sync_channel(1)) so at most one tier-2 sliver waits
@@ -725,21 +736,18 @@ fn worker_loop(shared: &Shared) {
     // pile up unboundedly.  When the channel is full the sliver runs inline
     // (counted as a serial batch), which keeps the worker making progress even
     // when tier 2 is the bottleneck.
-    let pipelined = shared.pipeline && !shared.escalate.is_empty();
     std::thread::scope(|scope| {
-        let escalator = if pipelined {
+        let escalator = (!shared.escalate.is_empty()).then(|| {
             let (tx, rx) = std::sync::mpsc::sync_channel::<EscalationJob>(1);
-            let handle = scope.spawn(move || {
+            scope.spawn(move || {
                 while let Ok(job) = rx.recv() {
                     // Busy only while a sliver executes: see the worker's claim.
                     let _busy = ThreadClaim::acquire();
-                    run_escalations_caught(shared, job);
+                    run_escalations_caught(shared, job, true);
                 }
             });
-            Some((tx, handle))
-        } else {
-            None
-        };
+            tx
+        });
         loop {
             // A custom backend whose estimate_batch panics must not kill the
             // worker (queued tickets would never resolve); it just loses the
@@ -754,93 +762,28 @@ fn worker_loop(shared: &Shared) {
             // fork-joins count it, so a saturated server fans nothing out
             // while a lone busy worker still borrows the idle cores.
             let _busy = ThreadClaim::acquire();
-            let FormedBatch {
-                requests: batch,
-                form_start_ns,
-                cut_ns,
-                degraded,
-            } = formed;
-            let batch_index;
-            {
-                let mut stats = lock(&shared.stats);
-                stats.counters.batches += 1;
-                batch_index = stats.counters.batches;
-                stats.batched_requests += batch.len() as u64;
-                stats.counters.max_batch = stats.counters.max_batch.max(batch.len());
-            }
-            // Per-batch stage timeline + queue-wait/batch-form histograms,
-            // only when a registry is attached and enabled.
-            let timeline = shared.stage_obs().map(|obs| {
-                obs.batch_form_ns
-                    .record(cut_ns.saturating_sub(form_start_ns));
-                let earliest = batch
-                    .iter()
-                    .map(|r| r.flight.submitted_ns)
-                    .min()
-                    .unwrap_or(form_start_ns);
-                for request in &batch {
-                    obs.queue_wait_ns
-                        .record(cut_ns.saturating_sub(request.flight.submitted_ns));
-                }
-                let origin = earliest.min(form_start_ns);
-                let mut timeline = Timeline::new(&format!("batch-{batch_index}"), origin);
-                timeline.record(Stage::QueueWait, earliest, cut_ns);
-                timeline.record(Stage::BatchForm, form_start_ns, cut_ns);
-                timeline
-            });
-            let slots: Vec<Arc<TicketSlot>> = batch.iter().map(|r| r.flight.slot.clone()).collect();
-            let screened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                screen_batch(shared, batch, timeline, degraded)
-            }));
-            match screened {
-                Ok(Some(mut job)) => match &escalator {
-                    Some((tx, _)) => {
-                        job.overlapped = true;
-                        match tx.try_send(job) {
-                            Ok(()) => lock(&shared.stats).counters.pipelined_batches += 1,
-                            Err(TrySendError::Full(mut job))
-                            | Err(TrySendError::Disconnected(mut job)) => {
-                                job.overlapped = false;
-                                lock(&shared.stats).counters.serial_batches += 1;
-                                run_escalations_caught(shared, job);
-                            }
-                        }
-                    }
-                    None => {
-                        lock(&shared.stats).counters.serial_batches += 1;
-                        run_escalations_caught(shared, job);
-                    }
-                },
-                Ok(None) => {}
-                Err(_) => {
-                    // The engine panicked mid-batch (screen_batch resolves
-                    // tickets on ordinary errors, so only a panic lands here).
-                    // Resolve every still-unresolved ticket of the batch
-                    // instead of stranding its waiter, and keep the worker
-                    // alive for the rest of the queue.
-                    lock(&shared.stats).counters.worker_panics += 1;
-                    cancel_unresolved(shared, &slots);
-                }
+            let flights = formed.requests.iter().map(|request| &request.flight);
+            let slots: Vec<_> = flights.map(|flight| flight.slot.clone()).collect();
+            let tx = escalator.as_ref();
+            let inline = run_caught(shared, &slots, || screen_batch(shared, formed, tx));
+            if let Some(job) = inline.flatten() {
+                run_escalations_caught(shared, job, false);
             }
         }
-        // Drop the sender so the overlap thread drains its last sliver and
-        // exits before this worker reports itself done.
-        if let Some((tx, handle)) = escalator {
-            drop(tx);
-            let _ = handle.join();
-        }
+        // Leaving the closure drops the sender, so the overlap thread drains
+        // its last sliver and exits; the scope joins it before this worker
+        // reports itself done.
     });
 }
 
 /// Counts a degraded-mode edge the model reported.  Callers still hold the
 /// state lock the edge was decided under, so every snapshot of the two
 /// counters reads `entered - exited` as 0 or 1.
-fn count_transition(shared: &Shared, transition: Option<DegradeTransition>) {
-    let Some(edge) = transition else { return };
-    let mut stats = lock(&shared.stats);
-    match edge {
-        DegradeTransition::Entered => stats.counters.degrade_entered += 1,
-        DegradeTransition::Exited => stats.counters.degrade_exited += 1,
+fn count_transition(counters: &mut ServeStats, transition: Option<DegradeTransition>) {
+    match transition {
+        Some(DegradeTransition::Entered) => counters.degrade_entered += 1,
+        Some(DegradeTransition::Exited) => counters.degrade_exited += 1,
+        None => {}
     }
 }
 
@@ -852,10 +795,7 @@ fn observe_service(shared: &Shared, elapsed_ns: u64, requests: usize) {
     let Some(ema) = &shared.service_ema_ns else {
         return;
     };
-    if requests == 0 {
-        return;
-    }
-    let per_request_ns = elapsed_ns / requests as u64;
+    let per_request_ns = elapsed_ns.checked_div(requests as u64).unwrap_or(0);
     if per_request_ns == 0 {
         return;
     }
@@ -868,18 +808,41 @@ fn observe_service(shared: &Shared, elapsed_ns: u64, requests: usize) {
     ema.store(next, Ordering::Relaxed);
 }
 
-/// Resolves every still-unresolved ticket in `slots` as canceled.
-fn cancel_unresolved(shared: &Shared, slots: &[Arc<TicketSlot>]) {
-    for slot in slots {
-        if resolve(
-            slot,
-            Err(ServeError::Canceled(
-                "a worker panicked while serving this request".into(),
-            )),
-        ) {
-            lock(&shared.stats).counters.failed += 1;
+/// Runs one leg of a batch — its screen, or its tier-2 sliver.  If an engine
+/// (or a custom backend) panics in it, the panic is counted and every ticket
+/// of `slots` still unresolved resolves as canceled instead of stranding its
+/// waiter — counted and resolved under one stats lock, so a waiter that wakes
+/// finds its own failure in [`Server::stats`] — and the calling thread lives
+/// on for the rest of the queue.
+fn run_caught<T>(shared: &Shared, slots: &[Arc<TicketSlot>], leg: impl FnOnce() -> T) -> Option<T> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(leg));
+    if outcome.is_err() {
+        let mut stats = lock(&shared.stats);
+        stats.counters.worker_panics += 1;
+        for slot in slots {
+            let canceled = "a worker panicked while serving this request".into();
+            let newly = resolve(slot, Err(ServeError::Canceled(canceled)));
+            stats.counters.failed += u64::from(newly);
         }
     }
+    outcome.ok()
+}
+
+/// Folds a stage's delta into the stats under one lock and only **then**
+/// resolves its tickets: callers read [`Server::stats`] right after
+/// [`Ticket::wait`] and must find their own request counted.  Returns the
+/// number of batches cut so far, which names a batch whose first stage this
+/// settles.
+fn settle(shared: &Shared, answers: Answers) -> u64 {
+    let batches = {
+        let mut stats = lock(&shared.stats);
+        stats.fold(&answers.delta);
+        stats.counters.batches
+    };
+    for (slot, outcome) in answers.tickets {
+        resolve(&slot, outcome);
+    }
+    batches
 }
 
 /// Writes `result` into the ticket slot unless it was already resolved, waking
@@ -922,7 +885,9 @@ fn next_batch(shared: &Shared, cap: usize) -> Option<FormedBatch> {
                 degraded,
                 transition,
             } => {
-                count_transition(shared, transition);
+                if transition.is_some() {
+                    count_transition(&mut lock(&shared.stats).counters, transition);
+                }
                 drop(state);
                 shared.not_full.notify_all();
                 return Some(FormedBatch {
@@ -938,175 +903,76 @@ fn next_batch(shared: &Shared, cap: usize) -> Option<FormedBatch> {
     }
 }
 
-/// Resolves one request: updates the completion counters, queue-to-result
-/// latency and deadline-miss accounting, then wakes the waiter.
-fn finish(shared: &Shared, request: &InFlight, outcome: Result<Served>) {
-    let now_ns = shared.now_ns();
-    let latency_ns = now_ns.saturating_sub(request.submitted_ns);
-    {
-        let mut stats = lock(&shared.stats);
-        match &outcome {
-            Ok(served) => {
-                stats.counters.completed += 1;
-                stats.counters.cache_hits += u64::from(served.cache_hit);
-                if request
-                    .deadline_ns
-                    .is_some_and(|deadline| now_ns > deadline)
-                {
-                    stats.counters.deadline_misses += 1;
-                }
-            }
-            Err(_) => stats.counters.failed += 1,
-        }
-        stats.latency_ns.record(latency_ns);
-    }
-    resolve(&request.slot, outcome);
-}
-
-/// The tier-2 sliver of one screened batch: for each escalation shard, the
-/// requests routed to it (by the shard owning each request's screened class)
-/// and their inputs, ready for one fused pass per shard.
+/// The tier-2 sliver of one screened batch: the shard groups
+/// [`stage::route_stage`] formed, and the batch's stage timeline, carried
+/// through so the escalation passes (wherever they run) append their events
+/// before it is retained.
 struct EscalationJob {
     groups: Vec<EscalationGroup>,
-    /// The batch's stage timeline, carried through so the escalation passes
-    /// (wherever they run) append their events before it is retained.
     timeline: Option<Timeline>,
-    /// `true` when the job was handed to the overlap thread — its execution
-    /// time then also counts as overlap-thread occupancy.
-    overlapped: bool,
 }
 
-struct EscalationGroup {
-    shard: usize,
-    requests: Vec<(InFlight, Option<u64>)>,
-    inputs: Vec<Tensor>,
+/// [`run_escalations`] under [`run_caught`]: every ticket of the sliver
+/// resolves even if an engine panics mid-pass.
+fn run_escalations_caught(shared: &Shared, job: EscalationJob, overlapped: bool) {
+    let requests = job.groups.iter().flat_map(|group| &group.requests);
+    let slots: Vec<_> = requests.map(|(flight, _)| flight.slot.clone()).collect();
+    run_caught(shared, &slots, || run_escalations(shared, job, overlapped));
 }
 
-impl EscalationJob {
-    fn slots(&self) -> Vec<Arc<TicketSlot>> {
-        self.groups
-            .iter()
-            .flat_map(|group| group.requests.iter().map(|(r, _)| r.slot.clone()))
-            .collect()
-    }
-}
-
-/// Runs an escalation job, resolving every ticket even if an engine panics
-/// mid-sliver.
-fn run_escalations_caught(shared: &Shared, job: EscalationJob) {
-    let slots = job.slots();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_escalations(shared, job)
-    }));
-    if outcome.is_err() {
-        lock(&shared.stats).counters.worker_panics += 1;
-        cancel_unresolved(shared, &slots);
-    }
-}
-
-/// Panics iff the given injection flag was armed, consuming it.  Test-only:
-/// the drain tests arm these flags to prove a panicking worker degrades
-/// (tickets cancelled, `worker_panics` bumped) instead of wedging the server.
-#[cfg(test)]
-fn maybe_inject_panic(flag: &std::sync::atomic::AtomicBool, what: &str) {
-    if flag.swap(false, Ordering::SeqCst) {
-        panic!("injected {what} panic");
-    }
-}
-
-/// One fused tier-2 pass per shard group: verdicts, cache fills, ticket
-/// resolution.  Grouping per shard changes only which fused batch an input
-/// rides in, and the fused kernels preserve per-input arithmetic — so the
-/// union of shard verdicts is bit-for-bit what the unsharded escalation
-/// engine returns.
-fn run_escalations(shared: &Shared, job: EscalationJob) {
-    #[cfg(test)]
-    maybe_inject_panic(&shared.fail_next_escalation, "escalation");
-    let EscalationJob {
-        groups,
-        mut timeline,
-        overlapped,
-    } = job;
+/// One fused tier-2 pass per shard group, each answered by
+/// [`stage::escalated_stage`].  Grouping per shard changes only which fused
+/// batch an input rides in, and the fused kernels preserve per-input
+/// arithmetic — so the union of shard verdicts is bit-for-bit what the
+/// unsharded escalation engine returns.  `overlapped`: the job runs on the
+/// overlap thread, so its execution time also counts as that thread's
+/// occupancy.
+fn run_escalations(shared: &Shared, job: EscalationJob, overlapped: bool) {
+    let mut timeline = job.timeline;
     let obs = shared.stage_obs();
-    let overlap_start_ns = obs.map(|_| shared.now_ns());
-    for group in groups {
+    let job_start_ns = shared.now_ns();
+    for group in job.groups {
+        let stage = Stage::Escalate(group.shard as u32);
         // Timed unconditionally: the admission EMA charges escalated requests
         // their tier-2 cost whether or not a registry is attached.
         let start_ns = shared.now_ns();
-        let group_len = group.requests.len();
-        let engine = &shared.escalate[group.shard];
-        let shard = group.shard;
-        let verdicts = engine.detect_batch_with_paths(&group.inputs);
-        for ((request, path_key), verdict) in group.requests.into_iter().zip(verdicts) {
-            match verdict {
-                Ok((detection, _)) => {
-                    {
-                        let mut stats = lock(&shared.stats);
-                        stats.counters.escalated += 1;
-                        stats.counters.shard_escalations[group.shard] += 1;
-                    }
-                    if let (Some(cache), Some(key)) = (&shared.cache, path_key) {
-                        lock(cache).insert(
-                            key,
-                            CachedVerdict {
-                                detection,
-                                tier: Tier::Escalated,
-                            },
-                        );
-                    }
-                    finish(
-                        shared,
-                        &request,
-                        Ok(Served {
-                            detection,
-                            tier: Tier::Escalated,
-                            cache_hit: false,
-                            degraded: false,
-                        }),
-                    );
-                }
-                Err(e) => finish(shared, &request, Err(e.into())),
-            }
-        }
+        let verdicts = shared.escalate[group.shard].detect_batch_with_paths(&group.inputs);
         let end_ns = shared.now_ns();
-        observe_service(shared, end_ns.saturating_sub(start_ns), group_len);
+        observe_service(shared, end_ns.saturating_sub(start_ns), verdicts.len());
+        let mut cache = shared.cache.as_ref().map(lock);
+        let answers = stage::escalated_stage(group, verdicts, end_ns, cache.as_deref_mut());
+        drop(cache);
+        settle(shared, answers);
         if let Some(obs) = obs {
-            obs.escalate_ns[shard].record(end_ns.saturating_sub(start_ns));
-            if let Some(timeline) = &mut timeline {
-                timeline.record(Stage::Escalate(shard as u32), start_ns, end_ns);
-            }
+            obs.stage(&mut timeline, stage, start_ns, end_ns);
         }
     }
     if let Some(obs) = obs {
-        if let Some(start_ns) = overlap_start_ns.filter(|_| overlapped) {
-            let end_ns = shared.now_ns();
-            obs.overlap_ns.record(end_ns.saturating_sub(start_ns));
-            if let Some(timeline) = &mut timeline {
-                timeline.record(Stage::Overlap, start_ns, end_ns);
-            }
+        if overlapped {
+            obs.stage(&mut timeline, Stage::Overlap, job_start_ns, shared.now_ns());
         }
-        if let Some(timeline) = timeline {
-            obs.retain_timeline(timeline);
-        }
+        obs.retain_timeline(timeline);
     }
 }
 
-/// Screens one formed batch through the **fused** engine path and returns the
-/// tier-2 sliver (if any) for the caller to run inline or hand to the overlap
-/// thread:
+/// Serves one formed batch up to its tier-2 sliver, which it hands to the
+/// overlap thread behind `escalator` — or returns, for the caller to run
+/// inline, when the rendezvous is full:
 ///
-/// 1. [`probe_stage`]: expired requests are shed, and byte-identical repeats
-///    whose verdict landed after `submit` probed resolve straight from the
-///    cache, skipping even the screening extraction;
+/// 1. [`stage::probe_stage`]: expired requests are shed, and byte-identical
+///    repeats whose verdict landed after `submit` probed resolve straight
+///    from the cache, skipping even the screening extraction;
 /// 2. one streamed fused tier-1 pass over the whole remainder
 ///    ([`DetectionEngine::detect_batch_on`] with whichever forward provider
 ///    [`ServerBuilder::start`] validated, the screen's f32 network or its
 ///    int8 view — a single batched forward pass whose paths are extracted
 ///    in-flight, stacked activations released eagerly instead of
 ///    materialising a trace);
-/// 3. per-request path-prefix cache lookup and uncertainty-band routing: each
-///    in-band request joins the group of the escalation shard that owns its
-///    screened class.
+/// 3. [`stage::route_stage`]: per-request path-prefix cache lookup and
+///    uncertainty-band routing — each in-band request joins the group of the
+///    escalation shard that owns its screened class.
+///
+/// Each stage's answers are settled ([`settle`]) before the next leg starts.
 ///
 /// With the cache disabled the results are bit-for-bit what direct engine
 /// calls produce: `screen.detect(input)` when the score is outside the
@@ -1119,187 +985,122 @@ fn run_escalations(shared: &Shared, job: EscalationJob) {
 /// [`ServerBuilder::quantized_screen`]); escalation still re-scores in f32.
 fn screen_batch(
     shared: &Shared,
-    batch: Vec<Request>,
-    mut timeline: Option<Timeline>,
-    degraded: bool,
+    formed: FormedBatch,
+    escalator: Option<&SyncSender<EscalationJob>>,
 ) -> Option<EscalationJob> {
-    #[cfg(test)]
-    maybe_inject_panic(&shared.fail_next_screen, "screening");
+    let (form_start_ns, cut_ns) = (formed.form_start_ns, formed.cut_ns);
+    // Per-batch stage timeline + queue-wait/batch-form histograms, only when
+    // a registry is attached and enabled.
     let obs = shared.stage_obs();
+    let earliest_ns = obs.map(|obs| {
+        let submitted = formed.requests.iter().map(|r| r.flight.submitted_ns);
+        for submitted_ns in submitted.clone() {
+            obs.queue_wait_ns
+                .record(cut_ns.saturating_sub(submitted_ns));
+        }
+        submitted.min().unwrap_or(form_start_ns)
+    });
 
-    // Phase 1 ([`probe_stage`]): the delta is folded before the tickets
-    // resolve, so a waiter that wakes finds its own request counted.
-    let phase1_start_ns = shared.now_ns();
-    let probed = probe_stage(batch, phase1_start_ns, |key| shared.probe(key));
-    if !probed.answered.is_empty() {
-        lock(&shared.stats).fold(&probed.delta);
-        for (slot, outcome) in probed.answered {
-            resolve(&slot, outcome);
+    let probe_ns = shared.now_ns();
+    let probed = stage::probe_stage(formed.requests, probe_ns, |key| shared.probe(key));
+    let shed = probed.answers.delta.shed_expired > 0;
+    let batch_index = settle(shared, probed.answers);
+    let mut timeline = earliest_ns.map(|earliest_ns| {
+        let origin_ns = earliest_ns.min(form_start_ns);
+        let mut timeline = Timeline::new(&format!("batch-{batch_index}"), origin_ns);
+        timeline.record(Stage::QueueWait, earliest_ns, cut_ns);
+        timeline
+    });
+    if let Some(obs) = obs {
+        obs.stage(&mut timeline, Stage::BatchForm, form_start_ns, cut_ns);
+        let probed_ns = shared.now_ns();
+        if shed {
+            obs.stage(&mut timeline, Stage::Shed, probe_ns, probed_ns);
+        }
+        if shared.cache.is_some() {
+            obs.stage(&mut timeline, Stage::CacheLookup, probe_ns, probed_ns);
         }
     }
     let (pending, inputs) = (probed.pending, probed.inputs);
-    if let Some(obs) = obs {
-        let (end_ns, cached) = (shared.now_ns(), shared.cache.is_some());
-        if cached {
-            let lookup_ns = end_ns.saturating_sub(phase1_start_ns);
-            obs.cache_lookup_ns.record(lookup_ns);
-        }
-        if let Some(timeline) = &mut timeline {
-            if probed.delta.shed_expired > 0 {
-                timeline.record(Stage::Shed, phase1_start_ns, end_ns);
-            }
-            if cached {
-                timeline.record(Stage::CacheLookup, phase1_start_ns, end_ns);
-            }
-        }
-    }
     if pending.is_empty() {
-        if let (Some(obs), Some(timeline)) = (obs, timeline) {
+        if let Some(obs) = obs {
             obs.retain_timeline(timeline);
         }
         return None;
     }
 
-    // Phase 2: one fused screening trace over everything the fast path missed
-    // — the int8 quantized pass when the builder enabled it, f32 otherwise.
-    // Timed unconditionally: the admission EMA needs the per-request cost
-    // whether or not a registry is attached.
+    // One fused screening trace over everything the probe missed — the int8
+    // quantized pass when the builder enabled it, f32 otherwise.  Timed
+    // unconditionally: the admission EMA needs the per-request cost whether
+    // or not a registry is attached.
     let screen_start_ns = shared.now_ns();
-    let (screened, stage) = match &shared.quantized {
-        Some(qnet) => {
-            lock(&shared.stats).counters.int8_screens += inputs.len() as u64;
-            let screened = shared.screen.detect_batch_on(qnet.as_ref(), &inputs);
-            (screened, Stage::ScreenInt8)
-        }
-        None => (
-            shared.screen.detect_batch_with_paths(&inputs),
-            Stage::Screen,
-        ),
+    let screened = match &shared.quantized {
+        Some(qnet) => shared.screen.detect_batch_on(qnet.as_ref(), &inputs),
+        None => shared.screen.detect_batch_with_paths(&inputs),
     };
     let screen_end_ns = shared.now_ns();
-    observe_service(
-        shared,
-        screen_end_ns.saturating_sub(screen_start_ns),
-        inputs.len(),
-    );
+    let screen_ns = screen_end_ns.saturating_sub(screen_start_ns);
+    observe_service(shared, screen_ns, inputs.len());
+    let int8_screens = u64::from(shared.quantized.is_some()) * inputs.len() as u64;
     if let Some(obs) = obs {
-        obs.screen_ns
-            .record(screen_end_ns.saturating_sub(screen_start_ns));
-        if let Some(timeline) = &mut timeline {
-            timeline.record(stage, screen_start_ns, screen_end_ns);
-        }
-    }
-
-    // Phase 3: density feedback, cache lookup on the path prefix, band routing
-    // to the escalation shard owning each screened class.
-    let mut degraded_served = 0u64;
-    let mut groups: Vec<EscalationGroup> = (0..shared.escalate.len())
-        .map(|shard| EscalationGroup {
-            shard,
-            requests: Vec::new(),
-            inputs: Vec::new(),
-        })
-        .collect();
-    for ((request, input), result) in pending.into_iter().zip(inputs).zip(screened) {
-        let (detection, path) = match result {
-            Ok(traced) => traced,
-            Err(e) => {
-                finish(shared, &request, Err(e.into()));
-                continue;
-            }
-        };
-        shared.observe_density(path.density());
-        let path_key = shared.cache.as_ref().map(|_| shared.cache_key(&path));
-        if let (Some(cache), Some(key)) = (&shared.cache, path_key) {
-            if let (Some(input_keys), Some(input_key)) = (&shared.input_keys, request.input_key) {
-                lock(input_keys).insert(input_key, key);
-            }
-            if let Some(cached) = lock(cache).get(key).copied() {
-                finish(shared, &request, Ok(cached.hit()));
-                continue;
-            }
-            lock(&shared.stats).counters.cache_misses += 1;
-        }
-        let in_band = detection.score >= shared.band.0 && detection.score <= shared.band.1;
-        if !shared.escalate.is_empty() && in_band {
-            if degraded {
-                // Mixed-criticality degradation: the batch was cut while the
-                // queue sat above the high watermark, so in-band requests take
-                // the tier-1 verdict instead of escalating.  The verdict is
-                // flagged and NOT cached — a degraded answer must never
-                // masquerade as a full-pipeline verdict on a later hit.
-                {
-                    let mut stats = lock(&shared.stats);
-                    stats.counters.screen_served += 1;
-                    stats.counters.degraded_served += 1;
-                }
-                degraded_served += 1;
-                finish(
-                    shared,
-                    &request,
-                    Ok(Served {
-                        detection,
-                        tier: Tier::Screen,
-                        cache_hit: false,
-                        degraded: true,
-                    }),
-                );
-                continue;
-            }
-            // The screened class decides the owning shard; validation pinned
-            // tiers to one shared network instance, so the shard's own forward
-            // pass predicts the same class and never hits a placeholder
-            // canary.  (An out-of-range class cannot happen — owner_of covers
-            // every class the network predicts — but a defensive fallback to
-            // shard 0 turns the impossible case into that shard's loud
-            // non-ownership error rather than a panic.)
-            let shard = shared
-                .owner_of
-                .get(detection.predicted_class)
-                .copied()
-                .unwrap_or(0);
-            groups[shard].requests.push((request, path_key));
-            groups[shard].inputs.push(input);
-            continue;
-        }
-        lock(&shared.stats).counters.screen_served += 1;
-        if let (Some(cache), Some(key)) = (&shared.cache, path_key) {
-            lock(cache).insert(
-                key,
-                CachedVerdict {
-                    detection,
-                    tier: Tier::Screen,
-                },
-            );
-        }
-        finish(
-            shared,
-            &request,
-            Ok(Served {
-                detection,
-                tier: Tier::Screen,
-                cache_hit: false,
-                degraded: false,
-            }),
+        obs.stage(
+            &mut timeline,
+            obs.screen_stage,
+            screen_start_ns,
+            screen_end_ns,
         );
     }
-    if degraded_served > 0 {
-        if let Some(timeline) = &mut timeline {
-            timeline.record(Stage::Degraded, screen_end_ns, shared.now_ns());
-        }
+
+    // Each LRU is held once for the whole batch, `input_keys` before `cache`,
+    // and released before the fold.
+    let routing = Routing {
+        band: shared.band,
+        owner_of: &shared.owner_of,
+        shards: shared.escalate.len(),
+        degraded: formed.degraded,
+        path_key: &|path| shared.cache_key(path),
+    };
+    let mut input_keys = shared.input_keys.as_ref().map(lock);
+    let mut cache = shared.cache.as_ref().map(lock);
+    let caches = input_keys.as_deref_mut().zip(cache.as_deref_mut());
+    let mut routed = stage::route_stage(pending, inputs, screened, screen_end_ns, &routing, caches);
+    drop((input_keys, cache));
+    for density in routed.densities {
+        shared.observe_density(density);
     }
-    groups.retain(|group| !group.requests.is_empty());
-    if groups.is_empty() {
-        if let (Some(obs), Some(timeline)) = (obs, timeline) {
-            obs.retain_timeline(timeline);
+
+    // The sliver is offered to the overlap thread before the fold, so how the
+    // hand-off went is counted with the batch; a refused one runs inline, but
+    // only after this batch's own answers are out.
+    let sliver = !routed.groups.is_empty();
+    let job = sliver.then(|| EscalationJob {
+        groups: routed.groups,
+        timeline: timeline.take(),
+    });
+    let inline = match (job, escalator) {
+        (Some(job), Some(tx)) => tx.try_send(job).err().map(|refused| match refused {
+            TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
+        }),
+        (job, _) => job,
+    };
+    let delta = &mut routed.answers.delta;
+    delta.int8_screens = int8_screens;
+    delta.serial_batches = u64::from(inline.is_some());
+    delta.pipelined_batches = u64::from(sliver && inline.is_none());
+    let degraded_served = delta.degraded_served > 0;
+    settle(shared, routed.answers);
+    if let Some(obs) = obs {
+        if degraded_served {
+            obs.stage(
+                &mut timeline,
+                Stage::Degraded,
+                screen_end_ns,
+                shared.now_ns(),
+            );
         }
-        return None;
+        obs.retain_timeline(timeline);
     }
-    Some(EscalationJob {
-        groups,
-        timeline,
-        overlapped: false,
-    })
+    inline
 }
 
 /// Builder for [`Server`]; all validation happens in [`ServerBuilder::start`].
@@ -1315,7 +1116,6 @@ pub struct ServerBuilder {
     admission: Option<AdmissionPolicy>,
     degrade: Option<DegradePolicy>,
     cache: Option<CacheConfig>,
-    pipeline: bool,
     /// `escalate`/`escalate_sharded` was called: an empty engine list must
     /// then fail loudly instead of silently serving tier-1 only.
     tiering_requested: bool,
@@ -1460,20 +1260,6 @@ impl ServerBuilder {
     /// [`ServeError::TierMismatch`].
     pub fn quantized_screen(mut self, calibration: impl Into<Arc<QuantizedNetwork>>) -> Self {
         self.quantized = Some(calibration.into());
-        self
-    }
-
-    /// Enables or disables cross-batch tier-2 pipelining (default **on**):
-    /// each worker hands its escalation sliver to a bounded overlap thread and
-    /// immediately screens the next batch, so tier-2 extraction of batch *k*
-    /// overlaps tier-1 of batch *k+1* (the `forward_with_sink` streaming
-    /// drivers make the tier-2 pass itself stream, so the overlap thread holds
-    /// only the sliver's retained boundaries).  [`ServeStats::pipelined_batches`]
-    /// / [`ServeStats::serial_batches`] report how often the handoff won.
-    /// Verdicts are unaffected either way — pipelining reorders work between
-    /// batches, never arithmetic within a request.
-    pub fn pipeline_escalation(mut self, enabled: bool) -> Self {
-        self.pipeline = enabled;
         self
     }
 
@@ -1792,7 +1578,6 @@ impl ServerBuilder {
             escalate: self.escalate,
             owner_of,
             band: self.band,
-            pipeline: self.pipeline,
             policy: self.policy,
             service_ema_ns: self.admission.map(|_| AtomicU64::new(0)),
             cache,
@@ -1807,10 +1592,6 @@ impl ServerBuilder {
             snapshot_path,
             density_ema_bits: AtomicU32::new(0.0f32.to_bits()),
             cap_cache: Mutex::new(None),
-            #[cfg(test)]
-            fail_next_screen: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(test)]
-            fail_next_escalation: std::sync::atomic::AtomicBool::new(false),
         });
         let workers = (0..self.workers)
             .map(|i| {
@@ -1888,7 +1669,9 @@ mod tests {
     use std::time::Duration;
 
     use ptolemy_core::{variants, DetectionEngineBuilder, Profiler};
-    use ptolemy_nn::{zoo, TrainConfig, Trainer};
+    use ptolemy_nn::layer::{Dense, ReLU};
+    use ptolemy_nn::{zoo, Contribution, Layer, LayerGrads, LayerKind, Network};
+    use ptolemy_nn::{TrainConfig, Trainer};
     use ptolemy_tensor::Rng64;
 
     /// A trained 2-class MLP with benign/adversarial calibration inputs (the
@@ -1901,6 +1684,30 @@ mod tests {
     }
 
     fn fixture(classes: usize) -> Fixture {
+        fixture_on(classes, |dims, rng| {
+            zoo::mlp_net(&[dims], classes, rng).unwrap()
+        })
+    }
+
+    /// [`fixture`] on a network whose first layer is a [`HookedLayer`]: every
+    /// forward pass — single or fused, with or without interiors — runs `hook`
+    /// first.  Same architecture as `zoo::mlp_net`, trained through the
+    /// wrapper.
+    fn hooked_fixture(classes: usize, hook: Hook) -> Fixture {
+        fixture_on(classes, |dims, rng| {
+            let first = Box::new(Dense::new(dims, 64, rng).unwrap());
+            let layers: Vec<Box<dyn Layer>> = vec![
+                Box::new(HookedLayer { inner: first, hook }),
+                Box::new(ReLU::new(&[64])),
+                Box::new(Dense::new(64, 32, rng).unwrap()),
+                Box::new(ReLU::new(&[32])),
+                Box::new(Dense::new(32, classes, rng).unwrap()),
+            ];
+            Network::new(layers).unwrap()
+        })
+    }
+
+    fn fixture_on(classes: usize, build: impl FnOnce(usize, &mut Rng64) -> Network) -> Fixture {
         let dims = 8;
         let mut rng = Rng64::new(23 + classes as u64);
         let prototypes: Vec<Vec<f32>> = (0..classes)
@@ -1917,7 +1724,7 @@ mod tests {
                 samples.push((Tensor::from_vec(data, &[dims]).unwrap(), class));
             }
         }
-        let mut net = zoo::mlp_net(&[dims], classes, &mut rng).unwrap();
+        let mut net = build(dims, &mut rng);
         Trainer::new(TrainConfig {
             epochs: 25,
             ..TrainConfig::default()
@@ -1942,6 +1749,113 @@ mod tests {
             samples,
             benign,
             adversarial,
+        }
+    }
+
+    type Hook = Arc<dyn Fn() + Send + Sync>;
+
+    /// The fault-injection point of these tests, outside the server: a
+    /// [`Layer`] that delegates every method to the layer it wraps and runs
+    /// `hook` before each of the four forward entry points.  Unsharded
+    /// `escalate` does not require the tiers to share a network instance, so
+    /// a hooked network can sit in tier 2 alone.
+    struct HookedLayer {
+        inner: Box<dyn Layer>,
+        hook: Hook,
+    }
+
+    impl Layer for HookedLayer {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn output_shape(&self) -> Vec<usize> {
+            self.inner.output_shape()
+        }
+        fn input_shape(&self) -> Vec<usize> {
+            self.inner.input_shape()
+        }
+        fn forward(&self, input: &Tensor) -> ptolemy_nn::Result<Tensor> {
+            (self.hook)();
+            self.inner.forward(input)
+        }
+        fn forward_batch(&self, batch: &Tensor) -> ptolemy_nn::Result<Tensor> {
+            (self.hook)();
+            self.inner.forward_batch(batch)
+        }
+        fn forward_interior(&self, input: &Tensor) -> ptolemy_nn::Result<(Tensor, Option<Tensor>)> {
+            (self.hook)();
+            self.inner.forward_interior(input)
+        }
+        fn forward_batch_interior(
+            &self,
+            batch: &Tensor,
+        ) -> ptolemy_nn::Result<(Tensor, Option<Tensor>)> {
+            (self.hook)();
+            self.inner.forward_batch_interior(batch)
+        }
+        fn backward(&self, input: &Tensor, grad_output: &Tensor) -> ptolemy_nn::Result<LayerGrads> {
+            self.inner.backward(input, grad_output)
+        }
+        fn params(&self) -> Vec<&Tensor> {
+            self.inner.params()
+        }
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            self.inner.params_mut()
+        }
+        fn contributions_many(
+            &self,
+            input: &Tensor,
+            interior: Option<&Tensor>,
+            out_idxs: &[usize],
+        ) -> ptolemy_nn::Result<Vec<Contribution>> {
+            self.inner.contributions_many(input, interior, out_idxs)
+        }
+        fn contributions(
+            &self,
+            input: &Tensor,
+            out_idx: usize,
+        ) -> ptolemy_nn::Result<Contribution> {
+            self.inner.contributions(input, out_idx)
+        }
+        fn has_static_routing(&self) -> bool {
+            self.inner.has_static_routing()
+        }
+        fn static_routing(&self, out_idx: usize) -> ptolemy_nn::Result<Option<Vec<usize>>> {
+            self.inner.static_routing(out_idx)
+        }
+        fn kind(&self) -> LayerKind {
+            self.inner.kind()
+        }
+        fn output_len(&self) -> usize {
+            self.inner.output_len()
+        }
+        fn input_len(&self) -> usize {
+            self.inner.input_len()
+        }
+        fn interior_len(&self) -> usize {
+            self.inner.interior_len()
+        }
+    }
+
+    /// A one-shot fault a test arms and the next hooked forward pass runs —
+    /// a panic, or a block on a channel — consuming it.
+    #[derive(Default)]
+    struct Fault(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+    impl Fault {
+        fn arm(&self, fault: impl FnOnce() + Send + 'static) {
+            *lock(&self.0) = Some(Box::new(fault));
+        }
+
+        /// The hook a [`hooked_fixture`] network runs: nothing unless armed.
+        fn hook(self: &Arc<Self>) -> Hook {
+            let this = self.clone();
+            Arc::new(move || {
+                let armed = lock(&this.0).take();
+                if let Some(fault) = armed {
+                    fault();
+                }
+            })
         }
     }
 
@@ -2672,7 +2586,6 @@ mod tests {
             .workers(1)
             .start()
             .unwrap();
-        assert!(server.escalation_engine().is_none());
         assert_eq!(server.escalation_shards().len(), 2);
 
         let inputs: Vec<Tensor> = fx.benign.iter().chain(&fx.adversarial).cloned().collect();
@@ -2700,25 +2613,6 @@ mod tests {
             stats.batches
         );
         assert_eq!(stats.failed, 0);
-    }
-
-    #[test]
-    fn pipelining_can_be_disabled_and_is_counted() {
-        let fx = fixture(2);
-        let (screen, expensive) = tiered(&fx);
-        let server = Server::builder(screen)
-            .escalate(expensive, 0.0, 1.0)
-            .workers(1)
-            .pipeline_escalation(false)
-            .start()
-            .unwrap();
-        for input in &fx.benign {
-            server.submit(input.clone()).unwrap().wait().unwrap();
-        }
-        let stats = server.shutdown();
-        assert!(stats.escalated > 0);
-        assert_eq!(stats.pipelined_batches, 0);
-        assert!(stats.serial_batches > 0);
     }
 
     #[test]
@@ -2877,18 +2771,23 @@ mod tests {
     }
     #[test]
     fn panicking_screen_worker_degrades_and_drains() {
-        let fx = fixture(2);
+        let fault = Arc::new(Fault::default());
+        let fx = hooked_fixture(2, fault.hook());
         let (screen, _) = tiered(&fx);
         let server = Server::builder(screen).workers(1).start().unwrap();
 
-        // Arm the injection: the next screening pass panics mid-batch.
-        server.shared.fail_next_screen.store(true, Ordering::SeqCst);
+        // Armed: the next screening pass panics inside the engine, mid-batch.
+        fault.arm(|| panic!("injected screening panic"));
         let err = server
             .submit(fx.benign[0].clone())
             .unwrap()
             .wait()
             .unwrap_err();
         assert!(matches!(err, ServeError::Canceled(_)), "{err:?}");
+        // Counted before the waiter woke, like every other resolution.
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.worker_panics), (1, 1), "{stats:?}");
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
 
         // The sole worker survived the panic and still drains the queue.
         let served = server.submit(fx.benign[1].clone()).unwrap().wait().unwrap();
@@ -2896,78 +2795,122 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
         assert_thread_claims_drain();
-        assert!(stats.failed >= 1, "{stats:?}");
-        assert!(stats.completed >= 1, "{stats:?}");
+        assert_eq!((stats.failed, stats.completed), (1, 1), "{stats:?}");
     }
 
-    #[test]
-    fn panicking_escalation_worker_degrades_and_drains() {
-        let fx = fixture(2);
-        let (screen, expensive) = tiered(&fx);
-        // Band [0, 1] covers every calibrated score, so requests escalate;
-        // inline escalation keeps the panic on the worker thread itself.
-        let server = Server::builder(screen)
-            .escalate(expensive, 0.0, 1.0)
-            .pipeline_escalation(false)
-            .workers(1)
-            .start()
-            .unwrap();
-
-        server
-            .shared
-            .fail_next_escalation
-            .store(true, Ordering::SeqCst);
-        let err = server
-            .submit(fx.adversarial[0].clone())
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Canceled(_)), "{err:?}");
-
-        let served = server
-            .submit(fx.adversarial[1].clone())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(served.tier, Tier::Escalated);
-        let stats = server.shutdown();
-        assert_eq!(stats.worker_panics, 1, "{stats:?}");
-        assert_thread_claims_drain();
+    /// A plain screen engine and a tier-2 engine on a network hooked to
+    /// `fault`, plus inputs (valid for both — same shape).
+    fn hooked_tier2(
+        fault: &Arc<Fault>,
+    ) -> (Arc<DetectionEngine>, Arc<DetectionEngine>, Vec<Tensor>) {
+        let plain = fixture(2);
+        let hooked = hooked_fixture(2, fault.hook());
+        (tiered(&plain).0, tiered(&hooked).1, plain.adversarial)
     }
 
     #[test]
     fn panic_on_pipelined_escalation_thread_degrades_and_drains() {
-        let fx = fixture(2);
-        let (screen, expensive) = tiered(&fx);
-        // Same as above, but the panic fires on the per-worker overlap thread,
-        // proving the recovery path holds off the worker thread too.
+        let fault = Arc::new(Fault::default());
+        let (screen, expensive, inputs) = hooked_tier2(&fault);
+        // Band [0, 1] covers every calibrated score, so requests escalate;
+        // the panic fires on the per-worker overlap thread, proving the
+        // recovery path holds off the worker thread too.
         let server = Server::builder(screen)
             .escalate(expensive, 0.0, 1.0)
-            .pipeline_escalation(true)
             .workers(1)
             .start()
             .unwrap();
 
-        server
-            .shared
-            .fail_next_escalation
-            .store(true, Ordering::SeqCst);
+        fault.arm(|| panic!("injected escalation panic"));
         let err = server
-            .submit(fx.adversarial[0].clone())
+            .submit(inputs[0].clone())
             .unwrap()
             .wait()
             .unwrap_err();
         assert!(matches!(err, ServeError::Canceled(_)), "{err:?}");
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.worker_panics), (1, 1), "{stats:?}");
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
 
-        let served = server
-            .submit(fx.adversarial[1].clone())
-            .unwrap()
-            .wait()
-            .unwrap();
+        let served = server.submit(inputs[1].clone()).unwrap().wait().unwrap();
         assert_eq!(served.tier, Tier::Escalated);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
+        assert_eq!((stats.pipelined_batches, stats.serial_batches), (2, 0));
         assert_thread_claims_drain();
+    }
+
+    /// The one way a sliver runs inline: the overlap thread is busy *and* one
+    /// sliver already waits in the rendezvous.  One worker, one request per
+    /// batch, escalate-all band: request 1 parks the overlap thread inside
+    /// tier 2, request 2's sliver fills the channel, request 3's runs on the
+    /// worker — where, in the second run, it panics.
+    #[test]
+    fn a_full_rendezvous_runs_the_sliver_inline_and_is_counted() {
+        for panic_inline in [false, true] {
+            let fault = Arc::new(Fault::default());
+            let (screen, expensive, inputs) = hooked_tier2(&fault);
+            let server = Server::builder(screen)
+                .escalate(expensive.clone(), 0.0, 1.0)
+                .workers(1)
+                .batch_policy(BatchPolicy {
+                    max_batch: 1,
+                    ..BatchPolicy::default()
+                })
+                .start()
+                .unwrap();
+
+            let (entered_tx, entered) = std::sync::mpsc::channel();
+            let (release, release_rx) = std::sync::mpsc::channel::<()>();
+            fault.arm(move || {
+                entered_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            let first = server.submit(inputs[0].clone()).unwrap();
+            entered.recv().unwrap();
+            // The overlap thread now sits inside tier 2 with the rendezvous
+            // empty, and stays there: the next tier-2 pass is the inline one.
+            if panic_inline {
+                fault.arm(|| panic!("injected inline escalation panic"));
+            }
+            let second = server.submit(inputs[1].clone()).unwrap();
+            let third = server.submit(inputs[2].clone()).unwrap().wait();
+            assert!(!first.is_ready() && !second.is_ready());
+            let stats = server.stats();
+            assert_eq!((stats.pipelined_batches, stats.serial_batches), (2, 1));
+            assert_eq!(stats.worker_panics, u64::from(panic_inline), "{stats:?}");
+            assert_eq!(stats.failed, u64::from(panic_inline), "{stats:?}");
+            assert_eq!(stats.submitted, stats.completed + stats.failed + 2);
+
+            release.send(()).unwrap();
+            let mut served = vec![first.wait().unwrap(), second.wait().unwrap()];
+            match third {
+                Ok(third) if !panic_inline => served.push(third),
+                Err(ServeError::Canceled(_)) if panic_inline => {
+                    // The worker survived; the next sliver is handed off again.
+                    served.push(server.submit(inputs[2].clone()).unwrap().wait().unwrap());
+                }
+                other => panic!("unexpected third outcome {other:?}"),
+            }
+            for (served, input) in served.iter().zip(&inputs) {
+                assert_eq!(served.tier, Tier::Escalated);
+                let direct = expensive.detect(input).unwrap();
+                assert_eq!(served.detection.score.to_bits(), direct.score.to_bits());
+                assert_eq!(
+                    served.detection.similarity.to_bits(),
+                    direct.similarity.to_bits()
+                );
+                assert_eq!(served.detection, direct);
+            }
+            let stats = server.shutdown();
+            let handed_off = 2 + u64::from(panic_inline);
+            assert_eq!(
+                (stats.pipelined_batches, stats.serial_batches),
+                (handed_off, 1)
+            );
+            assert_eq!(stats.completed, 3);
+            assert_thread_claims_drain();
+        }
     }
 
     /// Parses a named stage histogram out of a metrics snapshot.

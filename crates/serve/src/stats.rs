@@ -81,11 +81,12 @@ pub struct ServeStats {
     /// tier-1 screening of batch *k+1*.  Only batches with at least one
     /// escalated request count here or in [`ServeStats::serial_batches`].
     pub pipelined_batches: u64,
-    /// Batches whose tier-2 sliver ran inline on the worker — pipelining
-    /// disabled ([`crate::ServerBuilder::pipeline_escalation`]), or the
-    /// overlap thread was still busy with the previous batch (the handoff is a
-    /// bounded rendezvous, so tier-2 work can lag the screen by one batch and
-    /// never pile up unboundedly).
+    /// Batches whose tier-2 sliver ran inline on the worker because the
+    /// overlap thread still had the previous sliver running *and* one
+    /// waiting: the handoff is a bounded rendezvous, so tier-2 work can lag
+    /// the screen by one batch and never pile up unboundedly.  Every other
+    /// sliver is handed off ([`ServeStats::pipelined_batches`]), so a share
+    /// above a few percent means tier 2 is the bottleneck.
     pub serial_batches: u64,
     /// Requests resolved from the path-prefix result cache.
     pub cache_hits: u64,
@@ -222,7 +223,7 @@ impl ServeStats {
 /// the counters themselves (written in place — their derived fields stay 0
 /// here) plus what the derived fields are computed from.  `Clone` exists so a
 /// snapshot copies the state out under the lock and derives percentiles
-/// *outside* it — workers take this lock on every request.
+/// *outside* it — workers take this lock once per stage of a batch.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct StatsInner {
     pub counters: ServeStats,
@@ -233,26 +234,62 @@ pub(crate) struct StatsInner {
     pub latency_ns: Histogram,
 }
 
-/// What one pass of a batch's expiry-and-probe stage
-/// (`crate::stage::probe_stage`) changes in the counters.  The stage takes no lock; the worker
-/// folds this once per batch ([`StatsInner::fold`]).
+/// What one stage of a batch (`crate::stage`) changes in the stats: every
+/// counter a batch can move, plus the latency samples of the requests the
+/// stage answered.  A stage takes no lock; the worker folds its delta once
+/// ([`StatsInner::fold`]) and only then resolves the tickets, so a waiter that
+/// wakes finds its own request counted.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct ProbeDelta {
-    /// Requests answered from the exact-input cache.
+pub(crate) struct BatchDelta {
+    /// Batches cut — 1 in the delta of a batch's first stage, 0 in the rest —
+    /// and the requests in that batch.
+    pub batches: u64,
+    pub batched_requests: u64,
+    /// Requests the int8 screen ran on.
+    pub int8_screens: u64,
+    /// How the batch's tier-2 sliver ran: handed to the overlap thread, or
+    /// inline because the rendezvous was full.
+    pub pipelined_batches: u64,
+    pub serial_batches: u64,
+    /// Requests answered with a verdict / with an error.
+    pub completed: u64,
+    pub failed: u64,
+    pub screen_served: u64,
+    pub degraded_served: u64,
+    /// Requests tier 2 re-scored, all on escalation shard `shard`.
+    pub escalated: u64,
+    pub shard: usize,
     pub cache_hits: u64,
-    /// Requests dropped because their deadline had passed.
+    pub cache_misses: u64,
     pub shed_expired: u64,
-    /// Queue-to-result latency of every request counted above.
+    pub deadline_misses: u64,
+    /// Queue-to-result latency of every request counted in `completed` or
+    /// `failed`.
     pub latencies_ns: Vec<u64>,
 }
 
 impl StatsInner {
-    /// Applies one batch's [`ProbeDelta`]: a hit completed, an expiry failed.
-    pub fn fold(&mut self, delta: &ProbeDelta) {
-        self.counters.completed += delta.cache_hits;
-        self.counters.cache_hits += delta.cache_hits;
-        self.counters.failed += delta.shed_expired;
-        self.counters.shed_expired += delta.shed_expired;
+    /// Applies one stage's [`BatchDelta`].
+    pub fn fold(&mut self, delta: &BatchDelta) {
+        let counters = &mut self.counters;
+        counters.batches += delta.batches;
+        self.batched_requests += delta.batched_requests;
+        counters.max_batch = counters.max_batch.max(delta.batched_requests as usize);
+        counters.int8_screens += delta.int8_screens;
+        counters.pipelined_batches += delta.pipelined_batches;
+        counters.serial_batches += delta.serial_batches;
+        counters.completed += delta.completed;
+        counters.failed += delta.failed;
+        counters.screen_served += delta.screen_served;
+        counters.degraded_served += delta.degraded_served;
+        counters.escalated += delta.escalated;
+        if let Some(routed) = counters.shard_escalations.get_mut(delta.shard) {
+            *routed += delta.escalated;
+        }
+        counters.cache_hits += delta.cache_hits;
+        counters.cache_misses += delta.cache_misses;
+        counters.shed_expired += delta.shed_expired;
+        counters.deadline_misses += delta.deadline_misses;
         for latency_ns in &delta.latencies_ns {
             self.latency_ns.record(*latency_ns);
         }
