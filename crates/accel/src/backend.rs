@@ -51,8 +51,8 @@ impl AccelBackend {
     ///
     /// Hand this to the *screening* engine of a
     /// `ptolemy-serve` quantized-screen deployment so
-    /// [`ptolemy_core::DetectionEngine::detect_batch_with_estimate`] and the
-    /// adaptive batch former price the int8 pass instead of the f32 one.
+    /// [`ptolemy_core::DetectionEngine::detect_batch_with_estimate`] prices
+    /// the int8 pass instead of the f32 one.
     /// The compiled schedule is unchanged — quantization alters operand
     /// width, not the task graph.
     pub fn with_int8_operands(mut self) -> Self {

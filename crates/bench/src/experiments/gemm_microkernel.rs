@@ -272,7 +272,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         if idx == SHAPES.len() - 1 {
             blocked_2x_at_large = speedup >= 2.0;
         }
-        // 1.15x + 50us headroom: where the driver stays inline it is the
+        // 1.15x + 50us of headroom — where the driver stays inline it is the
         // blocked kernel, so "keeps up" means within noise of it.
         parallel_keeps_up &= parallel_ms <= blocked_ms * 1.15 + 0.05;
 

@@ -20,7 +20,7 @@ use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
 use ptolemy_obs::json::JsonValue;
 use ptolemy_obs::{Clock, Registry};
-use ptolemy_serve::{BatchPolicy, Served, Server, ServerBuilder, Ticket};
+use ptolemy_serve::{Served, Server, ServerBuilder, Ticket};
 use ptolemy_tensor::Tensor;
 
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
@@ -77,10 +77,7 @@ fn server(
         .escalate(expensive.clone(), BAND.0, BAND.1)
         .workers(2)
         .queue_capacity(queue)
-        .batch_policy(BatchPolicy {
-            max_batch: 8,
-            ..BatchPolicy::default()
-        });
+        .max_batch(8);
     let registry = match mode {
         ObsMode::Uninstrumented => None,
         ObsMode::AttachedDisabled | ObsMode::Enabled => {

@@ -1,6 +1,6 @@
 //! Beyond the paper — serving-runtime throughput: a direct single-engine
-//! `detect` loop vs the `ptolemy-serve` `Server` (multi-worker queue, adaptive
-//! batching, FwAb→BwCu tiered routing, path-prefix result cache), varying the
+//! `detect` loop vs the `ptolemy-serve` `Server` (multi-worker queue,
+//! work-conserving batching, FwAb→BwCu tiered routing, path-prefix result cache), varying the
 //! worker count.
 //!
 //! The workload repeats every input `DUPLICATION` times, interleaved — the
@@ -21,7 +21,7 @@ use std::time::Duration;
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
 use ptolemy_obs::Clock;
-use ptolemy_serve::{BatchPolicy, CacheConfig, Server, ServerBuilder, Ticket};
+use ptolemy_serve::{CacheConfig, Server, ServerBuilder, Ticket};
 use ptolemy_tensor::{Tensor, ThreadClaim};
 
 use crate::workbench::interleaved_best_ms;
@@ -190,10 +190,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             .escalate(expensive.clone(), BAND.0, BAND.1)
             .workers(workers)
             .queue_capacity(workload.len().max(1))
-            .batch_policy(BatchPolicy {
-                max_batch: 16,
-                ..BatchPolicy::default()
-            })
+            .max_batch(16)
             .cache(CacheConfig::default());
         let server = builder.start()?;
 

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
 use ptolemy_obs::Clock;
-use ptolemy_serve::{BatchPolicy, Served, Server, ServerBuilder, Ticket};
+use ptolemy_serve::{Served, Server, ServerBuilder, Ticket};
 use ptolemy_tensor::Tensor;
 
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
@@ -97,10 +97,7 @@ fn server(
         .escalate_sharded(shards, 0.0, 1.0) // everything escalates
         .workers(1)
         .queue_capacity(queue)
-        .batch_policy(BatchPolicy {
-            max_batch: 4,
-            ..BatchPolicy::default()
-        });
+        .max_batch(4);
     Ok(builder.start()?)
 }
 

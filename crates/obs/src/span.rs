@@ -21,7 +21,7 @@ use crate::registry::HistogramHandle;
 pub enum Stage {
     /// Submission-to-batch-cut wait in the bounded queue.
     QueueWait,
-    /// Forming the adaptive batch (cut decision + dequeue).
+    /// Forming the batch (cut decision + dequeue).
     BatchForm,
     /// Persisted/exact-input result cache lookups for the batch.
     CacheLookup,

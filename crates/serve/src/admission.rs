@@ -8,46 +8,19 @@
 //! serves bit-for-bit the same verdicts as one without, as long as deadlines
 //! are loose and the queue stays below the degradation watermark.
 
-/// Deadline admission control for [`crate::Server::submit_with_deadline`].
+/// Deadline admission control for [`crate::Server::submit_with_deadline`]:
+/// the on/off marker [`crate::ServerBuilder::admission`] takes.  It carries no
+/// setting — the estimate below is used as it is.
 ///
 /// At submission the server estimates the request's completion time from the
 /// current queue depth and an exponential moving average of per-request
-/// service time; if the estimate (scaled by [`AdmissionPolicy::headroom`])
-/// lands past the request's deadline, the submission is rejected with
-/// [`crate::ServeError::Shed`] instead of being queued — the request was
-/// going to miss anyway, and shedding it early preserves the deadlines of
-/// everything behind it.  Submissions **without** a deadline are never shed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    /// Safety factor on the estimated completion time (default 1.0).  Values
-    /// above 1.0 shed earlier (pessimistic: protects p99 at the cost of
-    /// rejecting some requests that would have made it); values below 1.0
-    /// admit optimistically.
-    pub headroom: f64,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> AdmissionPolicy {
-        AdmissionPolicy { headroom: 1.0 }
-    }
-}
-
-impl AdmissionPolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a non-finite or non-positive headroom.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if !self.headroom.is_finite() || self.headroom <= 0.0 {
-            return Err(format!(
-                "admission headroom must be finite and > 0, got {}",
-                self.headroom
-            ));
-        }
-        Ok(())
-    }
-}
+/// service time; if the estimate lands past the request's deadline, the
+/// submission is rejected with [`crate::ServeError::Shed`] instead of being
+/// queued — the request was going to miss anyway, and shedding it early
+/// preserves the deadlines of everything behind it.  Submissions **without**
+/// a deadline are never shed.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct AdmissionPolicy {}
 
 /// Mixed-criticality degradation for sustained overload — the serving analog
 /// of a real-time system's LMode→HMode switch.
@@ -123,14 +96,6 @@ impl DegradePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn admission_policy_validates_headroom() {
-        assert!(AdmissionPolicy::default().validate().is_ok());
-        assert!(AdmissionPolicy { headroom: 2.5 }.validate().is_ok());
-        assert!(AdmissionPolicy { headroom: 0.0 }.validate().is_err());
-        assert!(AdmissionPolicy { headroom: f64::NAN }.validate().is_err());
-    }
 
     #[test]
     fn degrade_policy_validates_watermarks() {

@@ -11,17 +11,13 @@
 //!   (std threads + condvars, no external executor).  [`Server::submit`]
 //!   returns a [`Ticket`] that resolves to a [`Served`] verdict; full queues
 //!   apply backpressure.
-//! * **Work-conserving batching** ([`BatchPolicy`]) — a worker that becomes
-//!   free while requests are queued takes whatever is there, at once, up to
-//!   an adaptive cap, and sleeps only on an empty queue: there is no
-//!   batch-forming delay.  Batches grow when every worker is busy and
+//! * **Work-conserving cut of at most `max_batch`**
+//!   ([`ServerBuilder::max_batch`]) — a worker that becomes free while
+//!   requests are queued takes whatever is there, at once, up to `max_batch`
+//!   (default 8, a measured number), and sleeps only on an empty queue: there
+//!   is no batch-forming delay.  Batches grow when every worker is busy and
 //!   requests accumulate behind them, which is exactly when fusing them buys
-//!   throughput.  The cap is the largest batch the backend's
-//!   [`ptolemy_core::DetectionEngine::estimate_batch`] predicts to fit a
-//!   target latency, and adapts per backend: a
-//!   [`ptolemy_core::SoftwareBackend`] engine is capped through its op counts,
-//!   an accelerator-bound engine through the cycle model's modelled
-//!   milliseconds.  Every queue decision (admission, EDF order, the cut,
+//!   throughput.  Every queue decision (admission, EDF order, the cut,
 //!   degradation, shutdown flush) is made by a pure state machine in
 //!   `queue.rs`, and what a batch's requests resolve to — shed, cache hit,
 //!   screen verdict, degraded verdict, escalation group, escalated verdict —
@@ -130,7 +126,6 @@
 #![deny(missing_docs)]
 
 mod admission;
-mod batch;
 mod cache;
 mod error;
 mod queue;
@@ -140,7 +135,6 @@ mod stats;
 mod sync;
 
 pub use admission::{AdmissionPolicy, DegradePolicy};
-pub use batch::BatchPolicy;
 pub use cache::{CacheConfig, LruCache};
 pub use error::{Result, ServeError, ShedReason};
 pub use server::{Served, Server, ServerBuilder, Ticket, Tier};

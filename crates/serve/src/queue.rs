@@ -12,11 +12,21 @@
 //! against the policy in milliseconds without starting a thread.
 //!
 //! The cut is **work-conserving**: a worker that asks with a non-empty queue
-//! gets `min(len, cap)` requests from the EDF front at once, and is told to
-//! sleep only on an *empty* queue.  Nothing waits in order to be batched;
-//! batches grow exactly when every worker is busy and requests accumulate
-//! behind them, which is when fusing them buys throughput.  No decision here
-//! reads a request's submission time.
+//! gets `min(len, max_batch)` requests from the EDF front at once, and is
+//! told to sleep only on an *empty* queue.  Nothing waits in order to be
+//! batched; batches grow exactly when every worker is busy and requests
+//! accumulate behind them, which is when fusing them buys throughput.  No
+//! decision here reads a request's submission time.  The cap is a number the
+//! model is built with ([`crate::ServerBuilder::max_batch`]), not a cost
+//! model's output.
+//!
+//! One input stays **beside** the model on purpose: the per-request
+//! service-time EMA behind the admission estimate (`Shared::service_ema_ns`
+//! in `server.rs`) is an atomic that [`QueueModel::admit`] takes as an
+//! argument.  It is the *measured* estimate, written once per batch leg by
+//! the worker and its overlap thread outside the state lock; owning it here
+//! would add a `state` acquisition to every leg for nothing the model
+//! decides.
 
 use std::collections::VecDeque;
 
@@ -39,7 +49,7 @@ pub(crate) enum DegradeTransition {
 pub(crate) enum Next<T> {
     /// Serve these requests (EDF order), in the mode the cut was made under.
     Batch {
-        /// `min(len, cap)` requests from the front of the queue.
+        /// `min(len, max_batch)` requests from the front of the queue.
         items: Vec<T>,
         /// Whether degraded mode was in effect at the cut — the whole batch
         /// routes in that mode.
@@ -66,6 +76,8 @@ pub(crate) struct QueueModel<T> {
     capacity: usize,
     /// Worker count, the divisor of the admission wait estimate.
     workers: u64,
+    /// The most requests one cut takes (at least 1).
+    max_batch: usize,
     /// Deadline admission control; `None` admits everything.
     admission: Option<AdmissionPolicy>,
     /// Degraded-mode depth thresholds `(enter at >=, exit at <=)`; `None`
@@ -76,10 +88,12 @@ pub(crate) struct QueueModel<T> {
 }
 
 impl<T> QueueModel<T> {
-    /// An empty, open queue of `capacity` slots drained by `workers` workers.
+    /// An empty, open queue of `capacity` slots drained by `workers` workers
+    /// in cuts of at most `max_batch`.
     pub(crate) fn new(
         capacity: usize,
         workers: usize,
+        max_batch: usize,
         admission: Option<AdmissionPolicy>,
         degrade: Option<DegradePolicy>,
     ) -> QueueModel<T> {
@@ -87,6 +101,7 @@ impl<T> QueueModel<T> {
             queue: VecDeque::with_capacity(capacity),
             capacity,
             workers: workers.max(1) as u64,
+            max_batch: max_batch.max(1),
             admission,
             degrade_at: degrade.map(|policy| policy.thresholds(capacity)),
             degraded: false,
@@ -120,8 +135,8 @@ impl<T> QueueModel<T> {
     /// # Errors
     ///
     /// In precedence order: [`ServeError::ShuttingDown`],
-    /// [`ServeError::QueueFull`], and [`ServeError::Shed`] when the estimate,
-    /// scaled by the policy's headroom, lands past `deadline_ns`.
+    /// [`ServeError::QueueFull`], and [`ServeError::Shed`] when the estimate
+    /// lands past `deadline_ns`.
     pub(crate) fn admit(
         &self,
         now_ns: u64,
@@ -134,12 +149,11 @@ impl<T> QueueModel<T> {
         if self.queue.len() >= self.capacity {
             return Err(ServeError::QueueFull);
         }
-        if let (Some(policy), Some(deadline_ns)) = (&self.admission, deadline_ns) {
+        if let (Some(_), Some(deadline_ns)) = (self.admission, deadline_ns) {
             if service_ema_ns > 0 {
                 let depth = self.queue.len() as u64 + 1;
                 let rounds = depth.div_ceil(self.workers);
-                let estimate_ns =
-                    (service_ema_ns.saturating_mul(rounds) as f64 * policy.headroom) as u64;
+                let estimate_ns = service_ema_ns.saturating_mul(rounds);
                 if now_ns.saturating_add(estimate_ns) > deadline_ns {
                     return Err(ServeError::Shed(ShedReason::Admission));
                 }
@@ -161,12 +175,11 @@ impl<T> QueueModel<T> {
         self.observe_depth()
     }
 
-    /// What a free worker does now, given the adaptive batch cap.  A
-    /// non-empty queue always yields a batch — shutdown needs no flush rule
-    /// of its own.  The pre-drain depth decides the degraded-mode edge (it is
-    /// the pressure this cut answers); the batch then routes in whatever mode
-    /// is in effect.
-    pub(crate) fn cut(&mut self, cap: usize) -> Next<T> {
+    /// What a free worker does now.  A non-empty queue always yields a batch
+    /// — shutdown needs no flush rule of its own.  The pre-drain depth
+    /// decides the degraded-mode edge (it is the pressure this cut answers);
+    /// the batch then routes in whatever mode is in effect.
+    pub(crate) fn cut(&mut self) -> Next<T> {
         if self.queue.is_empty() {
             return if self.shutdown {
                 Next::Exit
@@ -175,7 +188,7 @@ impl<T> QueueModel<T> {
             };
         }
         let transition = self.observe_depth();
-        let n = self.queue.len().min(cap.max(1));
+        let n = self.queue.len().min(self.max_batch);
         Next::Batch {
             items: self.queue.drain(..n).map(|queued| queued.item).collect(),
             degraded: self.degraded,
@@ -205,8 +218,8 @@ mod tests {
     use proptest::prelude::*;
     use ptolemy_data::{Arrivals, WorkloadSpec};
 
-    fn plain(capacity: usize, workers: usize) -> QueueModel<usize> {
-        QueueModel::new(capacity, workers, None, None)
+    fn plain(capacity: usize, workers: usize, max_batch: usize) -> QueueModel<usize> {
+        QueueModel::new(capacity, workers, max_batch, None, None)
     }
 
     /// Unwraps a [`Next::Batch`].
@@ -223,31 +236,55 @@ mod tests {
 
     #[test]
     fn a_free_worker_takes_min_of_queued_and_cap_and_sleeps_only_when_empty() {
-        let mut model = plain(16, 2);
-        assert!(matches!(model.cut(4), Next::Sleep));
+        let mut model = plain(16, 2, 3);
+        assert!(matches!(model.cut(), Next::Sleep));
         for id in 0..5 {
             model.push(None, id);
         }
-        assert_eq!(batch(model.cut(3)).0, [0, 1, 2]);
-        assert_eq!(batch(model.cut(3)).0, [3, 4]);
-        assert!(matches!(model.cut(3), Next::Sleep));
-        // A lone request is cut at once, and a zero cap still makes progress.
+        assert_eq!(batch(model.cut()).0, [0, 1, 2]);
+        assert_eq!(batch(model.cut()).0, [3, 4]);
+        assert!(matches!(model.cut(), Next::Sleep));
+        // A lone request is cut at once.
         model.push(None, 5);
-        assert_eq!(batch(model.cut(0)).0, [5]);
+        assert_eq!(batch(model.cut()).0, [5]);
+        // The cut is the EDF prefix of length `min(len, max_batch)` at every
+        // cap and depth, deadlines or not.
+        for max_batch in 1..=9 {
+            let mut model = plain(16, 1, max_batch);
+            let mut expected: Vec<(u64, usize)> = Vec::new();
+            for id in 0..12 {
+                let deadline_ns = (id % 3 != 0).then(|| 1_000 - 7 * (id as u64 % 5));
+                model.push(deadline_ns, id);
+                expected.push((deadline_ns.unwrap_or(u64::MAX), id));
+            }
+            expected.sort_unstable();
+            while !expected.is_empty() {
+                let n = expected.len().min(max_batch);
+                let prefix: Vec<usize> = expected.drain(..n).map(|(_, id)| id).collect();
+                assert_eq!(batch(model.cut()).0, prefix, "max_batch {max_batch}");
+            }
+            assert!(matches!(model.cut(), Next::Sleep));
+        }
+        // A model built with a zero cap (the builder refuses one) still makes
+        // progress.
+        let mut model = plain(4, 1, 0);
+        model.push(None, 0);
+        model.push(None, 1);
+        assert_eq!(batch(model.cut()).0, [0]);
     }
 
     #[test]
     fn shutdown_flushes_in_cap_sized_cuts_then_exits() {
-        let mut model = plain(16, 1);
+        let mut model = plain(16, 1, 2);
         for id in 0..5 {
             model.push(None, id);
         }
         model.shut_down();
         assert!(model.is_shut_down());
         assert_eq!(model.admit(0, 0, None), Err(ServeError::ShuttingDown));
-        let sizes: Vec<usize> = (0..3).map(|_| batch(model.cut(2)).0.len()).collect();
+        let sizes: Vec<usize> = (0..3).map(|_| batch(model.cut()).0.len()).collect();
         assert_eq!(sizes, [2, 2, 1]);
-        assert!(matches!(model.cut(2), Next::Exit));
+        assert!(matches!(model.cut(), Next::Exit));
     }
 
     /// The cut orders by deadline alone.  The model is never told when a
@@ -255,20 +292,24 @@ mod tests {
     /// later-submitted request with an earlier deadline goes first.
     #[test]
     fn earlier_deadlines_are_cut_first_and_deadline_free_traffic_is_fifo() {
-        let mut model = plain(16, 1);
+        let mut model = plain(16, 1, 3);
         for (id, deadline_ns) in [None, Some(900), Some(100), None, Some(900), Some(100)]
             .into_iter()
             .enumerate()
         {
             model.push(deadline_ns, id);
         }
-        assert_eq!(batch(model.cut(1)).0, [2], "submitted third, due first");
-        assert_eq!(batch(model.cut(16)).0, [5, 1, 4, 0, 3]);
+        assert_eq!(
+            batch(model.cut()).0,
+            [2, 5, 1],
+            "submitted third, due first"
+        );
+        assert_eq!(batch(model.cut()).0, [4, 0, 3]);
 
         for id in 0..9 {
             model.push(None, id);
         }
-        let order: Vec<usize> = (0..3).flat_map(|_| batch(model.cut(3)).0).collect();
+        let order: Vec<usize> = (0..3).flat_map(|_| batch(model.cut()).0).collect();
         assert_eq!(order, (0..9).collect::<Vec<_>>());
     }
 
@@ -277,7 +318,7 @@ mod tests {
         use DegradeTransition::{Entered, Exited};
         // Capacity 8 at the default watermarks: enter at >= 6, exit at <= 2.
         let mut model: QueueModel<usize> =
-            QueueModel::new(8, 1, None, Some(DegradePolicy::default()));
+            QueueModel::new(8, 1, 1, None, Some(DegradePolicy::default()));
         let edges: Vec<_> = (0..7).map(|id| model.push(None, id)).collect();
         assert_eq!(
             edges,
@@ -289,7 +330,7 @@ mod tests {
         // next one sees 2 and recovers.
         let cuts: Vec<_> = (0..7)
             .map(|_| {
-                let (_, degraded, edge) = batch(model.cut(1));
+                let (_, degraded, edge) = batch(model.cut());
                 (degraded, edge)
             })
             .collect();
@@ -297,10 +338,10 @@ mod tests {
         expected.extend([(false, Some(Exited)), (false, None)]);
         assert_eq!(cuts, expected);
         // Without a policy no depth ever degrades.
-        let mut never = plain(2, 1);
+        let mut never = plain(2, 1, 2);
         assert_eq!(never.push(None, 0), None);
         assert_eq!(never.push(None, 1), None);
-        assert_eq!(batch(never.cut(2)), (vec![0, 1], false, None));
+        assert_eq!(batch(never.cut()), (vec![0, 1], false, None));
     }
 
     #[test]
@@ -308,14 +349,13 @@ mod tests {
         const EMA_NS: u64 = 1_000_000;
         let shed = Err(ServeError::Shed(ShedReason::Admission));
         let mut model: QueueModel<usize> =
-            QueueModel::new(16, 2, Some(AdmissionPolicy { headroom: 2.0 }), None);
+            QueueModel::new(16, 2, 8, Some(AdmissionPolicy::default()), None);
         for id in 0..10 {
             model.push(None, id);
         }
-        // Eleventh in line behind two workers: six rounds of the EMA, doubled
-        // by the headroom.
+        // Eleventh in line behind two workers: six rounds of the EMA.
         let now_ns = 5_000;
-        let estimate_ns = 12 * EMA_NS;
+        let estimate_ns = 6 * EMA_NS;
         assert_eq!(
             model.admit(now_ns, EMA_NS, Some(now_ns + estimate_ns)),
             Ok(())
@@ -328,7 +368,7 @@ mod tests {
         assert_eq!(model.admit(now_ns, 0, Some(now_ns)), Ok(()));
         assert_eq!(model.admit(now_ns, u64::MAX, None), Ok(()));
         // So does a model without a policy.
-        let mut open = plain(1, 1);
+        let mut open = plain(1, 1, 1);
         assert_eq!(open.admit(now_ns, EMA_NS, Some(now_ns)), Ok(()));
         // A full queue is reported before the estimate, shutdown before both.
         open.push(None, 0);
@@ -352,6 +392,7 @@ mod tests {
     /// elapsed.
     struct Replay {
         model: QueueModel<usize>,
+        /// The `max_batch` the model was built with.
         cap: usize,
         workers: usize,
         /// Finish times of the busy workers; the rest are idle.
@@ -389,7 +430,7 @@ mod tests {
                     items,
                     degraded,
                     transition,
-                } = self.model.cut(self.cap)
+                } = self.model.cut()
                 else {
                     break;
                 };
@@ -427,9 +468,10 @@ mod tests {
 
         /// Seeded `ptolemy_data::workload` traces, from light load to 4x
         /// overload, Poisson and bursty, with and without deadlines: every
-        /// offered request is refused or cut exactly once, cuts follow the
-        /// EDF/FIFO specification, degrade edges alternate, and no request is
-        /// ever queued at an instant when a worker is idle.
+        /// offered request is refused or cut exactly once, every cut is the
+        /// EDF/FIFO prefix of length `min(len, max_batch)`, degrade edges
+        /// alternate, and no request is ever queued at an instant when a
+        /// worker is idle.
         #[test]
         fn replayed_traces_conserve_tickets_and_never_idle_a_worker_past_a_queued_request(
             seed in any::<u64>(),
@@ -460,6 +502,7 @@ mod tests {
                 model: QueueModel::new(
                     capacity,
                     workers,
+                    cap,
                     Some(AdmissionPolicy::default()),
                     Some(DegradePolicy::default()),
                 ),
@@ -499,7 +542,7 @@ mod tests {
             }
             replay.model.shut_down();
             replay.retire(u64::MAX);
-            prop_assert!(matches!(replay.model.cut(cap), Next::Exit));
+            prop_assert!(matches!(replay.model.cut(), Next::Exit));
             prop_assert!(replay.busy.is_empty());
             let admitted = replay.service_ns.len();
             prop_assert_eq!(requests, admitted + full + shed);

@@ -1,5 +1,5 @@
-//! The multi-worker serving runtime: bounded submission queue, adaptive batch
-//! former, two-tier router (optionally sharded across escalation engines, with
+//! The multi-worker serving runtime: bounded submission queue, work-conserving
+//! batch cut, two-tier router (optionally sharded across escalation engines, with
 //! tier-2 work pipelined against the next batch's screening) and the
 //! persistent path-prefix result cache.  The decisions live elsewhere — the
 //! queue policy in `queue.rs`, what a batch's requests resolve to in
@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -21,7 +21,6 @@ use ptolemy_obs::{Clock, HistogramHandle, Registry, Stage, Timeline};
 use ptolemy_tensor::{Tensor, ThreadClaim};
 
 use crate::admission::{AdmissionPolicy, DegradePolicy};
-use crate::batch::{adaptive_cap_tiered, BatchPolicy};
 use crate::cache::{self, CacheConfig, CacheLoad, CachedVerdict, LruCache};
 use crate::error::{Result, ServeError};
 use crate::queue::{DegradeTransition, Next, QueueModel};
@@ -263,7 +262,6 @@ struct Shared {
     owner_of: Vec<usize>,
     /// Screening scores in `[band.0, band.1]` escalate to tier 2.
     band: (f32, f32),
-    policy: BatchPolicy,
     /// EMA of per-request service time (screen and escalation passes), the
     /// denominator of the admission wait estimate; present iff admission
     /// control ([`ServerBuilder::admission`]) is.  0 = unseeded: admission
@@ -299,12 +297,6 @@ struct Shared {
     fallback_clock: Clock,
     /// Where the periodic snapshot thread writes metrics JSON, if configured.
     snapshot_path: Option<PathBuf>,
-    /// Running mean activation-path density (f32 bits), fed back into the
-    /// adaptive batch cap.
-    density_ema_bits: AtomicU32,
-    /// `(density the cap was computed at (bits), cap)` — recomputed when the
-    /// observed density drifts.
-    cap_cache: Mutex<Option<(f32, usize)>>,
 }
 
 impl Shared {
@@ -322,44 +314,6 @@ impl Shared {
     /// disabled path costs one relaxed atomic load.
     fn stage_obs(&self) -> Option<&ServeObs> {
         self.obs.as_ref().filter(|obs| obs.registry.enabled())
-    }
-
-    fn density_ema(&self) -> f32 {
-        f32::from_bits(self.density_ema_bits.load(Ordering::Relaxed))
-    }
-
-    fn observe_density(&self, density: f32) {
-        let current = self.density_ema();
-        // The unseeded sentinel is exactly +0.0 (the atomic starts at bit
-        // pattern 0), so compare bit patterns rather than float values.
-        let next = if current.to_bits() == 0 {
-            density
-        } else {
-            0.9 * current + 0.1 * density
-        };
-        self.density_ema_bits
-            .store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The adaptive batch cap for the current density regime.  Recomputed
-    /// (outside the queue lock — backend estimates can be expensive) only when
-    /// the observed density drifts more than 25 % from the one the cached cap
-    /// was computed at.  Shard-aware: the cap is the minimum over the screen
-    /// *and* every escalation shard, so a batch that escalates wholesale still
-    /// fits the latency target (see [`adaptive_cap_tiered`]).
-    fn current_cap(&self) -> usize {
-        let density = self.density_ema();
-        {
-            let cached = lock(&self.cap_cache);
-            if let Some((at, cap)) = *cached {
-                if (density - at).abs() <= 0.25 * at.max(1e-3) {
-                    return cap;
-                }
-            }
-        }
-        let cap = adaptive_cap_tiered(&self.screen, &self.escalate, &self.policy, density);
-        *lock(&self.cap_cache) = Some((density, cap));
-        cap
     }
 
     fn cache_key(&self, path: &ptolemy_core::ActivationPath) -> u64 {
@@ -444,7 +398,7 @@ impl Server {
             band: (0.0, 0.0),
             workers: 2,
             queue_capacity: 256,
-            policy: BatchPolicy::default(),
+            max_batch: 8,
             admission: None,
             degrade: None,
             cache: None,
@@ -725,7 +679,7 @@ fn write_snapshot(shared: &Shared, path: &std::path::Path) {
     }
 }
 
-/// One worker: take whatever is queued (up to the adaptive cap), screen it
+/// One worker: take whatever is queued (up to `max_batch`), screen it
 /// **fused**, hand the tier-2 sliver to the worker's bounded overlap thread (so
 /// escalation extraction of batch *k* runs concurrently with screening of
 /// batch *k+1*), repeat until shutdown drains the queue.
@@ -748,16 +702,7 @@ fn worker_loop(shared: &Shared) {
             });
             tx
         });
-        loop {
-            // A custom backend whose estimate_batch panics must not kill the
-            // worker (queued tickets would never resolve); it just loses the
-            // adaptive constraint.
-            let cap =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.current_cap()))
-                    .unwrap_or(shared.policy.max_batch);
-            let Some(formed) = next_batch(shared, cap) else {
-                break;
-            };
+        while let Some(formed) = next_batch(shared) {
             // While this worker holds a batch it occupies a core: the engines'
             // fork-joins count it, so a saturated server fans nothing out
             // while a lone busy worker still borrows the idle cores.
@@ -809,11 +754,11 @@ fn observe_service(shared: &Shared, elapsed_ns: u64, requests: usize) {
 }
 
 /// Runs one leg of a batch — its screen, or its tier-2 sliver.  If an engine
-/// (or a custom backend) panics in it, the panic is counted and every ticket
-/// of `slots` still unresolved resolves as canceled instead of stranding its
-/// waiter — counted and resolved under one stats lock, so a waiter that wakes
-/// finds its own failure in [`Server::stats`] — and the calling thread lives
-/// on for the rest of the queue.
+/// panics in it, the panic is counted and every ticket of `slots` still
+/// unresolved resolves as canceled instead of stranding its waiter — counted
+/// and resolved under one stats lock, so a waiter that wakes finds its own
+/// failure in [`Server::stats`] — and the calling thread lives on for the
+/// rest of the queue.
 fn run_caught<T>(shared: &Shared, slots: &[Arc<TicketSlot>], leg: impl FnOnce() -> T) -> Option<T> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(leg));
     if outcome.is_err() {
@@ -872,14 +817,14 @@ struct FormedBatch {
     degraded: bool,
 }
 
-/// Takes the next batch for a free worker: whatever is queued, up to `cap`,
-/// at once — the worker sleeps only on an empty queue.  Returns `None` when
-/// the queue is drained and the server is shutting down.
-fn next_batch(shared: &Shared, cap: usize) -> Option<FormedBatch> {
+/// Takes the next batch for a free worker: whatever is queued, up to the
+/// model's `max_batch`, at once — the worker sleeps only on an empty queue.
+/// Returns `None` when the queue is drained and the server is shutting down.
+fn next_batch(shared: &Shared) -> Option<FormedBatch> {
     let mut state = lock(&shared.state);
     loop {
         let form_start_ns = shared.now_ns();
-        match state.cut(cap) {
+        match state.cut() {
             Next::Batch {
                 items,
                 degraded,
@@ -1065,9 +1010,6 @@ fn screen_batch(
     let caches = input_keys.as_deref_mut().zip(cache.as_deref_mut());
     let mut routed = stage::route_stage(pending, inputs, screened, screen_end_ns, &routing, caches);
     drop((input_keys, cache));
-    for density in routed.densities {
-        shared.observe_density(density);
-    }
 
     // The sliver is offered to the overlap thread before the fold, so how the
     // hand-off went is counted with the batch; a refused one runs inline, but
@@ -1112,7 +1054,7 @@ pub struct ServerBuilder {
     band: (f32, f32),
     workers: usize,
     queue_capacity: usize,
-    policy: BatchPolicy,
+    max_batch: usize,
     admission: Option<AdmissionPolicy>,
     degrade: Option<DegradePolicy>,
     cache: Option<CacheConfig>,
@@ -1279,10 +1221,9 @@ impl ServerBuilder {
     /// Enables deadline admission control (disabled by default).  With a
     /// policy set, [`Server::submit_with_deadline`] estimates the request's
     /// completion time from the queue depth and a service-time EMA, and sheds
-    /// the submission with [`ServeError::Shed`] when the estimate (scaled by
-    /// [`AdmissionPolicy::headroom`]) overshoots the deadline.  Submissions
-    /// without a deadline are never shed, so plain [`Server::submit`] traffic
-    /// is unaffected.
+    /// the submission with [`ServeError::Shed`] when the estimate overshoots
+    /// the deadline.  Submissions without a deadline are never shed, so plain
+    /// [`Server::submit`] traffic is unaffected.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = Some(policy);
         self
@@ -1298,9 +1239,20 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the adaptive batch-forming policy (default [`BatchPolicy::default`]).
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
+    /// Sets the most requests one batch takes (default 8).  The cut is
+    /// work-conserving: a free worker takes `min(queued, max_batch)` at once
+    /// and sleeps only on an empty queue, and each batch executes **fused**
+    /// (one batched forward pass), so batches grow exactly when every worker
+    /// is busy and requests accumulate behind them.
+    ///
+    /// The default is measured, not modelled — on the e2e benchmark's
+    /// `serve_closed_f32` workload (AlexNet-class net, 2 workers, 32 requests
+    /// in flight, cache off; 8 s runs, 4 alternating pairs) a cap of 8 reads
+    /// 26.6–28.7k rps at p50 1.11–1.17 ms, while a cap of 32 loses every
+    /// pair (20.6–21.3k rps, p50 1.53–1.61 ms); `serve_steady_zipf` and
+    /// `serve_burst_scan` do not move with it.  See `docs/ARCHITECTURE.md`.
+    pub fn max_batch(mut self, max_batch: usize) -> Self {
+        self.max_batch = max_batch;
         self
     }
 
@@ -1359,9 +1311,10 @@ impl ServerBuilder {
                 "queue capacity must be at least 1".into(),
             ));
         }
-        self.policy.validate().map_err(ServeError::InvalidConfig)?;
-        if let Some(admission) = &self.admission {
-            admission.validate().map_err(ServeError::InvalidConfig)?;
+        if self.max_batch == 0 {
+            return Err(ServeError::InvalidConfig(
+                "max_batch must be at least 1".into(),
+            ));
         }
         if let Some(degrade) = &self.degrade {
             degrade.validate().map_err(ServeError::InvalidConfig)?;
@@ -1567,6 +1520,7 @@ impl ServerBuilder {
             state: Mutex::new(QueueModel::new(
                 self.queue_capacity,
                 self.workers,
+                self.max_batch,
                 self.admission,
                 self.degrade,
             )),
@@ -1578,7 +1532,6 @@ impl ServerBuilder {
             escalate: self.escalate,
             owner_of,
             band: self.band,
-            policy: self.policy,
             service_ema_ns: self.admission.map(|_| AtomicU64::new(0)),
             cache,
             input_keys,
@@ -1590,8 +1543,6 @@ impl ServerBuilder {
             obs,
             fallback_clock: Clock::monotonic(),
             snapshot_path,
-            density_ema_bits: AtomicU32::new(0.0f32.to_bits()),
-            cap_cache: Mutex::new(None),
         });
         let workers = (0..self.workers)
             .map(|i| {
@@ -1666,6 +1617,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     use ptolemy_core::{variants, DetectionEngineBuilder, Profiler};
@@ -2146,60 +2098,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cap_shrinks_to_fit_escalation_shards() {
-        use crate::batch::{adaptive_cap, adaptive_cap_tiered};
-
-        let fx = fixture(2);
-        let (screen, expensive) = tiered(&fx);
-        let ops_per_input = |engine: &DetectionEngine| {
-            let report = engine.estimate_batch(1, 1.0).unwrap().software.unwrap();
-            report.inference_macs
-                + report.sort_elements
-                + report.compare_ops
-                + report.accumulate_ops
-        };
-        let screen_ops = ops_per_input(&screen);
-        let expensive_ops = ops_per_input(&expensive);
-        assert!(
-            expensive_ops > screen_ops,
-            "fixture premise: tier-2 ({expensive_ops} ops) must out-cost tier-1 ({screen_ops})"
-        );
-
-        // Tune the policy so the screen alone would allow 8 inputs per batch.
-        let policy = BatchPolicy {
-            max_batch: 32,
-            target_batch_latency_ms: 8.0,
-            software_ops_per_ms: screen_ops as f64,
-        };
-        let screen_cap = adaptive_cap(&screen, &policy, 1.0);
-        assert_eq!(screen_cap, 8);
-        let shard_cap = adaptive_cap(&expensive, &policy, 1.0);
-        let tiered_cap =
-            adaptive_cap_tiered(&screen, std::slice::from_ref(&expensive), &policy, 1.0);
-        // The batch must also fit the worst case — the whole batch escalating
-        // to the expensive shard — so the tiered cap is the minimum.
-        assert_eq!(tiered_cap, screen_cap.min(shard_cap));
-        assert!(tiered_cap < screen_cap, "{tiered_cap} vs {screen_cap}");
-        // Without shards the tiered cap degenerates to the screen-only cap.
-        assert_eq!(adaptive_cap_tiered(&screen, &[], &policy, 1.0), screen_cap);
-
-        // And the running server applies the shard-aware cap (computed at its
-        // current density estimate, which starts at 0.0 before any batch).
-        let server = Server::builder(screen.clone())
-            .escalate(expensive, 0.25, 0.75)
-            .batch_policy(policy)
-            .workers(1)
-            .start()
-            .unwrap();
-        let at_density = server.shared.density_ema();
-        assert_eq!(
-            server.shared.current_cap(),
-            adaptive_cap_tiered(&screen, &server.shared.escalate, &policy, at_density)
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn input_keys_tell_shape_order_and_tail_apart() {
         let fx = fixture(2);
         let (screen, _) = tiered(&fx);
@@ -2319,12 +2217,7 @@ mod tests {
             Err(ServeError::InvalidConfig(_))
         ));
         assert!(matches!(
-            Server::builder(screen.clone())
-                .batch_policy(BatchPolicy {
-                    max_batch: 0,
-                    ..BatchPolicy::default()
-                })
-                .start(),
+            Server::builder(screen.clone()).max_batch(0).start(),
             Err(ServeError::InvalidConfig(_))
         ));
         assert!(matches!(
@@ -2399,60 +2292,38 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
-    /// A cost backend whose first estimate blocks until the test drops the
-    /// paired sender.  `worker_loop` sizes its cap (`current_cap`) before it
-    /// asks for a batch, so this parks the worker *outside* the queue — a
-    /// deterministic hold with no timing and nothing added to the server.
-    #[derive(Debug)]
-    struct GatedBackend(Mutex<std::sync::mpsc::Receiver<()>>);
-
-    impl ptolemy_core::DetectionBackend for GatedBackend {
-        fn name(&self) -> &'static str {
-            "gated"
-        }
-
-        fn bind(
-            &mut self,
-            _: &ptolemy_nn::Network,
-            _: &ptolemy_core::DetectionProgram,
-        ) -> ptolemy_core::Result<()> {
-            Ok(())
-        }
-
-        fn estimate_batch(
-            &self,
-            _: &ptolemy_nn::Network,
-            _: &ptolemy_core::DetectionProgram,
-            batch_size: usize,
-            _: f32,
-        ) -> ptolemy_core::Result<ptolemy_core::BackendEstimate> {
-            // Blocks while the sender lives; a dropped sender is `Err` at once.
-            let _ = lock(&self.0).recv();
-            // Models no cost: the cap falls back to `max_batch`.
-            Ok(ptolemy_core::BackendEstimate {
-                backend: "gated",
-                batch_size,
-                ..Default::default()
-            })
-        }
+    /// Parks a worker inside the hooked layer of a **plug** request: arms
+    /// `fault` to signal "entered" and then block, submits `input`, and
+    /// returns once the pass that took it is inside the hook.  On a
+    /// one-worker server whose screen network is hooked, the queue is then
+    /// empty and stays untouched — whatever is submitted next queues
+    /// deterministically — until the returned sender is used or dropped.
+    fn plug(server: &Server, fault: &Fault, input: &Tensor) -> (Ticket, mpsc::Sender<()>) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        fault.arm(move || {
+            entered_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        let ticket = server.submit(input.clone()).unwrap();
+        entered.recv().unwrap();
+        (ticket, release)
     }
 
     #[test]
     fn bounded_queue_applies_backpressure_and_drains_on_shutdown() {
-        let fx = fixture(2);
-        let (gate, gated) = std::sync::mpsc::channel();
-        let screen = engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
-            .backend(Box::new(GatedBackend(Mutex::new(gated))))
-            .build()
-            .unwrap();
+        let fault = Arc::new(Fault::default());
+        let fx = hooked_fixture(2, fault.hook());
+        let (screen, _) = tiered(&fx);
         let server = Server::builder(screen)
             .workers(1)
             .queue_capacity(2)
             .start()
             .unwrap();
 
-        // The single worker is parked sizing its first batch, so the queue
+        // The single worker is held inside the plug's screen, so the queue
         // deterministically fills up.
+        let (plugged, release) = plug(&server, &fault, &fx.benign[3]);
         let t1 = server.try_submit(fx.benign[0].clone()).unwrap();
         let t2 = server.try_submit(fx.benign[1].clone()).unwrap();
         assert!(matches!(
@@ -2464,16 +2335,41 @@ mod tests {
 
         // Released, the worker takes everything queued in one cut; shutdown
         // drains before it joins, so every ticket resolves.
-        drop(gate);
+        drop(release);
         let stats = server.shutdown();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, 2);
-        assert!(t1.is_ready() && t2.is_ready());
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.completed, 3);
+        assert!(plugged.is_ready() && t1.is_ready() && t2.is_ready());
         t1.wait().unwrap();
         t2.wait().unwrap();
-        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.batches, 2, "the plug, then both queued requests");
         assert_eq!(stats.max_batch, 2);
-        assert_eq!(stats.mean_batch, 2.0);
+        assert_eq!(stats.mean_batch, 1.5);
+    }
+
+    /// The cap is the number in the builder, and a backlog really fills it:
+    /// 20 requests queued behind a plugged worker leave in cuts of 8, 8 and 4.
+    #[test]
+    fn a_backlog_is_cut_in_max_batch_sized_batches() {
+        let fault = Arc::new(Fault::default());
+        let fx = hooked_fixture(2, fault.hook());
+        let (screen, _) = tiered(&fx);
+        let server = Server::builder(screen).workers(1).start().unwrap();
+
+        let (plugged, release) = plug(&server, &fault, &fx.benign[0]);
+        let queued: Vec<Ticket> = fx.samples[..20]
+            .iter()
+            .map(|(x, _)| server.submit(x.clone()).unwrap())
+            .collect();
+        assert_eq!(server.pending(), 20);
+        drop(release);
+        plugged.wait().unwrap();
+        for ticket in queued {
+            ticket.wait().unwrap();
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.batches, stats.max_batch), (4, 8), "{stats:?}");
+        assert_eq!((stats.completed, stats.failed), (21, 0));
     }
 
     /// The behaviour decision of the submit-side probe: a hit occupies no
@@ -2483,12 +2379,9 @@ mod tests {
     fn a_cached_input_is_answered_at_submit_past_a_full_queue_and_admission() {
         use crate::error::ShedReason;
 
-        let fx = fixture(2);
-        let (gate, gated) = std::sync::mpsc::channel();
-        let screen = engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
-            .backend(Box::new(GatedBackend(Mutex::new(gated))))
-            .build()
-            .unwrap();
+        let fault = Arc::new(Fault::default());
+        let fx = hooked_fixture(2, fault.hook());
+        let (screen, _) = tiered(&fx);
         let server = Server::builder(screen)
             .workers(1)
             .queue_capacity(2)
@@ -2501,12 +2394,12 @@ mod tests {
             .start()
             .unwrap();
 
-        // One token lets the worker size its first batch.  It serves (and
-        // caches) the first input, seeds the service-time EMA, and parks again
-        // re-sizing the cap for the path density it just observed.
-        gate.send(()).unwrap();
+        // The first batch serves (and caches) the first input and seeds the
+        // service-time EMA; the plug then holds the worker with the queue
+        // empty.
         let first = server.submit(fx.benign[0].clone()).unwrap().wait().unwrap();
         assert!(!first.cache_hit);
+        let (plugged, release) = plug(&server, &fault, &fx.benign[4]);
         let doomed = Duration::from_nanos(1);
 
         // Admission: one request queued ahead dooms a 1 ns deadline — for an
@@ -2537,20 +2430,24 @@ mod tests {
         assert_eq!(served.detection, first.detection);
         assert!(server.submit(fx.benign[0].clone()).unwrap().is_ready());
         assert_eq!(server.pending(), 2);
-        assert!(!t1.is_ready() && !t2.is_ready());
+        assert!(!plugged.is_ready() && !t1.is_ready() && !t2.is_ready());
 
         let stats = server.stats();
         assert_eq!(stats.shed_admission, 1);
         assert_eq!((stats.cache_hits, stats.cache_hits_at_submit), (3, 3));
-        assert_eq!((stats.submitted, stats.completed), (6, 4));
-        assert_eq!(stats.batches, 1, "a hit cuts no batch");
+        assert_eq!((stats.submitted, stats.completed), (7, 4));
+        assert_eq!(stats.batches, 2, "a hit cuts no batch");
 
-        drop(gate);
+        drop(release);
         let stats = server.shutdown();
-        assert!(t1.is_ready() && t2.is_ready());
-        assert_eq!((stats.submitted, stats.completed, stats.failed), (6, 6, 0));
+        assert!(plugged.is_ready() && t1.is_ready() && t2.is_ready());
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (7, 7, 0));
         assert_eq!(stats.cache_hits_at_submit, 3);
-        assert_eq!(stats.mean_batch, 1.5, "three batched requests, two batches");
+        assert_eq!(
+            (stats.batches, stats.max_batch),
+            (3, 2),
+            "the first input, the plug, then both queued requests"
+        );
     }
 
     /// Escalation shards built from `full`'s canary set, forest and threshold
@@ -2853,21 +2750,11 @@ mod tests {
             let server = Server::builder(screen)
                 .escalate(expensive.clone(), 0.0, 1.0)
                 .workers(1)
-                .batch_policy(BatchPolicy {
-                    max_batch: 1,
-                    ..BatchPolicy::default()
-                })
+                .max_batch(1)
                 .start()
                 .unwrap();
 
-            let (entered_tx, entered) = std::sync::mpsc::channel();
-            let (release, release_rx) = std::sync::mpsc::channel::<()>();
-            fault.arm(move || {
-                entered_tx.send(()).unwrap();
-                let _ = release_rx.recv();
-            });
-            let first = server.submit(inputs[0].clone()).unwrap();
-            entered.recv().unwrap();
+            let (first, release) = plug(&server, &fault, &inputs[0]);
             // The overlap thread now sits inside tier 2 with the rendezvous
             // empty, and stays there: the next tier-2 pass is the inline one.
             if panic_inline {

@@ -144,8 +144,6 @@ pub(crate) struct Routed {
     pub(crate) answers: Answers,
     /// The tier-2 sliver: one group per shard that got work, in shard order.
     pub(crate) groups: Vec<EscalationGroup>,
-    /// Path density of every request the screen scored, for the adaptive cap.
-    pub(crate) densities: Vec<f32>,
 }
 
 /// Routes one screened batch (`screened[i]` is the tier-1 verdict of
@@ -167,7 +165,6 @@ pub(crate) fn route_stage(
     mut caches: Option<(&mut LruCache<u64>, &mut LruCache<CachedVerdict>)>,
 ) -> Routed {
     let mut answers = Answers::default();
-    let mut densities = Vec::with_capacity(pending.len());
     let mut groups: Vec<EscalationGroup> = (0..routing.shards)
         .map(|shard| EscalationGroup {
             shard,
@@ -183,7 +180,6 @@ pub(crate) fn route_stage(
                 continue;
             }
         };
-        densities.push(path.density());
         let mut remember = None;
         if let Some((input_keys, verdicts)) = &mut caches {
             let key = (routing.path_key)(&path);
@@ -216,11 +212,7 @@ pub(crate) fn route_stage(
         answers.push_fresh(now_ns, flight, detection, Tier::Screen, in_band, remember);
     }
     groups.retain(|group| !group.requests.is_empty());
-    Routed {
-        answers,
-        groups,
-        densities,
-    }
+    Routed { answers, groups }
 }
 
 /// Answers one shard group from its tier-2 `verdicts` (index-aligned with
@@ -496,8 +488,6 @@ mod tests {
             ..BatchDelta::default()
         };
         assert_eq!(out.answers.delta, routed);
-        // One density sample per request the screen scored.
-        assert_eq!(out.densities.len(), 5);
     }
 
     #[test]

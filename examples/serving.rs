@@ -99,7 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 6. Start the serving runtime: 4 workers, adaptive batching, scores in
+    // 6. Start the serving runtime: 4 workers, a work-conserving cut of at
+    //    most `max_batch` (16 here) requests per batch, scores in
     //    [0.35, 0.65] escalate to the shard owning the screened class (tier-2
     //    slivers pipelined against the next batch's screening — the default),
     //    near-duplicate results served from the path-prefix cache, the cache
@@ -119,10 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .escalate_sharded(shards.to_vec(), 0.35, 0.65)
             .workers(4)
             .queue_capacity(512)
-            .batch_policy(BatchPolicy {
-                max_batch: 16,
-                ..BatchPolicy::default()
-            })
+            .max_batch(16)
             .cache(cache_config.clone())
             .instrument(registry.clone())
             .start()

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Guards the work-conserving batch cut and the submit-side cache probe: runs
-# the e2e benchmark's light-load serving workload and fails unless every
-# verdict is correct, nothing failed, the median latency stays well under a
-# millisecond and cache hits cut no batches.
+# Guards the work-conserving batch cut, the submit-side cache probe and the
+# batch cap: runs the e2e benchmark's light-load serving workload and fails
+# unless every verdict is correct, nothing failed, the median latency stays
+# well under a millisecond and cache hits cut no batches; then runs the
+# closed-loop workload and fails unless its largest batch is exactly the
+# server's default `max_batch`.
 #
 #   scripts/serve_latency_check.sh
 #
@@ -20,43 +22,56 @@
 # still crosses to a worker.  A count over counts, so host-time noise cannot
 # move it (`bench.samples` would: it drops the segments a stall invalidated,
 # while `serve.batches` covers the whole timed phase).
+#
+# `serve_closed_f32` keeps 32 requests in flight on a server built with the
+# default cap, so a third, traced run must read `serve.max_batch` exactly
+# MAX_BATCH: the cap is the number in `ServerBuilder::max_batch`, and 32 in
+# flight really fill it.  Again a count, not a time.
 set -euo pipefail
 
 LIMIT_US=1000
 BATCHES_PER_10_REQUESTS=3
+MAX_BATCH=8
 manifest=benchmarks/e2e/Cargo.toml
 # Building the benchmark rewrites one stale line of its lock file (see
 # ROADMAP "Infra"); put it back so the check leaves the tree clean.
 trap 'git checkout -q -- benchmarks/e2e/Cargo.lock 2>/dev/null || true' EXIT
 
-run() { # run <seconds> <trace 0|1>: the benchmark's result line
+run() { # run <workload> <seconds> <trace 0|1>: the benchmark's result line
     cargo run --release --quiet --manifest-path "$manifest" -- \
-        run --workload serve_steady_zipf --seconds "$1" --trace "$2" | tail -n 1
+        run --workload "$1" --seconds "$2" --trace "$3" | tail -n 1
 }
 field() { # field <regex with one capture group>
     sed -nE "s/.*$1.*/\1/p" <<<"$result"
 }
+status=0
+check_oracle() { # check_oracle <workload>: $result has correct verdicts and no failed request
+    local correct failed
+    correct="$(field '"correct": (true|false)')"
+    failed="$(field '"failed": ([0-9]+)')"
+    if [[ -z "$correct" || -z "$failed" ]]; then
+        echo "FAIL: could not read correct / failed from the $1 result line" >&2
+        exit 2
+    fi
+    [[ "$correct" == "true" ]] || { echo "FAIL: $1: verdict oracle reported incorrect verdicts"; status=1; }
+    [[ "$failed" -eq 0 ]] || { echo "FAIL: $1: $failed requests failed"; status=1; }
+}
 
-result="$(run 5 0)"
+result="$(run serve_steady_zipf 5 0)"
 echo "$result"
-correct="$(field '"correct": (true|false)')"
-failed="$(field '"failed": ([0-9]+)')"
+check_oracle serve_steady_zipf
 p50_us="$(field '"latency_p50_us": \{"value": ([0-9]+)')"
-if [[ -z "$correct" || -z "$failed" || -z "$p50_us" ]]; then
-    echo "FAIL: could not read correct / failed / latency_p50_us from the result line" >&2
+if [[ -z "$p50_us" ]]; then
+    echo "FAIL: could not read latency_p50_us from the result line" >&2
     exit 2
 fi
-
-status=0
-[[ "$correct" == "true" ]] || { echo "FAIL: verdict oracle reported incorrect verdicts"; status=1; }
-[[ "$failed" -eq 0 ]] || { echo "FAIL: $failed requests failed"; status=1; }
 if ((p50_us >= LIMIT_US)); then
     echo "FAIL: serve_steady_zipf latency_p50_us ${p50_us} >= ${LIMIT_US}: a free worker is waiting on a non-empty queue"
     status=1
 fi
-((status != 0)) || echo "serve latency check: p50 ${p50_us} us < ${LIMIT_US} us, ${failed} failed, verdicts correct"
+((status != 0)) || echo "serve latency check: p50 ${p50_us} us < ${LIMIT_US} us, 0 failed, verdicts correct"
 
-result="$(run 3 1)"
+result="$(run serve_steady_zipf 3 1)"
 batches="$(field '"serve.batches": \{"value": ([0-9]+)')"
 attempted="$(field '"attempted": ([0-9]+)')"
 if [[ -z "$batches" || -z "$attempted" ]]; then
@@ -68,5 +83,19 @@ if ((batches * 10 > attempted * BATCHES_PER_10_REQUESTS)); then
     status=1
 else
     echo "serve batch check: ${batches} batches for ${attempted} requests (<= 0.${BATCHES_PER_10_REQUESTS} each)"
+fi
+
+result="$(run serve_closed_f32 3 1)"
+check_oracle serve_closed_f32
+max_batch="$(field '"serve.max_batch": \{"value": ([0-9]+)')"
+if [[ -z "$max_batch" ]]; then
+    echo "FAIL: could not read serve.max_batch from the serve_closed_f32 result line" >&2
+    exit 2
+fi
+if ((max_batch != MAX_BATCH)); then
+    echo "FAIL: serve_closed_f32 serve.max_batch ${max_batch} != ${MAX_BATCH}: the cap is not the builder's number, or 32 in flight no longer fill it"
+    status=1
+else
+    echo "serve cap check: serve.max_batch ${max_batch} with 32 requests in flight"
 fi
 exit "$status"

@@ -74,9 +74,9 @@
 //!
 //! For traffic that arrives one request at a time, wrap the engine(s) in a
 //! [`serve::Server`] instead of hand-rolling batches: a bounded submission
-//! queue feeds N worker threads, an adaptive batch former sizes batches from
-//! the backend's `estimate_batch` latency model, a cheap screening engine can
-//! escalate uncertain scores to an expensive tier-2 engine — or to a set of
+//! queue feeds N worker threads, a free worker takes a work-conserving cut of
+//! at most `max_batch` queued requests and runs it fused, a cheap screening
+//! engine can escalate uncertain scores to an expensive tier-2 engine — or to a set of
 //! **shard** engines splitting a many-class canary set
 //! (`ServerBuilder::escalate_sharded`, with tier-2 slivers pipelined against
 //! the next batch's screening by default) — and an LRU cache keyed on
@@ -134,8 +134,8 @@ pub mod prelude {
     pub use ptolemy_nn::{zoo, Network, TrainConfig, Trainer};
     pub use ptolemy_obs::{Clock, Registry};
     pub use ptolemy_serve::{
-        AdmissionPolicy, BatchPolicy, CacheConfig, DegradePolicy, ServeError, ServeStats, Served,
-        Server, ShedReason, Ticket, Tier,
+        AdmissionPolicy, CacheConfig, DegradePolicy, ServeError, ServeStats, Served, Server,
+        ShedReason, Ticket, Tier,
     };
     pub use ptolemy_tensor::Tensor;
 }

@@ -8,10 +8,11 @@
 
 mod common;
 
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use ptolemy::nn::{Contribution, Layer, LayerGrads, LayerKind, NnError};
 use ptolemy::obs::{Clock, Registry};
 use ptolemy::prelude::*;
 
@@ -250,10 +251,7 @@ fn expired_requests_are_dropped_in_the_queue() {
     let registry = Arc::new(Registry::with_clock("overload-test", Clock::manual()));
     let server = Server::builder(fx.screen.clone())
         .workers(1)
-        .batch_policy(BatchPolicy {
-            max_batch: 1,
-            ..BatchPolicy::default()
-        })
+        .max_batch(1)
         .instrument(registry.clone())
         .start()
         .unwrap();
@@ -335,10 +333,7 @@ fn degradation_engages_and_disengages_across_a_burst() {
         .escalate(escalate.clone(), fx.band.0, fx.band.1)
         .workers(1)
         .queue_capacity(8)
-        .batch_policy(BatchPolicy {
-            max_batch: 1,
-            ..BatchPolicy::default()
-        })
+        .max_batch(1)
         .degradation(DegradePolicy {
             high_watermark: 0.75,
             low_watermark: 0.25,
@@ -379,38 +374,99 @@ fn degradation_engages_and_disengages_across_a_burst() {
     assert_eq!(stats.shed_admission, 0, "no admission policy configured");
 }
 
-/// A cost backend whose every estimate blocks until the test sends a token
-/// (or drops the sender).  A worker sizes its batch cap before it asks for a
-/// batch, and re-sizes it when the observed path density drifts — as it does
-/// after the first batch — so this parks the worker *outside* the queue at
-/// exactly those two points, with no timing involved.
-#[derive(Debug)]
-struct GatedBackend(Mutex<Receiver<()>>);
+/// What a hooked layer runs next, once; armed by [`plug`].
+type Armed = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
 
-impl DetectionBackend for GatedBackend {
+/// Layer `index` of an already-trained network, borrowed into a second
+/// [`Network`] whose first layer runs whatever is `armed` before its forward
+/// passes — the `HookedLayer` of `ptolemy-serve`'s own tests, for a fixture
+/// that is built once and shared: same weights, so the fixture's class paths
+/// and forest bind to it, but a hook private to one test.  No layer of the
+/// fixture network has an interior, so the interior entry points keep their
+/// defaults (which route through `forward` / `forward_batch`).
+struct Borrowed {
+    network: Arc<Network>,
+    index: usize,
+    armed: Option<Armed>,
+}
+
+impl Borrowed {
+    fn inner(&self) -> &dyn Layer {
+        self.network.layer(self.index).expect("index in range")
+    }
+
+    fn run_hook(&self) {
+        let fault = self
+            .armed
+            .as_ref()
+            .and_then(|armed| armed.lock().unwrap().take());
+        if let Some(fault) = fault {
+            fault();
+        }
+    }
+}
+
+impl Layer for Borrowed {
     fn name(&self) -> &'static str {
-        "gated"
+        self.inner().name()
     }
-
-    fn bind(&mut self, _: &Network, _: &DetectionProgram) -> ptolemy::core::Result<()> {
-        Ok(())
+    fn output_shape(&self) -> Vec<usize> {
+        self.inner().output_shape()
     }
-
-    fn estimate_batch(
+    fn input_shape(&self) -> Vec<usize> {
+        self.inner().input_shape()
+    }
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.run_hook();
+        self.inner().forward(input)
+    }
+    fn forward_batch(&self, batch: &Tensor) -> Result<Tensor, NnError> {
+        self.run_hook();
+        self.inner().forward_batch(batch)
+    }
+    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads, NnError> {
+        self.inner().backward(input, grad_output)
+    }
+    fn params(&self) -> Vec<&Tensor> {
+        self.inner().params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        Vec::new() // borrowed weights are never trained
+    }
+    fn contributions_many(
         &self,
-        _: &Network,
-        _: &DetectionProgram,
-        batch_size: usize,
-        _: f32,
-    ) -> ptolemy::core::Result<BackendEstimate> {
-        let _ = self.0.lock().unwrap().recv();
-        // Models no cost: the cap falls back to `max_batch`.
-        Ok(BackendEstimate {
-            backend: "gated",
-            batch_size,
-            ..Default::default()
-        })
+        input: &Tensor,
+        interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Vec<Contribution>, NnError> {
+        self.inner().contributions_many(input, interior, out_idxs)
     }
+    fn has_static_routing(&self) -> bool {
+        self.inner().has_static_routing()
+    }
+    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>, NnError> {
+        self.inner().static_routing(out_idx)
+    }
+    fn kind(&self) -> LayerKind {
+        self.inner().kind()
+    }
+}
+
+/// Parks the server's single worker inside the screen of a **plug** request:
+/// arms the hook to signal "entered" and then block, submits `input`, and
+/// returns once the worker is inside the hooked layer.  The queue is then
+/// empty and stays untouched — whatever is submitted next queues
+/// deterministically — until the returned sender is dropped.
+fn plug(server: &Server, armed: &Armed, input: &Tensor) -> (Ticket, Sender<()>) {
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel::<()>();
+    *armed.lock().unwrap() = Some(Box::new(move || {
+        entered_tx.send(()).unwrap();
+        let _ = release_rx.recv();
+    }));
+    let ticket = server.submit(input.clone()).unwrap();
+    entered.recv().unwrap();
+    (ticket, release)
 }
 
 /// A degraded verdict is never cached, so neither cache probe may ever return
@@ -422,16 +478,22 @@ impl DetectionBackend for GatedBackend {
 fn a_degraded_verdict_never_comes_back_from_the_submit_side_probe() {
     let fx = fixtures();
     let (_, escalate) = &fx.escalations[0];
-    let (gate, gated) = channel();
-    // The fixture's screen engine, re-bound to the gated cost backend.
+    // The fixture's screen engine, re-bound to a hooked view of its network.
+    let armed = Armed::default();
+    let layers = (0..fx.network.num_layers()).map(|index| {
+        Box::new(Borrowed {
+            network: fx.network.clone(),
+            index,
+            armed: (index == 0).then(|| armed.clone()),
+        }) as Box<dyn Layer>
+    });
     let screen = DetectionEngine::builder(
-        fx.network.clone(),
+        Network::new(layers.collect()).unwrap(),
         fx.screen.program().clone(),
         fx.screen.class_paths().clone(),
     )
     .forest(fx.screen.forest().expect("calibrated").clone())
     .threshold(fx.screen.threshold())
-    .backend(Box::new(GatedBackend(Mutex::new(gated))))
     .build()
     .unwrap();
     // Capacity 4: degraded from depth 3, recovered at depth 1.
@@ -451,40 +513,44 @@ fn a_degraded_verdict_never_comes_back_from_the_submit_side_probe() {
         .start()
         .unwrap();
 
-    // With the worker parked sizing its first batch, three in-band inputs
-    // pile the queue to the high watermark; one token releases one cut, which
-    // serves all three degraded.
-    let in_band: Vec<&Tensor> = fx
+    // With the worker held inside a plug, three in-band inputs pile the
+    // queue to the high watermark; released, the worker takes them in one
+    // cut, which serves all three degraded.  (The plugs are in band too, but
+    // each is cut alone at depth 1 and takes the full pipeline.)
+    let pool: Vec<&Tensor> = fx
         .inputs
         .iter()
         .filter(|x| (fx.band.0..=fx.band.1).contains(&fx.screen.detect(x).unwrap().score))
-        .take(3)
         .collect();
+    let (in_band, plugs) = (&pool[..3], &pool[pool.len() - 2..]);
+    let (plugged, release) = plug(&server, &armed, plugs[0]);
     let tickets: Vec<Ticket> = in_band
         .iter()
         .map(|x| server.submit((*x).clone()).unwrap())
         .collect();
-    gate.send(()).unwrap();
+    drop(release);
+    assert!(!plugged.wait().unwrap().degraded, "cut at depth 1");
     for ticket in tickets {
         let served = ticket.wait().unwrap();
         assert!(served.degraded && !served.cache_hit);
     }
     let stats = server.stats();
-    assert_eq!((stats.batches, stats.degraded_served), (1, 3));
+    assert_eq!((stats.batches, stats.degraded_served), (2, 3));
     assert_eq!((stats.degrade_entered, stats.degrade_exited), (1, 0));
 
-    // The worker is parked again (re-sizing its cap) and the queue is empty:
-    // this push observes depth 1 and recovers.  Nothing can resolve the
-    // ticket before the gate opens, so "not ready" is the probe missing.
+    // The second plug's push observes depth 1 and recovers; the worker is
+    // held again with the queue empty.  Nothing can resolve the next ticket
+    // before the plug is released, so "not ready" is the probe missing.
+    let (plugged, release) = plug(&server, &armed, plugs[1]);
+    assert_eq!(server.stats().degrade_exited, 1);
     let again = server.submit(in_band[0].clone()).unwrap();
     assert!(
         !again.is_ready(),
         "a degraded verdict was answered from the cache"
     );
-    let stats = server.stats();
-    assert_eq!(stats.degrade_exited, 1);
-    assert_eq!(stats.cache_hits, 0);
-    drop(gate);
+    assert_eq!(server.stats().cache_hits, 0);
+    drop(release);
+    plugged.wait().unwrap();
     let full = again.wait().unwrap();
     assert!(!full.cache_hit && !full.degraded);
     assert_eq!(full.tier, Tier::Escalated);
