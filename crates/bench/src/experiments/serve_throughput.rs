@@ -12,8 +12,8 @@
 //! reports nonzero tier-2 escalations and cache hits on this workload.
 //!
 //! A second table names the miss path's residual: a traced server screens a
-//! batch of one in 2–2.6× what `detect` costs, so the three candidate causes
-//! are timed apart on one warm thread (`miss_path_residual`).
+//! batch of one in 2–2.6× what `detect` costs, so the candidate causes are
+//! timed apart on one warm thread (`miss_path_residual`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,30 +40,26 @@ fn throughput(count: usize, elapsed: Duration) -> f64 {
 /// Calls per kernel in [`miss_path_residual`].
 const RESIDUAL_REPS: usize = 2_000;
 
-/// One screen of one input, on one warm thread, the three ways that separate
-/// what a served miss pays beyond `detect`: the single-sample entry point,
-/// the fused entry point on a batch of one (what a worker calls), and the
-/// same inside a [`ThreadClaim`] (what a worker holds while it screens).
-/// Whatever the server's `screen` stage still costs above the last row is
-/// the worker itself — a thread that was parked a moment ago.
+/// One screen of one input on one warm thread, timed two ways: `detect`
+/// itself — the fused entry point on a batch of one, exactly what a worker
+/// calls, so `detect_batch_with_paths(&[x])` needs no row of its own — and
+/// that batch of one inside a [`ThreadClaim`] (what a worker holds while it
+/// screens).  Whatever the server's `screen` stage still costs above the last
+/// row is the worker itself — a thread that was parked a moment ago.
 fn miss_path_residual(screen: &DetectionEngine, input: &Tensor) -> BenchResult<Table> {
     let batch = std::slice::from_ref(input);
     let fused = || -> BenchResult<f64> {
         let (verdict, _) = screen.detect_batch_with_paths(batch).remove(0)?;
         Ok(f64::from(verdict.similarity))
     };
-    // Warm both entry points, then time them interleaved.
-    let mut sinks = [f64::from(screen.detect(input)?.similarity), fused()?, 0.0];
-    let [single_sink, fused_sink, claimed_sink] = &mut sinks;
-    let [single_ms, fused_ms, claimed_ms] = interleaved_best_ms(
+    // Warm both, then time them interleaved.
+    let mut sinks = [f64::from(screen.detect(input)?.similarity), fused()?];
+    let [single_sink, claimed_sink] = &mut sinks;
+    let [single_ms, claimed_ms] = interleaved_best_ms(
         RESIDUAL_REPS,
         [
             &mut || {
                 *single_sink += f64::from(screen.detect(input)?.similarity);
-                Ok(())
-            },
-            &mut || {
-                *fused_sink += fused()?;
                 Ok(())
             },
             &mut || {
@@ -83,11 +79,6 @@ fn miss_path_residual(screen: &DetectionEngine, input: &Tensor) -> BenchResult<T
         ]);
     for (call, key, ms) in [
         ("detect(x)", "detect_single_ns", single_ms),
-        (
-            "detect_batch_with_paths(&[x])",
-            "detect_batch_of_one_ns",
-            fused_ms,
-        ),
         (
             "detect_batch_with_paths(&[x]) under a ThreadClaim",
             "detect_batch_of_one_claimed_ns",
@@ -279,8 +270,8 @@ mod tests {
         assert_eq!(tables[0].checks().len(), 1);
         assert_eq!(tables[0].advisory_checks().len(), 1);
         assert!(!tables[0].metrics().is_empty());
-        // The residual table is timing only: three rows, three metrics.
-        assert_eq!(tables[1].metrics().len(), 3);
+        // The residual table is timing only: two rows, two metrics.
+        assert_eq!(tables[1].metrics().len(), 2);
         assert!(tables[1].checks().is_empty());
     }
 }

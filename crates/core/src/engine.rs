@@ -11,17 +11,18 @@
 //!   never per call;
 //! * **configurable decision threshold** — the score cut-off the original
 //!   one-shot API hard-coded to `0.5` is a builder knob;
-//! * **streamed fused batching** — [`DetectionEngine::detect_batch`] runs one
-//!   fused NCHW forward pass over the whole batch (batched `im2col`/matmul
-//!   across inputs) and extracts each input's [`ActivationPath`] **while the
-//!   pass is still running** ([`crate::extract_paths_streaming_batch`]):
-//!   forward programs mask each enabled layer's stacked output inline, the
-//!   moment the layer finishes, and retain nothing; backward programs retain
-//!   only the boundaries the reverse walk reads — peak activation memory
-//!   drops from O(network) to the retained set.  Every fused kernel preserves
-//!   the per-input reduction order and the selection kernels are shared with
-//!   the materialized pipeline, so batch verdicts stay **bit-for-bit
-//!   identical** to the single-input path;
+//! * **one detect body, streamed and fused** — [`DetectionEngine::detect_batch`]
+//!   runs one fused NCHW forward pass over the whole batch and extracts each
+//!   input's [`ActivationPath`] **while the pass is still running**
+//!   ([`crate::extract_paths_streaming_batch`]): forward programs mask each
+//!   enabled layer's stacked output inline, the moment the layer finishes,
+//!   and retain nothing; backward programs retain only the boundaries the
+//!   reverse walk reads — peak activation memory drops from O(network) to the
+//!   retained set.  A single input is the batch of one — [`DetectionEngine::detect`]
+//!   and every other single-input entry point run the same body on
+//!   `std::slice::from_ref(input)` — and every fused kernel computes sample
+//!   `b` from `inputs[b]` alone in the per-input reduction order, so batch
+//!   verdicts are **bit-for-bit identical** to single ones by construction;
 //! * **precision is an argument** — the program, the canary paths, the
 //!   classifier and the threshold never depend on what multiplied the
 //!   activations, so there is one detect path:
@@ -129,42 +130,29 @@ pub fn path_similarity(
         )));
     }
     let plan = ExtractionPlan::new(network, program)?;
-    let (predicted, similarity, _) = trace_path(network, &plan, class_paths, input)?;
+    let (predicted, similarity, _) = only(trace_path_batch(
+        network,
+        &plan,
+        class_paths,
+        std::slice::from_ref(input),
+    ))?;
     Ok((predicted, similarity))
 }
 
-/// One **streamed** inference + extraction + similarity, with no fingerprint
-/// check.  Returns `(predicted class, similarity, activation path)`.
-///
-/// This is the single scoring primitive behind the per-input *and* the fused
-/// batch paths: extraction runs through the streaming pipeline
-/// ([`crate::extract_path_streaming`] — masks computed while the forward pass
-/// is still running, activations dropped eagerly instead of materialising a
-/// full trace), which is bit-for-bit identical to the historical
-/// trace-then-extract pipeline.  `plan` is the program resolved against
-/// `provider`'s network — the engine's, bound at build time.
-fn trace_path<P: ForwardProvider>(
-    provider: &P,
-    plan: &ExtractionPlan,
-    class_paths: &ClassPathSet,
-    input: &Tensor,
-) -> Result<(usize, f32, ActivationPath)> {
-    let streamed = plan.stream(provider, input)?;
-    let similarity = streamed
-        .path
-        .similarity(class_paths.class_path(streamed.predicted_class)?)?;
-    Ok((streamed.predicted_class, similarity, streamed.path))
-}
-
-/// Fused-batch counterpart of [`trace_path`]: batched NCHW forward passes
-/// drive the **streaming** extraction of every sample's path
+/// The one scoring primitive: batched NCHW forward passes drive the
+/// **streaming** extraction of every sample's path
 /// ([`crate::extract_paths_streaming_batch`] — the batch splits into as many
 /// contiguous sub-batches as its work buys idle cores, each one fused pass
-/// with inline masking / reverse walks); path-similarity scoring completes
-/// each sample on the thread that extracted it.  Falls back to the per-input
-/// streaming path ([`par_map`] at the same work gate) when any input is
-/// mis-shaped (preserving that input's exact error while still serving the
-/// rest) or the fused pass itself fails.
+/// with inline masking / reverse walks), and path-similarity scoring
+/// completes each sample on the thread that extracted it.  Returns `(predicted
+/// class, similarity, activation path)` per input; `plan` is the program
+/// resolved against `provider`'s network — the engine's, bound at build time.
+///
+/// A single input is the batch of one, and its fused error *is* its error:
+/// it runs one forward pass whatever happens.  When a larger batch's fused
+/// pass fails (a mis-shaped or NaN input), each input is retried as its own
+/// batch of one ([`par_map`] at the same work gate), so the bad input fails
+/// alone, with its exact error, while the rest still serve.
 fn trace_path_batch<P: ForwardProvider>(
     provider: &P,
     plan: &ExtractionPlan,
@@ -178,19 +166,29 @@ fn trace_path_batch<P: ForwardProvider>(
         let similarity = path.similarity(class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity, path))
     };
-    let input_shape = provider.network().input_shape();
-    let fused = if inputs.iter().all(|input| input.dims() == input_shape) {
-        plan.stream_batch_with(provider, inputs, &finish).ok()
-    } else {
-        None
-    };
-    let Some((samples, _footprint)) = fused else {
-        return par_map(inputs, plan.forward_work(inputs.len()), |input| {
-            let streamed = plan.stream(provider, input)?;
-            finish(streamed.predicted_class, streamed.path)
-        });
-    };
-    samples.into_iter().map(Ok).collect()
+    match plan.stream_batch_with(provider, inputs, &finish) {
+        Ok((samples, _footprint)) => samples.into_iter().map(Ok).collect(),
+        Err(error) if inputs.len() == 1 => vec![Err(error)],
+        Err(_) => {
+            let singles: Vec<&[Tensor]> = inputs.chunks(1).collect();
+            par_map(&singles, plan.forward_work(inputs.len()), |one| {
+                trace_path_batch(provider, plan, class_paths, one)
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        }
+    }
+}
+
+/// The one result of a batch of one — how every single-input entry point
+/// runs (there is no separate single-input pipeline).
+fn only<T>(batch: Vec<Result<T>>) -> Result<T> {
+    batch.into_iter().next().unwrap_or_else(|| {
+        Err(CoreError::InvalidInput(
+            "a batch of one returned no result".into(),
+        ))
+    })
 }
 
 /// Cost estimate a [`DetectionBackend`] attaches to one served batch.
@@ -364,8 +362,12 @@ impl DetectionEngine {
     ///
     /// Propagates extraction errors.
     pub fn path_similarity(&self, input: &Tensor) -> Result<(usize, f32)> {
-        let (predicted, similarity, _) =
-            trace_path(self.network.as_ref(), &self.plan, &self.class_paths, input)?;
+        let (predicted, similarity, _) = only(trace_path_batch(
+            self.network.as_ref(),
+            &self.plan,
+            &self.class_paths,
+            std::slice::from_ref(input),
+        ))?;
         Ok((predicted, similarity))
     }
 
@@ -383,14 +385,15 @@ impl DetectionEngine {
     /// activation path — the hook serving layers use to key result caches on
     /// [`ActivationPath::prefix_fingerprint`] without re-running extraction.
     ///
-    /// The verdict comes from the same code path as [`DetectionEngine::detect`],
-    /// so it is bit-for-bit identical to calling `detect` on the same input.
+    /// Both run the input as the batch of one of
+    /// [`DetectionEngine::detect_batch_with_paths`], so the verdict is
+    /// bit-for-bit identical to calling `detect` on the same input.
     ///
     /// # Errors
     ///
     /// See [`DetectionEngine::detect`].
     pub fn detect_with_path(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        self.detect_one(self.network.as_ref(), input)
+        only(self.detect_batch_with_paths(std::slice::from_ref(input)))
     }
 
     /// Detects a whole batch through **one streamed fused forward pass**: the
@@ -401,8 +404,8 @@ impl DetectionEngine {
     /// the whole trace (see [`crate::extract_paths_streaming_batch`]).
     ///
     /// `detect_batch(xs)?[i]` is bit-for-bit identical to `detect(&xs[i])?`:
-    /// every fused kernel preserves the per-input reduction order, and the
-    /// sliced traces feed the same scoring code as the single-input path.
+    /// `detect` is the batch of one, and every fused kernel computes sample
+    /// `i` from `xs[i]` alone in the same per-element order.
     ///
     /// # Errors
     ///
@@ -539,19 +542,6 @@ impl DetectionEngine {
         Ok((detection, path))
     }
 
-    /// One input through `provider`'s single-sample streamed pass.
-    fn detect_one<P: ForwardProvider>(
-        &self,
-        provider: &P,
-        input: &Tensor,
-    ) -> Result<(Detection, ActivationPath)> {
-        self.staged(
-            1,
-            || trace_path(provider, &self.plan, &self.class_paths, input),
-            |traced| self.judge(traced),
-        )
-    }
-
     /// The one timed detect body: `trace` (streamed forward pass, extraction
     /// and similarity) then `score` (the classifier), each recorded into its
     /// stage histogram when a registry is attached and enabled, plus `inputs`
@@ -645,7 +635,7 @@ impl DetectionEngine {
                 "engine was built without a quantized network; add .quantized(..)".into(),
             )
         })?;
-        Ok(self.detect_one(qnet, input)?.0)
+        Ok(only(self.detect_batch_on(qnet, std::slice::from_ref(input)))?.0)
     }
 }
 

@@ -14,24 +14,31 @@
 //!
 //! Both algorithms are implemented over *activation boundary sources*, so they
 //! run equally on a materialized [`ForwardTrace`] ([`extract_path`]) and on the
-//! streaming drivers ([`extract_path_streaming`] /
-//! [`extract_paths_streaming_batch`]), which plug a [`ptolemy_nn::TraceSink`]
-//! into the forward pass itself:
+//! streaming pipeline, which plugs a [`ptolemy_nn::TraceSink`] into the
+//! provider's batched forward pass itself.  There is one streaming driver per
+//! direction and it takes a batch: [`extract_paths_streaming_batch`] runs it
+//! over stacked inputs, and [`extract_path_streaming`] — like every other
+//! single-input entry point in this crate — runs the same driver on the batch
+//! of one.
 //!
-//! * **forward programs** mask each enabled layer's output inline, the moment
-//!   the layer finishes, and never retain or clone an activation, so the
-//!   resident trace state is zero instead of O(network);
+//! * **forward programs** mask each sample's slice of each enabled layer's
+//!   output inline, the moment the layer finishes, and never retain or clone
+//!   an activation, so the resident trace state is zero instead of
+//!   O(network);
 //! * **backward programs** retain only what the reverse walk will actually
 //!   read: enabled weight layers' inputs and outputs, their interior
 //!   activations ([`ptolemy_nn::TraceSink::on_interior`] — a residual block's
 //!   last body layer's input), plus the inputs of pass-through layers whose
 //!   routing is data-dependent ([`ptolemy_nn::Layer::has_static_routing`] is
 //!   `false`, e.g. max pooling).  Early-termination programs drop everything
-//!   below the first disabled weight layer as it streams past.
+//!   below the first disabled weight layer as it streams past.  Each sample's
+//!   walk reads its slice of the retained stacked tensors — a batch of one's
+//!   are retained unstacked in the first place, so its walk slices nothing.
 //!
-//! Streamed and materialized extraction are **bit-for-bit identical**: the
-//! forward compute is the same driver either way, and both feed the same
-//! selection kernels with the same tensors (pinned by `tests/streaming.rs`).
+//! Streamed and materialized extraction are **bit-for-bit identical**: slab
+//! `b` of every fused layer kernel is bit-for-bit the unbatched layer on
+//! sample `b`, and both pipelines feed the same selection kernels with the
+//! same tensors (pinned by `tests/streaming.rs`).
 //!
 //! # Cost of the reverse walk
 //!
@@ -48,7 +55,7 @@
 //! # Precision
 //!
 //! Nothing above depends on what multiplied the activations.  The streaming
-//! drivers are generic over a [`ForwardProvider`] — the f32 [`Network`] or its
+//! driver is generic over a [`ForwardProvider`] — the f32 [`Network`] or its
 //! int8 view `ptolemy_nn::QuantizedNetwork` — statically dispatched, so an
 //! int8 pass streams through the same sinks and selection kernels (its
 //! residual blocks run f32 and hand the sink the same interior a recompute
@@ -208,19 +215,6 @@ impl ExtractionPlan {
         Ok(path)
     }
 
-    /// [`extract_path_streaming`] against this plan, over whichever
-    /// `provider` runs the forward pass (the f32 network or its int8 view).
-    pub(crate) fn stream<P: ForwardProvider>(
-        &self,
-        provider: &P,
-        input: &Tensor,
-    ) -> Result<StreamedExtraction> {
-        match self.direction {
-            Direction::Forward => stream_forward_single(provider, self, input),
-            Direction::Backward => stream_backward_single(provider, self, input),
-        }
-    }
-
     /// Driver behind [`extract_paths_streaming_batch`] and the engine's fused
     /// batch path: `finish(predicted_class, path)` completes each sample on
     /// the thread that extracted it, so engine-level completion work
@@ -286,7 +280,8 @@ pub fn materialized_trace_bytes(network: &Network, batch_size: usize) -> usize {
 /// current-layer input/output, and the
 /// per-sample extraction scratch of backward batches (the streamed walk
 /// slices each retained stacked boundary per sample exactly as the
-/// materialized `BatchTrace::trace(b)` does — in fact it slices a subset).
+/// materialized `BatchTrace::trace(b)` does — in fact it slices a subset, and
+/// a batch of one slices nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivationFootprint {
     /// Peak resident activation bytes of the streamed extraction.
@@ -303,8 +298,6 @@ pub struct StreamedExtraction {
     /// The extracted activation path (bit-for-bit what [`extract_path`] on a
     /// materialized trace of the same input produces).
     pub path: ActivationPath,
-    /// The final logits of the forward pass.
-    pub logits: Tensor,
     /// Peak-memory accounting of the streamed pass.
     pub footprint: ActivationFootprint,
 }
@@ -343,16 +336,17 @@ pub fn extract_path(
 /// Runs one forward pass and extracts the activation path **while inferring**:
 /// the streaming counterpart of `forward_trace` + [`extract_path`].
 ///
-/// Forward programs mask each enabled layer's output inline as soon as the
-/// layer finishes and retain nothing; backward programs retain only the
-/// boundaries the reverse walk reads.  The whole call runs on the calling
-/// thread.  The returned path, predicted class and logits are bit-for-bit
-/// identical to the materialized pipeline's.
+/// The input runs as the batch of one of [`extract_paths_streaming_batch`] —
+/// there is no separate single-input pipeline.  Forward programs mask each
+/// enabled layer's output inline as soon as the layer finishes and retain
+/// nothing; backward programs retain only the boundaries the reverse walk
+/// reads.  The whole call runs on the calling thread.  The returned path and
+/// predicted class are bit-for-bit identical to the materialized pipeline's.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidProgram`] if the program does not match the
-/// network, and propagates substrate errors (including
+/// network, and propagates substrate errors (including a mis-shaped input and
 /// [`ptolemy_nn::NnError::InvalidLogits`] for logits no class can be predicted
 /// from).
 pub fn extract_path_streaming(
@@ -360,7 +354,17 @@ pub fn extract_path_streaming(
     program: &DetectionProgram,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    ExtractionPlan::new(network, program)?.stream(network, input)
+    let StreamedBatchExtraction { samples, footprint } =
+        extract_paths_streaming_batch(network, program, std::slice::from_ref(input))?;
+    let (predicted_class, path) = samples
+        .into_iter()
+        .next()
+        .ok_or_else(|| CoreError::InvalidInput("a batch of one extracted no path".into()))?;
+    Ok(StreamedExtraction {
+        predicted_class,
+        path,
+        footprint,
+    })
 }
 
 /// Fused-batch counterpart of [`extract_path_streaming`]: stacked NCHW
@@ -373,13 +377,14 @@ pub fn extract_path_streaming(
 /// programs) or its per-sample reverse walks (backward programs) inline on
 /// the same thread.  Sample `b` of the result is bit-for-bit
 /// `extract_path_streaming(network, program, &inputs[b])` whatever the split:
-/// a fused pass slices back to the per-input pass exactly.
+/// sample `b` of a fused pass depends on `inputs[b]` alone, and a single
+/// input *is* the batch of one.
 ///
 /// # Errors
 ///
 /// Returns an error if the program does not match the network, if `inputs` is
 /// empty or mis-shaped (the whole fused pass fails — callers wanting
-/// per-input error granularity fall back to the single-input path), or if any
+/// per-input error granularity retry each input as a batch of one), or if any
 /// sample's logits admit no prediction.
 pub fn extract_paths_streaming_batch(
     network: &Network,
@@ -757,42 +762,24 @@ fn backward_retention(network: &Network, roles: &[LayerRole]) -> Result<Vec<bool
     Ok(retain)
 }
 
-/// Streaming sink for single-input forward programs: enabled outputs are
-/// masked inline, nothing is ever retained or cloned.
+/// Streaming sink for forward programs over a stacked batch: each sample's
+/// slice of an enabled output is masked into that sample's path inline, and
+/// nothing is ever retained or cloned.
 struct ForwardSink<'a> {
     roles: &'a [LayerRole],
-    path: ActivationPath,
+    paths: Vec<ActivationPath>,
     /// Sinks are infallible; the first selection failure waits here.
     error: Option<CoreError>,
 }
 
 impl TraceSink for ForwardSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        if let (None, LayerRole::Enabled { threshold, segment }) = (&self.error, self.roles[index])
-        {
-            self.error =
-                mask_forward_selection(&mut self.path, segment, output.as_slice(), threshold).err();
-        }
-    }
-}
-
-/// [`ForwardSink`] over a stacked batch: each sample's slice of an enabled
-/// output is masked into that sample's path.
-struct ForwardBatchSink<'a> {
-    roles: &'a [LayerRole],
-    paths: Vec<ActivationPath>,
-    error: Option<CoreError>,
-}
-
-impl TraceSink for ForwardBatchSink<'_> {
-    fn on_layer(&mut self, index: usize, output: &Tensor) {
         let (None, LayerRole::Enabled { threshold, segment }) = (&self.error, self.roles[index])
         else {
             return;
         };
-        // Sample `b`'s slab of the stacked output is bit-for-bit its
-        // per-sample output, so the selection matches the single-input
-        // pipeline exactly.
+        // Sample `b`'s slab of the stacked output depends on sample `b`
+        // alone, so its selection is the same whatever the batch around it.
         let sample_len = output.len() / self.paths.len().max(1);
         for (path, sample) in self
             .paths
@@ -812,6 +799,10 @@ impl TraceSink for ForwardBatchSink<'_> {
 /// moves on.
 struct RetainSink<'a> {
     retain: &'a [bool],
+    /// The pass is a batch of one: its tensors are retained as the sample's
+    /// own (the leading 1 dropped as they are copied — the same one copy), so
+    /// its walk reads them as they are, with no per-sample slice afterwards.
+    single: bool,
     kept: Retained,
     /// Bytes retained so far — nothing is released before the walk ends, so
     /// this is also the pass's peak.
@@ -819,9 +810,10 @@ struct RetainSink<'a> {
 }
 
 impl<'a> RetainSink<'a> {
-    fn new(retain: &'a [bool]) -> Self {
+    fn new(retain: &'a [bool], single: bool) -> Self {
         RetainSink {
             retain,
+            single,
             kept: Retained {
                 boundaries: vec![None; retain.len()],
                 interiors: vec![None; retain.len()],
@@ -830,12 +822,18 @@ impl<'a> RetainSink<'a> {
         }
     }
 
-    /// A counted clone of `activation` if the plan retains boundary `planned`.
+    /// A counted copy of `activation` if the plan retains boundary `planned`.
     fn keep(&mut self, planned: usize, activation: &Tensor) -> Option<Tensor> {
-        self.retain[planned].then(|| {
-            self.retained_bytes += activation.len() * std::mem::size_of::<f32>();
-            activation.clone()
-        })
+        if !self.retain[planned] {
+            return None;
+        }
+        self.retained_bytes += activation.len() * std::mem::size_of::<f32>();
+        if self.single {
+            // `[1] ++ shape` always reshapes to `shape`.
+            activation.reshape(&activation.dims()[1..]).ok()
+        } else {
+            Some(activation.clone())
+        }
     }
 }
 
@@ -854,45 +852,21 @@ impl TraceSink for RetainSink<'_> {
     }
 }
 
-fn stream_forward_single<P: ForwardProvider>(
-    provider: &P,
-    plan: &ExtractionPlan,
-    input: &Tensor,
-) -> Result<StreamedExtraction> {
-    let mut sink = ForwardSink {
-        roles: &plan.roles,
-        path: ActivationPath::empty(&plan.layout),
-        error: None,
-    };
-    let logits = provider.forward_with_sink(input, &mut sink)?;
-    if let Some(error) = sink.error {
-        return Err(error);
+impl Retained {
+    /// Sample `b`'s copy of every retained stacked tensor — the same slices a
+    /// materialized `BatchTrace::trace(b)` would hand the walk.
+    fn slice_batch(&self, b: usize) -> Result<Retained> {
+        let slice_all = |stacked: &[Option<Tensor>]| -> Result<Vec<Option<Tensor>>> {
+            stacked
+                .iter()
+                .map(|kept| Ok(kept.as_ref().map(|t| t.slice_batch(b)).transpose()?))
+                .collect()
+        };
+        Ok(Retained {
+            boundaries: slice_all(&self.boundaries)?,
+            interiors: slice_all(&self.interiors)?,
+        })
     }
-    let predicted = predicted_class(&logits).map_err(CoreError::from)?;
-    Ok(StreamedExtraction {
-        predicted_class: predicted,
-        path: sink.path,
-        logits,
-        footprint: plan.footprint(0, 1),
-    })
-}
-
-fn stream_backward_single<P: ForwardProvider>(
-    provider: &P,
-    plan: &ExtractionPlan,
-    input: &Tensor,
-) -> Result<StreamedExtraction> {
-    let mut sink = RetainSink::new(&plan.retain);
-    let logits = provider.forward_with_sink(input, &mut sink)?;
-    let predicted = predicted_class(&logits).map_err(CoreError::from)?;
-    let mut path = ActivationPath::empty(&plan.layout);
-    extract_backward(provider.network(), plan, &sink.kept, predicted, &mut path)?;
-    Ok(StreamedExtraction {
-        predicted_class: predicted,
-        path,
-        logits,
-        footprint: plan.footprint(sink.retained_bytes, 1),
-    })
 }
 
 /// One fused forward-program pass over `inputs`, on the calling thread.
@@ -907,7 +881,7 @@ where
     P: ForwardProvider,
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
-    let mut sink = ForwardBatchSink {
+    let mut sink = ForwardSink {
         roles: &plan.roles,
         paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
         error: None,
@@ -916,15 +890,13 @@ where
     if let Some(error) = sink.error {
         return Err(error);
     }
+    // Row `b` of the stacked `[B, classes]` logits is sample `b`'s.
+    let classes = provider.network().num_classes().max(1);
     let samples = sink
         .paths
         .into_iter()
-        .enumerate()
-        .map(|(b, path)| {
-            let sample_logits = logits.slice_batch(b)?;
-            let predicted = predicted_class(&sample_logits).map_err(CoreError::from)?;
-            finish(predicted, path)
-        })
+        .zip(logits.as_slice().chunks(classes))
+        .map(|(path, sample_logits)| finish(predicted_class(sample_logits)?, path))
         .collect::<Result<Vec<_>>>()?;
     Ok((samples, 0))
 }
@@ -942,39 +914,28 @@ where
     P: ForwardProvider,
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
-    let mut sink = RetainSink::new(&plan.retain);
+    let single = inputs.len() == 1;
+    let mut sink = RetainSink::new(&plan.retain, single);
     let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
-    // Slice sample `b`'s view of every retained stacked tensor — the same
-    // slices a materialized `BatchTrace::trace(b)` would hand the walk, so the
-    // extraction is bit-for-bit the per-input path.
-    let slice_all = |stacked: &[Option<Tensor>], b: usize| -> Result<Vec<Option<Tensor>>> {
-        stacked
-            .iter()
-            .map(|kept| Ok(kept.as_ref().map(|t| t.slice_batch(b)).transpose()?))
-            .collect()
+    let classes = provider.network().num_classes().max(1);
+    // Each walk reads exactly the tensors a materialized trace of its sample
+    // would hold, so the extraction is bit-for-bit the materialized one.
+    let walk = |sample: &Retained, sample_logits: &[f32]| -> Result<T> {
+        let predicted = predicted_class(sample_logits)?;
+        let mut path = ActivationPath::empty(&plan.layout);
+        extract_backward(provider.network(), plan, sample, predicted, &mut path)?;
+        finish(predicted, path)
     };
-    let samples = (0..inputs.len())
-        .map(|b| -> Result<T> {
-            let sliced = Retained {
-                boundaries: slice_all(&sink.kept.boundaries, b)?,
-                interiors: slice_all(&sink.kept.interiors, b)?,
-            };
-            // The logits boundary is usually already retained and sliced; only
-            // fall back to slicing the driver's stacked logits when it is not.
-            let fallback_logits;
-            let sample_logits = match sliced.boundaries.last().and_then(Option::as_ref) {
-                Some(retained_logits) => retained_logits,
-                None => {
-                    fallback_logits = logits.slice_batch(b)?;
-                    &fallback_logits
-                }
-            };
-            let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
-            let mut path = ActivationPath::empty(&plan.layout);
-            extract_backward(provider.network(), plan, &sliced, predicted, &mut path)?;
-            finish(predicted, path)
-        })
-        .collect::<Result<Vec<_>>>()?;
+    let samples = if single {
+        vec![walk(&sink.kept, logits.as_slice())?]
+    } else {
+        logits
+            .as_slice()
+            .chunks(classes)
+            .enumerate()
+            .map(|(b, sample_logits)| walk(&sink.kept.slice_batch(b)?, sample_logits))
+            .collect::<Result<Vec<_>>>()?
+    };
     Ok((samples, sink.retained_bytes))
 }
 
@@ -1311,28 +1272,23 @@ mod tests {
             })
             .collect();
         for program in &programs {
-            for input in &inputs {
-                let trace = net.forward_trace(input).unwrap();
-                let materialized = extract_path(&net, &trace, program).unwrap();
-                let streamed = extract_path_streaming(&net, program, input).unwrap();
-                assert_eq!(streamed.path, materialized, "single-input parity");
-                assert_eq!(streamed.predicted_class, trace.predicted_class().unwrap());
-                for (s, m) in streamed
-                    .logits
-                    .as_slice()
-                    .iter()
-                    .zip(trace.logits().as_slice())
-                {
-                    assert_eq!(s.to_bits(), m.to_bits());
-                }
-            }
-            // Fused-batch streaming matches too.
+            // Single-input (the batch of one) and fused-batch streaming both
+            // reproduce the materialized pipeline.
             let batch = extract_paths_streaming_batch(&net, program, &inputs).unwrap();
             assert_eq!(batch.samples.len(), inputs.len());
             for (b, input) in inputs.iter().enumerate() {
-                let single = extract_path_streaming(&net, program, input).unwrap();
-                assert_eq!(batch.samples[b].0, single.predicted_class);
-                assert_eq!(batch.samples[b].1, single.path, "batch sample {b} parity");
+                let trace = net.forward_trace(input).unwrap();
+                let materialized = (
+                    trace.predicted_class().unwrap(),
+                    extract_path(&net, &trace, program).unwrap(),
+                );
+                let streamed = extract_path_streaming(&net, program, input).unwrap();
+                assert_eq!(
+                    (streamed.predicted_class, streamed.path),
+                    materialized,
+                    "single-input parity"
+                );
+                assert_eq!(batch.samples[b], materialized, "batch sample {b} parity");
             }
         }
     }

@@ -36,9 +36,10 @@
 //! # Streaming extraction
 //!
 //! Extraction no longer materialises a full forward trace.  The engine (and
-//! the offline [`Profiler`]) run through [`extract_path_streaming`] /
-//! [`extract_paths_streaming_batch`], which plug a path extractor into the
-//! forward pass itself via [`ptolemy_nn::TraceSink`]:
+//! the offline [`Profiler`]) run through [`extract_paths_streaming_batch`]'s
+//! driver — a single input, as in [`extract_path_streaming`], is its batch of
+//! one — which plugs a path extractor into the forward pass itself via
+//! [`ptolemy_nn::TraceSink`]:
 //!
 //! * **forward programs** select each enabled layer's important neurons
 //!   inline, the moment the layer finishes, and never retain an activation —

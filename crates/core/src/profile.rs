@@ -11,8 +11,8 @@ use crate::{ActivationPath, ClassPath, ClassPathSet, CoreError, DetectionProgram
 ///
 /// Profiling parallelises over samples ([`crate::par_map`], gated on the
 /// set's forward MACs), each sample running through the streaming extraction
-/// pipeline ([`extract_path_streaming`]) so no full trace is ever
-/// materialized; aggregation itself is a cheap sequential OR.
+/// pipeline as a batch of one ([`extract_path_streaming`]) so no full trace is
+/// ever materialized; aggregation itself is a cheap sequential OR.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     program: DetectionProgram,
@@ -70,11 +70,11 @@ impl Profiler {
         let work = plan.forward_work(samples.len());
         let extracted: Vec<Result<Option<(usize, ActivationPath)>>> =
             crate::par_map(samples, work, |(input, label)| {
-                let streamed = plan.stream(network, input)?;
-                if streamed.predicted_class != *label {
-                    return Ok(None);
-                }
-                Ok(Some((*label, streamed.path)))
+                let keep =
+                    |predicted: usize, path| Ok((predicted == *label).then_some((*label, path)));
+                let (mut one, _) =
+                    plan.stream_batch_with(network, std::slice::from_ref(input), &keep)?;
+                Ok(one.pop().flatten())
             });
 
         let mut class_paths: Vec<ClassPath> = (0..network.num_classes())

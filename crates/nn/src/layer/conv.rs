@@ -153,7 +153,12 @@ impl Layer for Conv2d {
     }
 
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let batch_size = check_batch(batch, &self.input_shape(), self.name())?;
+        let geom = &self.geom;
+        let batch_size = check_batch(
+            batch,
+            &[geom.in_channels, geom.in_h, geom.in_w],
+            self.name(),
+        )?;
         Ok(Tensor::from_vec(
             self.convolve(batch)?,
             &[

@@ -89,6 +89,30 @@ impl Dense {
         }
         Ok(())
     }
+
+    /// The one dense kernel, behind both forward passes: `rows` stacked
+    /// inputs (`xs`, row-major) times the weights, plus the bias.  Every row
+    /// is prefilled with the bias and `gemm_nt_into` accumulates `X · Wᵀ` on
+    /// top (W stays in its natural `[outputs, inputs]` layout), so each output
+    /// neuron is one bias-first, ascending-input chain with no sparsity skip —
+    /// the same bits whatever `rows` is, which makes a single sample the batch
+    /// of one by construction.  Below the register tile's height the kernel
+    /// runs that chain as a plain dot loop instead of packing the weights.
+    fn affine(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+        let (inputs, outputs) = (self.inputs, self.outputs);
+        let w = self.weight.as_slice();
+        let mut out = Vec::with_capacity(rows * outputs);
+        for _ in 0..rows {
+            out.extend_from_slice(self.bias.as_slice());
+        }
+        let macs = rows * inputs * outputs;
+        par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
+            let samples = chunk.len() / outputs;
+            let x = &xs[first * inputs..(first + samples) * inputs];
+            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
+        });
+        out
+    }
 }
 
 impl Layer for Dense {
@@ -106,45 +130,18 @@ impl Layer for Dense {
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let x = input.as_slice();
-        let w = self.weight.as_slice();
-        let b = self.bias.as_slice();
-        let mut out = vec![0.0f32; self.outputs];
-        for (j, o) in out.iter_mut().enumerate() {
-            let row = &w[j * self.inputs..(j + 1) * self.inputs];
-            let mut acc = b[j];
-            for (xi, wi) in x.iter().zip(row) {
-                acc += xi * wi;
-            }
-            *o = acc;
-        }
-        Ok(Tensor::from_vec(out, &[self.outputs])?)
+        Ok(Tensor::from_vec(
+            self.affine(input.as_slice(), 1),
+            &[self.outputs],
+        )?)
     }
 
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let batch_size = check_batch(batch, &self.input_shape(), self.name())?;
-        let xs = batch.as_slice();
-        let w = self.weight.as_slice();
-        let b = self.bias.as_slice();
-        let inputs = self.inputs;
-        let outputs = self.outputs;
-        let mut out = vec![0.0f32; batch_size * outputs];
-        // Prefill every row with the bias, then let the blocked NT kernel
-        // accumulate X · Wᵀ on top (W stays in its natural [outputs, inputs]
-        // layout; the kernel packs it transposed).  Per output neuron the
-        // accumulation (bias first, then x·w in input order, no sparsity
-        // skip) is exactly the single-sample kernel, so the fused result is
-        // bit-for-bit identical to the per-input loop.
-        for row in out.chunks_mut(outputs) {
-            row.copy_from_slice(b);
-        }
-        let macs = batch_size * inputs * outputs;
-        par_row_chunks(&mut out, batch_size, outputs, macs, |first, chunk| {
-            let samples = chunk.len() / outputs;
-            let x = &xs[first * inputs..(first + samples) * inputs];
-            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
-        });
-        Ok(Tensor::from_vec(out, &[batch_size, outputs])?)
+        let batch_size = check_batch(batch, &[self.inputs], self.name())?;
+        Ok(Tensor::from_vec(
+            self.affine(batch.as_slice(), batch_size),
+            &[batch_size, self.outputs],
+        )?)
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {

@@ -106,13 +106,8 @@ impl PoolGeom {
         fold: impl Fn(f32, f32) -> f32 + Sync,
         finish: impl Fn(f32) -> f32 + Sync,
     ) -> Result<Tensor> {
-        let mut dims = self.out_shape();
         let batch_size = match stacked_for {
-            Some(layer) => {
-                let batch_size = check_batch(input, &self.in_shape(), layer)?;
-                dims.insert(0, batch_size);
-                batch_size
-            }
+            Some(layer) => check_batch(input, &[self.channels, self.in_h, self.in_w], layer)?,
             None => {
                 self.check(input)?;
                 1
@@ -153,7 +148,13 @@ impl PoolGeom {
                 }
             }
         });
-        Ok(Tensor::from_vec(out, &dims)?)
+        let dims = [batch_size, self.channels, self.out_h, self.out_w];
+        let dims = if stacked_for.is_some() {
+            &dims[..]
+        } else {
+            &dims[1..]
+        };
+        Ok(Tensor::from_vec(out, dims)?)
     }
 
     fn decompose(&self, out_idx: usize) -> Result<(usize, usize, usize)> {

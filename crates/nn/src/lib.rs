@@ -24,24 +24,25 @@
 //!   layer) memory.  This is the hook `ptolemy-core` uses to extract paths
 //!   while the forward pass runs (the paper's Sec. III-C compiler insight)
 //!   and to drop activations eagerly;
-//! * [`ForwardProvider`] — the two streaming drivers as a trait, implemented
-//!   by [`Network`] (f32) and [`QuantizedNetwork`] (int8, one fused integer
-//!   kernel per layer kind, the single-sample pass being batch 1): inference
-//!   precision is an argument to `ptolemy-core`'s extraction, not a parallel
-//!   API;
-//! * [`Network::forward_trace`] — the materializing adapter over the streaming
+//! * [`ForwardProvider`] — the batched streaming pass as a trait (`network()`
+//!   plus `forward_with_sink_batch`, nothing else), implemented by [`Network`]
+//!   (f32) and [`QuantizedNetwork`] (int8, one fused integer kernel per layer
+//!   kind): inference precision is an argument to `ptolemy-core`'s
+//!   extraction, not a parallel API, and a single input is the batch of one;
+//! * [`Network::forward_trace`] — the materializing adapter over the unbatched
 //!   driver: a keep-everything sink recording each activation boundary
 //!   **once** (`activations[i + 1]` is both layer `i`'s output and layer
 //!   `i + 1`'s input — no duplicated storage) so extraction can run after the
 //!   fact;
 //! * [`Network::forward_batch`] / [`Network::forward_trace_batch`] — the fused
 //!   NCHW batch path: B inputs are stacked into one `[B, C, H, W]` tensor and
-//!   executed layer by layer through [`Layer::forward_batch`] (batched
-//!   `im2col`/matmul for convolutions, weight-row-reuse kernels for dense
-//!   layers).  The resulting [`BatchTrace`] slices back to per-input
-//!   [`ForwardTrace`]s **bit-for-bit identical** to the per-input path — each
-//!   output element depends only on its own input sample, and every fused
-//!   kernel preserves the single-sample reduction order exactly;
+//!   executed layer by layer through [`Layer::forward_batch`] (the fused conv
+//!   kernel, one bias-prefilled GEMM for dense layers — the same kernel
+//!   [`Layer::forward`] calls at one row).  The resulting [`BatchTrace`]
+//!   slices back to per-input [`ForwardTrace`]s **bit-for-bit identical** to
+//!   the per-input path — each output element depends only on its own input
+//!   sample, and every fused kernel preserves the single-sample reduction
+//!   order exactly;
 //! * [`Network::input_gradient`] — the loss gradient w.r.t. the input, which the
 //!   attack generators in `ptolemy-attacks` need;
 //! * a [`zoo`] of small architectures standing in for AlexNet, ResNet-18, VGG and

@@ -140,9 +140,11 @@ impl Network {
 
     /// Runs a forward pass, handing every activation boundary (and, just
     /// before a residual block's output, the block's interior —
-    /// [`TraceSink::on_interior`]) to `sink` as it is produced — the streaming
-    /// driver both [`Network::forward_trace`] and the `ptolemy-core` streaming
-    /// extraction pipeline are adapters over.
+    /// [`TraceSink::on_interior`]) to `sink` as it is produced — the
+    /// unbatched pass [`Network::forward_trace`], int8 calibration and
+    /// external layer clocks observe.  (`ptolemy-core`'s streaming extraction
+    /// runs a single input as the batch of one,
+    /// [`Network::forward_with_sink_batch`].)
     ///
     /// The driver itself holds only the current layer's input and output; what
     /// outlives a layer is entirely the sink's decision, so a selective sink
@@ -162,8 +164,8 @@ impl Network {
         })
     }
 
-    /// The one forward driver, behind every streaming pass of every
-    /// [`ForwardProvider`]: `input` (one sample, or a stacked batch) goes
+    /// The one forward driver, behind every streaming pass: `input` (one
+    /// sample, or a stacked batch) goes
     /// through the layers in order, `step(index, layer, boundary)` producing
     /// each layer's output and interior, and `sink` observes every boundary
     /// under the [`TraceSink`] delivery contract.
@@ -364,25 +366,14 @@ impl Network {
 /// Inference precision is this argument, nothing more: the streaming path
 /// extraction in `ptolemy-core` is generic over the provider (statically
 /// dispatched), so every precision streams through the same sinks and the same
-/// selection kernels.  Both drivers follow the [`TraceSink`] delivery
-/// contract; the batched one hands out stacked `[B] ++ shape` tensors whose
-/// slice `b` is bit-for-bit the single-input pass of sample `b`.
+/// selection kernels.  There is one pass, and it takes a batch — a single
+/// input is the batch of one.  It follows the [`TraceSink`] delivery contract
+/// with stacked `[B] ++ shape` tensors whose slice `b` depends on sample `b`
+/// alone.
 pub trait ForwardProvider: Sync {
-    /// The network whose layers the passes run (and whose layers decompose
+    /// The network whose layers the pass runs (and whose layers decompose
     /// the boundaries afterwards).
     fn network(&self) -> &Network;
-
-    /// One forward pass over `input`, streaming boundaries to `sink`; returns
-    /// the logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` does not match the network input shape.
-    fn forward_with_sink<S: TraceSink + ?Sized>(
-        &self,
-        input: &Tensor,
-        sink: &mut S,
-    ) -> Result<Tensor>;
 
     /// One fused forward pass over `inputs`, streaming stacked boundaries to
     /// `sink`; returns the stacked logits.
@@ -401,14 +392,6 @@ pub trait ForwardProvider: Sync {
 impl ForwardProvider for Network {
     fn network(&self) -> &Network {
         self
-    }
-
-    fn forward_with_sink<S: TraceSink + ?Sized>(
-        &self,
-        input: &Tensor,
-        sink: &mut S,
-    ) -> Result<Tensor> {
-        Network::forward_with_sink(self, input, sink)
     }
 
     fn forward_with_sink_batch<S: TraceSink + ?Sized>(

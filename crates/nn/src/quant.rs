@@ -25,7 +25,7 @@
 //! output: `acc * s_act * s_weight + bias` in f32.  The network therefore
 //! carries ordinary f32 activations between layers, which keeps every
 //! non-weight layer (ReLU, pooling, reshape) byte-identical to the f32 path
-//! and lets the standard [`ForwardTrace`] / path-extraction machinery consume
+//! and lets the standard [`BatchTrace`] / path-extraction machinery consume
 //! quantized runs unchanged.  `Residual` blocks and any layer whose
 //! parameters don't follow the `[weight, bias]` convention simply run their
 //! f32 `forward` — quantization is per-layer opportunistic, never required.
@@ -38,19 +38,18 @@
 //! once instead of staging an f32 column matrix.  Because i32 accumulation is
 //! exact, the blocked/fused kernels are *bit-identical* to the naive
 //! references — the kernel swap changes throughput, never results.  There is
-//! one kernel per layer kind and it takes a batch: a single-sample pass is
-//! that kernel at batch 1, so sample `b` of a fused batch equals the
-//! single-input pass of `inputs[b]` bit-for-bit by construction (the same
-//! widening-only contract as the f32 `Network::forward_batch`).
+//! one kernel per layer kind and it takes a batch, so sample `b` of a fused
+//! batch equals the batch of one of `inputs[b]` bit-for-bit by construction
+//! (the same widening-only contract as the f32 `Network::forward_batch`).
 //!
-//! # One driver
+//! # One driver, one pass
 //!
-//! [`QuantizedNetwork`] implements [`ForwardProvider`] — the same two
-//! streaming passes [`Network`] has, over the same layer loop with
-//! [`QuantizedNetwork`]'s own per-layer step — and `forward` / `forward_batch` /
-//! `forward_trace` / `forward_trace_batch` are adapters over them, so
-//! `ptolemy-core` extracts activation paths from an int8 pass through exactly
-//! the sinks it uses for f32.
+//! [`QuantizedNetwork`] implements [`ForwardProvider`] — its one batched
+//! streaming pass runs [`Network`]'s layer loop with [`QuantizedNetwork`]'s
+//! own per-layer step — and `forward` (the batch of one) / `forward_batch` /
+//! `forward_trace_batch` are adapters over it, so `ptolemy-core` extracts
+//! activation paths from an int8 pass through exactly the sinks it uses for
+//! f32.  There is no unbatched int8 pass.
 //!
 //! # NaN
 //!
@@ -66,11 +65,8 @@ use ptolemy_tensor::gemm_i8::{matmul_i8_parallel, matmul_i8_parallel_nt};
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
 use ptolemy_tensor::{im2col_i8_batch, Conv2dGeometry, Tensor};
 
-use crate::trace::{self, predicted_class};
-use crate::{
-    BatchTrace, ForwardProvider, ForwardTrace, Layer, LayerKind, Network, NnError, Result,
-    TraceSink,
-};
+use crate::trace;
+use crate::{BatchTrace, ForwardProvider, Layer, LayerKind, Network, NnError, Result, TraceSink};
 
 /// What a slot's weight matrix multiplies.
 #[derive(Debug, Clone)]
@@ -126,8 +122,7 @@ impl QuantSlot {
     }
 
     /// The fused integer kernel over `batch` stacked samples (the flat data of
-    /// `samples`; 1 for an unbatched sample), requantized to f32 on the way
-    /// out.  Sample `b`'s slab of the result depends on sample `b` alone and
+    /// `samples`), requantized to f32 on the way out.  Sample `b`'s slab of the result depends on sample `b` alone and
     /// i32 accumulation is exact, so a batch slices back to its per-sample
     /// passes bit for bit.
     fn run(&self, samples: &Tensor, batch: usize) -> Result<Vec<f32>> {
@@ -260,31 +255,28 @@ impl QuantizedNetwork {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Runs layer `index` over `cur` — one unbatched sample when `batch` is
-    /// `None`, a stacked `[B] ++ shape` boundary otherwise — through its
-    /// integer kernel, or through the f32 layer where it has none.
+    /// Runs layer `index` over `cur`, a stacked `[batch] ++ shape` boundary,
+    /// through its integer kernel, or through the f32 layer where it has none.
     fn run_layer(
         &self,
         index: usize,
         layer: &dyn Layer,
         cur: &Tensor,
-        batch: Option<usize>,
+        batch: usize,
     ) -> Result<(Tensor, Option<Tensor>)> {
         let Some(slot) = &self.slots[index] else {
-            return match batch {
-                Some(_) => layer.forward_batch_interior(cur),
-                None => layer.forward_interior(cur),
-            };
+            return layer.forward_batch_interior(cur);
         };
         if cur.as_slice().iter().any(|v| v.is_nan()) {
             return Err(NnError::NanActivation { layer: index });
         }
-        let dims: Vec<usize> = batch.into_iter().chain(layer.output_shape()).collect();
-        let out = slot.run(cur, batch.unwrap_or(1))?;
+        let dims: Vec<usize> = std::iter::once(batch).chain(layer.output_shape()).collect();
+        let out = slot.run(cur, batch)?;
         Ok((Tensor::from_vec(out, &dims)?, None))
     }
 
-    /// Runs the quantized forward pass, returning the logits.
+    /// Runs the quantized forward pass, returning the logits — the batch of
+    /// one, unstacked.
     ///
     /// # Errors
     ///
@@ -292,17 +284,8 @@ impl QuantizedNetwork {
     /// a boundary about to be quantized holds a NaN
     /// ([`NnError::NanActivation`]).
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with_sink(input, &mut ())
-    }
-
-    /// Runs the quantized forward pass, materialising every activation
-    /// boundary (and residual interior) as a standard [`ForwardTrace`].
-    ///
-    /// # Errors
-    ///
-    /// See [`QuantizedNetwork::forward`].
-    pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
-        trace::record(self, input)
+        let logits = self.forward_batch(std::slice::from_ref(input))?;
+        Ok(logits.into_reshaped(&[self.network.num_classes()])?)
     }
 
     /// Runs one fused quantized forward pass over a whole batch and returns
@@ -318,8 +301,8 @@ impl QuantizedNetwork {
     }
 
     /// Runs one fused quantized forward pass over a whole batch, materialising
-    /// every stacked activation boundary as a [`BatchTrace`] whose slice `b`
-    /// is bit-for-bit `forward_trace(&inputs[b])`.
+    /// every stacked activation boundary (and residual interior) as a
+    /// [`BatchTrace`]; slice `b` depends on `inputs[b]` alone.
     ///
     /// # Errors
     ///
@@ -327,32 +310,11 @@ impl QuantizedNetwork {
     pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
         trace::record_batch(self, inputs)
     }
-
-    /// Argmax class of the quantized logits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward errors; fails on empty or NaN logits.
-    pub fn predict(&self, input: &Tensor) -> Result<usize> {
-        predicted_class(&self.forward(input)?)
-    }
 }
 
 impl ForwardProvider for QuantizedNetwork {
     fn network(&self) -> &Network {
         &self.network
-    }
-
-    fn forward_with_sink<S: TraceSink + ?Sized>(
-        &self,
-        input: &Tensor,
-        sink: &mut S,
-    ) -> Result<Tensor> {
-        self.network.check_input(input)?;
-        self.network
-            .drive(input.clone(), sink, |index, layer, cur| {
-                self.run_layer(index, layer, cur, None)
-            })
     }
 
     fn forward_with_sink_batch<S: TraceSink + ?Sized>(
@@ -362,7 +324,7 @@ impl ForwardProvider for QuantizedNetwork {
     ) -> Result<Tensor> {
         let stacked = self.network.stack_batch(inputs)?;
         self.network.drive(stacked, sink, |index, layer, cur| {
-            self.run_layer(index, layer, cur, Some(inputs.len()))
+            self.run_layer(index, layer, cur, inputs.len())
         })
     }
 }
@@ -424,8 +386,8 @@ mod tests {
         }
     }
 
-    /// The single-sample pass is the fused kernel at batch 1, so slice `b` of
-    /// a batch of N is the batch of one — and the unbatched pass — bit for bit.
+    /// One kernel per layer kind, taking a batch: slice `b` of a batch of N is
+    /// the batch of one — which `forward` unstacks — bit for bit.
     #[test]
     fn batched_quantized_forward_is_bit_identical_to_single() {
         let mut rng = Rng64::new(11);
@@ -441,7 +403,7 @@ mod tests {
                 let row = stacked.slice_batch(b).unwrap();
                 let one = qnet.forward_batch(std::slice::from_ref(input)).unwrap();
                 assert_bits_eq(&row, &one.slice_batch(0).unwrap(), "batch of one");
-                assert_bits_eq(&row, &qnet.forward(input).unwrap(), "unbatched pass");
+                assert_bits_eq(&row, &qnet.forward(input).unwrap(), "forward");
             }
         }
     }
@@ -460,7 +422,6 @@ mod tests {
         let nan = Err(NnError::NanActivation { layer: 0 });
         assert_eq!(qnet.forward(&poisoned), nan);
         assert_eq!(qnet.forward_batch(&[cal[1].clone(), poisoned.clone()]), nan);
-        assert!(qnet.forward_trace(&poisoned).is_err());
         assert!(qnet.forward_trace_batch(&[poisoned.clone()]).is_err());
         poisoned.as_mut_slice()[5] = f32::INFINITY;
         let saturated = qnet.forward(&poisoned).unwrap();
@@ -468,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_quantized_trace_slices_match_single_traces() {
+    fn batched_quantized_trace_slices_match_batches_of_one() {
         let mut rng = Rng64::new(13);
         let network = Arc::new(zoo::lenet(1, 4, &mut rng).unwrap());
         let cal = calibration(&network, &mut rng, 3);
@@ -477,7 +438,11 @@ mod tests {
         assert_eq!(batch.batch_size(), cal.len());
         assert_eq!(batch.num_layers(), network.num_layers());
         for (b, input) in cal.iter().enumerate() {
-            let single = qnet.forward_trace(input).unwrap();
+            let single = qnet
+                .forward_trace_batch(std::slice::from_ref(input))
+                .unwrap()
+                .trace(0)
+                .unwrap();
             let sliced = batch.trace(b).unwrap();
             for (layer, (s, f)) in sliced
                 .activations()
@@ -508,16 +473,16 @@ mod tests {
         let cal = calibration(&network, &mut rng, 4);
         let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
         assert_eq!(qnet.num_quantized_layers(), 4);
-        let trace = qnet.forward_trace(&cal[0]).unwrap();
+        let trace = qnet.forward_trace_batch(&cal[..1]).unwrap();
         assert_eq!(trace.num_layers(), network.num_layers());
-        let again = qnet.forward_trace(&cal[0]).unwrap();
+        let again = qnet.forward_trace_batch(&cal[..1]).unwrap();
         for (a, b) in trace.activations().iter().zip(again.activations()) {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        let class = qnet.predict(&cal[0]).unwrap();
+        let class = crate::predicted_class(qnet.forward(&cal[0]).unwrap().as_slice()).unwrap();
         assert!(class < network.num_classes());
     }
 }

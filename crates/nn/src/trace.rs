@@ -12,7 +12,7 @@
 
 use ptolemy_tensor::Tensor;
 
-use crate::{ForwardProvider, NnError, Result};
+use crate::{ForwardProvider, Network, NnError, Result};
 
 /// Layer-indexed observer of a forward pass — the streaming alternative to
 /// materialising a full [`ForwardTrace`].
@@ -83,15 +83,16 @@ impl TraceSink for () {
     fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
 }
 
-/// One pass of `provider` over `input` with a keep-everything sink — the
-/// materializing adapter behind every `forward_trace`.
-pub(crate) fn record<P: ForwardProvider>(provider: &P, input: &Tensor) -> Result<ForwardTrace> {
-    let mut recorder = TraceRecorder::with_capacity(provider.network().num_layers());
-    provider.forward_with_sink(input, &mut recorder)?;
+/// One pass of `network` over `input` with a keep-everything sink — the
+/// materializing adapter behind `forward_trace`.
+pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> {
+    let mut recorder = TraceRecorder::with_capacity(network.num_layers());
+    network.forward_with_sink(input, &mut recorder)?;
     ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
 }
 
-/// Fused-batch twin of [`record`], behind every `forward_trace_batch`.
+/// Fused-batch twin of [`record`] over any provider, behind every
+/// `forward_trace_batch`.
 pub(crate) fn record_batch<P: ForwardProvider>(
     provider: &P,
     inputs: &[Tensor],
@@ -105,8 +106,8 @@ pub(crate) fn record_batch<P: ForwardProvider>(
     ))
 }
 
-/// Picks the predicted class from a logits tensor: the index of the largest
-/// non-NaN logit.
+/// Picks the predicted class from one sample's logits: the index of the
+/// largest non-NaN logit.
 ///
 /// Only NaN is excluded — infinities are totally ordered under `>`, so an
 /// overflow-saturated `+∞` logit wins exactly as it does under
@@ -117,8 +118,8 @@ pub(crate) fn record_batch<P: ForwardProvider>(
 ///
 /// Returns [`NnError::InvalidLogits`] if `logits` is empty or all-NaN (the
 /// historical `argmax().unwrap_or(0)` silently classified those as class 0).
-pub fn predicted_class(logits: &Tensor) -> Result<usize> {
-    let values = logits.as_slice();
+pub fn predicted_class(logits: &[f32]) -> Result<usize> {
+    let values = logits;
     let mut best: Option<usize> = None;
     for (i, v) in values.iter().enumerate() {
         if !v.is_nan() && best.map_or(true, |b| *v > values[b]) {
@@ -244,7 +245,7 @@ impl ForwardTrace {
     /// value — the historical `argmax().unwrap_or(0)` silently classified an
     /// all-NaN output as class 0.
     pub fn predicted_class(&self) -> Result<usize> {
-        predicted_class(self.logits())
+        predicted_class(self.logits().as_slice())
     }
 
     /// Total bytes of activation data this materialized trace holds resident
@@ -404,13 +405,13 @@ mod tests {
         // All-NaN logits must error instead of silently classifying as 0.
         let nan = Tensor::from_vec(vec![f32::NAN, f32::NAN], &[2]).unwrap();
         assert!(matches!(
-            predicted_class(&nan),
+            predicted_class(nan.as_slice()),
             Err(NnError::InvalidLogits(_))
         ));
         // An empty logits tensor errors too.
         let empty = Tensor::zeros(&[0]);
         assert!(matches!(
-            predicted_class(&empty),
+            predicted_class(empty.as_slice()),
             Err(NnError::InvalidLogits(_))
         ));
         // Infinities stay totally ordered: a saturated +inf logit wins exactly
@@ -418,20 +419,23 @@ mod tests {
         // detection pipeline's predicted class).
         let saturated = Tensor::from_vec(vec![0.0, f32::INFINITY], &[2]).unwrap();
         assert_eq!(
-            predicted_class(&saturated).unwrap(),
+            predicted_class(saturated.as_slice()).unwrap(),
             saturated.argmax().unwrap()
         );
         let mixed = Tensor::from_vec(vec![f32::NAN, 0.25, f32::INFINITY], &[3]).unwrap();
-        assert_eq!(predicted_class(&mixed).unwrap(), 2);
+        assert_eq!(predicted_class(mixed.as_slice()).unwrap(), 2);
         // NaN entries are skipped, never poisoning later comparisons.
         let nan_first = Tensor::from_vec(vec![f32::NAN, 2.0, 1.0], &[3]).unwrap();
-        assert_eq!(predicted_class(&nan_first).unwrap(), 1);
+        assert_eq!(predicted_class(nan_first.as_slice()).unwrap(), 1);
         // Plain finite logits match argmax exactly.
         let plain = Tensor::from_vec(vec![0.1, 0.9, 0.0], &[3]).unwrap();
-        assert_eq!(predicted_class(&plain).unwrap(), plain.argmax().unwrap());
+        assert_eq!(
+            predicted_class(plain.as_slice()).unwrap(),
+            plain.argmax().unwrap()
+        );
         // Ties keep the first index, like argmax.
         let tie = Tensor::from_vec(vec![0.7, 0.7], &[2]).unwrap();
-        assert_eq!(predicted_class(&tie).unwrap(), 0);
+        assert_eq!(predicted_class(tie.as_slice()).unwrap(), 0);
     }
 
     #[test]

@@ -44,11 +44,13 @@ pub(crate) const NR: usize = 16;
 pub(crate) const NR: usize = 8;
 
 /// K-panel depth: one packed panel of B is `KC x NC` floats (L2-resident).
+/// The int8 kernel (`gemm_i8`) shares all three block sizes: its i8 panels
+/// are 4x denser, but one size keeps the two packing loops identical.
 pub(crate) const KC: usize = 256;
 /// Column-panel width of packed B.
 pub(crate) const NC: usize = 256;
 /// Row-panel height of packed A (`MC x KC` floats stay cache-resident).
-const MC: usize = 64;
+pub(crate) const MC: usize = 64;
 
 /// Below this `m * n * k` volume the packing setup outweighs its cache wins;
 /// the naive loop is used instead (bit-identical results either way).
@@ -290,11 +292,25 @@ pub(crate) fn matmul_blocked_into(
 /// Per element this is exactly `out[s][j] = bias[j] + Σ_k a[s][k] * b[j][k]`
 /// in ascending `k` — bit-for-bit the historical dense loop, which
 /// accumulated bias-first and never skipped zero activations.
+///
+/// Below `MR` rows the register tile would run mostly padding and packing
+/// the whole transposed `b` would cost more than the product (2.0–4.7× the
+/// dot loop at one row on the e2e nets), so each element runs as one
+/// dot-product chain instead — the same operations in the same order, the
+/// same bits; like [`matmul_blocked`]'s `SMALL_FLOPS` cut, the choice
+/// rests on the observable size alone.
 pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
-    gemm_into::<false, true>(out, a, b, m, k, n);
+    if m >= MR {
+        return gemm_into::<false, true>(out, a, b, m, k, n);
+    }
+    for (orow, arow) in out.chunks_mut(n.max(1)).zip(a.chunks(k.max(1))) {
+        for (o, brow) in orow.iter_mut().zip(b.chunks(k.max(1))) {
+            *o = arow.iter().zip(brow).fold(*o, |acc, (x, w)| acc + x * w);
+        }
+    }
 }
 
 fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {

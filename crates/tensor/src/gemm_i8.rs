@@ -22,18 +22,10 @@
 //! same cache footprint covers 4x the operands — the bandwidth win that
 //! makes int8 the serving fast path.
 
-use crate::gemm::{MR, NR};
+use crate::gemm::{KC, MC, MR, NC, NR};
 use crate::parallel::par_row_chunks;
 use crate::quant::check_i8_dims;
 use crate::Result;
-
-/// K-panel depth (i8 panels are 4x denser than f32, but the deeper panel
-/// keeps the packing loop structure identical to the f32 kernel).
-const KC: usize = 256;
-/// Column-panel width of packed B.
-const NC: usize = 256;
-/// Row-panel height of packed A.
-const MC: usize = 64;
 
 /// Below this `m * n * k` volume the packing setup outweighs its cache wins;
 /// the naive loops run instead (same i32s either way — exactness).
@@ -205,12 +197,13 @@ fn naive_i8_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usi
 }
 
 /// Naive dot-product reference loop (the [`crate::quant::matmul_i8_nt`]
-/// body), used below the blocking threshold.
+/// body), used below the blocking threshold; accumulates on top of `out` like
+/// the blocked driver.
 fn naive_i8_nt_into(out: &mut [i32], a: &[i8], b: &[i8], k: usize, n: usize) {
     for (s, orow) in out.chunks_mut(n).enumerate() {
         let arow = &a[s * k..(s + 1) * k];
         for (o, brow) in orow.iter_mut().zip(b.chunks(k)) {
-            let mut acc = 0i32;
+            let mut acc = *o;
             for (av, bv) in arow.iter().zip(brow) {
                 acc += i32::from(*av) * i32::from(*bv);
             }
@@ -219,9 +212,10 @@ fn naive_i8_nt_into(out: &mut [i32], a: &[i8], b: &[i8], k: usize, n: usize) {
     }
 }
 
-/// Blocked integer product `A [m, k] · B [k, n]` accumulated into a zeroed
-/// caller buffer.  Equal to [`crate::quant::matmul_i8`] by exactness.
-pub fn matmul_i8_blocked_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
+/// Blocked integer product `A [m, k] · B [k, n]` accumulated on top of the
+/// caller's `out` (both size paths).  Into a zeroed buffer it equals
+/// [`crate::quant::matmul_i8`] by exactness.
+fn matmul_i8_blocked_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -233,16 +227,10 @@ pub fn matmul_i8_blocked_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: 
 }
 
 /// Blocked integer product `A [m, k] · Bᵀ` (B is `[n, k]` row-major, packed
-/// transposed on the fly) accumulated into a zeroed caller buffer.  Equal to
+/// transposed on the fly) accumulated on top of the caller's `out` (both
+/// size paths).  Into a zeroed buffer it equals
 /// [`crate::quant::matmul_i8_nt`] by exactness.
-pub fn matmul_i8_blocked_nt_into(
-    out: &mut [i32],
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+fn matmul_i8_blocked_nt_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -392,6 +380,41 @@ mod tests {
                 matmul_i8_parallel_nt(&a, &bt, m, k, n).unwrap(),
                 matmul_i8_nt(&a, &bt, m, k, n).unwrap(),
                 "parallel nt ({m},{k},{n})"
+            );
+        }
+    }
+
+    /// Both `_into` entry points accumulate on top of a non-zero `out` on
+    /// either side of `SMALL_IOPS` — the naive small path used to overwrite
+    /// it in the NT case.
+    #[test]
+    fn into_accumulates_on_both_size_paths() {
+        let mut rng = Rng64::new(23);
+        for (m, k, n) in [(2, 8, 5), (9, 70, 40)] {
+            let small = m * k * n <= SMALL_IOPS;
+            assert_eq!(small, m == 2, "({m},{k},{n}) straddles SMALL_IOPS");
+            let a = random_i8(m * k, &mut rng, 5);
+            let b = random_i8(k * n, &mut rng, 0);
+            let bt = random_i8(n * k, &mut rng, 3);
+            let prior: Vec<i32> = (0..m * n).map(|i| i as i32 * 7 - 50).collect();
+            let plus = |product: Vec<i32>| -> Vec<i32> {
+                prior.iter().zip(product).map(|(p, v)| p + v).collect()
+            };
+
+            let mut out = prior.clone();
+            matmul_i8_blocked_into(&mut out, &a, &b, m, k, n);
+            assert_eq!(
+                out,
+                plus(matmul_i8(&a, &b, m, k, n).unwrap()),
+                "({m},{k},{n})"
+            );
+
+            let mut out_nt = prior.clone();
+            matmul_i8_blocked_nt_into(&mut out_nt, &a, &bt, m, k, n);
+            assert_eq!(
+                out_nt,
+                plus(matmul_i8_nt(&a, &bt, m, k, n).unwrap()),
+                "nt ({m},{k},{n})"
             );
         }
     }

@@ -244,36 +244,33 @@ fn admission_control_sheds_doomed_submissions_at_the_door() {
 
 /// A queued request whose deadline passes before a worker reaches it is
 /// dropped at batch formation with [`ShedReason::DeadlineExpired`] — pinned
-/// on a manual clock so the expiry is deterministic.
+/// on a manual clock, with the single worker held by a plug, so the expiry is
+/// deterministic.
 #[test]
 fn expired_requests_are_dropped_in_the_queue() {
     let fx = fixtures();
+    let armed = Armed::default();
     let registry = Arc::new(Registry::with_clock("overload-test", Clock::manual()));
-    let server = Server::builder(fx.screen.clone())
+    let server = Server::builder(hooked_screen(fx, &armed))
         .workers(1)
         .max_batch(1)
         .instrument(registry.clone())
         .start()
         .unwrap();
 
-    // Two deadline-less requests keep the single worker busy with real wall
-    // time; once the first is cut, the deadlined request queues (at the EDF
-    // front) and its manual clock expires long before the worker returns.
-    let busy: Vec<Ticket> = fx.inputs[..2]
-        .iter()
-        .map(|x| server.submit(x.clone()).unwrap())
-        .collect();
-    while server.pending() > 1 {
-        std::thread::yield_now();
-    }
+    // While the worker is held, a deadline-less request and a deadlined one
+    // queue (the deadlined one at the EDF front), and the manual clock runs
+    // past the deadline before the worker can cut either.
+    let (plugged, release) = plug(&server, &armed, &fx.inputs[0]);
+    let busy = server.submit(fx.inputs[1].clone()).unwrap();
     let doomed = server
         .submit_with_deadline(fx.inputs[2].clone(), Duration::from_nanos(10))
         .unwrap();
     registry.clock().advance(1_000_000);
+    drop(release);
 
-    for ticket in busy {
-        ticket.wait().unwrap();
-    }
+    plugged.wait().unwrap();
+    busy.wait().unwrap();
     match doomed.wait() {
         Err(ServeError::Shed(ShedReason::DeadlineExpired)) => {}
         other => panic!("expected a deadline-expiry shed, got {other:?}"),
@@ -469,6 +466,27 @@ fn plug(server: &Server, armed: &Armed, input: &Tensor) -> (Ticket, Sender<()>) 
     (ticket, release)
 }
 
+/// The fixture's screen engine, re-bound to a hooked view of its network whose
+/// first layer runs whatever is `armed` (see [`plug`]).
+fn hooked_screen(fx: &Fixtures, armed: &Armed) -> DetectionEngine {
+    let layers = (0..fx.network.num_layers()).map(|index| {
+        Box::new(Borrowed {
+            network: fx.network.clone(),
+            index,
+            armed: (index == 0).then(|| armed.clone()),
+        }) as Box<dyn Layer>
+    });
+    DetectionEngine::builder(
+        Network::new(layers.collect()).unwrap(),
+        fx.screen.program().clone(),
+        fx.screen.class_paths().clone(),
+    )
+    .forest(fx.screen.forest().expect("calibrated").clone())
+    .threshold(fx.screen.threshold())
+    .build()
+    .unwrap()
+}
+
 /// A degraded verdict is never cached, so neither cache probe may ever return
 /// one: after recovery, resubmitting an input that was just served
 /// `degraded: true` misses the probe inside `submit` (the ticket is not born
@@ -478,24 +496,8 @@ fn plug(server: &Server, armed: &Armed, input: &Tensor) -> (Ticket, Sender<()>) 
 fn a_degraded_verdict_never_comes_back_from_the_submit_side_probe() {
     let fx = fixtures();
     let (_, escalate) = &fx.escalations[0];
-    // The fixture's screen engine, re-bound to a hooked view of its network.
     let armed = Armed::default();
-    let layers = (0..fx.network.num_layers()).map(|index| {
-        Box::new(Borrowed {
-            network: fx.network.clone(),
-            index,
-            armed: (index == 0).then(|| armed.clone()),
-        }) as Box<dyn Layer>
-    });
-    let screen = DetectionEngine::builder(
-        Network::new(layers.collect()).unwrap(),
-        fx.screen.program().clone(),
-        fx.screen.class_paths().clone(),
-    )
-    .forest(fx.screen.forest().expect("calibrated").clone())
-    .threshold(fx.screen.threshold())
-    .build()
-    .unwrap();
+    let screen = hooked_screen(fx, &armed);
     // Capacity 4: degraded from depth 3, recovered at depth 1.
     let server = Server::builder(screen)
         .escalate(escalate.clone(), fx.band.0, fx.band.1)

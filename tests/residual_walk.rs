@@ -188,7 +188,8 @@ proptest! {
             let qnet = engine.quantized_network().expect("quantized fixture");
             for (input, served) in inputs.iter().zip(engine.detect_batch_on(qnet, &inputs)) {
                 let (detection, path) = served.unwrap();
-                let trace = boundaries_only(&qnet.forward_trace(input).unwrap());
+                let one = qnet.forward_trace_batch(std::slice::from_ref(input)).unwrap();
+                let trace = boundaries_only(&one.trace(0).unwrap());
                 prop_assert!(
                     detection.predicted_class == trace.predicted_class().unwrap()
                         && path == extract_path(&fx.network, &trace, program).unwrap(),
@@ -417,6 +418,63 @@ fn the_reverse_walk_runs_no_body_layer_forward() {
     assert_eq!(drain(&counters), vec![vec![1, 1, 0]; 2]);
     assert_eq!(recorded, recomputed);
     assert_eq!(recorded, path);
+}
+
+/// A single input is a batch of one, and a batch of one takes no per-input
+/// retry: whatever the program (FwAb, BwCu) and the precision (f32, int8),
+/// `detect` runs each body layer at most once — once for a clean input, once
+/// for an all-NaN one, whose fused error *is* its error.  A retry would read
+/// 2.  (The int8 stem rejects the NaN while quantizing it, before the first
+/// block, so there the body never runs at all — and still not twice.)
+#[test]
+fn a_batch_of_one_runs_each_layer_once() {
+    let mut rng = Rng64::new(0xB1);
+    let (network, counters) = counted_network(&mut rng);
+    let network = Arc::new(network);
+    let inputs: Vec<Tensor> = (0..12)
+        .map(|_| Tensor::from_vec((0..3 * 6 * 6).map(|_| rng.normal()).collect(), &[3, 6, 6]))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let samples: Vec<(Tensor, usize)> = inputs
+        .iter()
+        .map(|x| (x.clone(), network.predict(x).unwrap()))
+        .collect();
+    let poisoned = Tensor::full(&[3, 6, 6], f32::NAN);
+    let once = |n: usize| vec![vec![n; 3]; 2];
+    for (name, program) in [
+        ("fw_ab", variants::fw_ab(&network, 0.05).unwrap()),
+        ("bw_cu", variants::bw_cu(&network, 0.5).unwrap()),
+    ] {
+        let class_paths = Profiler::new(program.clone())
+            .profile(&network, &samples)
+            .unwrap();
+        let engine = DetectionEngine::builder(network.clone(), program, class_paths)
+            .calibrate(&inputs[..6], &inputs[6..])
+            .quantized(&inputs)
+            .build()
+            .unwrap();
+        for int8 in [false, true] {
+            let detect = |x: &Tensor| {
+                if int8 {
+                    engine.detect_quantized(x)
+                } else {
+                    engine.detect(x)
+                }
+            };
+            let context = format!("{name} int8={int8}");
+            drain(&counters);
+            detect(&inputs[0]).unwrap();
+            assert_eq!(drain(&counters), once(1), "{context}: clean input");
+
+            let verdict = detect(&poisoned);
+            assert!(
+                matches!(verdict, Err(CoreError::InvalidInput(_))),
+                "{context}: {verdict:?}"
+            );
+            let nan_runs = if int8 { 0 } else { 1 };
+            assert_eq!(drain(&counters), once(nan_runs), "{context}: NaN input");
+        }
+    }
 }
 
 /// `true` if `result` is a typed input error, `false` if it is a value; any
