@@ -20,17 +20,12 @@
 //! | [`sec7h_large_models`] | Sec. VII-H — VGG/Inception/DenseNet results |
 //! | [`sec3b_cost_analysis`] | Sec. III-B — software cost analysis |
 //! | [`serve_throughput`] | beyond the paper — serving-runtime throughput |
-//! | [`batch_fusion`] | beyond the paper — fused batched trace vs per-input loop |
-//! | [`extraction_overlap`] | beyond the paper — streaming extraction vs materialized trace |
 //! | [`sharded_escalation`] | beyond the paper — sharded, pipelined tier-2 escalation |
 //! | [`obs_overhead`] | beyond the paper — observability overhead of the serving runtime |
-//! | [`gemm_microkernel`] | beyond the paper — blocked GEMM microkernel vs the naive loop |
-//! | [`quantized_detect`] | beyond the paper — int8 quantized detection vs the f32 pipeline |
+//! | [`quantized_detect`] | beyond the paper — int8 vs f32 detection agreement and AUC |
 //! | [`quantized_serve`] | beyond the paper — f32 screen vs int8 screen in the two-tier server |
 //! | [`overload_survival`] | beyond the paper — goodput under overload with deadlines, admission and degradation |
 
-pub mod batch_fusion;
-pub mod extraction_overlap;
 pub mod fig05_path_similarity;
 pub mod fig10_accuracy;
 pub mod fig11_latency_energy;
@@ -41,7 +36,6 @@ pub mod fig15_similarity_attack;
 pub mod fig16_early_termination;
 pub mod fig17_late_start;
 pub mod fig18_hw_sensitivity;
-pub mod gemm_microkernel;
 pub mod obs_overhead;
 pub mod overload_survival;
 pub mod quantized_detect;
@@ -170,16 +164,6 @@ pub fn all() -> Vec<Experiment> {
             run: serve_throughput::run,
         },
         Experiment {
-            id: "batch_fusion",
-            paper_artifact: "beyond paper: fused batched trace",
-            run: batch_fusion::run,
-        },
-        Experiment {
-            id: "extraction_overlap",
-            paper_artifact: "beyond paper: streaming extraction overlap",
-            run: extraction_overlap::run,
-        },
-        Experiment {
             id: "sharded_escalation",
             paper_artifact: "beyond paper: sharded, pipelined tier-2 escalation",
             run: sharded_escalation::run,
@@ -188,11 +172,6 @@ pub fn all() -> Vec<Experiment> {
             id: "obs_overhead",
             paper_artifact: "beyond paper: observability overhead of the serving runtime",
             run: obs_overhead::run,
-        },
-        Experiment {
-            id: "gemm_microkernel",
-            paper_artifact: "beyond paper: blocked GEMM microkernel raw-speed floor",
-            run: gemm_microkernel::run,
         },
         Experiment {
             id: "quantized_detect",
@@ -219,11 +198,11 @@ mod tests {
     #[test]
     fn registry_covers_every_paper_artifact_once() {
         let experiments = all();
-        assert_eq!(experiments.len(), 24);
+        assert_eq!(experiments.len(), 21);
         let mut ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 24, "duplicate experiment ids");
+        assert_eq!(ids.len(), 21, "duplicate experiment ids");
         assert!(experiments.iter().all(|e| !e.paper_artifact.is_empty()));
     }
 }

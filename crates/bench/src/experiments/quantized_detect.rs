@@ -9,12 +9,12 @@
 //! experiment is where that contract is enforced: verdict/class agreement
 //! with the f32 path and the detection-AUC delta are **hard gates** (the
 //! whole pipeline is seeded and the int8 accumulation is exact i32, so these
-//! numbers are machine-independent), while the int8-vs-f32 forward speedup
-//! is advisory wall-clock shape.
+//! numbers are machine-independent).  Forward latency is not timed here: the
+//! end-to-end benchmark's `nn.forward_ns` / `nn.forward_int8_ns` probes read
+//! it.
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
-use ptolemy_obs::Clock;
 
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
 
@@ -25,13 +25,6 @@ const MIN_VERDICT_AGREEMENT: f64 = 0.75;
 const MIN_CLASS_AGREEMENT: f64 = 0.85;
 /// Maximum tolerated drop in detection AUC (1 - similarity scores).
 const MAX_AUC_DROP: f64 = 0.15;
-
-fn repetitions(scale: BenchScale) -> usize {
-    match scale {
-        BenchScale::Quick => 40,
-        BenchScale::Full => 250,
-    }
-}
 
 /// Runs the experiment.
 ///
@@ -48,7 +41,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         .calibrate(&benign, &adversarial)
         .quantized(&benign)
         .build()?;
-    let reps = repetitions(scale);
 
     let mut table = Table::new(
         "Quantized detection — f32 pipeline vs int8 QuantizedNetwork forward \
@@ -80,34 +72,9 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     let auc_f32 = f64::from(ptolemy_forest::auc(&f32_scores, &labels)?);
     let auc_int8 = f64::from(ptolemy_forest::auc(&int8_scores, &labels)?);
     let auc_drop = auc_f32 - auc_int8;
-
-    // Forward-pass latency: the quantized network's i8 kernels vs the f32
-    // network, over the same inputs.  Checksummed so nothing is elided.
     let qnet = engine
         .quantized_network()
         .ok_or("engine built without a quantized network")?;
-    let clock = Clock::monotonic();
-    let mut checksum = 0.0f64;
-    checksum += f64::from(wb.network.forward(&benign[0])?.sum());
-    checksum += f64::from(qnet.forward(&benign[0])?.sum());
-
-    let start_ns = clock.now_ns();
-    for _ in 0..reps {
-        for input in &benign {
-            checksum += f64::from(wb.network.forward(input)?.sum());
-        }
-    }
-    let f32_us =
-        clock.now_ns().saturating_sub(start_ns) as f64 / 1e3 / (reps * benign.len()) as f64;
-
-    let start_ns = clock.now_ns();
-    for _ in 0..reps {
-        for input in &benign {
-            checksum += f64::from(qnet.forward(input)?.sum());
-        }
-    }
-    let int8_us =
-        clock.now_ns().saturating_sub(start_ns) as f64 / 1e3 / (reps * benign.len()) as f64;
 
     // Determinism: the int8 path accumulates in exact i32, so repeated
     // detections must be bit-identical (this is what makes the agreement and
@@ -144,24 +111,15 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         fmt3(auc_int8 as f32),
         fmt3(auc_drop as f32),
     ]);
-    table.row([
-        "forward latency (us)".to_string(),
-        fmt3(f32_us as f32),
-        fmt3(int8_us as f32),
-        format!("{:.2}x", f32_us / int8_us.max(1e-9)),
-    ]);
 
     table.metric("verdict_agreement_permille", (verdict_rate * 1000.0) as u64);
     table.metric("class_agreement_permille", (class_rate * 1000.0) as u64);
     table.metric("auc_f32_milli", (auc_f32 * 1000.0) as u64);
     table.metric("auc_int8_milli", (auc_int8 * 1000.0) as u64);
-    table.metric("forward_f32_us", f32_us as u64);
-    table.metric("forward_int8_us", int8_us as u64);
     table.metric("quantized_layers", qnet.num_quantized_layers() as u64);
 
     table.note(format!(
-        "{total} evaluation inputs ({} benign, {} adversarial); {reps} timing reps; \
-         checksum {checksum:.3}",
+        "{total} evaluation inputs ({} benign, {} adversarial)",
         benign.len(),
         adversarial.len()
     ));
@@ -180,10 +138,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     table.check(
         "int8 detection AUC within 0.15 of the f32 pipeline",
         auc_drop <= MAX_AUC_DROP,
-    );
-    table.timing_check(
-        "int8 forward pass is no slower than 1.5x the f32 forward pass",
-        int8_us <= f32_us * 1.5,
     );
     Ok(vec![table])
 }
@@ -205,10 +159,6 @@ mod tests {
         ] {
             assert!(rendered.contains(gate), "gate `{gate}` failed:\n{rendered}");
         }
-        // The latency comparison is wall-clock and advisory under the
-        // unoptimized test profile.
-        if rendered.contains("below expectation") {
-            eprintln!("warning: timing shape check missed in this environment:\n{rendered}");
-        }
+        assert!(tables[0].advisory_checks().is_empty());
     }
 }

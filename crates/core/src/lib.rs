@@ -122,7 +122,6 @@ pub use profile::{class_similarity_matrix, similarity_stats, Profiler, Similarit
 pub use program::{
     DetectionProgram, DetectionProgramBuilder, Direction, ExtractionSpec, ThresholdKind,
 };
-pub use ptolemy_tensor::parallel::par_map;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -1,6 +1,7 @@
 //! Offline class-path profiling (the static half of Fig. 4).
 
 use ptolemy_nn::Network;
+use ptolemy_tensor::parallel::par_map;
 use ptolemy_tensor::Tensor;
 
 use crate::extraction::{extract_path_streaming, ExtractionPlan};
@@ -9,7 +10,7 @@ use crate::{ActivationPath, ClassPath, ClassPathSet, CoreError, DetectionProgram
 /// Offline profiler: extracts activation paths for correctly-predicted training
 /// samples and aggregates them into per-class canary paths.
 ///
-/// Profiling parallelises over samples ([`crate::par_map`], gated on the
+/// Profiling parallelises over samples ([`par_map`], gated on the
 /// set's forward MACs), each sample running through the streaming extraction
 /// pipeline as a batch of one ([`extract_path_streaming`]) so no full trace is
 /// ever materialized; aggregation itself is a cheap sequential OR.
@@ -69,7 +70,7 @@ impl Profiler {
 
         let work = plan.forward_work(samples.len());
         let extracted: Vec<Result<Option<(usize, ActivationPath)>>> =
-            crate::par_map(samples, work, |(input, label)| {
+            par_map(samples, work, |(input, label)| {
                 let keep =
                     |predicted: usize, path| Ok((predicted == *label).then_some((*label, path)));
                 let (mut one, _) =

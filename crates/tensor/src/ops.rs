@@ -114,8 +114,8 @@ impl Tensor {
     ///
     /// This is the reference kernel the workspace's bit-parity contract is
     /// defined against; [`Tensor::matmul`] must (and does, proptest-pinned)
-    /// return bit-identical results.  Kept public for the parity suite and
-    /// the `gemm_microkernel` benchmark.
+    /// return bit-identical results.  Kept public for the parity suite
+    /// (`crates/tensor/tests/gemm_parity.rs`).
     ///
     /// # Errors
     ///

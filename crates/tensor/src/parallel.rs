@@ -60,7 +60,7 @@ use std::thread;
 /// staying inline: 16 × 0.17M-MAC forwards take 2.22 ms on one thread and
 /// 1.27 ms on two.  (The box's second core comes and goes with its host; in
 /// the stretches where two threads get one core's worth, a 2-way split costs
-/// 5–12 % instead — the `gemm_microkernel` gate's headroom covers that.)
+/// 5–12 % instead; this table, not a timing gate, justifies the constant.)
 pub const MIN_WORK_PER_THREAD: usize = 1 << 20;
 
 /// Threads currently claimed as busy, process-wide.

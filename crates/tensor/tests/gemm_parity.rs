@@ -329,6 +329,87 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
     );
 }
 
+/// One deterministic pass over the shapes the proptests stop short of (the
+/// random-shape f32 property stays below 40 per side and the i8 one below 48;
+/// none of the f32 or i8 cases reaches the 2^21-MAC work gate; the fused-conv
+/// property caps `out_c` at 10 and H/W at `kernel + 8`):
+///
+/// * GEMM `(m, k, n)` from tile-sized to 256³, bracketing the 2-thread work
+///   gate (128x128x120 is the last product that stays on one thread,
+///   128x128x128 the first that may take two).  `matmul_parallel` and
+///   `matmul_i8_parallel` run at the real gate, not forced wide.
+/// * The 3x3 / stride 1 / padding 1 convolutions the served models run, as
+///   `(name, in_c, out_c, H = W)`: the five `conv_net` convs and
+///   `resnet_mini`'s stage-1 body conv and last-stage 16→16 conv (K = 144, four
+///   columns — half a register tile on the narrowest build).
+#[test]
+fn served_shapes_match_naive_bit_for_bit() {
+    const SHAPES: [(usize, usize, usize); 5] = [
+        (32, 32, 32),
+        (96, 128, 64),
+        (128, 128, 120),
+        (128, 128, 128),
+        (256, 256, 256),
+    ];
+    const CONV_SHAPES: [(&str, usize, usize, usize); 7] = [
+        ("conv_net_conv1", 3, 8, 16),
+        ("conv_net_conv2", 8, 12, 8),
+        ("conv_net_conv3", 12, 12, 4),
+        ("conv_net_conv4", 12, 12, 4),
+        ("conv_net_conv5", 12, 8, 4),
+        ("resnet_mini_stage1", 8, 8, 8),
+        ("resnet_mini_stage3", 16, 16, 2),
+    ];
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    for (idx, &(m, k, n)) in SHAPES.iter().enumerate() {
+        let seed = 0x9E + idx as u64;
+        let a = random_matrix(m, k, seed, 17);
+        let b = random_matrix(k, n, seed.wrapping_add(1), 0);
+        let naive = bits(&a.matmul_naive(&b).unwrap());
+        for (label, product) in [
+            ("matmul", a.matmul(&b)),
+            ("blocked", matmul_blocked(&a, &b)),
+            ("parallel", matmul_parallel(&a, &b)),
+        ] {
+            assert_eq!(bits(&product.unwrap()), naive, "{label} {m}x{k}x{n}");
+        }
+
+        let a = random_i8(m * k, seed, 17);
+        let b = random_i8(k * n, seed.wrapping_add(1), 0);
+        let naive = matmul_i8(&a, &b, m, k, n).unwrap();
+        for (label, product) in [
+            ("i8 blocked", matmul_i8_blocked(&a, &b, m, k, n)),
+            ("i8 parallel", matmul_i8_parallel(&a, &b, m, k, n)),
+        ] {
+            assert_eq!(product.unwrap(), naive, "{label} {m}x{k}x{n}");
+        }
+    }
+
+    for (idx, &(name, in_c, out_c, hw)) in CONV_SHAPES.iter().enumerate() {
+        let seed = 0xC0 + idx as u64;
+        let geom = Conv2dGeometry::new(in_c, hw, hw, 3, 1, 1).unwrap();
+        let weight = random_matrix(out_c, geom.patch_len(), seed, 17);
+        let image = random_matrix(in_c, hw * hw, seed.wrapping_add(1), 17)
+            .reshape(&[in_c, hw, hw])
+            .unwrap();
+        let bias = random_matrix(1, out_c, seed.wrapping_add(2), 0).into_vec();
+        let product = weight
+            .matmul_naive(&im2col(&image, &geom).unwrap())
+            .unwrap();
+        let lowered: Vec<u32> = product
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v + bias[i / geom.num_patches()]).to_bits())
+            .collect();
+        let packed = PackedWeights::pack(&weight).unwrap();
+        let fused = conv2d_forward(&image, &geom, &packed, &bias).unwrap();
+        let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(fused, lowered, "{name}");
+    }
+}
+
 /// Non-finite values in B make the sparsity skip *observable* (0.0 · inf is
 /// NaN): a kernel that dropped or added skips would flip bits here.
 #[test]

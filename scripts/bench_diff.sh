@@ -18,8 +18,9 @@
 #   * everything else     — informational; printed, never gated.
 #   * advisory flags      — never gated (they are wall-clock shape checks).
 #
-# Missing reports or missing baseline keys fail hard: silently dropping an
-# experiment or metric is how a perf trajectory rots.
+# Missing reports, reports without a baseline and missing baseline keys fail
+# hard: silently dropping (or never gating) an experiment or metric is how a
+# perf trajectory rots.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -136,6 +137,13 @@ for baseline in "${baseline_reports[@]}"; do
         cur="$(section_entries "$current" advisory | awk -v k="$key" '$1 == k { print $2 }')"
         echo "adv  $name:advisory.$key: ${value} -> ${cur:-missing} (never gated)"
     done < <(section_entries "$baseline" advisory)
+done
+
+# The loop above walks baselines only; a report without one would never be
+# gated, so it fails too.
+for current in "$current_dir"/BENCH_*.json; do
+    name="$(basename "$current")"
+    [[ -f "$baseline_dir/$name" ]] || fail "$name: no baseline in $baseline_dir (new experiment never gated?)"
 done
 
 if ((failures > 0)); then

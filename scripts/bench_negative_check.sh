@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Proves the bench diff gate actually gates: copies a set of current
-# BENCH_*.json reports, injects a 20x wall-clock regression and a parity-flag
-# violation, and asserts `bench_diff.sh` (which must pass on the pristine
-# copies) rejects the doctored ones and names the offending file and metric.
+# BENCH_*.json reports and asserts `bench_diff.sh` (which must pass on the
+# pristine copies) rejects two doctored sets and names the offender:
+#
+#   1. a 20x wall-clock regression plus a parity-flag violation in one report;
+#   2. an extra report with no committed baseline (an experiment that would
+#      otherwise never be gated).
 #
 #   scripts/bench_negative_check.sh <current_dir>
 set -euo pipefail
@@ -20,8 +23,27 @@ cp "$current_dir"/BENCH_*.json "$workdir/"
 echo "== pristine copies must pass the gate =="
 ./scripts/bench_diff.sh benchmarks/baseline "$workdir" >/dev/null
 
-victim="$workdir/BENCH_batch_fusion.json"
-echo "== injecting 20x wall_us regression + parity violation into $(basename "$victim") =="
+# must_fail <what> <pattern>…: the gate rejects $workdir and its output
+# matches every pattern.
+must_fail() {
+    local what="$1" output pattern
+    shift
+    if output="$(./scripts/bench_diff.sh benchmarks/baseline "$workdir" 2>&1)"; then
+        echo "bench_diff.sh passed $what — the gate is not gating" >&2
+        echo "$output" >&2
+        exit 1
+    fi
+    for pattern in "$@"; do
+        if ! grep -q "$pattern" <<<"$output"; then
+            echo "failure output for $what does not name \`$pattern\`" >&2
+            echo "$output" >&2
+            exit 1
+        fi
+    done
+}
+
+victim="BENCH_serve_throughput.json"
+echo "== injecting 20x wall_us regression + parity violation into $victim =="
 awk '
     /^  "wall_us":/ { sub(/[0-9]+/, $2 * 20 ",");
                       sub(/,,/, ","); print; next }
@@ -29,22 +51,12 @@ awk '
     /^  "parity": {$/ { inparity = 1 }
     /^  }/ { inparity = 0 }
     { print }
-' "$current_dir/BENCH_batch_fusion.json" > "$victim"
+' "$current_dir/$victim" > "$workdir/$victim"
+must_fail "a 20x regression" "$victim:wall_us" "$victim:parity\."
+cp "$current_dir/$victim" "$workdir/$victim"
 
-echo "== doctored copies must fail the gate =="
-if output="$(./scripts/bench_diff.sh benchmarks/baseline "$workdir" 2>&1)"; then
-    echo "bench_diff.sh passed a 20x regression — the gate is not gating" >&2
-    echo "$output" >&2
-    exit 1
-fi
-if ! grep -q "BENCH_batch_fusion.json:wall_us" <<<"$output"; then
-    echo "failure output does not name the regressed file:metric" >&2
-    echo "$output" >&2
-    exit 1
-fi
-if ! grep -q "BENCH_batch_fusion.json:parity\." <<<"$output"; then
-    echo "failure output does not name the violated parity flag" >&2
-    echo "$output" >&2
-    exit 1
-fi
-echo "bench negative check: gate rejects injected regressions and names them"
+echo "== adding a report with no baseline =="
+cp "$current_dir/$victim" "$workdir/BENCH_unbaselined.json"
+must_fail "an unbaselined report" "BENCH_unbaselined.json: no baseline"
+
+echo "bench negative check: gate rejects injected regressions and unbaselined reports and names them"
