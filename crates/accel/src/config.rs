@@ -129,8 +129,8 @@ impl HardwareConfig {
     /// inversely with operand width: at the baseline 16-bit precision each PE
     /// finishes one MAC per cycle, while 8-bit operands take half the beats
     /// and double the array's effective MAC rate.  This is what lets
-    /// [`crate::AccelBackend`] price an int8 quantized screening pass — the
-    /// same schedule, re-costed for the narrow operands.
+    /// `with_precision(8)` price an int8 quantized screening pass — the same
+    /// schedule, re-costed for the narrow operands.
     pub fn macs_per_cycle(&self) -> u64 {
         (self.array_rows * self.array_cols) as u64 * (16 / self.precision_bits.max(1)) as u64
     }

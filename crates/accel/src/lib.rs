@@ -22,13 +22,11 @@
 #![warn(missing_docs)]
 
 mod area;
-mod backend;
 mod config;
 mod report;
 mod sim;
 
 pub use area::{area_report, AreaReport};
-pub use backend::AccelBackend;
 pub use config::{EnergyModel, HardwareConfig};
 pub use report::{ExecutionReport, TaskTiming};
 pub use sim::{dram_space_report, DramSpaceReport, Simulator};

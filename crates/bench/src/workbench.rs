@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use ptolemy_accel::{AccelBackend, ExecutionReport, HardwareConfig, Simulator};
+use ptolemy_accel::{ExecutionReport, HardwareConfig, Simulator};
 use ptolemy_attacks::{Attack, Bim, CarliniWagnerL2, DeepFool, Fgsm, Jsma};
 use ptolemy_compiler::{Compiler, OptimizationFlags};
-use ptolemy_core::engine::DEFAULT_THRESHOLD;
 use ptolemy_core::{ClassPathSet, DetectionEngine, DetectionProgram, Profiler};
 use ptolemy_data::{DatasetConfig, SyntheticDataset};
 use ptolemy_forest::auc;
@@ -63,10 +62,6 @@ pub struct Workbench {
     /// Training-set accuracy reached by the victim (reported like the paper's
     /// "clean model accuracy" sanity check).
     pub clean_accuracy: f32,
-    /// Decision threshold handed to every engine this workbench builds
-    /// (default [`DEFAULT_THRESHOLD`]); sweeps override it with
-    /// [`Workbench::with_detection_threshold`].
-    pub detection_threshold: f32,
 }
 
 fn train(network: &mut Network, dataset: &SyntheticDataset, scale: BenchScale) -> BenchResult<f32> {
@@ -105,7 +100,6 @@ impl Workbench {
             dataset,
             scale,
             clean_accuracy,
-            detection_threshold: DEFAULT_THRESHOLD,
         })
     }
 
@@ -133,7 +127,6 @@ impl Workbench {
             dataset,
             scale,
             clean_accuracy,
-            detection_threshold: DEFAULT_THRESHOLD,
         })
     }
 
@@ -156,7 +149,6 @@ impl Workbench {
             dataset,
             scale,
             clean_accuracy,
-            detection_threshold: DEFAULT_THRESHOLD,
         })
     }
 
@@ -183,15 +175,7 @@ impl Workbench {
             dataset,
             scale,
             clean_accuracy,
-            detection_threshold: DEFAULT_THRESHOLD,
         })
-    }
-
-    /// Overrides the decision threshold every engine built by this workbench
-    /// binds (used by the θ/threshold sweeps instead of re-deriving `0.5`).
-    pub fn with_detection_threshold(mut self, threshold: f32) -> Self {
-        self.detection_threshold = threshold;
-        self
     }
 
     /// Profiles the canary class paths of this workbench for a detection program.
@@ -204,8 +188,8 @@ impl Workbench {
     }
 
     /// Binds a similarity-serving [`DetectionEngine`] for a program on this
-    /// workbench (no classifier: `path_similarity` and backend estimates only).
-    /// The program/class-path fingerprint is validated here, once.
+    /// workbench (no classifier, so `path_similarity` only).  The
+    /// program/class-path fingerprint is validated here, once.
     ///
     /// # Errors
     ///
@@ -217,31 +201,6 @@ impl Workbench {
     ) -> BenchResult<DetectionEngine> {
         Ok(
             DetectionEngine::builder(self.network.clone(), program.clone(), class_paths.clone())
-                .threshold(self.detection_threshold)
-                .build()?,
-        )
-    }
-
-    /// Binds a fully-fitted [`DetectionEngine`] (classifier calibrated on the
-    /// given benign/adversarial sets, hardware-model backend attached) — the
-    /// serving configuration the paper's deployment story describes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine-construction and calibration errors.
-    pub fn serving_engine(
-        &self,
-        program: &DetectionProgram,
-        class_paths: &ClassPathSet,
-        benign: &[Tensor],
-        adversarial: &[Tensor],
-        config: &HardwareConfig,
-    ) -> BenchResult<DetectionEngine> {
-        Ok(
-            DetectionEngine::builder(self.network.clone(), program.clone(), class_paths.clone())
-                .threshold(self.detection_threshold)
-                .backend(Box::new(AccelBackend::new(*config)))
-                .calibrate(benign, adversarial)
                 .build()?,
         )
     }
@@ -455,30 +414,6 @@ impl Workbench {
         }
         Ok(sets)
     }
-
-    /// Detection AUC of a program against every attack in `attacks`, returning
-    /// `(attack name, AUC)` pairs — the per-attack breakdown behind the error bars
-    /// of Fig. 10.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attack and extraction errors.
-    pub fn attack_auc_sweep(
-        &self,
-        program: &DetectionProgram,
-        class_paths: &ClassPathSet,
-        attacks: &[Box<dyn Attack>],
-    ) -> BenchResult<Vec<(String, f32)>> {
-        let limit = self.scale.attack_samples();
-        let benign = self.benign_inputs(limit);
-        let mut results = Vec::with_capacity(attacks.len());
-        for attack in attacks {
-            let adversarial = self.adversarial_inputs(attack.as_ref(), limit)?;
-            let auc = self.detection_auc(program, class_paths, &benign, &adversarial)?;
-            results.push((attack.name().to_string(), auc));
-        }
-        Ok(results)
-    }
 }
 
 /// Mean, minimum and maximum of a list of per-attack AUCs (the summary Fig. 10
@@ -545,36 +480,5 @@ mod tests {
             .variant_cost(&program, &HardwareConfig::default(), density)
             .unwrap();
         assert!(report.latency_factor() >= 1.0);
-    }
-
-    #[test]
-    fn serving_engine_honours_the_threshold_and_prices_batches() {
-        let wb = Workbench::lenet_small(BenchScale::Quick)
-            .unwrap()
-            .with_detection_threshold(0.0);
-        let program = variants::fw_ab(&wb.network, 0.05).unwrap();
-        let class_paths = wb.profile(&program).unwrap();
-        let benign = wb.benign_inputs(6);
-        let adversarial = wb.adversarial_inputs(&Fgsm::new(0.3), 6).unwrap();
-
-        let engine = wb
-            .serving_engine(
-                &program,
-                &class_paths,
-                &benign,
-                &adversarial,
-                &HardwareConfig::default(),
-            )
-            .unwrap();
-        assert_eq!(engine.threshold(), 0.0);
-        assert_eq!(engine.backend_name(), "accel");
-
-        let (verdicts, estimate) = engine.detect_batch_with_estimate(&benign).unwrap();
-        assert_eq!(verdicts.len(), benign.len());
-        // Threshold 0.0 flags every input, whatever the classifier says.
-        assert!(verdicts.iter().all(|v| v.is_adversary));
-        assert_eq!(estimate.batch_size, benign.len());
-        assert!(estimate.latency_ms.unwrap() > 0.0);
-        assert!(estimate.energy_pj.unwrap() > 0.0);
     }
 }

@@ -38,24 +38,6 @@ pub struct SoftwareCostReport {
 }
 
 impl SoftwareCostReport {
-    /// Scales every count by `factor` — the cost of running the same program
-    /// over a fused batch of `factor` inputs (detection work is per input even
-    /// when the forward pass executes as one batched im2col/matmul, so every
-    /// op and byte count is linear in the batch size).  The overhead *ratios*
-    /// are invariant under scaling.
-    pub fn scaled(&self, factor: u64) -> SoftwareCostReport {
-        SoftwareCostReport {
-            inference_macs: self.inference_macs * factor,
-            partial_sums_stored: self.partial_sums_stored * factor,
-            mask_bits_stored: self.mask_bits_stored * factor,
-            sort_elements: self.sort_elements * factor,
-            compare_ops: self.compare_ops * factor,
-            accumulate_ops: self.accumulate_ops * factor,
-            extra_memory_bytes: self.extra_memory_bytes * factor,
-            inference_activation_bytes: self.inference_activation_bytes * factor,
-        }
-    }
-
     /// Ratio of extra detection memory traffic to inference activation traffic.
     pub fn memory_overhead_ratio(&self) -> f64 {
         if self.inference_activation_bytes == 0 {
@@ -200,25 +182,6 @@ mod tests {
         let dense = software_cost(&net, &variants::bw_cu(&net, 0.5).unwrap(), 0.5).unwrap();
         assert!(dense.sort_elements > sparse.sort_elements);
         assert_eq!(dense.partial_sums_stored, sparse.partial_sums_stored);
-    }
-
-    #[test]
-    fn scaled_report_is_linear_and_ratio_invariant() {
-        let net = zoo::conv_net(10, &mut Rng64::new(4)).unwrap();
-        let one = software_cost(&net, &variants::bw_cu(&net, 0.5).unwrap(), 0.05).unwrap();
-        let eight = one.scaled(8);
-        assert_eq!(eight.inference_macs, 8 * one.inference_macs);
-        assert_eq!(eight.sort_elements, 8 * one.sort_elements);
-        assert_eq!(eight.extra_memory_bytes, 8 * one.extra_memory_bytes);
-        assert_eq!(
-            eight.inference_activation_bytes,
-            8 * one.inference_activation_bytes
-        );
-        // Ratios are invariant under batch scaling.
-        assert!((eight.memory_overhead_ratio() - one.memory_overhead_ratio()).abs() < 1e-12);
-        assert!((eight.compute_overhead_ratio() - one.compute_overhead_ratio()).abs() < 1e-12);
-        // Scaling by 1 is the identity.
-        assert_eq!(one.scaled(1), one);
     }
 
     #[test]

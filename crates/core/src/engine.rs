@@ -1,4 +1,4 @@
-//! The batched, multi-backend serving API for Ptolemy detection.
+//! The batched serving API for Ptolemy detection.
 //!
 //! The paper's online phase is naturally a one-shot call that re-validates the
 //! program/class-path pairing on every input.  That is fine for reproducing
@@ -6,9 +6,8 @@
 //! [`DetectionProgram`] and one [`ClassPathSet`] at startup and then pushes
 //! traffic through them for hours.  [`DetectionEngine`] is that session object:
 //!
-//! * **validate once** — the program/class-path fingerprint, the path layout and
-//!   the backend binding are all checked in [`DetectionEngineBuilder::build`],
-//!   never per call;
+//! * **validate once** — the program/class-path fingerprint and the path
+//!   layout are checked in [`DetectionEngineBuilder::build`], never per call;
 //! * **configurable decision threshold** — the score cut-off the original
 //!   one-shot API hard-coded to `0.5` is a builder knob;
 //! * **one detect body, streamed and fused** — [`DetectionEngine::detect_batch`]
@@ -28,13 +27,12 @@
 //!   activations, so there is one detect path:
 //!   [`DetectionEngine::detect_batch_on`] takes the [`ForwardProvider`] that
 //!   runs the forward pass (the engine's f32 network, or an int8
-//!   [`QuantizedNetwork`] view of it) and everything downstream is shared;
-//! * **pluggable cost backends** — a [`DetectionBackend`] prices every batch.
-//!   [`SoftwareBackend`] reports the algorithm-level op counts of a pure
-//!   software implementation ([`crate::software_cost`]); the `AccelBackend` in
-//!   `ptolemy-accel` routes the same program through the compiler and the
-//!   cycle/energy model, making the co-designed hardware a first-class serving
-//!   backend rather than a separate side analysis.
+//!   [`QuantizedNetwork`] view of it) and everything downstream is shared.
+//!
+//! The engine computes verdicts; it does not price them.  A program's cost is
+//! [`crate::software_cost`] (the paper's Sec. III-B op counts) or what
+//! `ptolemy-compiler` + `ptolemy-accel` make of it, each at a measured
+//! [`ActivationPath::density`].
 //!
 //! # Example
 //!
@@ -76,11 +74,8 @@ use ptolemy_tensor::Tensor;
 
 use ptolemy_tensor::parallel::par_map;
 
-use crate::extraction::{path_layout, ExtractionPlan};
-use crate::{
-    software_cost, ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result,
-    SoftwareCostReport,
-};
+use crate::extraction::ExtractionPlan;
+use crate::{ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result};
 
 /// The decision threshold the original one-shot detection API hard-coded.
 pub const DEFAULT_THRESHOLD: f32 = 0.5;
@@ -191,104 +186,6 @@ fn only<T>(batch: Vec<Result<T>>) -> Result<T> {
     })
 }
 
-/// Cost estimate a [`DetectionBackend`] attaches to one served batch.
-///
-/// Fields are optional because backends model different things: the software
-/// backend reports algorithm-level operation counts, the accelerator backend
-/// reports modelled latency/energy.  Whatever the substrate, an estimate
-/// always prices the **whole batch as one program** — the fused execution
-/// model [`DetectionEngine::detect_batch`] actually runs — never `batch_size`
-/// independent single-input passes a consumer would have to multiply out.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BackendEstimate {
-    /// Name of the backend that produced the estimate.
-    pub backend: &'static str,
-    /// Number of inputs in the batch the estimate covers.
-    pub batch_size: usize,
-    /// Algorithm-level op/memory counts of the whole batched detection pass
-    /// (software backend).
-    pub software: Option<SoftwareCostReport>,
-    /// Modelled wall-clock latency for the whole batch, in milliseconds.
-    pub latency_ms: Option<f64>,
-    /// Modelled energy for the whole batch, in picojoules.
-    pub energy_pj: Option<f64>,
-    /// Per-input latency relative to plain inference (`1.0` = fully hidden).
-    pub latency_factor: Option<f64>,
-    /// Per-input energy relative to plain inference.
-    pub energy_factor: Option<f64>,
-}
-
-/// A serving backend: binds to the engine's network + program once at build
-/// time and prices every batch the engine serves.
-///
-/// The *functional* result of detection is backend-independent by construction
-/// (the engine computes it once, in `ptolemy-core`); what a backend models is
-/// the execution substrate — how much a batch costs where.  `ptolemy-accel`
-/// implements this trait for the co-designed hardware.
-pub trait DetectionBackend: std::fmt::Debug + Send + Sync {
-    /// Short backend name used in reports (e.g. `"software"`, `"accel"`).
-    fn name(&self) -> &'static str;
-
-    /// Binds the backend to the engine's network and program.  Called exactly
-    /// once, from [`DetectionEngineBuilder::build`]; expensive specialisation
-    /// (compilation, schedule construction) belongs here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Backend`] if the backend cannot serve the program.
-    fn bind(&mut self, network: &Network, program: &DetectionProgram) -> Result<()>;
-
-    /// Estimates the cost of serving a batch of `batch_size` inputs whose mean
-    /// activation-path density was `mean_density`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Backend`] if the backend was never bound or the
-    /// cost model rejects the program.
-    fn estimate_batch(
-        &self,
-        network: &Network,
-        program: &DetectionProgram,
-        batch_size: usize,
-        mean_density: f32,
-    ) -> Result<BackendEstimate>;
-}
-
-/// The pure-software backend: detection runs as ordinary `ptolemy-core`
-/// compute, and batches are priced with the paper's Sec. III-B software cost
-/// model ([`crate::software_cost`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SoftwareBackend;
-
-impl DetectionBackend for SoftwareBackend {
-    fn name(&self) -> &'static str {
-        "software"
-    }
-
-    fn bind(&mut self, network: &Network, program: &DetectionProgram) -> Result<()> {
-        path_layout(network, program).map(|_| ())
-    }
-
-    fn estimate_batch(
-        &self,
-        network: &Network,
-        program: &DetectionProgram,
-        batch_size: usize,
-        mean_density: f32,
-    ) -> Result<BackendEstimate> {
-        // Price the batch as the single fused program it executes as: every
-        // op/memory count scales with the batch size (the fused im2col/matmul
-        // widens the patch matrix B-fold; extraction runs per input).
-        let report = software_cost(network, program, mean_density)?.scaled(batch_size as u64);
-        Ok(BackendEstimate {
-            backend: self.name(),
-            batch_size,
-            software: Some(report),
-            ..BackendEstimate::default()
-        })
-    }
-}
-
 /// The engine's hook into a [`Registry`]: pre-resolved handles for the two
 /// detection stages (streamed trace+extraction vs classifier scoring) so the
 /// hot path never touches the registry's name maps.
@@ -311,7 +208,7 @@ impl EngineObs {
     }
 }
 
-/// A detection session: network + program + class paths + classifier + backend,
+/// A detection session: network + program + class paths + classifier,
 /// bound and validated once, then driven per input, per batch or per stream.
 ///
 /// Built via [`DetectionEngine::builder`].  See the [module docs](self) for the
@@ -325,7 +222,6 @@ pub struct DetectionEngine {
     class_paths: ClassPathSet,
     forest: Option<RandomForest>,
     threshold: f32,
-    backend: Box<dyn DetectionBackend>,
     quantized: Option<QuantizedNetwork>,
     obs: Option<EngineObs>,
 }
@@ -345,11 +241,9 @@ impl DetectionEngine {
             program,
             class_paths,
             forest: None,
-            forest_config: ForestConfig::default(),
             calibration: None,
             quantization: None,
             threshold: DEFAULT_THRESHOLD,
-            backend: Box::new(SoftwareBackend),
             registry: None,
         }
     }
@@ -467,38 +361,6 @@ impl DetectionEngine {
         )
     }
 
-    /// Like [`DetectionEngine::detect_batch`], additionally pricing the batch
-    /// on the engine's backend (using the batch's mean activation-path density,
-    /// which is what the hardware model's sort/accumulate cost scales with).
-    /// The backend prices the **whole fused batch as one program**, mirroring
-    /// how the batch actually executes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-input error or a backend error.
-    pub fn detect_batch_with_estimate(
-        &self,
-        inputs: &[Tensor],
-    ) -> Result<(Vec<Detection>, BackendEstimate)> {
-        let detected: Vec<(Detection, f32)> = self
-            .detect_batch_with_paths(inputs)
-            .into_iter()
-            .map(|r| r.map(|(d, path)| (d, path.density())))
-            .collect::<Result<_>>()?;
-        let mean_density = if detected.is_empty() {
-            0.0
-        } else {
-            detected.iter().map(|(_, d)| d).sum::<f32>() / detected.len() as f32
-        };
-        let estimate = self.backend.estimate_batch(
-            &self.network,
-            &self.program,
-            detected.len(),
-            mean_density,
-        )?;
-        Ok((detected.into_iter().map(|(d, _)| d).collect(), estimate))
-    }
-
     /// Adversarial probability of one input.
     ///
     /// # Errors
@@ -506,17 +368,6 @@ impl DetectionEngine {
     /// See [`DetectionEngine::detect`].
     pub fn score(&self, input: &Tensor) -> Result<f32> {
         Ok(self.detect(input)?.score)
-    }
-
-    /// Prices a hypothetical batch on the backend without running detection
-    /// (used by capacity planning and the figure harnesses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors.
-    pub fn estimate_batch(&self, batch_size: usize, mean_density: f32) -> Result<BackendEstimate> {
-        self.backend
-            .estimate_batch(&self.network, &self.program, batch_size, mean_density)
     }
 
     /// The single scoring step shared by every entry point — the source of
@@ -606,11 +457,6 @@ impl DetectionEngine {
         self.threshold
     }
 
-    /// Name of the cost backend serving this engine.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// The int8 quantized network, when the engine was built with
     /// [`DetectionEngineBuilder::quantized`].
     pub fn quantized_network(&self) -> Option<&QuantizedNetwork> {
@@ -647,11 +493,9 @@ pub struct DetectionEngineBuilder {
     program: DetectionProgram,
     class_paths: ClassPathSet,
     forest: Option<RandomForest>,
-    forest_config: ForestConfig,
     calibration: Option<(Vec<Tensor>, Vec<Tensor>)>,
     quantization: Option<Vec<Tensor>>,
     threshold: f32,
-    backend: Box<dyn DetectionBackend>,
     registry: Option<Arc<Registry>>,
 }
 
@@ -663,23 +507,10 @@ impl DetectionEngineBuilder {
         self
     }
 
-    /// Sets the cost backend (default [`SoftwareBackend`]).
-    pub fn backend(mut self, backend: Box<dyn DetectionBackend>) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Supplies an already-fitted classifier (takes precedence over
     /// [`DetectionEngineBuilder::calibrate`]).
     pub fn forest(mut self, forest: RandomForest) -> Self {
         self.forest = Some(forest);
-        self
-    }
-
-    /// Sets the forest configuration used when fitting from calibration sets
-    /// (default: the paper's 100 trees of depth 12).
-    pub fn forest_config(mut self, config: ForestConfig) -> Self {
-        self.forest_config = config;
         self
     }
 
@@ -715,8 +546,9 @@ impl DetectionEngineBuilder {
     }
 
     /// Finalises the engine: validates the threshold, the program/class-path
-    /// fingerprint and the path layout, binds the backend, and fits the
-    /// classifier if calibration sets were supplied.
+    /// fingerprint and the path layout, and fits the classifier (the paper's
+    /// 100 trees of depth 12, [`ForestConfig::default`]) if calibration sets
+    /// were supplied.
     ///
     /// Engines built with neither [`DetectionEngineBuilder::forest`] nor
     /// [`DetectionEngineBuilder::calibrate`] serve raw path similarities only;
@@ -736,9 +568,8 @@ impl DetectionEngineBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidProgram`] on a fingerprint or layout
-    /// mismatch, [`CoreError::InvalidInput`] on empty calibration sets, and
-    /// [`CoreError::Backend`] if the backend rejects the program.
-    pub fn build(mut self) -> Result<DetectionEngine> {
+    /// mismatch and [`CoreError::InvalidInput`] on empty calibration sets.
+    pub fn build(self) -> Result<DetectionEngine> {
         if !self.threshold.is_finite() || !(0.0..=1.0).contains(&self.threshold) {
             return Err(CoreError::InvalidProgram(format!(
                 "decision threshold {} outside [0, 1]",
@@ -780,7 +611,6 @@ impl DetectionEngineBuilder {
                 )));
             }
         }
-        self.backend.bind(&self.network, &self.program)?;
 
         let forest = match (self.forest, self.calibration) {
             (Some(forest), _) => Some(forest),
@@ -810,7 +640,11 @@ impl DetectionEngineBuilder {
                         }
                     }
                 }
-                Some(RandomForest::fit(&features, &labels, &self.forest_config)?)
+                Some(RandomForest::fit(
+                    &features,
+                    &labels,
+                    &ForestConfig::default(),
+                )?)
             }
             (None, None) => None,
         };
@@ -837,7 +671,6 @@ impl DetectionEngineBuilder {
             class_paths: self.class_paths,
             forest,
             threshold: self.threshold,
-            backend: self.backend,
             quantized,
             obs: self.registry.map(EngineObs::attach),
         })
@@ -932,16 +765,6 @@ mod tests {
         // `score` is the verdict's score.
         let score = engine.score(&all[0]).unwrap();
         assert_eq!(score.to_bits(), batch[0].score.to_bits());
-
-        // The software backend prices the batch with algorithm-level counts.
-        let (again, estimate) = engine.detect_batch_with_estimate(&all).unwrap();
-        assert_eq!(again, batch);
-        assert_eq!(estimate.backend, "software");
-        assert_eq!(estimate.batch_size, all.len());
-        let software = estimate.software.expect("software cost report");
-        assert!(software.inference_macs > 0);
-        assert!(estimate.latency_ms.is_none());
-        assert_eq!(engine.backend_name(), "software");
     }
 
     #[test]
@@ -1194,10 +1017,6 @@ mod tests {
             engine.detect(&benign[0]),
             Err(CoreError::InvalidInput(_))
         ));
-        // Capacity-planning estimates still work without a classifier.
-        let estimate = engine.estimate_batch(32, 0.05).unwrap();
-        assert_eq!(estimate.batch_size, 32);
-        assert!(estimate.software.is_some());
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum CoreError {
     IncompatiblePaths(String),
     /// Profiling or detection was attempted with inconsistent inputs.
     InvalidInput(String),
-    /// A detection backend could not bind to, or serve, the engine's program.
-    Backend(String),
     /// The underlying DNN substrate reported an error.
     Nn(NnError),
     /// The random-forest classifier reported an error.
@@ -29,7 +27,6 @@ impl fmt::Display for CoreError {
             CoreError::InvalidProgram(msg) => write!(f, "invalid detection program: {msg}"),
             CoreError::IncompatiblePaths(msg) => write!(f, "incompatible paths: {msg}"),
             CoreError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
-            CoreError::Backend(msg) => write!(f, "detection backend error: {msg}"),
             CoreError::Nn(e) => write!(f, "dnn substrate error: {e}"),
             CoreError::Forest(e) => write!(f, "classifier error: {e}"),
             CoreError::Tensor(e) => write!(f, "tensor error: {e}"),

@@ -19,13 +19,11 @@
 //!  training set ──► Profiler ──► ClassPathSet ─┐
 //!                                              ├─► DetectionEngine::builder(..)
 //!  benign + adversarial calibration set ───────┘      .threshold(..)
-//!                                                     .backend(..)     ◄ software | accel
 //!                                                     .build()?        ◄ fingerprint checked once
 //!                                                        │
 //!          detect(&x) / detect_batch(&xs) / detect_batch_on(&provider, &xs)   ◄ f32 | int8
 //!                                                        ▼
 //!                                          Detection { is_adversary, … }
-//!                                          + BackendEstimate per batch
 //! ```
 //!
 //! [`DetectionEngine`] is the only online surface (the historical one-shot
@@ -108,10 +106,7 @@ pub mod variants;
 
 pub use bits::BitVec;
 pub use cost::{software_cost, SoftwareCostReport};
-pub use engine::{
-    path_similarity, BackendEstimate, Detection, DetectionBackend, DetectionEngine,
-    DetectionEngineBuilder, SoftwareBackend,
-};
+pub use engine::{path_similarity, Detection, DetectionEngine, DetectionEngineBuilder};
 pub use error::CoreError;
 pub use extraction::{
     extract_path, extract_path_streaming, extract_paths_streaming_batch, materialized_trace_bytes,

@@ -225,11 +225,6 @@ impl RandomForest {
         self.num_features
     }
 
-    /// Average tree depth (the paper quotes ≈ 12 for its deployment).
-    pub fn average_depth(&self) -> f32 {
-        self.trees.iter().map(|t| t.depth() as f32).sum::<f32>() / self.trees.len() as f32
-    }
-
     /// Total decision/leaf node count, a proxy for the MCU operation count.
     pub fn total_nodes(&self) -> usize {
         self.trees.iter().map(DecisionTree::node_count).sum()
@@ -412,7 +407,6 @@ mod tests {
         assert_eq!(forest.num_trees(), 20);
         assert!(forest.predict(&[0.1, 0.5]).unwrap());
         assert!(!forest.predict(&[0.9, 0.5]).unwrap());
-        assert!(forest.average_depth() >= 1.0);
         assert!(forest.total_nodes() >= 60);
         let p = forest.predict_proba(&[0.5, 0.5]).unwrap();
         assert!((0.0..=1.0).contains(&p));

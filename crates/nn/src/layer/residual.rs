@@ -71,11 +71,6 @@ impl Residual {
         })
     }
 
-    /// Number of inner layers.
-    pub fn body_len(&self) -> usize {
-        self.body.len()
-    }
-
     /// Runs the body, returning every intermediate activation (`acts[0]` is the
     /// block input, `acts[i+1]` the output of inner layer `i`).
     fn body_trace(&self, input: &Tensor) -> Result<Vec<Tensor>> {

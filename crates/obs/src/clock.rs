@@ -69,11 +69,6 @@ impl Clock {
             counter.fetch_add(ns, Ordering::AcqRel);
         }
     }
-
-    /// `true` when this clock is manually advanced (a test clock).
-    pub fn is_manual(&self) -> bool {
-        matches!(self.source, Source::Manual(_))
-    }
 }
 
 impl Default for Clock {
@@ -92,13 +87,11 @@ mod tests {
         let a = clock.now_ns();
         let b = clock.now_ns();
         assert!(b >= a);
-        assert!(!clock.is_manual());
     }
 
     #[test]
     fn manual_clock_moves_only_on_advance() {
         let clock = Clock::manual();
-        assert!(clock.is_manual());
         assert_eq!(clock.now_ns(), 0);
         clock.advance(1_500);
         assert_eq!(clock.now_ns(), 1_500);

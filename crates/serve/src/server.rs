@@ -592,12 +592,6 @@ impl Server {
         &self.shared.screen
     }
 
-    /// The tier-2 escalation engines, in shard order (empty without tiered
-    /// routing, one entry for a single [`ServerBuilder::escalate`] engine).
-    pub fn escalation_shards(&self) -> &[Arc<DetectionEngine>] {
-        &self.shared.escalate
-    }
-
     /// Stops accepting submissions, drains every queued request, joins the
     /// workers, flushes the persistent cache (if configured) and returns the
     /// final counters.
@@ -2483,7 +2477,6 @@ mod tests {
             .workers(1)
             .start()
             .unwrap();
-        assert_eq!(server.escalation_shards().len(), 2);
 
         let inputs: Vec<Tensor> = fx.benign.iter().chain(&fx.adversarial).cloned().collect();
         for input in &inputs {

@@ -50,11 +50,6 @@ impl Tensor {
         self.map(|v| v * factor)
     }
 
-    /// Adds a scalar to every element, returning a new tensor.
-    pub fn add_scalar(&self, value: f32) -> Tensor {
-        self.map(|v| v + value)
-    }
-
     /// Clamps every element into `[lo, hi]`, returning a new tensor.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         self.map(|v| v.clamp(lo, hi))
@@ -210,7 +205,6 @@ mod tests {
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, 3.0, 4.0]);
     }
 
     #[test]

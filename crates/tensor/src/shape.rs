@@ -93,22 +93,6 @@ impl Shape {
         Ok(index)
     }
 
-    /// Interprets the shape as NCHW and returns `(n, c, h, w)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidRank`] unless the rank is exactly 4.
-    pub fn as_nchw(&self) -> Result<(usize, usize, usize, usize)> {
-        if self.0.len() != 4 {
-            return Err(TensorError::InvalidRank {
-                expected: 4,
-                actual: self.0.len(),
-                op: "as_nchw",
-            });
-        }
-        Ok((self.0[0], self.0[1], self.0[2], self.0[3]))
-    }
-
     /// Interprets the shape as a matrix and returns `(rows, cols)`.
     ///
     /// # Errors
@@ -176,13 +160,6 @@ mod tests {
         assert!(s.offset(&[2, 0]).is_err());
         assert!(s.offset(&[0]).is_err());
         assert!(s.unravel(4).is_err());
-    }
-
-    #[test]
-    fn nchw_accessor() {
-        let s = Shape::new(&[1, 3, 8, 8]);
-        assert_eq!(s.as_nchw().unwrap(), (1, 3, 8, 8));
-        assert!(Shape::new(&[2, 2]).as_nchw().is_err());
     }
 
     #[test]

@@ -227,11 +227,6 @@ impl Tensor {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
-    /// Sum of absolute values (L1 norm).
-    pub fn l1_norm(&self) -> f32 {
-        self.data.iter().map(|v| v.abs()).sum()
-    }
-
     /// Largest absolute value (L∞ norm); 0.0 for an empty tensor.
     pub fn linf_norm(&self) -> f32 {
         self.data.iter().map(|v| v.abs()).fold(0.0, f32::max)
@@ -302,21 +297,6 @@ impl Tensor {
         let sample_len = sample_dims.iter().product::<usize>();
         let data = self.data[index * sample_len..(index + 1) * sample_len].to_vec();
         Tensor::from_vec(data, sample_dims)
-    }
-
-    /// Splits a batched tensor (`[B, ...]`) back into its `B` samples
-    /// (the inverse of [`Tensor::stack`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidRank`] if the tensor is rank 0.
-    pub fn unstack(&self) -> Result<Vec<Tensor>> {
-        let batch = *self.dims().first().ok_or(TensorError::InvalidRank {
-            expected: 1,
-            actual: 0,
-            op: "unstack",
-        })?;
-        (0..batch).map(|b| self.slice_batch(b)).collect()
     }
 
     pub(crate) fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {
@@ -400,7 +380,6 @@ mod tests {
         assert_eq!(t.max().unwrap(), 3.0);
         assert_eq!(t.min().unwrap(), -2.0);
         assert_eq!(t.argmax().unwrap(), 2);
-        assert_eq!(t.l1_norm(), 6.0);
         assert_eq!(t.linf_norm(), 3.0);
         assert!((t.l2_norm() - 14.0_f32.sqrt()).abs() < 1e-6);
     }
@@ -433,14 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn stack_and_unstack_roundtrip() {
+    fn stack_and_slice_batch_roundtrip() {
         let samples: Vec<Tensor> = (0..3).map(|b| Tensor::full(&[2, 2], b as f32)).collect();
         let batch = Tensor::stack(&samples).unwrap();
         assert_eq!(batch.dims(), &[3, 2, 2]);
         for (b, sample) in samples.iter().enumerate() {
             assert_eq!(batch.slice_batch(b).unwrap(), *sample);
         }
-        assert_eq!(batch.unstack().unwrap(), samples);
         assert!(batch.slice_batch(3).is_err());
     }
 
@@ -449,8 +427,6 @@ mod tests {
         assert!(Tensor::stack(&[]).is_err());
         let mixed = [Tensor::zeros(&[2]), Tensor::zeros(&[3])];
         assert!(Tensor::stack(&mixed).is_err());
-        // Rank-0 tensors cannot be unstacked.
-        assert!(Tensor::from_vec(vec![1.0], &[]).unwrap().unstack().is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The accuracy/efficiency trade-off space (paper Sec. III-C and Fig. 10/11): build
 //! the four algorithm variants — BwCu, BwAb, FwAb and Hybrid — for one victim
-//! network, bind each into a `DetectionEngine` backed by the hardware model, and
-//! read detection AUC and modelled latency/energy off the same serving call path.
+//! network, bind each into a `DetectionEngine`, read detection AUC off it, and
+//! price the engine's program on the hardware model at the path density the
+//! engine measured.
 //!
 //! ```text
 //! cargo run --release --example accuracy_efficiency_tradeoff
@@ -9,8 +10,9 @@
 
 use std::sync::Arc;
 
-use ptolemy::accel::{AccelBackend, HardwareConfig};
+use ptolemy::accel::{HardwareConfig, Simulator};
 use ptolemy::attacks::{Attack, Bim, Fgsm};
+use ptolemy::compiler::Compiler;
 use ptolemy::core::{variants, DetectionEngine, Profiler};
 use ptolemy::data::SyntheticDataset;
 use ptolemy::forest::auc;
@@ -58,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("FwAb", variants::fw_ab(&network, 0.1)?),
         ("Hybrid", variants::hybrid(&network, 0.1, 0.5)?),
     ];
+    let config = HardwareConfig::default();
+    let simulator = Simulator::new(config)?;
     for (name, program) in programs {
-        // One engine per variant: profiled class paths, calibrated classifier,
-        // and the hardware model as the serving backend.
+        // One engine per variant: profiled class paths and a calibrated classifier.
         let class_paths = Profiler::new(program.clone()).profile(&network, dataset.train())?;
         let engine = DetectionEngine::builder(network.clone(), program, class_paths)
-            .backend(Box::new(AccelBackend::new(HardwareConfig::default())))
             .calibrate(&benign, &adversarial)
             .build()?;
 
@@ -79,16 +81,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let variant_auc = auc(&scores, &labels)?;
 
-        // Cost: serve the benign set as one batch; the backend prices it on the
-        // default 20x20 accelerator using the batch's measured path density.
-        let (_, estimate) = engine.detect_batch_with_estimate(&benign)?;
+        // Cost: serve the benign set as one batch, then price the engine's
+        // program on the default 20x20 accelerator at the batch's mean path
+        // density; the accelerator runs one input at a time, so the batch
+        // latency is the per-input latency times the batch size.
+        let densities: Vec<f32> = engine
+            .detect_batch_with_paths(&benign)
+            .into_iter()
+            .map(|served| served.map(|(_, path)| path.density()))
+            .collect::<Result<_, _>>()?;
+        let density = densities.iter().sum::<f32>() / densities.len() as f32;
+        let compiled = Compiler::default().compile(engine.network(), engine.program())?;
+        let report = simulator.simulate(engine.network(), &compiled, density)?;
         println!(
             "{:<8} {:>8.3} {:>11.2}x {:>11.2}x {:>16.3}",
             name,
             variant_auc,
-            estimate.latency_factor.unwrap_or(0.0),
-            estimate.energy_factor.unwrap_or(0.0),
-            estimate.latency_ms.unwrap_or(0.0),
+            report.latency_factor(),
+            report.energy_factor(),
+            config.cycles_to_ms(report.total_cycles) * densities.len() as f64,
         );
     }
     println!("\n(The paper's Fig. 10/11 shape: BwCu is the most accurate and most expensive, FwAb hides almost all latency, Hybrid sits in between.)");

@@ -102,32 +102,5 @@ acum r6, r1, r5";
         area.baseline_mm2
     );
 
-    // 7. The same hardware model doubles as a serving backend: bind the program
-    //    into a `DetectionEngine` with an `AccelBackend` and price a whole batch
-    //    through the serving call path (the compiler runs once, at bind time).
-    let input_shape = network.input_shape().to_vec();
-    let input_len: usize = input_shape.iter().product();
-    let samples: Vec<_> = (0..16)
-        .map(|i| {
-            let mut rng = Rng64::new(100 + i);
-            let data: Vec<f32> = (0..input_len).map(|_| rng.normal()).collect();
-            ptolemy::tensor::Tensor::from_vec(data, &input_shape)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let labelled: Vec<_> = samples
-        .iter()
-        .map(|x| network.predict(x).map(|label| (x.clone(), label)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let class_paths = ptolemy::core::Profiler::new(program.clone()).profile(&network, &labelled)?;
-    let engine = ptolemy::core::DetectionEngine::builder(network, program, class_paths)
-        .backend(Box::new(ptolemy::accel::AccelBackend::new(config)))
-        .build()?;
-    let estimate = engine.estimate_batch(64, density)?;
-    println!(
-        "serving a 64-input batch on the '{}' backend: {:.3} ms, {:.1} uJ modelled",
-        engine.backend_name(),
-        estimate.latency_ms.unwrap_or(0.0),
-        estimate.energy_pj.unwrap_or(0.0) / 1e6,
-    );
     Ok(())
 }

@@ -14,8 +14,8 @@
 //! * [`forest`] — random forest + AUC ([`ptolemy_forest`]).
 //! * [`core`] — the Ptolemy detection framework and its serving engine
 //!   ([`ptolemy_core`]).
-//! * [`isa`], [`compiler`], [`accel`] — the ISA, compiler and hardware model;
-//!   `accel` also provides the [`accel::AccelBackend`] serving backend.
+//! * [`isa`], [`compiler`], [`accel`] — the ISA, compiler and hardware model
+//!   that price a detection program.
 //! * [`serve`] — the multi-worker serving runtime over one or two engines
 //!   ([`ptolemy_serve`]).
 //! * [`baselines`] — EP, CDRP and DeepFense baselines.
@@ -63,9 +63,8 @@
 //!     println!("adversarial? {}", verdict.is_adversary);
 //! }
 //!
-//! // Or price the same batch on the co-designed hardware model by attaching
-//! // `ptolemy::accel::AccelBackend` via `.backend(..)` — every batch then also
-//! // yields modelled latency/energy estimates.
+//! // The engine computes verdicts; the cost of its program on the co-designed
+//! // hardware is `compiler::Compiler::compile` + `accel::Simulator::simulate`.
 //! # Ok(())
 //! # }
 //! ```
@@ -122,12 +121,10 @@ pub use ptolemy_tensor as tensor;
 
 /// Commonly used items, re-exported for examples and integration tests.
 pub mod prelude {
-    pub use ptolemy_accel::AccelBackend;
     pub use ptolemy_attacks::{Attack, Bim, CarliniWagnerL2, DeepFool, Fgsm, Jsma, Pgd};
     pub use ptolemy_core::{
-        path_similarity, variants, BackendEstimate, ClassPathSet, Detection, DetectionBackend,
-        DetectionEngine, DetectionEngineBuilder, DetectionProgram, ExtractionSpec, Profiler,
-        SoftwareBackend,
+        path_similarity, variants, ClassPathSet, Detection, DetectionEngine,
+        DetectionEngineBuilder, DetectionProgram, ExtractionSpec, Profiler,
     };
     pub use ptolemy_data::{Arrivals, SyntheticDataset, WorkloadSpec, WorkloadTrace};
     pub use ptolemy_forest::{auc, RandomForest};

@@ -1,15 +1,16 @@
 //! Integration tests of the `DetectionEngine` serving API: batch/single parity
 //! across every canned program variant, fingerprint validation at build time,
-//! threshold plumbing, and the accelerator backend's per-batch estimates.
+//! threshold plumbing, and the modelled cost of the program an engine runs.
 
 mod common;
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use ptolemy::accel::AccelBackend;
+use ptolemy::accel::{HardwareConfig, Simulator};
+use ptolemy::compiler::Compiler;
 use ptolemy::core::engine::DEFAULT_THRESHOLD;
-use ptolemy::core::{variants, DetectionEngine, Profiler};
+use ptolemy::core::{software_cost, variants, DetectionEngine, Profiler};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::Rng64;
 
@@ -185,32 +186,34 @@ fn accel_backend_prices_batches_on_the_same_call_path() {
         .profile(&network, dataset.train())
         .unwrap();
 
-    let software = DetectionEngine::builder(network.clone(), program.clone(), class_paths.clone())
+    let engine = DetectionEngine::builder(network, program, class_paths)
         .calibrate(&benign, &adversarial)
         .build()
         .unwrap();
-    let accel = DetectionEngine::builder(network, program, class_paths)
-        .backend(Box::new(AccelBackend::new(
-            ptolemy::accel::HardwareConfig::default(),
-        )))
-        .calibrate(&benign, &adversarial)
-        .build()
+
+    // Serving the batch with its paths yields the same verdicts as detect_batch...
+    let served: Vec<_> = engine
+        .detect_batch_with_paths(&benign)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+    let verdicts: Vec<_> = served.iter().map(|(d, _)| *d).collect();
+    assert_eq!(verdicts, engine.detect_batch(&benign).unwrap());
+
+    // ...and the paths' measured density prices the engine's own program on
+    // the hardware model and in the software cost model.
+    let density = served.iter().map(|(_, path)| path.density()).sum::<f32>() / served.len() as f32;
+    let compiled = Compiler::default()
+        .compile(engine.network(), engine.program())
         .unwrap();
-    assert_eq!(accel.backend_name(), "accel");
-
-    // The functional result is backend-independent...
-    let (sw_verdicts, sw_estimate) = software.detect_batch_with_estimate(&benign).unwrap();
-    let (hw_verdicts, hw_estimate) = accel.detect_batch_with_estimate(&benign).unwrap();
-    assert_eq!(sw_verdicts, hw_verdicts);
-
-    // ...but the estimates model different substrates: the accel backend returns
-    // nonzero latency/energy for the batch, the software backend op counts.
-    assert_eq!(hw_estimate.batch_size, benign.len());
-    assert!(hw_estimate.latency_ms.unwrap() > 0.0);
-    assert!(hw_estimate.energy_pj.unwrap() > 0.0);
-    assert!(hw_estimate.latency_factor.unwrap() >= 1.0);
-    assert!(sw_estimate.software.unwrap().inference_macs > 0);
-    assert!(sw_estimate.latency_ms.is_none());
+    let report = Simulator::new(HardwareConfig::default())
+        .unwrap()
+        .simulate(engine.network(), &compiled, density)
+        .unwrap();
+    assert!(report.latency_factor() >= 1.0);
+    assert!(report.total_energy_pj > 0.0);
+    let software = software_cost(engine.network(), engine.program(), density).unwrap();
+    assert!(software.inference_macs > 0);
 }
 
 #[test]
