@@ -32,10 +32,11 @@
 //! compiler picked for that loop — an element that is NaN on one path is NaN
 //! on the other, with unspecified bits.)
 //!
-//! Measured on the 2-core reference box (release, 8-wide tiles), one sample,
-//! against `im2col` + `matmul` + bias: 8x27x256 12.1 → 7.0 µs, 12x72x64
-//! 11.2 → 6.0 µs, 12x108x16 5.9 → 2.9 µs, and the four-column 16x144x4 (which
-//! the lowered path hands to the naive loop) 9.1 → 2.5 µs.
+//! Measured on the 2-core reference box (release, `x86-64-v3`), one sample,
+//! median of 31 rounds, against `im2col` + `matmul` + bias: 8x27x256
+//! 12.5 → 5.7 µs, 12x72x64 9.4 → 5.7 µs, 12x108x16 5.1 → 3.0 µs, and the
+//! four-column 16x144x4 (which the lowered path hands to the naive loop)
+//! 8.9 → 3.9 µs.
 
 use std::cell::RefCell;
 
@@ -324,6 +325,8 @@ impl<'a> Bordered<'a> {
                     src: oy * stride * self.width + ox * stride,
                     rows: k0..k0 + kc,
                 };
+                // Unit-stride stretches of 16, 8 and 4 columns (the served
+                // nets' 16-, 8- and 4-wide output rows) are constant-size moves.
                 const HALF: usize = NR / 2;
                 const QUARTER: usize = NR / 4;
                 match (stride, len) {

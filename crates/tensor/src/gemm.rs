@@ -24,8 +24,10 @@
 //! holds an `MR x NR` accumulator tile in registers across a whole `k` panel
 //! (output traffic ~0) and packs A/B panels so the inner loop reads
 //! contiguous, cache-resident memory (B traffic amortised over `MR` rows).
-//! `NR` is chosen at build time by `build.rs` (16 on AVX/NEON targets, 8
-//! otherwise); the choice affects speed only, never results.
+//! The tile is sized for the workspace's build floor, `x86-64-v3` (set in
+//! `.cargo/config.toml`): a 16-wide row is two 8-lane AVX registers (four
+//! 128-bit NEON registers on aarch64).  The tile shape affects speed only,
+//! never results.
 
 use crate::parallel::par_row_chunks;
 use crate::{Result, Tensor, TensorError};
@@ -33,15 +35,11 @@ use crate::{Result, Tensor, TensorError};
 /// Rows of the register tile.
 pub(crate) const MR: usize = 4;
 
-/// Columns of the register tile (build-time probe, see `build.rs`): wide
-/// targets (256-bit vectors, or 32-register NEON) hold the 4x16 tile in
-/// registers; baseline targets get 4x8 (eight 128-bit accumulators — enough
-/// independent add chains to keep the FPU pipelined without spilling).
-#[cfg(ptolemy_gemm_wide)]
+/// Columns of the register tile: the `MR x NR` tile is eight 256-bit
+/// accumulators at the `x86-64-v3` floor — enough independent add chains to
+/// keep the vector FPU pipelined without spilling out of the 16 ymm
+/// registers.
 pub(crate) const NR: usize = 16;
-/// Columns of the register tile (build-time probe, see `build.rs`).
-#[cfg(not(ptolemy_gemm_wide))]
-pub(crate) const NR: usize = 8;
 
 /// K-panel depth: one packed panel of B is `KC x NC` floats (L2-resident).
 /// The int8 kernel (`gemm_i8`) shares all three block sizes: its i8 panels

@@ -38,11 +38,11 @@ use std::thread;
 /// Least work, in MAC-equivalents, every participating thread must be handed
 /// before [`fork_join`] fans out.
 ///
-/// Measured on the 2-core reference box (release build, blocked f32 GEMM at
-/// ~9 GMAC/s; an empty scope + one helper spawn + join costs 16 µs at the
-/// median when the helper lands on the caller's core and ~60 µs when it has
-/// to wake the other one), serial vs a forced 2-way row split, median of 12
-/// interleaved rounds:
+/// Measured on the 2-core reference box (release build for baseline x86-64,
+/// blocked f32 GEMM at ~9 GMAC/s; an empty scope + one helper spawn + join
+/// costs 16 µs at the median when the helper lands on the caller's core and
+/// ~60 µs when it has to wake the other one), serial vs a forced 2-way row
+/// split, median of 12 interleaved rounds:
 ///
 /// | product (m×k×n) | MACs  | serial  | 2-way   | at the gate |
 /// |-----------------|-------|---------|---------|-------------|
@@ -61,6 +61,14 @@ use std::thread;
 /// 1.27 ms on two.  (The box's second core comes and goes with its host; in
 /// the stretches where two threads get one core's worth, a 2-way split costs
 /// 5–12 % instead; this table, not a timing gate, justifies the constant.)
+///
+/// At the `x86-64-v3` build floor the serial GEMM runs at ~16 GMAC/s: the
+/// same six products take 49 µs, 63 µs, 124 µs, 135 µs, 528 µs and 1.10 ms
+/// serially.  A re-measurement in that build found no second core to split
+/// onto — the 2-way split lost at every size, in the baseline build too
+/// (2.19 vs 2.21 ms at 256³) — so the break-even is unmeasured there.  With
+/// the same fork cost and ~1.8× less time per MAC it should sit near 4M MACs;
+/// the constant stays until a run with both cores shows it.
 pub const MIN_WORK_PER_THREAD: usize = 1 << 20;
 
 /// Threads currently claimed as busy, process-wide.

@@ -341,7 +341,7 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
 /// * The 3x3 / stride 1 / padding 1 convolutions the served models run, as
 ///   `(name, in_c, out_c, H = W)`: the five `conv_net` convs and
 ///   `resnet_mini`'s stage-1 body conv and last-stage 16→16 conv (K = 144, four
-///   columns — half a register tile on the narrowest build).
+///   columns — a quarter of the register tile).
 #[test]
 fn served_shapes_match_naive_bit_for_bit() {
     const SHAPES: [(usize, usize, usize); 5] = [
@@ -408,6 +408,19 @@ fn served_shapes_match_naive_bit_for_bit() {
         let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
         assert_eq!(fused, lowered, "{name}");
     }
+}
+
+/// The kernels' tile shape and every timing this repository quotes assume the
+/// `x86-64-v3` floor; a build without it computes the same bits, more slowly.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn built_at_the_committed_vector_floor() {
+    assert_eq!(
+        (cfg!(target_feature = "avx2"), cfg!(target_feature = "fma")),
+        (true, true),
+        "(avx2, fma) missing: `.cargo/config.toml` sets `-C target-cpu=x86-64-v3`, \
+         and an environment `RUSTFLAGS` replaces that file's flags instead of adding to them"
+    );
 }
 
 /// Non-finite values in B make the sparsity skip *observable* (0.0 · inf is
