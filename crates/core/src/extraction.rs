@@ -279,9 +279,9 @@ pub fn materialized_trace_bytes(network: &Network, batch_size: usize) -> usize {
 /// identically, so the two numbers stay comparable: the driver's transient
 /// current-layer input/output, and the
 /// per-sample extraction scratch of backward batches (the streamed walk
-/// slices each retained stacked boundary per sample exactly as the
-/// materialized `BatchTrace::trace(b)` does — in fact it slices a subset, and
-/// a batch of one slices nothing).
+/// slices each retained stacked boundary per sample, as a materialized
+/// per-sample trace would copy it — in fact it slices a subset, and a batch
+/// of one slices nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivationFootprint {
     /// Peak resident activation bytes of the streamed extraction.
@@ -318,8 +318,7 @@ pub struct StreamedBatchExtraction {
 ///
 /// The streaming pipeline ([`extract_path_streaming`]) produces bit-for-bit
 /// identical paths without materialising the trace; this entry point remains
-/// for callers that already hold a [`ForwardTrace`] (or a
-/// [`ptolemy_nn::BatchTrace`] slice) for other reasons.
+/// for callers that already hold a [`ForwardTrace`] for other reasons.
 ///
 /// # Errors
 ///
@@ -853,8 +852,8 @@ impl TraceSink for RetainSink<'_> {
 }
 
 impl Retained {
-    /// Sample `b`'s copy of every retained stacked tensor — the same slices a
-    /// materialized `BatchTrace::trace(b)` would hand the walk.
+    /// Sample `b`'s copy of every retained stacked tensor — the same tensors
+    /// a materialized trace of sample `b` alone would hand the walk.
     fn slice_batch(&self, b: usize) -> Result<Retained> {
         let slice_all = |stacked: &[Option<Tensor>]| -> Result<Vec<Option<Tensor>>> {
             stacked
@@ -1314,9 +1313,12 @@ mod tests {
             batch.footprint.peak_streamed_bytes,
             batch.footprint.materialized_bytes
         );
-        // The materialized figure matches what an actual batch trace holds.
-        let trace = net.forward_trace_batch(&inputs).unwrap();
-        assert_eq!(batch.footprint.materialized_bytes, trace.activation_bytes());
+        // The materialized figure matches what the recorded traces hold.
+        let recorded: usize = inputs
+            .iter()
+            .map(|x| net.forward_trace(x).unwrap().activation_bytes())
+            .sum();
+        assert_eq!(batch.footprint.materialized_bytes, recorded);
 
         // Backward programs retain strictly less than the full trace as well
         // (statically-routed ReLU/flatten inputs are dropped in flight).

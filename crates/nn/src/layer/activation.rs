@@ -44,15 +44,10 @@ impl Layer for ReLU {
         self.shape.clone()
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check(input)?;
-        Ok(input.map(|v| v.max(0.0)))
-    }
-
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         crate::batch::check_batch(batch, &self.shape, self.name())?;
-        // Element-wise, so the fused kernel is the same map over the stacked
-        // buffer — trivially bit-for-bit identical per sample.
+        // Element-wise: one map over the stacked buffer, trivially the same
+        // bits per sample.
         Ok(batch.map(|v| v.max(0.0)))
     }
 

@@ -8,8 +8,8 @@ use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// 2-D convolution over CHW activations: one fused lowering + GEMM + bias
-/// kernel ([`conv2d_forward`]) for a single sample and a stacked batch alike,
-/// bit-for-bit `im2col` + matmul + bias.
+/// kernel ([`conv2d_forward`]) over a stacked batch (a single sample is the
+/// batch of one), bit-for-bit `im2col` + matmul + bias.
 ///
 /// The weight tensor is stored as `[out_channels, in_channels * k * k]`, i.e. one
 /// flattened kernel per output channel, which makes the per-output-neuron partial
@@ -101,24 +101,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// The fused kernel over one sample or a stacked batch (shape already
-    /// checked), against the packed weights of the current weight version.
-    fn convolve(&self, samples: &Tensor) -> Result<Vec<f32>> {
-        let packed = match self.packed.get() {
-            Some(packed) => packed,
-            None => {
-                let packed = PackedWeights::pack(&self.weight)?;
-                self.packed.get_or_init(|| packed)
-            }
-        };
-        Ok(conv2d_forward(
-            samples,
-            &self.geom,
-            packed,
-            self.bias.as_slice(),
-        )?)
-    }
-
     fn check_input(&self, input: &Tensor) -> Result<()> {
         let expected = [self.geom.in_channels, self.geom.in_h, self.geom.in_w];
         if input.dims() != expected {
@@ -144,14 +126,8 @@ impl Layer for Conv2d {
         vec![self.geom.in_channels, self.geom.in_h, self.geom.in_w]
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input)?;
-        Ok(Tensor::from_vec(
-            self.convolve(input)?,
-            &[self.out_channels, self.geom.out_h, self.geom.out_w],
-        )?)
-    }
-
+    /// The fused kernel against the packed weights of the current weight
+    /// version.
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let geom = &self.geom;
         let batch_size = check_batch(
@@ -159,14 +135,16 @@ impl Layer for Conv2d {
             &[geom.in_channels, geom.in_h, geom.in_w],
             self.name(),
         )?;
+        let packed = match self.packed.get() {
+            Some(packed) => packed,
+            None => {
+                let packed = PackedWeights::pack(&self.weight)?;
+                self.packed.get_or_init(|| packed)
+            }
+        };
         Ok(Tensor::from_vec(
-            self.convolve(batch)?,
-            &[
-                batch_size,
-                self.out_channels,
-                self.geom.out_h,
-                self.geom.out_w,
-            ],
+            conv2d_forward(batch, geom, packed, self.bias.as_slice())?,
+            &[batch_size, self.out_channels, geom.out_h, geom.out_w],
         )?)
     }
 

@@ -89,30 +89,6 @@ impl Dense {
         }
         Ok(())
     }
-
-    /// The one dense kernel, behind both forward passes: `rows` stacked
-    /// inputs (`xs`, row-major) times the weights, plus the bias.  Every row
-    /// is prefilled with the bias and `gemm_nt_into` accumulates `X · Wᵀ` on
-    /// top (W stays in its natural `[outputs, inputs]` layout), so each output
-    /// neuron is one bias-first, ascending-input chain with no sparsity skip —
-    /// the same bits whatever `rows` is, which makes a single sample the batch
-    /// of one by construction.  Below the register tile's height the kernel
-    /// runs that chain as a plain dot loop instead of packing the weights.
-    fn affine(&self, xs: &[f32], rows: usize) -> Vec<f32> {
-        let (inputs, outputs) = (self.inputs, self.outputs);
-        let w = self.weight.as_slice();
-        let mut out = Vec::with_capacity(rows * outputs);
-        for _ in 0..rows {
-            out.extend_from_slice(self.bias.as_slice());
-        }
-        let macs = rows * inputs * outputs;
-        par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
-            let samples = chunk.len() / outputs;
-            let x = &xs[first * inputs..(first + samples) * inputs];
-            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
-        });
-        out
-    }
 }
 
 impl Layer for Dense {
@@ -128,20 +104,28 @@ impl Layer for Dense {
         vec![self.inputs]
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input)?;
-        Ok(Tensor::from_vec(
-            self.affine(input.as_slice(), 1),
-            &[self.outputs],
-        )?)
-    }
-
+    /// The one dense kernel: the stacked rows times the weights, plus the
+    /// bias.  Every row is prefilled with the bias and `gemm_nt_into`
+    /// accumulates `X · Wᵀ` on top (W stays in its natural `[outputs, inputs]`
+    /// layout), so each output neuron is one bias-first, ascending-input chain
+    /// with no sparsity skip — the same bits whatever the batch size is.
+    /// Below the register tile's height the kernel runs that chain as a plain
+    /// dot loop instead of packing the weights.
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let batch_size = check_batch(batch, &[self.inputs], self.name())?;
-        Ok(Tensor::from_vec(
-            self.affine(batch.as_slice(), batch_size),
-            &[batch_size, self.outputs],
-        )?)
+        let rows = check_batch(batch, &[self.inputs], self.name())?;
+        let (inputs, outputs) = (self.inputs, self.outputs);
+        let (xs, w) = (batch.as_slice(), self.weight.as_slice());
+        let mut out = Vec::with_capacity(rows * outputs);
+        for _ in 0..rows {
+            out.extend_from_slice(self.bias.as_slice());
+        }
+        let macs = rows * inputs * outputs;
+        par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
+            let samples = chunk.len() / outputs;
+            let x = &xs[first * inputs..(first + samples) * inputs];
+            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
+        });
+        Ok(Tensor::from_vec(out, &[rows, outputs])?)
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {

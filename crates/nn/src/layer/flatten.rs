@@ -44,11 +44,6 @@ impl Layer for Flatten {
         self.input_shape.clone()
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check(input)?;
-        Ok(input.reshape(&[input.len()])?)
-    }
-
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let batch_size = crate::batch::check_batch(batch, &self.input_shape, self.name())?;
         // A reshape per sample is a reshape of the whole stacked buffer.

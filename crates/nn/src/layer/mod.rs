@@ -1,12 +1,13 @@
 //! Layer abstraction and concrete layer implementations.
 //!
-//! The canonical [`Layer::forward`] operates on a **single sample** (no batch
-//! dimension); the training loop iterates over a mini-batch and averages
-//! parameter gradients.  This keeps the partial-sum bookkeeping that Ptolemy's
-//! extraction algorithms rely on simple and exactly mirrors the per-input path
-//! semantics of the paper.  For serving, [`Layer::forward_batch`] additionally
-//! executes a stacked `[B] ++ input_shape` batch (NCHW) in one fused pass while
-//! preserving the per-input reduction order bit for bit.
+//! Every layer has one forward kernel, [`Layer::forward_batch`], over a
+//! stacked `[B] ++ input_shape` batch (NCHW); sample `b` of the result is
+//! bit-for-bit the batch of one of that sample.  [`Layer::forward`] is that
+//! batch of one, unstacked.  Backward passes and partial-sum decompositions
+//! work on a **single sample** (no batch dimension): the training loop
+//! iterates over a mini-batch and averages parameter gradients, and the
+//! extraction algorithms decompose one input's path at a time, exactly
+//! mirroring the per-input path semantics of the paper.
 
 mod activation;
 mod conv;
@@ -118,7 +119,8 @@ impl LayerKind {
     }
 }
 
-/// A neural-network layer operating on a single sample.
+/// A neural-network layer.  Shapes are per sample; the forward kernel takes
+/// a stacked batch, and a single sample is the batch of one.
 ///
 /// The trait is object-safe: networks store `Box<dyn Layer>`.
 pub trait Layer: Send + Sync {
@@ -132,34 +134,30 @@ pub trait Layer: Send + Sync {
     /// Shape of the input this layer expects.
     fn input_shape(&self) -> Vec<usize>;
 
-    /// Computes the layer output for a single sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` does not match the layer's expected input shape.
-    fn forward(&self, input: &Tensor) -> Result<Tensor>;
-
     /// Computes the layer output for a stacked batch (`[B] ++ input_shape`,
-    /// NCHW convention), returning `[B] ++ output_shape`.
+    /// NCHW convention), returning `[B] ++ output_shape` — the layer's one
+    /// forward kernel.
     ///
-    /// The contract is **bit-for-bit parity** with the per-input path: row `b`
-    /// of the result must be identical to `forward(&batch.slice_batch(b)?)?` —
-    /// each output element depends only on its own input sample and its
-    /// reduction order must match the single-sample kernel exactly.  The
-    /// default implementation is the per-input loop itself; the conv, dense,
-    /// pooling, activation, flatten and residual layers override it with fused
-    /// kernels (batched `im2col`/matmul for convolutions) that preserve the
-    /// same per-element order.
+    /// Row `b` of the result depends on sample `b` alone and is bit-for-bit
+    /// the batch of one of that sample: every kernel (the fused conv, one
+    /// bias-prefilled GEMM for dense layers, one pooling kernel, element-wise
+    /// maps) keeps the single-sample reduction order whatever `B` is.
     ///
     /// # Errors
     ///
     /// Returns an error if `batch` is not `[B] ++ input_shape` with `B >= 1`.
-    fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let batch_size = crate::batch::check_batch(batch, &self.input_shape(), self.name())?;
-        let outputs: Vec<Tensor> = (0..batch_size)
-            .map(|b| self.forward(&batch.slice_batch(b)?))
-            .collect::<Result<_>>()?;
-        Ok(Tensor::stack(&outputs)?)
+    fn forward_batch(&self, batch: &Tensor) -> Result<Tensor>;
+
+    /// Computes the layer output for a single sample: the batch of one,
+    /// unstacked.  Off the detect and serve paths (training, the recompute of
+    /// a residual interior, unit tests) — those run [`Layer::forward_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `input` does not match the layer's expected input shape.
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        let out = self.forward_batch(&input.reshape(&[&[1], input.dims()].concat())?)?;
+        Ok(out.into_reshaped(&self.output_shape())?)
     }
 
     /// Computes input and parameter gradients given the upstream gradient.
@@ -175,26 +173,16 @@ pub trait Layer: Send + Sync {
     /// Mutable access to trainable parameters, in the same order as [`Layer::params`].
     fn params_mut(&mut self) -> Vec<&mut Tensor>;
 
-    /// [`Layer::forward`] that also hands back the layer's **interior
-    /// activation**: the one intermediate tensor [`Layer::contributions_many`]
-    /// needs beyond the layer's own input.  Only composite layers have one
-    /// ([`Residual`]: the input of its last body layer); everything else
-    /// returns `None`, which is the default.
+    /// [`Layer::forward_batch`] that also hands back the layer's stacked
+    /// **interior activation** (`[B] ++ interior_shape`): the one intermediate
+    /// tensor [`Layer::contributions_many`] needs beyond the layer's own
+    /// input.  Only composite layers have one ([`Residual`]: the input of its
+    /// last body layer); everything else returns `None`, which is the
+    /// default.  Slice `b` is bit-for-bit the interior of sample `b` alone.
     ///
-    /// [`crate::Network::forward_with_sink`] passes the interior to
+    /// [`crate::Network::forward_with_sink_batch`] passes the interior to
     /// [`crate::TraceSink::on_interior`], so a sink that keeps it lets the
     /// reverse walk decompose the layer without re-running its body.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Layer::forward`].
-    fn forward_interior(&self, input: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
-        Ok((self.forward(input)?, None))
-    }
-
-    /// Batched twin of [`Layer::forward_interior`]: the interior is stacked
-    /// (`[B] ++ interior_shape`) and slice `b` is bit-for-bit the interior of
-    /// sample `b` alone (the [`Layer::forward_batch`] parity contract).
     ///
     /// # Errors
     ///
@@ -206,8 +194,8 @@ pub trait Layer: Send + Sync {
     /// Partial-sum decompositions of the output neurons `out_idxs` (flat
     /// indices into the output) for the given input, one per index, in order.
     ///
-    /// `interior` is what [`Layer::forward_interior`] returned for this same
-    /// `input`, if the caller kept it.  Layers without an interior ignore it;
+    /// `interior` is this `input`'s interior — slice `b` of what
+    /// [`Layer::forward_batch_interior`] returned — if the caller kept it.  Layers without an interior ignore it;
     /// a composite layer given `None` recomputes it — **once per call**, not
     /// once per index, which is why the reverse walk asks for all of a layer's
     /// important neurons together.
@@ -284,8 +272,8 @@ pub trait Layer: Send + Sync {
         self.input_shape().iter().product()
     }
 
-    /// Flat number of elements of the interior [`Layer::forward_interior`]
-    /// hands out (`0` for a layer without one).
+    /// Flat number of elements of one sample's interior
+    /// ([`Layer::forward_batch_interior`]; `0` for a layer without one).
     fn interior_len(&self) -> usize {
         0
     }
@@ -304,13 +292,21 @@ mod tests {
     }
 
     /// For every layer kind the zoo builds (conv, dense, ReLU, flatten, max and
-    /// average pooling, residual): one batched call decomposes exactly what
-    /// one call per neuron does, and a composite layer handed the interior its
-    /// forward pass produced decomposes exactly what it recomputes.
+    /// average pooling, residual): a stack of three distinct samples slices
+    /// back, outputs and interiors bit for bit, to three batches of one; one
+    /// batched decomposition call is exactly one call per neuron; and a
+    /// composite layer handed the interior its forward pass produced
+    /// decomposes exactly what it recomputes.
     #[test]
     fn contributions_many_is_the_per_neuron_decomposition() {
         use crate::zoo;
         use ptolemy_tensor::Rng64;
+
+        fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
+            assert_eq!(a.dims(), b.dims(), "{what}: dims");
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{what}");
+        }
 
         let mut rng = Rng64::new(23);
         let networks = [
@@ -319,19 +315,43 @@ mod tests {
         ];
         let mut kinds_seen = std::collections::BTreeSet::new();
         for network in &networks {
-            let len = network.input_shape().iter().product();
-            let input = Tensor::from_vec(
-                (0..len).map(|_| rng.normal()).collect(),
-                network.input_shape(),
-            )
-            .unwrap();
-            let mut cur = input;
+            let len: usize = network.input_shape().iter().product();
+            let samples: Vec<Tensor> = (0..3)
+                .map(|_| {
+                    let data = (0..len).map(|_| rng.normal()).collect();
+                    Tensor::from_vec(data, network.input_shape()).unwrap()
+                })
+                .collect();
+            let mut stacked = Tensor::stack(&samples).unwrap();
+            let mut cur = samples[0].clone();
             for layer in network.layers() {
-                let (out, interior) = layer.forward_interior(&cur).unwrap();
+                let (outs, interiors) = layer.forward_batch_interior(&stacked).unwrap();
+                for b in 0..samples.len() {
+                    let one = stacked.slice_batch(b).unwrap();
+                    let one = one.reshape(&[&[1][..], one.dims()].concat()).unwrap();
+                    let (out, interior) = layer.forward_batch_interior(&one).unwrap();
+                    let what = format!("{} sample {b}", layer.name());
+                    assert_bits_eq(
+                        &outs.slice_batch(b).unwrap(),
+                        &out.slice_batch(0).unwrap(),
+                        &what,
+                    );
+                    assert_eq!(interiors.is_some(), interior.is_some(), "{what}");
+                    if let (Some(all), Some(one)) = (&interiors, &interior) {
+                        assert_bits_eq(
+                            &all.slice_batch(b).unwrap(),
+                            &one.slice_batch(0).unwrap(),
+                            &what,
+                        );
+                    }
+                }
+                let interior = interiors.map(|t| t.slice_batch(0).unwrap());
                 assert_eq!(
                     interior.as_ref().map_or(0, Tensor::len),
                     layer.interior_len()
                 );
+                let out = layer.forward(&cur).unwrap();
+                assert_bits_eq(&out, &outs.slice_batch(0).unwrap(), "forward");
                 // Every output neuron, in a scrambled order with a repeat.
                 let mut idxs: Vec<usize> = (0..layer.output_len()).rev().collect();
                 idxs.push(0);
@@ -353,6 +373,7 @@ mod tests {
                     .is_empty());
                 kinds_seen.insert(layer.name());
                 cur = out;
+                stacked = outs;
             }
         }
         assert_eq!(kinds_seen.len(), 7, "{kinds_seen:?}");

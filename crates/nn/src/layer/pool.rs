@@ -91,29 +91,22 @@ impl PoolGeom {
             .unwrap_or_else(|| self.corner(c, oy, ox))
     }
 
-    /// The one forward kernel of both pooling layers: `input` is a single
-    /// `[C, H, W]` sample, or — when `stacked_for` names the calling layer — a
-    /// `[B, C, H, W]` batch.  Every output window is reduced by `fold` over its
-    /// elements in [`PoolGeom::window`] order with no per-window allocation;
-    /// sample slabs are independent and are partitioned over threads at the
-    /// work gate, so sample `b` of a batch is bit-for-bit the single-sample
-    /// result.
+    /// The one forward kernel of both pooling layers, over a `[B, C, H, W]`
+    /// batch for the layer named `layer`.  Every output window is reduced by
+    /// `fold` over its elements in [`PoolGeom::window`] order with no
+    /// per-window allocation; sample slabs are independent and are
+    /// partitioned over threads at the work gate, so sample `b` of a batch is
+    /// bit-for-bit its batch of one.
     fn forward_with(
         &self,
-        input: &Tensor,
-        stacked_for: Option<&str>,
+        batch: &Tensor,
+        layer: &str,
         init: f32,
         fold: impl Fn(f32, f32) -> f32 + Sync,
         finish: impl Fn(f32) -> f32 + Sync,
     ) -> Result<Tensor> {
-        let batch_size = match stacked_for {
-            Some(layer) => check_batch(input, &[self.channels, self.in_h, self.in_w], layer)?,
-            None => {
-                self.check(input)?;
-                1
-            }
-        };
-        let xs = input.as_slice();
+        let batch_size = check_batch(batch, &[self.channels, self.in_h, self.in_w], layer)?;
+        let xs = batch.as_slice();
         let in_len = self.channels * self.in_h * self.in_w;
         let out_len = self.channels * self.out_h * self.out_w;
         let mut out = vec![0.0f32; batch_size * out_len];
@@ -148,13 +141,10 @@ impl PoolGeom {
                 }
             }
         });
-        let dims = [batch_size, self.channels, self.out_h, self.out_w];
-        let dims = if stacked_for.is_some() {
-            &dims[..]
-        } else {
-            &dims[1..]
-        };
-        Ok(Tensor::from_vec(out, dims)?)
+        Ok(Tensor::from_vec(
+            out,
+            &[batch_size, self.channels, self.out_h, self.out_w],
+        )?)
     }
 
     fn decompose(&self, out_idx: usize) -> Result<(usize, usize, usize)> {
@@ -242,15 +232,9 @@ impl Layer for MaxPool2d {
         self.geom.in_shape()
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.geom
-            .forward_with(input, None, f32::NEG_INFINITY, f32::max, |acc| acc)
-    }
-
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let stacked_for = Some(self.name());
         self.geom
-            .forward_with(batch, stacked_for, f32::NEG_INFINITY, f32::max, |acc| acc)
+            .forward_with(batch, self.name(), f32::NEG_INFINITY, f32::max, |acc| acc)
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
@@ -355,17 +339,11 @@ impl Layer for AvgPool2d {
         self.geom.in_shape()
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let norm = self.norm();
-        self.geom
-            .forward_with(input, None, 0.0, |acc, v| acc + v, move |acc| acc / norm)
-    }
-
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let norm = self.norm();
         self.geom.forward_with(
             batch,
-            Some(self.name()),
+            self.name(),
             0.0,
             |acc, v| acc + v,
             move |acc| acc / norm,

@@ -13,7 +13,7 @@ use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 /// naturally: the shortcut is a partial sum with weight 1).
 ///
 /// That intermediate activation — the input of the last body layer — is the
-/// block's *interior* ([`Layer::forward_interior`]): the forward pass produces
+/// block's *interior* ([`Layer::forward_batch_interior`]): the forward pass produces
 /// it anyway, so a caller that keeps it decomposes any number of output neurons
 /// without re-running the body, and one that does not pays for the body's head
 /// once per [`Layer::contributions_many`] call.
@@ -105,23 +105,6 @@ impl Residual {
         Ok(cur)
     }
 
-    /// `relu?(body(x) + x)` with the body driven by `step` (the single-sample
-    /// or the fused-batch kernel; the shortcut add and the post-ReLU are
-    /// element-wise, so they are the same code for both), plus the interior.
-    fn run(
-        &self,
-        input: &Tensor,
-        step: impl Fn(&dyn Layer, &Tensor) -> Result<Tensor>,
-    ) -> Result<(Tensor, Option<Tensor>)> {
-        let interior = self.run_head(input, &step)?;
-        let body_out = step(self.split_body().1, interior.as_ref().unwrap_or(input))?;
-        let mut out = body_out.add(input)?;
-        if self.post_relu {
-            out.map_inplace(|v| v.max(0.0));
-        }
-        Ok((out, interior))
-    }
-
     fn check(&self, input: &Tensor) -> Result<()> {
         if input.dims() != self.shape.as_slice() {
             return Err(NnError::InvalidConfig(format!(
@@ -147,24 +130,24 @@ impl Layer for Residual {
         self.shape.clone()
     }
 
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.forward_interior(input)?.0)
-    }
-
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         Ok(self.forward_batch_interior(batch)?.0)
     }
 
-    fn forward_interior(&self, input: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
-        self.check(input)?;
-        self.run(input, |layer, x| layer.forward(x))
-    }
-
+    /// `relu?(body(x) + x)`: the body's fused kernels chained, then the
+    /// element-wise shortcut add and post-ReLU, plus the interior.
     fn forward_batch_interior(&self, batch: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
         crate::batch::check_batch(batch, &self.shape, self.name())?;
-        // The body's fused kernels chained, then the same element-wise
-        // shortcut add / post-ReLU as the single-sample path, in the same order.
-        self.run(batch, |layer, x| layer.forward_batch(x))
+        let interior = self.run_head(batch, |layer, x| layer.forward_batch(x))?;
+        let body_out = self
+            .split_body()
+            .1
+            .forward_batch(interior.as_ref().unwrap_or(batch))?;
+        let mut out = body_out.add(batch)?;
+        if self.post_relu {
+            out.map_inplace(|v| v.max(0.0));
+        }
+        Ok((out, interior))
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
@@ -343,17 +326,18 @@ mod tests {
         let x = Initializer::Uniform(1.0)
             .build(&[2, 4, 4], &mut rng)
             .unwrap();
-        let (y, interior) = res.forward_interior(&x).unwrap();
+        let one = x.reshape(&[1, 2, 4, 4]).unwrap();
+        let (y, interior) = res.forward_batch_interior(&one).unwrap();
         let acts = res.body_trace(&x).unwrap();
-        assert_eq!(interior.as_ref(), Some(&acts[2]));
+        assert_eq!(interior.unwrap().as_slice(), acts[2].as_slice());
         assert_eq!(res.interior_len(), acts[2].len());
-        assert_eq!(y, res.forward(&x).unwrap());
+        assert_eq!(y.as_slice(), res.forward(&x).unwrap().as_slice());
 
         // A one-layer body has no interior: its last layer reads the block
         // input, and the decomposition is that layer's plus the shortcut.
         let conv = Conv2d::new(2, 2, 4, 4, 3, 1, 1, &mut rng).unwrap();
         let single = Residual::new(vec![Box::new(conv.clone())], false).unwrap();
-        assert!(single.forward_interior(&x).unwrap().1.is_none());
+        assert!(single.forward_batch_interior(&one).unwrap().1.is_none());
         assert_eq!(single.interior_len(), 0);
         let Contribution::Weighted(mut expected) = conv.contributions(&x, 9).unwrap() else {
             panic!("conv contributions are weighted");

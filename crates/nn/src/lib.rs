@@ -14,35 +14,33 @@
 //!   for all of a layer's important neurons at once so a composite layer never
 //!   works per neuron; a [`layer::Residual`] block decomposes against the
 //!   interior activation its forward pass hands out
-//!   ([`Layer::forward_interior`], [`TraceSink::on_interior`]);
-//! * [`Network::forward_with_sink`] / [`Network::forward_with_sink_batch`] —
-//!   the **streaming drivers**: a forward pass hands each activation boundary
-//!   to a [`TraceSink`] the moment the producing layer finishes, before the
-//!   next layer starts.  The driver itself keeps only the current layer's
-//!   input and output alive, so what outlives a layer is entirely the sink's
-//!   decision — a selective sink observes a whole inference in O(largest
-//!   layer) memory.  This is the hook `ptolemy-core` uses to extract paths
-//!   while the forward pass runs (the paper's Sec. III-C compiler insight)
-//!   and to drop activations eagerly;
-//! * [`ForwardProvider`] — the batched streaming pass as a trait (`network()`
-//!   plus `forward_with_sink_batch`, nothing else), implemented by [`Network`]
+//!   ([`Layer::forward_batch_interior`], [`TraceSink::on_interior`]);
+//! * [`Network::forward_with_sink_batch`] — the one **streaming driver**: B
+//!   inputs are stacked into one `[B, C, H, W]` tensor and run layer by layer
+//!   through each layer's one forward kernel, [`Layer::forward_batch`] (the
+//!   fused conv kernel, one bias-prefilled GEMM for dense layers), handing
+//!   each stacked activation boundary to a [`TraceSink`] the moment the
+//!   producing layer finishes, before the next layer starts.  The driver
+//!   keeps only the current layer's input and output alive, so what outlives
+//!   a layer is entirely the sink's decision — a selective sink observes a
+//!   whole inference in O(largest layer) memory.  This is the hook
+//!   `ptolemy-core` uses to extract paths while the forward pass runs (the
+//!   paper's Sec. III-C compiler insight) and to drop activations eagerly.
+//!   Slice `b` of every boundary is **bit-for-bit** the batch of one of
+//!   input `b` — each output element depends only on its own input sample,
+//!   and every kernel keeps the single-sample reduction order whatever the
+//!   batch size;
+//! * [`Network::forward`], [`Network::forward_batch`],
+//!   [`Network::forward_with_sink`] and [`Network::forward_trace`] — adapters
+//!   over that driver: a single input is the batch of one.
+//!   [`Network::forward_trace`] records each activation boundary **once**
+//!   (`activations[i + 1]` is both layer `i`'s output and layer `i + 1`'s
+//!   input — no duplicated storage) so extraction can run after the fact;
+//! * [`ForwardProvider`] — the streaming pass as a trait (`network()` plus
+//!   `forward_with_sink_batch`, nothing else), implemented by [`Network`]
 //!   (f32) and [`QuantizedNetwork`] (int8, one fused integer kernel per layer
 //!   kind): inference precision is an argument to `ptolemy-core`'s
-//!   extraction, not a parallel API, and a single input is the batch of one;
-//! * [`Network::forward_trace`] — the materializing adapter over the unbatched
-//!   driver: a keep-everything sink recording each activation boundary
-//!   **once** (`activations[i + 1]` is both layer `i`'s output and layer
-//!   `i + 1`'s input — no duplicated storage) so extraction can run after the
-//!   fact;
-//! * [`Network::forward_batch`] / [`Network::forward_trace_batch`] — the fused
-//!   NCHW batch path: B inputs are stacked into one `[B, C, H, W]` tensor and
-//!   executed layer by layer through [`Layer::forward_batch`] (the fused conv
-//!   kernel, one bias-prefilled GEMM for dense layers — the same kernel
-//!   [`Layer::forward`] calls at one row).  The resulting [`BatchTrace`]
-//!   slices back to per-input [`ForwardTrace`]s **bit-for-bit identical** to
-//!   the per-input path — each output element depends only on its own input
-//!   sample, and every fused kernel preserves the single-sample reduction
-//!   order exactly;
+//!   extraction, not a parallel API;
 //! * [`Network::input_gradient`] — the loss gradient w.r.t. the input, which the
 //!   attack generators in `ptolemy-attacks` need;
 //! * a [`zoo`] of small architectures standing in for AlexNet, ResNet-18, VGG and
@@ -87,7 +85,7 @@ pub use layer::{Contribution, Layer, LayerGrads, LayerKind};
 pub use loss::{cross_entropy_loss, softmax_cross_entropy_grad};
 pub use network::{ForwardProvider, Network, NetworkGrads};
 pub use quant::QuantizedNetwork;
-pub use trace::{predicted_class, BatchTrace, ForwardTrace, TraceSink};
+pub use trace::{predicted_class, ForwardTrace, TraceSink};
 pub use train::{TrainConfig, TrainReport, Trainer};
 
 pub use ptolemy_tensor::available_parallelism;

@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{trace, BatchTrace, ForwardTrace, Layer, NnError, Result, TraceSink};
+use crate::{predicted_class, trace, ForwardTrace, Layer, NnError, Result, TraceSink};
 
 /// Parameter gradients for a whole network, one entry per layer (in layer order).
 #[derive(Debug, Clone)]
@@ -125,31 +125,21 @@ impl Network {
         self.layers.iter().map(|l| l.kind().macs()).sum()
     }
 
-    /// Runs a plain forward pass and returns the logits.
+    /// Runs a plain forward pass and returns the logits — the batch of one,
+    /// unstacked.
     ///
     /// # Errors
     ///
     /// Returns an error if `input` does not match the network input shape.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            cur = layer.forward(&cur)?;
-        }
-        Ok(cur)
+        let logits = self.forward_batch(std::slice::from_ref(input))?;
+        Ok(logits.into_reshaped(&[self.num_classes])?)
     }
 
-    /// Runs a forward pass, handing every activation boundary (and, just
-    /// before a residual block's output, the block's interior —
-    /// [`TraceSink::on_interior`]) to `sink` as it is produced — the
-    /// unbatched pass [`Network::forward_trace`], int8 calibration and
-    /// external layer clocks observe.  (`ptolemy-core`'s streaming extraction
-    /// runs a single input as the batch of one,
-    /// [`Network::forward_with_sink_batch`].)
-    ///
-    /// The driver itself holds only the current layer's input and output; what
-    /// outlives a layer is entirely the sink's decision, so a selective sink
-    /// observes the full pass in O(largest layer) memory.  Returns the final
-    /// logits.
+    /// Runs the batch of one over `input`, handing every stacked
+    /// (`[1] ++ shape`) activation boundary and interior to `sink` as it is
+    /// produced (see [`Network::forward_with_sink_batch`]).  Returns the
+    /// stacked logits `[1, num_classes]`.
     ///
     /// # Errors
     ///
@@ -159,16 +149,13 @@ impl Network {
         input: &Tensor,
         sink: &mut S,
     ) -> Result<Tensor> {
-        self.drive(input.clone(), sink, |_, layer, cur| {
-            layer.forward_interior(cur)
-        })
+        self.forward_with_sink_batch(std::slice::from_ref(input), sink)
     }
 
-    /// The one forward driver, behind every streaming pass: `input` (one
-    /// sample, or a stacked batch) goes
-    /// through the layers in order, `step(index, layer, boundary)` producing
-    /// each layer's output and interior, and `sink` observes every boundary
-    /// under the [`TraceSink`] delivery contract.
+    /// The one layer loop, behind every forward pass: the stacked `input`
+    /// goes through the layers in order, `step(index, layer, boundary)`
+    /// producing each layer's output and interior, and `sink` observes every
+    /// boundary under the [`TraceSink`] delivery contract.
     pub(crate) fn drive<S: TraceSink + ?Sized>(
         &self,
         input: Tensor,
@@ -188,26 +175,15 @@ impl Network {
         Ok(cur)
     }
 
-    /// Runs a forward pass recording every activation boundary (a thin adapter
-    /// over [`Network::forward_with_sink`] with a keep-everything sink).
+    /// Runs a forward pass recording every activation boundary and interior
+    /// (the batch of one through a keep-everything sink, unstacked as it is
+    /// recorded).
     ///
     /// # Errors
     ///
     /// Returns an error if `input` does not match the network input shape.
     pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
         trace::record(self, input)
-    }
-
-    /// Rejects an `input` that is not of the network's input shape.
-    pub(crate) fn check_input(&self, input: &Tensor) -> Result<()> {
-        if input.dims() != self.input_shape {
-            return Err(NnError::InvalidConfig(format!(
-                "network expects input shape {:?}, got {:?}",
-                self.input_shape,
-                input.dims()
-            )));
-        }
-        Ok(())
     }
 
     /// Stacks `inputs` into one `[B] ++ input_shape` batch, validating shapes.
@@ -217,8 +193,12 @@ impl Network {
                 "batched forward pass requires at least one input".into(),
             ));
         }
-        for input in inputs {
-            self.check_input(input)?;
+        if let Some(input) = inputs.iter().find(|x| x.dims() != self.input_shape) {
+            return Err(NnError::InvalidConfig(format!(
+                "network expects input shape {:?}, got {:?}",
+                self.input_shape,
+                input.dims()
+            )));
         }
         Ok(Tensor::stack(inputs)?)
     }
@@ -235,17 +215,18 @@ impl Network {
     /// Returns an error if `inputs` is empty or any input does not match the
     /// network input shape.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        let mut cur = self.stack_batch(inputs)?;
-        for layer in &self.layers {
-            cur = layer.forward_batch(&cur)?;
-        }
-        Ok(cur)
+        self.forward_with_sink_batch(inputs, &mut ())
     }
 
     /// Runs one fused forward pass over a whole batch, handing each stacked
-    /// activation boundary (`[B] ++ boundary_shape`) to `sink` as it is
-    /// produced — the batched twin of [`Network::forward_with_sink`].  Returns
+    /// activation boundary (`[B] ++ boundary_shape`) — and, just before a
+    /// residual block's output, the block's stacked interior
+    /// ([`TraceSink::on_interior`]) — to `sink` as it is produced.  Returns
     /// the stacked logits.
+    ///
+    /// The driver itself holds only the current layer's input and output; what
+    /// outlives a layer is entirely the sink's decision, so a selective sink
+    /// observes the full pass in O(largest layer) memory.
     ///
     /// # Errors
     ///
@@ -261,29 +242,15 @@ impl Network {
         })
     }
 
-    /// Runs one fused forward pass over a whole batch, recording every stacked
-    /// activation boundary (a thin adapter over
-    /// [`Network::forward_with_sink_batch`] with a keep-everything sink).
-    ///
-    /// `forward_trace_batch(xs)?.trace(b)?` is bit-for-bit identical to
-    /// `forward_trace(&xs[b])?` — the property that lets `ptolemy-core` extract
-    /// each input's activation path from the slices of a single fused trace.
+    /// Predicted class of `input`: the index of the largest non-NaN logit,
+    /// the ranking the detector uses ([`predicted_class`]).
     ///
     /// # Errors
     ///
-    /// Returns an error if `inputs` is empty or any input does not match the
-    /// network input shape.
-    pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
-        trace::record_batch(self, inputs)
-    }
-
-    /// Predicted class of `input` (argmax of the logits).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` does not match the network input shape.
+    /// Returns an error if `input` does not match the network input shape,
+    /// or [`NnError::InvalidLogits`] if every logit is NaN.
     pub fn predict(&self, input: &Tensor) -> Result<usize> {
-        Ok(self.forward(input)?.argmax()?)
+        predicted_class(self.forward(input)?.as_slice())
     }
 
     /// Backward pass given a recorded trace and the gradient of the loss w.r.t. the
@@ -473,7 +440,9 @@ mod tests {
             seen: Vec::new(),
             input_len: 0,
         };
+        // A single input is the batch of one: stacked `[1] ++ shape`.
         let logits = net.forward_with_sink(&x, &mut probe).unwrap();
+        assert_eq!(logits.dims(), &[1, 3]);
         assert_eq!(logits.as_slice(), net.forward(&x).unwrap().as_slice());
         assert_eq!(probe.input_len, 4);
         assert_eq!(
@@ -492,6 +461,23 @@ mod tests {
         assert_eq!(stacked.dims(), &[2, 3]);
         assert_eq!(probe.input_len, 8);
         assert_eq!(probe.seen, vec![(0usize, 8usize), (1, 10), (2, 10), (3, 6)]);
+    }
+
+    /// `predict` ranks logits the way the detector does
+    /// ([`predicted_class`]): a NaN logit is skipped, never chosen, and
+    /// all-NaN logits are an error rather than class 0.
+    #[test]
+    fn predict_skips_nan_logits_like_the_detector() {
+        let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
+        let bias = Tensor::from_vec(vec![f32::NAN, 0.0], &[2]).unwrap();
+        let net = Network::new(vec![Box::new(Dense::from_parts(identity, bias).unwrap())]).unwrap();
+        let x = Tensor::from_vec(vec![0.0, 1.0], &[2]).unwrap();
+        assert_eq!(net.predict(&x).unwrap(), 1);
+        let all_nan = Tensor::full(&[2], f32::NAN);
+        assert!(matches!(
+            net.predict(&all_nan),
+            Err(NnError::InvalidLogits(_))
+        ));
     }
 
     #[test]
@@ -545,11 +531,22 @@ mod tests {
             })
             .collect();
 
+        /// Every stacked boundary of one pass.
+        struct Boundaries(Vec<Tensor>);
+        impl TraceSink for Boundaries {
+            fn on_input(&mut self, input: &Tensor) {
+                self.0.push(input.clone());
+            }
+            fn on_layer(&mut self, _index: usize, output: &Tensor) {
+                self.0.push(output.clone());
+            }
+        }
+
         let logits = net.forward_batch(&inputs).unwrap();
         assert_eq!(logits.dims(), &[5, net.num_classes()]);
-        let batch_trace = net.forward_trace_batch(&inputs).unwrap();
-        assert_eq!(batch_trace.batch_size(), 5);
-        assert_eq!(batch_trace.num_layers(), net.num_layers());
+        let mut stacked = Boundaries(Vec::new());
+        net.forward_with_sink_batch(&inputs, &mut stacked).unwrap();
+        assert_eq!(stacked.0.len(), net.num_layers() + 1);
 
         for (b, input) in inputs.iter().enumerate() {
             let single = net.forward(input).unwrap();
@@ -558,17 +555,12 @@ mod tests {
                 assert_eq!(f.to_bits(), s.to_bits());
             }
             let single_trace = net.forward_trace(input).unwrap();
-            let sliced = batch_trace.trace(b).unwrap();
-            for layer in 0..net.num_layers() {
-                for (f, s) in sliced
-                    .output(layer)
-                    .as_slice()
-                    .iter()
-                    .zip(single_trace.output(layer).as_slice())
-                {
+            for (boundary, stacked) in single_trace.activations().iter().zip(&stacked.0) {
+                let sliced = stacked.slice_batch(b).unwrap();
+                assert_eq!(sliced.dims(), boundary.dims());
+                for (f, s) in sliced.as_slice().iter().zip(boundary.as_slice()) {
                     assert_eq!(f.to_bits(), s.to_bits());
                 }
-                assert_eq!(sliced.input(layer).dims(), single_trace.input(layer).dims());
             }
         }
     }
@@ -580,7 +572,7 @@ mod tests {
         assert!(net.forward_batch(&[]).is_err());
         let bad = vec![Tensor::ones(&[1, 2, 2]), Tensor::ones(&[4])];
         assert!(net.forward_batch(&bad).is_err());
-        assert!(net.forward_trace_batch(&bad).is_err());
+        assert!(net.forward_with_sink_batch(&bad, &mut ()).is_err());
         // A batch of one works and equals the single path.
         let one = vec![Tensor::ones(&[1, 2, 2])];
         let fused = net.forward_batch(&one).unwrap();

@@ -25,10 +25,10 @@
 //! output: `acc * s_act * s_weight + bias` in f32.  The network therefore
 //! carries ordinary f32 activations between layers, which keeps every
 //! non-weight layer (ReLU, pooling, reshape) byte-identical to the f32 path
-//! and lets the standard [`BatchTrace`] / path-extraction machinery consume
+//! and lets the standard [`TraceSink`] / path-extraction machinery consume
 //! quantized runs unchanged.  `Residual` blocks and any layer whose
 //! parameters don't follow the `[weight, bias]` convention simply run their
-//! f32 `forward` — quantization is per-layer opportunistic, never required.
+//! f32 kernel — quantization is per-layer opportunistic, never required.
 //!
 //! # Kernels and batching
 //!
@@ -46,10 +46,10 @@
 //!
 //! [`QuantizedNetwork`] implements [`ForwardProvider`] — its one batched
 //! streaming pass runs [`Network`]'s layer loop with [`QuantizedNetwork`]'s
-//! own per-layer step — and `forward` (the batch of one) / `forward_batch` /
-//! `forward_trace_batch` are adapters over it, so `ptolemy-core` extracts
-//! activation paths from an int8 pass through exactly the sinks it uses for
-//! f32.  There is no unbatched int8 pass.
+//! own per-layer step — and `forward` (the batch of one) / `forward_batch`
+//! are adapters over it, so `ptolemy-core` extracts activation paths from an
+//! int8 pass through exactly the sinks it uses for f32.  There is no
+//! unbatched int8 pass, as there is no unbatched f32 one.
 //!
 //! # NaN
 //!
@@ -65,8 +65,7 @@ use ptolemy_tensor::gemm_i8::{matmul_i8_parallel, matmul_i8_parallel_nt};
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
 use ptolemy_tensor::{im2col_i8_batch, Conv2dGeometry, Tensor};
 
-use crate::trace;
-use crate::{BatchTrace, ForwardProvider, Layer, LayerKind, Network, NnError, Result, TraceSink};
+use crate::{ForwardProvider, Layer, LayerKind, Network, NnError, Result, TraceSink};
 
 /// What a slot's weight matrix multiplies.
 #[derive(Debug, Clone)]
@@ -299,17 +298,6 @@ impl QuantizedNetwork {
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
         self.forward_with_sink_batch(inputs, &mut ())
     }
-
-    /// Runs one fused quantized forward pass over a whole batch, materialising
-    /// every stacked activation boundary (and residual interior) as a
-    /// [`BatchTrace`]; slice `b` depends on `inputs[b]` alone.
-    ///
-    /// # Errors
-    ///
-    /// See [`QuantizedNetwork::forward_batch`].
-    pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
-        trace::record_batch(self, inputs)
-    }
 }
 
 impl ForwardProvider for QuantizedNetwork {
@@ -379,6 +367,25 @@ mod tests {
         assert!(close >= cal.len() - 1, "only {close}/{} close", cal.len());
     }
 
+    /// Every stacked boundary of one pass.
+    #[derive(Default)]
+    struct Boundaries(Vec<Tensor>);
+
+    impl TraceSink for Boundaries {
+        fn on_input(&mut self, input: &Tensor) {
+            self.0.push(input.clone());
+        }
+        fn on_layer(&mut self, _index: usize, output: &Tensor) {
+            self.0.push(output.clone());
+        }
+    }
+
+    fn boundaries(qnet: &QuantizedNetwork, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        let mut sink = Boundaries::default();
+        qnet.forward_with_sink_batch(inputs, &mut sink)?;
+        Ok(sink.0)
+    }
+
     fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
         assert_eq!(a.dims(), b.dims(), "{what}: dims");
         for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -422,7 +429,7 @@ mod tests {
         let nan = Err(NnError::NanActivation { layer: 0 });
         assert_eq!(qnet.forward(&poisoned), nan);
         assert_eq!(qnet.forward_batch(&[cal[1].clone(), poisoned.clone()]), nan);
-        assert!(qnet.forward_trace_batch(&[poisoned.clone()]).is_err());
+        assert!(boundaries(&qnet, &[poisoned.clone()]).is_err());
         poisoned.as_mut_slice()[5] = f32::INFINITY;
         let saturated = qnet.forward(&poisoned).unwrap();
         assert!(saturated.as_slice().iter().all(|v| v.is_finite()));
@@ -434,23 +441,17 @@ mod tests {
         let network = Arc::new(zoo::lenet(1, 4, &mut rng).unwrap());
         let cal = calibration(&network, &mut rng, 3);
         let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
-        let batch = qnet.forward_trace_batch(&cal).unwrap();
-        assert_eq!(batch.batch_size(), cal.len());
-        assert_eq!(batch.num_layers(), network.num_layers());
+        let batch = boundaries(&qnet, &cal).unwrap();
+        assert_eq!(batch.len(), network.num_layers() + 1);
         for (b, input) in cal.iter().enumerate() {
-            let single = qnet
-                .forward_trace_batch(std::slice::from_ref(input))
-                .unwrap()
-                .trace(0)
-                .unwrap();
-            let sliced = batch.trace(b).unwrap();
-            for (layer, (s, f)) in sliced
-                .activations()
-                .iter()
-                .zip(single.activations())
-                .enumerate()
-            {
-                assert_bits_eq(s, f, &format!("sample {b} boundary {layer}"));
+            let single = boundaries(&qnet, std::slice::from_ref(input)).unwrap();
+            for (layer, (s, f)) in batch.iter().zip(&single).enumerate() {
+                assert_eq!(s.dims()[0], cal.len());
+                assert_bits_eq(
+                    &s.slice_batch(b).unwrap(),
+                    &f.slice_batch(0).unwrap(),
+                    &format!("sample {b} boundary {layer}"),
+                );
             }
         }
     }
@@ -473,14 +474,11 @@ mod tests {
         let cal = calibration(&network, &mut rng, 4);
         let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
         assert_eq!(qnet.num_quantized_layers(), 4);
-        let trace = qnet.forward_trace_batch(&cal[..1]).unwrap();
-        assert_eq!(trace.num_layers(), network.num_layers());
-        let again = qnet.forward_trace_batch(&cal[..1]).unwrap();
-        for (a, b) in trace.activations().iter().zip(again.activations()) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let trace = boundaries(&qnet, &cal[..1]).unwrap();
+        assert_eq!(trace.len(), network.num_layers() + 1);
+        let again = boundaries(&qnet, &cal[..1]).unwrap();
+        for (a, b) in trace.iter().zip(&again) {
+            assert_bits_eq(a, b, "rerun");
         }
         let class = crate::predicted_class(qnet.forward(&cal[0]).unwrap().as_slice()).unwrap();
         assert!(class < network.num_classes());

@@ -1,23 +1,24 @@
 //! Forward-pass observation: the streaming [`TraceSink`] abstraction and the
-//! materialized [`ForwardTrace`] / [`BatchTrace`] records built on top of it.
+//! materialized [`ForwardTrace`] record built on top of it.
 //!
 //! A forward pass produces `num_layers + 1` *activation boundaries*: boundary
 //! `0` is the network input, boundary `i + 1` is layer `i`'s output (which is
 //! also layer `i + 1`'s input — the two were historically stored twice, as
 //! `inputs[i + 1]` *and* `outputs[i]`; they are now stored once).  A
 //! [`TraceSink`] observes the boundaries as they are produced by
-//! [`crate::Network::forward_with_sink`], deciding per layer what to keep —
+//! [`crate::Network::forward_with_sink_batch`], deciding per layer what to keep —
 //! the hook that lets `ptolemy-core` run path extraction *during* inference
 //! and drop activations eagerly instead of materialising the whole trace.
 
 use ptolemy_tensor::Tensor;
 
-use crate::{ForwardProvider, Network, NnError, Result};
+use crate::{Network, NnError, Result};
 
 /// Layer-indexed observer of a forward pass — the streaming alternative to
 /// materialising a full [`ForwardTrace`].
 ///
-/// [`crate::Network::forward_with_sink`] (and its batched twin) call
+/// [`crate::Network::forward_with_sink_batch`] (and every
+/// [`crate::ForwardProvider`]) calls
 /// [`TraceSink::on_input`] once with the activation entering layer 0, then
 /// [`TraceSink::on_layer`] after each layer finishes, **before** the next
 /// layer starts — preceded, for a layer that has one, by
@@ -25,8 +26,8 @@ use crate::{ForwardProvider, Network, NnError, Result};
 /// only borrows the activation: it clones what it needs to keep and lets
 /// everything else die with the driver's scratch buffer, so a sink that
 /// retains nothing observes an entire forward pass in O(largest layer)
-/// memory.  For the batched driver the tensors are stacked (`[B] ++ shape`,
-/// NCHW).
+/// memory.  The tensors are always stacked (`[B] ++ shape`, NCHW) — a
+/// single input is the batch of one, and its sink sees `[1] ++ shape`.
 ///
 /// Sinks are infallible by design — a sink that can fail (e.g. a channel to a
 /// worker thread) records the failure internally and surfaces it after the
@@ -36,8 +37,9 @@ pub trait TraceSink {
     fn on_input(&mut self, _input: &Tensor) {}
 
     /// Observes layer `index`'s interior activation
-    /// ([`crate::Layer::forward_interior`] — a residual block's last body
-    /// layer's input), called just before that layer's [`TraceSink::on_layer`].
+    /// ([`crate::Layer::forward_batch_interior`] — a residual block's last
+    /// body layer's input), called just before that layer's
+    /// [`TraceSink::on_layer`].
     /// A sink that keeps it spares the reverse walk a re-run of the block's
     /// body; the default ignores it.
     fn on_interior(&mut self, _index: usize, _interior: &Tensor) {}
@@ -47,8 +49,10 @@ pub trait TraceSink {
     fn on_layer(&mut self, index: usize, output: &Tensor);
 }
 
-/// A [`TraceSink`] that keeps every boundary and every interior — the adapter
-/// that turns the streaming driver back into a materialized trace.
+/// A [`TraceSink`] that keeps every boundary and every interior of a batch of
+/// one — the adapter that turns the streaming driver back into a materialized
+/// trace.  It unstacks each tensor (`[1] ++ shape` to `shape`) as it copies
+/// it.
 #[derive(Debug, Default)]
 pub(crate) struct TraceRecorder {
     pub(crate) activations: Vec<Tensor>,
@@ -64,17 +68,24 @@ impl TraceRecorder {
     }
 }
 
+/// The sample of a batch of one: `[1] ++ shape` always reshapes to `shape`.
+fn unstacked(stacked: &Tensor) -> Tensor {
+    stacked
+        .reshape(&stacked.dims()[1..])
+        .unwrap_or_else(|_| stacked.clone())
+}
+
 impl TraceSink for TraceRecorder {
     fn on_input(&mut self, input: &Tensor) {
-        self.activations.push(input.clone());
+        self.activations.push(unstacked(input));
     }
 
     fn on_interior(&mut self, index: usize, interior: &Tensor) {
-        self.interiors[index] = Some(interior.clone());
+        self.interiors[index] = Some(unstacked(interior));
     }
 
     fn on_layer(&mut self, _index: usize, output: &Tensor) {
-        self.activations.push(output.clone());
+        self.activations.push(unstacked(output));
     }
 }
 
@@ -83,36 +94,23 @@ impl TraceSink for () {
     fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
 }
 
-/// One pass of `network` over `input` with a keep-everything sink — the
-/// materializing adapter behind `forward_trace`.
+/// The batch of one of `network` over `input` with a keep-everything sink —
+/// the materializing adapter behind `forward_trace`.
 pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> {
     let mut recorder = TraceRecorder::with_capacity(network.num_layers());
     network.forward_with_sink(input, &mut recorder)?;
     ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
 }
 
-/// Fused-batch twin of [`record`] over any provider, behind every
-/// `forward_trace_batch`.
-pub(crate) fn record_batch<P: ForwardProvider>(
-    provider: &P,
-    inputs: &[Tensor],
-) -> Result<BatchTrace> {
-    let mut recorder = TraceRecorder::with_capacity(provider.network().num_layers());
-    provider.forward_with_sink_batch(inputs, &mut recorder)?;
-    Ok(BatchTrace::new(
-        inputs.len(),
-        recorder.activations,
-        recorder.interiors,
-    ))
-}
-
 /// Picks the predicted class from one sample's logits: the index of the
 /// largest non-NaN logit.
 ///
-/// Only NaN is excluded — infinities are totally ordered under `>`, so an
+/// [`crate::Network::predict`] ranks with this function too.  Only NaN is
+/// excluded — infinities are totally ordered under `>`, so an
 /// overflow-saturated `+∞` logit wins exactly as it does under
-/// [`Tensor::argmax`] (and [`crate::Network::predict`]); filtering it out
-/// would silently score the input against the wrong class's canary path.
+/// [`Tensor::argmax`]; filtering it out would silently score the input
+/// against the wrong class's canary path.  On NaN-free logits the ranking is
+/// [`Tensor::argmax`]'s (the first maximum wins).
 ///
 /// # Errors
 ///
@@ -147,8 +145,8 @@ pub fn predicted_class(logits: &[f32]) -> Result<usize> {
 /// [`crate::Layer::contributions_many`].
 ///
 /// A trace recorded by [`crate::Network::forward_trace`] also keeps each
-/// layer's *interior* ([`crate::Layer::forward_interior`] — a residual block's
-/// last body layer's input), so decomposing that layer later re-runs nothing;
+/// layer's *interior* ([`crate::Layer::forward_batch_interior`] — a residual
+/// block's last body layer's input), so decomposing that layer later re-runs nothing;
 /// a trace assembled from boundaries alone ([`ForwardTrace::from_activations`])
 /// has none, and the layer recomputes its interior from the boundary it is
 /// given.
@@ -237,13 +235,14 @@ impl ForwardTrace {
             .expect("a trace holds at least two boundaries")
     }
 
-    /// Index of the predicted class (largest finite logit).
+    /// Index of the predicted class (largest non-NaN logit,
+    /// [`predicted_class`]).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidLogits`] if the logits contain no finite
-    /// value — the historical `argmax().unwrap_or(0)` silently classified an
-    /// all-NaN output as class 0.
+    /// Returns [`NnError::InvalidLogits`] if every logit is NaN — the
+    /// historical `argmax().unwrap_or(0)` silently classified an all-NaN
+    /// output as class 0.
     pub fn predicted_class(&self) -> Result<usize> {
         predicted_class(self.logits().as_slice())
     }
@@ -252,130 +251,11 @@ impl ForwardTrace {
     /// (boundaries and recorded interiors) — the baseline the streaming
     /// extraction pipeline's peak footprint is compared against.
     pub fn activation_bytes(&self) -> usize {
-        resident_bytes(&self.activations, &self.interiors)
-    }
-}
-
-fn resident_bytes(activations: &[Tensor], interiors: &[Option<Tensor>]) -> usize {
-    activations
-        .iter()
-        .chain(interiors.iter().flatten())
-        .map(|t| t.len() * std::mem::size_of::<f32>())
-        .sum()
-}
-
-/// Record of one fused forward pass over a whole batch
-/// ([`crate::Network::forward_trace_batch`]).
-///
-/// Activations are stored stacked, one tensor per boundary: boundary `i` has
-/// shape `[B] ++ layer_shape` (NCHW convention — sample `b` is the contiguous
-/// slab `b` of the leading dimension).  [`BatchTrace::trace`] slices one
-/// sample's activations back out as an ordinary [`ForwardTrace`]; because the
-/// fused kernels are bit-for-bit identical to the per-input path, the sliced
-/// trace equals `forward_trace` of that sample exactly, so the extraction
-/// algorithms in `ptolemy-core` can consume the slices without any tolerance.
-#[derive(Debug, Clone)]
-pub struct BatchTrace {
-    batch_size: usize,
-    /// `activations[0]` is the stacked batch input; `activations[i + 1]` is
-    /// layer `i`'s stacked output.
-    activations: Vec<Tensor>,
-    /// `interiors[i]` is layer `i`'s stacked interior, where recorded.
-    interiors: Vec<Option<Tensor>>,
-}
-
-impl BatchTrace {
-    /// Assembles a batch trace from stacked activation boundaries and the
-    /// stacked interiors recorded alongside them (empty for none).
-    pub(crate) fn new(
-        batch_size: usize,
-        activations: Vec<Tensor>,
-        interiors: Vec<Option<Tensor>>,
-    ) -> Self {
-        BatchTrace {
-            batch_size,
-            activations,
-            interiors,
-        }
-    }
-
-    /// Number of samples in the fused batch.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Number of layers traced.
-    pub fn num_layers(&self) -> usize {
-        self.activations.len() - 1
-    }
-
-    /// All stacked activation boundaries (`[B] ++ boundary_shape` each).
-    pub fn activations(&self) -> &[Tensor] {
-        &self.activations
-    }
-
-    /// Stacked input activation of layer `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= num_layers()`.
-    pub fn input(&self, index: usize) -> &Tensor {
-        &self.activations[index]
-    }
-
-    /// Stacked output activation of layer `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= num_layers()`.
-    pub fn output(&self, index: usize) -> &Tensor {
-        &self.activations[index + 1]
-    }
-
-    /// Slices sample `index` out of the fused trace as a per-input
-    /// [`ForwardTrace`] (bit-for-bit what `forward_trace` on that sample alone
-    /// records).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `index >= batch_size()`.
-    pub fn trace(&self, index: usize) -> Result<ForwardTrace> {
-        let activations = self
-            .activations
+        self.activations
             .iter()
-            .map(|t| Ok(t.slice_batch(index)?))
-            .collect::<Result<Vec<Tensor>>>()?;
-        let interiors = self
-            .interiors
-            .iter()
-            .map(|kept| Ok(kept.as_ref().map(|t| t.slice_batch(index)).transpose()?))
-            .collect::<Result<Vec<Option<Tensor>>>>()?;
-        ForwardTrace::with_interiors(activations, interiors)
-    }
-
-    /// Final logits of sample `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `index >= batch_size()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty; [`crate::Network::forward_trace_batch`]
-    /// never produces an empty trace for a non-empty network.
-    pub fn logits(&self, index: usize) -> Result<Tensor> {
-        Ok(self
-            .activations
-            .last()
-            // lint:allow(panic-in-worker): forward_trace_batch never yields an empty trace
-            .expect("batch trace of a non-empty network")
-            .slice_batch(index)?)
-    }
-
-    /// Total bytes of stacked activation data this materialized batch trace
-    /// holds resident (boundaries and recorded interiors).
-    pub fn activation_bytes(&self) -> usize {
-        resident_bytes(&self.activations, &self.interiors)
+            .chain(self.interiors.iter().flatten())
+            .map(|t| t.len() * std::mem::size_of::<f32>())
+            .sum()
     }
 }
 
@@ -415,8 +295,7 @@ mod tests {
             Err(NnError::InvalidLogits(_))
         ));
         // Infinities stay totally ordered: a saturated +inf logit wins exactly
-        // as it does under argmax (Network::predict must agree with the
-        // detection pipeline's predicted class).
+        // as it does under argmax.
         let saturated = Tensor::from_vec(vec![0.0, f32::INFINITY], &[2]).unwrap();
         assert_eq!(
             predicted_class(saturated.as_slice()).unwrap(),
@@ -439,38 +318,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_trace_slices_back_to_per_sample_traces() {
-        // Two samples, one layer: inputs [2, 4], outputs [2, 3].
-        let inputs = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 4]).unwrap();
-        let outputs = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.7, 0.2, 0.1], &[2, 3]).unwrap();
-        let batch = BatchTrace::new(2, vec![inputs, outputs], Vec::new());
-        assert_eq!(batch.batch_size(), 2);
-        assert_eq!(batch.num_layers(), 1);
-        assert_eq!(batch.input(0).dims(), &[2, 4]);
-        assert_eq!(batch.output(0).dims(), &[2, 3]);
-        assert_eq!(batch.activation_bytes(), (8 + 6) * 4);
-        let t0 = batch.trace(0).unwrap();
-        assert_eq!(t0.input(0).as_slice(), &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(t0.predicted_class().unwrap(), 1);
-        let t1 = batch.trace(1).unwrap();
-        assert_eq!(t1.predicted_class().unwrap(), 0);
-        assert_eq!(batch.logits(1).unwrap().as_slice(), &[0.7, 0.2, 0.1]);
-        assert!(batch.trace(2).is_err());
-    }
-
-    #[test]
     fn recorder_sink_materializes_all_boundaries() {
+        // A batch of one, unstacked as it is recorded.
         let mut recorder = TraceRecorder::with_capacity(2);
-        let x = Tensor::zeros(&[4]);
-        let h = Tensor::ones(&[3]);
-        let y = Tensor::full(&[2], 0.5);
+        let x = Tensor::zeros(&[1, 4]);
+        let h = Tensor::ones(&[1, 3]);
+        let y = Tensor::full(&[1, 2], 0.5);
         recorder.on_input(&x);
         recorder.on_layer(0, &h);
         recorder.on_layer(1, &y);
         let trace = ForwardTrace::from_activations(recorder.activations).unwrap();
         assert_eq!(trace.num_layers(), 2);
         assert!(trace.interior(0).is_none());
+        assert_eq!(trace.input(0).dims(), &[4]);
         assert_eq!(trace.input(1).as_slice(), h.as_slice());
+        assert_eq!(trace.logits().dims(), &[2]);
         assert_eq!(trace.logits().as_slice(), y.as_slice());
     }
 }

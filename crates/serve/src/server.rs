@@ -1702,7 +1702,8 @@ mod tests {
 
     /// The fault-injection point of these tests, outside the server: a
     /// [`Layer`] that delegates every method to the layer it wraps and runs
-    /// `hook` before each of the four forward entry points.  Unsharded
+    /// `hook` before each of its two forward kernels (`forward` is the
+    /// provided batch of one over `forward_batch`).  Unsharded
     /// `escalate` does not require the tiers to share a network instance, so
     /// a hooked network can sit in tier 2 alone.
     struct HookedLayer {
@@ -1720,17 +1721,9 @@ mod tests {
         fn input_shape(&self) -> Vec<usize> {
             self.inner.input_shape()
         }
-        fn forward(&self, input: &Tensor) -> ptolemy_nn::Result<Tensor> {
-            (self.hook)();
-            self.inner.forward(input)
-        }
         fn forward_batch(&self, batch: &Tensor) -> ptolemy_nn::Result<Tensor> {
             (self.hook)();
             self.inner.forward_batch(batch)
-        }
-        fn forward_interior(&self, input: &Tensor) -> ptolemy_nn::Result<(Tensor, Option<Tensor>)> {
-            (self.hook)();
-            self.inner.forward_interior(input)
         }
         fn forward_batch_interior(
             &self,

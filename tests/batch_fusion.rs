@@ -1,9 +1,9 @@
 //! Property-based parity suite for the fused NCHW batch pipeline: across every
-//! `variants::*` program and batch sizes 1..8, `forward_batch`,
-//! `forward_trace_batch` and the fused `detect_batch` must be **bit-for-bit
-//! identical** to the per-input path — each output column depends only on its
-//! own input column, and every fused kernel preserves the per-input reduction
-//! order.  The same holds for the hoisted fan-out: however many contiguous
+//! `variants::*` program and batch sizes 1..8, `forward_batch`, every stacked
+//! boundary of the fused pass and the fused `detect_batch` must be
+//! **bit-for-bit identical** to the per-input path — each output column
+//! depends only on its own input column, and every fused kernel preserves the
+//! per-input reduction order.  The same holds for the hoisted fan-out: however many contiguous
 //! sub-batches a batch is split into, the batched detect entry returns the
 //! bits it returns on one thread, whichever forward provider (f32 or int8)
 //! runs the pass.
@@ -109,9 +109,9 @@ fn batch(seed: u64, len: usize, scale: f32) -> Vec<Tensor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `forward_batch` row `b` is bit-for-bit `forward(&xs[b])`, and every
-    /// layer activation of `forward_trace_batch(..).trace(b)` is bit-for-bit
-    /// the per-input `forward_trace` — for batch sizes 1..8.
+    /// `forward_batch` row `b` is bit-for-bit `forward(&xs[b])`, and slice
+    /// `b` of every stacked boundary of the fused pass is bit-for-bit the
+    /// per-input `forward_trace` — for batch sizes 1..8.
     #[test]
     fn fused_forward_and_trace_match_per_input_bit_for_bit(
         seed in 0u64..10_000,
@@ -122,9 +122,9 @@ proptest! {
         let inputs = batch(seed, len, scale);
 
         let logits = fx.network.forward_batch(&inputs).unwrap();
-        let batch_trace = fx.network.forward_trace_batch(&inputs).unwrap();
-        prop_assert_eq!(batch_trace.batch_size(), inputs.len());
-        prop_assert_eq!(batch_trace.num_layers(), fx.network.num_layers());
+        let stacked = common::Stacked::record(fx.network.as_ref(), &inputs);
+        prop_assert_eq!(stacked.boundaries[0].dims()[0], inputs.len());
+        prop_assert_eq!(stacked.boundaries.len(), fx.network.num_layers() + 1);
 
         for (b, input) in inputs.iter().enumerate() {
             let single_logits = fx.network.forward(input).unwrap();
@@ -140,7 +140,7 @@ proptest! {
             );
 
             let single = fx.network.forward_trace(input).unwrap();
-            let sliced = batch_trace.trace(b).unwrap();
+            let sliced = stacked.trace(b);
             for layer in 0..single.num_layers() {
                 let outputs_match = sliced
                     .output(layer)

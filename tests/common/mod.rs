@@ -4,7 +4,7 @@
 //! network plus its dataset, sized so every test file stays fast.
 
 use ptolemy::data::{DatasetConfig, SyntheticDataset};
-use ptolemy::nn::{zoo, Network, TrainConfig, Trainer};
+use ptolemy::nn::{zoo, ForwardProvider, ForwardTrace, Network, TraceSink, TrainConfig, Trainer};
 use ptolemy::tensor::{Rng64, Tensor};
 
 /// A trained LeNet-class victim on a 4-class synthetic dataset.
@@ -62,4 +62,59 @@ pub fn self_labelled_resnet(seed: u64, samples: usize) -> (Network, Vec<(Tensor,
         })
         .collect();
     (network, labelled)
+}
+
+/// Every stacked boundary and interior of one fused forward pass — the
+/// oracle the parity suites slice per sample.
+#[derive(Default)]
+pub struct Stacked {
+    /// `[B] ++ shape` boundaries: the input, then every layer output.
+    pub boundaries: Vec<Tensor>,
+    /// `[B] ++ shape` interiors, in layer order.
+    pub interiors: Vec<Tensor>,
+}
+
+impl Stacked {
+    /// Records one fused pass of `provider` over `inputs`.
+    pub fn record<P: ForwardProvider>(provider: &P, inputs: &[Tensor]) -> Self {
+        let mut sink = Stacked::default();
+        provider
+            .forward_with_sink_batch(inputs, &mut sink)
+            .expect("forward pass");
+        sink
+    }
+
+    /// Sample `b`'s boundaries as a boundaries-only trace.
+    pub fn trace(&self, b: usize) -> ForwardTrace {
+        let activations = self
+            .boundaries
+            .iter()
+            .map(|t| t.slice_batch(b).expect("sample in range"))
+            .collect();
+        ForwardTrace::from_activations(activations).expect("at least one layer")
+    }
+
+    /// Bytes of the recorded boundaries alone.
+    pub fn boundary_bytes(&self) -> usize {
+        self.boundaries.iter().map(|t| t.len() * 4).sum()
+    }
+
+    /// Bytes of everything recorded: boundaries and interiors.
+    pub fn bytes(&self) -> usize {
+        self.boundary_bytes() + self.interiors.iter().map(|t| t.len() * 4).sum::<usize>()
+    }
+}
+
+impl TraceSink for Stacked {
+    fn on_input(&mut self, input: &Tensor) {
+        self.boundaries.push(input.clone());
+    }
+
+    fn on_interior(&mut self, _index: usize, interior: &Tensor) {
+        self.interiors.push(interior.clone());
+    }
+
+    fn on_layer(&mut self, _index: usize, output: &Tensor) {
+        self.boundaries.push(output.clone());
+    }
 }

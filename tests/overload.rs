@@ -413,10 +413,6 @@ impl Layer for Borrowed {
     fn input_shape(&self) -> Vec<usize> {
         self.inner().input_shape()
     }
-    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.run_hook();
-        self.inner().forward(input)
-    }
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor, NnError> {
         self.run_hook();
         self.inner().forward_batch(batch)

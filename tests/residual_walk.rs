@@ -127,8 +127,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Streamed == materialized (recorded and recomputed interior) == slice
-    /// `b` of the fused batch (streamed and materialized), at forced widths 1
-    /// and N: paths bit for bit.
+    /// `b` of the fused batch (streamed, and materialized from its sliced
+    /// boundaries), at forced widths 1 and N: paths bit for bit.
     #[test]
     fn residual_extraction_agrees_across_every_pipeline(
         seed in 0u64..10_000,
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let fx = fixture();
         let inputs = batch(seed, len, scale);
-        let batch_trace = fx.network.forward_trace_batch(&inputs).unwrap();
+        let stacked = common::Stacked::record(fx.network.as_ref(), &inputs);
         for (name, engine) in &fx.engines {
             let program = engine.program();
             let fused = with_forced_width(1, || {
@@ -171,11 +171,8 @@ proptest! {
                     name,
                     b
                 );
-                let sliced = batch_trace.trace(b).unwrap();
                 prop_assert!(
-                    extract_path(&fx.network, &sliced, program).unwrap() == path
-                        && extract_path(&fx.network, &boundaries_only(&sliced), program).unwrap()
-                            == path,
+                    extract_path(&fx.network, &stacked.trace(b), program).unwrap() == path,
                     "variant {}: materialized batch slice {} diverged",
                     name,
                     b
@@ -188,8 +185,7 @@ proptest! {
             let qnet = engine.quantized_network().expect("quantized fixture");
             for (input, served) in inputs.iter().zip(engine.detect_batch_on(qnet, &inputs)) {
                 let (detection, path) = served.unwrap();
-                let one = qnet.forward_trace_batch(std::slice::from_ref(input)).unwrap();
-                let trace = boundaries_only(&one.trace(0).unwrap());
+                let trace = common::Stacked::record(qnet, std::slice::from_ref(input)).trace(0);
                 prop_assert!(
                     detection.predicted_class == trace.predicted_class().unwrap()
                         && path == extract_path(&fx.network, &trace, program).unwrap(),
@@ -200,14 +196,9 @@ proptest! {
             // The sink really kept the interiors: it holds more than the
             // boundaries alone would, and is charged for it.
             if *name != "bw_cu_early_termination" {
-                let boundary_bytes: usize = batch_trace
-                    .activations()
-                    .iter()
-                    .map(|t| t.len() * std::mem::size_of::<f32>())
-                    .sum();
-                prop_assert!(batch_trace.activation_bytes() > boundary_bytes);
-                prop_assert!(fused.footprint.peak_streamed_bytes <= batch_trace.activation_bytes());
-                prop_assert_eq!(fused.footprint.materialized_bytes, batch_trace.activation_bytes());
+                prop_assert!(stacked.bytes() > stacked.boundary_bytes());
+                prop_assert!(fused.footprint.peak_streamed_bytes <= stacked.bytes());
+                prop_assert_eq!(fused.footprint.materialized_bytes, stacked.bytes());
             }
         }
     }
@@ -271,10 +262,6 @@ impl Layer for Counting {
     }
     fn input_shape(&self) -> Vec<usize> {
         self.inner.input_shape()
-    }
-    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.samples.fetch_add(1, Ordering::SeqCst);
-        self.inner.forward(input)
     }
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor, NnError> {
         self.samples.fetch_add(batch.dims()[0], Ordering::SeqCst);

@@ -17,7 +17,7 @@ use ptolemy::core::{
     extract_path, extract_path_streaming, extract_paths_streaming_batch, variants, DetectionEngine,
     DetectionProgram, Profiler,
 };
-use ptolemy::nn::{ForwardTrace, Network};
+use ptolemy::nn::Network;
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
@@ -134,7 +134,7 @@ proptest! {
             // Fused-batch streaming vs per-sample materialized slices.
             let streamed = extract_paths_streaming_batch(&fx.network, program, &inputs).unwrap();
             prop_assert_eq!(streamed.samples.len(), inputs.len());
-            let batch_trace = fx.network.forward_trace_batch(&inputs).unwrap();
+            let stacked = common::Stacked::record(fx.network.as_ref(), &inputs);
             for (b, input) in inputs.iter().enumerate() {
                 let (expected_class, expected_path) =
                     materialized_path(&fx.network, program, input);
@@ -164,9 +164,7 @@ proptest! {
             let qnet = engine.quantized_network().expect("quantized fixture");
             for (input, served) in inputs.iter().zip(engine.detect_batch_on(qnet, &inputs)) {
                 let (detection, path) = served.unwrap();
-                let one = qnet.forward_trace_batch(std::slice::from_ref(input)).unwrap();
-                let boundaries = one.trace(0).unwrap().activations().to_vec();
-                let trace = ForwardTrace::from_activations(boundaries).unwrap();
+                let trace = common::Stacked::record(qnet, std::slice::from_ref(input)).trace(0);
                 prop_assert!(
                     detection.predicted_class == trace.predicted_class().unwrap()
                         && path == extract_path(&fx.network, &trace, program).unwrap(),
@@ -204,11 +202,11 @@ proptest! {
             // Memory guarantee: the streamed pipeline never holds the full
             // trace (every variant retains at most a strict subset).
             prop_assert!(
-                streamed.footprint.peak_streamed_bytes < batch_trace.activation_bytes(),
+                streamed.footprint.peak_streamed_bytes < stacked.bytes(),
                 "variant {}: streamed peak {} >= materialized {}",
                 name,
                 streamed.footprint.peak_streamed_bytes,
-                batch_trace.activation_bytes()
+                stacked.bytes()
             );
         }
     }
