@@ -101,6 +101,24 @@ impl Conv2d {
         &self.bias
     }
 
+    /// The fused kernel over a stacked batch (shape already checked), against
+    /// the packed weights of the current weight version.
+    fn convolve(&self, samples: &Tensor) -> Result<Vec<f32>> {
+        let packed = match self.packed.get() {
+            Some(packed) => packed,
+            None => {
+                let packed = PackedWeights::pack(&self.weight)?;
+                self.packed.get_or_init(|| packed)
+            }
+        };
+        Ok(conv2d_forward(
+            samples,
+            &self.geom,
+            packed,
+            self.bias.as_slice(),
+        )?)
+    }
+
     fn check_input(&self, input: &Tensor) -> Result<()> {
         let expected = [self.geom.in_channels, self.geom.in_h, self.geom.in_w];
         if input.dims() != expected {
@@ -126,8 +144,6 @@ impl Layer for Conv2d {
         vec![self.geom.in_channels, self.geom.in_h, self.geom.in_w]
     }
 
-    /// The fused kernel against the packed weights of the current weight
-    /// version.
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let geom = &self.geom;
         let batch_size = check_batch(
@@ -135,16 +151,14 @@ impl Layer for Conv2d {
             &[geom.in_channels, geom.in_h, geom.in_w],
             self.name(),
         )?;
-        let packed = match self.packed.get() {
-            Some(packed) => packed,
-            None => {
-                let packed = PackedWeights::pack(&self.weight)?;
-                self.packed.get_or_init(|| packed)
-            }
-        };
         Ok(Tensor::from_vec(
-            conv2d_forward(batch, geom, packed, self.bias.as_slice())?,
-            &[batch_size, self.out_channels, geom.out_h, geom.out_w],
+            self.convolve(batch)?,
+            &[
+                batch_size,
+                self.out_channels,
+                self.geom.out_h,
+                self.geom.out_w,
+            ],
         )?)
     }
 

@@ -89,6 +89,30 @@ impl Dense {
         }
         Ok(())
     }
+
+    /// The one dense kernel, behind `forward_batch`: `rows` stacked inputs
+    /// (`xs`, row-major) times the weights, plus the bias.  Every row is
+    /// prefilled with the bias and `gemm_nt_into` accumulates `X · Wᵀ` on top
+    /// (W stays in its natural `[outputs, inputs]` layout), so each output
+    /// neuron is one bias-first, ascending-input chain with no sparsity skip —
+    /// the same bits whatever `rows` is, which makes a single sample the batch
+    /// of one.  Below the register tile's height the kernel runs that chain as
+    /// a plain dot loop instead of packing the weights.
+    fn affine(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+        let (inputs, outputs) = (self.inputs, self.outputs);
+        let w = self.weight.as_slice();
+        let mut out = Vec::with_capacity(rows * outputs);
+        for _ in 0..rows {
+            out.extend_from_slice(self.bias.as_slice());
+        }
+        let macs = rows * inputs * outputs;
+        par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
+            let samples = chunk.len() / outputs;
+            let x = &xs[first * inputs..(first + samples) * inputs];
+            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
+        });
+        out
+    }
 }
 
 impl Layer for Dense {
@@ -104,28 +128,12 @@ impl Layer for Dense {
         vec![self.inputs]
     }
 
-    /// The one dense kernel: the stacked rows times the weights, plus the
-    /// bias.  Every row is prefilled with the bias and `gemm_nt_into`
-    /// accumulates `X · Wᵀ` on top (W stays in its natural `[outputs, inputs]`
-    /// layout), so each output neuron is one bias-first, ascending-input chain
-    /// with no sparsity skip — the same bits whatever the batch size is.
-    /// Below the register tile's height the kernel runs that chain as a plain
-    /// dot loop instead of packing the weights.
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let rows = check_batch(batch, &[self.inputs], self.name())?;
-        let (inputs, outputs) = (self.inputs, self.outputs);
-        let (xs, w) = (batch.as_slice(), self.weight.as_slice());
-        let mut out = Vec::with_capacity(rows * outputs);
-        for _ in 0..rows {
-            out.extend_from_slice(self.bias.as_slice());
-        }
-        let macs = rows * inputs * outputs;
-        par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
-            let samples = chunk.len() / outputs;
-            let x = &xs[first * inputs..(first + samples) * inputs];
-            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
-        });
-        Ok(Tensor::from_vec(out, &[rows, outputs])?)
+        let batch_size = check_batch(batch, &[self.inputs], self.name())?;
+        Ok(Tensor::from_vec(
+            self.affine(batch.as_slice(), batch_size),
+            &[batch_size, self.outputs],
+        )?)
     }
 
     fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
