@@ -2,12 +2,11 @@
 //!
 //! Every experiment run writes one schema'd JSON report next to its printed
 //! tables: the experiment id, the scale it ran at, its wall time, every named
-//! [`Table::metric`], and the deterministic ([`Table::check`]) and advisory
-//! ([`Table::timing_check`]) shape-check flags.  CI smoke-runs the registry,
-//! diffs the reports against the committed baseline with
-//! `scripts/bench_diff.sh` (parity flags exact, timing metrics
-//! tolerance-aware, advisory flags never gated) and uploads them as
-//! artifacts, so the repository carries its own performance trajectory.
+//! [`Table::metric`], and the deterministic [`Table::check`] shape-check
+//! flags.  CI smoke-runs the registry, diffs the reports against the
+//! committed baseline with `scripts/bench_diff.sh` (parity flags exact,
+//! timing metrics tolerance-aware) and uploads them as artifacts, so the
+//! repository carries its own performance trajectory.
 //!
 //! The format is deliberately one key per line so that shell tooling can
 //! diff it with `grep`/`awk` alone:
@@ -15,17 +14,14 @@
 //! ```json
 //! {
 //!   "schema": "ptolemy-bench-v1",
-//!   "experiment": "serve_throughput",
+//!   "experiment": "quantized_serve",
 //!   "scale": "quick",
 //!   "wall_us": 1234567,
 //!   "metrics": {
-//!     "direct_throughput_milli": 152000
+//!     "int8_escalated": 27
 //!   },
 //!   "parity": {
-//!     "tiered_routing_escalates_and_the_cache_hits_on_duplicates": 1
-//!   },
-//!   "advisory": {
-//!     "served_throughput_direct_loop_at_4_workers": 1
+//!     "both_modes_completed_every_request_without_failures": 1
 //!   }
 //! }
 //! ```
@@ -111,25 +107,20 @@ pub fn render(experiment: &str, scale: BenchScale, wall_us: u64, tables: &[Table
             .flat_map(|t| t.metrics().iter().cloned())
             .collect::<Vec<_>>(),
     );
-    let flags = |pick: fn(&Table) -> &[(String, bool)]| -> Vec<(String, u64)> {
-        keyed(
-            tables
-                .iter()
-                .flat_map(|t| pick(t).iter().cloned())
-                .map(|(label, ok)| (label, u64::from(ok)))
-                .collect::<Vec<_>>(),
-        )
-    };
-    let parity = flags(Table::checks);
-    let advisory = flags(Table::advisory_checks);
+    let parity = keyed(
+        tables
+            .iter()
+            .flat_map(|t| t.checks().iter().cloned())
+            .map(|(label, ok)| (label, u64::from(ok)))
+            .collect::<Vec<_>>(),
+    );
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"experiment\": \"{}\",\n  \"scale\": \"{}\",\n  \
-         \"wall_us\": {wall_us},\n{},\n{},\n{}\n}}\n",
+         \"wall_us\": {wall_us},\n{},\n{}\n}}\n",
         key_of(experiment),
         scale.label(),
         section("metrics", &metrics),
         section("parity", &parity),
-        section("advisory", &advisory),
     )
 }
 
@@ -161,8 +152,8 @@ mod tests {
     fn keys_are_stable_snake_case() {
         assert_eq!(key_of("wall_us"), "wall_us");
         assert_eq!(
-            key_of("served throughput >= direct loop (4 workers)"),
-            "served_throughput_direct_loop_4_workers"
+            key_of("served int8-screen verdicts agree on >= 75% (of inputs)"),
+            "served_int8_screen_verdicts_agree_on_75_of_inputs"
         );
         assert_eq!(key_of("BwCu >> BwAb"), "bwcu_bwab");
         assert_eq!(key_of("---"), "x");
@@ -188,12 +179,12 @@ mod tests {
     #[test]
     fn report_renders_one_key_per_line_and_parses() {
         let mut table = Table::new("t");
-        table.metric("direct_throughput_milli", 1500);
+        table.metric("int8_escalated", 27);
         table.check("fused parity", true);
-        table.timing_check("pipelined wins", false);
-        let text = render("serve_throughput", BenchScale::Quick, 42, &[table]);
+        table.check("routing sums", false);
+        let text = render("quantized_serve", BenchScale::Quick, 42, &[table]);
         // One key per line: every quoted key starts its own line.
-        for key in ["\"schema\"", "\"wall_us\"", "\"direct_throughput_milli\""] {
+        for key in ["\"schema\"", "\"wall_us\"", "\"int8_escalated\""] {
             assert_eq!(
                 text.lines()
                     .filter(|l| l.trim_start().starts_with(key))
@@ -209,7 +200,7 @@ mod tests {
         );
         assert_eq!(
             parsed.get("experiment").and_then(JsonValue::as_str),
-            Some("serve_throughput")
+            Some("quantized_serve")
         );
         assert_eq!(
             parsed.get("scale").and_then(JsonValue::as_str),
@@ -219,9 +210,9 @@ mod tests {
         assert_eq!(
             parsed
                 .get("metrics")
-                .and_then(|m| m.get("direct_throughput_milli"))
+                .and_then(|m| m.get("int8_escalated"))
                 .and_then(JsonValue::as_u64),
-            Some(1500)
+            Some(27)
         );
         assert_eq!(
             parsed
@@ -232,8 +223,8 @@ mod tests {
         );
         assert_eq!(
             parsed
-                .get("advisory")
-                .and_then(|a| a.get("pipelined_wins"))
+                .get("parity")
+                .and_then(|p| p.get("routing_sums"))
                 .and_then(JsonValue::as_u64),
             Some(0)
         );

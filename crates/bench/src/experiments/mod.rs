@@ -19,9 +19,6 @@
 //! | [`sec7g_scaling`] | Sec. VII-G — 8-bit and 32×32 array variants |
 //! | [`sec7h_large_models`] | Sec. VII-H — VGG/Inception/DenseNet results |
 //! | [`sec3b_cost_analysis`] | Sec. III-B — software cost analysis |
-//! | [`serve_throughput`] | beyond the paper — serving-runtime throughput |
-//! | [`sharded_escalation`] | beyond the paper — sharded, pipelined tier-2 escalation |
-//! | [`obs_overhead`] | beyond the paper — observability overhead of the serving runtime |
 //! | [`quantized_detect`] | beyond the paper — int8 vs f32 detection agreement and AUC |
 //! | [`quantized_serve`] | beyond the paper — f32 screen vs int8 screen in the two-tier server |
 //! | [`overload_survival`] | beyond the paper — goodput under overload with deadlines, admission and degradation |
@@ -36,7 +33,6 @@ pub mod fig15_similarity_attack;
 pub mod fig16_early_termination;
 pub mod fig17_late_start;
 pub mod fig18_hw_sensitivity;
-pub mod obs_overhead;
 pub mod overload_survival;
 pub mod quantized_detect;
 pub mod quantized_serve;
@@ -44,8 +40,6 @@ pub mod sec3b_cost_analysis;
 pub mod sec7a_overhead;
 pub mod sec7g_scaling;
 pub mod sec7h_large_models;
-pub mod serve_throughput;
-pub mod sharded_escalation;
 pub mod tab02_theta_sensitivity;
 
 use crate::{BenchResult, BenchScale, Table};
@@ -159,21 +153,6 @@ pub fn all() -> Vec<Experiment> {
             run: sec7h_large_models::run,
         },
         Experiment {
-            id: "serve_throughput",
-            paper_artifact: "beyond paper: serving runtime",
-            run: serve_throughput::run,
-        },
-        Experiment {
-            id: "sharded_escalation",
-            paper_artifact: "beyond paper: sharded, pipelined tier-2 escalation",
-            run: sharded_escalation::run,
-        },
-        Experiment {
-            id: "obs_overhead",
-            paper_artifact: "beyond paper: observability overhead of the serving runtime",
-            run: obs_overhead::run,
-        },
-        Experiment {
             id: "quantized_detect",
             paper_artifact: "beyond paper: int8 quantized detection path",
             run: quantized_detect::run,
@@ -198,11 +177,11 @@ mod tests {
     #[test]
     fn registry_covers_every_paper_artifact_once() {
         let experiments = all();
-        assert_eq!(experiments.len(), 21);
+        assert_eq!(experiments.len(), 18);
         let mut ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 21, "duplicate experiment ids");
+        assert_eq!(ids.len(), 18, "duplicate experiment ids");
         assert!(experiments.iter().all(|e| !e.paper_artifact.is_empty()));
     }
 }

@@ -21,8 +21,8 @@
 //! than the undegraded run's, and every
 //! degraded verdict is **bit-for-bit** the screen engine's direct `detect`
 //! result (degradation sheds tier-2 work, never tier-1 correctness).  The
-//! latency-percentile rows and the uncontrolled-baseline contrast are
-//! advisory wall-clock shape.
+//! latency percentiles and the uncontrolled-baseline contrast are recorded
+//! as metrics, not checked.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -493,14 +493,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
                     && b.stats.completed + b.expired + b.dropped == requests as u64
             }),
     );
-    table.timing_check(
-        "degradation strictly improves goodput at 4x overload summed over 3 paired trials",
-        gate_degraded_goodput > gate_plain_goodput,
-    );
-    table.timing_check(
-        "uncontrolled overload p99 is no better than the degraded server's p99",
-        uncontrolled_stats.p99_latency_ms >= gated_degraded_p99_ms,
-    );
     Ok(vec![table])
 }
 
@@ -523,9 +515,5 @@ mod tests {
             assert!(rendered.contains(gate), "gate `{gate}` failed:\n{rendered}");
         }
         assert_eq!(tables[0].checks().len(), 5);
-        assert_eq!(tables[0].advisory_checks().len(), 2);
-        if rendered.contains("below expectation") {
-            eprintln!("warning: timing shape check missed in this environment:\n{rendered}");
-        }
     }
 }

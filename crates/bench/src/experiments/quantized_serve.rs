@@ -9,16 +9,14 @@
 //! re-score on the exact f32 tier either way, and the only divergence left is
 //! screen-tier verdicts near the decision boundary.  Verdict agreement
 //! between the two modes is a **hard gate** (the pipeline is seeded and the
-//! int8 pass accumulates in exact i32, so the number is machine-independent);
-//! the int8-vs-f32 serving throughput comparison is advisory wall-clock
-//! shape.
+//! int8 pass accumulates in exact i32, so the number is machine-independent).
+//! Nothing here is timed: serving throughput is the e2e benchmark's
+//! `serve_closed_f32` / `serve_closed_int8` workloads.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, Detection, DetectionEngine};
-use ptolemy_obs::Clock;
 use ptolemy_serve::{ServeStats, Server, Ticket};
 
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
@@ -32,18 +30,12 @@ const BAND: (f32, f32) = (0.3, 0.7);
 /// must agree with the f32-screened server's verdict.
 const MIN_VERDICT_AGREEMENT: f64 = 0.75;
 
-fn throughput(count: usize, elapsed: Duration) -> f64 {
-    count as f64 / elapsed.as_secs_f64().max(1e-9)
-}
-
 /// Serves `workload` through `server`, returning the verdicts in submission
-/// order, the served throughput, and the shutdown stats snapshot.
+/// order and the shutdown stats snapshot.
 fn serve_all(
     server: Server,
     workload: &[ptolemy_tensor::Tensor],
-) -> BenchResult<(Vec<Detection>, f64, ServeStats)> {
-    let clock = Clock::monotonic();
-    let start_ns = clock.now_ns();
+) -> BenchResult<(Vec<Detection>, ServeStats)> {
     let tickets: Vec<Ticket> = workload
         .iter()
         .map(|input| server.submit(input.clone()))
@@ -52,11 +44,7 @@ fn serve_all(
     for ticket in tickets {
         verdicts.push(ticket.wait()?.detection);
     }
-    let served = throughput(
-        workload.len(),
-        Duration::from_nanos(clock.now_ns().saturating_sub(start_ns)),
-    );
-    Ok((verdicts, served, server.shutdown()))
+    Ok((verdicts, server.shutdown()))
 }
 
 /// Runs the experiment.
@@ -105,7 +93,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         .workers(4)
         .queue_capacity(workload.len().max(1))
         .start()?;
-    let (f32_verdicts, f32_rate, f32_stats) = serve_all(f32_server, &workload)?;
+    let (f32_verdicts, f32_stats) = serve_all(f32_server, &workload)?;
 
     let int8_server = Server::builder(screen.clone())
         .quantized_screen(qnet)
@@ -113,7 +101,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         .workers(4)
         .queue_capacity(workload.len().max(1))
         .start()?;
-    let (int8_verdicts, int8_rate, int8_stats) = serve_all(int8_server, &workload)?;
+    let (int8_verdicts, int8_stats) = serve_all(int8_server, &workload)?;
 
     let total = workload.len();
     let verdict_agree = f32_verdicts
@@ -134,12 +122,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
          both escalating to the same f32 BwCu tier",
     )
     .header(["measure", "f32 screen", "int8 screen", "delta"]);
-    table.row([
-        "throughput (inputs/s)".to_string(),
-        fmt3(f32_rate as f32),
-        fmt3(int8_rate as f32),
-        format!("{:.3}x", int8_rate / f32_rate.max(1e-9)),
-    ]);
     table.row([
         "escalated".to_string(),
         f32_stats.escalated.to_string(),
@@ -173,8 +155,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     table.metric("f32_escalated", f32_stats.escalated);
     table.metric("int8_escalated", int8_stats.escalated);
     table.metric("int8_screens", int8_stats.int8_screens);
-    table.metric("f32_throughput_milli", (f32_rate * 1000.0) as u64);
-    table.metric("int8_throughput_milli", (int8_rate * 1000.0) as u64);
 
     table.note(format!(
         "workload: {total} inputs ({} benign, {} adversarial); escalation band \
@@ -201,10 +181,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             && f32_stats.completed == total as u64
             && int8_stats.completed == total as u64,
     );
-    table.timing_check(
-        "int8-screen serving throughput is at least 0.5x the f32-screen server",
-        int8_rate >= 0.5 * f32_rate,
-    );
     Ok(vec![table])
 }
 
@@ -225,11 +201,5 @@ mod tests {
             assert!(rendered.contains(gate), "gate `{gate}` failed:\n{rendered}");
         }
         assert_eq!(tables[0].checks().len(), 3);
-        assert_eq!(tables[0].advisory_checks().len(), 1);
-        // The throughput comparison is wall-clock and advisory under the
-        // unoptimized test profile.
-        if rendered.contains("below expectation") {
-            eprintln!("warning: timing shape check missed in this environment:\n{rendered}");
-        }
     }
 }

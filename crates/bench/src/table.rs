@@ -9,11 +9,9 @@ use std::fmt;
 /// A simple left-aligned text table.
 ///
 /// Beyond the printable rows/notes, a table carries the machine-readable side
-/// of an experiment: named integer [`Table::metric`]s, deterministic
-/// [`Table::check`]s (gated exactly by the CI perf trajectory) and
-/// wall-clock-dependent [`Table::timing_check`]s (recorded but advisory) —
-/// the `emit` module renders all three into the experiment's
-/// `BENCH_<id>.json`.
+/// of an experiment: named integer [`Table::metric`]s and deterministic
+/// [`Table::check`]s (gated exactly by the CI perf trajectory) — the `emit`
+/// module renders both into the experiment's `BENCH_<id>.json`.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,
@@ -22,7 +20,6 @@ pub struct Table {
     notes: Vec<String>,
     metrics: Vec<(String, u64)>,
     checks: Vec<(String, bool)>,
-    advisory: Vec<(String, bool)>,
 }
 
 impl Table {
@@ -63,8 +60,7 @@ impl Table {
 
     /// Records a **deterministic** shape check: printed as a note and emitted
     /// as a parity flag the CI bench gate compares exactly.  Only checks
-    /// whose outcome never depends on wall-clock timing belong here; use
-    /// [`Table::timing_check`] for the rest.
+    /// whose outcome never depends on wall-clock timing belong here.
     pub fn check(&mut self, label: impl Into<String>, ok: bool) -> &mut Self {
         let label = label.into();
         self.notes.push(format!(
@@ -72,19 +68,6 @@ impl Table {
             if ok { "holds" } else { "VIOLATED" }
         ));
         self.checks.push((label, ok));
-        self
-    }
-
-    /// Records a **timing-dependent** shape check: printed as a note and
-    /// emitted as an advisory flag — tracked in the perf trajectory but never
-    /// gated, because wall-clock outcomes flip on oversubscribed runners.
-    pub fn timing_check(&mut self, label: impl Into<String>, ok: bool) -> &mut Self {
-        let label = label.into();
-        self.notes.push(format!(
-            "shape check (timing, advisory) — {label}: {}",
-            if ok { "holds" } else { "below expectation" }
-        ));
-        self.advisory.push((label, ok));
         self
     }
 
@@ -101,11 +84,6 @@ impl Table {
     /// The recorded deterministic checks, in insertion order.
     pub fn checks(&self) -> &[(String, bool)] {
         &self.checks
-    }
-
-    /// The recorded advisory (timing-dependent) checks, in insertion order.
-    pub fn advisory_checks(&self) -> &[(String, bool)] {
-        &self.advisory
     }
 
     /// Number of data rows.
@@ -217,7 +195,6 @@ mod tests {
         table.metric("wall_us", 1234);
         table.check("fused parity", true);
         table.check("routing sums", false);
-        table.timing_check("pipelined >= serial", false);
         assert_eq!(table.metrics(), &[("wall_us".to_string(), 1234)]);
         assert_eq!(
             table.checks(),
@@ -226,15 +203,9 @@ mod tests {
                 ("routing sums".to_string(), false)
             ]
         );
-        assert_eq!(
-            table.advisory_checks(),
-            &[("pipelined >= serial".to_string(), false)]
-        );
         let text = table.to_string();
         assert!(text.contains("shape check — fused parity: holds"));
         assert!(text.contains("shape check — routing sums: VIOLATED"));
-        assert!(text
-            .contains("shape check (timing, advisory) — pipelined >= serial: below expectation"));
         assert_eq!(table.title(), "instrumented");
     }
 }

@@ -11,40 +11,12 @@ use ptolemy_core::{ClassPathSet, DetectionEngine, DetectionProgram, Profiler};
 use ptolemy_data::{DatasetConfig, SyntheticDataset};
 use ptolemy_forest::auc;
 use ptolemy_nn::{zoo, Network, TrainConfig, Trainer};
-use ptolemy_obs::Clock;
 use ptolemy_tensor::{Rng64, Tensor};
 
 use crate::BenchScale;
 
 /// Result alias for the harness (errors come from many crates, so they are boxed).
 pub type BenchResult<T> = Result<T, Box<dyn std::error::Error>>;
-
-/// Timing rounds of [`interleaved_best_ms`].
-pub(crate) const TIMING_ROUNDS: usize = 5;
-
-/// Fastest-of-[`TIMING_ROUNDS`] ms per call for each of `kernels`, measured
-/// round-robin: every kernel runs `reps / TIMING_ROUNDS` calls per round and
-/// reports its fastest round, so a scheduler hiccup landing on one side
-/// cannot flip a comparison between them.
-pub(crate) fn interleaved_best_ms<const N: usize>(
-    reps: usize,
-    mut kernels: [&mut dyn FnMut() -> BenchResult<()>; N],
-) -> BenchResult<[f64; N]> {
-    let clock = Clock::monotonic();
-    let per_round = reps.div_ceil(TIMING_ROUNDS);
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..TIMING_ROUNDS {
-        for (kernel, best) in kernels.iter_mut().zip(&mut best) {
-            let start_ns = clock.now_ns();
-            for _ in 0..per_round {
-                kernel()?;
-            }
-            let round_ms = clock.now_ns().saturating_sub(start_ns) as f64 / 1e6;
-            *best = best.min(round_ms / per_round as f64);
-        }
-    }
-    Ok(best)
-}
 
 /// A trained network plus the dataset it was trained on — the unit every
 /// experiment harness operates on.

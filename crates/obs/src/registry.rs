@@ -6,7 +6,9 @@
 //! its workers, and renders the whole thing with [`Registry::snapshot`].
 //! Instrumented code guards optional work with [`Registry::enabled`] — a
 //! single relaxed atomic load — so a disabled registry costs essentially
-//! nothing on the hot path (the `obs_overhead` bench experiment pins this).
+//! nothing on the hot path (the `ptolemy-serve` test
+//! `disabled_registry_gates_stage_instrumentation_but_not_stats` pins that a
+//! disabled registry records no stage sample).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

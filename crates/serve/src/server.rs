@@ -1176,8 +1176,8 @@ impl ServerBuilder {
     /// Every other serving mode is pinned bit-for-bit to direct engine calls.
     /// The quantized screen is the one deliberate exception: int8 rounding
     /// perturbs activations, so screened verdicts are a *statistical* proxy
-    /// for f32 — the `quantized_serve` benchmark gates the verdict agreement
-    /// rate.  What is still guaranteed:
+    /// for f32 — the `quantized_serve` bench experiment gates the verdict
+    /// agreement rate.  What is still guaranteed:
     ///
     /// * **Determinism** — i32 accumulation is exact, so serving a given
     ///   input always yields the identical verdict, across runs, batch
@@ -1263,11 +1263,13 @@ impl ServerBuilder {
     /// recent per-batch stage [`Timeline`]s for [`Server::metrics_json`].
     ///
     /// All of it is gated on [`Registry::enabled`] — attached-but-disabled
-    /// serving costs one relaxed atomic load per stage (the `obs_overhead`
-    /// bench experiment pins this within noise of a server built without this
-    /// call).  The server also times queue-to-result latency on the
-    /// registry's clock, so a [`ptolemy_obs::Clock::manual`] registry makes
-    /// every serve timing deterministic under test.
+    /// serving costs one relaxed atomic load per stage and records no stage
+    /// sample (`disabled_registry_gates_stage_instrumentation_but_not_stats`),
+    /// and no registry mode changes a verdict
+    /// (`uninstrumented_and_gated_servers_agree_with_instrumented_verdicts`).
+    /// The server also times queue-to-result latency on the registry's
+    /// clock, so a [`ptolemy_obs::Clock::manual`] registry makes every serve
+    /// timing deterministic under test.
     pub fn instrument(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
@@ -2490,6 +2492,12 @@ mod tests {
         assert_eq!(stats.escalated, inputs.len() as u64);
         assert_eq!(stats.shard_escalations.len(), 2);
         assert_eq!(stats.shard_escalations.iter().sum::<u64>(), stats.escalated);
+        // Three screened classes over two shards: routing uses both.
+        assert!(
+            stats.shard_escalations.iter().all(|&c| c > 0),
+            "{:?}",
+            stats.shard_escalations
+        );
         // Every batch had an escalation sliver, handled exactly once each.
         assert_eq!(
             stats.pipelined_batches + stats.serial_batches,

@@ -13,10 +13,7 @@
 #     timing metrics        fail only on a blow-up (current > 8x baseline AND
 #                           above an absolute slack floor), so ordinary
 #                           machine-to-machine noise never trips the gate.
-#   * higher-is-better    — metrics with "throughput" in the name: fail when
-#     throughput metrics    the current value drops below baseline / 8.
 #   * everything else     — informational; printed, never gated.
-#   * advisory flags      — never gated (they are wall-clock shape checks).
 #
 # Missing reports, reports without a baseline and missing baseline keys fail
 # hard: silently dropping (or never gating) an experiment or metric is how a
@@ -100,13 +97,6 @@ for baseline in "${baseline_reports[@]}"; do
             continue
         fi
         case "$key" in
-        *throughput*)
-            if ((cur * RATIO < value)); then
-                fail "$name:metrics.$key: throughput collapsed ${value} -> ${cur} (gate: > baseline/${RATIO})"
-            else
-                echo "ok   $name:metrics.$key: ${value} -> ${cur} (higher-is-better)"
-            fi
-            ;;
         *_us | *_ns | *_ms | wall_us)
             if ((cur > value * RATIO && cur > value + SLACK)); then
                 fail "$name:metrics.$key: regressed ${value} -> ${cur} (gate: <= ${RATIO}x baseline + ${SLACK})"
@@ -130,13 +120,6 @@ for baseline in "${baseline_reports[@]}"; do
             echo "ok   $name:wall_us: ${base_wall} -> ${cur_wall}"
         fi
     fi
-
-    # Advisory flags: report, never gate.
-    while read -r key value; do
-        [[ -n "$key" ]] || continue
-        cur="$(section_entries "$current" advisory | awk -v k="$key" '$1 == k { print $2 }')"
-        echo "adv  $name:advisory.$key: ${value} -> ${cur:-missing} (never gated)"
-    done < <(section_entries "$baseline" advisory)
 done
 
 # The loop above walks baselines only; a report without one would never be

@@ -42,7 +42,7 @@ must_fail() {
     done
 }
 
-victim="BENCH_serve_throughput.json"
+victim="BENCH_quantized_serve.json"
 echo "== injecting 20x wall_us regression + parity violation into $victim =="
 awk '
     /^  "wall_us":/ { sub(/[0-9]+/, $2 * 20 ",");

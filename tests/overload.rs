@@ -150,6 +150,11 @@ fn zero_overload_deadline_serving_matches_plain_serving_for_every_variant() {
         assert_eq!(stats.deadline_misses, 0, "{name}");
         assert_eq!(stats.degraded_served, 0, "{name}");
         assert_eq!(stats.degrade_entered, 0, "{name}");
+        // The band spans the pool's middle half, so tiered routing escalates.
+        assert!(
+            stats.escalated > 0,
+            "{name}: tiered routing never escalated"
+        );
         plain.shutdown();
     }
 }
