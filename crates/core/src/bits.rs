@@ -20,7 +20,7 @@
 /// assert!(bits.get(64));
 /// assert!(!bits.get(65));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,
@@ -176,9 +176,26 @@ impl BitVec {
         Some(BitVec { words, len })
     }
 
-    /// Iterator over the indices of set bits.
+    /// Iterator over the indices of set bits, ascending, a word at a time
+    /// (zero words are skipped whole).
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |i| self.get(*i))
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros() as usize;
+                // Clearing the lowest set bit; `rest` is zero once all are read.
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then_some(at * 64 + bit)
+            })
+        })
+    }
+
+    /// Clears every bit and resizes to `len` bits, keeping the allocation: a
+    /// reverse walk marks every layer's routes in one reused vector.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
     }
 
     /// Fraction of set bits (0.0 for an empty vector).
@@ -227,6 +244,20 @@ mod tests {
             // The unused tail of the last word stays clear.
             assert_eq!(bits.count_ones(), expected.len());
         }
+    }
+
+    #[test]
+    fn reset_clears_and_resizes_in_place() {
+        let mut bits = BitVec::new(130);
+        bits.set(3);
+        bits.set(129);
+        bits.reset(70);
+        assert_eq!((bits.len(), bits.count_ones()), (70, 0));
+        bits.set(69);
+        let mut fresh = BitVec::new(70);
+        fresh.set(69);
+        assert_eq!(bits, fresh);
+        assert_eq!(bits.iter_ones().collect::<Vec<_>>(), vec![69]);
     }
 
     #[test]

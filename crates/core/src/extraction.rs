@@ -29,7 +29,7 @@
 //!   read: enabled weight layers' inputs and outputs, their interior
 //!   activations ([`ptolemy_nn::TraceSink::on_interior`] — a residual block's
 //!   last body layer's input), plus the inputs of pass-through layers whose
-//!   routing is data-dependent ([`ptolemy_nn::Layer::has_static_routing`] is
+//!   routing is data-dependent ([`ptolemy_nn::Layer::static_routing`] is
 //!   `false`, e.g. max pooling).  Early-termination programs drop everything
 //!   below the first disabled weight layer as it streams past.  Each sample's
 //!   walk reads its slice of the retained stacked tensors — a batch of one's
@@ -52,6 +52,15 @@
 //! assembled from boundaries alone (`ForwardTrace::from_activations`) makes
 //! each block re-run its body head once per block, never per neuron.
 //!
+//! Nor does the walk allocate per neuron.  Every layer's decompositions go
+//! into one flat [`Decompositions`] buffer the walk owns (pass-through routes
+//! too), each neuron's partial sums are ranked by an arg-max scan over one
+//! reused scratch slice, and the union of contributors is a [`BitVec`] over
+//! the layer input — the path segment itself at an enabled layer — read back
+//! in ascending order.  The buffers grow to their high-water mark and are
+//! reused by every layer and every sample of a sub-batch
+//! (`tests/alloc_budget.rs` counts it).
+//!
 //! # Precision
 //!
 //! Nothing above depends on what multiplied the activations.  The streaming
@@ -62,10 +71,9 @@
 //! would produce).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
 
 use ptolemy_nn::{
-    predicted_class, Contribution, ForwardProvider, ForwardTrace, Network, TraceSink,
+    predicted_class, Decompositions, ForwardProvider, ForwardTrace, Network, TraceSink,
 };
 use ptolemy_tensor::parallel::par_chunks;
 use ptolemy_tensor::Tensor;
@@ -91,8 +99,9 @@ pub fn path_layout(network: &Network, program: &DetectionProgram) -> Result<Vec<
 /// What an extraction walk does at one network layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LayerRole {
-    /// ReLU, pooling, flatten: importance is re-mapped to input indices.
-    PassThrough,
+    /// ReLU, pooling, flatten: importance is re-mapped to the layer's
+    /// `input_len` input indices.
+    PassThrough { input_len: usize },
     /// A weight layer the program skips; a backward walk terminates here
     /// (early termination, Sec. VII-F).
     Disabled,
@@ -135,7 +144,9 @@ impl ExtractionPlan {
         let mut roles = Vec::with_capacity(network.num_layers());
         for (layer_idx, layer) in network.layers().enumerate() {
             if !layer.kind().is_weight_layer() {
-                roles.push(LayerRole::PassThrough);
+                roles.push(LayerRole::PassThrough {
+                    input_len: layer.input_len(),
+                });
                 continue;
             }
             let spec = specs.next().ok_or_else(|| mismatch(network, program))?;
@@ -204,15 +215,12 @@ impl ExtractionPlan {
                 network.num_layers()
             )));
         }
-        let mut path = ActivationPath::empty(&self.layout);
         match self.direction {
             Direction::Backward => {
-                let predicted = trace.predicted_class()?;
-                extract_backward(network, self, trace, predicted, &mut path)?;
+                WalkScratch::default().walk(network, self, trace, trace.predicted_class()?)
             }
-            Direction::Forward => extract_forward(self, trace, &mut path)?,
+            Direction::Forward => extract_forward(self, trace),
         }
-        Ok(path)
     }
 
     /// Driver behind [`extract_paths_streaming_batch`] and the engine's fused
@@ -407,51 +415,63 @@ fn nan_error(what: &str) -> CoreError {
     ))
 }
 
-/// One value in a [`descending`] ranking.
-struct Ranked {
-    value: f32,
-    position: usize,
-}
+/// Picks [`descending`] takes off a linear arg-max scan before it sorts what
+/// is left.  A cumulative threshold usually stops after one or two
+/// contributors, which a scan finds without ordering the rest; the sort keeps
+/// a long ranking (an unreachable goal, a wide forward mask) O(n log n).
+const SCAN_PICKS: usize = 8;
 
-impl Ord for Ranked {
-    /// Greater value first; among equal values the earlier position first.
-    /// Total because [`descending`] is never handed a NaN.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value
-            .partial_cmp(&other.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.position.cmp(&self.position))
-    }
+/// The ranking order, greatest first: the greater value, and among equal
+/// values (`-0.0 == 0.0` included) the earlier position.  Total, because
+/// positions are distinct and no NaN is ever ranked.
+fn rank(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
+    a.1.partial_cmp(&b.1)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| b.0.cmp(&a.0))
 }
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Ranked {}
 
 /// Ranks NaN-free `values` from largest to smallest, equal values in input
 /// order — the order a stable descending sort produces — yielding
-/// `(position, value)` lazily off a heap.  Cumulative thresholds stop after
-/// the few largest contributors, so building the heap (linear) and popping a
-/// handful beats sorting every candidate of every important neuron.
-fn descending(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (usize, f32)> {
-    let mut heap: BinaryHeap<Ranked> = values
-        .enumerate()
-        .map(|(position, value)| Ranked { value, position })
-        .collect();
-    std::iter::from_fn(move || heap.pop().map(|top| (top.position, top.value)))
+/// `(position, value)` lazily out of `scratch`, which it refills and never
+/// shrinks.  The first [`SCAN_PICKS`] picks are each one arg-max scan; the
+/// pick after them sorts the candidates left once, worst first, and every
+/// later pick pops the best off the end.
+fn descending(
+    values: impl Iterator<Item = f32>,
+    scratch: &mut Vec<(usize, f32)>,
+) -> impl Iterator<Item = (usize, f32)> + '_ {
+    scratch.clear();
+    scratch.extend(values.enumerate());
+    let mut picks = 0;
+    std::iter::from_fn(move || {
+        picks += 1;
+        if picks <= SCAN_PICKS {
+            // Candidates stay in position order and a pick becomes NaN, which
+            // compares false: the first strictly greater value is the earliest
+            // of equal maxima among those left.
+            let first = scratch.iter().position(|c| !c.1.is_nan())?;
+            let mut best = first;
+            for (at, candidate) in scratch.iter().enumerate().skip(first + 1) {
+                if candidate.1 > scratch[best].1 {
+                    best = at;
+                }
+            }
+            let pick = scratch[best];
+            scratch[best].1 = f32::NAN;
+            Some(pick)
+        } else {
+            if picks == SCAN_PICKS + 1 {
+                scratch.retain(|candidate| !candidate.1.is_nan());
+                scratch.sort_unstable_by(rank);
+            }
+            scratch.pop()
+        }
+    })
 }
 
-/// Selects contributor indices from weighted partial sums according to a threshold.
+/// Selects contributor indices from weighted partial sums according to a
+/// threshold, handing each to `select` in selection order; `ranking` is the
+/// ranking kernel's reused scratch.
 ///
 /// * Cumulative: minimal prefix of the descending-sorted partial sums whose
 ///   cumulative sum reaches `theta × target` (paper Fig. 3).  If the target is not
@@ -460,49 +480,55 @@ fn descending(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (usize,
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidInput`] if any partial sum is NaN.
+/// Returns [`CoreError::InvalidInput`] if any partial sum is NaN (nothing is
+/// selected then).
 pub(crate) fn select_contributors(
     pairs: &[(usize, f32)],
     target: f32,
     threshold: ThresholdKind,
-) -> Result<Vec<usize>> {
+    ranking: &mut Vec<(usize, f32)>,
+    mut select: impl FnMut(usize),
+) -> Result<()> {
     if pairs.iter().any(|(_, partial)| partial.is_nan()) {
         return Err(nan_error("a partial sum"));
     }
-    Ok(match threshold {
+    match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let ranked = descending(pairs.iter().map(|(_, partial)| *partial));
+            let mut ranked = descending(pairs.iter().map(|(_, partial)| *partial), ranking);
             if target <= 0.0 {
-                return Ok(ranked.take(1).map(|(at, _)| pairs[at].0).collect());
+                if let Some((at, _)) = ranked.next() {
+                    select(pairs[at].0);
+                }
+                return Ok(());
             }
             let goal = theta * target;
             let mut cum = 0.0;
-            let mut selected = Vec::new();
             for (at, partial) in ranked {
-                selected.push(pairs[at].0);
+                select(pairs[at].0);
                 cum += partial;
                 if cum >= goal {
                     break;
                 }
             }
-            selected
         }
         ThresholdKind::Absolute { phi } => {
             let cutoff = phi * target.abs();
-            pairs
-                .iter()
-                .filter(|(_, p)| *p >= cutoff && *p > 0.0)
-                .map(|(i, _)| *i)
-                .collect()
+            for &(index, partial) in pairs {
+                if partial >= cutoff && partial > 0.0 {
+                    select(index);
+                }
+            }
         }
-    })
+    }
+    Ok(())
 }
 
 /// Marks the important neurons of a layer output in `mask`, selecting directly
 /// from the activation values (forward extraction, where no downstream
 /// importance information exists yet) — the single forward-program masking
 /// step shared by the materialized walk and the streaming sinks, so every
-/// pipeline is bit-for-bit the same selection.
+/// pipeline is bit-for-bit the same selection.  `ranking` is the ranking
+/// kernel's reused scratch.
 ///
 /// * Cumulative: the minimal prefix of the descending-sorted positive
 ///   activations whose sum reaches `theta ×` the positive mass (the single
@@ -517,13 +543,14 @@ pub(crate) fn mask_from_activations(
     values: &[f32],
     threshold: ThresholdKind,
     mask: &mut BitVec,
+    ranking: &mut Vec<(usize, f32)>,
 ) -> Result<()> {
     match threshold {
         ThresholdKind::Cumulative { theta } => {
             if values.iter().any(|v| v.is_nan()) {
                 return Err(nan_error("an activation"));
             }
-            let mut ranked = descending(values.iter().copied());
+            let mut ranked = descending(values.iter().copied(), ranking);
             let total: f32 = values.iter().filter(|v| **v > 0.0).sum();
             if total <= 0.0 {
                 if let Some((idx, _)) = ranked.next() {
@@ -643,98 +670,116 @@ impl BoundarySource for Retained {
     }
 }
 
-fn extract_backward<S: BoundarySource + ?Sized>(
-    network: &Network,
-    plan: &ExtractionPlan,
-    source: &S,
-    predicted_class: usize,
-    path: &mut ActivationPath,
-) -> Result<()> {
-    // Important neurons at the *output* of the layer currently being examined,
-    // ascending.  The walk starts at the last layer with the predicted class
-    // (paper: "the last layer has only one important neuron").
-    let mut important = vec![predicted_class];
+/// The reverse walk's working memory, reused by every layer of a walk and by
+/// every walk of a sub-batch: once each buffer has grown to its high-water
+/// mark, a walk allocates nothing per neuron or per layer.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    /// Important neurons at the output of the layer being examined, ascending.
+    important: Vec<usize>,
+    /// Their decompositions, in the same order.
+    decomps: Decompositions,
+    /// The ranking kernel's candidates.
+    ranking: Vec<(usize, f32)>,
+    /// A pass-through layer's routed inputs (an enabled layer marks its path
+    /// segment instead).
+    routed: BitVec,
+}
 
-    for (layer_idx, role) in plan.roles.iter().enumerate().rev() {
-        if important.is_empty() {
-            break;
-        }
-        let layer = network.layer(layer_idx)?;
-        let mut next: BTreeSet<usize> = BTreeSet::new();
-        match *role {
-            // Early termination: the backward walk stops at the first disabled
-            // weight layer (Sec. VII-F).
-            LayerRole::Disabled => break,
-            LayerRole::Enabled { threshold, segment } => {
-                let input = source.boundary(layer_idx)?;
-                let output = source.boundary(layer_idx + 1)?.as_slice();
-                // One call decomposes every important output, so a composite
-                // layer touches its body at most once — and not at all when
-                // the source kept the interior.
-                let decompositions =
-                    layer.contributions_many(input, source.interior(layer_idx), &important)?;
-                for (&neuron, contribution) in important.iter().zip(decompositions) {
-                    match contribution {
-                        Contribution::Weighted(pairs) => {
-                            next.extend(select_contributors(&pairs, output[neuron], threshold)?);
-                        }
-                        Contribution::PassThrough(indices) => next.extend(indices),
-                    }
-                }
-                // Record the mask over this layer's input feature map.
-                let mask = &mut path.segments_mut()[segment].mask;
-                for &idx in &next {
-                    mask.set(idx);
-                }
+impl WalkScratch {
+    /// The backward path of `predicted_class` through the activations of
+    /// `source`.
+    fn walk<S: BoundarySource + ?Sized>(
+        &mut self,
+        network: &Network,
+        plan: &ExtractionPlan,
+        source: &S,
+        predicted_class: usize,
+    ) -> Result<ActivationPath> {
+        let mut path = ActivationPath::empty(&plan.layout);
+        // The walk starts at the last layer with the predicted class (paper:
+        // "the last layer has only one important neuron").
+        self.important.clear();
+        self.important.push(predicted_class);
+        for (layer_idx, role) in plan.roles.iter().enumerate().rev() {
+            if self.important.is_empty() {
+                break;
             }
-            LayerRole::PassThrough => {
-                // Re-map the important output indices to input indices (identity
-                // for ReLU/flatten, argmax routing for max pooling, window
-                // members for average pooling).  Statically-routed layers never
-                // touch their input activations, which is what lets the
-                // streaming pipeline drop those boundaries eagerly.
-                let mut data_dependent = Vec::new();
-                for &neuron in &important {
-                    match layer.static_routing(neuron)? {
-                        Some(route) => next.extend(route),
-                        None => data_dependent.push(neuron),
-                    }
-                }
-                if !data_dependent.is_empty() {
+            let layer = network.layer(layer_idx)?;
+            self.decomps.clear();
+            // The layer's important inputs, marked as a set: ascending and
+            // duplicate-free when read back.
+            let marked = match *role {
+                // Early termination: the backward walk stops at the first
+                // disabled weight layer (Sec. VII-F).
+                LayerRole::Disabled => break,
+                LayerRole::Enabled { threshold, segment } => {
                     let input = source.boundary(layer_idx)?;
-                    for contribution in layer.contributions_many(input, None, &data_dependent)? {
-                        next.extend(contribution.indices());
+                    let out = source.boundary(layer_idx + 1)?.as_slice();
+                    // One call decomposes every important output, so a
+                    // composite layer touches its body at most once — and not
+                    // at all when the source kept the interior.
+                    let interior = source.interior(layer_idx);
+                    layer.contributions_many(
+                        input,
+                        interior,
+                        &self.important,
+                        &mut self.decomps,
+                    )?;
+                    // The mask over this layer's input feature map is the set.
+                    let mask = &mut path.segments_mut()[segment].mask;
+                    let ranking = &mut self.ranking;
+                    for (&neuron, pairs) in self.important.iter().zip(self.decomps.iter()) {
+                        select_contributors(pairs, out[neuron], threshold, ranking, |i| {
+                            mask.set(i)
+                        })?;
                     }
+                    &*mask
                 }
-            }
+                LayerRole::PassThrough { input_len } => {
+                    // Re-map the important output indices to input indices
+                    // (identity for ReLU/flatten, argmax routing for max
+                    // pooling, window members for average pooling).
+                    // Statically-routed layers never touch their input
+                    // activations, which is what lets the streaming pipeline
+                    // drop those boundaries eagerly.
+                    if !layer.static_routing(&self.important, &mut self.decomps)? {
+                        let input = source.boundary(layer_idx)?;
+                        layer.contributions_many(
+                            input,
+                            None,
+                            &self.important,
+                            &mut self.decomps,
+                        )?;
+                    }
+                    self.routed.reset(input_len);
+                    for &(idx, _) in self.decomps.iter().flatten() {
+                        self.routed.set(idx);
+                    }
+                    &self.routed
+                }
+            };
+            self.important.clear();
+            self.important.extend(marked.iter_ones());
         }
-        important = next.into_iter().collect();
+        Ok(path)
     }
-    Ok(())
 }
 
 fn extract_forward<S: BoundarySource + ?Sized>(
     plan: &ExtractionPlan,
     source: &S,
-    path: &mut ActivationPath,
-) -> Result<()> {
+) -> Result<ActivationPath> {
+    let mut path = ActivationPath::empty(&plan.layout);
+    let mut ranking = Vec::new();
     for (layer_idx, role) in plan.roles.iter().enumerate() {
         if let LayerRole::Enabled { threshold, segment } = *role {
-            let output = source.boundary(layer_idx + 1)?;
-            mask_forward_selection(path, segment, output.as_slice(), threshold)?;
+            let output = source.boundary(layer_idx + 1)?.as_slice();
+            let mask = &mut path.segments_mut()[segment].mask;
+            mask_from_activations(output, threshold, mask, &mut ranking)?;
         }
     }
-    Ok(())
-}
-
-/// [`mask_from_activations`] into path segment `segment`.
-fn mask_forward_selection(
-    path: &mut ActivationPath,
-    segment: usize,
-    output: &[f32],
-    threshold: ThresholdKind,
-) -> Result<()> {
-    mask_from_activations(output, threshold, &mut path.segments_mut()[segment].mask)
+    Ok(path)
 }
 
 /// Boundaries a streaming backward pass must retain: enabled weight layers'
@@ -751,8 +796,9 @@ fn backward_retention(network: &Network, roles: &[LayerRole]) -> Result<Vec<bool
                 retain[layer_idx] = true;
                 retain[layer_idx + 1] = true;
             }
-            LayerRole::PassThrough => {
-                if !network.layer(layer_idx)?.has_static_routing() {
+            LayerRole::PassThrough { .. } => {
+                let mut probe = Decompositions::default();
+                if !network.layer(layer_idx)?.static_routing(&[], &mut probe)? {
                     retain[layer_idx] = true;
                 }
             }
@@ -767,6 +813,8 @@ fn backward_retention(network: &Network, roles: &[LayerRole]) -> Result<Vec<bool
 struct ForwardSink<'a> {
     roles: &'a [LayerRole],
     paths: Vec<ActivationPath>,
+    /// The ranking kernel's scratch, shared by every selection of the pass.
+    ranking: Vec<(usize, f32)>,
     /// Sinks are infallible; the first selection failure waits here.
     error: Option<CoreError>,
 }
@@ -785,7 +833,8 @@ impl TraceSink for ForwardSink<'_> {
             .iter_mut()
             .zip(output.as_slice().chunks_exact(sample_len.max(1)))
         {
-            if let Err(e) = mask_forward_selection(path, segment, sample, threshold) {
+            let mask = &mut path.segments_mut()[segment].mask;
+            if let Err(e) = mask_from_activations(sample, threshold, mask, &mut self.ranking) {
                 self.error = Some(e);
                 return;
             }
@@ -883,6 +932,7 @@ where
     let mut sink = ForwardSink {
         roles: &plan.roles,
         paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
+        ranking: Vec::new(),
         error: None,
     };
     let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
@@ -919,11 +969,13 @@ where
     let classes = provider.network().num_classes().max(1);
     // Each walk reads exactly the tensors a materialized trace of its sample
     // would hold, so the extraction is bit-for-bit the materialized one.
-    let walk = |sample: &Retained, sample_logits: &[f32]| -> Result<T> {
+    let mut scratch = WalkScratch::default();
+    let mut walk = |sample: &Retained, sample_logits: &[f32]| -> Result<T> {
         let predicted = predicted_class(sample_logits)?;
-        let mut path = ActivationPath::empty(&plan.layout);
-        extract_backward(provider.network(), plan, sample, predicted, &mut path)?;
-        finish(predicted, path)
+        finish(
+            predicted,
+            scratch.walk(provider.network(), plan, sample, predicted)?,
+        )
     };
     let samples = if single {
         vec![walk(&sink.kept, logits.as_slice())?]
@@ -945,6 +997,13 @@ mod tests {
     use ptolemy_nn::Layer;
     use ptolemy_tensor::{Rng64, Tensor};
 
+    /// [`select_contributors`]' picks, in selection order.
+    fn select(pairs: &[(usize, f32)], target: f32, threshold: ThresholdKind) -> Result<Vec<usize>> {
+        let mut picks = Vec::new();
+        select_contributors(pairs, target, threshold, &mut Vec::new(), |i| picks.push(i))?;
+        Ok(picks)
+    }
+
     /// The worked fully-connected example of Fig. 3 (left panel): input feature map
     /// `[0.1, 1.0, 0.4, 0.3, 0.2]`, kernel `[2.1, 0.09, 0.2, 0.2, 0.1]`, θ = 0.6.
     /// The two largest partial sums (0.21 from neuron 0 and 0.09 from neuron 1)
@@ -958,16 +1017,13 @@ mod tests {
             (3, 0.3 * 0.2),
             (4, 0.2 * 0.1),
         ];
-        let selected =
-            select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 }).unwrap();
         assert_eq!(selected, vec![0, 1]);
         // With θ = 0.9 more neurons are needed.
-        let selected =
-            select_contributors(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 }).unwrap();
         assert!(selected.len() > 2);
         // Absolute thresholding keeps only partial sums above φ × |target|.
-        let selected =
-            select_contributors(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 }).unwrap();
         assert_eq!(selected, vec![0]);
     }
 
@@ -976,46 +1032,92 @@ mod tests {
         let pairs = vec![(0, 0.5), (1, 0.3), (2, 0.2)];
         // θ = 0.5 of target 1.0 is reached by the single largest partial sum.
         assert_eq!(
-            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
+            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
             vec![0]
         );
         // θ = 1.0 needs all of them.
         assert_eq!(
-            select_contributors(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 })
+            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 })
                 .unwrap()
                 .len(),
             3
         );
         // Non-positive target degenerates to the single largest contributor.
         assert_eq!(
-            select_contributors(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
+            select(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
             vec![0]
         );
-        assert!(
-            select_contributors(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 })
-                .unwrap()
-                .is_empty()
-        );
+        assert!(select(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 })
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn lazy_ranking_is_the_stable_descending_sort() {
         // Few distinct values, so ties (and -0.0 vs 0.0, equal under
-        // `partial_cmp`) are everywhere: ties must keep input order.
+        // `partial_cmp`) are everywhere: ties must keep input order.  The
+        // lengths straddle the scan/sort switch, a conv decomposition (145)
+        // and a wide forward mask (2048); one scratch serves every ranking,
+        // as in a walk.
         let mut rng = Rng64::new(5);
-        for len in [0usize, 1, 2, 7, 73, 200] {
-            let palette = [-1.5f32, -0.0, 0.0, 0.25, 0.25, 3.0, f32::INFINITY];
+        let palette = [
+            f32::NEG_INFINITY,
+            -1.5f32,
+            -0.0,
+            0.0,
+            0.25,
+            0.25,
+            3.0,
+            f32::INFINITY,
+        ];
+        let mut scratch = Vec::new();
+        for len in [0usize, 1, 2, 7, 73, 145, 2048] {
             let values: Vec<f32> = (0..len)
                 .map(|_| palette[rng.below(palette.len())])
                 .collect();
-            let mut sorted: Vec<(usize, f32)> = values.iter().copied().enumerate().collect();
-            sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
-            let ranked: Vec<(usize, f32)> = descending(values.iter().copied()).collect();
+            let sorted = stable_descending(&values);
+            let ranked: Vec<(usize, f32)> =
+                descending(values.iter().copied(), &mut scratch).collect();
             assert_eq!(ranked.len(), sorted.len());
             for (r, s) in ranked.iter().zip(&sorted) {
-                assert_eq!((r.0, r.1.to_bits()), (s.0, s.1.to_bits()));
+                assert_eq!((r.0, r.1.to_bits()), (s.0, s.1.to_bits()), "len {len}");
+            }
+            // A prefix stops early, past the switch, and agrees.
+            let prefix = descending(values.iter().copied(), &mut scratch).take(SCAN_PICKS + 2);
+            assert!(prefix
+                .map(|r| r.0)
+                .eq(sorted.iter().map(|s| s.0).take(SCAN_PICKS + 2)));
+
+            // Selection ranks the same way.  With +inf capped, a goal of
+            // `f32::MAX` is out of reach: every pair is selected, in ranking
+            // order.  A non-positive target selects the single largest.
+            let capped: Vec<f32> = values.iter().map(|v| v.min(3.0)).collect();
+            let pairs: Vec<(usize, f32)> = capped
+                .iter()
+                .enumerate()
+                .map(|(at, v)| (1000 + at, *v))
+                .collect();
+            let in_rank_order: Vec<usize> = stable_descending(&capped)
+                .iter()
+                .map(|s| 1000 + s.0)
+                .collect();
+            let cumulative = ThresholdKind::Cumulative { theta: 1.0 };
+            assert_eq!(select(&pairs, f32::MAX, cumulative).unwrap(), in_rank_order);
+            for target in [0.0, -0.0, -2.0, f32::NEG_INFINITY] {
+                assert_eq!(
+                    select(&pairs, target, cumulative).unwrap(),
+                    in_rank_order[..len.min(1)],
+                    "len {len}, target {target}"
+                );
             }
         }
+    }
+
+    /// `(position, value)` in the order of std's stable sort, descending.
+    fn stable_descending(values: &[f32]) -> Vec<(usize, f32)> {
+        let mut sorted: Vec<(usize, f32)> = values.iter().copied().enumerate().collect();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
+        sorted
     }
 
     #[test]
@@ -1030,26 +1132,39 @@ mod tests {
         let values: Vec<f32> = pairs.iter().map(|(_, v)| *v).collect();
         for threshold in [cumulative, absolute] {
             assert!(matches!(
-                select_contributors(&pairs, 1.0, threshold),
+                select(&pairs, 1.0, threshold),
                 Err(CoreError::InvalidInput(_))
             ));
             assert!(matches!(
-                mask_from_activations(&values, threshold, &mut BitVec::new(values.len())),
+                mask_from_activations(
+                    &values,
+                    threshold,
+                    &mut BitVec::new(values.len()),
+                    &mut Vec::new()
+                ),
                 Err(CoreError::InvalidInput(_))
             ));
         }
+        // A lone NaN past the scan's reach, and under a non-positive target,
+        // is still refused before anything is selected.
+        let mut late: Vec<(usize, f32)> = (0..2048).map(|i| (i, 1.0)).collect();
+        late[2047].1 = f32::NAN;
+        for target in [1.0, 0.0] {
+            let mut picked = 0;
+            let result =
+                select_contributors(&late, target, cumulative, &mut Vec::new(), |_| picked += 1);
+            assert!(matches!(result, Err(CoreError::InvalidInput(_))));
+            assert_eq!(picked, 0);
+        }
         // Infinities are ordered like any other value and still select.
         let saturated = [(0usize, f32::INFINITY), (1, 1.0), (2, f32::NEG_INFINITY)];
-        assert_eq!(
-            select_contributors(&saturated, 1.0, cumulative).unwrap(),
-            vec![0]
-        );
+        assert_eq!(select(&saturated, 1.0, cumulative).unwrap(), vec![0]);
     }
 
     /// The indices [`mask_from_activations`] marks, ascending.
     fn selected(values: &[f32], threshold: ThresholdKind) -> Vec<usize> {
         let mut mask = BitVec::new(values.len());
-        mask_from_activations(values, threshold, &mut mask).unwrap();
+        mask_from_activations(values, threshold, &mut mask, &mut Vec::new()).unwrap();
         mask.iter_ones().collect()
     }
 
@@ -1210,9 +1325,9 @@ mod tests {
         assert_eq!(
             plan.roles,
             vec![
-                LayerRole::PassThrough,
+                LayerRole::PassThrough { input_len: 4 },
                 LayerRole::Disabled,
-                LayerRole::PassThrough,
+                LayerRole::PassThrough { input_len: 3 },
                 LayerRole::Enabled {
                     threshold: ThresholdKind::Cumulative { theta: 0.5 },
                     segment: 0

@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Rectified linear unit applied element-wise.
 ///
@@ -79,33 +79,31 @@ impl Layer for ReLU {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.check(input)?;
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                if out_idx >= input.len() {
-                    return Err(NnError::InvalidConfig(format!(
-                        "relu output index {out_idx} out of range"
-                    )));
-                }
-                Ok(Contribution::PassThrough(vec![out_idx]))
-            })
-            .collect()
-    }
-
-    fn has_static_routing(&self) -> bool {
-        true
-    }
-
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>> {
-        if out_idx >= self.output_len() {
-            return Err(NnError::InvalidConfig(format!(
-                "relu output index {out_idx} out of range"
-            )));
+        let x = input.as_slice();
+        for &out_idx in out_idxs {
+            let value = x.get(out_idx).ok_or_else(|| {
+                NnError::InvalidConfig(format!("relu output index {out_idx} out of range"))
+            })?;
+            out.push([(out_idx, *value)]);
         }
-        // Identity routing, exactly what `contributions` reports.
-        Ok(Some(vec![out_idx]))
+        Ok(())
+    }
+
+    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
+        let len: usize = self.shape.iter().product();
+        for &out_idx in out_idxs {
+            if out_idx >= len {
+                return Err(NnError::InvalidConfig(format!(
+                    "relu output index {out_idx} out of range"
+                )));
+            }
+            // Identity routing, the index `contributions_many` lists.
+            out.push([(out_idx, 0.0)]);
+        }
+        Ok(true)
     }
 
     fn kind(&self) -> LayerKind {
@@ -116,6 +114,7 @@ impl Layer for ReLU {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
 
     #[test]
     fn forward_clamps_negatives() {
@@ -137,12 +136,10 @@ mod tests {
     #[test]
     fn contributions_pass_through() {
         let relu = ReLU::new(&[3]);
-        let x = Tensor::ones(&[3]);
-        assert_eq!(
-            relu.contributions(&x, 2).unwrap(),
-            Contribution::PassThrough(vec![2])
-        );
-        assert!(relu.contributions(&x, 3).is_err());
+        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
+        // The routed input value rides along, negative or not.
+        assert_eq!(decompose(&relu, &x, 1).unwrap(), vec![(1, -2.0)]);
+        assert!(decompose(&relu, &x, 3).is_err());
     }
 
     #[test]

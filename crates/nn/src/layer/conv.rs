@@ -5,7 +5,7 @@ use ptolemy_tensor::{
 };
 
 use crate::batch::check_batch;
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// 2-D convolution over CHW activations: one fused lowering + GEMM + bias
 /// kernel ([`conv2d_forward`]) over a stacked batch (a single sample is the
@@ -131,6 +131,13 @@ impl Conv2d {
     }
 }
 
+/// The kernel offsets whose taps, from window corner `at` (before padding),
+/// land inside an input dimension of `len`: [`Conv2dGeometry::patch_source`]'s
+/// bounds check, hoisted out of the tap loop.
+fn taps(at: usize, len: usize, g: &Conv2dGeometry) -> std::ops::Range<usize> {
+    g.padding.saturating_sub(at)..(len + g.padding).saturating_sub(at).min(g.kernel)
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
@@ -208,34 +215,44 @@ impl Layer for Conv2d {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.check_input(input)?;
         let patches = self.geom.num_patches();
         let patch_len = self.geom.patch_len();
         let x = input.as_slice();
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                if out_idx >= self.out_channels * patches {
-                    return Err(NnError::InvalidConfig(format!(
-                        "conv2d output index {out_idx} out of range"
-                    )));
-                }
-                let oc = out_idx / patches;
-                let pos = out_idx % patches;
-                let oy = pos / self.geom.out_w;
-                let ox = pos % self.geom.out_w;
-                let w_row = &self.weight.as_slice()[oc * patch_len..(oc + 1) * patch_len];
-                let mut partials = Vec::with_capacity(patch_len);
-                for (p, w) in w_row.iter().enumerate() {
-                    if let Some((c, y, xx)) = self.geom.patch_source(oy, ox, p) {
-                        let idx = self.geom.input_index(c, y, xx);
-                        partials.push((idx, x[idx] * w));
+        for &out_idx in out_idxs {
+            if out_idx >= self.out_channels * patches {
+                return Err(NnError::InvalidConfig(format!(
+                    "conv2d output index {out_idx} out of range"
+                )));
+            }
+            let oc = out_idx / patches;
+            let pos = out_idx % patches;
+            let oy = pos / self.geom.out_w;
+            let ox = pos % self.geom.out_w;
+            let w_row = &self.weight.as_slice()[oc * patch_len..(oc + 1) * patch_len];
+            let g = &self.geom;
+            // Window corner before padding; tap (ky, kx) reads input row
+            // `y0 + ky - padding`, column `x0 + kx - padding`.
+            let (y0, x0) = (oy * g.stride, ox * g.stride);
+            let (ys, xs) = (taps(y0, g.in_h, g), taps(x0, g.in_w, g));
+            // Patch order (channel, kernel row, kernel column), padding
+            // skipped: `patch_source`'s order and products, bit for bit.
+            out.push_with(|pairs| {
+                for c in 0..g.in_channels {
+                    for ky in ys.clone() {
+                        let row = (c * g.in_h + y0 + ky - g.padding) * g.in_w;
+                        let w = &w_row[(c * g.kernel + ky) * g.kernel..];
+                        for kx in xs.clone() {
+                            let idx = row + x0 + kx - g.padding;
+                            pairs.push((idx, x[idx] * w[kx]));
+                        }
                     }
                 }
-                Ok(Contribution::Weighted(partials))
-            })
-            .collect()
+            });
+        }
+        Ok(())
     }
 
     fn kind(&self) -> LayerKind {
@@ -249,6 +266,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
 
     #[test]
     fn forward_shape_and_identity_kernel() {
@@ -284,18 +302,47 @@ mod tests {
         let y = conv.forward(&x).unwrap();
         for out_idx in [0usize, 7, 24, 74] {
             let oc = out_idx / 25;
-            match conv.contributions(&x, out_idx).unwrap() {
-                Contribution::Weighted(pairs) => {
-                    let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
-                    let expected = y.as_slice()[out_idx] - conv.bias.as_slice()[oc];
-                    assert!(
-                        (sum - expected).abs() < 1e-4,
-                        "neuron {out_idx}: {sum} vs {expected}"
-                    );
-                    // Padding positions must be excluded, so at most patch_len pairs.
-                    assert!(pairs.len() <= conv.geometry().patch_len());
-                }
-                other => panic!("expected weighted contributions, got {other:?}"),
+            let pairs = decompose(&conv, &x, out_idx).unwrap();
+            let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
+            let expected = y.as_slice()[out_idx] - conv.bias.as_slice()[oc];
+            assert!(
+                (sum - expected).abs() < 1e-4,
+                "neuron {out_idx}: {sum} vs {expected}"
+            );
+            // Padding positions must be excluded, so at most patch_len pairs.
+            assert!(pairs.len() <= conv.geometry().patch_len());
+        }
+    }
+
+    /// The hoisted tap loop is the per-tap `patch_source` walk, bit for bit,
+    /// across strides, paddings (wider than the kernel too) and kernels.
+    #[test]
+    fn contributions_match_the_patch_source_walk() {
+        let mut rng = Rng64::new(7);
+        for (kernel, stride, padding) in [(1, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 2), (5, 1, 2)] {
+            let conv = Conv2d::new(2, 3, 6, 5, kernel, stride, padding, &mut rng).unwrap();
+            let x = Initializer::Uniform(1.0)
+                .build(&[2, 6, 5], &mut rng)
+                .unwrap();
+            let g = conv.geometry();
+            for out_idx in 0..conv.output_len() {
+                let (oc, pos) = (out_idx / g.num_patches(), out_idx % g.num_patches());
+                let (oy, ox) = (pos / g.out_w, pos % g.out_w);
+                let w = &conv.weight.as_slice()[oc * g.patch_len()..(oc + 1) * g.patch_len()];
+                let reference: Vec<(usize, u32)> = (0..g.patch_len())
+                    .filter_map(|p| {
+                        let (c, y, xx) = g.patch_source(oy, ox, p)?;
+                        let idx = g.input_index(c, y, xx);
+                        Some((idx, (x.as_slice()[idx] * w[p]).to_bits()))
+                    })
+                    .collect();
+                let pairs = decompose(&conv, &x, out_idx).unwrap();
+                let bits: Vec<(usize, u32)> =
+                    pairs.iter().map(|(i, p)| (*i, p.to_bits())).collect();
+                assert_eq!(
+                    bits, reference,
+                    "k {kernel} s {stride} p {padding} out {out_idx}"
+                );
             }
         }
     }
@@ -354,7 +401,7 @@ mod tests {
         assert!(Conv2d::new(1, 1, 2, 2, 5, 1, 0, &mut rng).is_err());
         let conv = Conv2d::new(1, 1, 4, 4, 3, 1, 1, &mut rng).unwrap();
         assert!(conv.forward(&Tensor::ones(&[1, 3, 3])).is_err());
-        assert!(conv.contributions(&Tensor::ones(&[1, 4, 4]), 1000).is_err());
+        assert!(decompose(&conv, &Tensor::ones(&[1, 4, 4]), 1000).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use ptolemy_tensor::{par_row_chunks, Initializer, Rng64, Tensor};
 
 use crate::batch::check_batch;
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
 ///
@@ -181,29 +181,21 @@ impl Layer for Dense {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.check_input(input)?;
         let x = input.as_slice();
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                if out_idx >= self.outputs {
-                    return Err(NnError::InvalidConfig(format!(
-                        "output index {out_idx} out of range for {} outputs",
-                        self.outputs
-                    )));
-                }
-                let row =
-                    &self.weight.as_slice()[out_idx * self.inputs..(out_idx + 1) * self.inputs];
-                let partials = x
-                    .iter()
-                    .zip(row)
-                    .enumerate()
-                    .map(|(i, (xi, wi))| (i, xi * wi))
-                    .collect();
-                Ok(Contribution::Weighted(partials))
-            })
-            .collect()
+        for &out_idx in out_idxs {
+            if out_idx >= self.outputs {
+                return Err(NnError::InvalidConfig(format!(
+                    "output index {out_idx} out of range for {} outputs",
+                    self.outputs
+                )));
+            }
+            let row = &self.weight.as_slice()[out_idx * self.inputs..(out_idx + 1) * self.inputs];
+            out.push(x.iter().zip(row).map(|(xi, wi)| xi * wi).enumerate());
+        }
+        Ok(())
     }
 
     fn kind(&self) -> LayerKind {
@@ -217,6 +209,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
 
     fn fixed_layer() -> Dense {
         // W = [[1, 2, 3], [0, -1, 1]], b = [0.5, -0.5]
@@ -241,17 +234,13 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, -1.0, 2.0], &[3]).unwrap();
         let y = layer.forward(&x).unwrap();
         for j in 0..2 {
-            match layer.contributions(&x, j).unwrap() {
-                Contribution::Weighted(pairs) => {
-                    let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
-                    let expected = y.get(&[j]).unwrap() - layer.bias().get(&[j]).unwrap();
-                    assert!((sum - expected).abs() < 1e-5);
-                    assert_eq!(pairs.len(), 3);
-                }
-                other => panic!("expected weighted contributions, got {other:?}"),
-            }
+            let pairs = decompose(&layer, &x, j).unwrap();
+            let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
+            let expected = y.get(&[j]).unwrap() - layer.bias().get(&[j]).unwrap();
+            assert!((sum - expected).abs() < 1e-5);
+            assert_eq!(pairs.len(), 3);
         }
-        assert!(layer.contributions(&x, 2).is_err());
+        assert!(decompose(&layer, &x, 2).is_err());
     }
 
     #[test]

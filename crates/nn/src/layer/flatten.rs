@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Flattens a multi-dimensional activation into a vector.
 ///
@@ -71,33 +71,31 @@ impl Layer for Flatten {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.check(input)?;
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                if out_idx >= input.len() {
-                    return Err(NnError::InvalidConfig(format!(
-                        "flatten output index {out_idx} out of range"
-                    )));
-                }
-                Ok(Contribution::PassThrough(vec![out_idx]))
-            })
-            .collect()
-    }
-
-    fn has_static_routing(&self) -> bool {
-        true
-    }
-
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>> {
-        if out_idx >= self.output_len() {
-            return Err(NnError::InvalidConfig(format!(
-                "flatten output index {out_idx} out of range"
-            )));
+        let x = input.as_slice();
+        for &out_idx in out_idxs {
+            let value = x.get(out_idx).ok_or_else(|| {
+                NnError::InvalidConfig(format!("flatten output index {out_idx} out of range"))
+            })?;
+            out.push([(out_idx, *value)]);
         }
-        // Identity routing, exactly what `contributions` reports.
-        Ok(Some(vec![out_idx]))
+        Ok(())
+    }
+
+    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
+        let len: usize = self.input_shape.iter().product();
+        for &out_idx in out_idxs {
+            if out_idx >= len {
+                return Err(NnError::InvalidConfig(format!(
+                    "flatten output index {out_idx} out of range"
+                )));
+            }
+            // Identity routing, the index `contributions_many` lists.
+            out.push([(out_idx, 0.0)]);
+        }
+        Ok(true)
     }
 
     fn kind(&self) -> LayerKind {
@@ -108,6 +106,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
 
     #[test]
     fn forward_flattens() {
@@ -132,11 +131,8 @@ mod tests {
     fn contributions_pass_through() {
         let f = Flatten::new(&[2, 2]);
         let x = Tensor::ones(&[2, 2]);
-        assert_eq!(
-            f.contributions(&x, 3).unwrap(),
-            Contribution::PassThrough(vec![3])
-        );
-        assert!(f.contributions(&x, 4).is_err());
+        assert_eq!(decompose(&f, &x, 3).unwrap(), vec![(3, 1.0)]);
+        assert!(decompose(&f, &x, 4).is_err());
         assert_eq!(f.kind(), LayerKind::Reshape);
     }
 }

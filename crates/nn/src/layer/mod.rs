@@ -37,27 +37,60 @@ pub struct LayerGrads {
     pub param_grads: Vec<Tensor>,
 }
 
-/// Partial-sum decomposition of one output neuron (paper Fig. 3).
+/// Partial-sum decompositions of a run of output neurons (paper Fig. 3), in
+/// one flat buffer: [`Decompositions::iter`] yields each neuron's
+/// `(input flat index, partial sum)` pairs, in the order they were pushed.
 ///
-/// `Weighted` lists `(input_flat_index, partial_sum)` pairs: the output neuron's
-/// value is (up to the bias term) the sum of the partial sums.  `PassThrough` is
-/// used by layers that merely route activations (ReLU, pooling, flatten): the output
-/// neuron's importance propagates unchanged to the listed input elements.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Contribution {
-    /// Weighted partial sums from input elements.
-    Weighted(Vec<(usize, f32)>),
-    /// Importance passes through unchanged to these input elements.
-    PassThrough(Vec<usize>),
+/// A weight layer's partial sums add up to the neuron's value, up to the bias
+/// term.  A layer that only routes activations (ReLU, pooling, flatten) lists
+/// the input elements the neuron's importance passes to, each with the routed
+/// input value — `0.0` for a [`Layer::static_routing`] route, which reads no
+/// input.
+///
+/// The buffer belongs to the caller, and [`Decompositions::clear`] keeps its
+/// capacity: one buffer serves every layer of a reverse walk, which then
+/// allocates nothing per neuron.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Decompositions {
+    pairs: Vec<(usize, f32)>,
+    /// `ends[k]` is one past neuron `k`'s last pair.
+    ends: Vec<usize>,
 }
 
-impl Contribution {
-    /// Indices of all contributing input elements, regardless of kind.
-    pub fn indices(&self) -> Vec<usize> {
-        match self {
-            Contribution::Weighted(pairs) => pairs.iter().map(|(i, _)| *i).collect(),
-            Contribution::PassThrough(idx) => idx.clone(),
+impl Decompositions {
+    /// Forgets every neuron, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.pairs.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one neuron made of `pairs`.
+    pub fn push(&mut self, pairs: impl IntoIterator<Item = (usize, f32)>) {
+        self.push_with(|buffer| buffer.extend(pairs));
+    }
+
+    /// Appends one neuron whose pairs `fill` pushes onto the flat buffer (it
+    /// must only append): a hot loop's form of [`Decompositions::push`].
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<(usize, f32)>)) {
+        fill(&mut self.pairs);
+        self.ends.push(self.pairs.len());
+    }
+
+    /// Appends `pair` to the last neuron pushed (a residual block's
+    /// shortcut); a no-op while the buffer is empty.
+    fn extend_last(&mut self, pair: (usize, f32)) {
+        if let Some(end) = self.ends.last_mut() {
+            self.pairs.push(pair);
+            *end += 1;
         }
+    }
+
+    /// Each neuron's pairs, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(usize, f32)]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.pairs[start..end])
     }
 }
 
@@ -191,72 +224,55 @@ pub trait Layer: Send + Sync {
         Ok((self.forward_batch(batch)?, None))
     }
 
-    /// Partial-sum decompositions of the output neurons `out_idxs` (flat
-    /// indices into the output) for the given input, one per index, in order.
+    /// Appends the partial-sum decompositions of the output neurons
+    /// `out_idxs` (flat indices into the output) for the given input to
+    /// `out`, one neuron per index, in order.
     ///
     /// `interior` is this `input`'s interior — slice `b` of what
-    /// [`Layer::forward_batch_interior`] returned — if the caller kept it.  Layers without an interior ignore it;
-    /// a composite layer given `None` recomputes it — **once per call**, not
-    /// once per index, which is why the reverse walk asks for all of a layer's
-    /// important neurons together.
+    /// [`Layer::forward_batch_interior`] returned — if the caller kept it.
+    /// Layers without an interior ignore it; a composite layer given `None`
+    /// recomputes it — **once per call**, not once per index, which is why the
+    /// reverse walk asks for all of a layer's important neurons together.
     ///
     /// # Errors
     ///
     /// Returns an error if any index is out of range or `input` (or
-    /// `interior`) has the wrong shape.
+    /// `interior`) has the wrong shape; `out` may then hold the neurons
+    /// decomposed before the failure.
     fn contributions_many(
         &self,
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>>;
+        out: &mut Decompositions,
+    ) -> Result<()>;
 
-    /// Partial-sum decomposition of output neuron `out_idx`: the one-element
-    /// form of [`Layer::contributions_many`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `out_idx` is out of range or `input` has the wrong shape.
-    fn contributions(&self, input: &Tensor, out_idx: usize) -> Result<Contribution> {
-        self.contributions_many(input, None, &[out_idx])?
-            .pop()
-            .ok_or_else(|| {
-                crate::NnError::InvalidConfig(format!(
-                    "{} returned no decomposition for output {out_idx}",
-                    self.name()
-                ))
-            })
-    }
-
-    /// `true` if the *index routing* of [`Layer::contributions`] never depends
-    /// on activation values — i.e. [`Layer::static_routing`] returns `Some`
-    /// for every in-range output index.
+    /// Appends the input indices each of `out_idxs` routes its importance
+    /// to, one neuron per index with every partial sum `0.0`, and returns
+    /// `true` — when that routing never depends on activation values.
+    /// Otherwise appends nothing and returns `false` (the default): the
+    /// routing needs the input, i.e. [`Layer::contributions_many`].  The
+    /// answer is the same for every index list, the empty one included, so
+    /// `static_routing(&[], ..)` asks the layer which kind it is.
     ///
     /// ReLU and flatten route each output to the same-index input; average
     /// pooling always routes to its fixed window members.  Max pooling routes
-    /// to the window's arg-max, which depends on the input, so it stays
-    /// `false` (the conservative default).  The streaming extraction pipeline
-    /// in `ptolemy-core` uses this to decide which layer inputs a backward
-    /// program must retain: statically-routed pass-through layers can have
-    /// their activations dropped the moment the next layer starts.
-    fn has_static_routing(&self) -> bool {
-        false
-    }
-
-    /// Input indices output neuron `out_idx`'s importance routes to, when that
-    /// routing is input-independent ([`Layer::has_static_routing`]); `None`
-    /// when the routing needs the actual input activations.
+    /// to the window's arg-max, which depends on the input, so it keeps the
+    /// default.  The streaming extraction pipeline in `ptolemy-core` uses
+    /// this to decide which layer inputs a backward program must retain:
+    /// statically-routed pass-through layers can have their activations
+    /// dropped the moment the next layer starts.
     ///
     /// Implementations must keep this bit-for-bit consistent with
-    /// [`Layer::contributions`]: `static_routing(i)` is either `None` or
-    /// exactly `contributions(input, i)?.indices()` for every valid input.
+    /// [`Layer::contributions_many`]: the routed indices are exactly the
+    /// indices it lists, for every valid input.
     ///
     /// # Errors
     ///
-    /// Returns an error if `out_idx` is out of range.
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>> {
-        let _ = out_idx;
-        Ok(None)
+    /// Returns an error if any index is out of range.
+    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
+        let _ = (out_idxs, out);
+        Ok(false)
     }
 
     /// Coarse layer classification for cost modelling and compilation.
@@ -283,12 +299,35 @@ pub trait Layer: Send + Sync {
 mod tests {
     use super::*;
 
+    /// One neuron's decomposition on its own: the layer tests' probe.
+    pub(crate) fn decompose(
+        layer: &dyn Layer,
+        input: &Tensor,
+        out_idx: usize,
+    ) -> Result<Vec<(usize, f32)>> {
+        let mut out = Decompositions::default();
+        layer.contributions_many(input, None, &[out_idx], &mut out)?;
+        Ok(out.iter().flatten().copied().collect())
+    }
+
     #[test]
-    fn contribution_indices() {
-        let w = Contribution::Weighted(vec![(3, 0.5), (7, 0.1)]);
-        assert_eq!(w.indices(), vec![3, 7]);
-        let p = Contribution::PassThrough(vec![2]);
-        assert_eq!(p.indices(), vec![2]);
+    fn decompositions_are_flat_runs_of_neurons() {
+        let mut d = Decompositions::default();
+        d.extend_last((9, 9.0));
+        assert_eq!(d, Decompositions::default());
+        d.push([(3, 0.5), (7, 0.1)]);
+        d.push([]);
+        d.push([(2, 1.0)]);
+        d.extend_last((4, -1.0));
+        let runs: Vec<&[(usize, f32)]> = d.iter().collect();
+        assert_eq!(
+            runs,
+            [&[(3, 0.5), (7, 0.1)][..], &[], &[(2, 1.0), (4, -1.0)]]
+        );
+        let capacity = d.pairs.capacity();
+        d.clear();
+        assert_eq!(d, Decompositions::default());
+        assert_eq!(d.pairs.capacity(), capacity);
     }
 
     /// For every layer kind the zoo builds (conv, dense, ReLU, flatten, max and
@@ -355,22 +394,44 @@ mod tests {
                 // Every output neuron, in a scrambled order with a repeat.
                 let mut idxs: Vec<usize> = (0..layer.output_len()).rev().collect();
                 idxs.push(0);
-                let many = layer.contributions_many(&cur, None, &idxs).unwrap();
-                assert_eq!(many.len(), idxs.len());
-                for (&idx, batched) in idxs.iter().zip(&many) {
-                    assert_eq!(batched, &layer.contributions(&cur, idx).unwrap());
+                let mut many = Decompositions::default();
+                layer
+                    .contributions_many(&cur, None, &idxs, &mut many)
+                    .unwrap();
+                assert_eq!(many.iter().count(), idxs.len());
+                for (&idx, batched) in idxs.iter().zip(many.iter()) {
+                    assert_eq!(batched, decompose(layer, &cur, idx).unwrap());
                 }
-                let kept = layer
-                    .contributions_many(&cur, interior.as_ref(), &idxs)
+                let mut kept = Decompositions::default();
+                layer
+                    .contributions_many(&cur, interior.as_ref(), &idxs, &mut kept)
                     .unwrap();
                 assert_eq!(kept, many, "{}: kept interior != recomputed", layer.name());
+                // A static route lists exactly the decomposition's indices.
+                let mut routes = Decompositions::default();
+                let routed = layer.static_routing(&idxs, &mut routes).unwrap();
+                let kind = layer.static_routing(&[], &mut Decompositions::default());
+                assert_eq!(kind.unwrap(), routed, "{}", layer.name());
+                assert_eq!(routes.iter().count(), if routed { idxs.len() } else { 0 });
+                for (route, pairs) in routes.iter().zip(many.iter()) {
+                    assert!(route.iter().all(|&(_, partial)| partial == 0.0));
+                    assert!(route.iter().map(|p| p.0).eq(pairs.iter().map(|p| p.0)));
+                }
+                let mut rejected = Decompositions::default();
                 assert!(layer
-                    .contributions_many(&cur, None, &[layer.output_len()])
+                    .contributions_many(&cur, None, &[layer.output_len()], &mut rejected)
                     .is_err());
-                assert!(layer
-                    .contributions_many(&cur, None, &[])
-                    .unwrap()
-                    .is_empty());
+                assert!(
+                    !routed
+                        || layer
+                            .static_routing(&[layer.output_len()], &mut rejected)
+                            .is_err()
+                );
+                let mut none = Decompositions::default();
+                layer
+                    .contributions_many(&cur, None, &[], &mut none)
+                    .unwrap();
+                assert_eq!(none, Decompositions::default());
                 kinds_seen.insert(layer.name());
                 cur = out;
                 stacked = outs;

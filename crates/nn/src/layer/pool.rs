@@ -1,7 +1,7 @@
 use ptolemy_tensor::{par_row_chunks, Tensor};
 
 use crate::batch::check_batch;
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Shared geometry for the pooling layers.
 #[derive(Debug, Clone, Copy)]
@@ -273,18 +273,16 @@ impl Layer for MaxPool2d {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.geom.check(input)?;
         let x = input.as_slice();
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                let (c, oy, ox) = self.geom.decompose(out_idx)?;
-                Ok(Contribution::PassThrough(vec![self
-                    .geom
-                    .argmax(x, c, oy, ox)]))
-            })
-            .collect()
+        for &out_idx in out_idxs {
+            let (c, oy, ox) = self.geom.decompose(out_idx)?;
+            let at = self.geom.argmax(x, c, oy, ox);
+            out.push([(at, x[at])]);
+        }
+        Ok(())
     }
 
     fn kind(&self) -> LayerKind {
@@ -388,33 +386,26 @@ impl Layer for AvgPool2d {
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.geom.check(input)?;
         let x = input.as_slice();
         let norm = self.norm();
-        out_idxs
-            .iter()
-            .map(|&out_idx| {
-                let (c, oy, ox) = self.geom.decompose(out_idx)?;
-                let pairs = self
-                    .geom
-                    .window(c, oy, ox)
-                    .map(|i| (i, x[i] / norm))
-                    .collect();
-                Ok(Contribution::Weighted(pairs))
-            })
-            .collect()
+        for &out_idx in out_idxs {
+            let (c, oy, ox) = self.geom.decompose(out_idx)?;
+            out.push(self.geom.window(c, oy, ox).map(|i| (i, x[i] / norm)));
+        }
+        Ok(())
     }
 
-    fn has_static_routing(&self) -> bool {
-        true
-    }
-
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>> {
+    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
         // The window membership is fixed by geometry; only the partial-sum
         // *values* depend on the input, and index routing discards them.
-        let (c, oy, ox) = self.geom.decompose(out_idx)?;
-        Ok(Some(self.geom.window(c, oy, ox).collect()))
+        for &out_idx in out_idxs {
+            let (c, oy, ox) = self.geom.decompose(out_idx)?;
+            out.push(self.geom.window(c, oy, ox).map(|i| (i, 0.0)));
+        }
+        Ok(true)
     }
 
     fn kind(&self) -> LayerKind {
@@ -425,6 +416,7 @@ impl Layer for AvgPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
 
     fn image() -> Tensor {
         Tensor::from_vec(
@@ -461,11 +453,8 @@ mod tests {
     #[test]
     fn maxpool_contributions_point_at_max() {
         let pool = MaxPool2d::new(1, 4, 4, 2, 2).unwrap();
-        match pool.contributions(&image(), 0).unwrap() {
-            Contribution::PassThrough(idx) => assert_eq!(idx, vec![5]),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(pool.contributions(&image(), 4).is_err());
+        assert_eq!(decompose(&pool, &image(), 0).unwrap(), vec![(5, 6.0)]);
+        assert!(decompose(&pool, &image(), 4).is_err());
     }
 
     /// The arg-max walk keeps the **last** of equal maxima (`Iterator::max_by`
@@ -475,9 +464,9 @@ mod tests {
     #[test]
     fn maxpool_routes_ties_to_the_last_maximum_of_the_window() {
         let pool = MaxPool2d::new(1, 4, 4, 2, 2).unwrap();
-        let route = |x: &Tensor, out_idx: usize| match pool.contributions(x, out_idx).unwrap() {
-            Contribution::PassThrough(idx) => idx,
-            other => panic!("unexpected {other:?}"),
+        let route = |x: &Tensor, out_idx: usize| -> Vec<usize> {
+            let pairs = decompose(&pool, x, out_idx).unwrap();
+            pairs.iter().map(|p| p.0).collect()
         };
         // All-zero windows (with a -0.0, equal under partial_cmp): bottom-right wins.
         let mut zeros = Tensor::zeros(&[1, 4, 4]);
@@ -508,14 +497,10 @@ mod tests {
         let pool = AvgPool2d::new(1, 4, 4, 2, 2).unwrap();
         let y = pool.forward(&image()).unwrap();
         assert_eq!(y.as_slice(), &[3.5, 5.5, 11.5, 13.5]);
-        match pool.contributions(&image(), 0).unwrap() {
-            Contribution::Weighted(pairs) => {
-                let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
-                assert!((sum - 3.5).abs() < 1e-5);
-                assert_eq!(pairs.len(), 4);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let pairs = decompose(&pool, &image(), 0).unwrap();
+        let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
+        assert!((sum - 3.5).abs() < 1e-5);
+        assert_eq!(pairs.len(), 4);
     }
 
     #[test]

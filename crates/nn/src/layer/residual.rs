@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Residual block: `y = relu(body(x) + x)` where `body` is a short stack of inner
 /// layers whose output shape equals the input shape.
@@ -206,9 +206,11 @@ impl Layer for Residual {
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>> {
+        out: &mut Decompositions,
+    ) -> Result<()> {
         self.check(input)?;
-        if let Some(out_idx) = out_idxs.iter().find(|&&i| i >= self.output_len()) {
+        let x = input.as_slice();
+        if let Some(out_idx) = out_idxs.iter().find(|&&i| i >= x.len()) {
             return Err(NnError::InvalidConfig(format!(
                 "residual output index {out_idx} out of range"
             )));
@@ -226,24 +228,13 @@ impl Layer for Residual {
             recomputed = self.run_head(input, |layer, x| layer.forward(x))?;
             recomputed.as_ref().unwrap_or(input)
         };
-        let decompositions = last.contributions_many(last_input, None, out_idxs)?;
-        Ok(out_idxs
-            .iter()
-            .zip(decompositions)
-            .map(|(&out_idx, decomposition)| {
-                let mut pairs = match decomposition {
-                    Contribution::Weighted(pairs) => pairs,
-                    Contribution::PassThrough(idx) => idx
-                        .into_iter()
-                        .map(|i| (i, last_input.as_slice()[i]))
-                        .collect(),
-                };
-                // Identity shortcut: the block input contributes its own value
-                // at the same position.
-                pairs.push((out_idx, input.as_slice()[out_idx]));
-                Contribution::Weighted(pairs)
-            })
-            .collect())
+        for &out_idx in out_idxs {
+            last.contributions_many(last_input, None, std::slice::from_ref(&out_idx), out)?;
+            // Identity shortcut: the block input contributes its own value
+            // at the same position.
+            out.extend_last((out_idx, x[out_idx]));
+        }
+        Ok(())
     }
 
     fn interior_len(&self) -> usize {
@@ -265,6 +256,7 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::decompose;
     use crate::layer::{Conv2d, ReLU};
     use ptolemy_tensor::{Initializer, Rng64};
 
@@ -309,14 +301,10 @@ mod tests {
             .unwrap();
         let y = res.forward(&x).unwrap();
         let idx = 5;
-        match res.contributions(&x, idx).unwrap() {
-            Contribution::Weighted(pairs) => {
-                let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
-                // Sum of partial sums = output - last conv bias; biases are zero here.
-                assert!((sum - y.as_slice()[idx]).abs() < 1e-3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let pairs = decompose(&res, &x, idx).unwrap();
+        let sum: f32 = pairs.iter().map(|(_, p)| p).sum();
+        // Sum of partial sums = output - last conv bias; biases are zero here.
+        assert!((sum - y.as_slice()[idx]).abs() < 1e-3);
     }
 
     #[test]
@@ -339,14 +327,9 @@ mod tests {
         let single = Residual::new(vec![Box::new(conv.clone())], false).unwrap();
         assert!(single.forward_batch_interior(&one).unwrap().1.is_none());
         assert_eq!(single.interior_len(), 0);
-        let Contribution::Weighted(mut expected) = conv.contributions(&x, 9).unwrap() else {
-            panic!("conv contributions are weighted");
-        };
+        let mut expected = decompose(&conv, &x, 9).unwrap();
         expected.push((9, x.as_slice()[9]));
-        assert_eq!(
-            single.contributions(&x, 9).unwrap(),
-            Contribution::Weighted(expected)
-        );
+        assert_eq!(decompose(&single, &x, 9).unwrap(), expected);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! much?".  This crate therefore exposes, in addition to the usual
 //! forward/backward/training machinery:
 //!
-//! * [`Layer::contributions_many`] (and its one-neuron form
-//!   [`Layer::contributions`]) — the per-output-neuron partial-sum decomposition
-//!   used by the important-neuron extraction algorithms (paper Fig. 3), asked
-//!   for all of a layer's important neurons at once so a composite layer never
-//!   works per neuron; a [`layer::Residual`] block decomposes against the
+//! * [`Layer::contributions_many`] — the per-output-neuron partial-sum
+//!   decomposition used by the important-neuron extraction algorithms (paper
+//!   Fig. 3), asked for all of a layer's important neurons at once and
+//!   appended to one caller-owned flat [`Decompositions`] buffer, so a
+//!   composite layer never works per neuron and a reverse walk allocates
+//!   nothing per neuron; a [`layer::Residual`] block decomposes against the
 //!   interior activation its forward pass hands out
 //!   ([`Layer::forward_batch_interior`], [`TraceSink::on_interior`]);
 //! * [`Network::forward_with_sink_batch`] — the one **streaming driver**: B
@@ -81,7 +82,7 @@ mod train;
 pub mod zoo;
 
 pub use error::NnError;
-pub use layer::{Contribution, Layer, LayerGrads, LayerKind};
+pub use layer::{Decompositions, Layer, LayerGrads, LayerKind};
 pub use loss::{cross_entropy_loss, softmax_cross_entropy_grad};
 pub use network::{ForwardProvider, Network, NetworkGrads};
 pub use quant::QuantizedNetwork;

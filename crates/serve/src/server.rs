@@ -1618,7 +1618,7 @@ mod tests {
 
     use ptolemy_core::{variants, DetectionEngineBuilder, Profiler};
     use ptolemy_nn::layer::{Dense, ReLU};
-    use ptolemy_nn::{zoo, Contribution, Layer, LayerGrads, LayerKind, Network};
+    use ptolemy_nn::{zoo, Decompositions, Layer, LayerGrads, LayerKind, Network};
     use ptolemy_nn::{TrainConfig, Trainer};
     use ptolemy_tensor::Rng64;
 
@@ -1748,21 +1748,17 @@ mod tests {
             input: &Tensor,
             interior: Option<&Tensor>,
             out_idxs: &[usize],
-        ) -> ptolemy_nn::Result<Vec<Contribution>> {
-            self.inner.contributions_many(input, interior, out_idxs)
+            out: &mut Decompositions,
+        ) -> ptolemy_nn::Result<()> {
+            self.inner
+                .contributions_many(input, interior, out_idxs, out)
         }
-        fn contributions(
+        fn static_routing(
             &self,
-            input: &Tensor,
-            out_idx: usize,
-        ) -> ptolemy_nn::Result<Contribution> {
-            self.inner.contributions(input, out_idx)
-        }
-        fn has_static_routing(&self) -> bool {
-            self.inner.has_static_routing()
-        }
-        fn static_routing(&self, out_idx: usize) -> ptolemy_nn::Result<Option<Vec<usize>>> {
-            self.inner.static_routing(out_idx)
+            out_idxs: &[usize],
+            out: &mut Decompositions,
+        ) -> ptolemy_nn::Result<bool> {
+            self.inner.static_routing(out_idxs, out)
         }
         fn kind(&self) -> LayerKind {
             self.inner.kind()

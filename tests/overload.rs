@@ -12,7 +12,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use ptolemy::nn::{Contribution, Layer, LayerGrads, LayerKind, NnError};
+use ptolemy::nn::{Decompositions, Layer, LayerGrads, LayerKind, NnError};
 use ptolemy::obs::{Clock, Registry};
 use ptolemy::prelude::*;
 
@@ -436,14 +436,17 @@ impl Layer for Borrowed {
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>, NnError> {
-        self.inner().contributions_many(input, interior, out_idxs)
+        out: &mut Decompositions,
+    ) -> Result<(), NnError> {
+        self.inner()
+            .contributions_many(input, interior, out_idxs, out)
     }
-    fn has_static_routing(&self) -> bool {
-        self.inner().has_static_routing()
-    }
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>, NnError> {
-        self.inner().static_routing(out_idx)
+    fn static_routing(
+        &self,
+        out_idxs: &[usize],
+        out: &mut Decompositions,
+    ) -> Result<bool, NnError> {
+        self.inner().static_routing(out_idxs, out)
     }
     fn kind(&self) -> LayerKind {
         self.inner().kind()

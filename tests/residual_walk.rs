@@ -20,7 +20,7 @@ use ptolemy::core::{
     CoreError, DetectionEngine, DetectionProgram, Profiler,
 };
 use ptolemy::nn::layer::{Conv2d, Dense, Flatten, ReLU, Residual};
-use ptolemy::nn::{Contribution, ForwardTrace, Layer, LayerGrads, LayerKind, Network, NnError};
+use ptolemy::nn::{Decompositions, ForwardTrace, Layer, LayerGrads, LayerKind, Network, NnError};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
@@ -281,14 +281,17 @@ impl Layer for Counting {
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-    ) -> Result<Vec<Contribution>, NnError> {
-        self.inner.contributions_many(input, interior, out_idxs)
+        out: &mut Decompositions,
+    ) -> Result<(), NnError> {
+        self.inner
+            .contributions_many(input, interior, out_idxs, out)
     }
-    fn has_static_routing(&self) -> bool {
-        self.inner.has_static_routing()
-    }
-    fn static_routing(&self, out_idx: usize) -> Result<Option<Vec<usize>>, NnError> {
-        self.inner.static_routing(out_idx)
+    fn static_routing(
+        &self,
+        out_idxs: &[usize],
+        out: &mut Decompositions,
+    ) -> Result<bool, NnError> {
+        self.inner.static_routing(out_idxs, out)
     }
     fn kind(&self) -> LayerKind {
         self.inner.kind()
