@@ -100,18 +100,16 @@ impl AdaptiveAttack {
         layers: &[usize],
     ) -> Result<(f32, Tensor)> {
         // Backward pass accumulating 2·(zᵢ − zᵢᵗ) at every considered layer.
-        let num_layers = trace.num_layers();
         let mut loss = 0.0f32;
-        let mut grad = Tensor::zeros(trace.logits().dims());
-        for i in (0..num_layers).rev() {
-            if layers.contains(&i) {
-                let diff = trace.output(i).sub(target_trace.output(i))?;
-                loss += diff.as_slice().iter().map(|v| v * v).sum::<f32>();
-                grad.add_scaled_inplace(&diff, 2.0)?;
-            }
-            let layer = network.layer(i)?;
-            grad = layer.backward(trace.input(i), &grad)?.input_grad;
-        }
+        let grad =
+            network.backward_input(trace, Tensor::zeros(trace.logits().dims()), |i, grad| {
+                if layers.contains(&i) {
+                    let diff = trace.output(i).sub(target_trace.output(i))?;
+                    loss += diff.as_slice().iter().map(|v| v * v).sum::<f32>();
+                    grad.add_scaled_inplace(&diff, 2.0)?;
+                }
+                Ok(())
+            })?;
         Ok((loss, grad))
     }
 

@@ -1,6 +1,6 @@
 //! Gradient-based attacks: FGSM, BIM, PGD (L∞), DeepFool and CW-L2 (L2).
 
-use ptolemy_nn::Network;
+use ptolemy_nn::{predicted_class, ForwardTrace, Network};
 use ptolemy_tensor::{Rng64, Tensor};
 
 use crate::{AdversarialExample, Attack, AttackError, Result};
@@ -210,20 +210,22 @@ impl Attack for DeepFool {
         let num_classes = network.num_classes();
         let mut current = input.clone();
         for _ in 0..self.max_iterations {
-            if network.predict(&current)? != label {
+            // One forward pass per iteration: the prediction, the logits and
+            // every logit gradient read the same trace.
+            let trace = network.forward_trace(&current)?;
+            let logits = trace.logits();
+            if predicted_class(logits.as_slice())? != label {
                 break;
             }
-            let trace = network.forward_trace(&current)?;
-            let logits = trace.logits().clone();
             // Gradient of the true-class logit.
-            let grad_label = logit_gradient(network, &current, label)?;
+            let grad_label = logit_gradient(network, &trace, label)?;
             // Find the closest boundary over all other classes.
             let mut best: Option<(f32, Tensor)> = None;
             for k in 0..num_classes {
                 if k == label {
                     continue;
                 }
-                let grad_k = logit_gradient(network, &current, k)?;
+                let grad_k = logit_gradient(network, &trace, k)?;
                 let w = grad_k.sub(&grad_label)?;
                 let f = logits.as_slice()[k] - logits.as_slice()[label];
                 let w_norm = w.l2_norm().max(1e-8);
@@ -292,8 +294,10 @@ impl Attack for CarliniWagnerL2 {
         let mut best: Option<Tensor> = None;
         let mut best_l2 = f32::INFINITY;
         for _ in 0..self.iterations {
-            let logits = network.forward(&current)?;
-            let scores = logits.as_slice();
+            // One forward pass per iteration, shared by the margin and both
+            // logit gradients.
+            let trace = network.forward_trace(&current)?;
+            let scores = trace.logits().as_slice();
             let (runner_up, _) = scores
                 .iter()
                 .enumerate()
@@ -317,8 +321,8 @@ impl Attack for CarliniWagnerL2 {
             let mut grad = current.sub(input)?.scale(2.0);
             if margin > -self.kappa {
                 // d margin / dx = ∇Z_y − ∇Z_runner_up.
-                let grad_margin = logit_gradient(network, &current, label)?
-                    .sub(&logit_gradient(network, &current, runner_up)?)?;
+                let grad_margin = logit_gradient(network, &trace, label)?
+                    .sub(&logit_gradient(network, &trace, runner_up)?)?;
                 grad.add_scaled_inplace(&grad_margin, self.c)?;
             }
             current = current
@@ -330,12 +334,11 @@ impl Attack for CarliniWagnerL2 {
     }
 }
 
-/// Gradient of a single logit with respect to the input.
-fn logit_gradient(network: &Network, input: &Tensor, class: usize) -> Result<Tensor> {
-    let trace = network.forward_trace(input)?;
+/// Gradient of a single logit with respect to the input the trace recorded.
+fn logit_gradient(network: &Network, trace: &ForwardTrace, class: usize) -> Result<Tensor> {
     let mut grad_logits = Tensor::zeros(trace.logits().dims());
     grad_logits.as_mut_slice()[class] = 1.0;
-    Ok(network.backward(&trace, &grad_logits)?.input_grad)
+    Ok(network.backward_input(trace, grad_logits, |_, _| Ok(()))?)
 }
 
 #[cfg(test)]

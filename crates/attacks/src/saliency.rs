@@ -1,7 +1,7 @@
 //! JSMA: the Jacobian-based Saliency Map Attack (Papernot et al.), an L0 attack that
 //! perturbs a small number of input elements.
 
-use ptolemy_nn::Network;
+use ptolemy_nn::{predicted_class, ForwardTrace, Network};
 use ptolemy_tensor::Tensor;
 
 use crate::{AdversarialExample, Attack, AttackError, Result};
@@ -67,10 +67,13 @@ impl Attack for Jsma {
         let mut modified = vec![false; input.len()];
         let mut changed = 0usize;
         while changed < self.max_features {
-            if network.predict(&current)? != label {
+            // One forward pass per step: the prediction and the saliency
+            // map read the same trace.
+            let trace = network.forward_trace(&current)?;
+            if predicted_class(trace.logits().as_slice())? != label {
                 break;
             }
-            let saliency = saliency_map(network, &current, label, target)?;
+            let saliency = saliency_map(network, &trace, label, target)?;
             // Pick the still-unmodified feature with the largest saliency magnitude
             // that can still move in the useful direction (increase features that
             // help the target class, decrease features that help the true class).
@@ -100,17 +103,15 @@ impl Attack for Jsma {
 /// `∂Z_target/∂x − ∂Z_label/∂x`.
 fn saliency_map(
     network: &Network,
-    input: &Tensor,
+    trace: &ForwardTrace,
     label: usize,
     target: usize,
 ) -> Result<Vec<f32>> {
-    let trace = network.forward_trace(input)?;
     let mut grad_logits = Tensor::zeros(trace.logits().dims());
     grad_logits.as_mut_slice()[target] = 1.0;
     grad_logits.as_mut_slice()[label] = -1.0;
     Ok(network
-        .backward(&trace, &grad_logits)?
-        .input_grad
+        .backward_input(trace, grad_logits, |_, _| Ok(()))?
         .into_vec())
 }
 

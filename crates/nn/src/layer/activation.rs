@@ -1,6 +1,7 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{check_len, grad_batch, missing, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Rectified linear unit applied element-wise.
 ///
@@ -51,19 +52,33 @@ impl Layer for ReLU {
         Ok(batch.map(|v| v.max(0.0)))
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.check(input)?;
-        self.check(grad_output)?;
-        let gx: Vec<f32> = input
+    /// Masks the gradient with the recorded output (or input): `x > 0`
+    /// exactly where `max(x, 0) > 0`, NaN included.
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        _param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let len = self.output_len();
+        let batch = grad_batch(grad_output, len, self.name())?;
+        if !want_input {
+            return Ok(None);
+        }
+        let recorded = saved
+            .output
+            .or(saved.input)
+            .ok_or_else(|| missing(self.name(), "output"))?;
+        check_len(recorded, batch, len, self.name())?;
+        let gx = recorded
             .as_slice()
             .iter()
             .zip(grad_output.as_slice())
-            .map(|(x, g)| if *x > 0.0 { *g } else { 0.0 })
+            .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
             .collect();
-        Ok(LayerGrads {
-            input_grad: Tensor::from_vec(gx, input.dims())?,
-            param_grads: Vec::new(),
-        })
+        let dims = [&[batch][..], &self.shape].concat();
+        Ok(Some(Tensor::from_vec(gx, &dims)?))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -114,7 +129,7 @@ impl Layer for ReLU {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
 
     #[test]
     fn forward_clamps_negatives() {
@@ -128,9 +143,9 @@ mod tests {
         let relu = ReLU::new(&[3]);
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3]).unwrap();
         let gy = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]).unwrap();
-        let g = relu.backward(&x, &gy).unwrap();
-        assert_eq!(g.input_grad.as_slice(), &[0.0, 1.0, 1.0]);
-        assert!(g.param_grads.is_empty());
+        let g = backward(&relu, &x, &gy).unwrap();
+        assert_eq!(g.0.as_slice(), &[0.0, 1.0, 1.0]);
+        assert!(g.1.is_empty());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 use std::sync::OnceLock;
 
 use ptolemy_tensor::{
-    col2im, conv2d_forward, im2col, Conv2dGeometry, Initializer, PackedWeights, Rng64, Tensor,
+    conv2d_backward_input, conv2d_backward_params, conv2d_forward, Conv2dGeometry, Initializer,
+    PackedWeights, Rng64, Tensor,
 };
 
 use crate::batch::check_batch;
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// 2-D convolution over CHW activations: one fused lowering + GEMM + bias
 /// kernel ([`conv2d_forward`]) over a stacked batch (a single sample is the
@@ -21,7 +23,8 @@ use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
 /// depend only on the weights: they are packed by the first forward pass
 /// after construction or after [`Layer::params_mut`] handed the weights out
 /// (never eagerly — training mutates them every step), and reused by every
-/// pass until then.
+/// pass until then.  The backward kernel keeps the transposed weights'
+/// panels under the same rule.
 ///
 /// # Example
 ///
@@ -47,6 +50,8 @@ pub struct Conv2d {
     /// `weight` packed for the fused kernel; empty until a forward pass needs
     /// it, emptied again whenever `weight` may have changed.
     packed: OnceLock<PackedWeights>,
+    /// `weightᵀ` packed for the backward kernel, under the same rule.
+    packed_t: OnceLock<PackedWeights>,
 }
 
 impl Conv2d {
@@ -83,6 +88,7 @@ impl Conv2d {
             geom,
             out_channels,
             packed: OnceLock::new(),
+            packed_t: OnceLock::new(),
         })
     }
 
@@ -169,35 +175,46 @@ impl Layer for Conv2d {
         )?)
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.check_input(input)?;
-        let out_shape = self.output_shape();
-        if grad_output.dims() != out_shape.as_slice() {
-            return Err(NnError::InvalidConfig(format!(
-                "conv2d expects output grad shape {out_shape:?}, got {:?}",
-                grad_output.dims()
-            )));
+    /// The input gradient is one GEMM over the whole batch against the
+    /// transposed weights, packed once per weight version; the parameter gradients
+    /// run per sample and are skipped when not asked for
+    /// (`ptolemy_tensor::conv2d_backward_input` / `conv2d_backward_params`).
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let batch = grad_batch(grad_output, self.output_len(), self.name())?;
+        let gy = grad_output.as_slice();
+        if let Some(grads) = param_grads {
+            check_param_grads(grads, &self.params(), self.name())?;
+            let input = saved.need_input(self.name())?;
+            check_len(input, batch, self.input_len(), self.name())?;
+            if let [weight_grad, bias_grad] = grads {
+                conv2d_backward_params(
+                    gy,
+                    input.as_slice(),
+                    &self.geom,
+                    weight_grad.as_mut_slice(),
+                    bias_grad.as_mut_slice(),
+                )?;
+            }
         }
-        let patches = self.geom.num_patches();
-        let cols = im2col(input, &self.geom)?; // [patch_len, patches]
-        let gy = grad_output.reshape(&[self.out_channels, patches])?;
-
-        // dW = gy · colsᵀ ; db = row-sums of gy ; dcols = Wᵀ · gy ; dx = col2im(dcols)
-        let grad_w = gy.matmul(&cols.transpose()?)?;
-        let grad_b = Tensor::from_vec(
-            gy.as_slice()
-                .chunks(patches)
-                .map(|row| row.iter().sum())
-                .collect(),
-            &[self.out_channels],
-        )?;
-        let grad_cols = self.weight.transpose()?.matmul(&gy)?;
-        let grad_input = col2im(&grad_cols, &self.geom)?;
-
-        Ok(LayerGrads {
-            input_grad: grad_input,
-            param_grads: vec![grad_w, grad_b],
-        })
+        if !want_input {
+            return Ok(None);
+        }
+        let weights_t = match self.packed_t.get() {
+            Some(packed) => packed,
+            None => {
+                let packed = PackedWeights::pack_transposed(&self.weight)?;
+                self.packed_t.get_or_init(|| packed)
+            }
+        };
+        let grad_input = conv2d_backward_input(gy, &self.geom, weights_t)?;
+        let dims = [&[batch][..], &self.input_shape()].concat();
+        Ok(Some(Tensor::from_vec(grad_input, &dims)?))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -207,6 +224,7 @@ impl Layer for Conv2d {
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
         // The caller may rewrite the weights: the packed panels are stale.
         self.packed = OnceLock::new();
+        self.packed_t = OnceLock::new();
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -266,7 +284,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
 
     #[test]
     fn forward_shape_and_identity_kernel() {
@@ -355,7 +373,7 @@ mod tests {
             .build(&[1, 4, 4], &mut rng)
             .unwrap();
         let gy = Tensor::ones(&[2, 4, 4]);
-        let grads = conv.backward(&x, &gy).unwrap();
+        let grads = backward(&conv, &x, &gy).unwrap();
         let eps = 1e-3;
         for i in [0usize, 5, 10, 15] {
             let mut xp = x.clone();
@@ -364,7 +382,7 @@ mod tests {
             xm.as_mut_slice()[i] -= eps;
             let num =
                 (conv.forward(&xp).unwrap().sum() - conv.forward(&xm).unwrap().sum()) / (2.0 * eps);
-            let ana = grads.input_grad.as_slice()[i];
+            let ana = grads.0.as_slice()[i];
             assert!((num - ana).abs() < 1e-2, "grad {i}: {num} vs {ana}");
         }
     }
@@ -377,7 +395,7 @@ mod tests {
             .build(&[1, 3, 3], &mut rng)
             .unwrap();
         let gy = Tensor::ones(&[1, 2, 2]);
-        let grads = conv.backward(&x, &gy).unwrap();
+        let grads = backward(&conv, &x, &gy).unwrap();
         let eps = 1e-3;
         for wi in 0..4 {
             let orig = conv.weight.as_slice()[wi];
@@ -387,11 +405,11 @@ mod tests {
             let minus = conv.forward(&x).unwrap().sum();
             conv.params_mut()[0].as_mut_slice()[wi] = orig;
             let num = (plus - minus) / (2.0 * eps);
-            let ana = grads.param_grads[0].as_slice()[wi];
+            let ana = grads.1[0].as_slice()[wi];
             assert!((num - ana).abs() < 1e-2, "weight grad {wi}: {num} vs {ana}");
         }
         // Bias gradient is the number of output positions (sum of ones).
-        assert!((grads.param_grads[1].as_slice()[0] - 4.0).abs() < 1e-5);
+        assert!((grads.1[1].as_slice()[0] - 4.0).abs() < 1e-5);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-use ptolemy_tensor::{par_row_chunks, Initializer, Rng64, Tensor};
+use ptolemy_tensor::{gemm_nn_into, par_row_chunks, Initializer, Rng64, Tensor};
 
 use crate::batch::check_batch;
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
 ///
@@ -136,36 +137,46 @@ impl Layer for Dense {
         )?)
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.check_input(input)?;
-        if grad_output.len() != self.outputs {
-            return Err(NnError::InvalidConfig(format!(
-                "dense layer expects {} output grads, got {}",
-                self.outputs,
-                grad_output.len()
-            )));
-        }
-        let x = input.as_slice();
-        let w = self.weight.as_slice();
+    /// The input gradient `gy · W` is one GEMM over the batch
+    /// ([`ptolemy_tensor::gemm_nn_into`]); the weight gradient is each
+    /// sample's outer product `gy ⊗ x`, summed in sample order.
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let (inputs, outputs) = (self.inputs, self.outputs);
+        let batch = grad_batch(grad_output, outputs, self.name())?;
         let gy = grad_output.as_slice();
-
-        let mut gx = vec![0.0f32; self.inputs];
-        let mut gw = vec![0.0f32; self.outputs * self.inputs];
-        for j in 0..self.outputs {
-            let row = &w[j * self.inputs..(j + 1) * self.inputs];
-            let g = gy[j];
-            for i in 0..self.inputs {
-                gx[i] += g * row[i];
-                gw[j * self.inputs + i] = g * x[i];
+        if let Some(grads) = param_grads {
+            check_param_grads(grads, &self.params(), self.name())?;
+            let input = saved.need_input(self.name())?;
+            check_len(input, batch, inputs, self.name())?;
+            if let [weight_grad, bias_grad] = grads {
+                let (gw, gb) = (weight_grad.as_mut_slice(), bias_grad.as_mut_slice());
+                let samples = gy
+                    .chunks_exact(outputs)
+                    .zip(input.as_slice().chunks_exact(inputs));
+                for (b, (g, x)) in samples.enumerate() {
+                    for (row, &gj) in gw.chunks_exact_mut(inputs).zip(g) {
+                        for (w, xi) in row.iter_mut().zip(x) {
+                            *w = if b == 0 { gj * xi } else { *w + gj * xi };
+                        }
+                    }
+                    for (acc, &gj) in gb.iter_mut().zip(g) {
+                        *acc = if b == 0 { gj } else { *acc + gj };
+                    }
+                }
             }
         }
-        Ok(LayerGrads {
-            input_grad: Tensor::from_vec(gx, &[self.inputs])?,
-            param_grads: vec![
-                Tensor::from_vec(gw, &[self.outputs, self.inputs])?,
-                grad_output.clone(),
-            ],
-        })
+        if !want_input {
+            return Ok(None);
+        }
+        let mut gx = vec![0.0f32; batch * inputs];
+        gemm_nn_into(&mut gx, gy, self.weight.as_slice(), batch, outputs, inputs);
+        Ok(Some(Tensor::from_vec(gx, &[batch, inputs])?))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -209,7 +220,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
 
     fn fixed_layer() -> Dense {
         // W = [[1, 2, 3], [0, -1, 1]], b = [0.5, -0.5]
@@ -250,7 +261,7 @@ mod tests {
         let x = Tensor::from_vec(vec![0.2, -0.3, 0.5, 1.0], &[4]).unwrap();
         // Loss = sum(y); dL/dy = ones.
         let gy = Tensor::ones(&[3]);
-        let grads = layer.backward(&x, &gy).unwrap();
+        let grads = backward(&layer, &x, &gy).unwrap();
 
         let eps = 1e-3;
         // Numeric gradient w.r.t. input.
@@ -261,12 +272,12 @@ mod tests {
             xm.as_mut_slice()[i] -= eps;
             let num = (layer.forward(&xp).unwrap().sum() - layer.forward(&xm).unwrap().sum())
                 / (2.0 * eps);
-            let ana = grads.input_grad.as_slice()[i];
+            let ana = grads.0.as_slice()[i];
             assert!((num - ana).abs() < 1e-2, "input grad {i}: {num} vs {ana}");
         }
         // Shapes of parameter gradients.
-        assert_eq!(grads.param_grads[0].dims(), &[3, 4]);
-        assert_eq!(grads.param_grads[1].dims(), &[3]);
+        assert_eq!(grads.1[0].dims(), &[3, 4]);
+        assert_eq!(grads.1[1].dims(), &[3]);
     }
 
     #[test]
@@ -275,9 +286,7 @@ mod tests {
         assert!(Dense::new(0, 3, &mut rng).is_err());
         let layer = Dense::new(4, 2, &mut rng).unwrap();
         assert!(layer.forward(&Tensor::ones(&[3])).is_err());
-        assert!(layer
-            .backward(&Tensor::ones(&[4]), &Tensor::ones(&[3]))
-            .is_err());
+        assert!(backward(&layer, &Tensor::ones(&[4]), &Tensor::ones(&[3])).is_err());
         assert!(Dense::from_parts(Tensor::zeros(&[2, 3]), Tensor::zeros(&[3])).is_err());
     }
 

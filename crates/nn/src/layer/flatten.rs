@@ -1,6 +1,7 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{grad_batch, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Flattens a multi-dimensional activation into a vector.
 ///
@@ -50,12 +51,19 @@ impl Layer for Flatten {
         Ok(batch.reshape(&[batch_size, batch.len() / batch_size])?)
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.check(input)?;
-        Ok(LayerGrads {
-            input_grad: grad_output.reshape(&self.input_shape)?,
-            param_grads: Vec::new(),
-        })
+    fn backward_batch(
+        &self,
+        _saved: Saved<'_>,
+        grad_output: &Tensor,
+        _param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let batch = grad_batch(grad_output, self.output_len(), self.name())?;
+        if !want_input {
+            return Ok(None);
+        }
+        let dims = [&[batch][..], &self.input_shape].concat();
+        Ok(Some(grad_output.reshape(&dims)?))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -106,7 +114,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
 
     #[test]
     fn forward_flattens() {
@@ -122,9 +130,9 @@ mod tests {
         let f = Flatten::new(&[1, 2, 3]);
         let x = Tensor::ones(&[1, 2, 3]);
         let gy = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[6]).unwrap();
-        let g = f.backward(&x, &gy).unwrap();
-        assert_eq!(g.input_grad.dims(), &[1, 2, 3]);
-        assert_eq!(g.input_grad.as_slice(), gy.as_slice());
+        let g = backward(&f, &x, &gy).unwrap();
+        assert_eq!(g.0.dims(), &[1, 2, 3]);
+        assert_eq!(g.0.as_slice(), gy.as_slice());
     }
 
     #[test]

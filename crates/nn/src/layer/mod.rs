@@ -3,11 +3,12 @@
 //! Every layer has one forward kernel, [`Layer::forward_batch`], over a
 //! stacked `[B] ++ input_shape` batch (NCHW); sample `b` of the result is
 //! bit-for-bit the batch of one of that sample.  [`Layer::forward`] is that
-//! batch of one, unstacked.  Backward passes and partial-sum decompositions
-//! work on a **single sample** (no batch dimension): the training loop
-//! iterates over a mini-batch and averages parameter gradients, and the
-//! extraction algorithms decompose one input's path at a time, exactly
-//! mirroring the per-input path semantics of the paper.
+//! batch of one, unstacked.  The backward kernel, [`Layer::backward_batch`],
+//! takes the same stacked batch and reads the activations the forward pass
+//! recorded ([`Saved`]), computing only the gradients the caller asks for.
+//! Partial-sum decompositions work on a **single sample** (no batch
+//! dimension): the extraction algorithms decompose one input's path at a
+//! time, exactly mirroring the per-input path semantics of the paper.
 
 mod activation;
 mod conv;
@@ -25,16 +26,81 @@ pub use residual::Residual;
 
 use ptolemy_tensor::{Conv2dGeometry, Tensor};
 
-use crate::Result;
+use crate::{NnError, Result};
 
-/// Gradients produced by one layer's backward pass.
-#[derive(Debug, Clone)]
-pub struct LayerGrads {
-    /// Gradient of the loss with respect to the layer input.
-    pub input_grad: Tensor,
-    /// Gradients of the loss with respect to each parameter tensor, in the same
-    /// order as [`Layer::params`].  Empty for parameter-free layers.
-    pub param_grads: Vec<Tensor>,
+/// The stacked activations a forward pass recorded around one layer — as
+/// many of them as the caller has — for [`Layer::backward_batch`] to read.
+///
+/// A network's trace records all three; inside a [`Residual`] body only the
+/// block input and the block's interior are recorded, so a body layer sees
+/// some of its boundaries as `None`.  A kernel reads what it needs and fails
+/// with a typed error when that is missing: convolution and dense layers
+/// read their input only for parameter gradients, ReLU reads its output (or
+/// its input — the mask is the same), max pooling reads its input, average
+/// pooling and flatten read nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Saved<'a> {
+    /// The layer's input (`[B] ++ input_shape`).
+    pub input: Option<&'a Tensor>,
+    /// The layer's interior ([`Layer::forward_batch_interior`]).
+    pub interior: Option<&'a Tensor>,
+    /// The layer's output (`[B] ++ output_shape`).
+    pub output: Option<&'a Tensor>,
+}
+
+impl<'a> Saved<'a> {
+    /// The recorded input, or an error naming the layer that needs it.
+    pub(crate) fn need_input(&self, layer: &str) -> Result<&'a Tensor> {
+        self.input.ok_or_else(|| missing(layer, "input"))
+    }
+}
+
+/// The error of a backward kernel whose recorded activation is missing.
+pub(crate) fn missing(layer: &str, what: &str) -> NnError {
+    NnError::InvalidConfig(format!(
+        "{layer} backward needs the {what} its forward pass recorded"
+    ))
+}
+
+/// The number of samples in a stacked output gradient of `sample_len`
+/// elements per sample: at least one, with no remainder.
+pub(crate) fn grad_batch(grad_output: &Tensor, sample_len: usize, layer: &str) -> Result<usize> {
+    let len = grad_output.len();
+    if sample_len == 0 || len == 0 || len % sample_len != 0 {
+        return Err(NnError::InvalidConfig(format!(
+            "{layer} expects an output gradient of B x {sample_len} elements, got {len}"
+        )));
+    }
+    Ok(len / sample_len)
+}
+
+/// Checks that a recorded activation holds `batch` samples of `sample_len`
+/// elements.
+pub(crate) fn check_len(
+    tensor: &Tensor,
+    batch: usize,
+    sample_len: usize,
+    layer: &str,
+) -> Result<()> {
+    if tensor.len() != batch * sample_len {
+        return Err(NnError::InvalidConfig(format!(
+            "{layer} recorded {} elements for a batch of {batch} x {sample_len}",
+            tensor.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Checks that `grads` has one buffer per parameter, shaped like it.
+pub(crate) fn check_param_grads(grads: &[Tensor], params: &[&Tensor], layer: &str) -> Result<()> {
+    let shaped =
+        grads.len() == params.len() && grads.iter().zip(params).all(|(g, p)| g.dims() == p.dims());
+    if !shaped {
+        return Err(NnError::InvalidConfig(format!(
+            "{layer} gradient buffers do not match its parameters"
+        )));
+    }
+    Ok(())
 }
 
 /// Partial-sum decompositions of a run of output neurons (paper Fig. 3), in
@@ -193,12 +259,44 @@ pub trait Layer: Send + Sync {
         Ok(out.into_reshaped(&self.output_shape())?)
     }
 
-    /// Computes input and parameter gradients given the upstream gradient.
+    /// The layer's one backward kernel, over a stacked batch.
+    ///
+    /// `grad_output` is the gradient of the loss with respect to the stacked
+    /// output (`B * output_len` elements; the dimensions are not read, so a
+    /// batch of one may come unstacked, as may `saved`).  Computes only what
+    /// is asked for:
+    ///
+    /// * with `param_grads` (one tensor per [`Layer::params`] entry, shaped
+    ///   like it), overwrites each with that parameter's gradient **summed
+    ///   over the batch in sample order** — sample 0 initialises the sum,
+    ///   each later sample is added to it;
+    /// * with `want_input`, returns the gradient with respect to the stacked
+    ///   input, `[B] ++ input_shape`; otherwise returns `None` and skips that
+    ///   work.
+    ///
+    /// Sample `b` of the input gradient, and sample `b`'s term of each
+    /// parameter sum, depend on sample `b` alone and are bit-for-bit the batch
+    /// of one of that sample.  The default has no backward kernel and fails:
+    /// a layer that is only ever run forward need not implement it.
     ///
     /// # Errors
     ///
-    /// Returns an error if shapes are inconsistent with the layer configuration.
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads>;
+    /// Returns an error if the gradient, the recorded activations or the
+    /// parameter buffers do not match the layer, or if an activation the
+    /// kernel reads was not recorded.
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let _ = (saved, grad_output, param_grads, want_input);
+        Err(NnError::InvalidConfig(format!(
+            "{} has no backward kernel",
+            self.name()
+        )))
+    }
 
     /// Trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
@@ -308,6 +406,28 @@ mod tests {
         let mut out = Decompositions::default();
         layer.contributions_many(input, None, &[out_idx], &mut out)?;
         Ok(out.iter().flatten().copied().collect())
+    }
+
+    /// One sample's backward pass on its own, with everything its forward
+    /// pass recorded: the layer tests' probe.  Returns the input gradient
+    /// (shaped like `input`) and the parameter gradients.
+    pub(crate) fn backward(
+        layer: &dyn Layer,
+        input: &Tensor,
+        grad_output: &Tensor,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        let stacked = input.reshape(&[&[1], input.dims()].concat())?;
+        let (output, interior) = layer.forward_batch_interior(&stacked)?;
+        let saved = Saved {
+            input: Some(&stacked),
+            interior: interior.as_ref(),
+            output: Some(&output),
+        };
+        let mut param_grads: Vec<Tensor> = layer.params().into_iter().cloned().collect();
+        let input_grad = layer
+            .backward_batch(saved, grad_output, Some(&mut param_grads), true)?
+            .ok_or_else(|| NnError::InvalidConfig("no input gradient".into()))?;
+        Ok((input_grad.into_reshaped(input.dims())?, param_grads))
     }
 
     #[test]

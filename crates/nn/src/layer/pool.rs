@@ -1,7 +1,8 @@
 use ptolemy_tensor::{par_row_chunks, Tensor};
 
 use crate::batch::check_batch;
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{check_len, grad_batch, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Shared geometry for the pooling layers.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +90,51 @@ impl PoolGeom {
             })
             // Windows are never empty (`window >= 1` is checked at construction).
             .unwrap_or_else(|| self.corner(c, oy, ox))
+    }
+
+    /// The one backward kernel of both pooling layers, over a stacked output
+    /// gradient: for each sample and each output position `(c, oy, ox)` in
+    /// order, `route(x, c, oy, ox, g, gx)` adds the position's gradient `g`
+    /// into the sample's zeroed input gradient `gx`, reading the sample's
+    /// recorded input `x` (empty when the layer reads none).
+    fn backward_with(
+        &self,
+        layer: &str,
+        grad_output: &Tensor,
+        input: Option<&Tensor>,
+        want_input: bool,
+        route: impl Fn(&[f32], usize, usize, usize, f32, &mut [f32]),
+    ) -> Result<Option<Tensor>> {
+        let in_len = self.channels * self.in_h * self.in_w;
+        let out_len = self.channels * self.out_h * self.out_w;
+        let batch = grad_batch(grad_output, out_len, layer)?;
+        if !want_input {
+            return Ok(None);
+        }
+        if let Some(input) = input {
+            check_len(input, batch, in_len, layer)?;
+        }
+        let xs = input.map_or(&[][..], Tensor::as_slice);
+        let mut gx = vec![0.0f32; batch * in_len];
+        for (b, (gy, gx)) in grad_output
+            .as_slice()
+            .chunks_exact(out_len)
+            .zip(gx.chunks_exact_mut(in_len))
+            .enumerate()
+        {
+            let x = xs.get(b * in_len..(b + 1) * in_len).unwrap_or(&[]);
+            let mut out_idx = 0usize;
+            for c in 0..self.channels {
+                for oy in 0..self.out_h {
+                    for ox in 0..self.out_w {
+                        route(x, c, oy, ox, gy[out_idx], gx);
+                        out_idx += 1;
+                    }
+                }
+            }
+        }
+        let dims = [&[batch][..], &self.in_shape()].concat();
+        Ok(Some(Tensor::from_vec(gx, &dims)?))
     }
 
     /// The one forward kernel of both pooling layers, over a `[B, C, H, W]`
@@ -237,27 +283,28 @@ impl Layer for MaxPool2d {
             .forward_with(batch, self.name(), f32::NEG_INFINITY, f32::max, |acc| acc)
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.geom.check(input)?;
-        if grad_output.dims() != self.geom.out_shape().as_slice() {
-            return Err(NnError::InvalidConfig("maxpool grad shape mismatch".into()));
-        }
-        let x = input.as_slice();
-        let gy = grad_output.as_slice();
-        let mut gx = vec![0.0f32; input.len()];
-        let mut out_idx = 0usize;
-        for c in 0..self.geom.channels {
-            for oy in 0..self.geom.out_h {
-                for ox in 0..self.geom.out_w {
-                    gx[self.geom.argmax(x, c, oy, ox)] += gy[out_idx];
-                    out_idx += 1;
-                }
-            }
-        }
-        Ok(LayerGrads {
-            input_grad: Tensor::from_vec(gx, input.dims())?,
-            param_grads: Vec::new(),
-        })
+    /// Routes each window's gradient to its recorded arg-max.
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        _param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let input = if want_input {
+            Some(saved.need_input(self.name())?)
+        } else {
+            None
+        };
+        self.geom.backward_with(
+            self.name(),
+            grad_output,
+            input,
+            want_input,
+            |x, c, oy, ox, g, gx| {
+                gx[self.geom.argmax(x, c, oy, ox)] += g;
+            },
+        )
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -348,29 +395,26 @@ impl Layer for AvgPool2d {
         )
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.geom.check(input)?;
-        if grad_output.dims() != self.geom.out_shape().as_slice() {
-            return Err(NnError::InvalidConfig("avgpool grad shape mismatch".into()));
-        }
-        let gy = grad_output.as_slice();
+    /// Spreads each window's gradient evenly over the window.
+    fn backward_batch(
+        &self,
+        _saved: Saved<'_>,
+        grad_output: &Tensor,
+        _param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
         let norm = self.norm();
-        let mut gx = vec![0.0f32; input.len()];
-        let mut out_idx = 0usize;
-        for c in 0..self.geom.channels {
-            for oy in 0..self.geom.out_h {
-                for ox in 0..self.geom.out_w {
-                    for i in self.geom.window(c, oy, ox) {
-                        gx[i] += gy[out_idx] / norm;
-                    }
-                    out_idx += 1;
+        self.geom.backward_with(
+            self.name(),
+            grad_output,
+            None,
+            want_input,
+            |_, c, oy, ox, g, gx| {
+                for i in self.geom.window(c, oy, ox) {
+                    gx[i] += g / norm;
                 }
-            }
-        }
-        Ok(LayerGrads {
-            input_grad: Tensor::from_vec(gx, input.dims())?,
-            param_grads: Vec::new(),
-        })
+            },
+        )
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -416,7 +460,7 @@ impl Layer for AvgPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
 
     fn image() -> Tensor {
         Tensor::from_vec(
@@ -443,11 +487,11 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let pool = MaxPool2d::new(1, 4, 4, 2, 2).unwrap();
         let gy = Tensor::ones(&[1, 2, 2]);
-        let g = pool.backward(&image(), &gy).unwrap();
+        let g = backward(&pool, &image(), &gy).unwrap();
         // Only the four max positions receive gradient.
-        assert_eq!(g.input_grad.sum(), 4.0);
-        assert_eq!(g.input_grad.get(&[0, 1, 1]).unwrap(), 1.0);
-        assert_eq!(g.input_grad.get(&[0, 0, 0]).unwrap(), 0.0);
+        assert_eq!(g.0.sum(), 4.0);
+        assert_eq!(g.0.get(&[0, 1, 1]).unwrap(), 1.0);
+        assert_eq!(g.0.get(&[0, 0, 0]).unwrap(), 0.0);
     }
 
     #[test]
@@ -485,10 +529,8 @@ mod tests {
         tied.as_mut_slice()[5] = f32::NAN;
         assert_eq!(route(&tied, 0), vec![5]);
         // backward routes the gradient along the same rule.
-        let g = pool.backward(&zeros, &Tensor::ones(&[1, 2, 2])).unwrap();
-        let routed: Vec<usize> = (0..16)
-            .filter(|&i| g.input_grad.as_slice()[i] > 0.0)
-            .collect();
+        let g = backward(&pool, &zeros, &Tensor::ones(&[1, 2, 2])).unwrap();
+        let routed: Vec<usize> = (0..16).filter(|&i| g.0.as_slice()[i] > 0.0).collect();
         assert_eq!(routed, vec![5, 7, 13, 15]);
     }
 
@@ -507,9 +549,9 @@ mod tests {
     fn avgpool_backward_distributes_gradient() {
         let pool = AvgPool2d::new(1, 4, 4, 2, 2).unwrap();
         let gy = Tensor::ones(&[1, 2, 2]);
-        let g = pool.backward(&image(), &gy).unwrap();
-        assert!((g.input_grad.sum() - 4.0).abs() < 1e-5);
-        assert!((g.input_grad.get(&[0, 0, 0]).unwrap() - 0.25).abs() < 1e-6);
+        let g = backward(&pool, &image(), &gy).unwrap();
+        assert!((g.0.sum() - 4.0).abs() < 1e-5);
+        assert!((g.0.get(&[0, 0, 0]).unwrap() - 0.25).abs() < 1e-6);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use ptolemy_tensor::Tensor;
 
-use crate::{Decompositions, Layer, LayerGrads, LayerKind, NnError, Result};
+use crate::layer::{check_len, check_param_grads, grad_batch, missing, Saved};
+use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Residual block: `y = relu(body(x) + x)` where `body` is a short stack of inner
 /// layers whose output shape equals the input shape.
@@ -71,18 +72,6 @@ impl Residual {
         })
     }
 
-    /// Runs the body, returning every intermediate activation (`acts[0]` is the
-    /// block input, `acts[i+1]` the output of inner layer `i`).
-    fn body_trace(&self, input: &Tensor) -> Result<Vec<Tensor>> {
-        let mut acts = vec![input.clone()];
-        for layer in &self.body {
-            // lint:allow(panic-in-worker): acts is seeded with the block input
-            let next = layer.forward(acts.last().expect("non-empty"))?;
-            acts.push(next);
-        }
-        Ok(acts)
-    }
-
     /// The body split into the layers before the last one and the last one.
     fn split_body(&self) -> (&[Box<dyn Layer>], &dyn Layer) {
         // lint:allow(panic-in-worker): an empty body is rejected at construction
@@ -150,47 +139,73 @@ impl Layer for Residual {
         Ok((out, interior))
     }
 
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads> {
-        self.check(input)?;
-        let acts = self.body_trace(input)?;
-        // lint:allow(panic-in-worker): body_trace always yields the seed input
-        let pre_act = acts.last().expect("non-empty").add(input)?;
-
-        // Gradient through the optional post-ReLU.
+    /// Backpropagates through the post-ReLU, the body and the shortcut from
+    /// what the forward pass recorded, re-running nothing: the block output
+    /// masks the post-ReLU (`pre > 0` exactly where `relu(pre) > 0`), the
+    /// block input is the first body layer's input, and the interior is the
+    /// last body layer's input — for the zoo's `conv → relu → conv` body
+    /// also the ReLU's output, which is all its mask needs.  A body layer
+    /// that needs an unrecorded boundary fails with a typed error.
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>> {
+        let len = self.output_len();
+        let batch = grad_batch(grad_output, len, self.name())?;
+        let dims = [&[batch][..], &self.shape].concat();
         let grad_pre = if self.post_relu {
-            Tensor::from_vec(
-                pre_act
-                    .as_slice()
-                    .iter()
-                    .zip(grad_output.as_slice())
-                    .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
-                    .collect(),
-                grad_output.dims(),
-            )?
+            let output = saved.output.ok_or_else(|| missing(self.name(), "output"))?;
+            check_len(output, batch, len, self.name())?;
+            let masked = output
+                .as_slice()
+                .iter()
+                .zip(grad_output.as_slice())
+                .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
+                .collect();
+            Tensor::from_vec(masked, &dims)?
         } else {
-            grad_output.clone()
+            grad_output.reshape(&dims)?
         };
-
-        // Backprop through the body.
-        let mut param_grads = Vec::new();
-        let mut grad = grad_pre.clone();
-        let mut per_layer: Vec<Vec<Tensor>> = Vec::with_capacity(self.body.len());
+        if let Some(grads) = &param_grads {
+            check_param_grads(grads, &self.params(), self.name())?;
+        }
+        let last = self.body.len() - 1;
+        let interior = match (last, saved.interior) {
+            (0, _) => None,
+            (_, Some(interior)) => Some(interior),
+            (_, None) => return Err(missing(self.name(), "interior")),
+        };
+        // Body boundary `i` is body layer `i`'s input; only the block input
+        // and the interior were recorded.
+        let boundary = |i: usize| match i {
+            0 => saved.input,
+            i if i == last => interior,
+            _ => None,
+        };
+        let mut remaining = param_grads;
+        let mut grad: Option<Tensor> = None;
         for (i, layer) in self.body.iter().enumerate().rev() {
-            let grads = layer.backward(&acts[i], &grad)?;
-            grad = grads.input_grad;
-            per_layer.push(grads.param_grads);
+            let mine = remaining.take().map(|all| {
+                let (rest, mine) = all.split_at_mut(all.len() - layer.params().len());
+                remaining = Some(rest);
+                mine
+            });
+            let layer_saved = Saved {
+                input: boundary(i),
+                interior: None,
+                output: if i < last { boundary(i + 1) } else { None },
+            };
+            let upstream = grad.as_ref().unwrap_or(&grad_pre);
+            grad = layer.backward_batch(layer_saved, upstream, mine, i > 0 || want_input)?;
         }
-        per_layer.reverse();
-        for mut grads in per_layer {
-            param_grads.append(&mut grads);
+        // The shortcut adds the pre-activation gradient to the body's.
+        match grad {
+            Some(body) if want_input => Ok(Some(body.into_reshaped(&dims)?.add(&grad_pre)?)),
+            _ => Ok(None),
         }
-
-        // Shortcut adds the pre-activation gradient directly to the input gradient.
-        let input_grad = grad.add(&grad_pre)?;
-        Ok(LayerGrads {
-            input_grad,
-            param_grads,
-        })
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -256,9 +271,20 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::decompose;
+    use crate::layer::tests::{backward, decompose};
     use crate::layer::{Conv2d, ReLU};
     use ptolemy_tensor::{Initializer, Rng64};
+
+    /// Every body boundary of `x` (`acts[i]` enters body layer `i`), by
+    /// running the body layers one at a time.
+    fn body_boundaries(res: &Residual, x: &Tensor) -> Vec<Tensor> {
+        let mut acts = vec![x.clone()];
+        for layer in &res.body {
+            let next = layer.forward(acts.last().unwrap()).unwrap();
+            acts.push(next);
+        }
+        acts
+    }
 
     fn block(rng: &mut Rng64, post_relu: bool) -> Residual {
         let conv1 = Conv2d::new(2, 2, 4, 4, 3, 1, 1, rng).unwrap();
@@ -282,10 +308,7 @@ mod tests {
         assert_eq!(y.dims(), x.dims());
         // With a zero body the output would equal the input; with a random body it
         // should at least differ from the pure body output by exactly x.
-        let body_only = {
-            let acts = res.body_trace(&x).unwrap();
-            acts.last().unwrap().clone()
-        };
+        let body_only = body_boundaries(&res, &x).pop().unwrap();
         let diff = y.sub(&body_only).unwrap();
         for (d, xi) in diff.as_slice().iter().zip(x.as_slice()) {
             assert!((d - xi).abs() < 1e-5);
@@ -316,7 +339,7 @@ mod tests {
             .unwrap();
         let one = x.reshape(&[1, 2, 4, 4]).unwrap();
         let (y, interior) = res.forward_batch_interior(&one).unwrap();
-        let acts = res.body_trace(&x).unwrap();
+        let acts = body_boundaries(&res, &x);
         assert_eq!(interior.unwrap().as_slice(), acts[2].as_slice());
         assert_eq!(res.interior_len(), acts[2].len());
         assert_eq!(y.as_slice(), res.forward(&x).unwrap().as_slice());
@@ -340,7 +363,8 @@ mod tests {
             .build(&[2, 4, 4], &mut rng)
             .unwrap();
         let gy = Tensor::ones(&[2, 4, 4]);
-        let grads = res.backward(&x, &gy).unwrap();
+        let (input_grad, param_grads) = backward(&res, &x, &gy).unwrap();
+        assert_eq!(param_grads.len(), 4);
         let eps = 1e-3;
         for i in [0usize, 7, 13, 31] {
             let mut xp = x.clone();
@@ -349,9 +373,42 @@ mod tests {
             xm.as_mut_slice()[i] -= eps;
             let num =
                 (res.forward(&xp).unwrap().sum() - res.forward(&xm).unwrap().sum()) / (2.0 * eps);
-            let ana = grads.input_grad.as_slice()[i];
+            let ana = input_grad.as_slice()[i];
             assert!((num - ana).abs() < 2e-2, "grad {i}: {num} vs {ana}");
         }
+    }
+
+    /// The backward pass reads the interior its forward recorded; without it
+    /// (or without the output the post-ReLU masks with) it fails with a typed
+    /// error instead of re-running the body.
+    #[test]
+    fn backward_needs_the_recorded_interior_and_output() {
+        let mut rng = Rng64::new(6);
+        let res = block(&mut rng, true);
+        let x = Initializer::Uniform(1.0)
+            .build(&[1, 2, 4, 4], &mut rng)
+            .unwrap();
+        let (y, interior) = res.forward_batch_interior(&x).unwrap();
+        let gy = Tensor::ones(&[1, 2, 4, 4]);
+        let full = Saved {
+            input: Some(&x),
+            interior: interior.as_ref(),
+            output: Some(&y),
+        };
+        assert!(res.backward_batch(full, &gy, None, true).is_ok());
+        let no_interior = Saved {
+            interior: None,
+            ..full
+        };
+        assert!(matches!(
+            res.backward_batch(no_interior, &gy, None, true),
+            Err(NnError::InvalidConfig(_))
+        ));
+        let no_output = Saved {
+            output: None,
+            ..full
+        };
+        assert!(res.backward_batch(no_output, &gy, None, true).is_err());
     }
 
     #[test]

@@ -82,9 +82,9 @@ mod train;
 pub mod zoo;
 
 pub use error::NnError;
-pub use layer::{Decompositions, Layer, LayerGrads, LayerKind};
+pub use layer::{Decompositions, Layer, LayerKind, Saved};
 pub use loss::{cross_entropy_loss, softmax_cross_entropy_grad};
-pub use network::{ForwardProvider, Network, NetworkGrads};
+pub use network::{ForwardProvider, Network};
 pub use quant::QuantizedNetwork;
 pub use trace::{predicted_class, ForwardTrace, TraceSink};
 pub use train::{TrainConfig, TrainReport, Trainer};

@@ -1,15 +1,7 @@
 use ptolemy_tensor::Tensor;
 
+use crate::layer::Saved;
 use crate::{predicted_class, trace, ForwardTrace, Layer, NnError, Result, TraceSink};
-
-/// Parameter gradients for a whole network, one entry per layer (in layer order).
-#[derive(Debug, Clone)]
-pub struct NetworkGrads {
-    /// Per-layer parameter gradients (same nesting as `Network::layer(i).params()`).
-    pub param_grads: Vec<Vec<Tensor>>,
-    /// Gradient of the loss with respect to the network input.
-    pub input_grad: Tensor,
-}
 
 /// A feed-forward network: an ordered stack of [`Layer`]s operating on one sample.
 ///
@@ -253,14 +245,23 @@ impl Network {
         predicted_class(self.forward(input)?.as_slice())
     }
 
-    /// Backward pass given a recorded trace and the gradient of the loss w.r.t. the
-    /// logits.  Returns parameter gradients per layer plus the input gradient.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the trace does not match the network or shapes are
-    /// inconsistent.
-    pub fn backward(&self, trace: &ForwardTrace, grad_logits: &Tensor) -> Result<NetworkGrads> {
+    /// The one backward walk, behind every gradient: from the last layer to
+    /// the first, `at_output(i, grad)` may add to the gradient w.r.t. layer
+    /// `i`'s output, then layer `i`'s one batched kernel,
+    /// [`Layer::backward_batch`], reads what `trace` recorded around it.
+    /// With `param_grads`, every layer writes its batch-summed parameter
+    /// gradients there; the input gradient is returned when `want_input`.
+    /// Each layer's input gradient takes the dimensions of the boundary it
+    /// is the gradient of (a free reshape), so `at_output` sees a gradient
+    /// shaped like `trace.output(i)`.
+    fn backward_walk(
+        &self,
+        trace: &ForwardTrace,
+        grad_logits: Tensor,
+        mut param_grads: Option<&mut [Vec<Tensor>]>,
+        want_input: bool,
+        mut at_output: impl FnMut(usize, &mut Tensor) -> Result<()>,
+    ) -> Result<Option<Tensor>> {
         if trace.num_layers() != self.layers.len() {
             return Err(NnError::InvalidConfig(format!(
                 "trace has {} layers but network has {}",
@@ -268,17 +269,69 @@ impl Network {
                 self.layers.len()
             )));
         }
-        let mut grad = grad_logits.clone();
-        let mut per_layer = vec![Vec::new(); self.layers.len()];
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let grads = layer.backward(trace.input(i), &grad)?;
-            per_layer[i] = grads.param_grads;
-            grad = grads.input_grad;
+        if let Some(grads) = &param_grads {
+            if grads.len() != self.layers.len() {
+                return Err(NnError::InvalidConfig(
+                    "gradient/layer count mismatch".into(),
+                ));
+            }
         }
-        Ok(NetworkGrads {
-            param_grads: per_layer,
-            input_grad: grad,
-        })
+        let mut grad = grad_logits;
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            at_output(i, &mut grad)?;
+            let saved = Saved {
+                input: Some(trace.input(i)),
+                interior: trace.interior(i),
+                output: Some(trace.output(i)),
+            };
+            let layer_grads = param_grads.as_deref_mut().map(|g| g[i].as_mut_slice());
+            match layer.backward_batch(saved, &grad, layer_grads, i > 0 || want_input)? {
+                Some(input_grad) => grad = input_grad.into_reshaped(trace.input(i).dims())?,
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(grad))
+    }
+
+    /// The gradient w.r.t. the input of a loss whose gradient w.r.t. the
+    /// logits is `grad_logits`, backpropagated through a recorded forward
+    /// pass — the one backward entry point of the white-box attacks.
+    ///
+    /// `at_output(i, grad)` is called with the gradient w.r.t. layer `i`'s
+    /// output (shaped like `trace.output(i)`), last layer first, before layer
+    /// `i` backpropagates it; a loss with terms on intermediate activations
+    /// adds their gradients there.  A caller with a loss on the logits alone
+    /// passes `|_, _| Ok(())`.  Only input gradients are computed: no layer
+    /// spends anything on parameter gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the trace does not match the network, shapes are
+    /// inconsistent, or `at_output` fails.
+    pub fn backward_input(
+        &self,
+        trace: &ForwardTrace,
+        grad_logits: Tensor,
+        at_output: impl FnMut(usize, &mut Tensor) -> Result<()>,
+    ) -> Result<Tensor> {
+        self.backward_walk(trace, grad_logits, None, true, at_output)?
+            .ok_or_else(|| {
+                NnError::InvalidConfig("backward walk returned no input gradient".into())
+            })
+    }
+
+    /// Writes every layer's parameter gradients, summed over the stacked
+    /// batch `trace` recorded in sample order, into `param_grads` (shaped
+    /// like [`Layer::params`], one entry per layer) — the trainer's backward
+    /// pass.  No input gradient is computed for the first layer.
+    pub(crate) fn backward_params(
+        &self,
+        trace: &ForwardTrace,
+        grad_logits: Tensor,
+        param_grads: &mut [Vec<Tensor>],
+    ) -> Result<()> {
+        self.backward_walk(trace, grad_logits, Some(param_grads), false, |_, _| Ok(()))?;
+        Ok(())
     }
 
     /// Gradient of the softmax-cross-entropy loss (w.r.t. the input) for a given
@@ -297,21 +350,37 @@ impl Network {
         }
         let trace = self.forward_trace(input)?;
         let grad_logits = crate::loss::softmax_cross_entropy_grad(trace.logits(), label)?;
-        Ok(self.backward(&trace, &grad_logits)?.input_grad)
+        self.backward_input(&trace, grad_logits, |_, _| Ok(()))
     }
 
-    /// Applies a gradient step `p -= lr * g` to every parameter.
+    /// One zeroed gradient buffer per parameter, per layer: what
+    /// [`Network::backward_params`] writes into.
+    pub(crate) fn param_grad_buffers(&self) -> Vec<Vec<Tensor>> {
+        self.layers
+            .iter()
+            .map(|layer| {
+                layer
+                    .params()
+                    .iter()
+                    .map(|p| Tensor::zeros(p.dims()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Applies a gradient step `p -= lr * g` to every parameter
+    /// (`param_grads[i]` shaped like layer `i`'s [`Layer::params`]).
     ///
     /// # Errors
     ///
-    /// Returns an error if `grads` does not match the network structure.
-    pub fn apply_gradients(&mut self, grads: &NetworkGrads, lr: f32) -> Result<()> {
-        if grads.param_grads.len() != self.layers.len() {
+    /// Returns an error if `param_grads` does not match the network structure.
+    pub fn apply_gradients(&mut self, param_grads: &[Vec<Tensor>], lr: f32) -> Result<()> {
+        if param_grads.len() != self.layers.len() {
             return Err(NnError::InvalidConfig(
                 "gradient/layer count mismatch".into(),
             ));
         }
-        for (layer, layer_grads) in self.layers.iter_mut().zip(&grads.param_grads) {
+        for (layer, layer_grads) in self.layers.iter_mut().zip(param_grads) {
             let params = layer.params_mut();
             if params.len() != layer_grads.len() {
                 return Err(NnError::InvalidConfig(
@@ -594,7 +663,9 @@ mod tests {
             let trace = net.forward_trace(&x).unwrap();
             let grad_logits =
                 crate::loss::softmax_cross_entropy_grad(trace.logits(), label).unwrap();
-            let grads = net.backward(&trace, &grad_logits).unwrap();
+            let mut grads = net.param_grad_buffers();
+            net.backward_params(&trace, grad_logits, &mut grads)
+                .unwrap();
             net.apply_gradients(&grads, 0.1).unwrap();
         }
         let after = {

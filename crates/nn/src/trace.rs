@@ -49,10 +49,10 @@ pub trait TraceSink {
     fn on_layer(&mut self, index: usize, output: &Tensor);
 }
 
-/// A [`TraceSink`] that keeps every boundary and every interior of a batch of
-/// one — the adapter that turns the streaming driver back into a materialized
-/// trace.  It unstacks each tensor (`[1] ++ shape` to `shape`) as it copies
-/// it.
+/// A [`TraceSink`] that keeps every stacked boundary and every interior of a
+/// pass — the adapter that turns the streaming driver back into a
+/// materialized trace ([`record`] unstacks a batch of one; the trainer keeps
+/// its minibatch stacked for the batched backward pass).
 #[derive(Debug, Default)]
 pub(crate) struct TraceRecorder {
     pub(crate) activations: Vec<Tensor>,
@@ -66,26 +66,31 @@ impl TraceRecorder {
             interiors: vec![None; num_layers],
         }
     }
+
+    /// The recorded boundaries and interiors as a trace, stacked as recorded.
+    pub(crate) fn into_trace(self) -> Result<ForwardTrace> {
+        ForwardTrace::with_interiors(self.activations, self.interiors)
+    }
 }
 
-/// The sample of a batch of one: `[1] ++ shape` always reshapes to `shape`.
-fn unstacked(stacked: &Tensor) -> Tensor {
-    stacked
-        .reshape(&stacked.dims()[1..])
-        .unwrap_or_else(|_| stacked.clone())
+/// The sample of a batch of one: `[1] ++ shape` reshapes to `shape`, moving
+/// the buffer.
+fn unstacked(stacked: Tensor) -> Result<Tensor> {
+    let dims = stacked.dims()[1..].to_vec();
+    Ok(stacked.into_reshaped(&dims)?)
 }
 
 impl TraceSink for TraceRecorder {
     fn on_input(&mut self, input: &Tensor) {
-        self.activations.push(unstacked(input));
+        self.activations.push(input.clone());
     }
 
     fn on_interior(&mut self, index: usize, interior: &Tensor) {
-        self.interiors[index] = Some(unstacked(interior));
+        self.interiors[index] = Some(interior.clone());
     }
 
     fn on_layer(&mut self, _index: usize, output: &Tensor) {
-        self.activations.push(unstacked(output));
+        self.activations.push(output.clone());
     }
 }
 
@@ -99,7 +104,17 @@ impl TraceSink for () {
 pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> {
     let mut recorder = TraceRecorder::with_capacity(network.num_layers());
     network.forward_with_sink(input, &mut recorder)?;
-    ForwardTrace::with_interiors(recorder.activations, recorder.interiors)
+    let activations = recorder
+        .activations
+        .into_iter()
+        .map(unstacked)
+        .collect::<Result<_>>()?;
+    let interiors = recorder
+        .interiors
+        .into_iter()
+        .map(|interior| interior.map(unstacked).transpose())
+        .collect::<Result<_>>()?;
+    ForwardTrace::with_interiors(activations, interiors)
 }
 
 /// Picks the predicted class from one sample's logits: the index of the
@@ -319,20 +334,20 @@ mod tests {
 
     #[test]
     fn recorder_sink_materializes_all_boundaries() {
-        // A batch of one, unstacked as it is recorded.
+        // Stacked as recorded: a batch of two.
         let mut recorder = TraceRecorder::with_capacity(2);
-        let x = Tensor::zeros(&[1, 4]);
-        let h = Tensor::ones(&[1, 3]);
-        let y = Tensor::full(&[1, 2], 0.5);
+        let x = Tensor::zeros(&[2, 4]);
+        let h = Tensor::ones(&[2, 3]);
+        let y = Tensor::full(&[2, 2], 0.5);
         recorder.on_input(&x);
         recorder.on_layer(0, &h);
         recorder.on_layer(1, &y);
-        let trace = ForwardTrace::from_activations(recorder.activations).unwrap();
+        let trace = recorder.into_trace().unwrap();
         assert_eq!(trace.num_layers(), 2);
         assert!(trace.interior(0).is_none());
-        assert_eq!(trace.input(0).dims(), &[4]);
+        assert_eq!(trace.input(0).dims(), &[2, 4]);
         assert_eq!(trace.input(1).as_slice(), h.as_slice());
-        assert_eq!(trace.logits().dims(), &[2]);
+        assert_eq!(trace.logits().dims(), &[2, 2]);
         assert_eq!(trace.logits().as_slice(), y.as_slice());
     }
 }

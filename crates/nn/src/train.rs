@@ -2,6 +2,7 @@
 
 use ptolemy_tensor::{Rng64, Tensor};
 
+use crate::trace::TraceRecorder;
 use crate::{cross_entropy_loss, softmax_cross_entropy_grad, Network, NnError, Result};
 
 /// Hyper-parameters for [`Trainer`].
@@ -117,13 +118,9 @@ impl Trainer {
             epoch_losses.push(epoch_loss / samples.len() as f32);
         }
 
-        let correct = samples
-            .iter()
-            .filter(|(x, y)| network.predict(x).map(|p| p == *y).unwrap_or(false))
-            .count();
         Ok(TrainReport {
             epoch_losses,
-            final_accuracy: correct as f32 / samples.len() as f32,
+            final_accuracy: self.evaluate(network, samples)?,
         })
     }
 
@@ -143,68 +140,53 @@ impl Trainer {
         Ok(correct as f32 / samples.len() as f32)
     }
 
+    /// One SGD step on the minibatch `batch` (indices into `samples`): one
+    /// fused forward pass recording every stacked boundary, then one batched
+    /// backward pass whose kernels sum each parameter's gradient over the
+    /// minibatch in sample order.  Returns the minibatch's mean loss.
     fn train_batch(
         &mut self,
         network: &mut Network,
         samples: &[(Tensor, usize)],
         batch: &[usize],
     ) -> Result<f32> {
-        let mut accumulated: Option<Vec<Vec<Tensor>>> = None;
+        let inputs: Vec<Tensor> = batch.iter().map(|&i| samples[i].0.clone()).collect();
+        let mut recorder = TraceRecorder::with_capacity(network.num_layers());
+        let logits = network.forward_with_sink_batch(&inputs, &mut recorder)?;
+        let classes = network.num_classes();
         let mut batch_loss = 0.0;
-        for &idx in batch {
-            let (input, label) = &samples[idx];
-            let trace = network.forward_trace(input)?;
-            batch_loss += cross_entropy_loss(trace.logits(), *label)?;
-            let grad_logits = softmax_cross_entropy_grad(trace.logits(), *label)?;
-            let grads = network.backward(&trace, &grad_logits)?;
-            match &mut accumulated {
-                None => accumulated = Some(grads.param_grads),
-                Some(acc) => {
-                    for (layer_acc, layer_new) in acc.iter_mut().zip(grads.param_grads) {
-                        for (a, n) in layer_acc.iter_mut().zip(layer_new) {
-                            a.add_scaled_inplace(&n, 1.0)?;
-                        }
-                    }
-                }
-            }
+        let mut grad_logits = Vec::with_capacity(logits.len());
+        for (row, &idx) in logits.as_slice().chunks_exact(classes).zip(batch) {
+            let row = Tensor::from_vec(row.to_vec(), &[classes])?;
+            let label = samples[idx].1;
+            batch_loss += cross_entropy_loss(&row, label)?;
+            grad_logits.extend_from_slice(softmax_cross_entropy_grad(&row, label)?.as_slice());
         }
-        // lint:allow(panic-in-worker): chunks() never yields an empty batch
-        let mut accumulated = accumulated.expect("non-empty batch");
+        let grad_logits = Tensor::from_vec(grad_logits, logits.dims())?;
+        let mut grads = network.param_grad_buffers();
+        network.backward_params(&recorder.into_trace()?, grad_logits, &mut grads)?;
         let scale = 1.0 / batch.len() as f32;
-        for layer in &mut accumulated {
-            for g in layer {
-                g.map_inplace(|v| v * scale);
-            }
+        for g in grads.iter_mut().flatten() {
+            g.map_inplace(|v| v * scale);
         }
 
-        // Momentum update: v = momentum * v + g; p -= lr * v.
-        if self.config.momentum > 0.0 {
-            match &mut self.velocity {
-                None => self.velocity = Some(accumulated.clone()),
-                Some(vel) => {
-                    for (vl, gl) in vel.iter_mut().zip(&accumulated) {
-                        for (v, g) in vl.iter_mut().zip(gl) {
-                            v.map_inplace(|x| x * self.config.momentum);
-                            v.add_scaled_inplace(g, 1.0)?;
-                        }
-                    }
+        // Momentum update: v = momentum * v + g; p -= lr * v.  The first
+        // step's velocity is the gradient itself.
+        let momentum = self.config.momentum;
+        let update = match self.velocity.take() {
+            Some(mut velocity) if momentum > 0.0 => {
+                for (v, g) in velocity.iter_mut().flatten().zip(grads.iter().flatten()) {
+                    v.map_inplace(|x| x * momentum);
+                    v.add_scaled_inplace(g, 1.0)?;
                 }
+                velocity
             }
+            _ => grads,
+        };
+        network.apply_gradients(&update, self.config.learning_rate)?;
+        if momentum > 0.0 {
+            self.velocity = Some(update);
         }
-        let update = if self.config.momentum > 0.0 {
-            self.velocity
-                .as_ref()
-                // lint:allow(panic-in-worker): seeded by the momentum branch just above
-                .expect("velocity initialised")
-                .clone()
-        } else {
-            accumulated
-        };
-        let grads = crate::NetworkGrads {
-            param_grads: update,
-            input_grad: Tensor::default(),
-        };
-        network.apply_gradients(&grads, self.config.learning_rate)?;
         Ok(batch_loss / batch.len() as f32)
     }
 }

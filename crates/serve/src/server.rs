@@ -1618,7 +1618,7 @@ mod tests {
 
     use ptolemy_core::{variants, DetectionEngineBuilder, Profiler};
     use ptolemy_nn::layer::{Dense, ReLU};
-    use ptolemy_nn::{zoo, Decompositions, Layer, LayerGrads, LayerKind, Network};
+    use ptolemy_nn::{zoo, Decompositions, Layer, LayerKind, Network, Saved};
     use ptolemy_nn::{TrainConfig, Trainer};
     use ptolemy_tensor::Rng64;
 
@@ -1734,8 +1734,15 @@ mod tests {
             (self.hook)();
             self.inner.forward_batch_interior(batch)
         }
-        fn backward(&self, input: &Tensor, grad_output: &Tensor) -> ptolemy_nn::Result<LayerGrads> {
-            self.inner.backward(input, grad_output)
+        fn backward_batch(
+            &self,
+            saved: Saved<'_>,
+            grad_output: &Tensor,
+            param_grads: Option<&mut [Tensor]>,
+            want_input: bool,
+        ) -> ptolemy_nn::Result<Option<Tensor>> {
+            self.inner
+                .backward_batch(saved, grad_output, param_grads, want_input)
         }
         fn params(&self) -> Vec<&Tensor> {
             self.inner.params()

@@ -114,9 +114,57 @@ impl PackedWeights {
         })
     }
 
+    /// Packs the transpose of a rank-2 `[depth, rows]` weight matrix — the
+    /// `[rows, depth]` matrix `weightᵀ` the convolution backward pass
+    /// multiplies by — reading `weight` as it is: nothing materialises the
+    /// transpose.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidRank`] if `weight` is not rank 2.
+    pub fn pack_transposed(weight: &Tensor) -> Result<Self> {
+        let (depth, rows) = weight.shape().as_matrix()?;
+        let w = weight.as_slice();
+        let padded_rows = rows.next_multiple_of(MR);
+        let mut panels = vec![0.0f32; padded_rows * depth];
+        let mut has_zero = Vec::with_capacity(depth.div_ceil(KC) * rows.div_ceil(MR));
+        for k0 in (0..depth).step_by(KC) {
+            let kc = KC.min(depth - k0);
+            let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
+            for (micro, first_row) in k_panel.chunks_exact_mut(kc * MR).zip((0..rows).step_by(MR)) {
+                let mr = MR.min(rows - first_row);
+                let mut zero = false;
+                for (k, packed) in micro.chunks_exact_mut(MR).enumerate() {
+                    let column = &w[(k0 + k) * rows + first_row..][..mr];
+                    for (dst, &v) in packed.iter_mut().zip(column) {
+                        *dst = v;
+                        zero |= v.to_bits() << 1 == 0;
+                    }
+                }
+                has_zero.push(zero);
+            }
+        }
+        Ok(PackedWeights {
+            rows,
+            depth,
+            panels,
+            has_zero,
+        })
+    }
+
+    /// Rows of the packed matrix (the GEMM's `m`).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Depth of the packed matrix (the GEMM's `k`).
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
     /// Micro-panel `mp` of the K panel starting at depth `k0` (`kc` deep), and
     /// whether it needs the zero-skipping accumulation.
-    fn micro_panel(&self, k0: usize, kc: usize, mp: usize) -> (&[f32], bool) {
+    pub(crate) fn micro_panel(&self, k0: usize, kc: usize, mp: usize) -> (&[f32], bool) {
         let micro_panels = self.rows.div_ceil(MR);
         let start = k0 * micro_panels * MR + mp * kc * MR;
         (

@@ -98,7 +98,7 @@ pub(crate) fn tile_accumulate<const SKIP: bool>(
 /// loops below keep the tile in registers (this is where the kernel's speed
 /// lives).  Edge tiles (`mr < MR` or `nr < NR`) take the dynamic-length path;
 /// they are a vanishing fraction of the work at any profitable size.
-fn microkernel<const SKIP: bool>(
+pub(crate) fn microkernel<const SKIP: bool>(
     kc: usize,
     a: &[f32],
     b: &[f32],
@@ -307,6 +307,35 @@ pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
     for (orow, arow) in out.chunks_mut(n.max(1)).zip(a.chunks(k.max(1))) {
         for (o, brow) in orow.iter_mut().zip(b.chunks(k.max(1))) {
             *o = arow.iter().zip(brow).fold(*o, |acc, (x, w)| acc + x * w);
+        }
+    }
+}
+
+/// Accumulates `A · B` into `out` **on top of its existing contents** with
+/// plain ascending-`k` accumulation and **no** sparsity skip — the dense
+/// layer's input gradient `gy · W` (`a` is `[m, k]`, `b` is `[k, n]`, both
+/// row-major; `out` arrives zeroed).
+///
+/// Per element this is `out[i][j] += a[i][k] * b[k][j]` in ascending `k`:
+/// bit-for-bit the historical per-sample loop, which accumulated every term
+/// onto a zeroed gradient.  Below `MR` rows (a batch of one) the register
+/// tile would run mostly padding, so the rows run as that i-k-j loop instead
+/// — the same operations in the same order.
+pub fn gemm_nn_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n);
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    if m >= MR {
+        return gemm_into::<false, false>(out, a, b, m, k, n);
+    }
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (orow, arow) in out.chunks_mut(n).zip(a.chunks(k)) {
+        for (av, brow) in arow.iter().zip(b.chunks(n)) {
+            for (o, bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
         }
     }
 }

@@ -286,15 +286,33 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
             op: "col2im",
         });
     }
-    let src = cols.as_slice();
     let mut out = vec![0.0f32; geom.sample_len()];
+    col2im_into(cols.as_slice(), ncols, 0, geom, &mut out);
+    Tensor::from_vec(out, &[geom.in_channels, geom.in_h, geom.in_w])
+}
+
+/// [`col2im`] of the `[patch_len, num_patches]` block starting at column
+/// `first_col` of a row-major patch matrix `ld` columns wide, added into one
+/// caller-owned CHW image `out` (zeroed for a plain scatter).
+pub(crate) fn col2im_into(
+    cols: &[f32],
+    ld: usize,
+    first_col: usize,
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+) {
     geom.for_each_row_run(|run| {
-        let run_src = &src[run.row * ncols + run.col..][..run.len];
-        for (i, v) in run_src.iter().enumerate() {
-            out[run.src + i * geom.stride] += v;
+        let run_src = &cols[run.row * ld + first_col + run.col..][..run.len];
+        if geom.stride == 1 {
+            for (o, v) in out[run.src..run.src + run.len].iter_mut().zip(run_src) {
+                *o += v;
+            }
+        } else {
+            for (o, v) in out[run.src..].iter_mut().step_by(geom.stride).zip(run_src) {
+                *o += v;
+            }
         }
     });
-    Tensor::from_vec(out, &[geom.in_channels, geom.in_h, geom.in_w])
 }
 
 #[cfg(test)]

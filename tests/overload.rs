@@ -12,7 +12,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use ptolemy::nn::{Decompositions, Layer, LayerGrads, LayerKind, NnError};
+use ptolemy::nn::{Decompositions, Layer, LayerKind, NnError};
 use ptolemy::obs::{Clock, Registry};
 use ptolemy::prelude::*;
 
@@ -421,9 +421,6 @@ impl Layer for Borrowed {
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor, NnError> {
         self.run_hook();
         self.inner().forward_batch(batch)
-    }
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads, NnError> {
-        self.inner().backward(input, grad_output)
     }
     fn params(&self) -> Vec<&Tensor> {
         self.inner().params()

@@ -20,7 +20,9 @@ use ptolemy::core::{
     CoreError, DetectionEngine, DetectionProgram, Profiler,
 };
 use ptolemy::nn::layer::{Conv2d, Dense, Flatten, ReLU, Residual};
-use ptolemy::nn::{Decompositions, ForwardTrace, Layer, LayerGrads, LayerKind, Network, NnError};
+use ptolemy::nn::{
+    Decompositions, ForwardTrace, Layer, LayerKind, Network, NnError, Saved, TrainConfig, Trainer,
+};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
 use ptolemy::tensor::Rng64;
@@ -267,8 +269,15 @@ impl Layer for Counting {
         self.samples.fetch_add(batch.dims()[0], Ordering::SeqCst);
         self.inner.forward_batch(batch)
     }
-    fn backward(&self, input: &Tensor, grad_output: &Tensor) -> Result<LayerGrads, NnError> {
-        self.inner.backward(input, grad_output)
+    fn backward_batch(
+        &self,
+        saved: Saved<'_>,
+        grad_output: &Tensor,
+        param_grads: Option<&mut [Tensor]>,
+        want_input: bool,
+    ) -> Result<Option<Tensor>, NnError> {
+        self.inner
+            .backward_batch(saved, grad_output, param_grads, want_input)
     }
     fn params(&self) -> Vec<&Tensor> {
         self.inner.params()
@@ -408,6 +417,48 @@ fn the_reverse_walk_runs_no_body_layer_forward() {
     assert_eq!(drain(&counters), vec![vec![1, 1, 0]; 2]);
     assert_eq!(recorded, recomputed);
     assert_eq!(recorded, path);
+}
+
+/// The backward pass re-runs nothing either: a residual block backpropagates
+/// from the interior its forward pass recorded.  One training step over a
+/// minibatch of four runs every body layer forward four times for the step
+/// and four more for `fit`'s final-accuracy pass (a backward that re-ran the
+/// body per sample would add four), and one `input_gradient` — the gradient
+/// behind every white-box attack — runs it once.
+#[test]
+fn training_and_input_gradients_run_each_body_layer_once_per_sample() {
+    let mut rng = Rng64::new(0xC1);
+    let (mut network, counters) = counted_network(&mut rng);
+    let samples: Vec<(Tensor, usize)> = (0..4)
+        .map(|i| {
+            let data = (0..3 * 6 * 6).map(|_| rng.normal()).collect();
+            (Tensor::from_vec(data, &[3, 6, 6]).unwrap(), i % 3)
+        })
+        .collect();
+    let once = |n: usize| vec![vec![n; 3]; 2];
+    drain(&counters);
+
+    let report = Trainer::new(TrainConfig {
+        epochs: 1,
+        batch_size: 4,
+        ..TrainConfig::default()
+    })
+    .fit(&mut network, &samples)
+    .unwrap();
+    assert_eq!(report.epoch_losses.len(), 1);
+    assert_eq!(
+        drain(&counters),
+        once(4 + 4),
+        "one step: the fused forward pass, then the final-accuracy pass"
+    );
+
+    let (input, label) = &samples[0];
+    network.input_gradient(input, *label).unwrap();
+    assert_eq!(
+        drain(&counters),
+        once(1),
+        "input_gradient: one forward pass"
+    );
 }
 
 /// A single input is a batch of one, and a batch of one takes no per-input
