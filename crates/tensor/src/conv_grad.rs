@@ -8,32 +8,23 @@
 //! order, so they are bit-for-bit that pass:
 //!
 //! * **input gradient** ([`conv2d_backward_input`]): `Wᵀ` is packed once per
-//!   weight version ([`PackedWeights::pack_transposed`]) and multiplied by every
+//!   call ([`PackedWeights::pack_transposed`]) and multiplied by every
 //!   sample's `gy` at once — the GEMM's N dimension runs over samples ×
 //!   patches.  The blocked GEMM tiles M and N only and reduces each element
 //!   over ascending output channels with the naive kernel's zero-skip, so
 //!   batching along N moves no bit.  `col2im` then scatters each sample's
 //!   block of columns into its own image, in its one traversal order;
-//! * **parameter gradients** ([`conv2d_backward_params`]): per sample, the
-//!   weight gradient is computed transposed, `cols · gyᵀ` — the patch
-//!   matrix is the GEMM's A operand as it is, and the B pack reads `gy`
-//!   transposed ([`gemm_nt_into`]), so nothing is transposed in memory but
-//!   the small result.  Each element reduces over ascending positions, as
-//!   `gy · colsᵀ` did (a product does not depend on its operand order).
-//!   The naive kernel skipped `gy == ±0.0` terms — `gy` is full of zeros
-//!   after a ReLU or a max pool — and a skipped term only differs from an
-//!   added one when it would not be `±0.0`, i.e. when the patch value is
-//!   infinite or NaN: the accumulator starts at `+0.0` and only ever adds,
-//!   so it is never `-0.0`, and adding `±0.0` leaves any other value as it
-//!   is.  So a finite sample runs the branch-free GEMM, and a sample holding
-//!   an infinity or a NaN the skipping loop.  The bias gradient is each
-//!   row's sum.  The per-sample gradients are summed in sample order, the first sample
+//! * **parameter gradients** ([`conv2d_backward_params`]): per sample,
+//!   `gy · colsᵀ` reduces over ascending patches with the zero-skip on `gy`
+//!   (the sample is lowered straight into the transposed B panels, so no
+//!   patch matrix is built or transposed) and the bias is each row's sum.
+//!   The per-sample gradients are summed in sample order, the first sample
 //!   *initialising* the sum — what a trainer adding per-sample gradients
 //!   into the first one computed, down to a `-0.0` surviving.
 
 use crate::conv::PackedWeights;
-use crate::gemm::{gemm_nt_into, microkernel, KC, MR, NC, NR};
-use crate::im2col::{col2im_into, lower};
+use crate::gemm::{microkernel, pack_a, KC, MC, MR, NC, NR};
+use crate::im2col::col2im_into;
 use crate::parallel::par_row_chunks;
 use crate::{Conv2dGeometry, Result, TensorError};
 
@@ -171,31 +162,24 @@ pub fn conv2d_backward_params(
             op: "conv2d_backward_params",
         });
     }
-    // One sample's gradient, transposed: `[patch_len, rows]`.
-    let mut sample_grad = vec![0.0f32; patch_len * rows];
+    let mut sample_grad = vec![0.0f32; rows * patch_len];
+    let mut apack = vec![0.0f32; MC.min(rows).next_multiple_of(MR) * KC.min(patches)];
+    let mut bpack = vec![0.0f32; patch_len.next_multiple_of(NR) * KC.min(patches)];
     for (b, (gy, x)) in grad_out
         .chunks_exact(rows * patches)
         .zip(samples.chunks_exact(geom.sample_len()))
         .enumerate()
     {
-        let cols = lower(x, geom, 1);
         sample_grad.fill(0.0);
-        if x.iter().all(|v| v.is_finite()) {
-            gemm_nt_into(&mut sample_grad, &cols, gy, patch_len, patches, rows);
-        } else {
-            skipping_weight_grad(&mut sample_grad, &cols, gy, patches);
-        }
+        weight_serial(&mut sample_grad, gy, x, geom, &mut apack, &mut bpack);
         let bias = gy.chunks_exact(patches).map(|row| row.iter().sum::<f32>());
-        let transposed = (0..rows).flat_map(|r| sample_grad.iter().skip(r).step_by(rows));
         if b == 0 {
-            for (acc, v) in weight_grad.iter_mut().zip(transposed) {
-                *acc = *v;
-            }
+            weight_grad.copy_from_slice(&sample_grad);
             for (acc, v) in bias_grad.iter_mut().zip(bias) {
                 *acc = v;
             }
         } else {
-            for (acc, v) in weight_grad.iter_mut().zip(transposed) {
+            for (acc, v) in weight_grad.iter_mut().zip(&sample_grad) {
                 *acc += v;
             }
             for (acc, v) in bias_grad.iter_mut().zip(bias) {
@@ -206,20 +190,62 @@ pub fn conv2d_backward_params(
     Ok(())
 }
 
-/// The naive kernel's loop for one sample's transposed weight gradient
-/// (`out[p][r] += gy[r][j] * cols[p][j]` over ascending positions `j`,
-/// skipping `gy == ±0.0`): the exact definition, for a sample holding an
-/// infinity or a NaN, where a skipped `0.0 * inf` would otherwise show.
-fn skipping_weight_grad(out: &mut [f32], cols: &[f32], gy: &[f32], patches: usize) {
-    let rows = gy.len() / patches.max(1);
-    for (r, gy_row) in gy.chunks_exact(patches).enumerate() {
-        for (j, &g) in gy_row.iter().enumerate() {
-            if g.to_bits() << 1 == 0 {
-                continue;
+/// One sample's weight gradient `gy · colsᵀ` into the zeroed `[rows,
+/// patch_len]` buffer `out`: the blocked GEMM's loop nest over `k` =
+/// patches, with the sample lowered **straight into the transposed packed-B
+/// layout** — patch row `p` is GEMM column `p`, so a lowering run (one patch
+/// row, consecutive positions) lands `NR` floats apart in one micro-panel
+/// instead of being gathered back out of a patch matrix.  Padding keeps the
+/// panel's zeros, the product the patch matrix's zeros gave.  `gy` is the A
+/// operand, with the naive kernel's zero-skip semantics.
+fn weight_serial(
+    out: &mut [f32],
+    gy: &[f32],
+    x: &[f32],
+    geom: &Conv2dGeometry,
+    apack: &mut [f32],
+    bpack: &mut [f32],
+) {
+    let (patch_len, patches) = (geom.patch_len(), geom.num_patches());
+    let m = gy.len() / patches.max(1);
+    let panels = patch_len.div_ceil(NR);
+    // The zero-skip on `gy` only changes a result where the skipped product
+    // would not be `±0.0`, i.e. where the patch value is infinite or NaN:
+    // the accumulator starts at `+0.0` and only ever adds, so it is never
+    // `-0.0`, and adding `±0.0` to anything else leaves it as it is.  A
+    // finite sample therefore runs the branch-free accumulation — `gy` is
+    // full of zeros after a ReLU or a max pool, in no pattern a branch
+    // predictor learns — and a non-finite one the skipping one.
+    let skip = !x.iter().all(|v| v.is_finite());
+    for k0 in (0..patches).step_by(KC) {
+        let kc = KC.min(patches - k0);
+        let block = &mut bpack[..panels * kc * NR];
+        block.fill(0.0);
+        geom.for_each_row_run(|run| {
+            let first = run.col.max(k0);
+            let end = (run.col + run.len).min(k0 + kc);
+            let (panel, lane) = (run.row / NR, run.row % NR);
+            for pos in first..end {
+                let v = x[run.src + (pos - run.col) * geom.stride];
+                block[(panel * kc + pos - k0) * NR + lane] = v;
             }
-            let column = cols.iter().skip(j).step_by(patches);
-            for (o, c) in out.iter_mut().skip(r).step_by(rows).zip(column) {
-                *o += g * c;
+        });
+        for i0 in (0..m).step_by(MC) {
+            let mc = MC.min(m - i0);
+            pack_a(gy, patches, i0, mc, k0, kc, apack);
+            for (bpanel, jr) in (0..patch_len).step_by(NR).enumerate() {
+                let nr = NR.min(patch_len - jr);
+                let bmicro = &block[bpanel * kc * NR..(bpanel + 1) * kc * NR];
+                for (apanel, ir) in (0..mc).step_by(MR).enumerate() {
+                    let mr = MR.min(mc - ir);
+                    let amicro = &apack[apanel * kc * MR..(apanel + 1) * kc * MR];
+                    let c = &mut out[(i0 + ir) * patch_len + jr..];
+                    if skip {
+                        microkernel::<true>(kc, amicro, bmicro, c, patch_len, mr, nr);
+                    } else {
+                        microkernel::<false>(kc, amicro, bmicro, c, patch_len, mr, nr);
+                    }
+                }
             }
         }
     }
