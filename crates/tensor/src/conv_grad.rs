@@ -130,9 +130,7 @@ fn input_serial(
             }
         }
     }
-    for (b, image) in images.chunks_exact_mut(geom.sample_len()).enumerate() {
-        col2im_into(&cols, n, b * patches, geom, image);
-    }
+    col2im_into(&cols, n, geom, images);
 }
 
 /// The gradients of a convolution's loss with respect to its `[rows,
@@ -162,24 +160,23 @@ pub fn conv2d_backward_params(
             op: "conv2d_backward_params",
         });
     }
-    let mut sample_grad = vec![0.0f32; rows * patch_len];
-    let mut apack = vec![0.0f32; MC.min(rows).next_multiple_of(MR) * KC.min(patches)];
-    let mut bpack = vec![0.0f32; patch_len.next_multiple_of(NR) * KC.min(patches)];
-    for (b, (gy, x)) in grad_out
-        .chunks_exact(rows * patches)
-        .zip(samples.chunks_exact(geom.sample_len()))
+    // Every sample's own weight gradient, side by side: the sum below adds
+    // them in sample order.
+    let mut grads = vec![0.0f32; batch * rows * patch_len];
+    weight_grads(&mut grads, grad_out, samples, geom);
+    for (b, (grad, gy)) in grads
+        .chunks_exact(rows * patch_len)
+        .zip(grad_out.chunks_exact(rows * patches))
         .enumerate()
     {
-        sample_grad.fill(0.0);
-        weight_serial(&mut sample_grad, gy, x, geom, &mut apack, &mut bpack);
         let bias = gy.chunks_exact(patches).map(|row| row.iter().sum::<f32>());
         if b == 0 {
-            weight_grad.copy_from_slice(&sample_grad);
+            weight_grad.copy_from_slice(grad);
             for (acc, v) in bias_grad.iter_mut().zip(bias) {
                 *acc = v;
             }
         } else {
-            for (acc, v) in weight_grad.iter_mut().zip(&sample_grad) {
+            for (acc, v) in weight_grad.iter_mut().zip(grad) {
                 *acc += v;
             }
             for (acc, v) in bias_grad.iter_mut().zip(bias) {
@@ -190,24 +187,21 @@ pub fn conv2d_backward_params(
     Ok(())
 }
 
-/// One sample's weight gradient `gy · colsᵀ` into the zeroed `[rows,
-/// patch_len]` buffer `out`: the blocked GEMM's loop nest over `k` =
-/// patches, with the sample lowered **straight into the transposed packed-B
-/// layout** — patch row `p` is GEMM column `p`, so a lowering run (one patch
-/// row, consecutive positions) lands `NR` floats apart in one micro-panel
-/// instead of being gathered back out of a patch matrix.  Padding keeps the
-/// panel's zeros, the product the patch matrix's zeros gave.  `gy` is the A
-/// operand, with the naive kernel's zero-skip semantics.
-fn weight_serial(
-    out: &mut [f32],
-    gy: &[f32],
-    x: &[f32],
-    geom: &Conv2dGeometry,
-    apack: &mut [f32],
-    bpack: &mut [f32],
-) {
-    let (patch_len, patches) = (geom.patch_len(), geom.num_patches());
-    let m = gy.len() / patches.max(1);
+/// Each sample's weight gradient `gy · colsᵀ` into its own zeroed `[rows,
+/// patch_len]` slab of `out`: the blocked GEMM's loop nest over `k` =
+/// patches, with the samples lowered **straight into the transposed
+/// packed-B layout** — patch row `p` is GEMM column `p`, so a lowering run
+/// (one patch row, consecutive positions) lands `NR` floats apart in one
+/// micro-panel instead of being gathered back out of a patch matrix.  One
+/// traversal of the lowering lowers every sample into its own panels.
+/// Padding keeps the panels' zeros, the product the patch matrix's zeros
+/// gave.  `gy` is the A operand, with the naive kernel's zero-skip
+/// semantics.
+fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2dGeometry) {
+    let (patch_len, patches, sample_len) =
+        (geom.patch_len(), geom.num_patches(), geom.sample_len());
+    let batch = samples.len() / sample_len.max(1);
+    let m = grad_out.len() / (batch * patches).max(1);
     let panels = patch_len.div_ceil(NR);
     // The zero-skip on `gy` only changes a result where the skipped product
     // would not be `±0.0`, i.e. where the patch value is infinite or NaN:
@@ -216,34 +210,56 @@ fn weight_serial(
     // finite sample therefore runs the branch-free accumulation — `gy` is
     // full of zeros after a ReLU or a max pool, in no pattern a branch
     // predictor learns — and a non-finite one the skipping one.
-    let skip = !x.iter().all(|v| v.is_finite());
+    let skips: Vec<bool> = samples
+        .chunks_exact(sample_len)
+        .map(|x| !x.iter().all(|v| v.is_finite()))
+        .collect();
+    let mut blocks = vec![0.0f32; batch * panels * KC.min(patches) * NR];
+    let mut apack = vec![0.0f32; MC.min(m).next_multiple_of(MR) * KC.min(patches)];
     for k0 in (0..patches).step_by(KC) {
         let kc = KC.min(patches - k0);
-        let block = &mut bpack[..panels * kc * NR];
-        block.fill(0.0);
+        let block_len = panels * kc * NR;
+        blocks.fill(0.0);
         geom.for_each_row_run(|run| {
             let first = run.col.max(k0);
             let end = (run.col + run.len).min(k0 + kc);
-            let (panel, lane) = (run.row / NR, run.row % NR);
-            for pos in first..end {
-                let v = x[run.src + (pos - run.col) * geom.stride];
-                block[(panel * kc + pos - k0) * NR + lane] = v;
+            if first >= end {
+                return;
+            }
+            let at = (run.row / NR * kc + first - k0) * NR + run.row % NR;
+            let from = run.src + (first - run.col) * geom.stride;
+            for (block, x) in blocks
+                .chunks_exact_mut(block_len)
+                .zip(samples.chunks_exact(sample_len))
+            {
+                let dst = block[at..].iter_mut().step_by(NR);
+                let src = x[from..].iter().step_by(geom.stride);
+                for (d, v) in dst.zip(src).take(end - first) {
+                    *d = *v;
+                }
             }
         });
-        for i0 in (0..m).step_by(MC) {
-            let mc = MC.min(m - i0);
-            pack_a(gy, patches, i0, mc, k0, kc, apack);
-            for (bpanel, jr) in (0..patch_len).step_by(NR).enumerate() {
-                let nr = NR.min(patch_len - jr);
-                let bmicro = &block[bpanel * kc * NR..(bpanel + 1) * kc * NR];
-                for (apanel, ir) in (0..mc).step_by(MR).enumerate() {
-                    let mr = MR.min(mc - ir);
-                    let amicro = &apack[apanel * kc * MR..(apanel + 1) * kc * MR];
-                    let c = &mut out[(i0 + ir) * patch_len + jr..];
-                    if skip {
-                        microkernel::<true>(kc, amicro, bmicro, c, patch_len, mr, nr);
-                    } else {
-                        microkernel::<false>(kc, amicro, bmicro, c, patch_len, mr, nr);
+        let per_sample = blocks
+            .chunks_exact(block_len)
+            .zip(grad_out.chunks_exact(m * patches))
+            .zip(out.chunks_exact_mut(m * patch_len))
+            .zip(&skips);
+        for (((block, gy), grad), &skip) in per_sample {
+            for i0 in (0..m).step_by(MC) {
+                let mc = MC.min(m - i0);
+                pack_a(gy, patches, i0, mc, k0, kc, &mut apack);
+                for (bpanel, jr) in (0..patch_len).step_by(NR).enumerate() {
+                    let nr = NR.min(patch_len - jr);
+                    let bmicro = &block[bpanel * kc * NR..(bpanel + 1) * kc * NR];
+                    for (apanel, ir) in (0..mc).step_by(MR).enumerate() {
+                        let mr = MR.min(mc - ir);
+                        let amicro = &apack[apanel * kc * MR..(apanel + 1) * kc * MR];
+                        let c = &mut grad[(i0 + ir) * patch_len + jr..];
+                        if skip {
+                            microkernel::<true>(kc, amicro, bmicro, c, patch_len, mr, nr);
+                        } else {
+                            microkernel::<false>(kc, amicro, bmicro, c, patch_len, mr, nr);
+                        }
                     }
                 }
             }

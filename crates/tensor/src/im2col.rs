@@ -287,29 +287,30 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; geom.sample_len()];
-    col2im_into(cols.as_slice(), ncols, 0, geom, &mut out);
+    col2im_into(cols.as_slice(), ncols, geom, &mut out);
     Tensor::from_vec(out, &[geom.in_channels, geom.in_h, geom.in_w])
 }
 
-/// [`col2im`] of the `[patch_len, num_patches]` block starting at column
-/// `first_col` of a row-major patch matrix `ld` columns wide, added into one
-/// caller-owned CHW image `out` (zeroed for a plain scatter).
-pub(crate) fn col2im_into(
-    cols: &[f32],
-    ld: usize,
-    first_col: usize,
-    geom: &Conv2dGeometry,
-    out: &mut [f32],
-) {
+/// [`col2im`] of every sample of a stacked patch matrix (`ld` columns wide,
+/// sample `b` owning columns `b * num_patches..`), added into the
+/// caller-owned CHW images stacked in `out` (zeroed for a plain scatter).
+/// One traversal serves every sample, and each image is accumulated in
+/// [`col2im`]'s order.
+pub(crate) fn col2im_into(cols: &[f32], ld: usize, geom: &Conv2dGeometry, out: &mut [f32]) {
+    let (patches, sample_len) = (geom.num_patches(), geom.sample_len());
     geom.for_each_row_run(|run| {
-        let run_src = &cols[run.row * ld + first_col + run.col..][..run.len];
-        if geom.stride == 1 {
-            for (o, v) in out[run.src..run.src + run.len].iter_mut().zip(run_src) {
-                *o += v;
-            }
-        } else {
-            for (o, v) in out[run.src..].iter_mut().step_by(geom.stride).zip(run_src) {
-                *o += v;
+        for (b, image) in out.chunks_exact_mut(sample_len).enumerate() {
+            let run_src = &cols[run.row * ld + b * patches + run.col..][..run.len];
+            if geom.stride == 1 {
+                let dst = &mut image[run.src..run.src + run.len];
+                for (o, v) in dst.iter_mut().zip(run_src) {
+                    *o += v;
+                }
+            } else {
+                let dst = image[run.src..].iter_mut().step_by(geom.stride);
+                for (o, v) in dst.zip(run_src) {
+                    *o += v;
+                }
             }
         }
     });
