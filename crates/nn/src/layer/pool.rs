@@ -92,23 +92,6 @@ impl PoolGeom {
             .unwrap_or_else(|| self.corner(c, oy, ox))
     }
 
-    /// [`PoolGeom::argmax`] as a plain loop over the window: `max_by` keeps
-    /// the running maximum only while it compares `Greater` than the next
-    /// element, and moves on otherwise — on a tie and on a NaN either side.  The backward kernel's form: the iterator chain costs
-    /// several times the comparison on a 2x2 window.
-    fn argmax_loop(&self, x: &[f32], c: usize, oy: usize, ox: usize) -> usize {
-        let corner = self.corner(c, oy, ox);
-        let mut best = corner;
-        for wy in 0..self.window {
-            for i in corner + wy * self.in_w..corner + wy * self.in_w + self.window {
-                if x[best].partial_cmp(&x[i]) != Some(std::cmp::Ordering::Greater) {
-                    best = i;
-                }
-            }
-        }
-        best
-    }
-
     /// The one backward kernel of both pooling layers, over a stacked output
     /// gradient: for each sample and each output position `(c, oy, ox)` in
     /// order, `route(x, c, oy, ox, g, gx)` adds the position's gradient `g`
@@ -319,7 +302,7 @@ impl Layer for MaxPool2d {
             input,
             want_input,
             |x, c, oy, ox, g, gx| {
-                gx[self.geom.argmax_loop(x, c, oy, ox)] += g;
+                gx[self.geom.argmax(x, c, oy, ox)] += g;
             },
         )
     }
@@ -549,37 +532,6 @@ mod tests {
         let g = backward(&pool, &zeros, &Tensor::ones(&[1, 2, 2])).unwrap();
         let routed: Vec<usize> = (0..16).filter(|&i| g.0.as_slice()[i] > 0.0).collect();
         assert_eq!(routed, vec![5, 7, 13, 15]);
-    }
-
-    /// The backward pass's loop routes exactly where the decomposition's
-    /// `max_by` does: random windows full of ties, `±0.0`, NaN and
-    /// infinities, at overlapping and strided geometries.
-    #[test]
-    fn argmax_loop_is_argmax() {
-        let palette = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            2.0,
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-        ];
-        let mut rng = ptolemy_tensor::Rng64::new(17);
-        for (window, stride) in [(2, 2), (3, 1), (2, 1), (3, 2)] {
-            let geom = PoolGeom::new(2, 6, 6, window, stride).unwrap();
-            for _ in 0..50 {
-                let x: Vec<f32> = (0..72).map(|_| palette[rng.below(palette.len())]).collect();
-                for c in 0..2 {
-                    for oy in 0..geom.out_h {
-                        for ox in 0..geom.out_w {
-                            assert_eq!(geom.argmax_loop(&x, c, oy, ox), geom.argmax(&x, c, oy, ox));
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
