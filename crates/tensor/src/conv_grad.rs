@@ -22,34 +22,11 @@
 //!   *initialising* the sum — what a trainer adding per-sample gradients
 //!   into the first one computed, down to a `-0.0` surviving.
 
-use std::cell::RefCell;
-
 use crate::conv::PackedWeights;
 use crate::gemm::{microkernel, pack_a, KC, MC, MR, NC, NR};
 use crate::im2col::col2im_into;
 use crate::parallel::par_row_chunks;
 use crate::{Conv2dGeometry, Result, TensorError};
-
-thread_local! {
-    /// The kernels' per-thread scratch buffers, grow-only like the forward
-    /// kernel's: a steady stream of backward passes (a training run, an
-    /// attack) stops allocating them after the first.
-    static SCRATCH: RefCell<[Vec<f32>; 3]> = const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
-}
-
-/// Runs `work` on this thread's three scratch buffers, grown to `lens` and
-/// cut to them.  Their contents are whatever the last user left.
-fn with_scratch<R>(lens: [usize; 3], work: impl FnOnce([&mut [f32]; 3]) -> R) -> R {
-    SCRATCH.with_borrow_mut(|buffers| {
-        let [a, b, c] = buffers;
-        for (buffer, &len) in [&mut *a, &mut *b, &mut *c].into_iter().zip(&lens) {
-            if buffer.len() < len {
-                buffer.resize(len, 0.0);
-            }
-        }
-        work([&mut a[..lens[0]], &mut b[..lens[1]], &mut c[..lens[2]]])
-    })
-}
 
 /// The gradient of a convolution's loss with respect to its stacked input:
 /// `grad_out` is the `[batch, rows, out_h * out_w]` gradient of its output,
@@ -91,8 +68,9 @@ pub fn conv2d_backward_input(
     Ok(out)
 }
 
-/// [`conv2d_backward_input`] over `batch` samples on one thread, on this
-/// thread's scratch.
+/// [`conv2d_backward_input`] over `batch` samples on one thread: the blocked
+/// GEMM's loop nest with the A panels pre-packed and the B pack reading the
+/// stacked `[batch, channels, patches]` gradient, then one scatter per sample.
 fn input_serial(
     images: &mut [f32],
     gy: &[f32],
@@ -106,30 +84,9 @@ fn input_serial(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let panel_len = KC.min(k) * NC.min(n).next_multiple_of(NR);
-    with_scratch([m * n, panel_len, 0], |[cols, panel, _]| {
-        input_gemm(images, gy, batch, geom, weights_t, cols, panel);
-    });
-}
-
-/// [`input_serial`]'s work: the blocked GEMM's loop nest with the A panels
-/// pre-packed and the B pack reading the stacked `[batch, channels,
-/// patches]` gradient into `panel`, the product into `cols` (`m * n`, any
-/// contents on entry), then one scatter for every sample.
-fn input_gemm(
-    images: &mut [f32],
-    gy: &[f32],
-    batch: usize,
-    geom: &Conv2dGeometry,
-    weights_t: &PackedWeights,
-    cols: &mut [f32],
-    panel: &mut [f32],
-) {
-    let (m, k) = (weights_t.rows(), weights_t.depth());
-    let patches = geom.num_patches();
-    let n = batch * patches;
     // `dcols`: row `p`, column `b * patches + j` is sample `b`'s patch row `p`.
-    cols.fill(0.0);
+    let mut cols = vec![0.0f32; m * n];
+    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n).next_multiple_of(NR)];
     for j0 in (0..n).step_by(NC) {
         let jw = NC.min(n - j0);
         for k0 in (0..k).step_by(KC) {
@@ -173,7 +130,7 @@ fn input_gemm(
             }
         }
     }
-    col2im_into(cols, n, geom, images);
+    col2im_into(&cols, n, geom, images);
 }
 
 /// The gradients of a convolution's loss with respect to its `[rows,
@@ -205,33 +162,10 @@ pub fn conv2d_backward_params(
     }
     // Every sample's own weight gradient, side by side: the sum below adds
     // them in sample order.
-    let (panels, kc) = (patch_len.div_ceil(NR), KC.min(patches));
-    let lens = [
-        batch * rows * patch_len,
-        batch * panels * kc * NR,
-        MC.min(rows).next_multiple_of(MR) * kc,
-    ];
-    with_scratch(lens, |[grads, blocks, apack]| {
-        grads.fill(0.0);
-        weight_grads(grads, grad_out, samples, geom, blocks, apack);
-        sum_in_sample_order(grads, grad_out, patches, weight_grad, bias_grad);
-    });
-    Ok(())
-}
-
-/// Overwrites `weight_grad` and `bias_grad` with sample 0's gradients and
-/// adds every later sample's: `grads` holds each sample's weight gradient,
-/// and each bias gradient is the sum of a row of the sample's `gy`.
-fn sum_in_sample_order(
-    grads: &[f32],
-    grad_out: &[f32],
-    patches: usize,
-    weight_grad: &mut [f32],
-    bias_grad: &mut [f32],
-) {
-    let rows = bias_grad.len();
+    let mut grads = vec![0.0f32; batch * rows * patch_len];
+    weight_grads(&mut grads, grad_out, samples, geom);
     for (b, (grad, gy)) in grads
-        .chunks_exact(weight_grad.len())
+        .chunks_exact(rows * patch_len)
         .zip(grad_out.chunks_exact(rows * patches))
         .enumerate()
     {
@@ -250,6 +184,7 @@ fn sum_in_sample_order(
             }
         }
     }
+    Ok(())
 }
 
 /// Each sample's weight gradient `gy · colsᵀ` into its own zeroed `[rows,
@@ -262,16 +197,7 @@ fn sum_in_sample_order(
 /// Padding keeps the panels' zeros, the product the patch matrix's zeros
 /// gave.  `gy` is the A operand, with the naive kernel's zero-skip
 /// semantics.
-/// `blocks` and `apack` are scratch for the packed panels, `out` arrives
-/// zeroed.
-fn weight_grads(
-    out: &mut [f32],
-    grad_out: &[f32],
-    samples: &[f32],
-    geom: &Conv2dGeometry,
-    blocks: &mut [f32],
-    apack: &mut [f32],
-) {
+fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2dGeometry) {
     let (patch_len, patches, sample_len) =
         (geom.patch_len(), geom.num_patches(), geom.sample_len());
     let batch = samples.len() / sample_len.max(1);
@@ -288,6 +214,8 @@ fn weight_grads(
         .chunks_exact(sample_len)
         .map(|x| !x.iter().all(|v| v.is_finite()))
         .collect();
+    let mut blocks = vec![0.0f32; batch * panels * KC.min(patches) * NR];
+    let mut apack = vec![0.0f32; MC.min(m).next_multiple_of(MR) * KC.min(patches)];
     for k0 in (0..patches).step_by(KC) {
         let kc = KC.min(patches - k0);
         let block_len = panels * kc * NR;
@@ -319,7 +247,7 @@ fn weight_grads(
         for (((block, gy), grad), &skip) in per_sample {
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
-                pack_a(gy, patches, i0, mc, k0, kc, apack);
+                pack_a(gy, patches, i0, mc, k0, kc, &mut apack);
                 for (bpanel, jr) in (0..patch_len).step_by(NR).enumerate() {
                     let nr = NR.min(patch_len - jr);
                     let bmicro = &block[bpanel * kc * NR..(bpanel + 1) * kc * NR];
