@@ -42,8 +42,28 @@
 //!   (f32) and [`QuantizedNetwork`] (int8, one fused integer kernel per layer
 //!   kind): inference precision is an argument to `ptolemy-core`'s
 //!   extraction, not a parallel API;
-//! * [`Network::input_gradient`] — the loss gradient w.r.t. the input, which the
-//!   attack generators in `ptolemy-attacks` need;
+//! * [`Layer::backward_batch`] — each layer's one **backward kernel**, over
+//!   the same stacked batch, reading the activations the forward pass
+//!   recorded ([`Saved`]; a residual block backpropagates from the interior
+//!   its forward handed out and re-runs nothing) and computing only the
+//!   gradients asked for.  [`Network::backward_input`] walks it for the input
+//!   gradient alone (every attack; [`Network::input_gradient`] is its batch
+//!   of one), and [`Trainer`] for the parameter gradients of one fused
+//!   minibatch — one forward and one backward pass per step.  The backward
+//!   pass keeps the per-sample arithmetic bit for bit:
+//!   - the convolution's input gradient `Wᵀ · gy` is one GEMM batched along
+//!     N (samples × positions) that re-tiles only M and N, so each element
+//!     is still one ascending reduction over output channels with the naive
+//!     kernel's zero-skip, and `col2im` scatters each sample in its own
+//!     traversal order; the dense layer's `gy · W` reduces over ascending
+//!     outputs, unskipped, whatever the batch;
+//!   - the weight gradient is computed **per sample**, with the ascending
+//!     reduction over positions and the zero-skip on `gy` (on a finite
+//!     sample the skip is run branch-free: a skipped term is exactly a
+//!     `±0.0` added to an accumulator that can never be `-0.0`);
+//!   - the per-sample parameter gradients are summed **in sample order, the
+//!     first sample initialising the sum** — what adding each sample's
+//!     gradients into the first one's computed, down to a `-0.0` surviving;
 //! * a [`zoo`] of small architectures standing in for AlexNet, ResNet-18, VGG and
 //!   friends at laptop scale.
 //!
