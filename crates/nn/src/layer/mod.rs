@@ -560,6 +560,122 @@ mod tests {
         assert_eq!(kinds_seen.len(), 7, "{kinds_seen:?}");
     }
 
+    /// For every layer kind the zoo builds: one batched backward call is the
+    /// batch-of-one calls it replaces — input gradient slice `b` is sample
+    /// `b`'s, bit for bit, and each parameter gradient is the per-sample
+    /// gradients summed in sample order, sample 0 initialising the sum (an
+    /// output gradient of `-0.0` leaves a `-0.0` bias gradient, which a sum
+    /// started at `+0.0` would turn into `+0.0`).  Asked for neither
+    /// gradient, a kernel returns no input gradient; asked for parameter
+    /// gradients of the wrong shape, it fails.
+    #[test]
+    fn batched_backward_is_the_per_sample_pass_summed_in_order() {
+        use crate::zoo;
+        use ptolemy_tensor::Rng64;
+
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng64::new(31);
+        let networks = [
+            zoo::conv_net(4, &mut rng).unwrap(),
+            zoo::resnet_mini(4, &mut rng).unwrap(),
+            zoo::inception_mini(4, &mut rng).unwrap(),
+        ];
+        let batch = 3;
+        for network in &networks {
+            let len: usize = network.input_shape().iter().product();
+            let mut stacked = Tensor::from_vec(
+                (0..batch * len).map(|_| rng.normal()).collect(),
+                &[&[batch][..], network.input_shape()].concat(),
+            )
+            .unwrap();
+            for layer in network.layers() {
+                let (output, interior) = layer.forward_batch_interior(&stacked).unwrap();
+                let out_len = layer.output_len();
+                // Sample 0's gradient is all `-0.0`, and so is every sample's
+                // first element; the others carry zeros.
+                let gy: Vec<f32> = (0..batch * out_len)
+                    .map(|i| match (i < out_len || i % out_len == 0, i % 3) {
+                        (true, _) => -0.0,
+                        (false, 0) => 0.0,
+                        _ => rng.normal(),
+                    })
+                    .collect();
+                let gy = Tensor::from_vec(gy, output.dims()).unwrap();
+                let saved = Saved {
+                    input: Some(&stacked),
+                    interior: interior.as_ref(),
+                    output: Some(&output),
+                };
+                let zeroed = || -> Vec<Tensor> {
+                    layer
+                        .params()
+                        .iter()
+                        .map(|p| Tensor::zeros(p.dims()))
+                        .collect()
+                };
+                let mut grads = zeroed();
+                let input_grad = layer
+                    .backward_batch(saved, &gy, Some(&mut grads), true)
+                    .unwrap()
+                    .unwrap();
+                let mut summed: Vec<Tensor> = Vec::new();
+                for b in 0..batch {
+                    let one = |t: &Tensor| {
+                        let slice = t.slice_batch(b).unwrap();
+                        slice.reshape(&[&[1][..], slice.dims()].concat()).unwrap()
+                    };
+                    let (x, y, g) = (one(&stacked), one(&output), one(&gy));
+                    let inner = interior.as_ref().map(one);
+                    let alone = Saved {
+                        input: Some(&x),
+                        interior: inner.as_ref(),
+                        output: Some(&y),
+                    };
+                    let mut sample_grads = zeroed();
+                    let sample_input = layer
+                        .backward_batch(alone, &g, Some(&mut sample_grads), true)
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!(
+                        bits(input_grad.slice_batch(b).unwrap().as_slice()),
+                        bits(sample_input.as_slice()),
+                        "{}: input gradient of sample {b}",
+                        layer.name()
+                    );
+                    if b == 0 {
+                        summed = sample_grads;
+                    } else {
+                        for (acc, g) in summed.iter_mut().zip(&sample_grads) {
+                            acc.add_scaled_inplace(g, 1.0).unwrap();
+                        }
+                    }
+                }
+                for (got, expected) in grads.iter().zip(&summed) {
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(expected.as_slice()),
+                        "{}",
+                        layer.name()
+                    );
+                }
+                if layer.name() == "dense" {
+                    assert_eq!(grads[1].as_slice()[0].to_bits(), (-0.0f32).to_bits());
+                }
+                assert!(layer
+                    .backward_batch(saved, &gy, None, false)
+                    .unwrap()
+                    .is_none());
+                if !grads.is_empty() {
+                    let mut wrong = vec![Tensor::zeros(&[1])];
+                    assert!(layer
+                        .backward_batch(saved, &gy, Some(&mut wrong), false)
+                        .is_err());
+                }
+                stacked = output;
+            }
+        }
+    }
+
     #[test]
     fn layer_kind_macs() {
         let dense = LayerKind::Dense {

@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use ptolemy_tensor::gemm_i8::matmul_i8_parallel_nt;
 use ptolemy_tensor::quant::{dequantize_slice, matmul_i8, matmul_i8_nt};
 use ptolemy_tensor::{
-    conv2d_forward, gemm_nt_into, im2col, matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt,
-    matmul_i8_parallel, matmul_parallel, quantize_slice, Conv2dGeometry, PackedWeights,
-    QuantParams, Rng64, Tensor,
+    col2im, conv2d_backward_input, conv2d_backward_params, conv2d_forward, gemm_nt_into, im2col,
+    matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel, matmul_parallel,
+    quantize_slice, Conv2dGeometry, PackedWeights, QuantParams, Rng64, Tensor,
 };
 
 /// Random `[rows, cols]` tensor with zeros sprinkled in so the sparsity-skip
@@ -219,6 +219,90 @@ proptest! {
                 prop_assert!(same_float(fused[b * sample_out + i], expected));
                 prop_assert!(same_float(alone[i], expected));
             }
+        }
+    }
+
+    /// The batched conv backward kernels are the per-sample backward pass
+    /// they replaced, bit for bit: the input gradient is `col2im(Wᵀ · gy_b)`
+    /// per sample (`Wᵀ · gy` as `matmul_naive`, zero-skip on `Wᵀ`), and the
+    /// parameter gradients are `gy_b · cols_bᵀ` (zero-skip on `gy`) and
+    /// `gy_b`'s row sums, summed in sample order from sample 0.  Weights and
+    /// `gy` carry `±0.0`, the samples and `gy` `inf`/`NaN` — a sample with a
+    /// non-finite value runs the skipping weight kernel, where a skipped
+    /// `0.0 * inf` is observable — at the shapes of the forward test above.
+    #[test]
+    fn conv_backward_matches_per_sample_reference_bit_for_bit(
+        kernel_idx in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        in_c in 1usize..9,
+        out_c in 1usize..11,
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
+        batch in 1usize..6,
+        zero_every in 0usize..5,
+        non_finite_every in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let kernel = [1, 3, 5][kernel_idx];
+        let (in_h, in_w) = (kernel + extra_h, kernel + extra_w);
+        let geom = Conv2dGeometry::new(in_c, in_h, in_w, kernel, stride, padding).unwrap();
+        let patches = geom.num_patches();
+        let mut rng = Rng64::new(seed);
+        let signed_zero = |i: usize| if i % 2 == 0 { 0.0 } else { -0.0 };
+        let mut weight = random_matrix(out_c, geom.patch_len(), seed.wrapping_add(1), 0);
+        let mut gy: Vec<f32> = (0..batch * out_c * patches).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut xs: Vec<f32> = (0..batch * in_c * in_h * in_w).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        if zero_every > 0 {
+            for (i, w) in weight.as_mut_slice().iter_mut().enumerate() {
+                if i % (zero_every + 1) == 0 {
+                    *w = signed_zero(i);
+                }
+            }
+            for (i, g) in gy.iter_mut().enumerate() {
+                if i % (zero_every + 1) != 0 {
+                    *g = signed_zero(i);
+                }
+            }
+        }
+        if non_finite_every > 0 {
+            let palette = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+            for (i, v) in xs.iter_mut().enumerate() {
+                if i % (11 * non_finite_every + 5) == 3 {
+                    *v = palette[i % 3];
+                }
+            }
+            gy[0] = palette[seed as usize % 3];
+        }
+
+        let packed_t = PackedWeights::pack_transposed(&weight).unwrap();
+        let grad_input = fanned(|| conv2d_backward_input(&gy, &geom, &packed_t)).unwrap();
+        let mut weight_grad = vec![f32::NAN; out_c * geom.patch_len()];
+        let mut bias_grad = vec![f32::NAN; out_c];
+        conv2d_backward_params(&gy, &xs, &geom, &mut weight_grad, &mut bias_grad).unwrap();
+
+        let weight_t = weight.transpose().unwrap();
+        let sample_len = in_c * in_h * in_w;
+        let (mut weight_sum, mut bias_sum) = (Vec::new(), Vec::new());
+        for b in 0..batch {
+            let gy_b = Tensor::from_vec(gy[b * out_c * patches..(b + 1) * out_c * patches].to_vec(), &[out_c, patches]).unwrap();
+            let x_b = Tensor::from_vec(xs[b * sample_len..(b + 1) * sample_len].to_vec(), &[in_c, in_h, in_w]).unwrap();
+            let dx = col2im(&weight_t.matmul_naive(&gy_b).unwrap(), &geom).unwrap();
+            for (i, expected) in dx.as_slice().iter().enumerate() {
+                prop_assert!(same_float(grad_input[b * sample_len + i], *expected));
+            }
+            let cols_t = im2col(&x_b, &geom).unwrap().transpose().unwrap();
+            let dw = gy_b.matmul_naive(&cols_t).unwrap().into_vec();
+            let db: Vec<f32> = gy_b.as_slice().chunks(patches).map(|row| row.iter().sum()).collect();
+            if b == 0 {
+                (weight_sum, bias_sum) = (dw, db);
+            } else {
+                weight_sum.iter_mut().zip(&dw).for_each(|(acc, v)| *acc += v);
+                bias_sum.iter_mut().zip(&db).for_each(|(acc, v)| *acc += v);
+            }
+        }
+        for (got, expected) in weight_grad.iter().zip(&weight_sum).chain(bias_grad.iter().zip(&bias_sum)) {
+            prop_assert!(same_float(*got, *expected));
         }
     }
 
