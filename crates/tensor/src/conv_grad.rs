@@ -1,26 +1,27 @@
 //! Convolution backward kernels over a stacked batch: the input gradient as
 //! one GEMM per call, the parameter gradients per sample.
 //!
-//! The historical per-sample backward pass computed, for each sample,
-//! `dcols = Wᵀ · gy` (materialising `Wᵀ`), `dx = col2im(dcols)`,
-//! `dW = gy · colsᵀ` (materialising `colsᵀ`) and `db` as row sums of `gy`.
-//! The kernels here do the same float operations in the same per-element
-//! order, so they are bit-for-bit that pass:
+//! Their definition is per sample: `dx = col2im(Wᵀ · gy)`, `dW = gy · colsᵀ`
+//! (`cols = im2col(x)`, both products as [`crate::Tensor::matmul_naive`]
+//! computes them, zero-skip included) and `db` the row sums of `gy`, with
+//! the parameter gradients of a batch summed over its samples.  The kernels
+//! do the same float operations in the same per-element order, so they are
+//! bit-for-bit that definition (`tests/gemm_parity.rs` pins it):
 //!
 //! * **input gradient** ([`conv2d_backward_input`]): `Wᵀ` is packed once per
-//!   call ([`PackedWeights::pack_transposed`]) and multiplied by every
-//!   sample's `gy` at once — the GEMM's N dimension runs over samples ×
-//!   patches.  The blocked GEMM tiles M and N only and reduces each element
-//!   over ascending output channels with the naive kernel's zero-skip, so
-//!   batching along N moves no bit.  `col2im` then scatters each sample's
-//!   block of columns into its own image, in its one traversal order;
+//!   weight version ([`PackedWeights::pack_transposed`] reads `W` as it is)
+//!   and multiplied by every sample's `gy` at once — the GEMM's N dimension
+//!   runs over samples × patches.  The blocked GEMM tiles M and N only and
+//!   reduces each element over ascending output channels with the naive
+//!   kernel's zero-skip, so batching along N moves no bit.  `col2im` then
+//!   scatters every sample's block of columns, in one traversal, each image
+//!   in its own accumulation order;
 //! * **parameter gradients** ([`conv2d_backward_params`]): per sample,
 //!   `gy · colsᵀ` reduces over ascending patches with the zero-skip on `gy`
-//!   (the sample is lowered straight into the transposed B panels, so no
-//!   patch matrix is built or transposed) and the bias is each row's sum.
-//!   The per-sample gradients are summed in sample order, the first sample
-//!   *initialising* the sum — what a trainer adding per-sample gradients
-//!   into the first one computed, down to a `-0.0` surviving.
+//!   (the samples are lowered straight into transposed B panels, so no patch
+//!   matrix is built or transposed) and the bias is each row's sum.  The
+//!   per-sample gradients are summed in sample order, the first sample
+//!   *initialising* the sum, so a `-0.0` survives it.
 
 use crate::conv::PackedWeights;
 use crate::gemm::{microkernel, pack_a, KC, MC, MR, NC, NR};

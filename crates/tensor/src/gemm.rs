@@ -316,11 +316,10 @@ pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
 /// layer's input gradient `gy · W` (`a` is `[m, k]`, `b` is `[k, n]`, both
 /// row-major; `out` arrives zeroed).
 ///
-/// Per element this is `out[i][j] += a[i][k] * b[k][j]` in ascending `k`:
-/// bit-for-bit the historical per-sample loop, which accumulated every term
-/// onto a zeroed gradient.  Below `MR` rows (a batch of one) the register
-/// tile would run mostly padding, so the rows run as that i-k-j loop instead
-/// — the same operations in the same order.
+/// Per element this is `out[i][j] += a[i][k] * b[k][j]` in ascending `k`,
+/// whatever `m` is.  Below `MR` rows (a batch of one) the register tile
+/// would run mostly padding, so the rows run as that i-k-j loop instead —
+/// the same operations in the same order.
 pub fn gemm_nn_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
