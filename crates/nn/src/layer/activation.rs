@@ -3,6 +3,16 @@ use ptolemy_tensor::Tensor;
 use crate::layer::{check_len, grad_batch, missing, Saved};
 use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
+/// The gradient through a ReLU: `grad` where the recorded activation — its
+/// input `x` or its output `max(x, 0)`, both are positive at the same
+/// places, NaN included — is positive, `0.0` elsewhere.
+pub(crate) fn relu_mask(recorded: &Tensor, grad: &Tensor) -> Vec<f32> {
+    let pairs = recorded.as_slice().iter().zip(grad.as_slice());
+    pairs
+        .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
+        .collect()
+}
+
 /// Rectified linear unit applied element-wise.
 ///
 /// ReLU is a pass-through layer for path extraction: an important neuron in its
@@ -52,8 +62,8 @@ impl Layer for ReLU {
         Ok(batch.map(|v| v.max(0.0)))
     }
 
-    /// Masks the gradient with the recorded output (or input): `x > 0`
-    /// exactly where `max(x, 0) > 0`, NaN included.
+    /// Masks the gradient with the recorded output, or input: both are
+    /// positive at the same places, NaN included.
     fn backward_batch(
         &self,
         saved: Saved<'_>,
@@ -71,12 +81,7 @@ impl Layer for ReLU {
             .or(saved.input)
             .ok_or_else(|| missing(self.name(), "output"))?;
         check_len(recorded, batch, len, self.name())?;
-        let gx = recorded
-            .as_slice()
-            .iter()
-            .zip(grad_output.as_slice())
-            .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
-            .collect();
+        let gx = relu_mask(recorded, grad_output);
         let dims = [&[batch][..], &self.shape].concat();
         Ok(Some(Tensor::from_vec(gx, &dims)?))
     }

@@ -1,5 +1,6 @@
 use ptolemy_tensor::Tensor;
 
+use crate::layer::activation::relu_mask;
 use crate::layer::{check_len, check_param_grads, grad_batch, missing, Saved};
 use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
@@ -159,13 +160,7 @@ impl Layer for Residual {
         let grad_pre = if self.post_relu {
             let output = saved.output.ok_or_else(|| missing(self.name(), "output"))?;
             check_len(output, batch, len, self.name())?;
-            let masked = output
-                .as_slice()
-                .iter()
-                .zip(grad_output.as_slice())
-                .map(|(v, g)| if *v > 0.0 { *g } else { 0.0 })
-                .collect();
-            Tensor::from_vec(masked, &dims)?
+            Tensor::from_vec(relu_mask(output, grad_output), &dims)?
         } else {
             grad_output.reshape(&dims)?
         };
