@@ -145,7 +145,8 @@ pub fn path_similarity(
 ///
 /// A single input is the batch of one, and its fused error *is* its error:
 /// it runs one forward pass whatever happens.  When a larger batch's fused
-/// pass fails (a mis-shaped or NaN input), each input is retried as its own
+/// pass fails (a mis-shaped input, or a non-finite value at one of its
+/// boundaries — `NnError::NonFinite`), each input is retried as its own
 /// batch of one ([`par_map`] at the same work gate), so the bad input fails
 /// alone, with its exact error, while the rest still serve.
 fn trace_path_batch<P: ForwardProvider>(
@@ -270,7 +271,9 @@ impl DetectionEngine {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the engine was built without a
-    /// classifier, and propagates extraction/classifier errors.
+    /// classifier, `CoreError::Nn(NnError::NonFinite { .. })` if the input or
+    /// an activation it produces holds a NaN or an infinity, and propagates
+    /// extraction/classifier errors.
     pub fn detect(&self, input: &Tensor) -> Result<Detection> {
         Ok(self.detect_with_path(input)?.0)
     }
@@ -472,9 +475,10 @@ impl DetectionEngine {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the engine was built without
-    /// [`DetectionEngineBuilder::quantized`] or without a classifier, or if
-    /// the input (or an activation about to be quantized) is NaN; propagates
-    /// extraction and classifier errors.
+    /// [`DetectionEngineBuilder::quantized`] or without a classifier,
+    /// `CoreError::Nn(NnError::NonFinite { .. })` if a boundary of the int8
+    /// pass holds a NaN or an infinity, and propagates extraction and
+    /// classifier errors.
     pub fn detect_quantized(&self, input: &Tensor) -> Result<Detection> {
         let qnet = self.quantized.as_ref().ok_or_else(|| {
             CoreError::InvalidInput(
@@ -853,10 +857,18 @@ mod tests {
     }
 
     /// Quantizing a NaN yields 0, which used to launder an all-NaN input into
-    /// an ordinary verdict on forward programs; now the int8 pass rejects it
-    /// for either direction, exactly as `detect` does.
+    /// an ordinary verdict on forward programs; the int8 pass rejects it at
+    /// the input boundary for either direction, exactly as `detect` does.
     #[test]
     fn quantized_detection_rejects_nan_like_f32() {
+        let rejected = |r: &Result<Detection>| {
+            matches!(
+                r,
+                Err(CoreError::Nn(ptolemy_nn::NnError::NonFinite {
+                    boundary: 0
+                }))
+            )
+        };
         let (net, samples, benign, adversarial) = setup();
         let net = Arc::new(net);
         for program in [
@@ -873,17 +885,14 @@ mod tests {
                 .unwrap();
             let poisoned = Tensor::full(&[8], f32::NAN);
             for verdict in [engine.detect(&poisoned), engine.detect_quantized(&poisoned)] {
-                assert!(
-                    matches!(verdict, Err(CoreError::InvalidInput(_))),
-                    "{verdict:?}"
-                );
+                assert!(rejected(&verdict), "{verdict:?}");
             }
             // In a batch it fails alone.
             let qnet = engine.quantized_network().unwrap();
             let served = engine.detect_batch_on(qnet, &[benign[0].clone(), poisoned]);
             let (clean, _) = served[0].as_ref().unwrap();
             assert_eq!(*clean, engine.detect_quantized(&benign[0]).unwrap());
-            assert!(matches!(served[1], Err(CoreError::InvalidInput(_))));
+            assert!(rejected(&served[1].clone().map(|(d, _)| d)));
         }
     }
 

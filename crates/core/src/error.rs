@@ -47,12 +47,7 @@ impl std::error::Error for CoreError {
 
 impl From<NnError> for CoreError {
     fn from(e: NnError) -> Self {
-        match e {
-            // A NaN the int8 pass refuses to quantize is the caller's input at
-            // fault, like the NaN a selection kernel refuses to rank.
-            NnError::NanActivation { .. } => CoreError::InvalidInput(e.to_string()),
-            e => CoreError::Nn(e),
-        }
+        CoreError::Nn(e)
     }
 }
 
@@ -77,8 +72,9 @@ mod tests {
         let e: CoreError = NnError::EmptyDataset.into();
         assert!(e.to_string().contains("dnn substrate"));
         assert!(std::error::Error::source(&e).is_some());
-        let e: CoreError = NnError::NanActivation { layer: 3 }.into();
-        assert!(matches!(&e, CoreError::InvalidInput(msg) if msg.contains("layer 3")));
+        let e: CoreError = NnError::NonFinite { boundary: 3 }.into();
+        assert_eq!(e, CoreError::Nn(NnError::NonFinite { boundary: 3 }));
+        assert!(e.to_string().contains("boundary 3"));
         let e: CoreError = ForestError::InvalidMetricInput("x".into()).into();
         assert!(e.to_string().contains("classifier"));
         let e: CoreError = TensorError::Empty("max").into();

@@ -404,17 +404,6 @@ pub fn extract_paths_streaming_batch(
     Ok(StreamedBatchExtraction { samples, footprint })
 }
 
-/// The typed rejection of a NaN reaching a selection kernel.  `partial_cmp`
-/// is a total order on everything else (infinities included), so a NaN is the
-/// one value the rankings below cannot place — the `sort_by` they grew out of
-/// panicked on it ("does not correctly implement a total order").
-fn nan_error(what: &str) -> CoreError {
-    CoreError::InvalidInput(format!(
-        "{what} is NaN: the input (or an activation it produced) is not a number, \
-         so no important neurons can be ranked"
-    ))
-}
-
 /// Picks [`descending`] takes off a linear arg-max scan before it sorts what
 /// is left.  A cumulative threshold usually stops after one or two
 /// contributors, which a scan finds without ordering the rest; the sort keeps
@@ -423,14 +412,15 @@ const SCAN_PICKS: usize = 8;
 
 /// The ranking order, greatest first: the greater value, and among equal
 /// values (`-0.0 == 0.0` included) the earlier position.  Total, because
-/// positions are distinct and no NaN is ever ranked.
+/// positions are distinct and no NaN is ever ranked: every value the walk
+/// ranks comes from a pass whose boundaries `ptolemy-nn` checked finite.
 fn rank(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
     a.1.partial_cmp(&b.1)
         .unwrap_or(Ordering::Equal)
         .then_with(|| b.0.cmp(&a.0))
 }
 
-/// Ranks NaN-free `values` from largest to smallest, equal values in input
+/// Ranks finite `values` from largest to smallest, equal values in input
 /// order — the order a stable descending sort produces — yielding
 /// `(position, value)` lazily out of `scratch`, which it refills and never
 /// shrinks.  The first [`SCAN_PICKS`] picks are each one arg-max scan; the
@@ -478,20 +468,15 @@ fn descending(
 ///   positive, only the single largest contributor is kept.
 /// * Absolute: every partial sum `≥ phi × |target|`.
 ///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] if any partial sum is NaN (nothing is
-/// selected then).
+/// The partial sums are finite: they decompose the outputs of a checked pass,
+/// and a non-finite `w · x` would have made its neuron's output non-finite.
 pub(crate) fn select_contributors(
     pairs: &[(usize, f32)],
     target: f32,
     threshold: ThresholdKind,
     ranking: &mut Vec<(usize, f32)>,
     mut select: impl FnMut(usize),
-) -> Result<()> {
-    if pairs.iter().any(|(_, partial)| partial.is_nan()) {
-        return Err(nan_error("a partial sum"));
-    }
+) {
     match threshold {
         ThresholdKind::Cumulative { theta } => {
             let mut ranked = descending(pairs.iter().map(|(_, partial)| *partial), ranking);
@@ -499,7 +484,7 @@ pub(crate) fn select_contributors(
                 if let Some((at, _)) = ranked.next() {
                     select(pairs[at].0);
                 }
-                return Ok(());
+                return;
             }
             let goal = theta * target;
             let mut cum = 0.0;
@@ -520,7 +505,6 @@ pub(crate) fn select_contributors(
             }
         }
     }
-    Ok(())
 }
 
 /// Marks the important neurons of a layer output in `mask`, selecting directly
@@ -534,29 +518,24 @@ pub(crate) fn select_contributors(
 ///   activations whose sum reaches `theta ×` the positive mass (the single
 ///   largest activation when there is no positive mass).
 /// * Absolute: every positive activation `≥ phi × max`.  Two passes over the
-///   values: NaN check and maximum together, then the mask a word at a time.
+///   values: the maximum, then the mask a word at a time.
 ///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] if any activation is NaN.
+/// The activations are a checked boundary, so finite.
 pub(crate) fn mask_from_activations(
     values: &[f32],
     threshold: ThresholdKind,
     mask: &mut BitVec,
     ranking: &mut Vec<(usize, f32)>,
-) -> Result<()> {
+) {
     match threshold {
         ThresholdKind::Cumulative { theta } => {
-            if values.iter().any(|v| v.is_nan()) {
-                return Err(nan_error("an activation"));
-            }
             let mut ranked = descending(values.iter().copied(), ranking);
             let total: f32 = values.iter().filter(|v| **v > 0.0).sum();
             if total <= 0.0 {
                 if let Some((idx, _)) = ranked.next() {
                     mask.set(idx);
                 }
-                return Ok(());
+                return;
             }
             let goal = theta * total;
             let mut cum = 0.0;
@@ -572,49 +551,41 @@ pub(crate) fn mask_from_activations(
             }
         }
         ThresholdKind::Absolute { phi } => {
-            let (max, any_nan) = max_and_nan(values);
-            if any_nan {
-                return Err(nan_error("an activation"));
-            }
+            let max = max(values);
             if max > 0.0 {
                 let cutoff = phi * max;
                 mask.set_where(values, |v| *v >= cutoff && *v > 0.0);
             }
         }
     }
-    Ok(())
 }
 
-/// The maximum of `values` (`-inf` when empty) and whether any of them is NaN,
-/// in one pass.  Eight running maxima instead of one: a single one is a chain
-/// of dependent compares, four cycles an element.
-fn max_and_nan(values: &[f32]) -> (f32, bool) {
+/// The maximum of `values` (`-inf` when empty), in one pass.  Eight running
+/// maxima instead of one: a single one is a chain of dependent compares, four
+/// cycles an element.
+fn max(values: &[f32]) -> f32 {
     const LANES: usize = 8;
-    // A NaN never compares greater, so it never becomes a maximum.
     let keep_greater = |max: &mut f32, v: f32| {
         if v > *max {
             *max = v;
         }
     };
     let mut maxima = [f32::NEG_INFINITY; LANES];
-    let mut any_nan = false;
     let chunks = values.chunks_exact(LANES);
     let rest = chunks.remainder();
     for chunk in chunks {
         for (max, &v) in maxima.iter_mut().zip(chunk) {
-            any_nan |= v.is_nan();
             keep_greater(max, v);
         }
     }
     for (max, &v) in maxima.iter_mut().zip(rest) {
-        any_nan |= v.is_nan();
         keep_greater(max, v);
     }
     let mut max = f32::NEG_INFINITY;
     for lane in maxima {
         keep_greater(&mut max, lane);
     }
-    (max, any_nan)
+    max
 }
 
 /// Access to the activation boundaries of one forward pass: boundary `i` is
@@ -732,7 +703,7 @@ impl WalkScratch {
                     for (&neuron, pairs) in self.important.iter().zip(self.decomps.iter()) {
                         select_contributors(pairs, out[neuron], threshold, ranking, |i| {
                             mask.set(i)
-                        })?;
+                        });
                     }
                     &*mask
                 }
@@ -776,7 +747,7 @@ fn extract_forward<S: BoundarySource + ?Sized>(
         if let LayerRole::Enabled { threshold, segment } = *role {
             let output = source.boundary(layer_idx + 1)?.as_slice();
             let mask = &mut path.segments_mut()[segment].mask;
-            mask_from_activations(output, threshold, mask, &mut ranking)?;
+            mask_from_activations(output, threshold, mask, &mut ranking);
         }
     }
     Ok(path)
@@ -815,14 +786,11 @@ struct ForwardSink<'a> {
     paths: Vec<ActivationPath>,
     /// The ranking kernel's scratch, shared by every selection of the pass.
     ranking: Vec<(usize, f32)>,
-    /// Sinks are infallible; the first selection failure waits here.
-    error: Option<CoreError>,
 }
 
 impl TraceSink for ForwardSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        let (None, LayerRole::Enabled { threshold, segment }) = (&self.error, self.roles[index])
-        else {
+        let LayerRole::Enabled { threshold, segment } = self.roles[index] else {
             return;
         };
         // Sample `b`'s slab of the stacked output depends on sample `b`
@@ -834,10 +802,7 @@ impl TraceSink for ForwardSink<'_> {
             .zip(output.as_slice().chunks_exact(sample_len.max(1)))
         {
             let mask = &mut path.segments_mut()[segment].mask;
-            if let Err(e) = mask_from_activations(sample, threshold, mask, &mut self.ranking) {
-                self.error = Some(e);
-                return;
-            }
+            mask_from_activations(sample, threshold, mask, &mut self.ranking);
         }
     }
 }
@@ -933,12 +898,8 @@ where
         roles: &plan.roles,
         paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
         ranking: Vec::new(),
-        error: None,
     };
     let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
-    if let Some(error) = sink.error {
-        return Err(error);
-    }
     // Row `b` of the stacked `[B, classes]` logits is sample `b`'s.
     let classes = provider.network().num_classes().max(1);
     let samples = sink
@@ -998,10 +959,10 @@ mod tests {
     use ptolemy_tensor::{Rng64, Tensor};
 
     /// [`select_contributors`]' picks, in selection order.
-    fn select(pairs: &[(usize, f32)], target: f32, threshold: ThresholdKind) -> Result<Vec<usize>> {
+    fn select(pairs: &[(usize, f32)], target: f32, threshold: ThresholdKind) -> Vec<usize> {
         let mut picks = Vec::new();
-        select_contributors(pairs, target, threshold, &mut Vec::new(), |i| picks.push(i))?;
-        Ok(picks)
+        select_contributors(pairs, target, threshold, &mut Vec::new(), |i| picks.push(i));
+        picks
     }
 
     /// The worked fully-connected example of Fig. 3 (left panel): input feature map
@@ -1017,13 +978,13 @@ mod tests {
             (3, 0.3 * 0.2),
             (4, 0.2 * 0.1),
         ];
-        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.6 });
         assert_eq!(selected, vec![0, 1]);
         // With θ = 0.9 more neurons are needed.
-        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Cumulative { theta: 0.9 });
         assert!(selected.len() > 2);
         // Absolute thresholding keeps only partial sums above φ × |target|.
-        let selected = select(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 }).unwrap();
+        let selected = select(&pairs, 0.46, ThresholdKind::Absolute { phi: 0.4 });
         assert_eq!(selected, vec![0]);
     }
 
@@ -1032,24 +993,20 @@ mod tests {
         let pairs = vec![(0, 0.5), (1, 0.3), (2, 0.2)];
         // θ = 0.5 of target 1.0 is reached by the single largest partial sum.
         assert_eq!(
-            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
+            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 0.5 }),
             vec![0]
         );
         // θ = 1.0 needs all of them.
         assert_eq!(
-            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 })
-                .unwrap()
-                .len(),
+            select(&pairs, 1.0, ThresholdKind::Cumulative { theta: 1.0 }).len(),
             3
         );
         // Non-positive target degenerates to the single largest contributor.
         assert_eq!(
-            select(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }).unwrap(),
+            select(&pairs, -0.2, ThresholdKind::Cumulative { theta: 0.5 }),
             vec![0]
         );
-        assert!(select(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 })
-            .unwrap()
-            .is_empty());
+        assert!(select(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 }).is_empty());
     }
 
     #[test]
@@ -1102,10 +1059,10 @@ mod tests {
                 .map(|s| 1000 + s.0)
                 .collect();
             let cumulative = ThresholdKind::Cumulative { theta: 1.0 };
-            assert_eq!(select(&pairs, f32::MAX, cumulative).unwrap(), in_rank_order);
+            assert_eq!(select(&pairs, f32::MAX, cumulative), in_rank_order);
             for target in [0.0, -0.0, -2.0, f32::NEG_INFINITY] {
                 assert_eq!(
-                    select(&pairs, target, cumulative).unwrap(),
+                    select(&pairs, target, cumulative),
                     in_rank_order[..len.min(1)],
                     "len {len}, target {target}"
                 );
@@ -1121,50 +1078,64 @@ mod tests {
     }
 
     #[test]
-    fn nan_is_a_typed_error_not_a_sort_panic() {
+    fn non_finite_values_never_reach_a_selection_kernel() {
+        use ptolemy_nn::NnError;
+        let net = two_layer_net();
+        let programs = [
+            DetectionProgram::builder(Direction::Forward, 2)
+                .all_layers(ThresholdKind::Cumulative { theta: 0.5 })
+                .build()
+                .unwrap(),
+            DetectionProgram::builder(Direction::Backward, 2)
+                .all_layers(ThresholdKind::Absolute { phi: 0.5 })
+                .build()
+                .unwrap(),
+        ];
+        let non_finite = |boundary| CoreError::Nn(NnError::NonFinite { boundary });
+        // In the input: boundary 0, on every entry point, either direction.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let x = Tensor::from_vec(vec![1.0, bad, 0.5, 0.5], &[4]).unwrap();
+            for program in &programs {
+                let streamed = extract_path_streaming(&net, program, &x);
+                assert_eq!(streamed.unwrap_err(), non_finite(0));
+                let clean = Tensor::ones(&[4]);
+                let batch = extract_paths_streaming_batch(&net, program, &[clean, x.clone()]);
+                assert_eq!(batch.unwrap_err(), non_finite(0));
+            }
+            assert_eq!(
+                CoreError::from(net.forward_trace(&x).unwrap_err()),
+                non_finite(0)
+            );
+        }
+        // From overflow: hidden neuron 2 sums inputs 2 and 3, so two finite
+        // `f32::MAX` inputs make layer 1's output (boundary 2) `+inf` — the
+        // value the ReLU after it would pass on and the walk would rank.
+        let x = Tensor::from_vec(vec![0.0, 0.0, f32::MAX, f32::MAX], &[4]).unwrap();
+        for program in &programs {
+            let streamed = extract_path_streaming(&net, program, &x);
+            assert_eq!(streamed.unwrap_err(), non_finite(2));
+        }
+        // A trace assembled by hand obeys the same rule.
+        let mut boundaries = net
+            .forward_trace(&Tensor::ones(&[4]))
+            .unwrap()
+            .activations()
+            .to_vec();
+        boundaries[3].as_mut_slice()[0] = f32::NAN;
+        assert_eq!(
+            ForwardTrace::from_activations(boundaries).unwrap_err(),
+            NnError::NonFinite { boundary: 3 }
+        );
+        // Infinities stay ordered like any other value in the ranking itself.
         let cumulative = ThresholdKind::Cumulative { theta: 0.5 };
-        let absolute = ThresholdKind::Absolute { phi: 0.5 };
-        // Enough NaN-bearing candidates that std's sort would notice the
-        // broken order (it panics from 21 elements up).
-        let pairs: Vec<(usize, f32)> = (0..64)
-            .map(|i| (i, if i % 3 == 0 { f32::NAN } else { i as f32 }))
-            .collect();
-        let values: Vec<f32> = pairs.iter().map(|(_, v)| *v).collect();
-        for threshold in [cumulative, absolute] {
-            assert!(matches!(
-                select(&pairs, 1.0, threshold),
-                Err(CoreError::InvalidInput(_))
-            ));
-            assert!(matches!(
-                mask_from_activations(
-                    &values,
-                    threshold,
-                    &mut BitVec::new(values.len()),
-                    &mut Vec::new()
-                ),
-                Err(CoreError::InvalidInput(_))
-            ));
-        }
-        // A lone NaN past the scan's reach, and under a non-positive target,
-        // is still refused before anything is selected.
-        let mut late: Vec<(usize, f32)> = (0..2048).map(|i| (i, 1.0)).collect();
-        late[2047].1 = f32::NAN;
-        for target in [1.0, 0.0] {
-            let mut picked = 0;
-            let result =
-                select_contributors(&late, target, cumulative, &mut Vec::new(), |_| picked += 1);
-            assert!(matches!(result, Err(CoreError::InvalidInput(_))));
-            assert_eq!(picked, 0);
-        }
-        // Infinities are ordered like any other value and still select.
         let saturated = [(0usize, f32::INFINITY), (1, 1.0), (2, f32::NEG_INFINITY)];
-        assert_eq!(select(&saturated, 1.0, cumulative).unwrap(), vec![0]);
+        assert_eq!(select(&saturated, 1.0, cumulative), vec![0]);
     }
 
     /// The indices [`mask_from_activations`] marks, ascending.
     fn selected(values: &[f32], threshold: ThresholdKind) -> Vec<usize> {
         let mut mask = BitVec::new(values.len());
-        mask_from_activations(values, threshold, &mut mask, &mut Vec::new()).unwrap();
+        mask_from_activations(values, threshold, &mut mask, &mut Vec::new());
         mask.iter_ones().collect()
     }
 

@@ -58,6 +58,18 @@
 //! [`ActivationFootprint`] reports the measured peak resident activation
 //! bytes against the materialized baseline.
 //!
+//! # Non-finite values
+//!
+//! A NaN or an infinity has no rank among the partial sums a path is made
+//! of, so it is never a path, a verdict or a similarity: a non-finite value
+//! in an input, or in any layer's output, is
+//! `CoreError::Nn(NnError::NonFinite { boundary })` from every entry point
+//! (`detect*`, profiling, extraction), under either precision.  The check is
+//! `ptolemy-nn`'s, made once per boundary inside the forward driver; this
+//! crate adds none of its own, and its selection kernels rank finite values
+//! only.  In a fused batch a poisoned input fails the batch, which retries
+//! each input alone, so the poisoned one fails by itself.
+//!
 //! # Example
 //!
 //! ```

@@ -25,6 +25,25 @@ pub(crate) fn check_batch(batch: &Tensor, sample_shape: &[usize], layer: &str) -
     Ok(dims[0])
 }
 
+/// The crate's one non-finite rule: `values` (an activation boundary, or the
+/// gradient of one) must hold no NaN and no infinity, or it is
+/// [`NnError::NonFinite`] at `boundary`.
+///
+/// One pass of integer maxima over the magnitudes' bits (associative, so it
+/// vectorises): only an all-ones exponent — NaN or ±∞ — reaches the bits of
+/// `+∞`.
+pub(crate) fn check_finite(values: &[f32], boundary: usize) -> Result<()> {
+    const MAGNITUDE: u32 = 0x7fff_ffff;
+    let top = values
+        .iter()
+        .fold(0u32, |top, v| top.max(v.to_bits() & MAGNITUDE));
+    if top < f32::INFINITY.to_bits() {
+        Ok(())
+    } else {
+        Err(NnError::NonFinite { boundary })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,5 +55,30 @@ mod tests {
         assert!(check_batch(&batch, &[3, 2], "test").is_err());
         assert!(check_batch(&Tensor::zeros(&[2, 3]), &[2, 3], "test").is_err());
         assert!(check_batch(&Tensor::zeros(&[0, 2, 3]), &[2, 3], "test").is_err());
+    }
+
+    #[test]
+    fn check_finite_rejects_exactly_nan_and_infinities() {
+        let finite = [
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1e-45,
+            -1.0,
+        ];
+        assert_eq!(check_finite(&finite, 4), Ok(()));
+        assert_eq!(check_finite(&[], 4), Ok(()));
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0, 6, 40] {
+                let mut values = vec![1.0f32; 41];
+                values[at] = bad;
+                assert_eq!(
+                    check_finite(&values, 4),
+                    Err(NnError::NonFinite { boundary: 4 })
+                );
+            }
+        }
     }
 }

@@ -28,12 +28,16 @@ pub enum NnError {
     /// The network produced logits no class can be predicted from (empty
     /// tensor, or no finite value to take an argmax over).
     InvalidLogits(String),
-    /// The activation entering an int8 layer holds a NaN.  Quantization would
-    /// round it to 0 and launder a poisoned input into an ordinary verdict, so
-    /// the quantized pass refuses it instead.
-    NanActivation {
-        /// The quantized layer about to consume the NaN.
-        layer: usize,
+    /// An activation boundary — or the gradient of one — holds a NaN or an
+    /// infinity, which has no rank among partial sums and so may never become
+    /// a path, a verdict, a gradient or a trained parameter.  Boundary `0` is
+    /// the input and boundary `i + 1` is layer `i`'s output (the
+    /// [`crate::ForwardTrace`] numbering); a non-finite value inside a
+    /// composite layer (a residual body, before its ReLU could zero it) is
+    /// reported at that layer's output.
+    NonFinite {
+        /// The boundary holding the non-finite value.
+        boundary: usize,
     },
 }
 
@@ -55,8 +59,11 @@ impl fmt::Display for NnError {
             NnError::InvalidLogits(msg) => {
                 write!(f, "no class can be predicted from the logits: {msg}")
             }
-            NnError::NanActivation { layer } => {
-                write!(f, "an activation entering quantized layer {layer} is NaN")
+            NnError::NonFinite { boundary } => {
+                write!(
+                    f,
+                    "activation boundary {boundary} holds a NaN or an infinity"
+                )
             }
         }
     }
@@ -96,5 +103,8 @@ mod tests {
         assert!(NnError::InvalidLogits("all NaN".into())
             .to_string()
             .contains("logits"));
+        assert!(NnError::NonFinite { boundary: 3 }
+            .to_string()
+            .contains("boundary 3"));
     }
 }

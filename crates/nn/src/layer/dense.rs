@@ -95,8 +95,7 @@ impl Dense {
     /// (`xs`, row-major) times the weights, plus the bias.  Every row is
     /// prefilled with the bias and `gemm_nt_into` accumulates `X · Wᵀ` on top
     /// (W stays in its natural `[outputs, inputs]` layout), so each output
-    /// neuron is one bias-first, ascending-input chain with no sparsity skip —
-    /// the same bits whatever `rows` is, which makes a single sample the batch
+    /// neuron is one bias-first, ascending-input chain — the same bits whatever `rows` is, which makes a single sample the batch
     /// of one.  Below the register tile's height the kernel runs that chain as
     /// a plain dot loop instead of packing the weights.
     fn affine(&self, xs: &[f32], rows: usize) -> Vec<f32> {

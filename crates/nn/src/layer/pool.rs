@@ -79,8 +79,13 @@ impl PoolGeom {
     }
 
     /// Input index of the maximum of window `(c, oy, ox)`: the **last** of
-    /// equal maxima in [`PoolGeom::window`] order (`Iterator::max_by`), NaN
-    /// comparing equal to everything.
+    /// equal maxima in [`PoolGeom::window`] order (`Iterator::max_by`).
+    ///
+    /// `x` is finite by the crate's boundary rule — the driver rejects a NaN
+    /// before any pool sees it — so the comparison is a total order and the
+    /// forward, the backward and the BwCu walk route every window alike.  (On
+    /// a NaN, which compares equal to everything here, "the last of equal
+    /// maxima" would stop being transitive.)
     fn argmax(&self, x: &[f32], c: usize, oy: usize, ox: usize) -> usize {
         self.window(c, oy, ox)
             .max_by(|a, b| {

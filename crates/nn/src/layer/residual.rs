@@ -1,5 +1,6 @@
 use ptolemy_tensor::Tensor;
 
+use crate::batch::check_finite;
 use crate::layer::activation::relu_mask;
 use crate::layer::{check_len, check_param_grads, grad_batch, missing, Saved};
 use crate::{Decompositions, Layer, LayerKind, NnError, Result};
@@ -126,14 +127,22 @@ impl Layer for Residual {
 
     /// `relu?(body(x) + x)`: the body's fused kernels chained, then the
     /// element-wise shortcut add and post-ReLU, plus the interior.
+    ///
+    /// The body is the one other place layers run in sequence, so it obeys
+    /// [`crate::Network`]'s non-finite rule itself: every body layer's output
+    /// but the last, and the shortcut sum (which carries the last one's), are
+    /// checked before a ReLU could turn a NaN or a `-∞` into `0`, and a non-finite one is [`NnError::NonFinite`] at the
+    /// block's output (boundary `1` of the block alone; the network driver
+    /// renumbers it to the block's own output boundary).
     fn forward_batch_interior(&self, batch: &Tensor) -> Result<(Tensor, Option<Tensor>)> {
         crate::batch::check_batch(batch, &self.shape, self.name())?;
-        let interior = self.run_head(batch, |layer, x| layer.forward_batch(x))?;
+        let finite = |t: Tensor| check_finite(t.as_slice(), 1).map(|()| t);
+        let interior = self.run_head(batch, |layer, x| finite(layer.forward_batch(x)?))?;
         let body_out = self
             .split_body()
             .1
             .forward_batch(interior.as_ref().unwrap_or(batch))?;
-        let mut out = body_out.add(batch)?;
+        let mut out = finite(body_out.add(batch)?)?;
         if self.post_relu {
             out.map_inplace(|v| v.max(0.0));
         }

@@ -50,22 +50,37 @@
 //!   gradient alone (every attack; [`Network::input_gradient`] is its batch
 //!   of one), and [`Trainer`] for the parameter gradients of one fused
 //!   minibatch — one forward and one backward pass per step.  The backward
-//!   pass keeps the per-sample arithmetic bit for bit:
+//!   pass keeps the per-sample arithmetic bit for bit, and every product in
+//!   it is the workspace's one reduction contract, the plain ascending sum
+//!   from `+0.0` with no zero term skipped (on finite operands a skip could
+//!   not change a bit: a `±0.0` term added to an accumulator that is never
+//!   `-0.0` is the identity):
 //!   - the convolution's input gradient `Wᵀ · gy` is one GEMM batched along
 //!     N (samples × positions) that re-tiles only M and N, so each element
-//!     is still one ascending reduction over output channels with the naive
-//!     kernel's zero-skip, and `col2im` scatters each sample in its own
-//!     traversal order; the dense layer's `gy · W` reduces over ascending
-//!     outputs, unskipped, whatever the batch;
+//!     is still one ascending reduction over output channels, and `col2im`
+//!     scatters each sample in its own traversal order; the dense layer's
+//!     `gy · W` reduces over ascending outputs whatever the batch;
 //!   - the weight gradient is computed **per sample**, with the ascending
-//!     reduction over positions and the zero-skip on `gy` (on a finite
-//!     sample the skip is run branch-free: a skipped term is exactly a
-//!     `±0.0` added to an accumulator that can never be `-0.0`);
+//!     reduction over positions;
 //!   - the per-sample parameter gradients are summed **in sample order, the
 //!     first sample initialising the sum** — what adding each sample's
 //!     gradients into the first one's computed, down to a `-0.0` surviving;
 //! * a [`zoo`] of small architectures standing in for AlexNet, ResNet-18, VGG and
 //!   friends at laptop scale.
+//!
+//! # Non-finite values
+//!
+//! A NaN or an infinity has no rank among partial sums, so it may never
+//! become a path, a verdict, a gradient or a trained parameter.  The crate
+//! has one rule for it, enforced in one place: a non-finite value in a
+//! network's input or in any layer's output is [`NnError::NonFinite`] at that
+//! boundary (`0` the input, `i + 1` layer `i`'s output).  The driver checks
+//! every boundary of every f32 and int8 pass — streamed, fused or recorded —
+//! before the sink or the next layer sees it; a residual body checks its own
+//! layers before a ReLU could zero a NaN; the backward walk checks every
+//! boundary's gradient.  So no kernel ever meets a non-finite operand, and
+//! every partial sum of a checked pass is finite (a non-finite `w · x` makes
+//! its neuron's output non-finite).
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
 use ptolemy_tensor::Tensor;
 
+use crate::batch::check_finite;
 use crate::layer::Saved;
 use crate::{predicted_class, trace, ForwardTrace, Layer, NnError, Result, TraceSink};
 
@@ -148,16 +149,29 @@ impl Network {
     /// goes through the layers in order, `step(index, layer, boundary)`
     /// producing each layer's output and interior, and `sink` observes every
     /// boundary under the [`TraceSink`] delivery contract.
+    ///
+    /// It is also where the crate's non-finite rule is enforced, once per
+    /// boundary: the input and every layer's output are checked before the
+    /// sink or the next layer sees them, so a NaN or an infinity anywhere in
+    /// the pass is [`NnError::NonFinite`] and no kernel ever meets one.  A
+    /// layer that rejects a value inside itself (a residual body) is
+    /// reported at its own output, boundary `index + 1`.
     pub(crate) fn drive<S: TraceSink + ?Sized>(
         &self,
         input: Tensor,
         sink: &mut S,
         mut step: impl FnMut(usize, &dyn Layer, &Tensor) -> Result<(Tensor, Option<Tensor>)>,
     ) -> Result<Tensor> {
+        check_finite(input.as_slice(), 0)?;
         sink.on_input(&input);
         let mut cur = input;
         for (index, layer) in self.layers.iter().enumerate() {
-            let (out, interior) = step(index, layer.as_ref(), &cur)?;
+            let boundary = index + 1;
+            let (out, interior) = step(index, layer.as_ref(), &cur).map_err(|e| match e {
+                NnError::NonFinite { .. } => NnError::NonFinite { boundary },
+                e => e,
+            })?;
+            check_finite(out.as_slice(), boundary)?;
             if let Some(interior) = &interior {
                 sink.on_interior(index, interior);
             }
@@ -234,13 +248,14 @@ impl Network {
         })
     }
 
-    /// Predicted class of `input`: the index of the largest non-NaN logit,
-    /// the ranking the detector uses ([`predicted_class`]).
+    /// Predicted class of `input`: the index of the largest logit, the
+    /// ranking the detector uses ([`predicted_class`]).
     ///
     /// # Errors
     ///
     /// Returns an error if `input` does not match the network input shape,
-    /// or [`NnError::InvalidLogits`] if every logit is NaN.
+    /// or [`NnError::NonFinite`] if the input or an activation it produces —
+    /// the logits included — holds a NaN or an infinity.
     pub fn predict(&self, input: &Tensor) -> Result<usize> {
         predicted_class(self.forward(input)?.as_slice())
     }
@@ -253,7 +268,9 @@ impl Network {
     /// gradients there; the input gradient is returned when `want_input`.
     /// Each layer's input gradient takes the dimensions of the boundary it
     /// is the gradient of (a free reshape), so `at_output` sees a gradient
-    /// shaped like `trace.output(i)`.
+    /// shaped like `trace.output(i)`.  Every boundary's gradient obeys the
+    /// forward pass's non-finite rule: a NaN or an infinity in it is
+    /// [`NnError::NonFinite`] at that boundary.
     fn backward_walk(
         &self,
         trace: &ForwardTrace,
@@ -279,6 +296,7 @@ impl Network {
         let mut grad = grad_logits;
         for (i, layer) in self.layers.iter().enumerate().rev() {
             at_output(i, &mut grad)?;
+            check_finite(grad.as_slice(), i + 1)?;
             let saved = Saved {
                 input: Some(trace.input(i)),
                 interior: trace.interior(i),
@@ -290,6 +308,7 @@ impl Network {
                 None => return Ok(None),
             }
         }
+        check_finite(grad.as_slice(), 0)?;
         Ok(Some(grad))
     }
 
@@ -532,21 +551,22 @@ mod tests {
         assert_eq!(probe.seen, vec![(0usize, 8usize), (1, 10), (2, 10), (3, 6)]);
     }
 
-    /// `predict` ranks logits the way the detector does
-    /// ([`predicted_class`]): a NaN logit is skipped, never chosen, and
-    /// all-NaN logits are an error rather than class 0.
+    /// A NaN logit is never ranked: logits are boundary `num_layers`, so
+    /// `predict` fails with the typed error instead of choosing around it
+    /// (the slice ranking itself, [`predicted_class`], is pinned in
+    /// `trace.rs`), and so does a NaN input, at boundary 0.
     #[test]
-    fn predict_skips_nan_logits_like_the_detector() {
+    fn predict_rejects_non_finite_logits_and_inputs() {
         let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
         let bias = Tensor::from_vec(vec![f32::NAN, 0.0], &[2]).unwrap();
         let net = Network::new(vec![Box::new(Dense::from_parts(identity, bias).unwrap())]).unwrap();
         let x = Tensor::from_vec(vec![0.0, 1.0], &[2]).unwrap();
-        assert_eq!(net.predict(&x).unwrap(), 1);
+        assert_eq!(net.predict(&x), Err(NnError::NonFinite { boundary: 1 }));
         let all_nan = Tensor::full(&[2], f32::NAN);
-        assert!(matches!(
+        assert_eq!(
             net.predict(&all_nan),
-            Err(NnError::InvalidLogits(_))
-        ));
+            Err(NnError::NonFinite { boundary: 0 })
+        );
     }
 
     #[test]

@@ -51,13 +51,14 @@
 //! int8 pass through exactly the sinks it uses for f32.  There is no
 //! unbatched int8 pass, as there is no unbatched f32 one.
 //!
-//! # NaN
+//! # Non-finite values
 //!
-//! `QuantParams::quantize(NaN)` is `0`: quantizing a poisoned boundary would
-//! launder it into an ordinary activation (and, downstream, an ordinary
-//! verdict).  Every boundary about to be quantized is therefore checked, and a
-//! NaN is the typed [`NnError::NanActivation`]; ±∞ saturates to ±127 as any
-//! out-of-range value does.
+//! The quantized pass runs [`Network`]'s driver, so it obeys the crate's one
+//! non-finite rule: a NaN or ±∞ in the input or in any layer's output is
+//! [`NnError::NonFinite`] at that boundary, before any layer quantizes it.
+//! Quantization therefore never meets a non-finite value (it would round a
+//! NaN to `0` and launder it into an ordinary verdict).  A *finite* value
+//! beyond the calibrated range still saturates to ±127, as it always did.
 
 use std::sync::Arc;
 
@@ -266,9 +267,6 @@ impl QuantizedNetwork {
         let Some(slot) = &self.slots[index] else {
             return layer.forward_batch_interior(cur);
         };
-        if cur.as_slice().iter().any(|v| v.is_nan()) {
-            return Err(NnError::NanActivation { layer: index });
-        }
         let dims: Vec<usize> = std::iter::once(batch).chain(layer.output_shape()).collect();
         let out = slot.run(cur, batch)?;
         Ok((Tensor::from_vec(out, &dims)?, None))
@@ -279,9 +277,9 @@ impl QuantizedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns an error if `input` does not match the network input shape or
-    /// a boundary about to be quantized holds a NaN
-    /// ([`NnError::NanActivation`]).
+    /// Returns an error if `input` does not match the network input shape, or
+    /// [`NnError::NonFinite`] if the input or a layer's output holds a NaN or
+    /// an infinity.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         let logits = self.forward_batch(std::slice::from_ref(input))?;
         Ok(logits.into_reshaped(&[self.network.num_classes()])?)
@@ -294,7 +292,8 @@ impl QuantizedNetwork {
     /// # Errors
     ///
     /// Returns an error if `inputs` is empty, any input does not match the
-    /// network input shape, or a boundary about to be quantized holds a NaN.
+    /// network input shape, or [`NnError::NonFinite`] if a boundary of the
+    /// pass holds a NaN or an infinity.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
         self.forward_with_sink_batch(inputs, &mut ())
     }
@@ -415,22 +414,28 @@ mod tests {
         }
     }
 
-    /// A NaN entering a quantized layer is a typed error on every entry point
-    /// (quantizing it would yield 0 and an ordinary-looking result); an
-    /// infinity saturates like any out-of-range value.
+    /// A NaN or an infinity in the input is a typed error on every entry
+    /// point, before any layer quantizes it (quantizing a NaN would yield 0
+    /// and an ordinary-looking result); a finite value beyond the calibrated
+    /// range saturates.
     #[test]
-    fn nan_boundaries_are_rejected_and_infinities_saturate() {
+    fn non_finite_inputs_are_rejected_and_finite_outliers_saturate() {
         let mut rng = Rng64::new(19);
         let network = Arc::new(zoo::lenet(1, 4, &mut rng).unwrap());
         let cal = calibration(&network, &mut rng, 3);
         let qnet = QuantizedNetwork::quantize(network, &cal).unwrap();
         let mut poisoned = cal[0].clone();
-        poisoned.as_mut_slice()[5] = f32::NAN;
-        let nan = Err(NnError::NanActivation { layer: 0 });
-        assert_eq!(qnet.forward(&poisoned), nan);
-        assert_eq!(qnet.forward_batch(&[cal[1].clone(), poisoned.clone()]), nan);
-        assert!(boundaries(&qnet, &[poisoned.clone()]).is_err());
-        poisoned.as_mut_slice()[5] = f32::INFINITY;
+        let rejected = Err(NnError::NonFinite { boundary: 0 });
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            poisoned.as_mut_slice()[5] = bad;
+            assert_eq!(qnet.forward(&poisoned), rejected);
+            assert_eq!(
+                qnet.forward_batch(&[cal[1].clone(), poisoned.clone()]),
+                rejected
+            );
+            assert!(boundaries(&qnet, &[poisoned.clone()]).is_err());
+        }
+        poisoned.as_mut_slice()[5] = 1e6;
         let saturated = qnet.forward(&poisoned).unwrap();
         assert!(saturated.as_slice().iter().all(|v| v.is_finite()));
     }

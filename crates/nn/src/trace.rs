@@ -12,6 +12,7 @@
 
 use ptolemy_tensor::Tensor;
 
+use crate::batch::check_finite;
 use crate::{Network, NnError, Result};
 
 /// Layer-indexed observer of a forward pass — the streaming alternative to
@@ -178,12 +179,28 @@ pub struct ForwardTrace {
 impl ForwardTrace {
     /// Assembles a trace from its activation boundaries (`num_layers + 1`
     /// tensors: the network input followed by every layer output in order).
+    /// A trace obeys the forward pass's non-finite rule however it was
+    /// assembled, so these boundaries are checked as the driver checks its
+    /// own.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if fewer than two boundaries are
-    /// supplied (a non-empty network has at least one layer).
+    /// supplied (a non-empty network has at least one layer), or
+    /// [`NnError::NonFinite`] if a boundary holds a NaN or an infinity.
     pub fn from_activations(activations: Vec<Tensor>) -> Result<Self> {
+        for (boundary, activation) in activations.iter().enumerate() {
+            check_finite(activation.as_slice(), boundary)?;
+        }
+        ForwardTrace::with_interiors(activations, Vec::new())
+    }
+
+    /// A trace of boundaries plus the interiors recorded alongside them, as
+    /// the driver (which has already checked them) handed them out.
+    pub(crate) fn with_interiors(
+        activations: Vec<Tensor>,
+        interiors: Vec<Option<Tensor>>,
+    ) -> Result<Self> {
         if activations.len() < 2 {
             return Err(NnError::InvalidConfig(format!(
                 "a forward trace needs at least 2 activation boundaries, got {}",
@@ -192,18 +209,8 @@ impl ForwardTrace {
         }
         Ok(ForwardTrace {
             activations,
-            interiors: Vec::new(),
+            interiors,
         })
-    }
-
-    /// A trace of boundaries plus the interiors recorded alongside them.
-    pub(crate) fn with_interiors(
-        activations: Vec<Tensor>,
-        interiors: Vec<Option<Tensor>>,
-    ) -> Result<Self> {
-        let mut trace = ForwardTrace::from_activations(activations)?;
-        trace.interiors = interiors;
-        Ok(trace)
     }
 
     /// Layer `index`'s interior activation, if this trace recorded one.
@@ -293,6 +300,11 @@ mod tests {
         assert_eq!(trace.activations().len(), 2);
         assert_eq!(trace.activation_bytes(), (4 + 3) * 4);
         assert!(ForwardTrace::from_activations(vec![Tensor::zeros(&[4])]).is_err());
+        let poisoned = vec![Tensor::zeros(&[4]), Tensor::full(&[3], f32::NEG_INFINITY)];
+        assert_eq!(
+            ForwardTrace::from_activations(poisoned).unwrap_err(),
+            NnError::NonFinite { boundary: 1 }
+        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! `im2col` + [`Tensor::matmul`] + a bias loop pays three times for data that
 //! depends only on the model or is moved twice: it materialises the
 //! `[patch_len, patches]` patch matrix and then copies it again into the
-//! microkernel's B panels, it re-packs the constant weight matrix on every
-//! call, and it tests every weight for zero inside the inner loop.  The kernel
-//! here pays only for the request's data:
+//! microkernel's B panels, and it re-packs the constant weight matrix on every
+//! call.  The kernel here pays only for the request's data:
 //!
 //! * receptive fields are written **straight into the `NR`-column packed-B
 //!   panel layout** the microkernel reads — no patch matrix in between.  The
@@ -14,10 +13,7 @@
 //!   ever clips and the lowering is a walk of constant-size moves
 //!   ([`Bordered::lower_block`]);
 //! * the weights arrive as [`PackedWeights`]: `MR`-row micro-panels packed
-//!   once per weight version, with the naive kernel's zero-skip decided **per
-//!   panel at pack time** — a panel holding no zero weight runs the
-//!   branch-free accumulation (a fifth faster), which is the same float
-//!   operations when nothing would have been skipped;
+//!   once per weight version;
 //! * the bias is added in the store of the last K panel, after the whole
 //!   ascending-`k` reduction — the order `matmul` + bias loop rounds in;
 //! * the packed-B panel and the bordered samples live in grow-only per-thread
@@ -25,12 +21,15 @@
 //!
 //! Every output element is therefore bit-for-bit what [`crate::im2col`] +
 //! [`Tensor::matmul_naive`] + bias produce (pinned by `tests/gemm_parity.rs`),
-//! for one sample and for a stacked batch alike: the output is written as
-//! `[batch, out_channels, patches]` directly, a column panel that straddles two
-//! samples splits its store.  (One caveat, as everywhere in Rust: where two
-//! NaNs meet in an addition, which payload survives is the operand order the
-//! compiler picked for that loop — an element that is NaN on one path is NaN
-//! on the other, with unspecified bits.)
+//! for one sample and for a stacked batch alike: the same plain ascending-`k`
+//! sum, starting at `+0.0`, with no zero term skipped (the `gemm` module docs
+//! give the `+0.0` argument for why a skip could only matter on a non-finite
+//! operand).  The output is written as `[batch, out_channels, patches]`
+//! directly; a column panel that straddles two samples splits its store.
+//! (One caveat, as everywhere in Rust: where two NaNs meet in an addition,
+//! which payload survives is the operand order the compiler picked for that
+//! loop — an element that is NaN on one path is NaN on the other, with
+//! unspecified bits.)
 //!
 //! Measured on the 2-core reference box (release, `x86-64-v3`), one sample,
 //! median of 31 rounds, against `im2col` + `matmul` + bias: 8x27x256
@@ -66,9 +65,7 @@ thread_local! {
 /// A `[rows, depth]` weight matrix packed for the register-tile microkernel.
 ///
 /// K panel `kp` (depths `kp * KC ..`) holds one `MR`-row micro-panel per
-/// `MR` rows (`panel[k * MR + r]`, the last one zero-padded), and each
-/// micro-panel carries one flag: does any of its real weights equal `±0.0`?
-/// Only flagged panels run the zero-skipping accumulation.
+/// `MR` rows (`panel[k * MR + r]`, the last one zero-padded).
 ///
 /// The packing is a pure function of the weights: build it once per weight
 /// version and drop it whenever the weights change.
@@ -77,7 +74,6 @@ pub struct PackedWeights {
     rows: usize,
     depth: usize,
     panels: Vec<f32>,
-    has_zero: Vec<bool>,
 }
 
 impl PackedWeights {
@@ -91,26 +87,15 @@ impl PackedWeights {
         let w = weight.as_slice();
         let padded_rows = rows.next_multiple_of(MR);
         let mut panels = vec![0.0f32; padded_rows * depth];
-        let mut has_zero = Vec::with_capacity(depth.div_ceil(KC) * rows.div_ceil(MR));
         for k0 in (0..depth).step_by(KC) {
             let kc = KC.min(depth - k0);
             let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
             pack_a(w, depth, 0, rows, k0, kc, k_panel);
-            for first_row in (0..rows).step_by(MR) {
-                let micro_rows = first_row..rows.min(first_row + MR);
-                // `+0.0` and `-0.0` are the two values `w == 0.0` holds for.
-                has_zero.push(micro_rows.into_iter().any(|row| {
-                    w[row * depth + k0..][..kc]
-                        .iter()
-                        .any(|v| v.to_bits() << 1 == 0)
-                }));
-            }
         }
         Ok(PackedWeights {
             rows,
             depth,
             panels,
-            has_zero,
         })
     }
 
@@ -127,28 +112,20 @@ impl PackedWeights {
         let w = weight.as_slice();
         let padded_rows = rows.next_multiple_of(MR);
         let mut panels = vec![0.0f32; padded_rows * depth];
-        let mut has_zero = Vec::with_capacity(depth.div_ceil(KC) * rows.div_ceil(MR));
         for k0 in (0..depth).step_by(KC) {
             let kc = KC.min(depth - k0);
             let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
             for (micro, first_row) in k_panel.chunks_exact_mut(kc * MR).zip((0..rows).step_by(MR)) {
                 let mr = MR.min(rows - first_row);
-                let mut zero = false;
                 for (k, packed) in micro.chunks_exact_mut(MR).enumerate() {
-                    let column = &w[(k0 + k) * rows + first_row..][..mr];
-                    for (dst, &v) in packed.iter_mut().zip(column) {
-                        *dst = v;
-                        zero |= v.to_bits() << 1 == 0;
-                    }
+                    packed[..mr].copy_from_slice(&w[(k0 + k) * rows + first_row..][..mr]);
                 }
-                has_zero.push(zero);
             }
         }
         Ok(PackedWeights {
             rows,
             depth,
             panels,
-            has_zero,
         })
     }
 
@@ -162,15 +139,10 @@ impl PackedWeights {
         self.depth
     }
 
-    /// Micro-panel `mp` of the K panel starting at depth `k0` (`kc` deep), and
-    /// whether it needs the zero-skipping accumulation.
-    pub(crate) fn micro_panel(&self, k0: usize, kc: usize, mp: usize) -> (&[f32], bool) {
-        let micro_panels = self.rows.div_ceil(MR);
-        let start = k0 * micro_panels * MR + mp * kc * MR;
-        (
-            &self.panels[start..start + kc * MR],
-            self.has_zero[k0 / KC * micro_panels + mp],
-        )
+    /// Micro-panel `mp` of the K panel starting at depth `k0` (`kc` deep).
+    pub(crate) fn micro_panel(&self, k0: usize, kc: usize, mp: usize) -> &[f32] {
+        let start = k0 * self.rows.div_ceil(MR) * MR + mp * kc * MR;
+        &self.panels[start..start + kc * MR]
     }
 }
 
@@ -267,15 +239,11 @@ fn conv_serial(
                     patches,
                 };
                 for (mp, first_row) in (0..rows).step_by(MR).enumerate() {
-                    let (a, skip) = weights.micro_panel(k0, kc, mp);
+                    let a = weights.micro_panel(k0, kc, mp);
                     dst.mr = MR.min(rows - first_row);
                     let mut tile_bias = [0.0f32; MR];
                     tile_bias[..dst.mr].copy_from_slice(&bias[first_row..first_row + dst.mr]);
-                    if skip {
-                        conv_tile::<true>(&pass, a, b, &mut dst, first_row, &tile_bias);
-                    } else {
-                        conv_tile::<false>(&pass, a, b, &mut dst, first_row, &tile_bias);
-                    }
+                    conv_tile(&pass, a, b, &mut dst, first_row, &tile_bias);
                 }
             }
         }
@@ -490,7 +458,7 @@ impl TileDst<'_> {
 /// the accumulator constant-sized so it stays in registers; edge tiles (spare
 /// rows or lanes, or columns straddling samples) take the stretch walk.
 #[inline(always)]
-fn conv_tile<const SKIP: bool>(
+fn conv_tile(
     pass: &KPass,
     a: &[f32],
     b: &[f32],
@@ -506,7 +474,7 @@ fn conv_tile<const SKIP: bool>(
                 row.copy_from_slice(&dst.out[at + r * dst.patches..][..NR]);
             }
         }
-        tile_accumulate::<SKIP>(pass.kc, a, b, &mut acc);
+        tile_accumulate(pass.kc, a, b, &mut acc);
         if pass.last {
             for (row, bias) in acc.iter_mut().zip(bias) {
                 for v in row {
@@ -523,7 +491,7 @@ fn conv_tile<const SKIP: bool>(
                 acc[r][lanes].copy_from_slice(out);
             });
         }
-        tile_accumulate::<SKIP>(pass.kc, a, b, &mut acc);
+        tile_accumulate(pass.kc, a, b, &mut acc);
         let last = pass.last;
         dst.for_each_stretch(first_row, |out, r, lanes| {
             for (o, v) in out.iter_mut().zip(&acc[r][lanes]) {
@@ -608,19 +576,6 @@ mod tests {
                 assert_eq!(f.to_bits(), e.to_bits(), "{geom:?} x{batch}: element {i}");
             }
         }
-    }
-
-    #[test]
-    fn zero_flag_is_per_micro_panel_and_ignores_padding_rows() {
-        // 5 rows: micro-panel 0 holds rows 0..4, micro-panel 1 row 4 plus
-        // three zero-padded rows that must not count as zero weights.
-        let mut data = vec![1.0f32; 5 * 3];
-        data[3 + 1] = -0.0;
-        let packed = PackedWeights::pack(&Tensor::from_vec(data, &[5, 3]).unwrap()).unwrap();
-        assert_eq!((packed.rows, packed.depth), (5, 3));
-        assert!(packed.micro_panel(0, 3, 0).1);
-        assert!(!packed.micro_panel(0, 3, 1).1);
-        assert_eq!(packed.micro_panel(0, 3, 1).0[..MR], [1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -3,25 +3,28 @@
 //!
 //! Their definition is per sample: `dx = col2im(Wᵀ · gy)`, `dW = gy · colsᵀ`
 //! (`cols = im2col(x)`, both products as [`crate::Tensor::matmul_naive`]
-//! computes them, zero-skip included) and `db` the row sums of `gy`, with
-//! the parameter gradients of a batch summed over its samples.  The kernels
-//! do the same float operations in the same per-element order, so they are
-//! bit-for-bit that definition (`tests/gemm_parity.rs` pins it):
+//! computes them: the plain ascending-`k` sum from `+0.0`, no term skipped)
+//! and `db` the row sums of `gy`, with the parameter gradients of a batch
+//! summed over its samples.  The kernels do the same float operations in the
+//! same per-element order, so they are bit-for-bit that definition
+//! (`tests/gemm_parity.rs` pins it):
 //!
 //! * **input gradient** ([`conv2d_backward_input`]): `Wᵀ` is packed once per
 //!   weight version ([`PackedWeights::pack_transposed`] reads `W` as it is)
 //!   and multiplied by every sample's `gy` at once — the GEMM's N dimension
 //!   runs over samples × patches.  The blocked GEMM tiles M and N only and
-//!   reduces each element over ascending output channels with the naive
-//!   kernel's zero-skip, so batching along N moves no bit.  `col2im` then
-//!   scatters every sample's block of columns, in one traversal, each image
-//!   in its own accumulation order;
+//!   reduces each element over ascending output channels, so batching along
+//!   N moves no bit.  `col2im` then scatters every sample's block of columns,
+//!   in one traversal, each image in its own accumulation order;
 //! * **parameter gradients** ([`conv2d_backward_params`]): per sample,
-//!   `gy · colsᵀ` reduces over ascending patches with the zero-skip on `gy`
-//!   (the samples are lowered straight into transposed B panels, so no patch
-//!   matrix is built or transposed) and the bias is each row's sum.  The
-//!   per-sample gradients are summed in sample order, the first sample
-//!   *initialising* the sum, so a `-0.0` survives it.
+//!   `gy · colsᵀ` reduces over ascending patches (the samples are lowered
+//!   straight into transposed B panels, so no patch matrix is built or
+//!   transposed) and the bias is each row's sum.  `gy` is full of zeros
+//!   after a ReLU or a max pool; each zero term is summed like any other,
+//!   which is what skipping it would give on finite operands (the `gemm`
+//!   module docs give the `+0.0` argument), and branch-free.  The per-sample
+//!   gradients are summed in sample order, the first sample *initialising*
+//!   the sum, so a `-0.0` survives it.
 
 use crate::conv::PackedWeights;
 use crate::gemm::{microkernel, pack_a, KC, MC, MR, NC, NR};
@@ -120,13 +123,8 @@ fn input_serial(
                 let b = &panel[tile * kc * NR..(tile + 1) * kc * NR];
                 for (mp, ir) in (0..m).step_by(MR).enumerate() {
                     let mr = MR.min(m - ir);
-                    let (a, skip) = weights_t.micro_panel(k0, kc, mp);
-                    let c = &mut cols[ir * n + j0 + jr..];
-                    if skip {
-                        microkernel::<true>(kc, a, b, c, n, mr, nr);
-                    } else {
-                        microkernel::<false>(kc, a, b, c, n, mr, nr);
-                    }
+                    let a = weights_t.micro_panel(k0, kc, mp);
+                    microkernel(kc, a, b, &mut cols[ir * n + j0 + jr..], n, mr, nr);
                 }
             }
         }
@@ -196,25 +194,13 @@ pub fn conv2d_backward_params(
 /// micro-panel instead of being gathered back out of a patch matrix.  One
 /// traversal of the lowering lowers every sample into its own panels.
 /// Padding keeps the panels' zeros, the product the patch matrix's zeros
-/// gave.  `gy` is the A operand, with the naive kernel's zero-skip
-/// semantics.
+/// gave.  `gy` is the A operand.
 fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2dGeometry) {
     let (patch_len, patches, sample_len) =
         (geom.patch_len(), geom.num_patches(), geom.sample_len());
     let batch = samples.len() / sample_len.max(1);
     let m = grad_out.len() / (batch * patches).max(1);
     let panels = patch_len.div_ceil(NR);
-    // The zero-skip on `gy` only changes a result where the skipped product
-    // would not be `±0.0`, i.e. where the patch value is infinite or NaN:
-    // the accumulator starts at `+0.0` and only ever adds, so it is never
-    // `-0.0`, and adding `±0.0` to anything else leaves it as it is.  A
-    // finite sample therefore runs the branch-free accumulation — `gy` is
-    // full of zeros after a ReLU or a max pool, in no pattern a branch
-    // predictor learns — and a non-finite one the skipping one.
-    let skips: Vec<bool> = samples
-        .chunks_exact(sample_len)
-        .map(|x| !x.iter().all(|v| v.is_finite()))
-        .collect();
     let mut blocks = vec![0.0f32; batch * panels * KC.min(patches) * NR];
     let mut apack = vec![0.0f32; MC.min(m).next_multiple_of(MR) * KC.min(patches)];
     for k0 in (0..patches).step_by(KC) {
@@ -243,9 +229,8 @@ fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2
         let per_sample = blocks
             .chunks_exact(block_len)
             .zip(grad_out.chunks_exact(m * patches))
-            .zip(out.chunks_exact_mut(m * patch_len))
-            .zip(&skips);
-        for (((block, gy), grad), &skip) in per_sample {
+            .zip(out.chunks_exact_mut(m * patch_len));
+        for ((block, gy), grad) in per_sample {
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 pack_a(gy, patches, i0, mc, k0, kc, &mut apack);
@@ -256,11 +241,7 @@ fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2
                         let mr = MR.min(mc - ir);
                         let amicro = &apack[apanel * kc * MR..(apanel + 1) * kc * MR];
                         let c = &mut grad[(i0 + ir) * patch_len + jr..];
-                        if skip {
-                            microkernel::<true>(kc, amicro, bmicro, c, patch_len, mr, nr);
-                        } else {
-                            microkernel::<false>(kc, amicro, bmicro, c, patch_len, mr, nr);
-                        }
+                        microkernel(kc, amicro, bmicro, c, patch_len, mr, nr);
                     }
                 }
             }

@@ -3,19 +3,27 @@
 //!
 //! # Why blocking is bit-for-bit safe here
 //!
-//! The historical naive kernel ([`Tensor::matmul_naive`]) reduces every output
-//! element in ascending-`k` order, skipping `a[i][k] == 0.0` terms.  The
-//! blocked kernel tiles **M and N only** and walks `k` panels in ascending
-//! order with the partial result held in (or reloaded into) the register
-//! tile, so each output element still sees the exact same sequence of
-//! `acc += a * b` operations — including the same sparsity skips (a skip is
-//! observable when `b` holds an `inf`/`NaN`, since `0.0 * inf` is `NaN`).
-//! M/N tiling and row-parallel partitioning assign every output element to
-//! exactly one accumulator; nothing is ever re-associated, split into partial
-//! trees, or contracted into FMAs.  That is the whole parity argument: the
-//! blocked kernel performs the *identical* float operations in the
-//! *identical* per-element order, so it is bit-for-bit the naive loop — a
-//! property the proptest suite in `tests/gemm_parity.rs` pins.
+//! Every f32 kernel in this crate has one reduction contract, the plain
+//! ascending-`k` sum: each output element is its initial value followed by
+//! `acc += a[i][k] * b[k][j]` for `k = 0, 1, …` — the naive i-k-j loop of
+//! [`Tensor::matmul_naive`].  The blocked kernel tiles **M and N only** and
+//! walks `k` panels in ascending order with the partial result held in (or
+//! reloaded into) the register tile, so each output element still sees the
+//! exact same sequence of `acc += a * b` operations.  M/N tiling and
+//! row-parallel partitioning assign every output element to exactly one
+//! accumulator; nothing is ever re-associated, split into partial trees, or
+//! contracted into FMAs.  That is the whole parity argument: the blocked
+//! kernel performs the *identical* float operations in the *identical*
+//! per-element order, so it is bit-for-bit the naive loop — a property the
+//! proptest suite in `tests/gemm_parity.rs` pins.
+//!
+//! No kernel skips a zero term.  On finite operands a skip could not change a
+//! bit anyway: a product with a `±0.0` factor is `±0.0`, the accumulator of a
+//! product starts at `+0.0` and so is never `-0.0` (`x + -x` rounds to
+//! `+0.0`), and adding `±0.0` to anything but `-0.0` is the identity.  Only a
+//! non-finite operand makes a skip observable (`0.0 * inf` is NaN), and
+//! `ptolemy-nn` stops every non-finite value at the layer boundary before it
+//! reaches a kernel.
 //!
 //! # Where the speed comes from
 //!
@@ -58,26 +66,13 @@ const SMALL_FLOPS: usize = 16 * 1024;
 /// steps of `acc[r][j] += a[k][r] * b[k][j]` over the full (zero-padded)
 /// `MR x NR` tile.  Every bound is a compile-time constant so the accumulator
 /// array is promoted to registers and the `j` loop vectorises.
-///
-/// With `SKIP`, `a == 0.0` rows are skipped exactly like the naive kernel's
-/// sparsity skip; without it every term is accumulated (the dense-layer
-/// contract, whose reference kernel never skipped).
 #[inline(always)]
-pub(crate) fn tile_accumulate<const SKIP: bool>(
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
+pub(crate) fn tile_accumulate(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     // chunks_exact gives the optimiser constant-length rows (no per-k bounds
     // checks in the hot loop).
     for (arow, brow) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
         for r in 0..MR {
             let av = arow[r];
-            // lint:allow(float-eq): sparsity skip mirroring the naive kernel bit-for-bit
-            if SKIP && av == 0.0 {
-                continue;
-            }
             for j in 0..NR {
                 acc[r][j] += av * brow[j];
             }
@@ -98,7 +93,7 @@ pub(crate) fn tile_accumulate<const SKIP: bool>(
 /// loops below keep the tile in registers (this is where the kernel's speed
 /// lives).  Edge tiles (`mr < MR` or `nr < NR`) take the dynamic-length path;
 /// they are a vanishing fraction of the work at any profitable size.
-pub(crate) fn microkernel<const SKIP: bool>(
+pub(crate) fn microkernel(
     kc: usize,
     a: &[f32],
     b: &[f32],
@@ -112,7 +107,7 @@ pub(crate) fn microkernel<const SKIP: bool>(
         for (r, row) in acc.iter_mut().enumerate() {
             row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
         }
-        tile_accumulate::<SKIP>(kc, a, b, &mut acc);
+        tile_accumulate(kc, a, b, &mut acc);
         for (r, row) in acc.iter().enumerate() {
             c[r * ldc..r * ldc + NR].copy_from_slice(row);
         }
@@ -120,7 +115,7 @@ pub(crate) fn microkernel<const SKIP: bool>(
         for (r, row) in acc.iter_mut().enumerate().take(mr) {
             row[..nr].copy_from_slice(&c[r * ldc..r * ldc + nr]);
         }
-        tile_accumulate::<SKIP>(kc, a, b, &mut acc);
+        tile_accumulate(kc, a, b, &mut acc);
         for (r, row) in acc.iter().enumerate().take(mr) {
             c[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
         }
@@ -192,7 +187,7 @@ pub(crate) fn pack_a(
 /// biases for the dense-layer kernel).  `k` panels run in ascending order and
 /// every panel accumulates on top of the previous partials, so each output
 /// element's reduction is one sequential ascending-`k` chain.
-fn gemm_into<const SKIP: bool, const TRANS_B: bool>(
+fn gemm_into<const TRANS_B: bool>(
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -221,7 +216,7 @@ fn gemm_into<const SKIP: bool, const TRANS_B: bool>(
                     for (apanel, ir) in (0..mc).step_by(MR).enumerate() {
                         let mr = MR.min(mc - ir);
                         let amicro = &apack[apanel * kc * MR..(apanel + 1) * kc * MR];
-                        microkernel::<SKIP>(
+                        microkernel(
                             kc,
                             amicro,
                             bmicro,
@@ -238,8 +233,9 @@ fn gemm_into<const SKIP: bool, const TRANS_B: bool>(
 }
 
 /// The naive scalar reference kernel (the pre-microkernel [`Tensor::matmul`]
-/// body): i-k-j loops with the ascending-`k`, zero-skipping reduction the
-/// whole workspace's bit-parity contract is defined against.
+/// body): i-k-j loops accumulating `A · B` on top of `out` with the plain
+/// ascending-`k` reduction the whole workspace's bit-parity contract is
+/// defined against.
 pub(crate) fn matmul_naive_into(
     out: &mut [f32],
     a: &[f32],
@@ -248,44 +244,22 @@ pub(crate) fn matmul_naive_into(
     k: usize,
     n: usize,
 ) {
-    for i in 0..m {
-        for kk in 0..k {
-            let aik = a[i * k + kk];
-            // lint:allow(float-eq): sparsity skip; +/-0.0 both contribute nothing
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n..(kk + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (orow, arow) in out.chunks_mut(n).zip(a.chunks(k)).take(m) {
+        for (av, brow) in arow.iter().zip(b.chunks(n)) {
             for (o, bv) in orow.iter_mut().zip(brow) {
-                *o += aik * bv;
+                *o += av * bv;
             }
         }
     }
 }
 
-/// Serial blocked product `A · B` into a zeroed buffer, with the naive
-/// kernel's sparsity skip.  Bit-for-bit identical to [`matmul_naive_into`].
-pub(crate) fn matmul_blocked_into(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m * n * k <= SMALL_FLOPS {
-        // Packing overhead dominates tiny products; same bits either way.
-        matmul_naive_into(out, a, b, m, k, n);
-    } else {
-        gemm_into::<true, false>(out, a, b, m, k, n);
-    }
-}
-
 /// Accumulates `A · Bᵀ` into `out` **on top of its existing contents** with
-/// plain ascending-`k` accumulation and **no** sparsity skip — the
-/// dense-layer kernel: `out` arrives pre-filled with broadcast biases, `b` is
-/// the `[n, k]` row-major weight matrix (packed transposed on the fly).
+/// plain ascending-`k` accumulation — the dense-layer kernel: `out` arrives
+/// pre-filled with broadcast biases, `b` is the `[n, k]` row-major weight
+/// matrix (packed transposed on the fly).
 ///
 /// Per element this is exactly `out[s][j] = bias[j] + Σ_k a[s][k] * b[j][k]`
 /// in ascending `k` — bit-for-bit the historical dense loop, which
@@ -295,14 +269,14 @@ pub(crate) fn matmul_blocked_into(
 /// the whole transposed `b` would cost more than the product (2.0–4.7× the
 /// dot loop at one row on the e2e nets), so each element runs as one
 /// dot-product chain instead — the same operations in the same order, the
-/// same bits; like [`matmul_blocked`]'s `SMALL_FLOPS` cut, the choice
-/// rests on the observable size alone.
+/// same bits; like [`gemm_nn_into`]'s cuts, the choice rests on the
+/// observable size alone.
 pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     if m >= MR {
-        return gemm_into::<false, true>(out, a, b, m, k, n);
+        return gemm_into::<true>(out, a, b, m, k, n);
     }
     for (orow, arow) in out.chunks_mut(n.max(1)).zip(a.chunks(k.max(1))) {
         for (o, brow) in orow.iter_mut().zip(b.chunks(k.max(1))) {
@@ -312,30 +286,23 @@ pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
 }
 
 /// Accumulates `A · B` into `out` **on top of its existing contents** with
-/// plain ascending-`k` accumulation and **no** sparsity skip — the dense
-/// layer's input gradient `gy · W` (`a` is `[m, k]`, `b` is `[k, n]`, both
-/// row-major; `out` arrives zeroed).
+/// plain ascending-`k` accumulation (`a` is `[m, k]`, `b` is `[k, n]`, both
+/// row-major) — the serial kernel behind [`Tensor::matmul`] (`out` arrives
+/// zeroed) and the dense layer's input gradient `gy · W`.
 ///
 /// Per element this is `out[i][j] += a[i][k] * b[k][j]` in ascending `k`,
-/// whatever `m` is.  Below `MR` rows (a batch of one) the register tile
-/// would run mostly padding, so the rows run as that i-k-j loop instead —
-/// the same operations in the same order.
+/// whatever the shape.  Below `MR` rows (a batch of one) the register tile
+/// would run mostly padding, and below `SMALL_FLOPS` multiply-adds the
+/// packing outweighs its cache wins, so those products run as that i-k-j
+/// loop instead — the same operations in the same order, the same bits.
 pub fn gemm_nn_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    if m >= MR {
-        return gemm_into::<false, false>(out, a, b, m, k, n);
-    }
-    if k == 0 || n == 0 {
-        return;
-    }
-    for (orow, arow) in out.chunks_mut(n).zip(a.chunks(k)) {
-        for (av, brow) in arow.iter().zip(b.chunks(n)) {
-            for (o, bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
+    if m < MR || m * n * k <= SMALL_FLOPS {
+        matmul_naive_into(out, a, b, m, k, n);
+    } else {
+        gemm_into::<false>(out, a, b, m, k, n);
     }
 }
 
@@ -362,7 +329,7 @@ fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
 pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = matmul_dims(a, b)?;
     let mut out = vec![0.0f32; m * n];
-    matmul_blocked_into(&mut out, a.as_slice(), b.as_slice(), m, k, n);
+    gemm_nn_into(&mut out, a.as_slice(), b.as_slice(), m, k, n);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -384,7 +351,7 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut out = vec![0.0f32; m * n];
     par_row_chunks(&mut out, m, n, m * k * n, |first_row, chunk| {
         let rows = chunk.len() / n.max(1);
-        matmul_blocked_into(
+        gemm_nn_into(
             chunk,
             &av[first_row * k..(first_row + rows) * k],
             bv,
@@ -451,15 +418,24 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_skip_is_replicated_even_for_non_finite_b() {
-        // The skip is observable: 0.0 * inf = NaN, so a kernel that "optimised
-        // away" the skip (or failed to skip) would change bits here.
+    fn zero_terms_are_summed_like_any_other_even_for_non_finite_b() {
+        // No kernel skips a zero term: 0.0 * inf = NaN reaches the sum in the
+        // naive loop and the blocked one alike.
         let a = Tensor::from_vec(vec![0.0, 2.0, 1.0, 0.0], &[2, 2]).unwrap();
         let b =
             Tensor::from_vec(vec![f32::INFINITY, 1.0, 3.0, f32::NEG_INFINITY], &[2, 2]).unwrap();
         let reference = naive(&a, &b);
-        assert_bits_equal(&matmul_blocked(&a, &b).unwrap(), &reference);
-        assert_bits_equal(&matmul_parallel(&a, &b).unwrap(), &reference);
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        for product in [
+            reference,
+            matmul_blocked(&a, &b).unwrap(),
+            matmul_parallel(&a, &b).unwrap(),
+        ] {
+            let expected = [nan, -inf, inf, nan];
+            for (got, want) in product.as_slice().iter().zip(expected) {
+                assert!(got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan());
+            }
+        }
     }
 
     #[test]

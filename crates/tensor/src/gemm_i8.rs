@@ -5,12 +5,14 @@
 //!
 //! The f32 kernel in [`crate::gemm`] earns its parity the hard way: float
 //! addition is non-associative, so the blocked kernel must replicate the
-//! naive loop's ascending-`k` order and sparsity skips exactly.  Integer
-//! addition is associative and the i8·i8→i32 accumulation is **exact** (no
-//! rounding, ever), so this kernel has full freedom to reorder `k`, split
-//! panels, skip zero terms or not — any schedule produces the same i32s as
-//! the naive [`crate::quant::matmul_i8`] / [`crate::quant::matmul_i8_nt`]
-//! loops.  Parity is by exactness, not by order replication; the proptest
+//! naive loop's one reduction contract — the plain ascending-`k` sum from
+//! `+0.0`, no term skipped — operation for operation.  Integer addition is
+//! associative and the i8·i8→i32 accumulation is **exact** (no rounding,
+//! ever, and no `-0` or non-finite value to observe), so this kernel has full
+//! freedom to reorder `k`, split panels, skip zero terms or not — any
+//! schedule produces the same i32s as the naive [`crate::quant::matmul_i8`] /
+//! [`crate::quant::matmul_i8_nt`] loops.  Its `a == 0` skips are therefore
+//! speed choices, not a second contract.  Parity is by exactness, not by order replication; the proptest
 //! suite in `tests/proptests.rs` pins it across shapes, sparsity and the
 //! `i8::MIN` extreme anyway.
 //!
@@ -34,8 +36,8 @@ const SMALL_IOPS: usize = 16 * 1024;
 /// The accumulation core: `kc` steps of `acc[r][j] += a[k][r] * b[k][j]` over
 /// the full zero-padded `MR x NR` tile, widening each i8 operand to i32.
 /// Constant bounds keep the accumulator in registers and let the `j` loop
-/// vectorise.  The `a == 0` skip mirrors the naive kernel's; with exact
-/// integer accumulation it is a pure speed choice (skipped terms add 0).
+/// vectorise.  The `a == 0` skip is a pure speed choice: with exact integer
+/// accumulation a skipped term adds 0.
 #[inline(always)]
 fn tile_accumulate_i8(kc: usize, a: &[i8], b: &[i8], acc: &mut [[i32; NR]; MR]) {
     for (arow, brow) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {

@@ -108,7 +108,8 @@ impl Tensor {
     /// Matrix multiplication via the original naive scalar triple loop.
     ///
     /// This is the reference kernel the workspace's bit-parity contract is
-    /// defined against; [`Tensor::matmul`] must (and does, proptest-pinned)
+    /// defined against — the plain ascending-`k` sum, no term skipped;
+    /// [`Tensor::matmul`] must (and does, proptest-pinned)
     /// return bit-identical results.  Kept public for the parity suite
     /// (`crates/tensor/tests/gemm_parity.rs`).
     ///

@@ -17,8 +17,6 @@ use ptolemy_tensor::{
     quantize_slice, Conv2dGeometry, PackedWeights, QuantParams, Rng64, Tensor,
 };
 
-/// Random `[rows, cols]` tensor with zeros sprinkled in so the sparsity-skip
-/// branch of the kernel is exercised alongside the dense lanes.
 /// Runs the row-parallel entry points three threads wide: these shapes sit
 /// far below the work gate, where the product would otherwise stay on one
 /// thread and the row partitioning would go untested.
@@ -26,6 +24,9 @@ fn fanned<R>(f: impl FnOnce() -> R) -> R {
     ptolemy_tensor::parallel::with_forced_width(3, f)
 }
 
+/// Random `[rows, cols]` tensor with zeros sprinkled in: zero terms are
+/// summed like any other, and the parity cases exercise them alongside the
+/// dense lanes.
 fn random_matrix(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Tensor {
     let mut rng = Rng64::new(seed);
     let data: Vec<f32> = (0..rows * cols)
@@ -40,8 +41,8 @@ fn random_matrix(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Tens
     Tensor::from_vec(data, &[rows, cols]).unwrap()
 }
 
-/// Random i8 operand mixing ordinary codes with sprinkled zeros (the naive
-/// kernel's sparsity-skip branch) and `i8::MIN`/`i8::MAX` extremes, so the
+/// Random i8 operand mixing ordinary codes with sprinkled zeros (the integer
+/// kernels' zero-skip branches, a speed choice) and `i8::MIN`/`i8::MAX` extremes, so the
 /// parity suite covers the saturation corners the quantizer itself never
 /// emits (codes are clamped to ±127, but raw GEMM operands are not).
 fn random_i8(len: usize, seed: u64, zero_every: usize) -> Vec<i8> {
@@ -77,7 +78,7 @@ fn assert_bits_equal(
 /// a product are both NaN (`inf - inf` met an input NaN), which payload the
 /// sum keeps depends on the operand order the compiler picked for that loop —
 /// Rust leaves the bits of an arithmetic NaN unspecified.  *Whether* an
-/// element is NaN is what the zero-skip makes observable, and that is exact.
+/// element is NaN is exact: a `0.0 * inf` term is summed by every kernel.
 fn same_float(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
@@ -164,9 +165,9 @@ proptest! {
     /// paddings 0..=2, column counts on and off the register-tile width (so
     /// panels straddle samples), depths past one K panel (12 x 5 x 5 = 300),
     /// batches 1..=8 split three threads wide.  Weights carry sprinkled
-    /// `+0.0`/`-0.0` and inputs `inf`/`NaN`, which make the per-panel
-    /// zero-skip decision observable (`0.0 * inf` is NaN); a bias folded in
-    /// before the accumulation instead of after it would round differently.
+    /// `+0.0`/`-0.0` and inputs `inf`/`NaN`, which would make a skipped zero
+    /// term observable (`0.0 * inf` is NaN); a bias folded in before the
+    /// accumulation instead of after it would round differently.
     #[test]
     fn fused_conv_matches_lowered_reference_bit_for_bit(
         kernel_idx in 0usize..3,
@@ -224,12 +225,12 @@ proptest! {
 
     /// The batched conv backward kernels are the per-sample backward pass
     /// they replaced, bit for bit: the input gradient is `col2im(Wᵀ · gy_b)`
-    /// per sample (`Wᵀ · gy` as `matmul_naive`, zero-skip on `Wᵀ`), and the
-    /// parameter gradients are `gy_b · cols_bᵀ` (zero-skip on `gy`) and
-    /// `gy_b`'s row sums, summed in sample order from sample 0.  Weights and
-    /// `gy` carry `±0.0`, the samples and `gy` `inf`/`NaN` — a sample with a
-    /// non-finite value runs the skipping weight kernel, where a skipped
-    /// `0.0 * inf` is observable — at the shapes of the forward test above.
+    /// per sample (`Wᵀ · gy` as `matmul_naive`), and the parameter gradients
+    /// are `gy_b · cols_bᵀ` and `gy_b`'s row sums, summed in sample order
+    /// from sample 0 — every product the plain ascending sum.  Weights and
+    /// `gy` carry `±0.0`, the samples and `gy` `inf`/`NaN` — where a skipped
+    /// `0.0 * inf` would be observable — at the shapes of the forward test
+    /// above.
     #[test]
     fn conv_backward_matches_per_sample_reference_bit_for_bit(
         kernel_idx in 0usize..3,
@@ -507,10 +508,11 @@ fn built_at_the_committed_vector_floor() {
     );
 }
 
-/// Non-finite values in B make the sparsity skip *observable* (0.0 · inf is
-/// NaN): a kernel that dropped or added skips would flip bits here.
+/// Non-finite values in B would make a skipped zero term *observable*
+/// (0.0 · inf is NaN): every kernel sums the plain products, so a kernel that
+/// skipped a term would flip an element's NaN-ness here.
 #[test]
-fn sparsity_skip_parity_with_non_finite_b() {
+fn plain_sum_parity_with_non_finite_b() {
     let mut a = random_matrix(9, 20, 33, 3);
     // Force a fully-zero row and a fully-dense row.
     for v in a.as_mut_slice()[..20].iter_mut() {
@@ -523,13 +525,18 @@ fn sparsity_skip_parity_with_non_finite_b() {
     let naive = a.matmul_naive(&b).unwrap();
     let blocked = matmul_blocked(&a, &b).unwrap();
     let parallel = fanned(|| matmul_parallel(&a, &b)).unwrap();
+    // Row 0 is all zeros: every one of its columns meeting a non-finite B
+    // value is `0.0 * ±inf` or `0.0 * NaN`, a NaN term.
+    assert!([5, 37 % 11, 100 % 11]
+        .iter()
+        .all(|&j| naive.as_slice()[j].is_nan()));
     for ((x, y), z) in naive
         .as_slice()
         .iter()
         .zip(blocked.as_slice())
         .zip(parallel.as_slice())
     {
-        assert_eq!(x.to_bits(), y.to_bits());
-        assert_eq!(x.to_bits(), z.to_bits());
+        assert!(same_float(*x, *y));
+        assert!(same_float(*x, *z));
     }
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use ptolemy::core::{variants, ActivationPath, CoreError, Detection, DetectionEngine, Profiler};
 use ptolemy::nn::layer::{AvgPool2d, MaxPool2d};
-use ptolemy::nn::{zoo, ForwardProvider, Layer, Network};
+use ptolemy::nn::{zoo, ForwardProvider, Layer, Network, NnError};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::{helpers_spawned, with_forced_width};
 use ptolemy::tensor::Rng64;
@@ -498,19 +498,27 @@ proptest! {
     }
 }
 
-/// One mis-shaped input fails alone through the fused batch surface; the rest
-/// of the batch still serves.
+/// One mis-shaped input and one NaN input each fail alone through the fused
+/// batch surface, the NaN one with the typed non-finite error at the input
+/// boundary; the rest of the batch still serves.
 #[test]
 fn fused_batch_keeps_per_input_error_granularity() {
     let fx = fixture();
     let (_, engine) = &fx.engines[0];
     let mut inputs = batch(7, 3, 0.5);
     inputs.insert(1, Tensor::full(&[5], 0.1)); // wrong shape for the 3x8x8 net
+    let mut poisoned = inputs[2].clone();
+    poisoned.as_mut_slice()[17] = f32::NAN;
+    inputs.insert(3, poisoned);
     let results = engine.detect_batch_with_paths(&inputs);
-    assert_eq!(results.len(), 4);
+    assert_eq!(results.len(), 5);
     assert!(results[1].is_err(), "mis-shaped input must fail alone");
+    assert_eq!(
+        results[3].as_ref().unwrap_err(),
+        &CoreError::Nn(NnError::NonFinite { boundary: 0 })
+    );
     for (i, result) in results.iter().enumerate() {
-        if i != 1 {
+        if i != 1 && i != 3 {
             let (detection, _) = result.as_ref().unwrap();
             let single = engine.detect(&inputs[i]).unwrap();
             assert_eq!(detection.score.to_bits(), single.score.to_bits());

@@ -307,31 +307,31 @@ fn racing_submitters_get_the_cache_off_verdicts_and_tickets_are_conserved() {
 
 /// A hostile request — NaN, ±∞ or `f32::MAX` pixels, or a tensor of the wrong
 /// shape — gets exactly what a direct engine call gives it, on its own
-/// ticket: a typed engine error (or, when the reverse walk never reaches the
-/// poisoned partial sums, an ordinary verdict).  No worker panics, and the
-/// requests batched around it are served their direct results.  Covers a
-/// backward-cumulative screen, a forward screen, and that forward screen on
-/// the int8 tier — where quantizing a NaN to 0 used to launder it into a
-/// verdict.
+/// ticket.  No worker panics, and the requests batched around it are served
+/// their direct results.  Covers a backward-cumulative screen, a forward
+/// screen, and that forward screen on the int8 tier — where quantizing a NaN
+/// to 0 once laundered it into a verdict.
 ///
-/// What the tiers make of each poison is pinned on purpose.  Every tier
-/// rejects every NaN-bearing request.  The forward f32 tier also rejects
-/// every request that overflows on the way (`InvalidInput`, or
-/// `InvalidLogits` when only the logits are left non-finite); the backward
-/// f32 tier rejects an overflow only where its reverse walk reaches a
-/// non-finite partial sum, and serves the direct call's verdict elsewhere.
-/// The int8 tier **serves ±∞ and `f32::MAX`**: quantization saturates an
-/// out-of-range value to ±127 (documented in `nn/src/quant.rs`), so the
-/// verdict is the one `detect_quantized` returns for the saturated image.
-/// That is the contract, not an oversight — do not "fix" it here.
+/// Every tier answers every poison by the one non-finite rule of the forward
+/// pass, whatever its program:
+/// * NaN and ±∞ pixels are `NonFinite` at boundary 0, the input: 8 of 8
+///   poisoned requests on every tier;
+/// * `f32::MAX` pixels are finite, so the input passes, and the first conv
+///   overflows: `NonFinite` at boundary 1, 8 of 8 on both f32 tiers — the
+///   check is on the forward pass, so the backward program no longer depends
+///   on whether its walk happens to reach the overflowed neurons;
+/// * the int8 tier serves all 8 `f32::MAX` requests: it quantizes the finite
+///   input, saturating every `f32::MAX` to 127 (`nn/src/quant.rs`), and no
+///   integer layer can overflow, so every boundary is finite and the verdict
+///   is the one `detect_quantized` returns for the saturated image.
 #[test]
 fn a_nan_request_fails_alone_without_panicking_a_worker() {
     let fx = fixtures();
-    // (screen, int8 tier?, poisoned requests an overflow gets rejected of 8)
+    // (screen, int8 tier?, `f32::MAX` requests rejected of 8)
     for (screen, int8, overflow_rejected) in [
-        (fx.expensive.clone(), false, None),
-        (fx.screen.clone(), false, Some(8)),
-        (fx.screen.clone(), true, Some(0)),
+        (fx.expensive.clone(), false, 8),
+        (fx.screen.clone(), false, 8),
+        (fx.screen.clone(), true, 0),
     ] {
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX] {
             let mut builder = Server::builder(screen.clone()).workers(2);
@@ -355,6 +355,9 @@ fn a_nan_request_fails_alone_without_panicking_a_worker() {
                 requests.push((i % 3 == 1, input.clone(), server.submit(input).unwrap()));
             }
             let (mut rejected, mut misshapen) = (0, 0);
+            // Where the poison is non-finite: the input, or the first conv's
+            // output when a finite input overflows there.
+            let boundary = if poison.is_finite() { 1 } else { 0 };
             for (poisoned, input, ticket) in requests {
                 let direct = if int8 {
                     screen.detect_quantized(&input)
@@ -373,9 +376,9 @@ fn a_nan_request_fails_alone_without_panicking_a_worker() {
                                 assert_eq!(input.dims(), [3], "a well-shaped request was rejected");
                                 misshapen += 1;
                             }
-                            CoreError::InvalidInput(_)
-                            | CoreError::Nn(NnError::InvalidLogits(_)) => {
+                            CoreError::Nn(NnError::NonFinite { boundary: at }) => {
                                 assert!(poisoned, "a clean request was rejected");
+                                assert_eq!(at, boundary, "poison {poison}, int8 {int8}");
                                 rejected += 1;
                             }
                             other => panic!("unexpected engine error {other:?}"),
@@ -388,14 +391,12 @@ fn a_nan_request_fails_alone_without_panicking_a_worker() {
                 misshapen, 1,
                 "the mis-shaped tensor fails on its own ticket"
             );
-            let expected = if poison.is_nan() {
-                Some(8)
-            } else {
+            let expected = if poison.is_finite() {
                 overflow_rejected
+            } else {
+                8
             };
-            if let Some(expected) = expected {
-                assert_eq!(rejected, expected, "poison {poison}, int8 {int8}");
-            }
+            assert_eq!(rejected, expected, "poison {poison}, int8 {int8}");
             let stats = server.shutdown();
             assert_eq!(stats.worker_panics, 0, "{stats:?}");
             assert_eq!(stats.failed, rejected + misshapen, "{stats:?}");
