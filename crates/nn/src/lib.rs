@@ -78,7 +78,8 @@
 //! every boundary of every f32 and int8 pass — streamed, fused or recorded —
 //! before the sink or the next layer sees it; a residual body checks its own
 //! layers before a ReLU could zero a NaN; the backward walk checks every
-//! boundary's gradient.  So no kernel ever meets a non-finite operand, and
+//! boundary's gradient and every parameter gradient (at its layer's output
+//! boundary), so no training step writes a non-finite parameter.  So no kernel ever meets a non-finite operand, and
 //! every partial sum of a checked pass is finite (a non-finite `w · x` makes
 //! its neuron's output non-finite).
 //!

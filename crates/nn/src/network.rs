@@ -270,7 +270,10 @@ impl Network {
     /// is the gradient of (a free reshape), so `at_output` sees a gradient
     /// shaped like `trace.output(i)`.  Every boundary's gradient obeys the
     /// forward pass's non-finite rule: a NaN or an infinity in it is
-    /// [`NnError::NonFinite`] at that boundary.
+    /// [`NnError::NonFinite`] at that boundary.  So does every parameter
+    /// gradient, reported at its layer's output boundary: a batch-summed
+    /// weight gradient can overflow where no boundary does, and the trainer
+    /// would step the parameter to an infinity.
     fn backward_walk(
         &self,
         trace: &ForwardTrace,
@@ -303,7 +306,12 @@ impl Network {
                 output: Some(trace.output(i)),
             };
             let layer_grads = param_grads.as_deref_mut().map(|g| g[i].as_mut_slice());
-            match layer.backward_batch(saved, &grad, layer_grads, i > 0 || want_input)? {
+            let input_grad =
+                layer.backward_batch(saved, &grad, layer_grads, i > 0 || want_input)?;
+            for param_grad in param_grads.as_deref().map_or(&[][..], |g| &g[i]) {
+                check_finite(param_grad.as_slice(), i + 1)?;
+            }
+            match input_grad {
                 Some(input_grad) => grad = input_grad.into_reshaped(trace.input(i).dims())?,
                 None => return Ok(None),
             }

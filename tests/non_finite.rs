@@ -16,7 +16,9 @@
 //! * a residual body whose first conv meets `+∞ + −∞` on every output: the
 //!   body's ReLU would turn the NaN into `0` and the block output would look
 //!   ordinary, so the body checks its own layers and the block's output
-//!   boundary reports it.
+//!   boundary reports it;
+//! * a batch-summed weight gradient that overflows where no boundary does:
+//!   `fit` stops before the step would write the infinity into a parameter.
 //!
 //! The networks are untrained and labelled with their own predictions: what
 //! is pinned is where a value is rejected, not what a trained model decides.
@@ -481,4 +483,38 @@ fn no_pool_ever_routes_a_nan() {
     let program = variants::bw_cu(&network, 0.5).unwrap();
     let walked = ptolemy::core::extract_path_streaming(&network, &program, &window);
     assert_eq!(walked.unwrap_err(), CoreError::Nn(rejected));
+}
+
+/// Finite boundaries and finite boundary gradients do not make a finite
+/// step: eight samples at `1e38` give each a finite weight gradient, but their
+/// batch sum overflows.  The trainer stops there, reporting the dense layer's
+/// output boundary, and never writes the infinity into a parameter.
+#[test]
+fn training_never_writes_a_non_finite_parameter() {
+    let mut rng = Rng64::new(1);
+    let dense = Dense::new(1, 2, &mut rng).unwrap();
+    let before: Vec<Vec<f32>> = dense
+        .params()
+        .iter()
+        .map(|p| p.as_slice().to_vec())
+        .collect();
+    let mut network = Network::new(vec![Box::new(dense) as Box<dyn Layer>]).unwrap();
+    let samples: Vec<(Tensor, usize)> = (0..8).map(|_| (Tensor::full(&[1], 1e38), 0)).collect();
+    let logits = network.forward(&samples[0].0).unwrap();
+    assert!(logits.as_slice().iter().all(|v| v.is_finite()));
+    let trained = Trainer::new(TrainConfig {
+        epochs: 1,
+        batch_size: 8,
+        ..TrainConfig::default()
+    })
+    .fit(&mut network, &samples);
+    assert_eq!(trained.unwrap_err(), NnError::NonFinite { boundary: 1 });
+    let after: Vec<Vec<f32>> = network
+        .layer(0)
+        .unwrap()
+        .params()
+        .iter()
+        .map(|p| p.as_slice().to_vec())
+        .collect();
+    assert_eq!(after, before);
 }
