@@ -25,8 +25,8 @@ pub enum NnError {
     },
     /// Training was requested with an empty sample set.
     EmptyDataset,
-    /// The network produced logits no class can be predicted from (empty
-    /// tensor, or no finite value to take an argmax over).
+    /// Logits no class can be predicted from: an empty slice, or one holding
+    /// a NaN or an infinity ([`crate::predicted_class`]).
     InvalidLogits(String),
     /// An activation boundary — or the gradient of one — holds a NaN or an
     /// infinity, which has no rank among partial sums and so may never become
@@ -100,7 +100,7 @@ mod tests {
         }
         .to_string()
         .contains("out of range"));
-        assert!(NnError::InvalidLogits("all NaN".into())
+        assert!(NnError::InvalidLogits("logit 0 is NaN".into())
             .to_string()
             .contains("logits"));
         assert!(NnError::NonFinite { boundary: 3 }

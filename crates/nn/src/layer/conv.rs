@@ -9,9 +9,12 @@ use crate::batch::check_batch;
 use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
 use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
-/// 2-D convolution over CHW activations: one fused lowering + GEMM + bias
-/// kernel ([`conv2d_forward`]) over a stacked batch (a single sample is the
-/// batch of one), bit-for-bit `im2col` + matmul + bias.
+/// 2-D convolution over CHW activations: one fused kernel
+/// ([`conv2d_forward`]) over a stacked batch (a single sample is the batch of
+/// one), bit-for-bit `im2col` + matmul + bias.  The kernel is an implicit
+/// GEMM: it builds no patch matrix, and its register tile reads each
+/// receptive field straight from the sample (copied once with its zero border
+/// written out) through a per-geometry table of tap offsets, in patch order.
 ///
 /// The weight tensor is stored as `[out_channels, in_channels * k * k]`, i.e. one
 /// flattened kernel per output channel, which makes the per-output-neuron partial

@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use ptolemy_tensor::{gemm_nn_into, par_row_chunks, Initializer, Rng64, Tensor};
 
 use crate::batch::check_batch;
@@ -5,6 +7,11 @@ use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
 use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
+///
+/// The forward kernel multiplies by `Wᵀ`, which depends only on the weights:
+/// it is transposed by the first forward pass after construction or after
+/// [`Layer::params_mut`] handed the weights out, and reused until then (the
+/// rule `Conv2d` keeps for its packed panels).
 ///
 /// # Example
 ///
@@ -27,6 +34,9 @@ pub struct Dense {
     bias: Tensor,
     inputs: usize,
     outputs: usize,
+    /// `weightᵀ` (`[inputs, outputs]`); empty until a forward pass needs it,
+    /// emptied again whenever `weight` may have changed.
+    transposed: OnceLock<Tensor>,
 }
 
 impl Dense {
@@ -46,6 +56,7 @@ impl Dense {
             bias: Tensor::zeros(&[outputs]),
             inputs,
             outputs,
+            transposed: OnceLock::new(),
         })
     }
 
@@ -67,6 +78,7 @@ impl Dense {
             outputs: dims[0],
             weight,
             bias,
+            transposed: OnceLock::new(),
         })
     }
 
@@ -93,14 +105,21 @@ impl Dense {
 
     /// The one dense kernel, behind `forward_batch`: `rows` stacked inputs
     /// (`xs`, row-major) times the weights, plus the bias.  Every row is
-    /// prefilled with the bias and `gemm_nt_into` accumulates `X · Wᵀ` on top
-    /// (W stays in its natural `[outputs, inputs]` layout), so each output
-    /// neuron is one bias-first, ascending-input chain — the same bits whatever `rows` is, which makes a single sample the batch
-    /// of one.  Below the register tile's height the kernel runs that chain as
-    /// a plain dot loop instead of packing the weights.
-    fn affine(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+    /// prefilled with the bias and [`gemm_nn_into`] accumulates `X · Wᵀ` on
+    /// top, so each output neuron is one bias-first, ascending-input chain —
+    /// the same bits whatever `rows` is, which makes a single sample the batch
+    /// of one.  Reading `Wᵀ` row by row, a batch of one updates every output
+    /// at once per input instead of running one serial dot chain per output.
+    fn affine(&self, xs: &[f32], rows: usize) -> Result<Vec<f32>> {
         let (inputs, outputs) = (self.inputs, self.outputs);
-        let w = self.weight.as_slice();
+        let wt = match self.transposed.get() {
+            Some(wt) => wt,
+            None => {
+                let wt = self.weight.transpose()?;
+                self.transposed.get_or_init(|| wt)
+            }
+        };
+        let wt = wt.as_slice();
         let mut out = Vec::with_capacity(rows * outputs);
         for _ in 0..rows {
             out.extend_from_slice(self.bias.as_slice());
@@ -109,9 +128,9 @@ impl Dense {
         par_row_chunks(&mut out, rows, outputs, macs, |first, chunk| {
             let samples = chunk.len() / outputs;
             let x = &xs[first * inputs..(first + samples) * inputs];
-            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
+            gemm_nn_into(chunk, x, wt, samples, inputs, outputs);
         });
-        out
+        Ok(out)
     }
 }
 
@@ -131,7 +150,7 @@ impl Layer for Dense {
     fn forward_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let batch_size = check_batch(batch, &[self.inputs], self.name())?;
         Ok(Tensor::from_vec(
-            self.affine(batch.as_slice(), batch_size),
+            self.affine(batch.as_slice(), batch_size)?,
             &[batch_size, self.outputs],
         )?)
     }
@@ -183,6 +202,8 @@ impl Layer for Dense {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        // The caller may rewrite the weights: the transpose is stale.
+        self.transposed = OnceLock::new();
         vec![&mut self.weight, &mut self.bias]
     }
 

@@ -559,22 +559,26 @@ mod tests {
         assert_eq!(probe.seen, vec![(0usize, 8usize), (1, 10), (2, 10), (3, 6)]);
     }
 
-    /// A NaN logit is never ranked: logits are boundary `num_layers`, so
-    /// `predict` fails with the typed error instead of choosing around it
-    /// (the slice ranking itself, [`predicted_class`], is pinned in
+    /// A non-finite logit is never ranked: logits are boundary
+    /// `num_layers`, so `predict` fails with the typed error instead of
+    /// choosing around a NaN or letting an infinity win (the slice ranking
+    /// itself, [`predicted_class`], rejects both and is pinned in
     /// `trace.rs`), and so does a NaN input, at boundary 0.
     #[test]
     fn predict_rejects_non_finite_logits_and_inputs() {
         let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        let bias = Tensor::from_vec(vec![f32::NAN, 0.0], &[2]).unwrap();
-        let net = Network::new(vec![Box::new(Dense::from_parts(identity, bias).unwrap())]).unwrap();
         let x = Tensor::from_vec(vec![0.0, 1.0], &[2]).unwrap();
-        assert_eq!(net.predict(&x), Err(NnError::NonFinite { boundary: 1 }));
-        let all_nan = Tensor::full(&[2], f32::NAN);
-        assert_eq!(
-            net.predict(&all_nan),
-            Err(NnError::NonFinite { boundary: 0 })
-        );
+        for poison in [f32::NAN, f32::INFINITY] {
+            let bias = Tensor::from_vec(vec![poison, 0.0], &[2]).unwrap();
+            let dense = Dense::from_parts(identity.clone(), bias).unwrap();
+            let net = Network::new(vec![Box::new(dense)]).unwrap();
+            assert_eq!(net.predict(&x), Err(NnError::NonFinite { boundary: 1 }));
+            let all_nan = Tensor::full(&[2], f32::NAN);
+            assert_eq!(
+                net.predict(&all_nan),
+                Err(NnError::NonFinite { boundary: 0 })
+            );
+        }
     }
 
     #[test]

@@ -119,34 +119,29 @@ pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> 
 }
 
 /// Picks the predicted class from one sample's logits: the index of the
-/// largest non-NaN logit.
+/// largest logit, the earliest of equal maxima winning ([`Tensor::argmax`]'s
+/// ranking).  [`crate::Network::predict`] ranks with this function too.
 ///
-/// [`crate::Network::predict`] ranks with this function too.  Only NaN is
-/// excluded — infinities are totally ordered under `>`, so an
-/// overflow-saturated `+∞` logit wins exactly as it does under
-/// [`Tensor::argmax`]; filtering it out would silently score the input
-/// against the wrong class's canary path.  On NaN-free logits the ranking is
-/// [`Tensor::argmax`]'s (the first maximum wins).
+/// A NaN or an infinity has no rank, so — the crate's one rule for
+/// non-finite values — such a logit is rejected, never skipped.  Logits that
+/// come out of a network have already passed the boundary check
+/// ([`NnError::NonFinite`]); this guards slices handed in from elsewhere.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::InvalidLogits`] if `logits` is empty or all-NaN (the
-/// historical `argmax().unwrap_or(0)` silently classified those as class 0).
+/// Returns [`NnError::InvalidLogits`] if `logits` is empty or holds a NaN or
+/// an infinity.
 pub fn predicted_class(logits: &[f32]) -> Result<usize> {
-    let values = logits;
     let mut best: Option<usize> = None;
-    for (i, v) in values.iter().enumerate() {
-        if !v.is_nan() && best.map_or(true, |b| *v > values[b]) {
+    for (i, &v) in logits.iter().enumerate() {
+        if !v.is_finite() {
+            return Err(NnError::InvalidLogits(format!("logit {i} is {v}")));
+        }
+        if best.map_or(true, |b| v > logits[b]) {
             best = Some(i);
         }
     }
-    best.ok_or_else(|| {
-        NnError::InvalidLogits(if values.is_empty() {
-            "logits tensor is empty".into()
-        } else {
-            format!("all {} logits are NaN", values.len())
-        })
-    })
+    best.ok_or_else(|| NnError::InvalidLogits("logits tensor is empty".into()))
 }
 
 /// Record of a full forward pass through a [`crate::Network`].
@@ -257,14 +252,13 @@ impl ForwardTrace {
             .expect("a trace holds at least two boundaries")
     }
 
-    /// Index of the predicted class (largest non-NaN logit,
+    /// Index of the predicted class (the largest logit,
     /// [`predicted_class`]).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidLogits`] if every logit is NaN — the
-    /// historical `argmax().unwrap_or(0)` silently classified an all-NaN
-    /// output as class 0.
+    /// Returns [`NnError::InvalidLogits`] if the logits are empty (a trace's
+    /// boundaries are finite by construction).
     pub fn predicted_class(&self) -> Result<usize> {
         predicted_class(self.logits().as_slice())
     }
@@ -309,39 +303,36 @@ mod tests {
 
     #[test]
     fn predicted_class_rejects_degenerate_logits() {
-        // All-NaN logits must error instead of silently classifying as 0.
-        let nan = Tensor::from_vec(vec![f32::NAN, f32::NAN], &[2]).unwrap();
-        assert!(matches!(
-            predicted_class(nan.as_slice()),
-            Err(NnError::InvalidLogits(_))
-        ));
+        // Any non-finite logit is rejected, wherever it sits and whatever the
+        // other logits are: a NaN is never skipped, an infinity never wins.
+        for logits in [
+            vec![f32::NAN, f32::NAN],
+            vec![f32::NAN, 2.0, 1.0],
+            vec![0.0, f32::INFINITY],
+            vec![0.25, 1.0, f32::NEG_INFINITY],
+        ] {
+            assert!(matches!(
+                predicted_class(&logits),
+                Err(NnError::InvalidLogits(_))
+            ));
+        }
         // An empty logits tensor errors too.
         let empty = Tensor::zeros(&[0]);
         assert!(matches!(
             predicted_class(empty.as_slice()),
             Err(NnError::InvalidLogits(_))
         ));
-        // Infinities stay totally ordered: a saturated +inf logit wins exactly
-        // as it does under argmax.
-        let saturated = Tensor::from_vec(vec![0.0, f32::INFINITY], &[2]).unwrap();
-        assert_eq!(
-            predicted_class(saturated.as_slice()).unwrap(),
-            saturated.argmax().unwrap()
-        );
-        let mixed = Tensor::from_vec(vec![f32::NAN, 0.25, f32::INFINITY], &[3]).unwrap();
-        assert_eq!(predicted_class(mixed.as_slice()).unwrap(), 2);
-        // NaN entries are skipped, never poisoning later comparisons.
-        let nan_first = Tensor::from_vec(vec![f32::NAN, 2.0, 1.0], &[3]).unwrap();
-        assert_eq!(predicted_class(nan_first.as_slice()).unwrap(), 1);
-        // Plain finite logits match argmax exactly.
-        let plain = Tensor::from_vec(vec![0.1, 0.9, 0.0], &[3]).unwrap();
-        assert_eq!(
-            predicted_class(plain.as_slice()).unwrap(),
-            plain.argmax().unwrap()
-        );
-        // Ties keep the first index, like argmax.
-        let tie = Tensor::from_vec(vec![0.7, 0.7], &[2]).unwrap();
-        assert_eq!(predicted_class(tie.as_slice()).unwrap(), 0);
+        // Finite logits match argmax exactly, the first of equal maxima
+        // winning.
+        for logits in [
+            vec![0.1, 0.9, 0.0],
+            vec![0.7, 0.7],
+            vec![-1.0, f32::MAX, f32::MAX],
+        ] {
+            let tensor = Tensor::from_vec(logits.clone(), &[logits.len()]).unwrap();
+            assert_eq!(predicted_class(&logits).unwrap(), tensor.argmax().unwrap());
+        }
+        assert_eq!(predicted_class(&[0.7, 0.7]).unwrap(), 0);
     }
 
     #[test]

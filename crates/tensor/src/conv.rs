@@ -1,63 +1,96 @@
-//! Fused convolution forward pass: lowering, GEMM and bias in one kernel.
+//! Fused convolution forward pass: an implicit GEMM that reads every
+//! receptive field in place, with the bias added in the store.
 //!
 //! `im2col` + [`Tensor::matmul`] + a bias loop pays three times for data that
 //! depends only on the model or is moved twice: it materialises the
-//! `[patch_len, patches]` patch matrix and then copies it again into the
-//! microkernel's B panels, and it re-packs the constant weight matrix on every
-//! call.  The kernel here pays only for the request's data:
+//! `[patch_len, patches]` patch matrix, copies it again into the
+//! microkernel's B panels, and re-packs the constant weight matrix on every
+//! call.  The kernel here builds no patch matrix and no B panel at all:
 //!
-//! * receptive fields are written **straight into the `NR`-column packed-B
-//!   panel layout** the microkernel reads — no patch matrix in between.  The
-//!   samples are first copied once with their zero border written out
-//!   (`kernel²` times less data than the patch matrix), after which no field
-//!   ever clips and the lowering is a walk of constant-size moves
-//!   ([`Bordered::lower_block`]);
+//! * the samples are copied once with their zero border written out
+//!   ([`Bordered`]; borrowed as they are when the geometry has no padding),
+//!   after which no receptive field ever clips: patch row `k = (c, ky, kx)` of
+//!   output position `(oy, ox)` is the bordered image's element
+//!   `taps[k] + (oy * width + ox) * stride`, where the per-geometry **tap
+//!   table** `taps[k] = (c * height + ky) * width + kx` is in patch order;
+//! * a register tile is `MR` weight rows by `NR` = 16 output positions.  Its
+//!   16 lanes are `SEG` contiguous runs of `16 / SEG` positions
+//!   ([`segments`], a pure function of the geometry): at stride 1 that is one
+//!   run when the output width is a multiple of 16, and one run per output
+//!   row when the width is exactly 8, 4 or 2 (`SEG` 2, 4 or 8); every other
+//!   geometry loads one float per lane (`SEG` = 16).  A run never leaves an
+//!   output row of one sample, but the runs are counted over the call's
+//!   samples in order, so a tile may hold runs of several samples (four
+//!   samples' 2x2 outputs fill one tile) and only the call's last tile is
+//!   partial: it repeats its first run in the runs it lacks and never stores
+//!   them;
+//! * each `k` step loads the tile's patch row straight from the bordered
+//!   image — `SEG` moves of `16 / SEG` floats — and the accumulators stay in
+//!   registers across the whole depth.  Runs narrower than four floats
+//!   (`SEG` 8 and 16) would cost more loads per step than the step's
+//!   multiply, so their tile's patch rows are gathered once per tile into a
+//!   `depth x 16` strip that every micro-panel then reads in order;
 //! * the weights arrive as [`PackedWeights`]: `MR`-row micro-panels packed
 //!   once per weight version;
-//! * the bias is added in the store of the last K panel, after the whole
-//!   ascending-`k` reduction — the order `matmul` + bias loop rounds in;
-//! * the packed-B panel and the bordered samples live in grow-only per-thread
-//!   buffers.
+//! * the bias is added in the store, after the whole ascending-`k`
+//!   reduction — the order `matmul` + bias loop rounds in.
 //!
 //! Every output element is therefore bit-for-bit what [`crate::im2col`] +
 //! [`Tensor::matmul_naive`] + bias produce (pinned by `tests/gemm_parity.rs`),
-//! for one sample and for a stacked batch alike: the same plain ascending-`k`
-//! sum, starting at `+0.0`, with no zero term skipped (the `gemm` module docs
-//! give the `+0.0` argument for why a skip could only matter on a non-finite
-//! operand).  The output is written as `[batch, out_channels, patches]`
-//! directly; a column panel that straddles two samples splits its store.
-//! (One caveat, as everywhere in Rust: where two NaNs meet in an addition,
-//! which payload survives is the operand order the compiler picked for that
-//! loop — an element that is NaN on one path is NaN on the other, with
-//! unspecified bits.)
+//! for one sample and for a stacked batch alike: `+0.0`, then `acc += w · x`
+//! in ascending `k` (a separate multiply and add, never a fused one), then the
+//! bias, with no zero term skipped (the `gemm` module docs give the `+0.0`
+//! argument for why a skip could only matter on a non-finite operand).  The
+//! output is written as `[batch, out_channels, patches]` directly.  (One
+//! caveat, as everywhere in Rust: where two NaNs meet in an addition, which
+//! payload survives is the operand order the compiler picked for that loop —
+//! an element that is NaN on one path is NaN on the other, with unspecified
+//! bits.)
 //!
-//! Measured on the 2-core reference box (release, `x86-64-v3`), one sample,
-//! median of 31 rounds, against `im2col` + `matmul` + bias: 8x27x256
-//! 12.5 → 5.7 µs, 12x72x64 9.4 → 5.7 µs, 12x108x16 5.1 → 3.0 µs, and the
-//! four-column 16x144x4 (which the lowered path hands to the naive loop)
-//! 8.9 → 3.9 µs.
+//! Median µs per call on the 2-core reference box (release, `x86-64-v3`,
+//! interleaved runs of a standalone probe), against the kernel it replaced,
+//! which lowered every receptive field into a packed-B panel first:
+//!
+//! | rows x depth x positions | layer | batch 1 | batch 8 |
+//! |---|---|---|---|
+//! | 8x27x256 | `conv_net` conv1 | 8.7 → 4.1 | 79.3 → 38.8 |
+//! | 12x72x64 | `conv_net` conv2 | 7.9 → 4.7 | 64.3 → 35.0 |
+//! | 12x108x16 | `conv_net` conv3/4, `resnet_mini` stage 2 | 3.6 → 2.3 | 25.8 → 15.8 |
+//! | 8x108x16 | `conv_net` conv5 | 3.4 → 2.2 | 23.5 → 12.0 |
+//! | 8x27x64 | `resnet_mini` stem | 2.2 → 1.2 | 18.4 → 9.0 |
+//! | 8x72x64 | `resnet_mini` stage 1 | 5.3 → 2.8 | 44.2 → 25.4 |
+//! | 12x72x16 | `resnet_mini` stage-2 entry | 2.6 → 1.1 | 21.1 → 14.2 |
+//! | 16x108x4 | `resnet_mini` stage-3 entry | 3.4 → 3.2 | 15.6 → 8.7 |
+//! | 16x144x4 | `resnet_mini` stage 3 | 4.7 → 4.5 | 21.3 → 9.2 |
+//!
+//! The box is noisy: the medians moved by up to 20 % between repeated probe
+//! runs.  The 2x2 shapes run 4 of 16 lanes at batch 1 either way, so they
+//! gain only at batch 8, where one tile holds four samples.
 
 use std::cell::RefCell;
 
-use crate::gemm::{pack_a, tile_accumulate, KC, MR, NC, NR};
+use crate::gemm::{pack_a, tile_accumulate, KC, MR, NR};
 use crate::parallel::par_row_chunks;
 use crate::{Conv2dGeometry, Result, Tensor, TensorError};
 
 /// The kernel's per-thread scratch: both buffers grow on demand and never
 /// shrink, so a steady stream of forwards allocates nothing.
 struct Scratch {
-    /// One packed-B panel (at most `KC x NC` floats).
-    panel: Vec<f32>,
     /// The call's samples with their zero border written out (unused when the
     /// geometry has no padding).
     padded: Vec<f32>,
+    /// The geometry's tap table ([`Bordered::tap_table`]).
+    taps: Vec<usize>,
+    /// One tile's gathered patch rows, for runs narrower than four floats.
+    strip: Vec<f32>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
-            panel: Vec::new(),
             padded: Vec::new(),
+            taps: Vec::new(),
+            strip: Vec::new(),
         })
     };
 }
@@ -189,9 +222,9 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
-/// The serial kernel over `batch` samples: the blocked GEMM's loop nest
-/// (column blocks, ascending K panels, register tiles) with the B pack fed by
-/// the lowering and the A panels pre-packed.
+/// The serial kernel over `batch` samples: per tile of `NR` output
+/// positions, per `MR`-row micro-panel, one register tile over the whole
+/// depth.
 fn conv_serial(
     out: &mut [f32],
     xs: &[f32],
@@ -201,63 +234,58 @@ fn conv_serial(
     bias: &[f32],
     scratch: &mut Scratch,
 ) {
-    let (rows, depth) = (weights.rows, weights.depth);
-    let patches = geom.num_patches();
-    let columns = batch * patches;
-    if rows == 0 || columns == 0 {
+    if weights.rows == 0 || geom.num_patches() == 0 {
         return;
     }
-    let Scratch { panel, padded } = scratch;
+    let Scratch {
+        padded,
+        taps,
+        strip,
+    } = scratch;
     let source = Bordered::new(xs, batch, geom, padded);
-    let panel_len = KC.min(depth) * NC.min(columns).next_multiple_of(NR);
-    if panel.len() < panel_len {
-        panel.resize(panel_len, 0.0);
+    source.tap_table(geom, taps);
+    let tiles = Tiles {
+        source: &source,
+        geom,
+        weights,
+        bias,
+        taps,
+    };
+    match segments(geom) {
+        1 => tiles.run::<1>(out, strip),
+        2 => tiles.run::<2>(out, strip),
+        4 => tiles.run::<4>(out, strip),
+        8 => tiles.run::<8>(out, strip),
+        _ => tiles.run::<NR>(out, strip),
     }
-    for j0 in (0..columns).step_by(NC) {
-        let jw = NC.min(columns - j0);
-        for k0 in (0..depth).step_by(KC) {
-            let kc = KC.min(depth - k0);
-            let block = &mut panel[..kc * jw.next_multiple_of(NR)];
-            source.lower_block(block, geom, j0, jw, k0, kc);
-            let pass = KPass {
-                kc,
-                resume: k0 > 0,
-                last: k0 + kc == depth,
-            };
-            for (tile, jr) in (0..jw).step_by(NR).enumerate() {
-                let b = &block[tile * kc * NR..(tile + 1) * kc * NR];
-                let column = j0 + jr;
-                let mut dst = TileDst {
-                    out: &mut *out,
-                    // Samples are `[rows, patches]` slabs: row `r` of the tile
-                    // starts `r * patches` further on.
-                    base: column / patches * rows * patches + column % patches,
-                    room: patches - column % patches,
-                    nr: NR.min(jw - jr),
-                    mr: MR,
-                    rows,
-                    patches,
-                };
-                for (mp, first_row) in (0..rows).step_by(MR).enumerate() {
-                    let a = weights.micro_panel(k0, kc, mp);
-                    dst.mr = MR.min(rows - first_row);
-                    let mut tile_bias = [0.0f32; MR];
-                    tile_bias[..dst.mr].copy_from_slice(&bias[first_row..first_row + dst.mr]);
-                    conv_tile(&pass, a, b, &mut dst, first_row, &tile_bias);
-                }
-            }
-        }
+}
+
+/// How many contiguous runs of `NR / SEG` positions make up a tile of `NR`
+/// output positions — a pure function of the geometry.  At stride 1 a
+/// multiple-of-16 output width is one 16-float run per tile, and an output
+/// width of exactly 8, 4 or 2 is one run per output row; every other geometry
+/// (a stride above 1, any other width) reads one float per lane.
+fn segments(geom: &Conv2dGeometry) -> usize {
+    const HALF: usize = NR / 2;
+    const QUARTER: usize = NR / 4;
+    const EIGHTH: usize = NR / 8;
+    match (geom.stride, geom.out_w) {
+        (1, width) if width % NR == 0 => 1,
+        (1, HALF) => 2,
+        (1, QUARTER) => 4,
+        (1, EIGHTH) => 8,
+        _ => NR,
     }
 }
 
 /// The call's samples as CHW images of `height x width` **including** the
-/// geometry's zero border, so every receptive-field row is an in-bounds
-/// stretch of memory and the lowering never clips: patch element `(c, ky, kx)`
-/// of output position `(oy, ox)` is `image[c][oy * stride + ky][ox * stride + kx]`.
+/// geometry's zero border, so every receptive field is in bounds and the
+/// kernel never clips: patch element `(c, ky, kx)` of output position
+/// `(oy, ox)` is `image[c][oy * stride + ky][ox * stride + kx]`.
 ///
 /// Writing the border out costs one pass over the *input* (`kernel²` times
-/// smaller than the patch matrix) and buys a lowering whose inner loop is a
-/// constant-size move; without padding the samples are borrowed as they are.
+/// smaller than the patch matrix); without padding the samples are borrowed
+/// as they are.
 struct Bordered<'a> {
     data: &'a [f32],
     height: usize,
@@ -300,205 +328,147 @@ impl<'a> Bordered<'a> {
         }
     }
 
-    /// Writes rows `k0..k0 + kc` of patch-matrix columns `j0..j0 + jw`
-    /// (columns run over the stacked samples, `patches` each) into `block` in
-    /// the packed-B layout: `NR`-column micro-panels,
-    /// `block[(j / NR) * kc * NR + k * NR + j % NR]`, the last micro-panel's
-    /// spare lanes zero.
-    ///
-    /// The columns are cut into stretches that stay inside one output row and
-    /// one micro-panel; a stretch's `len` columns are `len` consecutive
-    /// (strided) elements of one image row in *every* patch row, so each
-    /// stretch is one walk down the patch rows moving `len` elements a time —
-    /// and `len` is the whole micro-panel width whenever the output width is
-    /// a multiple of it.
-    fn lower_block(
-        &self,
-        block: &mut [f32],
-        geom: &Conv2dGeometry,
-        j0: usize,
-        jw: usize,
-        k0: usize,
-        kc: usize,
-    ) {
-        if jw % NR != 0 {
-            block[jw / NR * kc * NR..].fill(0.0);
-        }
-        let (patches, out_w, stride) = (geom.num_patches(), geom.out_w, geom.stride);
-        let image_len = self.height * self.width;
-        for b in j0 / patches..=(j0 + jw - 1) / patches {
-            let sample = &self.data[b * geom.in_channels * image_len..];
-            // The sample's output positions that fall into this block.
-            let first = b * patches;
-            let end = (j0 + jw).min(first + patches) - first;
-            let mut position = j0.max(first) - first;
-            while position < end {
-                let (oy, ox) = (position / out_w, position % out_w);
-                let j = first + position - j0;
-                let len = (out_w - ox).min(end - position).min(NR - j % NR);
-                let stretch = Stretch {
-                    dst: j / NR * kc * NR + j % NR,
-                    src: oy * stride * self.width + ox * stride,
-                    rows: k0..k0 + kc,
-                };
-                // Unit-stride stretches of 16, 8 and 4 columns (the served
-                // nets' 16-, 8- and 4-wide output rows) are constant-size moves.
-                const HALF: usize = NR / 2;
-                const QUARTER: usize = NR / 4;
-                match (stride, len) {
-                    (1, NR) => self.lower_stretch(block, sample, geom, stretch, |d, s| {
-                        d[..NR].copy_from_slice(&s[..NR]);
-                    }),
-                    (1, HALF) => self.lower_stretch(block, sample, geom, stretch, |d, s| {
-                        d[..HALF].copy_from_slice(&s[..HALF]);
-                    }),
-                    (1, QUARTER) => self.lower_stretch(block, sample, geom, stretch, |d, s| {
-                        d[..QUARTER].copy_from_slice(&s[..QUARTER]);
-                    }),
-                    _ => self.lower_stretch(block, sample, geom, stretch, |d, s| {
-                        for (d, v) in d[..len].iter_mut().zip(s.iter().step_by(stride)) {
-                            *d = *v;
-                        }
-                    }),
-                }
-                position += len;
-            }
-        }
-    }
-
-    /// One stretch of columns, every patch row of the K panel: `move_row`
-    /// copies the stretch's elements from an image row into a micro-panel row.
-    #[inline(always)]
-    fn lower_stretch(
-        &self,
-        block: &mut [f32],
-        sample: &[f32],
-        geom: &Conv2dGeometry,
-        stretch: Stretch,
-        move_row: impl Fn(&mut [f32], &[f32]),
-    ) {
-        let mut dst = stretch.dst;
-        let mut row = 0;
+    /// Fills `taps` with the geometry's tap table: the offset of patch row
+    /// `k = (c, ky, kx)` from an output position's window corner in a bordered
+    /// sample, in patch order.
+    fn tap_table(&self, geom: &Conv2dGeometry, taps: &mut Vec<usize>) {
+        taps.clear();
         for c in 0..geom.in_channels {
             for ky in 0..geom.kernel {
-                let image_row = stretch.src + (c * self.height + ky) * self.width;
-                for kx in 0..geom.kernel {
-                    if stretch.rows.contains(&row) {
-                        move_row(&mut block[dst..], &sample[image_row + kx..]);
-                        dst += NR;
+                let row = (c * self.height + ky) * self.width;
+                taps.extend(row..row + geom.kernel);
+            }
+        }
+    }
+
+    /// Offset of output position `p`'s window corner in a bordered sample.
+    fn corner(&self, geom: &Conv2dGeometry, p: usize) -> usize {
+        (p / geom.out_w * self.width + p % geom.out_w) * geom.stride
+    }
+}
+
+/// One call's operands, shared by every register tile.
+struct Tiles<'a> {
+    source: &'a Bordered<'a>,
+    geom: &'a Conv2dGeometry,
+    weights: &'a PackedWeights,
+    bias: &'a [f32],
+    taps: &'a [usize],
+}
+
+impl Tiles<'_> {
+    /// Every tile of the call: `SEG` consecutive runs of `NR / SEG` output
+    /// positions, counted over the samples in order, each run inside one
+    /// output row of one sample.
+    ///
+    /// Runs of four floats or more are read in place by every micro-panel.
+    /// Narrower runs (`SEG` 8 and 16) would cost 8–16 loads per `k` step and
+    /// micro-panel, more than its multiply; their tile's patch rows are
+    /// gathered once into `strip` (`depth x NR`) instead, which every
+    /// micro-panel then reads as the GEMM microkernel reads a B panel.
+    fn run<const SEG: usize>(&self, out: &mut [f32], strip: &mut Vec<f32>) {
+        let (source, geom, weights) = (self.source, self.geom, self.weights);
+        let (rows, depth, patches) = (weights.rows, weights.depth, geom.num_patches());
+        let run_len = NR / SEG;
+        let gather = run_len < NR / 4;
+        if gather && strip.len() < depth * NR {
+            strip.resize(depth * NR, 0.0);
+        }
+        let sample_runs = patches / run_len;
+        let sample_in = geom.in_channels * source.height * source.width;
+        let total = source.data.len() / sample_in * sample_runs;
+        // Run `g`'s first element for tap 0 in the bordered samples, and its
+        // first output in row 0 of the `[batch, rows, patches]` output.
+        let run = |g: usize| {
+            let (sample, p) = (g / sample_runs, g % sample_runs * run_len);
+            (
+                sample * sample_in + source.corner(geom, p),
+                sample * rows * patches + p,
+            )
+        };
+        for first in (0..total).step_by(SEG) {
+            let valid = SEG.min(total - first);
+            // The call's last tile repeats its first run in the runs it lacks:
+            // they are computed and never stored.
+            let (mut src, mut dst) = ([0usize; SEG], [0usize; SEG]);
+            for s in 0..SEG {
+                (src[s], dst[s]) = run(first + if s < valid { s } else { 0 });
+            }
+            if gather {
+                for (row, &tap) in strip.chunks_exact_mut(NR).zip(self.taps) {
+                    for (lanes, &src) in row.chunks_exact_mut(run_len).zip(&src) {
+                        lanes.copy_from_slice(&source.data[tap + src..][..run_len]);
                     }
-                    row += 1;
+                }
+            }
+            for (mp, first_row) in (0..rows).step_by(MR).enumerate() {
+                let mut acc = [[0.0f32; NR]; MR];
+                for k0 in (0..depth).step_by(KC) {
+                    let kc = KC.min(depth - k0);
+                    let a = weights.micro_panel(k0, kc, mp);
+                    if gather {
+                        tile_accumulate(kc, a, &strip[k0 * NR..], &mut acc);
+                    } else {
+                        acc = accumulate(acc, a, &self.taps[k0..k0 + kc], source.data, &src);
+                    }
+                }
+                let mr = MR.min(rows - first_row);
+                let mut bias = [0.0f32; MR];
+                bias[..mr].copy_from_slice(&self.bias[first_row..first_row + mr]);
+                if mr == MR && valid == SEG {
+                    // Constant-size stores keep the tile in registers.
+                    for r in 0..MR {
+                        let at = (first_row + r) * patches;
+                        for s in 0..SEG {
+                            let lanes = &acc[r][s * run_len..(s + 1) * run_len];
+                            for (o, v) in out[at + dst[s]..][..run_len].iter_mut().zip(lanes) {
+                                *o = v + bias[r];
+                            }
+                        }
+                    }
+                } else {
+                    let tile = acc;
+                    for r in 0..mr {
+                        let at = (first_row + r) * patches;
+                        for s in 0..valid {
+                            let lanes = &tile[r][s * run_len..(s + 1) * run_len];
+                            for (o, v) in out[at + dst[s]..][..run_len].iter_mut().zip(lanes) {
+                                *o = v + bias[r];
+                            }
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// A stretch of patch-matrix columns inside one output row and one
-/// micro-panel.
-struct Stretch {
-    /// Index of the stretch's first lane in the micro-panel's first row.
-    dst: usize,
-    /// Index of its first element for patch element `(c, ky, kx) = (0, 0, 0)`
-    /// in the sample's bordered image.
-    src: usize,
-    /// The patch rows of the K panel being packed.
-    rows: std::ops::Range<usize>,
-}
-
-/// Where one K panel sits in the ascending-`k` reduction.
-struct KPass {
-    kc: usize,
-    /// Not the first K panel: tiles reload their partial sums.
-    resume: bool,
-    /// The last K panel: tiles add the bias as they store.
-    last: bool,
-}
-
-/// Where a register tile's columns land in the `[batch, rows, patches]` output.
-struct TileDst<'a> {
-    out: &'a mut [f32],
-    /// Output index of the tile's first column in weight row 0.
-    base: usize,
-    /// Columns left in the first column's sample (`>= 1`).
-    room: usize,
-    nr: usize,
-    mr: usize,
-    rows: usize,
-    patches: usize,
-}
-
-impl TileDst<'_> {
-    /// Calls `visit(output range, tile row, tile lane range)` for every
-    /// contiguous stretch of the tile: one per row, or one per row and sample
-    /// when the tile's columns straddle samples.
-    fn for_each_stretch(
-        &mut self,
-        first_row: usize,
-        mut visit: impl FnMut(&mut [f32], usize, std::ops::Range<usize>),
-    ) {
-        for r in 0..self.mr {
-            let mut at = self.base + (first_row + r) * self.patches;
-            let mut lane = 0;
-            let mut len = self.room.min(self.nr);
-            while lane < self.nr {
-                visit(&mut self.out[at..at + len], r, lane..lane + len);
-                // The next sample's slab: same row, column 0.
-                at += len + (self.rows - 1) * self.patches;
-                lane += len;
-                len = self.patches.min(self.nr - lane);
-            }
-        }
-    }
-}
-
-/// One `MR x NR` register tile of one K panel: reload (after the first
-/// panel), accumulate in ascending `k`, add the bias (on the last panel),
-/// store.  Like the GEMM microkernel, the full-tile path keeps every access to
-/// the accumulator constant-sized so it stays in registers; edge tiles (spare
-/// rows or lanes, or columns straddling samples) take the stretch walk.
+/// `a.len() / MR` ascending steps of `acc[r][j] += a[k][r] * x[k][j]`, where
+/// row `k` of the tile's patch matrix is read in place: its lanes are `SEG`
+/// runs of `NR / SEG` consecutive floats, run `s` starting at
+/// `image[taps[k] + runs[s]]`.  Every bound is a compile-time constant, so
+/// the accumulators stay in registers and the lane loop vectorises.
 #[inline(always)]
-fn conv_tile(
-    pass: &KPass,
+fn accumulate<const SEG: usize>(
+    mut acc: [[f32; NR]; MR],
     a: &[f32],
-    b: &[f32],
-    dst: &mut TileDst<'_>,
-    first_row: usize,
-    bias: &[f32; MR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if dst.mr == MR && dst.nr == NR && dst.room >= NR {
-        let at = dst.base + first_row * dst.patches;
-        if pass.resume {
-            for (r, row) in acc.iter_mut().enumerate() {
-                row.copy_from_slice(&dst.out[at + r * dst.patches..][..NR]);
+    taps: &[usize],
+    image: &[f32],
+    runs: &[usize; SEG],
+) -> [[f32; NR]; MR] {
+    let run_len = NR / SEG;
+    for (w, &tap) in a.chunks_exact(MR).zip(taps) {
+        let mut x = [0.0f32; NR];
+        for s in 0..SEG {
+            x[s * run_len..(s + 1) * run_len].copy_from_slice(&image[tap + runs[s]..][..run_len]);
+        }
+        for r in 0..MR {
+            for j in 0..NR {
+                acc[r][j] += w[r] * x[j];
             }
         }
-        tile_accumulate(pass.kc, a, b, &mut acc);
-        if pass.last {
-            for (row, bias) in acc.iter_mut().zip(bias) {
-                for v in row {
-                    *v += bias;
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            dst.out[at + r * dst.patches..][..NR].copy_from_slice(row);
-        }
-    } else {
-        if pass.resume {
-            dst.for_each_stretch(first_row, |out, r, lanes| {
-                acc[r][lanes].copy_from_slice(out);
-            });
-        }
-        tile_accumulate(pass.kc, a, b, &mut acc);
-        let last = pass.last;
-        dst.for_each_stretch(first_row, |out, r, lanes| {
-            for (o, v) in out.iter_mut().zip(&acc[r][lanes]) {
-                *o = if last { v + bias[r] } else { *v };
-            }
-        });
     }
+    acc
 }
 
 #[cfg(test)]
@@ -544,9 +514,11 @@ mod tests {
     #[test]
     fn fused_kernel_matches_lowered_reference_on_awkward_shapes() {
         let mut rng = Rng64::new(3);
-        // (in_c, hw, kernel, stride, padding, out_c, batch): column counts on
-        // and off NR multiples, panels straddling samples, more than one
-        // column block, more than one K panel, a ragged last micro-panel.
+        // (in_c, hw, kernel, stride, padding, out_c, batch): every run
+        // length (output widths 16, 8, 4 and 2 at stride 1; widths 3 and 20
+        // and stride 2 read one float per lane), tiles holding runs of
+        // several samples, a partial last tile, more than one K panel, a
+        // ragged last micro-panel.
         for (in_c, hw, kernel, stride, padding, out_c, batch) in [
             (1, 3, 1, 1, 0, 1, 1),
             (3, 16, 3, 1, 1, 8, 1),
@@ -555,6 +527,8 @@ mod tests {
             (3, 20, 5, 1, 2, 6, 2),
             (30, 5, 3, 1, 0, 7, 4),
             (11, 6, 5, 2, 2, 9, 3),
+            (4, 8, 3, 1, 1, 6, 3),
+            (5, 4, 3, 1, 1, 13, 2),
         ] {
             let geom = Conv2dGeometry::new(in_c, hw, hw, kernel, stride, padding).unwrap();
             let weight = Tensor::from_vec(

@@ -122,20 +122,10 @@ pub(crate) fn microkernel(
     }
 }
 
-/// Packs `kc x jw` of B (starting at `(k0, j0)`) into `NR`-column micro-panels
-/// (`into[(jr/NR) * kc * NR + k * NR + j]`), zero-padding the last panel.
-/// With `TRANS`, B is `[n, k]` row-major and element `(kk, j)` reads
-/// `b[j * ldb + kk]` — the pack does the transpose, so callers never
-/// materialise Bᵀ.
-fn pack_b<const TRANS: bool>(
-    b: &[f32],
-    ldb: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    jw: usize,
-    into: &mut [f32],
-) {
+/// Packs `kc x jw` of B (starting at `(k0, j0)`, row stride `ldb`) into
+/// `NR`-column micro-panels (`into[(jr/NR) * kc * NR + k * NR + j]`),
+/// zero-padding the last panel.
+fn pack_b(b: &[f32], ldb: usize, k0: usize, kc: usize, j0: usize, jw: usize, into: &mut [f32]) {
     for (panel, jr) in (0..jw).step_by(NR).enumerate() {
         let nr = NR.min(jw - jr);
         let dst = &mut into[panel * kc * NR..(panel + 1) * kc * NR];
@@ -143,14 +133,7 @@ fn pack_b<const TRANS: bool>(
             dst.fill(0.0);
         }
         for k in 0..kc {
-            let row = &mut dst[k * NR..k * NR + nr];
-            if TRANS {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = b[(j0 + jr + j) * ldb + k0 + k];
-                }
-            } else {
-                row.copy_from_slice(&b[(k0 + k) * ldb + j0 + jr..][..nr]);
-            }
+            dst[k * NR..k * NR + nr].copy_from_slice(&b[(k0 + k) * ldb + j0 + jr..][..nr]);
         }
     }
 }
@@ -182,31 +165,23 @@ pub(crate) fn pack_a(
     }
 }
 
-/// The blocked GEMM driver: accumulates `A · op(B)` into `out` (row-major
+/// The blocked GEMM driver: accumulates `A · B` into `out` (row-major
 /// `[m, n]`, already initialised by the caller — zeros for a plain product,
 /// biases for the dense-layer kernel).  `k` panels run in ascending order and
 /// every panel accumulates on top of the previous partials, so each output
 /// element's reduction is one sequential ascending-`k` chain.
-fn gemm_into<const TRANS_B: bool>(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+fn gemm_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let kc_max = KC.min(k);
     let mut apack = vec![0.0f32; MC.min(m).next_multiple_of(MR) * kc_max];
     let mut bpack = vec![0.0f32; NC.min(n).next_multiple_of(NR) * kc_max];
-    let ldb = if TRANS_B { k } else { n };
     for j0 in (0..n).step_by(NC) {
         let jw = NC.min(n - j0);
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            pack_b::<TRANS_B>(b, ldb, k0, kc, j0, jw, &mut bpack);
+            pack_b(b, n, k0, kc, j0, jw, &mut bpack);
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 pack_a(a, k, i0, mc, k0, kc, &mut apack);
@@ -256,35 +231,6 @@ pub(crate) fn matmul_naive_into(
     }
 }
 
-/// Accumulates `A · Bᵀ` into `out` **on top of its existing contents** with
-/// plain ascending-`k` accumulation — the dense-layer kernel: `out` arrives
-/// pre-filled with broadcast biases, `b` is the `[n, k]` row-major weight
-/// matrix (packed transposed on the fly).
-///
-/// Per element this is exactly `out[s][j] = bias[j] + Σ_k a[s][k] * b[j][k]`
-/// in ascending `k` — bit-for-bit the historical dense loop, which
-/// accumulated bias-first and never skipped zero activations.
-///
-/// Below `MR` rows the register tile would run mostly padding and packing
-/// the whole transposed `b` would cost more than the product (2.0–4.7× the
-/// dot loop at one row on the e2e nets), so each element runs as one
-/// dot-product chain instead — the same operations in the same order, the
-/// same bits; like [`gemm_nn_into`]'s cuts, the choice rests on the
-/// observable size alone.
-pub fn gemm_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    if m >= MR {
-        return gemm_into::<true>(out, a, b, m, k, n);
-    }
-    for (orow, arow) in out.chunks_mut(n.max(1)).zip(a.chunks(k.max(1))) {
-        for (o, brow) in orow.iter_mut().zip(b.chunks(k.max(1))) {
-            *o = arow.iter().zip(brow).fold(*o, |acc, (x, w)| acc + x * w);
-        }
-    }
-}
-
 /// Accumulates `A · B` into `out` **on top of its existing contents** with
 /// plain ascending-`k` accumulation (`a` is `[m, k]`, `b` is `[k, n]`, both
 /// row-major) — the serial kernel behind [`Tensor::matmul`] (`out` arrives
@@ -302,7 +248,7 @@ pub fn gemm_nn_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
     if m < MR || m * n * k <= SMALL_FLOPS {
         matmul_naive_into(out, a, b, m, k, n);
     } else {
-        gemm_into::<false>(out, a, b, m, k, n);
+        gemm_into(out, a, b, m, k, n);
     }
 }
 
@@ -439,17 +385,19 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_accumulates_on_top_of_bias() {
-        // out[s][j] = bias[j] + sum_k a[s][k] * b[j][k], ascending k.
+    fn gemm_nn_accumulates_on_top_of_bias() {
+        // out[s][j] = bias[j] + sum_k a[s][k] * b[k][j], ascending k.
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let bt = Tensor::from_vec(vec![1.0, 0.0, 1.0, 2.0, 1.0, 0.0], &[2, 3]).unwrap();
+        let b = Tensor::from_vec(vec![1.0, 2.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]).unwrap();
         let mut out = vec![0.5, -0.5, 0.5, -0.5];
-        gemm_nt_into(&mut out, a.as_slice(), bt.as_slice(), 2, 3, 2);
+        gemm_nn_into(&mut out, a.as_slice(), b.as_slice(), 2, 3, 2);
         assert_eq!(out, vec![4.5, 3.5, 10.5, 12.5]);
     }
 
     #[test]
-    fn gemm_nt_matches_scalar_reference_on_larger_shapes() {
+    fn gemm_nn_over_transposed_weights_matches_bias_first_loop() {
+        // The dense layer's kernel: `[n, k]` weights `b`, multiplied as `bᵀ`
+        // on top of a bias-prefilled buffer, past `SMALL_FLOPS`.
         let mut rng = Rng64::new(11);
         let (m, k, n) = (9, 130, 17);
         let a = random(m, k, &mut rng, 4);
@@ -459,7 +407,8 @@ mod tests {
         for row in blocked.chunks_mut(n) {
             row.copy_from_slice(&bias);
         }
-        gemm_nt_into(&mut blocked, a.as_slice(), b.as_slice(), m, k, n);
+        let bt = b.transpose().unwrap();
+        gemm_nn_into(&mut blocked, a.as_slice(), bt.as_slice(), m, k, n);
         for s in 0..m {
             for j in 0..n {
                 let mut acc = bias[j];

@@ -47,7 +47,7 @@ mod tensor;
 pub use conv::{conv2d_forward, PackedWeights};
 pub use conv_grad::{conv2d_backward_input, conv2d_backward_params};
 pub use error::TensorError;
-pub use gemm::{gemm_nn_into, gemm_nt_into, matmul_blocked, matmul_parallel};
+pub use gemm::{gemm_nn_into, matmul_blocked, matmul_parallel};
 pub use gemm_i8::{matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel};
 pub use im2col::{col2im, im2col, im2col_batch, Conv2dGeometry};
 pub use im2col_i8::{im2col_i8, im2col_i8_batch};

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use ptolemy_tensor::gemm_i8::matmul_i8_parallel_nt;
 use ptolemy_tensor::quant::{dequantize_slice, matmul_i8, matmul_i8_nt};
 use ptolemy_tensor::{
-    col2im, conv2d_backward_input, conv2d_backward_params, conv2d_forward, gemm_nt_into, im2col,
+    col2im, conv2d_backward_input, conv2d_backward_params, conv2d_forward, gemm_nn_into, im2col,
     matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel, matmul_parallel,
     quantize_slice, Conv2dGeometry, PackedWeights, QuantParams, Rng64, Tensor,
 };
@@ -128,13 +128,15 @@ proptest! {
         assert_bits_equal("panel", &a.matmul(&b).unwrap(), &naive)?;
     }
 
-    /// The dense-layer kernel: `gemm_nt_into` over a bias-prefilled buffer is
-    /// bit-identical to the scalar bias-first accumulation loop it replaced.
+    /// The dense-layer kernel: `gemm_nn_into` over a bias-prefilled buffer
+    /// and the transposed weights is bit-identical to the scalar bias-first
+    /// accumulation loop it replaced, on both sides of the `MR`-row and
+    /// small-product cuts.
     #[test]
     fn gemm_nt_matches_bias_first_scalar_loop(
         m in 1usize..12,
         k in 1usize..48,
-        n in 1usize..24,
+        n in 1usize..48,
         seed in any::<u64>(),
     ) {
         let a = random_matrix(m, k, seed, 4);
@@ -146,7 +148,8 @@ proptest! {
         for row in blocked.chunks_mut(n) {
             row.copy_from_slice(&bias);
         }
-        gemm_nt_into(&mut blocked, a.as_slice(), w.as_slice(), m, k, n);
+        let wt = w.transpose().unwrap();
+        gemm_nn_into(&mut blocked, a.as_slice(), wt.as_slice(), m, k, n);
 
         for s in 0..m {
             for j in 0..n {
@@ -159,12 +162,14 @@ proptest! {
         }
     }
 
-    /// The fused conv kernel (lowering straight into packed panels, weights
-    /// packed once, bias in the last store) is bit-for-bit `im2col` +
-    /// `matmul_naive` + bias, sample by sample: kernels 1/3/5, strides 1/2,
-    /// paddings 0..=2, column counts on and off the register-tile width (so
-    /// panels straddle samples), depths past one K panel (12 x 5 x 5 = 300),
-    /// batches 1..=8 split three threads wide.  Weights carry sprinkled
+    /// The fused conv kernel (receptive fields read in place, weights packed
+    /// once, bias in the store) is bit-for-bit `im2col` + `matmul_naive` +
+    /// bias, sample by sample: kernels 1/3/5, strides 1/2, paddings 0..=2,
+    /// output widths of every run length the kernel reads (1, 2, 4, 8, 16,
+    /// 32) plus the odd width 5, output channels crossing `MR` multiples up
+    /// to 17, depths past one K panel (12 x 5 x 5 = 300), batches 1..=8 split
+    /// three threads wide (so tiles hold runs of several samples and the
+    /// call's last tile is partial).  Weights carry sprinkled
     /// `+0.0`/`-0.0` and inputs `inf`/`NaN`, which would make a skipped zero
     /// term observable (`0.0 * inf` is NaN); a bias folded in before the
     /// accumulation instead of after it would round differently.
@@ -174,17 +179,23 @@ proptest! {
         stride in 1usize..3,
         padding in 0usize..3,
         in_c in 1usize..13,
-        out_c in 1usize..11,
+        out_c in 1usize..18,
         extra_h in 0usize..9,
-        extra_w in 0usize..9,
+        width_idx in 0usize..7,
         batch in 1usize..9,
         zero_every in 0usize..5,
         non_finite_every in 0usize..4,
         seed in any::<u64>(),
     ) {
         let kernel = [1, 3, 5][kernel_idx];
-        let (in_h, in_w) = (kernel + extra_h, kernel + extra_w);
+        let out_w = [1, 2, 4, 8, 16, 32, 5][width_idx];
+        // The input width that gives `out_w`, with the padding cut to what
+        // such a narrow input admits.
+        let span = (out_w - 1) * stride + kernel;
+        let padding = padding.min((span - 1) / 2);
+        let (in_h, in_w) = (kernel + extra_h, span - 2 * padding);
         let geom = Conv2dGeometry::new(in_c, in_h, in_w, kernel, stride, padding).unwrap();
+        prop_assert_eq!(geom.out_w, out_w);
         let mut rng = Rng64::new(seed);
         let mut weight = random_matrix(out_c, geom.patch_len(), seed.wrapping_add(1), 0);
         if zero_every > 0 {
@@ -423,10 +434,12 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
 ///   gate (128x128x120 is the last product that stays on one thread,
 ///   128x128x128 the first that may take two).  `matmul_parallel` and
 ///   `matmul_i8_parallel` run at the real gate, not forced wide.
-/// * The 3x3 / stride 1 / padding 1 convolutions the served models run, as
-///   `(name, in_c, out_c, H = W)`: the five `conv_net` convs and
-///   `resnet_mini`'s stage-1 body conv and last-stage 16→16 conv (K = 144, four
-///   columns — a quarter of the register tile).
+/// * Every distinct 3x3 / stride 1 / padding 1 convolution the served
+///   models run, as `(name, in_c, out_c, H = W)`, at batch 1 and batch 8:
+///   the `conv_net` convs (conv3 and conv4 share a shape with
+///   `resnet_mini`'s stage-2 body) and `resnet_mini`'s stem, stage bodies
+///   and stage entries — output widths 16, 8, 4 and 2, the last a
+///   quarter of the register tile per sample.
 #[test]
 fn served_shapes_match_naive_bit_for_bit() {
     const SHAPES: [(usize, usize, usize); 5] = [
@@ -436,13 +449,15 @@ fn served_shapes_match_naive_bit_for_bit() {
         (128, 128, 128),
         (256, 256, 256),
     ];
-    const CONV_SHAPES: [(&str, usize, usize, usize); 7] = [
+    const CONV_SHAPES: [(&str, usize, usize, usize); 9] = [
         ("conv_net_conv1", 3, 8, 16),
         ("conv_net_conv2", 8, 12, 8),
-        ("conv_net_conv3", 12, 12, 4),
-        ("conv_net_conv4", 12, 12, 4),
+        ("conv_net_conv3_conv4_resnet_mini_stage2", 12, 12, 4),
         ("conv_net_conv5", 12, 8, 4),
+        ("resnet_mini_stem", 3, 8, 8),
         ("resnet_mini_stage1", 8, 8, 8),
+        ("resnet_mini_stage2_entry", 8, 12, 4),
+        ("resnet_mini_stage3_entry", 12, 16, 2),
         ("resnet_mini_stage3", 16, 16, 2),
     ];
     let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -475,23 +490,30 @@ fn served_shapes_match_naive_bit_for_bit() {
         let seed = 0xC0 + idx as u64;
         let geom = Conv2dGeometry::new(in_c, hw, hw, 3, 1, 1).unwrap();
         let weight = random_matrix(out_c, geom.patch_len(), seed, 17);
-        let image = random_matrix(in_c, hw * hw, seed.wrapping_add(1), 17)
-            .reshape(&[in_c, hw, hw])
-            .unwrap();
         let bias = random_matrix(1, out_c, seed.wrapping_add(2), 0).into_vec();
-        let product = weight
-            .matmul_naive(&im2col(&image, &geom).unwrap())
-            .unwrap();
-        let lowered: Vec<u32> = product
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v + bias[i / geom.num_patches()]).to_bits())
-            .collect();
         let packed = PackedWeights::pack(&weight).unwrap();
-        let fused = conv2d_forward(&image, &geom, &packed, &bias).unwrap();
-        let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(fused, lowered, "{name}");
+        for batch in [1, 8] {
+            let stacked = random_matrix(batch * in_c, hw * hw, seed.wrapping_add(1), 17)
+                .reshape(&[batch, in_c, hw, hw])
+                .unwrap();
+            let mut lowered = Vec::new();
+            for b in 0..batch {
+                let image = stacked.slice_batch(b).unwrap();
+                let product = weight
+                    .matmul_naive(&im2col(&image, &geom).unwrap())
+                    .unwrap();
+                lowered.extend(
+                    product
+                        .as_slice()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| (v + bias[i / geom.num_patches()]).to_bits()),
+                );
+            }
+            let fused = conv2d_forward(&stacked, &geom, &packed, &bias).unwrap();
+            let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(fused, lowered, "{name} x{batch}");
+        }
     }
 }
 
