@@ -808,13 +808,13 @@ impl TraceSink for ForwardSink<'_> {
 }
 
 /// Streaming sink for backward programs: retains exactly the planned
-/// boundaries and interiors, drops everything else the moment the driver
-/// moves on.
+/// boundaries and interiors, by move as the driver hands them over, and lets
+/// everything else drop where the driver is done with it.
 struct RetainSink<'a> {
     retain: &'a [bool],
     /// The pass is a batch of one: its tensors are retained as the sample's
-    /// own (the leading 1 dropped as they are copied — the same one copy), so
-    /// its walk reads them as they are, with no per-sample slice afterwards.
+    /// own (the leading 1 dropped in place), so its walk reads them as they
+    /// are, with no per-sample slice afterwards.
     single: bool,
     kept: Retained,
     /// Bytes retained so far — nothing is released before the walk ends, so
@@ -835,33 +835,29 @@ impl<'a> RetainSink<'a> {
         }
     }
 
-    /// A counted copy of `activation` if the plan retains boundary `planned`.
-    fn keep(&mut self, planned: usize, activation: &Tensor) -> Option<Tensor> {
+    /// `activation`, counted, if the plan retains boundary `planned`.
+    fn keep(&mut self, planned: usize, activation: Tensor) -> Option<Tensor> {
         if !self.retain[planned] {
             return None;
         }
         self.retained_bytes += activation.len() * std::mem::size_of::<f32>();
         if self.single {
-            // `[1] ++ shape` always reshapes to `shape`.
-            activation.reshape(&activation.dims()[1..]).ok()
+            // `[1] ++ shape` always gives its sample up.
+            activation.into_sample().ok()
         } else {
-            Some(activation.clone())
+            Some(activation)
         }
     }
 }
 
 impl TraceSink for RetainSink<'_> {
-    fn on_input(&mut self, input: &Tensor) {
-        self.kept.boundaries[0] = self.keep(0, input);
-    }
-
-    fn on_interior(&mut self, index: usize, interior: &Tensor) {
+    fn take_interior(&mut self, index: usize, interior: Tensor) {
         // The walk decomposes layer `index` iff it reads the layer's input.
         self.kept.interiors[index] = self.keep(index, interior);
     }
 
-    fn on_layer(&mut self, index: usize, output: &Tensor) {
-        self.kept.boundaries[index + 1] = self.keep(index + 1, output);
+    fn take_boundary(&mut self, boundary: usize, activation: Tensor) {
+        self.kept.boundaries[boundary] = self.keep(boundary, activation);
     }
 }
 
@@ -928,24 +924,31 @@ where
     let mut sink = RetainSink::new(&plan.retain, single);
     let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
     let classes = provider.network().num_classes().max(1);
+    // Row `b` of the stacked `[B, classes]` logits is sample `b`'s; the
+    // logits are the pass's last boundary, which the driver returns instead
+    // of handing it over.
+    let predicted = logits
+        .as_slice()
+        .chunks(classes)
+        .map(predicted_class)
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    sink.take_boundary(provider.network().num_layers(), logits);
     // Each walk reads exactly the tensors a materialized trace of its sample
     // would hold, so the extraction is bit-for-bit the materialized one.
     let mut scratch = WalkScratch::default();
-    let mut walk = |sample: &Retained, sample_logits: &[f32]| -> Result<T> {
-        let predicted = predicted_class(sample_logits)?;
+    let mut walk = |sample: &Retained, predicted: usize| -> Result<T> {
         finish(
             predicted,
             scratch.walk(provider.network(), plan, sample, predicted)?,
         )
     };
     let samples = if single {
-        vec![walk(&sink.kept, logits.as_slice())?]
+        vec![walk(&sink.kept, predicted[0])?]
     } else {
-        logits
-            .as_slice()
-            .chunks(classes)
+        predicted
+            .iter()
             .enumerate()
-            .map(|(b, sample_logits)| walk(&sink.kept.slice_batch(b)?, sample_logits))
+            .map(|(b, &predicted)| walk(&sink.kept.slice_batch(b)?, predicted))
             .collect::<Result<Vec<_>>>()?
     };
     Ok((samples, sink.retained_bytes))

@@ -22,8 +22,9 @@ use crate::{Decompositions, Layer, LayerKind, NnError, Result};
 /// output neuron `(oc, oy, ox)` receives partial sum `w[oc][p] * patch[p]` from the
 /// `p`-th element of its receptive field.
 ///
-/// The kernel multiplies against the weights' packed micro-panels, which
-/// depend only on the weights: they are packed by the first forward pass
+/// The kernel multiplies against the weights' packed panels (for the tile
+/// orientation the layer's geometry takes), which depend only on the
+/// weights and the geometry: they are packed by the first forward pass
 /// after construction or after [`Layer::params_mut`] handed the weights out
 /// (never eagerly — training mutates them every step), and reused by every
 /// pass until then.  The backward kernel keeps the transposed weights'
@@ -116,7 +117,7 @@ impl Conv2d {
         let packed = match self.packed.get() {
             Some(packed) => packed,
             None => {
-                let packed = PackedWeights::pack(&self.weight)?;
+                let packed = PackedWeights::pack(&self.weight, &self.geom)?;
                 self.packed.get_or_init(|| packed)
             }
         };

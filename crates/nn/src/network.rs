@@ -172,18 +172,20 @@ impl Network {
                 e => e,
             })?;
             check_finite(out.as_slice(), boundary)?;
-            if let Some(interior) = &interior {
-                sink.on_interior(index, interior);
+            if let Some(interior) = interior {
+                sink.on_interior(index, &interior);
+                sink.take_interior(index, interior);
             }
             sink.on_layer(index, &out);
-            cur = out;
+            sink.take_boundary(index, std::mem::replace(&mut cur, out));
         }
         Ok(cur)
     }
 
     /// Runs a forward pass recording every activation boundary and interior
-    /// (the batch of one through a keep-everything sink, unstacked as it is
-    /// recorded).
+    /// (the batch of one through a keep-everything sink, which keeps the
+    /// driver's own tensors by move, each sample moved out of its batch of
+    /// one in place).
     ///
     /// # Errors
     ///

@@ -23,12 +23,17 @@ use crate::{Network, NnError, Result};
 /// [`TraceSink::on_input`] once with the activation entering layer 0, then
 /// [`TraceSink::on_layer`] after each layer finishes, **before** the next
 /// layer starts — preceded, for a layer that has one, by
-/// [`TraceSink::on_interior`] with the layer's interior activation.  The sink
-/// only borrows the activation: it clones what it needs to keep and lets
-/// everything else die with the driver's scratch buffer, so a sink that
-/// retains nothing observes an entire forward pass in O(largest layer)
-/// memory.  The tensors are always stacked (`[B] ++ shape`, NCHW) — a
-/// single input is the batch of one, and its sink sees `[1] ++ shape`.
+/// [`TraceSink::on_interior`] with the layer's interior activation.  Those
+/// hooks only borrow.  What the driver is done with it hands over by value:
+/// each interior right after its `on_interior`
+/// ([`TraceSink::take_interior`]), and each boundary once the layer it feeds
+/// has run ([`TraceSink::take_boundary`]).  A sink that keeps an activation
+/// keeps it by move, never by copy; the default hooks drop it, which is
+/// where a plain pass would have dropped it anyway, so a sink that retains
+/// nothing observes an entire forward pass in O(largest layer) memory.  The
+/// last boundary is never handed over: it is the logits the pass returns.
+/// The tensors are always stacked (`[B] ++ shape`, NCHW) — a single input is
+/// the batch of one, and its sink sees `[1] ++ shape`.
 ///
 /// Sinks are infallible by design — a sink that can fail (e.g. a channel to a
 /// worker thread) records the failure internally and surfaces it after the
@@ -47,17 +52,26 @@ pub trait TraceSink {
 
     /// Observes layer `index`'s freshly produced output activation (boundary
     /// `index + 1`), called before layer `index + 1` runs.
-    fn on_layer(&mut self, index: usize, output: &Tensor);
+    fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
+
+    /// Takes layer `index`'s interior by value, right after
+    /// [`TraceSink::on_interior`].  The default drops it.
+    fn take_interior(&mut self, _index: usize, _interior: Tensor) {}
+
+    /// Takes boundary `boundary` by value once layer `boundary` has consumed
+    /// it (after that layer's [`TraceSink::on_layer`]): boundary 0 is the
+    /// input, boundary `i + 1` layer `i`'s output.  The default drops it.
+    fn take_boundary(&mut self, _boundary: usize, _activation: Tensor) {}
 }
 
 /// A [`TraceSink`] that keeps every stacked boundary and every interior of a
-/// pass — the adapter that turns the streaming driver back into a
+/// pass, by move — the adapter that turns the streaming driver back into a
 /// materialized trace ([`record`] unstacks a batch of one; the trainer keeps
 /// its minibatch stacked for the batched backward pass).
 #[derive(Debug, Default)]
 pub(crate) struct TraceRecorder {
-    pub(crate) activations: Vec<Tensor>,
-    pub(crate) interiors: Vec<Option<Tensor>>,
+    activations: Vec<Tensor>,
+    interiors: Vec<Option<Tensor>>,
 }
 
 impl TraceRecorder {
@@ -68,53 +82,47 @@ impl TraceRecorder {
         }
     }
 
-    /// The recorded boundaries and interiors as a trace, stacked as recorded.
-    pub(crate) fn into_trace(self) -> Result<ForwardTrace> {
+    /// The recorded boundaries and interiors as a trace, stacked as recorded,
+    /// with the pass's `logits` (the one boundary the driver returns instead
+    /// of handing it over) as the last boundary.
+    pub(crate) fn into_trace(mut self, logits: Tensor) -> Result<ForwardTrace> {
+        self.activations.push(logits);
         ForwardTrace::with_interiors(self.activations, self.interiors)
     }
 }
 
-/// The sample of a batch of one: `[1] ++ shape` reshapes to `shape`, moving
-/// the buffer.
-fn unstacked(stacked: Tensor) -> Result<Tensor> {
-    let dims = stacked.dims()[1..].to_vec();
-    Ok(stacked.into_reshaped(&dims)?)
-}
-
 impl TraceSink for TraceRecorder {
-    fn on_input(&mut self, input: &Tensor) {
-        self.activations.push(input.clone());
+    fn take_interior(&mut self, index: usize, interior: Tensor) {
+        self.interiors[index] = Some(interior);
     }
 
-    fn on_interior(&mut self, index: usize, interior: &Tensor) {
-        self.interiors[index] = Some(interior.clone());
-    }
-
-    fn on_layer(&mut self, _index: usize, output: &Tensor) {
-        self.activations.push(output.clone());
+    fn take_boundary(&mut self, _boundary: usize, activation: Tensor) {
+        self.activations.push(activation);
     }
 }
 
 /// The sink that observes nothing: driving it is a plain forward pass.
-impl TraceSink for () {
-    fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
-}
+impl TraceSink for () {}
 
 /// The batch of one of `network` over `input` with a keep-everything sink —
-/// the materializing adapter behind `forward_trace`.
+/// the materializing adapter behind `forward_trace`.  Every tensor of the
+/// trace is the driver's own, moved out of the batch of one in place.
 pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> {
     let mut recorder = TraceRecorder::with_capacity(network.num_layers());
-    network.forward_with_sink(input, &mut recorder)?;
-    let activations = recorder
-        .activations
+    let logits = network.forward_with_sink(input, &mut recorder)?;
+    let TraceRecorder {
+        mut activations,
+        interiors,
+    } = recorder;
+    activations.push(logits);
+    let activations = activations
         .into_iter()
-        .map(unstacked)
-        .collect::<Result<_>>()?;
-    let interiors = recorder
-        .interiors
+        .map(Tensor::into_sample)
+        .collect::<std::result::Result<_, _>>()?;
+    let interiors = interiors
         .into_iter()
-        .map(|interior| interior.map(unstacked).transpose())
-        .collect::<Result<_>>()?;
+        .map(|interior| interior.map(Tensor::into_sample).transpose())
+        .collect::<std::result::Result<_, _>>()?;
     ForwardTrace::with_interiors(activations, interiors)
 }
 
@@ -337,19 +345,23 @@ mod tests {
 
     #[test]
     fn recorder_sink_materializes_all_boundaries() {
-        // Stacked as recorded: a batch of two.
+        // Stacked as recorded: a batch of two, handed over as the driver
+        // hands it — every boundary but the logits by value, the logits at
+        // the end.
         let mut recorder = TraceRecorder::with_capacity(2);
         let x = Tensor::zeros(&[2, 4]);
         let h = Tensor::ones(&[2, 3]);
         let y = Tensor::full(&[2, 2], 0.5);
-        recorder.on_input(&x);
-        recorder.on_layer(0, &h);
-        recorder.on_layer(1, &y);
-        let trace = recorder.into_trace().unwrap();
+        let h_data = h.as_slice().as_ptr();
+        recorder.take_boundary(0, x);
+        recorder.take_boundary(1, h);
+        let trace = recorder.into_trace(y.clone()).unwrap();
         assert_eq!(trace.num_layers(), 2);
         assert!(trace.interior(0).is_none());
         assert_eq!(trace.input(0).dims(), &[2, 4]);
-        assert_eq!(trace.input(1).as_slice(), h.as_slice());
+        assert_eq!(trace.input(1).as_slice(), &[1.0; 6]);
+        // Kept by move: the trace holds the very buffer it was handed.
+        assert_eq!(trace.input(1).as_slice().as_ptr(), h_data);
         assert_eq!(trace.logits().dims(), &[2, 2]);
         assert_eq!(trace.logits().as_slice(), y.as_slice());
     }

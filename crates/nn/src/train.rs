@@ -164,7 +164,7 @@ impl Trainer {
         }
         let grad_logits = Tensor::from_vec(grad_logits, logits.dims())?;
         let mut grads = network.param_grad_buffers();
-        network.backward_params(&recorder.into_trace()?, grad_logits, &mut grads)?;
+        network.backward_params(&recorder.into_trace(logits)?, grad_logits, &mut grads)?;
         let scale = 1.0 / batch.len() as f32;
         for g in grads.iter_mut().flatten() {
             g.map_inplace(|v| v * scale);

@@ -13,25 +13,32 @@
 //!   output position `(oy, ox)` is the bordered image's element
 //!   `taps[k] + (oy * width + ox) * stride`, where the per-geometry **tap
 //!   table** `taps[k] = (c * height + ky) * width + kx` is in patch order;
-//! * a register tile is `MR` weight rows by `NR` = 16 output positions.  Its
-//!   16 lanes are `SEG` contiguous runs of `16 / SEG` positions
-//!   ([`segments`], a pure function of the geometry): at stride 1 that is one
-//!   run when the output width is a multiple of 16, and one run per output
-//!   row when the width is exactly 8, 4 or 2 (`SEG` 2, 4 or 8); every other
-//!   geometry loads one float per lane (`SEG` = 16).  A run never leaves an
-//!   output row of one sample, but the runs are counted over the call's
-//!   samples in order, so a tile may hold runs of several samples (four
-//!   samples' 2x2 outputs fill one tile) and only the call's last tile is
-//!   partial: it repeats its first run in the runs it lacks and never stores
-//!   them;
-//! * each `k` step loads the tile's patch row straight from the bordered
-//!   image — `SEG` moves of `16 / SEG` floats — and the accumulators stay in
-//!   registers across the whole depth.  Runs narrower than four floats
-//!   (`SEG` 8 and 16) would cost more loads per step than the step's
-//!   multiply, so their tile's patch rows are gathered once per tile into a
-//!   `depth x 16` strip that every micro-panel then reads in order;
-//! * the weights arrive as [`PackedWeights`]: `MR`-row micro-panels packed
-//!   once per weight version;
+//! * a register tile holds `NR` = 16 lanes, and which orientation it takes
+//!   is a pure function of the geometry ([`lanes`]).  At stride 1 with an
+//!   output width that is a multiple of 16, or exactly 8 or 4, the tile is
+//!   `MR` weight rows by 16 output **positions**: `SEG` contiguous runs of
+//!   `16 / SEG` positions (`SEG` 1, 2 or 4, one run per output row below a
+//!   width of 16).  A run never leaves an output row of one sample, but the
+//!   runs are counted over the call's samples in order, so a tile may hold
+//!   runs of several samples and only the call's last tile is partial: it
+//!   repeats its first run in the runs it lacks and never stores them.  Each
+//!   `k` step loads the tile's patch row straight from the bordered image —
+//!   `SEG` moves of `16 / SEG` floats — and the accumulators stay in
+//!   registers across the whole depth;
+//! * every other geometry — an output width of 2, 1 or any other width, a
+//!   stride above 1 — would load runs narrower than four floats, more loads
+//!   per `k` step than the step's multiply, and a 2x2 output fills only 4 of
+//!   16 position lanes per sample.  Its tile is `MR` output positions by 16
+//!   output **channels** instead: the positions are cut from the call's
+//!   position sequence across samples (a group may straddle two samples; the
+//!   last one repeats its first position in the positions it lacks), their
+//!   patch rows are read once through the tap table into a `depth x MR`
+//!   A-panel, and each `k` step broadcasts `MR` input values against a
+//!   16-channel panel of `Wᵀ` ([`crate::gemm`]'s microkernel accumulation);
+//!   the store transposes the tile into the output;
+//! * the weights arrive as [`PackedWeights`], packed once per weight version
+//!   for the orientation the geometry takes: `MR`-row micro-panels of `W`,
+//!   or 16-channel panels of `Wᵀ`;
 //! * the bias is added in the store, after the whole ascending-`k`
 //!   reduction — the order `matmul` + bias loop rounds in.
 //!
@@ -60,12 +67,22 @@
 //! | 8x27x64 | `resnet_mini` stem | 2.2 → 1.2 | 18.4 → 9.0 |
 //! | 8x72x64 | `resnet_mini` stage 1 | 5.3 → 2.8 | 44.2 → 25.4 |
 //! | 12x72x16 | `resnet_mini` stage-2 entry | 2.6 → 1.1 | 21.1 → 14.2 |
-//! | 16x108x4 | `resnet_mini` stage-3 entry | 3.4 → 3.2 | 15.6 → 8.7 |
-//! | 16x144x4 | `resnet_mini` stage 3 | 4.7 → 4.5 | 21.3 → 9.2 |
+//!
+//! The 2x2 shapes take the channel tile.  Against the position tile they ran
+//! before (its runs of two floats gathered into a per-tile strip), in a later
+//! probe on the same box:
+//!
+//! | rows x depth x positions | layer | batch 1 | batch 8 |
+//! |---|---|---|---|
+//! | 16x108x4 | `resnet_mini` stage-3 entry | 2.29 → 0.75 | 4.92 → 4.57 |
+//! | 16x144x4 | `resnet_mini` stage 3 | 2.98 → 0.94 | 6.84 → 5.88 |
+//! | 12x108x4 | `vgg_mini` block 4 | 1.95 → 0.72 | 4.27 → 4.52 |
 //!
 //! The box is noisy: the medians moved by up to 20 % between repeated probe
-//! runs.  The 2x2 shapes run 4 of 16 lanes at batch 1 either way, so they
-//! gain only at batch 8, where one tile holds four samples.
+//! runs.  At batch 1 a 2x2 output filled 4 of the position tile's 16 lanes;
+//! the channel tile fills all 16 with 16 output channels.  At batch 8 the
+//! position tile already held four samples, so the two are at par there, and
+//! with 12 channels the channel tile runs 12 of 16 lanes.
 
 use std::cell::RefCell;
 
@@ -73,16 +90,17 @@ use crate::gemm::{pack_a, tile_accumulate, KC, MR, NR};
 use crate::parallel::par_row_chunks;
 use crate::{Conv2dGeometry, Result, Tensor, TensorError};
 
-/// The kernel's per-thread scratch: both buffers grow on demand and never
-/// shrink, so a steady stream of forwards allocates nothing.
+/// The kernel's per-thread scratch: every buffer grows on demand and never
+/// shrinks, so a steady stream of forwards allocates nothing.
 struct Scratch {
     /// The call's samples with their zero border written out (unused when the
     /// geometry has no padding).
     padded: Vec<f32>,
     /// The geometry's tap table ([`Bordered::tap_table`]).
     taps: Vec<usize>,
-    /// One tile's gathered patch rows, for runs narrower than four floats.
-    strip: Vec<f32>,
+    /// One position group's `depth x MR` A-panel, where the lanes hold
+    /// output channels.
+    panel: Vec<f32>,
 }
 
 thread_local! {
@@ -90,44 +108,68 @@ thread_local! {
         RefCell::new(Scratch {
             padded: Vec::new(),
             taps: Vec::new(),
-            strip: Vec::new(),
+            panel: Vec::new(),
         })
     };
 }
 
-/// A `[rows, depth]` weight matrix packed for the register-tile microkernel.
+/// A `[rows, depth]` weight matrix packed for a register tile.
 ///
-/// K panel `kp` (depths `kp * KC ..`) holds one `MR`-row micro-panel per
-/// `MR` rows (`panel[k * MR + r]`, the last one zero-padded).
+/// Where a tile's lanes hold output positions, K panel `kp` (depths
+/// `kp * KC ..`) holds one `MR`-row micro-panel per `MR` rows
+/// (`panel[k * MR + r]`, the last one zero-padded).  Where they hold output
+/// channels, the matrix is packed transposed, one `depth x NR` panel per `NR`
+/// rows (`panel[k * NR + j]`, the last one zero-padded).
 ///
-/// The packing is a pure function of the weights: build it once per weight
-/// version and drop it whenever the weights change.
+/// The packing is a pure function of the weights and of which of the two the
+/// geometry takes: build it once per weight version and drop it whenever the
+/// weights change.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     rows: usize,
     depth: usize,
+    /// Whether the panels put output channels on the lanes.
+    channels: bool,
     panels: Vec<f32>,
 }
 
 impl PackedWeights {
-    /// Packs a rank-2 `[rows, depth]` weight matrix.
+    /// Packs a rank-2 `[rows, depth]` weight matrix for [`conv2d_forward`]
+    /// over `geom`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidRank`] if `weight` is not rank 2.
-    pub fn pack(weight: &Tensor) -> Result<Self> {
+    pub fn pack(weight: &Tensor, geom: &Conv2dGeometry) -> Result<Self> {
         let (rows, depth) = weight.shape().as_matrix()?;
         let w = weight.as_slice();
-        let padded_rows = rows.next_multiple_of(MR);
-        let mut panels = vec![0.0f32; padded_rows * depth];
-        for k0 in (0..depth).step_by(KC) {
-            let kc = KC.min(depth - k0);
-            let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
-            pack_a(w, depth, 0, rows, k0, kc, k_panel);
+        let channels = lanes(geom) == Lanes::Channels;
+        let mut panels;
+        if channels {
+            panels = vec![0.0f32; rows.next_multiple_of(NR) * depth];
+            for (panel, first_row) in panels
+                .chunks_exact_mut((depth * NR).max(1))
+                .zip((0..rows).step_by(NR))
+            {
+                for (j, row) in w.chunks_exact(depth).skip(first_row).take(NR).enumerate() {
+                    for (k, &v) in row.iter().enumerate() {
+                        panel[k * NR + j] = v;
+                    }
+                }
+            }
+        } else {
+            let padded_rows = rows.next_multiple_of(MR);
+            panels = vec![0.0f32; padded_rows * depth];
+            for k0 in (0..depth).step_by(KC) {
+                let kc = KC.min(depth - k0);
+                let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
+                pack_a(w, depth, 0, rows, k0, kc, k_panel);
+            }
         }
         Ok(PackedWeights {
             rows,
             depth,
+            channels,
             panels,
         })
     }
@@ -158,6 +200,7 @@ impl PackedWeights {
         Ok(PackedWeights {
             rows,
             depth,
+            channels: false,
             panels,
         })
     }
@@ -174,8 +217,15 @@ impl PackedWeights {
 
     /// Micro-panel `mp` of the K panel starting at depth `k0` (`kc` deep).
     pub(crate) fn micro_panel(&self, k0: usize, kc: usize, mp: usize) -> &[f32] {
+        debug_assert!(!self.channels);
         let start = k0 * self.rows.div_ceil(MR) * MR + mp * kc * MR;
         &self.panels[start..start + kc * MR]
+    }
+
+    /// Channel panel `cp`: rows `cp * NR ..` transposed, `depth x NR`.
+    fn channel_panel(&self, cp: usize) -> &[f32] {
+        debug_assert!(self.channels);
+        &self.panels[cp * self.depth * NR..][..self.depth * NR]
     }
 }
 
@@ -191,7 +241,8 @@ impl PackedWeights {
 /// # Errors
 ///
 /// Returns [`TensorError::IncompatibleShapes`] if `samples` does not hold whole
-/// samples, if the weights' depth is not the geometry's `patch_len`, or if
+/// samples, if the weights' depth is not the geometry's `patch_len` or they
+/// were packed for a geometry whose tile holds the other orientation, or if
 /// `bias` does not have one entry per weight row.
 pub fn conv2d_forward(
     samples: &Tensor,
@@ -200,7 +251,10 @@ pub fn conv2d_forward(
     bias: &[f32],
 ) -> Result<Vec<f32>> {
     let batch = geom.sample_count(samples, true, "conv2d_forward")?;
-    if weights.depth != geom.patch_len() || bias.len() != weights.rows {
+    if weights.depth != geom.patch_len()
+        || bias.len() != weights.rows
+        || weights.channels != (lanes(geom) == Lanes::Channels)
+    {
         return Err(TensorError::IncompatibleShapes {
             lhs: vec![weights.rows, weights.depth],
             rhs: vec![bias.len(), geom.patch_len()],
@@ -222,9 +276,8 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
-/// The serial kernel over `batch` samples: per tile of `NR` output
-/// positions, per `MR`-row micro-panel, one register tile over the whole
-/// depth.
+/// The serial kernel over `batch` samples: per register tile, one pass over
+/// the whole depth with the accumulators in registers.
 fn conv_serial(
     out: &mut [f32],
     xs: &[f32],
@@ -240,7 +293,7 @@ fn conv_serial(
     let Scratch {
         padded,
         taps,
-        strip,
+        panel,
     } = scratch;
     let source = Bordered::new(xs, batch, geom, padded);
     source.tap_table(geom, taps);
@@ -251,30 +304,37 @@ fn conv_serial(
         bias,
         taps,
     };
-    match segments(geom) {
-        1 => tiles.run::<1>(out, strip),
-        2 => tiles.run::<2>(out, strip),
-        4 => tiles.run::<4>(out, strip),
-        8 => tiles.run::<8>(out, strip),
-        _ => tiles.run::<NR>(out, strip),
+    match lanes(geom) {
+        Lanes::Runs(1) => tiles.runs::<1>(out),
+        Lanes::Runs(2) => tiles.runs::<2>(out),
+        Lanes::Runs(_) => tiles.runs::<4>(out),
+        Lanes::Channels => tiles.channels(out, panel),
     }
 }
 
-/// How many contiguous runs of `NR / SEG` positions make up a tile of `NR`
-/// output positions — a pure function of the geometry.  At stride 1 a
-/// multiple-of-16 output width is one 16-float run per tile, and an output
-/// width of exactly 8, 4 or 2 is one run per output row; every other geometry
-/// (a stride above 1, any other width) reads one float per lane.
-fn segments(geom: &Conv2dGeometry) -> usize {
+/// What the `NR` lanes of a geometry's register tile hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lanes {
+    /// `SEG` contiguous runs of `NR / SEG` output positions (`SEG` 1, 2 or 4).
+    Runs(usize),
+    /// `NR` output channels of `MR` output positions.
+    Channels,
+}
+
+/// Which orientation a geometry's tile takes — a pure function of the
+/// geometry.  At stride 1 a multiple-of-16 output width is one 16-float run
+/// of positions per tile, and an output width of exactly 8 or 4 is one run
+/// per output row.  Narrower runs would cost more loads per `k` step than the
+/// step's multiply, so every other geometry (a width of 2, a stride above 1,
+/// any other width) puts output channels on the lanes.
+fn lanes(geom: &Conv2dGeometry) -> Lanes {
     const HALF: usize = NR / 2;
     const QUARTER: usize = NR / 4;
-    const EIGHTH: usize = NR / 8;
     match (geom.stride, geom.out_w) {
-        (1, width) if width % NR == 0 => 1,
-        (1, HALF) => 2,
-        (1, QUARTER) => 4,
-        (1, EIGHTH) => 8,
-        _ => NR,
+        (1, width) if width % NR == 0 => Lanes::Runs(1),
+        (1, HALF) => Lanes::Runs(2),
+        (1, QUARTER) => Lanes::Runs(4),
+        _ => Lanes::Channels,
     }
 }
 
@@ -357,23 +417,14 @@ struct Tiles<'a> {
 }
 
 impl Tiles<'_> {
-    /// Every tile of the call: `SEG` consecutive runs of `NR / SEG` output
-    /// positions, counted over the samples in order, each run inside one
-    /// output row of one sample.
-    ///
-    /// Runs of four floats or more are read in place by every micro-panel.
-    /// Narrower runs (`SEG` 8 and 16) would cost 8–16 loads per `k` step and
-    /// micro-panel, more than its multiply; their tile's patch rows are
-    /// gathered once into `strip` (`depth x NR`) instead, which every
-    /// micro-panel then reads as the GEMM microkernel reads a B panel.
-    fn run<const SEG: usize>(&self, out: &mut [f32], strip: &mut Vec<f32>) {
+    /// Every tile of a geometry whose lanes hold runs of positions: `SEG`
+    /// consecutive runs of `NR / SEG` output positions, counted over the
+    /// samples in order, each run inside one output row of one sample and
+    /// read in place by every micro-panel.
+    fn runs<const SEG: usize>(&self, out: &mut [f32]) {
         let (source, geom, weights) = (self.source, self.geom, self.weights);
         let (rows, depth, patches) = (weights.rows, weights.depth, geom.num_patches());
         let run_len = NR / SEG;
-        let gather = run_len < NR / 4;
-        if gather && strip.len() < depth * NR {
-            strip.resize(depth * NR, 0.0);
-        }
         let sample_runs = patches / run_len;
         let sample_in = geom.in_channels * source.height * source.width;
         let total = source.data.len() / sample_in * sample_runs;
@@ -394,23 +445,12 @@ impl Tiles<'_> {
             for s in 0..SEG {
                 (src[s], dst[s]) = run(first + if s < valid { s } else { 0 });
             }
-            if gather {
-                for (row, &tap) in strip.chunks_exact_mut(NR).zip(self.taps) {
-                    for (lanes, &src) in row.chunks_exact_mut(run_len).zip(&src) {
-                        lanes.copy_from_slice(&source.data[tap + src..][..run_len]);
-                    }
-                }
-            }
             for (mp, first_row) in (0..rows).step_by(MR).enumerate() {
                 let mut acc = [[0.0f32; NR]; MR];
                 for k0 in (0..depth).step_by(KC) {
                     let kc = KC.min(depth - k0);
                     let a = weights.micro_panel(k0, kc, mp);
-                    if gather {
-                        tile_accumulate(kc, a, &strip[k0 * NR..], &mut acc);
-                    } else {
-                        acc = accumulate(acc, a, &self.taps[k0..k0 + kc], source.data, &src);
-                    }
+                    acc = accumulate(acc, a, &self.taps[k0..k0 + kc], source.data, &src);
                 }
                 let mr = MR.min(rows - first_row);
                 let mut bias = [0.0f32; MR];
@@ -436,6 +476,58 @@ impl Tiles<'_> {
                                 *o = v + bias[r];
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tile of a geometry whose lanes hold output channels: `MR`
+    /// consecutive output positions, counted over the samples in order (so a
+    /// group may straddle two samples), by `NR` output channels.  The group's
+    /// patch rows are read once through the tap table into a `depth x MR`
+    /// A-panel (`panel[k * MR + r]`), which every channel panel of `Wᵀ` then
+    /// multiplies as the GEMM microkernel multiplies its packed panels; the
+    /// store transposes the tile into the `[batch, rows, patches]` output and
+    /// adds the bias.  The call's last group repeats its first position in
+    /// the positions it lacks: they are computed and never stored.
+    fn channels(&self, out: &mut [f32], panel: &mut Vec<f32>) {
+        let (source, geom, weights) = (self.source, self.geom, self.weights);
+        let (rows, depth, patches) = (weights.rows, weights.depth, geom.num_patches());
+        if panel.len() < depth * MR {
+            panel.resize(depth * MR, 0.0);
+        }
+        let panel = &mut panel[..depth * MR];
+        let sample_in = geom.in_channels * source.height * source.width;
+        let total = source.data.len() / sample_in * patches;
+        for first in (0..total).step_by(MR) {
+            let valid = MR.min(total - first);
+            // Position `first + r`'s window corner in the bordered samples,
+            // and its output in row 0 of the `[batch, rows, patches]` output.
+            let (mut src, mut dst) = ([0usize; MR], [0usize; MR]);
+            for r in 0..MR {
+                let g = first + if r < valid { r } else { 0 };
+                let (sample, p) = (g / patches, g % patches);
+                src[r] = sample * sample_in + source.corner(geom, p);
+                dst[r] = sample * rows * patches + p;
+            }
+            for (a, &tap) in panel.chunks_exact_mut(MR).zip(self.taps) {
+                for r in 0..MR {
+                    a[r] = source.data[tap + src[r]];
+                }
+            }
+            for (cp, first_row) in (0..rows).step_by(NR).enumerate() {
+                let mut acc = [[0.0f32; NR]; MR];
+                tile_accumulate(depth, panel, weights.channel_panel(cp), &mut acc);
+                let tile = acc;
+                let channels = first_row..rows.min(first_row + NR);
+                for (lanes, &dst) in tile.iter().zip(&dst).take(valid) {
+                    for ((v, b), c) in lanes
+                        .iter()
+                        .zip(&self.bias[channels.clone()])
+                        .zip(channels.clone())
+                    {
+                        out[dst + c * patches] = v + b;
                     }
                 }
             }
@@ -514,23 +606,29 @@ mod tests {
     #[test]
     fn fused_kernel_matches_lowered_reference_on_awkward_shapes() {
         let mut rng = Rng64::new(3);
-        // (in_c, hw, kernel, stride, padding, out_c, batch): every run
-        // length (output widths 16, 8, 4 and 2 at stride 1; widths 3 and 20
-        // and stride 2 read one float per lane), tiles holding runs of
-        // several samples, a partial last tile, more than one K panel, a
-        // ragged last micro-panel.
-        for (in_c, hw, kernel, stride, padding, out_c, batch) in [
-            (1, 3, 1, 1, 0, 1, 1),
-            (3, 16, 3, 1, 1, 8, 1),
-            (16, 2, 3, 1, 1, 16, 5),
-            (2, 7, 3, 2, 1, 5, 3),
-            (3, 20, 5, 1, 2, 6, 2),
-            (30, 5, 3, 1, 0, 7, 4),
-            (11, 6, 5, 2, 2, 9, 3),
-            (4, 8, 3, 1, 1, 6, 3),
-            (5, 4, 3, 1, 1, 13, 2),
+        // (in_c, h, w, kernel, stride, padding, out_c, batch): every tile
+        // orientation (output widths 16, 8 and 4 at stride 1 run positions on
+        // the lanes; widths 2, 1, 3 and 20 and stride 2 run channels), tiles
+        // holding runs of several samples, position groups straddling
+        // samples (widths 2 and 1 over three samples), a partial last tile
+        // or group, more than one K panel, a ragged last micro-panel and a
+        // ragged last channel panel.
+        for (in_c, h, w, kernel, stride, padding, out_c, batch) in [
+            (1, 3, 3, 1, 1, 0, 1, 1),
+            (3, 16, 16, 3, 1, 1, 8, 1),
+            (16, 2, 2, 3, 1, 1, 16, 5),
+            (6, 3, 2, 3, 1, 1, 40, 3),
+            (5, 5, 2, 3, 1, 1, 17, 3),
+            (7, 1, 1, 3, 1, 1, 33, 3),
+            (4, 3, 1, 1, 1, 0, 16, 3),
+            (2, 7, 7, 3, 2, 1, 5, 3),
+            (3, 20, 20, 5, 1, 2, 6, 2),
+            (30, 5, 5, 3, 1, 0, 7, 4),
+            (11, 6, 6, 5, 2, 2, 9, 3),
+            (4, 8, 8, 3, 1, 1, 6, 3),
+            (5, 4, 4, 3, 1, 1, 13, 2),
         ] {
-            let geom = Conv2dGeometry::new(in_c, hw, hw, kernel, stride, padding).unwrap();
+            let geom = Conv2dGeometry::new(in_c, h, w, kernel, stride, padding).unwrap();
             let weight = Tensor::from_vec(
                 random(out_c * geom.patch_len(), &mut rng, 5),
                 &[out_c, geom.patch_len()],
@@ -538,11 +636,11 @@ mod tests {
             .unwrap();
             let bias = random(out_c, &mut rng, 0);
             let samples = Tensor::from_vec(
-                random(batch * in_c * hw * hw, &mut rng, 0),
-                &[batch, in_c, hw, hw],
+                random(batch * in_c * h * w, &mut rng, 0),
+                &[batch, in_c, h, w],
             )
             .unwrap();
-            let packed = PackedWeights::pack(&weight).unwrap();
+            let packed = PackedWeights::pack(&weight, &geom).unwrap();
             let fused = conv2d_forward(&samples, &geom, &packed, &bias).unwrap();
             let expected = reference(&samples, &geom, &weight, &bias);
             assert_eq!(fused.len(), expected.len());
@@ -555,13 +653,21 @@ mod tests {
     #[test]
     fn mismatched_operands_are_rejected() {
         let geom = Conv2dGeometry::new(1, 4, 4, 3, 1, 1).unwrap();
-        let packed = PackedWeights::pack(&Tensor::ones(&[2, 9])).unwrap();
+        let packed = PackedWeights::pack(&Tensor::ones(&[2, 9]), &geom).unwrap();
         let image = Tensor::ones(&[1, 4, 4]);
         assert!(conv2d_forward(&image, &geom, &packed, &[0.0, 0.0]).is_ok());
         assert!(conv2d_forward(&image, &geom, &packed, &[0.0]).is_err());
         assert!(conv2d_forward(&Tensor::ones(&[15]), &geom, &packed, &[0.0, 0.0]).is_err());
-        let shallow = PackedWeights::pack(&Tensor::ones(&[2, 4])).unwrap();
+        let shallow = PackedWeights::pack(&Tensor::ones(&[2, 4]), &geom).unwrap();
         assert!(conv2d_forward(&image, &geom, &shallow, &[0.0, 0.0]).is_err());
-        assert!(PackedWeights::pack(&Tensor::ones(&[2, 3, 3])).is_err());
+        assert!(PackedWeights::pack(&Tensor::ones(&[2, 3, 3]), &geom).is_err());
+        // Weights packed for the other tile orientation (a 2x2 output puts
+        // channels on the lanes) are rejected, not misread.
+        let narrow = Conv2dGeometry::new(1, 2, 2, 3, 1, 1).unwrap();
+        let crosswise = PackedWeights::pack(&Tensor::ones(&[2, 9]), &narrow).unwrap();
+        assert!(
+            conv2d_forward(&Tensor::ones(&[1, 2, 2]), &narrow, &crosswise, &[0.0, 0.0]).is_ok()
+        );
+        assert!(conv2d_forward(&image, &geom, &crosswise, &[0.0, 0.0]).is_err());
     }
 }

@@ -32,6 +32,12 @@ impl Shape {
         &self.0
     }
 
+    /// Removes the leading dimension in place (the caller has checked it is
+    /// 1, so the element count stands).
+    pub(crate) fn drop_leading(&mut self) {
+        self.0.remove(0);
+    }
+
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.0.len()

@@ -299,6 +299,32 @@ impl Tensor {
         Tensor::from_vec(data, sample_dims)
     }
 
+    /// Moves the one sample out of a batch of one (`[1, ...]`), dropping the
+    /// leading batch dimension in place: the moving [`Tensor::slice_batch`]
+    /// of sample 0, which copies nothing and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidRank`] if the tensor is rank 0 and
+    /// [`TensorError::IndexOutOfBounds`] if the batch is not one sample.
+    pub fn into_sample(mut self) -> Result<Tensor> {
+        match self.dims().first() {
+            None => Err(TensorError::InvalidRank {
+                expected: 1,
+                actual: 0,
+                op: "into_sample",
+            }),
+            Some(1) => {
+                self.shape.drop_leading();
+                Ok(self)
+            }
+            Some(_) => Err(TensorError::IndexOutOfBounds {
+                index: vec![1],
+                shape: self.dims().to_vec(),
+            }),
+        }
+    }
+
     pub(crate) fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {
         if self.shape != other.shape {
             return Err(TensorError::IncompatibleShapes {
@@ -420,6 +446,14 @@ mod tests {
             assert_eq!(batch.slice_batch(b).unwrap(), *sample);
         }
         assert!(batch.slice_batch(3).is_err());
+        // A batch of one gives its sample up in place.
+        let one = Tensor::stack(&samples[1..2]).unwrap();
+        assert_eq!(
+            one.slice_batch(0).unwrap(),
+            one.clone().into_sample().unwrap()
+        );
+        assert!(batch.into_sample().is_err());
+        assert!(Tensor::full(&[], 1.0).into_sample().is_err());
     }
 
     #[test]

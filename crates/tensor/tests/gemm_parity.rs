@@ -165,11 +165,14 @@ proptest! {
     /// The fused conv kernel (receptive fields read in place, weights packed
     /// once, bias in the store) is bit-for-bit `im2col` + `matmul_naive` +
     /// bias, sample by sample: kernels 1/3/5, strides 1/2, paddings 0..=2,
-    /// output widths of every run length the kernel reads (1, 2, 4, 8, 16,
-    /// 32) plus the odd width 5, output channels crossing `MR` multiples up
-    /// to 17, depths past one K panel (12 x 5 x 5 = 300), batches 1..=8 split
-    /// three threads wide (so tiles hold runs of several samples and the
-    /// call's last tile is partial).  Weights carry sprinkled
+    /// output widths of both tile orientations (runs of 16, 8 and 4
+    /// positions at widths 16, 32, 8 and 4; channels on the lanes at widths
+    /// 2 and 1, the odd width 5 and stride 2), output channels crossing `MR`
+    /// multiples and up to three `NR`-channel panels, the last one ragged
+    /// (1..=40), depths past one K panel (12 x 5 x 5 = 300), batches 1..=8
+    /// split three threads wide (so tiles hold runs of several samples,
+    /// position groups straddle samples and the call's last tile is
+    /// partial).  Weights carry sprinkled
     /// `+0.0`/`-0.0` and inputs `inf`/`NaN`, which would make a skipped zero
     /// term observable (`0.0 * inf` is NaN); a bias folded in before the
     /// accumulation instead of after it would round differently.
@@ -179,7 +182,7 @@ proptest! {
         stride in 1usize..3,
         padding in 0usize..3,
         in_c in 1usize..13,
-        out_c in 1usize..18,
+        out_c in 1usize..41,
         extra_h in 0usize..9,
         width_idx in 0usize..7,
         batch in 1usize..9,
@@ -218,7 +221,7 @@ proptest! {
         }
         let stacked = Tensor::from_vec(stacked, &[batch, in_c, in_h, in_w]).unwrap();
 
-        let packed = PackedWeights::pack(&weight).unwrap();
+        let packed = PackedWeights::pack(&weight, &geom).unwrap();
         let fused = fanned(|| conv2d_forward(&stacked, &geom, &packed, &bias)).unwrap();
         let sample_out = out_c * geom.num_patches();
         prop_assert_eq!(fused.len(), batch * sample_out);
@@ -425,21 +428,15 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
     );
 }
 
-/// One deterministic pass over the shapes the proptests stop short of (the
-/// random-shape f32 property stays below 40 per side and the i8 one below 48;
-/// none of the f32 or i8 cases reaches the 2^21-MAC work gate; the fused-conv
-/// property caps `out_c` at 10 and H/W at `kernel + 8`):
-///
-/// * GEMM `(m, k, n)` from tile-sized to 256³, bracketing the 2-thread work
-///   gate (128x128x120 is the last product that stays on one thread,
-///   128x128x128 the first that may take two).  `matmul_parallel` and
-///   `matmul_i8_parallel` run at the real gate, not forced wide.
-/// * Every distinct 3x3 / stride 1 / padding 1 convolution the served
-///   models run, as `(name, in_c, out_c, H = W)`, at batch 1 and batch 8:
-///   the `conv_net` convs (conv3 and conv4 share a shape with
-///   `resnet_mini`'s stage-2 body) and `resnet_mini`'s stem, stage bodies
-///   and stage entries — output widths 16, 8, 4 and 2, the last a
-///   quarter of the register tile per sample.
+/// One deterministic pass over the GEMM shapes the proptests stop short of
+/// (the random-shape f32 property stays below 40 per side and the i8 one
+/// below 48; none of their cases reaches the 2^21-MAC work gate): `(m, k, n)`
+/// from tile-sized to 256³, bracketing the 2-thread work gate (128x128x120 is
+/// the last product that stays on one thread, 128x128x128 the first that may
+/// take two).  `matmul_parallel` and `matmul_i8_parallel` run at the real
+/// gate, not forced wide.  Every convolution the served models run is gated
+/// by the workspace's `tests/zoo_conv_parity.rs`, which derives the shapes
+/// from the model zoo instead of listing them.
 #[test]
 fn served_shapes_match_naive_bit_for_bit() {
     const SHAPES: [(usize, usize, usize); 5] = [
@@ -448,17 +445,6 @@ fn served_shapes_match_naive_bit_for_bit() {
         (128, 128, 120),
         (128, 128, 128),
         (256, 256, 256),
-    ];
-    const CONV_SHAPES: [(&str, usize, usize, usize); 9] = [
-        ("conv_net_conv1", 3, 8, 16),
-        ("conv_net_conv2", 8, 12, 8),
-        ("conv_net_conv3_conv4_resnet_mini_stage2", 12, 12, 4),
-        ("conv_net_conv5", 12, 8, 4),
-        ("resnet_mini_stem", 3, 8, 8),
-        ("resnet_mini_stage1", 8, 8, 8),
-        ("resnet_mini_stage2_entry", 8, 12, 4),
-        ("resnet_mini_stage3_entry", 12, 16, 2),
-        ("resnet_mini_stage3", 16, 16, 2),
     ];
     let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
@@ -483,36 +469,6 @@ fn served_shapes_match_naive_bit_for_bit() {
             ("i8 parallel", matmul_i8_parallel(&a, &b, m, k, n)),
         ] {
             assert_eq!(product.unwrap(), naive, "{label} {m}x{k}x{n}");
-        }
-    }
-
-    for (idx, &(name, in_c, out_c, hw)) in CONV_SHAPES.iter().enumerate() {
-        let seed = 0xC0 + idx as u64;
-        let geom = Conv2dGeometry::new(in_c, hw, hw, 3, 1, 1).unwrap();
-        let weight = random_matrix(out_c, geom.patch_len(), seed, 17);
-        let bias = random_matrix(1, out_c, seed.wrapping_add(2), 0).into_vec();
-        let packed = PackedWeights::pack(&weight).unwrap();
-        for batch in [1, 8] {
-            let stacked = random_matrix(batch * in_c, hw * hw, seed.wrapping_add(1), 17)
-                .reshape(&[batch, in_c, hw, hw])
-                .unwrap();
-            let mut lowered = Vec::new();
-            for b in 0..batch {
-                let image = stacked.slice_batch(b).unwrap();
-                let product = weight
-                    .matmul_naive(&im2col(&image, &geom).unwrap())
-                    .unwrap();
-                lowered.extend(
-                    product
-                        .as_slice()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| (v + bias[i / geom.num_patches()]).to_bits()),
-                );
-            }
-            let fused = conv2d_forward(&stacked, &geom, &packed, &bias).unwrap();
-            let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fused, lowered, "{name} x{batch}");
         }
     }
 }

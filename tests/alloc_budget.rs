@@ -1,13 +1,23 @@
-//! Allocation budget of the BwCu reverse walk.
+//! Allocation budget of a recorded forward pass and of the BwCu reverse walk.
 //!
 //! The walk reads partial sums the inference already produced (paper
 //! Sec. III-A), so what it allocates should not grow with the number of
 //! neurons it marks: decompositions go into one walk-owned buffer, ranking is
-//! a scan over reused scratch, and merges are a bitset.  A counting global
-//! allocator measures a streamed BwCu extraction on `resnet_mini` minus a
-//! plain forward pass on the same input, at two thresholds.  A larger θ marks
-//! more neurons; the only extra allocations it may cost are the walk's
-//! buffers growing, at most one per enabled layer.
+//! a scan over reused scratch, and merges are a bitset.  Nor should keeping
+//! activations cost a copy each: the forward driver hands every boundary and
+//! interior over by value once it is done with it, so `forward_trace` and the
+//! streamed walk's retention keep them by move.  A counting global allocator
+//! measures, on `resnet_mini`, a plain forward pass, `forward_trace` and a
+//! streamed BwCu extraction at two thresholds:
+//!
+//! * `forward_trace` allocates exactly what the forward pass does plus
+//!   [`TRACE_BEYOND_FORWARD`]: the trace's two vectors, less the forward's
+//!   reshape of the logits;
+//! * the θ 0.5 extraction allocates exactly what the forward pass does plus
+//!   [`WALK_BEYOND_FORWARD`]: the plan, the path and the walk's buffers —
+//!   no retained activation is copied;
+//! * a larger θ marks more neurons, and the only extra allocations it may
+//!   cost are the walk's buffers growing, at most one per enabled layer.
 //!
 //! This binary holds exactly one test, so nothing else allocates while it
 //! counts.  Run it with `--nocapture` to see the counts.
@@ -57,6 +67,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations of `forward_trace` beyond a forward pass on the same input.
+const TRACE_BEYOND_FORWARD: usize = 1;
+
+/// Allocations of a streamed θ 0.5 BwCu extraction beyond a forward pass on
+/// the same input.  An optimised build elides 23 short-lived ones.
+const WALK_BEYOND_FORWARD: usize = if cfg!(debug_assertions) { 111 } else { 88 };
+
 /// Allocations made while `f` runs, all on this thread: fan-outs are forced
 /// to width 1.
 fn allocations<R>(f: impl FnOnce() -> R) -> usize {
@@ -84,6 +101,7 @@ fn a_larger_theta_costs_at_most_buffer_growth() {
     }
 
     let forward = allocations(|| network.forward(&input).unwrap());
+    let traced = allocations(|| network.forward_trace(&input).unwrap());
     let walk = programs.each_ref().map(|program| {
         let streamed = allocations(|| extract_path_streaming(&network, program, &input).unwrap());
         let path = extract_path_streaming(&network, program, &input)
@@ -93,8 +111,18 @@ fn a_larger_theta_costs_at_most_buffer_growth() {
     });
     let [(low, low_bits, enabled), (high, high_bits, _)] = walk;
     println!(
-        "forward: {forward} allocations; walk beyond it: θ 0.5 → {low} ({low_bits} bits), \
-         θ 0.9 → {high} ({high_bits} bits), {enabled} enabled layers"
+        "forward: {forward} allocations; forward_trace beyond it: {}; walk beyond it: \
+         θ 0.5 → {low} ({low_bits} bits), θ 0.9 → {high} ({high_bits} bits), {enabled} enabled layers",
+        traced - forward
+    );
+    assert_eq!(
+        traced - forward,
+        TRACE_BEYOND_FORWARD,
+        "forward_trace allocates per boundary: a recorded activation is copied"
+    );
+    assert_eq!(
+        low, WALK_BEYOND_FORWARD,
+        "the streamed walk's allocations beyond the forward pass moved"
     );
     assert!(high_bits > low_bits, "θ 0.9 must mark more than θ 0.5");
     assert!(
