@@ -115,13 +115,14 @@ thread_local! {
 
 /// A `[rows, depth]` weight matrix packed for a register tile.
 ///
-/// Where a tile's lanes hold output positions, K panel `kp` (depths
-/// `kp * KC ..`) holds one `MR`-row micro-panel per `MR` rows
-/// (`panel[k * MR + r]`, the last one zero-padded).  Where they hold output
-/// channels, the matrix is packed transposed, one `depth x NR` panel per `NR`
-/// rows (`panel[k * NR + j]`, the last one zero-padded).
+/// For [`conv2d_forward`] the matrix is one micro-panel of the whole depth
+/// per `R` rows (`panel[k * R + r]`, the last one zero-padded): `R` = `MR`
+/// where the tile's lanes hold output positions, `R` = `NR` — a 16-channel
+/// panel of `Wᵀ` — where they hold output channels.  For the backward pass
+/// ([`PackedWeights::pack_transposed`]) K panel `kp` (depths `kp * KC ..`)
+/// holds one `MR`-row micro-panel per `MR` rows.
 ///
-/// The packing is a pure function of the weights and of which of the two the
+/// The packing is a pure function of the weights and of which orientation the
 /// geometry takes: build it once per weight version and drop it whenever the
 /// weights change.
 #[derive(Debug, Clone)]
@@ -144,28 +145,11 @@ impl PackedWeights {
         let (rows, depth) = weight.shape().as_matrix()?;
         let w = weight.as_slice();
         let channels = lanes(geom) == Lanes::Channels;
-        let mut panels;
-        if channels {
-            panels = vec![0.0f32; rows.next_multiple_of(NR) * depth];
-            for (panel, first_row) in panels
-                .chunks_exact_mut((depth * NR).max(1))
-                .zip((0..rows).step_by(NR))
-            {
-                for (j, row) in w.chunks_exact(depth).skip(first_row).take(NR).enumerate() {
-                    for (k, &v) in row.iter().enumerate() {
-                        panel[k * NR + j] = v;
-                    }
-                }
-            }
+        let panels = if channels {
+            panels::<NR>(w, rows, depth)
         } else {
-            let padded_rows = rows.next_multiple_of(MR);
-            panels = vec![0.0f32; padded_rows * depth];
-            for k0 in (0..depth).step_by(KC) {
-                let kc = KC.min(depth - k0);
-                let k_panel = &mut panels[k0 * padded_rows..(k0 + kc) * padded_rows];
-                pack_a(w, depth, 0, rows, k0, kc, k_panel);
-            }
-        }
+            panels::<MR>(w, rows, depth)
+        };
         Ok(PackedWeights {
             rows,
             depth,
@@ -227,6 +211,13 @@ impl PackedWeights {
         debug_assert!(self.channels);
         &self.panels[cp * self.depth * NR..][..self.depth * NR]
     }
+}
+
+/// `[rows, depth]` weights as one whole-depth `R`-row micro-panel per `R` rows.
+fn panels<const R: usize>(w: &[f32], rows: usize, depth: usize) -> Vec<f32> {
+    let mut panels = vec![0.0f32; rows.next_multiple_of(R) * depth];
+    pack_a::<R>(w, depth, 0, rows, 0, depth, &mut panels);
+    panels
 }
 
 /// Convolves every CHW sample stacked in `samples` with the packed `weights`
@@ -446,12 +437,8 @@ impl Tiles<'_> {
                 (src[s], dst[s]) = run(first + if s < valid { s } else { 0 });
             }
             for (mp, first_row) in (0..rows).step_by(MR).enumerate() {
-                let mut acc = [[0.0f32; NR]; MR];
-                for k0 in (0..depth).step_by(KC) {
-                    let kc = KC.min(depth - k0);
-                    let a = weights.micro_panel(k0, kc, mp);
-                    acc = accumulate(acc, a, &self.taps[k0..k0 + kc], source.data, &src);
-                }
+                let a = weights.micro_panel(0, depth, mp);
+                let acc = accumulate(a, self.taps, source.data, &src);
                 let mr = MR.min(rows - first_row);
                 let mut bias = [0.0f32; MR];
                 bias[..mr].copy_from_slice(&self.bias[first_row..first_row + mr]);
@@ -535,19 +522,20 @@ impl Tiles<'_> {
     }
 }
 
-/// `a.len() / MR` ascending steps of `acc[r][j] += a[k][r] * x[k][j]`, where
-/// row `k` of the tile's patch matrix is read in place: its lanes are `SEG`
-/// runs of `NR / SEG` consecutive floats, run `s` starting at
-/// `image[taps[k] + runs[s]]`.  Every bound is a compile-time constant, so
-/// the accumulators stay in registers and the lane loop vectorises.
+/// From `+0.0`, `a.len() / MR` ascending steps of
+/// `acc[r][j] += a[k][r] * x[k][j]`, where row `k` of the tile's patch matrix
+/// is read in place: its lanes are `SEG` runs of `NR / SEG` consecutive
+/// floats, run `s` starting at `image[taps[k] + runs[s]]`.  Every bound is a
+/// compile-time constant, so the accumulators stay in registers and the lane
+/// loop vectorises.
 #[inline(always)]
 fn accumulate<const SEG: usize>(
-    mut acc: [[f32; NR]; MR],
     a: &[f32],
     taps: &[usize],
     image: &[f32],
     runs: &[usize; SEG],
 ) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
     let run_len = NR / SEG;
     for (w, &tap) in a.chunks_exact(MR).zip(taps) {
         let mut x = [0.0f32; NR];

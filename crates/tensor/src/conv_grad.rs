@@ -233,7 +233,7 @@ fn weight_grads(out: &mut [f32], grad_out: &[f32], samples: &[f32], geom: &Conv2
         for ((block, gy), grad) in per_sample {
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
-                pack_a(gy, patches, i0, mc, k0, kc, &mut apack);
+                pack_a::<MR>(gy, patches, i0, mc, k0, kc, &mut apack);
                 for (bpanel, jr) in (0..patch_len).step_by(NR).enumerate() {
                     let nr = NR.min(patch_len - jr);
                     let bmicro = &block[bpanel * kc * NR..(bpanel + 1) * kc * NR];

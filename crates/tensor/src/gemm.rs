@@ -139,9 +139,10 @@ fn pack_b(b: &[f32], ldb: usize, k0: usize, kc: usize, j0: usize, jw: usize, int
 }
 
 /// Packs `mc x kc` of A (starting at `(i0, k0)`, row stride `lda`) into
-/// `MR`-row micro-panels (`into[(ir/MR) * kc * MR + k * MR + r]`),
-/// zero-padding the last panel.
-pub(crate) fn pack_a(
+/// `R`-row micro-panels (`into[(ir/R) * kc * R + k * R + r]`), zero-padding
+/// the last panel: `MR` rows for the GEMM's A operand, `NR` rows where a
+/// convolution's tile puts output channels on the lanes.
+pub(crate) fn pack_a<const R: usize>(
     a: &[f32],
     lda: usize,
     i0: usize,
@@ -150,16 +151,16 @@ pub(crate) fn pack_a(
     kc: usize,
     into: &mut [f32],
 ) {
-    for (panel, ir) in (0..mc).step_by(MR).enumerate() {
-        let mr = MR.min(mc - ir);
-        let dst = &mut into[panel * kc * MR..(panel + 1) * kc * MR];
-        if mr < MR {
+    for (panel, ir) in (0..mc).step_by(R).enumerate() {
+        let mr = R.min(mc - ir);
+        let dst = &mut into[panel * kc * R..(panel + 1) * kc * R];
+        if mr < R {
             dst.fill(0.0);
         }
         for r in 0..mr {
             let src = &a[(i0 + ir + r) * lda + k0..][..kc];
             for (k, v) in src.iter().enumerate() {
-                dst[k * MR + r] = *v;
+                dst[k * R + r] = *v;
             }
         }
     }
@@ -184,7 +185,7 @@ fn gemm_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize
             pack_b(b, n, k0, kc, j0, jw, &mut bpack);
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
-                pack_a(a, k, i0, mc, k0, kc, &mut apack);
+                pack_a::<MR>(a, k, i0, mc, k0, kc, &mut apack);
                 for (bpanel, jr) in (0..jw).step_by(NR).enumerate() {
                     let nr = NR.min(jw - jr);
                     let bmicro = &bpack[bpanel * kc * NR..(bpanel + 1) * kc * NR];
