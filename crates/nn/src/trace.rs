@@ -110,16 +110,14 @@ impl TraceSink for () {}
 pub(crate) fn record(network: &Network, input: &Tensor) -> Result<ForwardTrace> {
     let mut recorder = TraceRecorder::with_capacity(network.num_layers());
     let logits = network.forward_with_sink(input, &mut recorder)?;
-    let TraceRecorder {
-        mut activations,
-        interiors,
-    } = recorder;
-    activations.push(logits);
-    let activations = activations
+    recorder.activations.push(logits);
+    let activations = recorder
+        .activations
         .into_iter()
         .map(Tensor::into_sample)
         .collect::<std::result::Result<_, _>>()?;
-    let interiors = interiors
+    let interiors = recorder
+        .interiors
         .into_iter()
         .map(|interior| interior.map(Tensor::into_sample).transpose())
         .collect::<std::result::Result<_, _>>()?;
