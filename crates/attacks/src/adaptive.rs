@@ -169,7 +169,10 @@ impl Attack for AdaptiveAttack {
                 best = Some((loss, perturbed));
             }
         }
-        // lint:allow(panic-in-worker): num_targets >= 1 is validated at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "num_targets >= 1 is validated at construction"
+        )]
         let (_, perturbed) = best.expect("at least one candidate target evaluated");
         AdversarialExample::evaluate(network, input, perturbed, label)
     }

@@ -150,7 +150,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "pins the relations between the paper's published constants"
+    )]
     fn paper_constants_match_the_text() {
         assert!(PAPER_CIFAR_AVG > PAPER_IMAGENET_AVG);
         assert!(PAPER_IMAGENET_MAX > PAPER_IMAGENET_AVG);

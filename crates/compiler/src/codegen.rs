@@ -25,8 +25,11 @@ use ptolemy_isa::{Instruction, Program, Reg};
 
 use crate::Result;
 
+#[expect(
+    clippy::expect_used,
+    reason = "all call sites pass literal indices below 16"
+)]
 fn r(i: u8) -> Reg {
-    // lint:allow(panic-in-worker): all call sites pass literal indices below 16
     Reg::new(i).expect("register indices below 16")
 }
 

@@ -281,7 +281,10 @@ impl Compiler {
         }
         // DetectionProgram::build rejects zero weight layers, and the mismatch
         // check above pins weight_layers to the program's layer count.
-        // lint:allow(panic-in-worker): weight_layers is structurally non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "weight_layers is structurally non-empty"
+        )]
         let last_inference = prev.expect("network has at least one weight layer");
         // Extraction walks the enabled layers from last to first, each step depending
         // on the previous one (the important-neuron sets chain backwards).

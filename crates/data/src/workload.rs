@@ -59,7 +59,10 @@ fn require_positive(name: &str, value: f64) -> Result<()> {
 /// sampling noise of any trace this module produces.
 fn gamma(x: f64) -> f64 {
     // g = 7, n = 9 coefficient set (Godfrey/Pugh).
-    #[allow(clippy::excessive_precision)]
+    #[allow(
+        clippy::excessive_precision,
+        reason = "the published coefficient set, digit for digit"
+    )]
     const COEFFICIENTS: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

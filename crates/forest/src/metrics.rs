@@ -57,7 +57,7 @@ impl ConfusionCounts {
 /// # Errors
 ///
 /// Returns [`ForestError::InvalidMetricInput`] if the slices differ in length, are
-/// empty, or contain only one class.
+/// empty, contain only one class, or a score is NaN or infinite.
 ///
 /// # Example
 ///
@@ -80,6 +80,13 @@ pub fn auc(scores: &[f32], labels: &[bool]) -> Result<f32> {
     }
     if scores.is_empty() {
         return Err(ForestError::InvalidMetricInput("empty score set".into()));
+    }
+    // The ranking below is a total order only over finite scores.
+    if let Some(index) = scores.iter().position(|s| !s.is_finite()) {
+        return Err(ForestError::InvalidMetricInput(format!(
+            "score {index} is {}",
+            scores[index]
+        )));
     }
     let positives = labels.iter().filter(|l| **l).count();
     let negatives = labels.len() - positives;
@@ -180,6 +187,16 @@ mod tests {
         assert!(auc(&[0.5], &[true, false]).is_err());
         assert!(auc(&[], &[]).is_err());
         assert!(auc(&[0.5, 0.6], &[true, true]).is_err());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let scores = [0.9, bad, 0.1, 0.2];
+            assert!(
+                matches!(
+                    auc(&scores, &[true, true, false, false]),
+                    Err(ForestError::InvalidMetricInput(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -74,8 +74,8 @@ impl DecisionTree {
     ///
     /// # Errors
     ///
-    /// Returns [`ForestError::InvalidTrainingData`] if the inputs are empty or have
-    /// mismatched lengths.
+    /// Returns [`ForestError::InvalidTrainingData`] if the inputs are empty, have
+    /// mismatched lengths, or a feature is NaN or infinite.
     pub fn fit(
         features: &[Vec<f32>],
         labels: &[bool],
@@ -158,7 +158,8 @@ impl RandomForest {
     /// # Errors
     ///
     /// Returns [`ForestError::InvalidTrainingData`] if the inputs are empty,
-    /// mismatched, or the configuration requests zero trees.
+    /// mismatched, hold a NaN or infinite feature, or the configuration
+    /// requests zero trees.
     pub fn fit(features: &[Vec<f32>], labels: &[bool], config: &ForestConfig) -> Result<Self> {
         validate(features, labels)?;
         if config.num_trees == 0 {
@@ -254,6 +255,15 @@ fn validate(features: &[Vec<f32>], labels: &[bool]) -> Result<()> {
         return Err(ForestError::InvalidTrainingData(
             "feature rows have inconsistent widths".into(),
         ));
+    }
+    // Split search sorts feature values, a total order only over finite ones.
+    if let Some(row) = features
+        .iter()
+        .position(|row| row.iter().any(|v| !v.is_finite()))
+    {
+        return Err(ForestError::InvalidTrainingData(format!(
+            "feature row {row} holds a non-finite value"
+        )));
     }
     Ok(())
 }
@@ -440,6 +450,24 @@ mod tests {
             }
         )
         .is_err());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let features = [vec![0.1, 0.2], vec![0.3, bad], vec![0.5, 0.6]];
+            let labels = [true, false, true];
+            assert!(
+                matches!(
+                    DecisionTree::fit(&features, &labels, &TreeConfig::default(), &mut rng),
+                    Err(ForestError::InvalidTrainingData(_))
+                ),
+                "{bad}"
+            );
+            assert!(
+                matches!(
+                    RandomForest::fit(&features, &labels, &ForestConfig::default()),
+                    Err(ForestError::InvalidTrainingData(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ptolemy_lint::{runner, Config};
+use ptolemy_lint::runner;
 
 const USAGE: &str = "\
 ptolemy-lint — offline workspace invariant lints
@@ -18,8 +18,6 @@ USAGE:
 OPTIONS:
     --json             emit the machine-readable JSON report instead of text
     --root <dir>       workspace root to scan (default: current directory)
-    --config <file>    lint config (default: <root>/lint.toml; defaults apply
-                       if the file does not exist)
     --list             list the registered lints and exit
     -h, --help         show this help
 
@@ -40,15 +38,11 @@ fn main() -> ExitCode {
 fn cli(args: Vec<String>) -> Result<ExitCode, String> {
     let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--root" => root = PathBuf::from(iter.next().ok_or("--root needs a directory")?),
-            "--config" => {
-                config_path = Some(PathBuf::from(iter.next().ok_or("--config needs a file")?));
-            }
             "--list" => {
                 for (name, guards) in ptolemy_lint::LINTS {
                     println!("{name}\n    {guards}");
@@ -62,9 +56,7 @@ fn cli(args: Vec<String>) -> Result<ExitCode, String> {
             other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
         }
     }
-    let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let config = Config::load(&config_path)?;
-    let report = runner::run(&root, &config)?;
+    let report = runner::run(&root)?;
     if json {
         print!("{}", report.render_json());
     } else {

@@ -1,22 +1,12 @@
 //! Idiomatic look-alikes that must produce **zero** findings: the lints match
-//! token adjacency, so strings, comments, documented unsafe, bounded channels
-//! and `#[cfg(test)]` regions are all fine.
+//! token adjacency, so strings, comments, bit comparisons, widening casts and
+//! `#[cfg(test)]` regions are all fine.
 
-//! A doc comment mentioning std::thread::available_parallelism() is not a call.
-
-fn bounded_handoff() {
-    // sync_channel is the sanctioned bounded handoff.
-    let (_tx, _rx) = std::sync::mpsc::sync_channel::<u32>(1);
-}
+//! A doc comment mentioning `x as i8` and `a == 0.5` is not code.
 
 fn message() -> &'static str {
     // The forbidden phrases inside literals are data, not code:
-    "call channel() or unwrap() or panic!() — none of these count"
-}
-
-fn graceful(input: Option<u32>) -> u32 {
-    // unwrap_or / unwrap_or_else are the non-panicking cousins.
-    input.unwrap_or_else(|| 0)
+    "compare a == 1.0 or cast as u8 — none of these count"
 }
 
 fn bits_equal(a: f32, b: f32) -> bool {
@@ -28,18 +18,6 @@ fn int_compare(a: usize, b: usize) -> bool {
     a == b
 }
 
-fn documented(ptr: *const u8) -> u8 {
-    // SAFETY: the caller guarantees `ptr` points at a live, aligned byte.
-    unsafe { *ptr }
-}
-
-fn clock_timing(clock: &ptolemy_obs::Clock) -> u64 {
-    // now_ns() on a Clock is the sanctioned timing read; other now()s
-    // (SystemTime::now()) are not Instant and stay legal.
-    let _wall = std::time::SystemTime::now();
-    clock.now_ns()
-}
-
 fn widening_casts_are_fine(x: i8, y: u8) -> (i32, u32, i8) {
     // Widening `as i32` / `as u32` and the checked conversions never lose
     // information; only `as i8` / `as u8` narrowing is policed.
@@ -49,36 +27,31 @@ fn widening_casts_are_fine(x: i8, y: u8) -> (i32, u32, i8) {
     (wide, wider, checked)
 }
 
-fn cast_in_string() -> &'static str {
-    // The phrase inside a literal is data, not a cast:
-    "quantize with `as i8` only inside crates/tensor/src/quant.rs"
-}
-
 fn range_not_float() -> u32 {
     // `1..8` must lex as ints + range, never as a float comparison operand.
     (1..8).sum()
 }
 
-fn gated_fan_out(items: &[u32]) -> Vec<u32> {
-    // The work-gated primitives are the sanctioned way to use more cores; a
-    // local that happens to be called `scope` or `spawn` is just a name.
-    let scope = items.len();
-    let spawn = scope * 2;
-    ptolemy_tensor::parallel::par_map(items, spawn, |x| x + 1)
+fn ordering_is_not_equality(a: f32) -> bool {
+    // `<=` and `=>` are not `==`.
+    match a <= 0.5 {
+        true => a >= -0.5,
+        false => false,
+    }
+}
+
+#[cfg(test)]
+fn test_only_helper() -> u8 {
+    // A whole test-only item is legal, and test code may cast freely.
+    300u32 as u8
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn threads_are_fine_in_tests() {
-        assert_eq!(std::thread::spawn(|| 3).join().ok(), Some(3));
-    }
-
-    #[test]
-    fn unwraps_are_fine_in_tests() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3);
+    fn floats_and_casts_are_fine_in_tests() {
         let nan = f32::NAN;
         assert!(!(nan == nan));
+        assert_eq!(-1i32 as u8, 255);
     }
 }

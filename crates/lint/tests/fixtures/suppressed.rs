@@ -1,13 +1,13 @@
 //! Violations carrying well-formed `lint:allow` suppressions — each names the
 //! lint and gives a reason, so the file must produce **zero** findings.
 
-fn trailing(input: Option<u32>) -> u32 {
-    input.unwrap() // lint:allow(panic-in-worker): fixture demonstrates trailing form
+fn trailing(word: u32) -> u8 {
+    (word & 0xFF) as u8 // lint:allow(raw-numeric-cast): fixture demonstrates trailing form
 }
 
-fn line_above(input: Option<u32>) -> u32 {
-    // lint:allow(panic-in-worker): fixture demonstrates the line-above form
-    input.unwrap()
+fn line_above(word: u32) -> u8 {
+    // lint:allow(raw-numeric-cast): fixture demonstrates the line-above form
+    (word >> 24) as u8
 }
 
 fn sentinel(a: f32) -> bool {
@@ -15,22 +15,13 @@ fn sentinel(a: f32) -> bool {
     a == 0.0
 }
 
-fn deliberate_todo() {
-    // lint:allow(todo-marker): fixture demonstrates suppressing the marker
-    todo!()
+fn both(a: f32, word: u32) -> bool {
+    // lint:allow(float-eq, raw-numeric-cast): one marker may name several lints
+    a != 1.0 && word as u8 > 0
 }
 
-fn sanctioned_clock_source() {
-    // lint:allow(raw-instant): fixture stands in for the Clock's own OS read
-    let _epoch = std::time::Instant::now();
-}
-
-fn field_encoding(word: u32) -> u8 {
-    // lint:allow(raw-numeric-cast): fixture stands in for an ISA word-field mask
-    (word & 0xFF) as u8
-}
-
-fn sanctioned_service_thread() {
-    // lint:allow(raw-thread-spawn): fixture stands in for a server's worker start-up
-    let _worker = std::thread::spawn(|| ());
+fn sanctioned_hook(flag: &std::sync::atomic::AtomicBool) {
+    // lint:allow(test-hook-in-prod): fixture demonstrates suppressing the hook
+    #[cfg(test)]
+    flag.store(false, std::sync::atomic::Ordering::SeqCst);
 }

@@ -1,11 +1,11 @@
-//! The self-check: the real workspace, scanned under the checked-in
-//! `lint.toml`, must be violation-free.  This is what keeps the CI gate from
-//! silently rotting — a new violation (or a lint regression that suddenly
-//! misfires on existing code) fails `cargo test` before it fails CI.
+//! The self-check: the real workspace must be violation-free.  This is what
+//! keeps the CI gate from silently rotting — a new violation (or a lint
+//! regression that suddenly misfires on existing code) fails `cargo test`
+//! before it fails CI.
 
 use std::path::PathBuf;
 
-use ptolemy_lint::{runner, Config};
+use ptolemy_lint::runner;
 
 #[test]
 fn real_workspace_has_no_violations() {
@@ -18,8 +18,7 @@ fn real_workspace_has_no_violations() {
         "expected the workspace root at {}",
         root.display()
     );
-    let config = Config::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let report = runner::run(&root, &config).expect("scan succeeds");
+    let report = runner::run(&root).expect("scan succeeds");
     assert!(
         report.files_scanned > 50,
         "suspiciously small scan ({} files) — did the roots move?",

@@ -68,7 +68,10 @@ impl Conv2d {
     ///
     /// Returns [`NnError::InvalidConfig`] for zero channel counts and propagates
     /// geometry errors (kernel larger than the padded input, zero stride).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the constructor takes the convolution's full geometry"
+    )]
     pub fn new(
         in_channels: usize,
         out_channels: usize,

@@ -76,7 +76,10 @@ impl Residual {
 
     /// The body split into the layers before the last one and the last one.
     fn split_body(&self) -> (&[Box<dyn Layer>], &dyn Layer) {
-        // lint:allow(panic-in-worker): an empty body is rejected at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "an empty body is rejected at construction"
+        )]
         let (last, head) = self.body.split_last().expect("non-empty");
         (head, last.as_ref())
     }

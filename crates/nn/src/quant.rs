@@ -62,7 +62,7 @@
 
 use std::sync::Arc;
 
-use ptolemy_tensor::gemm_i8::{matmul_i8_parallel, matmul_i8_parallel_nt};
+use ptolemy_tensor::gemm_i8::matmul_i8_parallel;
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
 use ptolemy_tensor::{im2col_i8_batch, Conv2dGeometry, Tensor};
 
@@ -71,7 +71,7 @@ use crate::{ForwardProvider, Layer, LayerKind, Network, NnError, Result, TraceSi
 /// What a slot's weight matrix multiplies.
 #[derive(Debug, Clone)]
 enum QuantShape {
-    /// Dense: `qweight` is `[outputs, inputs]`.
+    /// Dense: `qweight` is `Wᵀ`, `[inputs, outputs]`.
     Dense { inputs: usize, outputs: usize },
     /// Conv2d: `qweight` is `[out_channels, patch_len]`.
     Conv {
@@ -112,8 +112,15 @@ impl QuantSlot {
             _ => return None,
         };
         let wparams = QuantParams::from_max_abs(tensor_max_abs(weight));
+        let qweight = match shape {
+            // Transposed once here, so every batch runs the plain `A · B` GEMM.
+            QuantShape::Dense { .. } => {
+                quantize_slice(weight.transpose().ok()?.as_slice(), wparams)
+            }
+            QuantShape::Conv { .. } => quantize_slice(weight.as_slice(), wparams),
+        };
         Some(QuantSlot {
-            qweight: quantize_slice(weight.as_slice(), wparams),
+            qweight,
             bias: bias.as_slice().to_vec(),
             act,
             scale: act.scale() * wparams.scale(),
@@ -130,7 +137,7 @@ impl QuantSlot {
         match &self.shape {
             QuantShape::Dense { inputs, outputs } => {
                 let qx = quantize_slice(samples.as_slice(), self.act);
-                let acc = matmul_i8_parallel_nt(&qx, qweight, batch, *inputs, *outputs)?;
+                let acc = matmul_i8_parallel(&qx, qweight, batch, *inputs, *outputs)?;
                 let mut out = vec![0.0f32; batch * outputs];
                 for (orow, arow) in out.chunks_mut(*outputs).zip(acc.chunks(*outputs)) {
                     for ((o, a), b) in orow.iter_mut().zip(arow).zip(&self.bias) {

@@ -251,10 +251,13 @@ impl ForwardTrace {
     }
 
     /// Final network output (logits).
+    #[expect(
+        clippy::expect_used,
+        reason = "forward_trace always records >= 2 boundaries"
+    )]
     pub fn logits(&self) -> &Tensor {
         self.activations
             .last()
-            // lint:allow(panic-in-worker): forward_trace always records >= 2 boundaries
             .expect("a trace holds at least two boundaries")
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Every timing measurement in the workspace flows through a [`Clock`] so that
 //! (a) tests can substitute a manually-advanced source and make latency paths
-//! deterministic, and (b) the `raw-instant` lint can forbid bare
-//! `std::time::Instant::now()` everywhere else.  This module is the single
-//! sanctioned call site (see `lint.toml`).
+//! deterministic, and (b) the `raw-instant` rule (clippy's
+//! `disallowed-methods`, see `clippy.toml`) can forbid bare
+//! `std::time::Instant::now()` everywhere else.  [`Clock::monotonic`] is the
+//! single sanctioned call site.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -33,9 +34,12 @@ enum Source {
 impl Clock {
     /// A clock backed by the OS monotonic clock; `now_ns` is the elapsed time
     /// since this constructor ran.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Clock is the sanctioned wrapper: the one place the workspace reads the OS clock"
+    )]
     pub fn monotonic() -> Clock {
         Clock {
-            // lint:allow(raw-instant): the Clock is the sanctioned wrapper — the one place the workspace reads the OS clock
             source: Source::Monotonic(Instant::now()),
         }
     }

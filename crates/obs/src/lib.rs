@@ -9,7 +9,7 @@
 //! and how it drifts between commits.  This crate supplies the four pieces:
 //!
 //! * [`Clock`] — monotonic nanoseconds behind a swappable source, so tests
-//!   can script time ([`Clock::manual`]) and the `raw-instant` lint can ban
+//!   can script time ([`Clock::manual`]) and the `raw-instant` rule can ban
 //!   bare `std::time::Instant::now()` everywhere else;
 //! * [`Histogram`] — mergeable log-bucketed latency histograms with bounded
 //!   memory, exact bucket counts, and percentiles clamped to the recorded

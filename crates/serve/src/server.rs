@@ -684,6 +684,10 @@ fn worker_loop(shared: &Shared) {
     // pile up unboundedly.  When the channel is full the sliver runs inline
     // (counted as a serial batch), which keeps the worker making progress even
     // when tier 2 is the bottleneck.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the serving runtime's long-lived service threads: each worker's escalator starts here"
+    )]
     std::thread::scope(|scope| {
         let escalator = (!shared.escalate.is_empty()).then(|| {
             let (tx, rx) = std::sync::mpsc::sync_channel::<EscalationJob>(1);
@@ -1540,6 +1544,10 @@ impl ServerBuilder {
             fallback_clock: Clock::monotonic(),
             snapshot_path,
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serving runtime's long-lived service threads: the workers start here"
+        )]
         let workers = (0..self.workers)
             .map(|i| {
                 let shared = shared.clone();
@@ -1549,6 +1557,10 @@ impl ServerBuilder {
                     .map_err(|e| ServeError::InvalidConfig(format!("failed to spawn worker: {e}")))
             })
             .collect::<Result<Vec<_>>>()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serving runtime's long-lived service threads: the metrics monitor starts here"
+        )]
         let monitor = match snapshot_interval {
             Some(interval) => {
                 let shared = shared.clone();
@@ -1611,6 +1623,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests use unbounded channels to plug a worker and read the wall clock to bound a poll"
+)]
 mod tests {
     use super::*;
     use std::sync::mpsc;

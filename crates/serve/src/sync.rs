@@ -12,7 +12,7 @@
 //!
 //! These helpers are the **only** place the workspace recovers poisoned
 //! guards; everything else goes through them (enforced by convention and kept
-//! honest by the `panic-in-worker` lint, which rejects bare `unwrap`).
+//! honest by clippy's `unwrap_used`, which rejects bare `unwrap`).
 
 use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 use std::time::Duration;
@@ -45,6 +45,10 @@ pub(crate) fn wait_timeout<'a, T>(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests spawn a thread to poison a mutex"
+)]
 mod tests {
     use super::*;
     use std::sync::{Arc, Condvar, Mutex};

@@ -10,8 +10,8 @@
 //! associative and the i8·i8→i32 accumulation is **exact** (no rounding,
 //! ever, and no `-0` or non-finite value to observe), so this kernel has full
 //! freedom to reorder `k`, split panels, skip zero terms or not — any
-//! schedule produces the same i32s as the naive [`crate::quant::matmul_i8`] /
-//! [`crate::quant::matmul_i8_nt`] loops.  Its `a == 0` skips are therefore
+//! schedule produces the same i32s as the naive [`crate::quant::matmul_i8`]
+//! loop.  Its `a == 0` skips are therefore
 //! speed choices, not a second contract.  Parity is by exactness, not by order replication; the proptest
 //! suite in `tests/proptests.rs` pins it across shapes, sparsity and the
 //! `i8::MIN` extreme anyway.
@@ -81,19 +81,9 @@ fn microkernel_i8(kc: usize, a: &[i8], b: &[i8], c: &mut [i32], ldc: usize, mr: 
     }
 }
 
-/// Packs `kc x jw` of B (starting at `(k0, j0)`) into `NR`-column micro-panels,
-/// zero-padding the last panel.  With `TRANS`, B is `[n, k]` row-major and
-/// element `(kk, j)` reads `b[j * ldb + kk]` — the pack does the transpose,
-/// so callers never materialise Bᵀ.
-fn pack_b_i8<const TRANS: bool>(
-    b: &[i8],
-    ldb: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    jw: usize,
-    into: &mut [i8],
-) {
+/// Packs `kc x jw` of B (starting at `(k0, j0)`, row stride `ldb`) into
+/// `NR`-column micro-panels, zero-padding the last panel.
+fn pack_b_i8(b: &[i8], ldb: usize, k0: usize, kc: usize, j0: usize, jw: usize, into: &mut [i8]) {
     for (panel, jr) in (0..jw).step_by(NR).enumerate() {
         let nr = NR.min(jw - jr);
         let dst = &mut into[panel * kc * NR..(panel + 1) * kc * NR];
@@ -101,14 +91,7 @@ fn pack_b_i8<const TRANS: bool>(
             dst.fill(0);
         }
         for k in 0..kc {
-            let row = &mut dst[k * NR..k * NR + nr];
-            if TRANS {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = b[(j0 + jr + j) * ldb + k0 + k];
-                }
-            } else {
-                row.copy_from_slice(&b[(k0 + k) * ldb + j0 + jr..][..nr]);
-            }
+            dst[k * NR..k * NR + nr].copy_from_slice(&b[(k0 + k) * ldb + j0 + jr..][..nr]);
         }
     }
 }
@@ -131,30 +114,22 @@ fn pack_a_i8(a: &[i8], lda: usize, i0: usize, mc: usize, k0: usize, kc: usize, i
     }
 }
 
-/// The blocked integer GEMM driver: accumulates `A · op(B)` into `out`
+/// The blocked integer GEMM driver: accumulates `A · B` into `out`
 /// (row-major `[m, n]` i32, caller-initialised — zeros for both public entry
 /// points).  Panel order is a pure cache choice; exact i32 accumulation makes
 /// every schedule produce identical results.
-fn gemm_i8_into<const TRANS_B: bool>(
-    out: &mut [i32],
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+fn gemm_i8_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let kc_max = KC.min(k);
     let mut apack = vec![0i8; MC.min(m).next_multiple_of(MR) * kc_max];
     let mut bpack = vec![0i8; NC.min(n).next_multiple_of(NR) * kc_max];
-    let ldb = if TRANS_B { k } else { n };
     for j0 in (0..n).step_by(NC) {
         let jw = NC.min(n - j0);
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            pack_b_i8::<TRANS_B>(b, ldb, k0, kc, j0, jw, &mut bpack);
+            pack_b_i8(b, n, k0, kc, j0, jw, &mut bpack);
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 pack_a_i8(a, k, i0, mc, k0, kc, &mut apack);
@@ -198,22 +173,6 @@ fn naive_i8_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usi
     }
 }
 
-/// Naive dot-product reference loop (the [`crate::quant::matmul_i8_nt`]
-/// body), used below the blocking threshold; accumulates on top of `out` like
-/// the blocked driver.
-fn naive_i8_nt_into(out: &mut [i32], a: &[i8], b: &[i8], k: usize, n: usize) {
-    for (s, orow) in out.chunks_mut(n).enumerate() {
-        let arow = &a[s * k..(s + 1) * k];
-        for (o, brow) in orow.iter_mut().zip(b.chunks(k)) {
-            let mut acc = *o;
-            for (av, bv) in arow.iter().zip(brow) {
-                acc += i32::from(*av) * i32::from(*bv);
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// Blocked integer product `A [m, k] · B [k, n]` accumulated on top of the
 /// caller's `out` (both size paths).  Into a zeroed buffer it equals
 /// [`crate::quant::matmul_i8`] by exactness.
@@ -224,22 +183,7 @@ fn matmul_i8_blocked_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usiz
     if m * n * k <= SMALL_IOPS {
         naive_i8_into(out, a, b, m, k, n);
     } else {
-        gemm_i8_into::<false>(out, a, b, m, k, n);
-    }
-}
-
-/// Blocked integer product `A [m, k] · Bᵀ` (B is `[n, k]` row-major, packed
-/// transposed on the fly) accumulated on top of the caller's `out` (both
-/// size paths).  Into a zeroed buffer it equals
-/// [`crate::quant::matmul_i8_nt`] by exactness.
-fn matmul_i8_blocked_nt_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    if m * n * k <= SMALL_IOPS {
-        naive_i8_nt_into(out, a, b, k, n);
-    } else {
-        gemm_i8_into::<true>(out, a, b, m, k, n);
+        gemm_i8_into(out, a, b, m, k, n);
     }
 }
 
@@ -256,21 +200,6 @@ pub fn matmul_i8_blocked(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Re
     check_i8_dims(a.len(), b.len(), [m, k], [k, n], "matmul_i8_blocked")?;
     let mut out = vec![0i32; m * n];
     matmul_i8_blocked_into(&mut out, a, b, m, k, n);
-    Ok(out)
-}
-
-/// Blocked integer GEMM against a transposed right operand: `A [m, k] · Bᵀ`
-/// where `B` is `[n, k]` row-major (the quantized dense kernel's natural
-/// weight layout) — bit-for-bit equal to [`crate::quant::matmul_i8_nt`].
-///
-/// # Errors
-///
-/// Returns [`crate::TensorError::IncompatibleShapes`] if the slice lengths do
-/// not match the stated dimensions.
-pub fn matmul_i8_blocked_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    check_i8_dims(a.len(), b.len(), [m, k], [n, k], "matmul_i8_blocked_nt")?;
-    let mut out = vec![0i32; m * n];
-    matmul_i8_blocked_nt_into(&mut out, a, b, m, k, n);
     Ok(out)
 }
 
@@ -301,35 +230,10 @@ pub fn matmul_i8_parallel(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> R
     Ok(out)
 }
 
-/// Row-parallel blocked integer GEMM `A · Bᵀ` (B `[n, k]` row-major): the
-/// quantized batched-dense kernel, partitioning the batch rows of `A` at the
-/// same work gate.  Equal to [`matmul_i8_blocked_nt`] by exactness.
-///
-/// # Errors
-///
-/// Returns [`crate::TensorError::IncompatibleShapes`] if the slice lengths do
-/// not match the stated dimensions.
-pub fn matmul_i8_parallel_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    check_i8_dims(a.len(), b.len(), [m, k], [n, k], "matmul_i8_parallel_nt")?;
-    let mut out = vec![0i32; m * n];
-    par_row_chunks(&mut out, m, n, m * k * n, |first_row, chunk| {
-        let rows = chunk.len() / n.max(1);
-        matmul_i8_blocked_nt_into(
-            chunk,
-            &a[first_row * k..(first_row + rows) * k],
-            b,
-            rows,
-            k,
-            n,
-        );
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{matmul_i8, matmul_i8_nt};
+    use crate::quant::matmul_i8;
     use crate::Rng64;
 
     fn random_i8(len: usize, rng: &mut Rng64, zero_every: usize) -> Vec<i8> {
@@ -362,7 +266,6 @@ mod tests {
         ] {
             let a = random_i8(m * k, &mut rng, 5);
             let b = random_i8(k * n, &mut rng, 0);
-            let bt = random_i8(n * k, &mut rng, 3);
             assert_eq!(
                 matmul_i8_blocked(&a, &b, m, k, n).unwrap(),
                 matmul_i8(&a, &b, m, k, n).unwrap(),
@@ -373,22 +276,11 @@ mod tests {
                 matmul_i8(&a, &b, m, k, n).unwrap(),
                 "parallel ({m},{k},{n})"
             );
-            assert_eq!(
-                matmul_i8_blocked_nt(&a, &bt, m, k, n).unwrap(),
-                matmul_i8_nt(&a, &bt, m, k, n).unwrap(),
-                "nt ({m},{k},{n})"
-            );
-            assert_eq!(
-                matmul_i8_parallel_nt(&a, &bt, m, k, n).unwrap(),
-                matmul_i8_nt(&a, &bt, m, k, n).unwrap(),
-                "parallel nt ({m},{k},{n})"
-            );
         }
     }
 
-    /// Both `_into` entry points accumulate on top of a non-zero `out` on
-    /// either side of `SMALL_IOPS` — the naive small path used to overwrite
-    /// it in the NT case.
+    /// The `_into` entry point accumulates on top of a non-zero `out` on
+    /// either side of `SMALL_IOPS`.
     #[test]
     fn into_accumulates_on_both_size_paths() {
         let mut rng = Rng64::new(23);
@@ -397,7 +289,6 @@ mod tests {
             assert_eq!(small, m == 2, "({m},{k},{n}) straddles SMALL_IOPS");
             let a = random_i8(m * k, &mut rng, 5);
             let b = random_i8(k * n, &mut rng, 0);
-            let bt = random_i8(n * k, &mut rng, 3);
             let prior: Vec<i32> = (0..m * n).map(|i| i as i32 * 7 - 50).collect();
             let plus = |product: Vec<i32>| -> Vec<i32> {
                 prior.iter().zip(product).map(|(p, v)| p + v).collect()
@@ -409,14 +300,6 @@ mod tests {
                 out,
                 plus(matmul_i8(&a, &b, m, k, n).unwrap()),
                 "({m},{k},{n})"
-            );
-
-            let mut out_nt = prior.clone();
-            matmul_i8_blocked_nt_into(&mut out_nt, &a, &bt, m, k, n);
-            assert_eq!(
-                out_nt,
-                plus(matmul_i8_nt(&a, &bt, m, k, n).unwrap()),
-                "nt ({m},{k},{n})"
             );
         }
     }
@@ -430,8 +313,6 @@ mod tests {
         let b = vec![i8::MIN; k];
         let out = matmul_i8_blocked(&a, &b, 1, k, 1).unwrap();
         assert_eq!(out, vec![16384 * k as i32]);
-        let out_nt = matmul_i8_blocked_nt(&a, &b, 1, k, 1).unwrap();
-        assert_eq!(out_nt, vec![16384 * k as i32]);
     }
 
     #[test]
@@ -439,8 +320,6 @@ mod tests {
         let a = vec![0i8; 6];
         let b = vec![0i8; 6];
         assert!(matmul_i8_blocked(&a, &b, 2, 2, 2).is_err());
-        assert!(matmul_i8_blocked_nt(&a, &b, 3, 3, 2).is_err());
         assert!(matmul_i8_parallel(&a, &b, 2, 2, 2).is_err());
-        assert!(matmul_i8_parallel_nt(&a, &b, 3, 3, 2).is_err());
     }
 }

@@ -89,10 +89,13 @@ thread_local! {
 /// The std lookup re-reads cgroup state on Linux — microseconds per call, far
 /// too slow to query per GEMM or per layer on hot paths, so the whole
 /// workspace shares this single cached read.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the cached accessor itself primes the cache"
+)]
 pub fn available_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
-        // lint:allow(direct-available-parallelism): the cached accessor itself primes the cache
         thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
@@ -200,6 +203,10 @@ fn reserve(parts: usize, work: usize) -> Option<Reservation> {
 ///
 /// A panicking task resurfaces on the caller with its original payload once
 /// every helper has been joined; the claimed threads are released either way.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one data-parallel spawn site: it gates on work and counts the claimed cores"
+)]
 pub fn fork_join<T, R, S, F>(parts: usize, work: usize, split: S, run: F) -> Vec<R>
 where
     T: Send,
@@ -328,6 +335,10 @@ pub fn with_forced_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare against std's own parallelism lookup and probe the gate from a second thread"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

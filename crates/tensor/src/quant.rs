@@ -128,30 +128,6 @@ pub fn matmul_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec
     Ok(out)
 }
 
-/// Integer GEMM against a transposed right operand: `A [m, k] · Bᵀ` where `B`
-/// is `[n, k]` row-major — the quantized dense kernel (`B` is the weight
-/// matrix in its natural layout).  Accumulated exactly in i32.
-///
-/// # Errors
-///
-/// Returns [`TensorError::IncompatibleShapes`] if the slice lengths do not
-/// match the stated dimensions.
-pub fn matmul_i8_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    check_i8_dims(a.len(), b.len(), [m, k], [n, k], "matmul_i8_nt")?;
-    let mut out = vec![0i32; m * n];
-    for (s, orow) in out.chunks_mut(n).enumerate() {
-        let arow = &a[s * k..(s + 1) * k];
-        for (o, brow) in orow.iter_mut().zip(b.chunks(k)) {
-            let mut acc = 0i32;
-            for (av, bv) in arow.iter().zip(brow) {
-                acc += i32::from(*av) * i32::from(*bv);
-            }
-            *o = acc;
-        }
-    }
-    Ok(out)
-}
-
 /// Convenience: max-abs of a tensor's elements.
 #[must_use]
 pub fn tensor_max_abs(t: &Tensor) -> f32 {
@@ -203,11 +179,7 @@ mod tests {
         // A [2,3] · B [3,2]
         let c = matmul_i8(&a, &b, 2, 3, 2).unwrap();
         assert_eq!(c, vec![-44, 8, 111, -22]);
-        // A [2,3] · Bt where B is [2,3]: B rows are (7,-8,9), (10,-11,12).
-        let c_nt = matmul_i8_nt(&a, &b, 2, 3, 2).unwrap();
-        assert_eq!(c_nt, vec![50, 68, -94, -127]);
         assert!(matmul_i8(&a, &b, 2, 2, 2).is_err());
-        assert!(matmul_i8_nt(&a, &b, 3, 3, 2).is_err());
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //! unrepresentable, 1}, M/N that are not multiples of the register tile, and
 //! skinny row/column-vector products.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers and proptest! bodies unwrap; a failure there fails the test"
+)]
+
 use proptest::prelude::*;
-use ptolemy_tensor::gemm_i8::matmul_i8_parallel_nt;
-use ptolemy_tensor::quant::{dequantize_slice, matmul_i8, matmul_i8_nt};
+use ptolemy_tensor::quant::{dequantize_slice, matmul_i8};
 use ptolemy_tensor::{
     col2im, conv2d_backward_input, conv2d_backward_params, conv2d_forward, gemm_nn_into, im2col,
-    matmul_blocked, matmul_i8_blocked, matmul_i8_blocked_nt, matmul_i8_parallel, matmul_parallel,
-    quantize_slice, Conv2dGeometry, PackedWeights, QuantParams, Rng64, Tensor,
+    matmul_blocked, matmul_i8_blocked, matmul_i8_parallel, matmul_parallel, quantize_slice,
+    Conv2dGeometry, PackedWeights, QuantParams, Rng64, Tensor,
 };
 
 /// Runs the row-parallel entry points three threads wide: these shapes sit
@@ -359,21 +363,9 @@ proptest! {
         let naive = matmul_i8(&a, &b, m, k, n).unwrap();
         prop_assert_eq!(&matmul_i8_blocked(&a, &b, m, k, n).unwrap(), &naive);
         prop_assert_eq!(&fanned(|| matmul_i8_parallel(&a, &b, m, k, n)).unwrap(), &naive);
-
-        // The transposed-B entry points, against the same logical operands.
-        let mut bt = vec![0i8; n * k];
-        for kk in 0..k {
-            for j in 0..n {
-                bt[j * k + kk] = b[kk * n + j];
-            }
-        }
-        prop_assert_eq!(&matmul_i8_nt(&a, &bt, m, k, n).unwrap(), &naive);
-        prop_assert_eq!(&matmul_i8_blocked_nt(&a, &bt, m, k, n).unwrap(), &naive);
-        prop_assert_eq!(&fanned(|| matmul_i8_parallel_nt(&a, &bt, m, k, n)).unwrap(), &naive);
     }
 
-    /// The integer GEMMs agree with an exact i32 reference (and with each
-    /// other through a transpose).
+    /// The integer GEMM agrees with an exact i32 reference.
     #[test]
     fn integer_gemms_are_exact(
         m in 1usize..8,
@@ -385,21 +377,12 @@ proptest! {
         let a: Vec<i8> = (0..m * k).map(|_| rng.uniform(-127.0, 127.0) as i32 as i8).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.uniform(-127.0, 127.0) as i32 as i8).collect();
         let c = matmul_i8(&a, &b, m, k, n).unwrap();
-        // Bt view of b: bt[j][kk] = b[kk][j].
-        let mut bt = vec![0i8; n * k];
-        for kk in 0..k {
-            for j in 0..n {
-                bt[j * k + kk] = b[kk * n + j];
-            }
-        }
-        let c_nt = matmul_i8_nt(&a, &bt, m, k, n).unwrap();
         for i in 0..m {
             for j in 0..n {
                 let expected: i32 = (0..k)
                     .map(|kk| i32::from(a[i * k + kk]) * i32::from(b[kk * n + j]))
                     .sum();
                 prop_assert_eq!(c[i * n + j], expected);
-                prop_assert_eq!(c_nt[i * n + j], expected);
             }
         }
     }
@@ -417,13 +400,8 @@ fn blocked_i8_large_shape_with_min_saturation_matches_naive() {
     let naive = matmul_i8(&a, &b, m, k, n).unwrap();
     assert!(naive.iter().all(|&v| v == 128 * 128 * k as i32));
     assert_eq!(matmul_i8_blocked(&a, &b, m, k, n).unwrap(), naive);
-    assert_eq!(matmul_i8_blocked_nt(&a, &b, m, k, n).unwrap(), naive);
     assert_eq!(
         fanned(|| matmul_i8_parallel(&a, &b, m, k, n)).unwrap(),
-        naive
-    );
-    assert_eq!(
-        fanned(|| matmul_i8_parallel_nt(&a, &b, m, k, n)).unwrap(),
         naive
     );
 }

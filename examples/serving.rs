@@ -13,6 +13,11 @@
 //! cargo run --release --example serving
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "example code: a missing forest is a setup bug"
+)]
+
 use std::sync::Arc;
 
 use ptolemy::prelude::*;

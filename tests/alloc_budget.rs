@@ -40,27 +40,27 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 // upholds the `GlobalAlloc` contract; the counter is an atomic that touches no
 // allocated memory and never allocates itself.
 unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's `layout` goes to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: the caller's `layout` goes to `System` unchanged.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: as for `alloc`: the call goes to `System` unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        // SAFETY: as for `alloc`: the call goes to `System` unchanged.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: as for `alloc`: the call goes to `System` unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: as for `alloc`: the call goes to `System` unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: as for `alloc`: the call goes to `System` unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: as for `alloc`: the call goes to `System` unchanged.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

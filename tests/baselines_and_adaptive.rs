@@ -2,6 +2,11 @@
 //! white-box adaptive attack, exercised against the same trained victims the
 //! Ptolemy detector uses.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers outside #[test] fns unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use ptolemy::accel::HardwareConfig;

@@ -14,6 +14,11 @@
 //! windows), and a training step must drop the packed weight panels a
 //! convolution cached for its previous weights.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers and proptest! bodies unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use std::sync::{Arc, OnceLock};

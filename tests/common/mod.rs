@@ -1,4 +1,11 @@
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary uses its own subset of these fixtures"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is the assertion"
+)]
 
 //! Shared fixtures for the cross-crate integration tests: a small trained victim
 //! network plus its dataset, sized so every test file stays fast.

@@ -2,6 +2,11 @@
 //! across every canned program variant, fingerprint validation at build time,
 //! threshold plumbing, and the modelled cost of the program an engine runs.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers and proptest! bodies unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use std::sync::{Arc, OnceLock};

@@ -23,6 +23,12 @@
 //! The networks are untrained and labelled with their own predictions: what
 //! is pinned is where a value is rejected, not what a trained model decides.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns unwrap and panic; a failure there fails the test"
+)]
+
 use std::sync::Arc;
 
 use ptolemy::attacks::{AdaptiveAttack, AdaptiveConfig, AttackError};

@@ -6,6 +6,16 @@
 //! coming back from the cache, and the work-conserving cut on a clock that
 //! never moves.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns unwrap and call expect; a failure there fails the test"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests spawn threads, use unbounded channels and read the wall clock to force interleavings"
+)]
+
 mod common;
 
 use std::sync::mpsc::{channel, Sender};

@@ -2,6 +2,11 @@
 //! hold for arbitrary inputs and parameter settings, not just the hand-picked ones
 //! used elsewhere.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers and proptest! bodies unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use proptest::prelude::*;

@@ -9,6 +9,12 @@
 //! it — so all of them must agree bit for bit.  The counting-layer tests then
 //! pin the cost: the walk of a streamed detect runs no layer forward at all.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test helpers and proptest! bodies unwrap and panic; a failure there fails the test"
+)]
+
 mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -5,6 +5,16 @@
 //! resolves exactly once with its own input's result under arbitrary
 //! interleavings.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers and proptest! bodies unwrap and call expect; a failure there fails the test"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests spawn threads, use unbounded channels and read the wall clock to force interleavings"
+)]
+
 mod common;
 
 use std::sync::{Arc, OnceLock};

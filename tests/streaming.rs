@@ -8,6 +8,11 @@
 //! The suite also pins the memory guarantee: the streamed peak resident
 //! activation bytes stay strictly below what the materialized trace holds.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers and proptest! bodies unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use std::sync::{Arc, OnceLock};

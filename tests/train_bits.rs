@@ -10,6 +10,11 @@
 //! backward kernel, the trainer or an attack that moves a single bit fails
 //! here; a rewrite that keeps the arithmetic keeps every hash.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns call expect; a failure there fails the test"
+)]
+
 use ptolemy::attacks::{
     AdaptiveAttack, AdaptiveConfig, Attack, CarliniWagnerL2, DeepFool, Fgsm, Jsma,
 };

@@ -3,6 +3,11 @@
 //! reports, the ISA artifacts round-trip, and the hardware-side trade-offs
 //! (recompute, pipelining, provisioning) move the numbers in the right direction.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers outside #[test] fns unwrap; a failure there fails the test"
+)]
+
 mod common;
 
 use ptolemy::accel::{area_report, dram_space_report, HardwareConfig, Simulator};

@@ -8,6 +8,12 @@
 //! covered the moment the zoo builds it, whichever register-tile orientation
 //! its geometry takes.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns unwrap and call expect; a failure there fails the test"
+)]
+
 use ptolemy::nn::layer::Conv2d;
 use ptolemy::nn::{zoo, Layer, LayerKind, Network};
 use ptolemy::tensor::{im2col, Conv2dGeometry, Rng64, Tensor};
