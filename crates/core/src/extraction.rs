@@ -43,8 +43,8 @@
 //! # Cost of the reverse walk
 //!
 //! The walk reads partial sums off activations the inference already produced
-//! (paper Sec. III-A): per layer it asks for the decompositions of *all*
-//! currently-important outputs in one [`ptolemy_nn::Layer::contributions_many`]
+//! (paper Sec. III-A): per layer it asks for the partial sums of *all*
+//! currently-important outputs in one [`ptolemy_nn::Layer::partial_sums`]
 //! call and never runs a layer forward in the streaming pipelines — a residual
 //! block decomposes against the interior its own forward pass handed the sink.
 //! A [`ForwardTrace`] recorded by `Network::forward_trace` carries the same
@@ -52,13 +52,24 @@
 //! assembled from boundaries alone (`ForwardTrace::from_activations`) makes
 //! each block re-run its body head once per block, never per neuron.
 //!
-//! Nor does the walk allocate per neuron.  Every layer's decompositions go
-//! into one flat [`Decompositions`] buffer the walk owns (pass-through routes
-//! too), each neuron's partial sums are ranked by an arg-max scan over one
-//! reused scratch slice, and the union of contributors is a [`BitVec`] over
-//! the layer input — the path segment itself at an enabled layer — read back
-//! in ascending order.  The buffers grow to their high-water mark and are
-//! reused by every layer and every sample of a sub-batch
+//! The paper's `csps` → `sort` → `acum` (Listing 1) is one stream per
+//! neuron: the layer writes the neuron's partial sums as **values only** into
+//! one reused buffer — a convolution reads them through a per-geometry tap
+//! list of its window's clip class, a dense layer multiplies `x ⊙ W[neuron]`,
+//! a residual block appends its shortcut last — and [`Ranking`], the one
+//! ranking kernel, takes arg-maxes off that buffer in place: one branch-free
+//! 8-lane pass per pick, the pick set to `-∞`, and a sort of what is left
+//! after eight scans.  Only the picked positions are mapped back to input
+//! indices ([`ptolemy_nn::Sources`]); no index is stored per partial sum.
+//! Activation and reshape layers pass the important indices through
+//! untouched; pooling layers route them through one flat [`Decompositions`]
+//! buffer.  The union of contributors is a [`BitVec`] over the layer input —
+//! the path segment itself at an enabled layer — read back in ascending
+//! order.
+//!
+//! Nor does the walk allocate per neuron, per layer or per detect: its
+//! buffers live per thread, grow to their high-water mark and serve every
+//! layer, every sample of a sub-batch and every later walk on that thread
 //! (`tests/alloc_budget.rs` counts it).
 //!
 //! # Precision
@@ -70,7 +81,7 @@
 //! residual blocks run f32 and hand the sink the same interior a recompute
 //! would produce).
 
-use std::cmp::Ordering;
+use std::cell::RefCell;
 
 use ptolemy_nn::{
     predicted_class, Decompositions, ForwardProvider, ForwardTrace, Network, TraceSink,
@@ -79,7 +90,7 @@ use ptolemy_tensor::parallel::par_chunks;
 use ptolemy_tensor::Tensor;
 
 use crate::{
-    ActivationPath, BitVec, CoreError, DetectionProgram, Direction, Result, ThresholdKind,
+    ActivationPath, BitVec, CoreError, DetectionProgram, Direction, Ranking, Result, ThresholdKind,
 };
 
 /// Computes the `(network layer index, mask length)` layout of paths extracted with
@@ -99,8 +110,11 @@ pub fn path_layout(network: &Network, program: &DetectionProgram) -> Result<Vec<
 /// What an extraction walk does at one network layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LayerRole {
-    /// ReLU, pooling, flatten: importance is re-mapped to the layer's
-    /// `input_len` input indices.
+    /// ReLU, flatten: output `i` routes to input `i`, so the important
+    /// indices pass through unchanged.
+    Identity,
+    /// Pooling: importance is re-mapped to the layer's `input_len` input
+    /// indices.
     PassThrough { input_len: usize },
     /// A weight layer the program skips; a backward walk terminates here
     /// (early termination, Sec. VII-F).
@@ -143,7 +157,12 @@ impl ExtractionPlan {
         let mut layout = Vec::new();
         let mut roles = Vec::with_capacity(network.num_layers());
         for (layer_idx, layer) in network.layers().enumerate() {
-            if !layer.kind().is_weight_layer() {
+            let kind = layer.kind();
+            if kind.routes_by_identity() {
+                roles.push(LayerRole::Identity);
+                continue;
+            }
+            if !kind.is_weight_layer() {
                 roles.push(LayerRole::PassThrough {
                     input_len: layer.input_len(),
                 });
@@ -217,7 +236,8 @@ impl ExtractionPlan {
         }
         match self.direction {
             Direction::Backward => {
-                WalkScratch::default().walk(network, self, trace, trace.predicted_class()?)
+                let predicted = trace.predicted_class()?;
+                WalkScratch::with(|scratch| scratch.walk(network, self, trace, predicted))
             }
             Direction::Forward => extract_forward(self, trace),
         }
@@ -404,64 +424,18 @@ pub fn extract_paths_streaming_batch(
     Ok(StreamedBatchExtraction { samples, footprint })
 }
 
-/// Picks [`descending`] takes off a linear arg-max scan before it sorts what
-/// is left.  A cumulative threshold usually stops after one or two
-/// contributors, which a scan finds without ordering the rest; the sort keeps
-/// a long ranking (an unreachable goal, a wide forward mask) O(n log n).
-const SCAN_PICKS: usize = 8;
-
-/// The ranking order, greatest first: the greater value, and among equal
-/// values (`-0.0 == 0.0` included) the earlier position.  Total, because
-/// positions are distinct and no NaN is ever ranked: every value the walk
-/// ranks comes from a pass whose boundaries `ptolemy-nn` checked finite.
-fn rank(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
-    a.1.partial_cmp(&b.1)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| b.0.cmp(&a.0))
+/// The ranking kernel's reused buffers: the values it ranks (and consumes)
+/// and its sort order.  They grow to their high-water mark and are never
+/// shrunk.
+#[derive(Debug, Default)]
+struct RankScratch {
+    values: Vec<f32>,
+    order: Vec<u32>,
 }
 
-/// Ranks finite `values` from largest to smallest, equal values in input
-/// order — the order a stable descending sort produces — yielding
-/// `(position, value)` lazily out of `scratch`, which it refills and never
-/// shrinks.  The first [`SCAN_PICKS`] picks are each one arg-max scan; the
-/// pick after them sorts the candidates left once, worst first, and every
-/// later pick pops the best off the end.
-fn descending(
-    values: impl Iterator<Item = f32>,
-    scratch: &mut Vec<(usize, f32)>,
-) -> impl Iterator<Item = (usize, f32)> + '_ {
-    scratch.clear();
-    scratch.extend(values.enumerate());
-    let mut picks = 0;
-    std::iter::from_fn(move || {
-        picks += 1;
-        if picks <= SCAN_PICKS {
-            // Candidates stay in position order and a pick becomes NaN, which
-            // compares false: the first strictly greater value is the earliest
-            // of equal maxima among those left.
-            let first = scratch.iter().position(|c| !c.1.is_nan())?;
-            let mut best = first;
-            for (at, candidate) in scratch.iter().enumerate().skip(first + 1) {
-                if candidate.1 > scratch[best].1 {
-                    best = at;
-                }
-            }
-            let pick = scratch[best];
-            scratch[best].1 = f32::NAN;
-            Some(pick)
-        } else {
-            if picks == SCAN_PICKS + 1 {
-                scratch.retain(|candidate| !candidate.1.is_nan());
-                scratch.sort_unstable_by(rank);
-            }
-            scratch.pop()
-        }
-    })
-}
-
-/// Selects contributor indices from weighted partial sums according to a
-/// threshold, handing each to `select` in selection order; `ranking` is the
-/// ranking kernel's reused scratch.
+/// Selects contributors from one neuron's partial sums (`values`, consumed
+/// by the ranking) according to a threshold, handing each one's position to
+/// `select` in selection order; `order` is the ranking's sort scratch.
 ///
 /// * Cumulative: minimal prefix of the descending-sorted partial sums whose
 ///   cumulative sum reaches `theta × target` (paper Fig. 3).  If the target is not
@@ -470,26 +444,26 @@ fn descending(
 ///
 /// The partial sums are finite: they decompose the outputs of a checked pass,
 /// and a non-finite `w · x` would have made its neuron's output non-finite.
-pub(crate) fn select_contributors(
-    pairs: &[(usize, f32)],
+fn select_contributors(
+    values: &mut [f32],
     target: f32,
     threshold: ThresholdKind,
-    ranking: &mut Vec<(usize, f32)>,
+    order: &mut Vec<u32>,
     mut select: impl FnMut(usize),
 ) {
     match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let mut ranked = descending(pairs.iter().map(|(_, partial)| *partial), ranking);
+            let mut ranked = Ranking::new(values, order);
             if target <= 0.0 {
                 if let Some((at, _)) = ranked.next() {
-                    select(pairs[at].0);
+                    select(at);
                 }
                 return;
             }
             let goal = theta * target;
             let mut cum = 0.0;
             for (at, partial) in ranked {
-                select(pairs[at].0);
+                select(at);
                 cum += partial;
                 if cum >= goal {
                     break;
@@ -498,9 +472,9 @@ pub(crate) fn select_contributors(
         }
         ThresholdKind::Absolute { phi } => {
             let cutoff = phi * target.abs();
-            for &(index, partial) in pairs {
+            for (at, &partial) in values.iter().enumerate() {
                 if partial >= cutoff && partial > 0.0 {
-                    select(index);
+                    select(at);
                 }
             }
         }
@@ -512,7 +486,8 @@ pub(crate) fn select_contributors(
 /// importance information exists yet) — the single forward-program masking
 /// step shared by the materialized walk and the streaming sinks, so every
 /// pipeline is bit-for-bit the same selection.  `ranking` is the ranking
-/// kernel's reused scratch.
+/// kernel's reused scratch, which a cumulative threshold copies the values
+/// into.
 ///
 /// * Cumulative: the minimal prefix of the descending-sorted positive
 ///   activations whose sum reaches `theta ×` the positive mass (the single
@@ -521,15 +496,17 @@ pub(crate) fn select_contributors(
 ///   values: the maximum, then the mask a word at a time.
 ///
 /// The activations are a checked boundary, so finite.
-pub(crate) fn mask_from_activations(
+fn mask_from_activations(
     values: &[f32],
     threshold: ThresholdKind,
     mask: &mut BitVec,
-    ranking: &mut Vec<(usize, f32)>,
+    ranking: &mut RankScratch,
 ) {
     match threshold {
         ThresholdKind::Cumulative { theta } => {
-            let mut ranked = descending(values.iter().copied(), ranking);
+            ranking.values.clear();
+            ranking.values.extend_from_slice(values);
+            let mut ranked = Ranking::new(&mut ranking.values, &mut ranking.order);
             let total: f32 = values.iter().filter(|v| **v > 0.0).sum();
             if total <= 0.0 {
                 if let Some((idx, _)) = ranked.next() {
@@ -642,22 +619,39 @@ impl BoundarySource for Retained {
 }
 
 /// The reverse walk's working memory, reused by every layer of a walk and by
-/// every walk of a sub-batch: once each buffer has grown to its high-water
-/// mark, a walk allocates nothing per neuron or per layer.
+/// every walk on the same thread: once each buffer has grown to its
+/// high-water mark, a walk allocates nothing per neuron, per layer or per
+/// detect.
 #[derive(Debug, Default)]
 struct WalkScratch {
     /// Important neurons at the output of the layer being examined, ascending.
     important: Vec<usize>,
-    /// Their decompositions, in the same order.
-    decomps: Decompositions,
-    /// The ranking kernel's candidates.
-    ranking: Vec<(usize, f32)>,
-    /// A pass-through layer's routed inputs (an enabled layer marks its path
+    /// One neuron's partial sums at a time, and the ranking's order.
+    ranking: RankScratch,
+    /// A pooling layer's routes.
+    routes: Decompositions,
+    /// A pooling layer's routed inputs (an enabled layer marks its path
     /// segment instead).
     routed: BitVec,
 }
 
+thread_local! {
+    /// Each thread's walk scratch: a served detect reuses the buffers the
+    /// thread's previous walks grew.
+    static WALK_SCRATCH: RefCell<WalkScratch> = RefCell::default();
+}
+
 impl WalkScratch {
+    /// Runs `f` on this thread's scratch.  The scratch is taken out for the
+    /// call, so a walk nested in `f` (none is) would start from an empty one
+    /// instead of failing.
+    fn with<R>(f: impl FnOnce(&mut WalkScratch) -> R) -> R {
+        let mut scratch = WALK_SCRATCH.take();
+        let result = f(&mut scratch);
+        WALK_SCRATCH.set(scratch);
+        result
+    }
+
     /// The backward path of `predicted_class` through the activations of
     /// `source`.
     fn walk<S: BoundarySource + ?Sized>(
@@ -676,55 +670,53 @@ impl WalkScratch {
             if self.important.is_empty() {
                 break;
             }
-            let layer = network.layer(layer_idx)?;
-            self.decomps.clear();
             // The layer's important inputs, marked as a set: ascending and
             // duplicate-free when read back.
             let marked = match *role {
+                // Output `i` is input `i`: the important indices stand.
+                LayerRole::Identity => continue,
                 // Early termination: the backward walk stops at the first
                 // disabled weight layer (Sec. VII-F).
                 LayerRole::Disabled => break,
                 LayerRole::Enabled { threshold, segment } => {
+                    let layer = network.layer(layer_idx)?;
                     let input = source.boundary(layer_idx)?;
                     let out = source.boundary(layer_idx + 1)?.as_slice();
-                    // One call decomposes every important output, so a
-                    // composite layer touches its body at most once — and not
-                    // at all when the source kept the interior.
-                    let interior = source.interior(layer_idx);
-                    layer.contributions_many(
-                        input,
-                        interior,
-                        &self.important,
-                        &mut self.decomps,
-                    )?;
                     // The mask over this layer's input feature map is the set.
                     let mask = &mut path.segments_mut()[segment].mask;
-                    let ranking = &mut self.ranking;
-                    for (&neuron, pairs) in self.important.iter().zip(self.decomps.iter()) {
-                        select_contributors(pairs, out[neuron], threshold, ranking, |i| {
-                            mask.set(i)
-                        });
-                    }
+                    let order = &mut self.ranking.order;
+                    // One call hands over every important output's partial
+                    // sums, so a composite layer touches its body at most
+                    // once — and not at all when the source kept the
+                    // interior.  Only the picked positions are mapped back
+                    // to their inputs.
+                    layer.partial_sums(
+                        input,
+                        source.interior(layer_idx),
+                        &self.important,
+                        &mut self.ranking.values,
+                        &mut |neuron, values, sources| {
+                            select_contributors(values, out[neuron], threshold, order, |at| {
+                                mask.set(sources.input(at));
+                            });
+                        },
+                    )?;
                     &*mask
                 }
                 LayerRole::PassThrough { input_len } => {
                     // Re-map the important output indices to input indices
-                    // (identity for ReLU/flatten, argmax routing for max
-                    // pooling, window members for average pooling).
-                    // Statically-routed layers never touch their input
-                    // activations, which is what lets the streaming pipeline
-                    // drop those boundaries eagerly.
-                    if !layer.static_routing(&self.important, &mut self.decomps)? {
+                    // (argmax routing for max pooling, window members for
+                    // average pooling).  Statically-routed layers never
+                    // touch their input activations, which is what lets the
+                    // streaming pipeline drop those boundaries eagerly.
+                    let layer = network.layer(layer_idx)?;
+                    self.routes.clear();
+                    if !layer.static_routing(&self.important, &mut self.routes)? {
                         let input = source.boundary(layer_idx)?;
-                        layer.contributions_many(
-                            input,
-                            None,
-                            &self.important,
-                            &mut self.decomps,
-                        )?;
+                        layer.contributions_many(input, &self.important, &mut self.routes)?;
                     }
                     self.routed.reset(input_len);
-                    for &(idx, _) in self.decomps.iter().flatten() {
+                    for &(idx, _) in self.routes.iter().flatten() {
                         self.routed.set(idx);
                     }
                     &self.routed
@@ -742,7 +734,7 @@ fn extract_forward<S: BoundarySource + ?Sized>(
     source: &S,
 ) -> Result<ActivationPath> {
     let mut path = ActivationPath::empty(&plan.layout);
-    let mut ranking = Vec::new();
+    let mut ranking = RankScratch::default();
     for (layer_idx, role) in plan.roles.iter().enumerate() {
         if let LayerRole::Enabled { threshold, segment } = *role {
             let output = source.boundary(layer_idx + 1)?.as_slice();
@@ -763,6 +755,7 @@ fn backward_retention(network: &Network, roles: &[LayerRole]) -> Result<Vec<bool
         match role {
             // The reverse walk breaks here; nothing below is ever read.
             LayerRole::Disabled => break,
+            LayerRole::Identity => {}
             LayerRole::Enabled { .. } => {
                 retain[layer_idx] = true;
                 retain[layer_idx + 1] = true;
@@ -785,7 +778,7 @@ struct ForwardSink<'a> {
     roles: &'a [LayerRole],
     paths: Vec<ActivationPath>,
     /// The ranking kernel's scratch, shared by every selection of the pass.
-    ranking: Vec<(usize, f32)>,
+    ranking: RankScratch,
 }
 
 impl TraceSink for ForwardSink<'_> {
@@ -893,7 +886,7 @@ where
     let mut sink = ForwardSink {
         roles: &plan.roles,
         paths: vec![ActivationPath::empty(&plan.layout); inputs.len()],
-        ranking: Vec::new(),
+        ranking: RankScratch::default(),
     };
     let logits = provider.forward_with_sink_batch(inputs, &mut sink)?;
     // Row `b` of the stacked `[B, classes]` logits is sample `b`'s.
@@ -935,36 +928,43 @@ where
     sink.take_boundary(provider.network().num_layers(), logits);
     // Each walk reads exactly the tensors a materialized trace of its sample
     // would hold, so the extraction is bit-for-bit the materialized one.
-    let mut scratch = WalkScratch::default();
-    let mut walk = |sample: &Retained, predicted: usize| -> Result<T> {
-        finish(
-            predicted,
-            scratch.walk(provider.network(), plan, sample, predicted)?,
-        )
-    };
-    let samples = if single {
-        vec![walk(&sink.kept, predicted[0])?]
-    } else {
-        predicted
-            .iter()
-            .enumerate()
-            .map(|(b, &predicted)| walk(&sink.kept.slice_batch(b)?, predicted))
-            .collect::<Result<Vec<_>>>()?
-    };
-    Ok((samples, sink.retained_bytes))
+    WalkScratch::with(|scratch| {
+        let mut walk = |sample: &Retained, predicted: usize| -> Result<T> {
+            finish(
+                predicted,
+                scratch.walk(provider.network(), plan, sample, predicted)?,
+            )
+        };
+        if single {
+            Ok(vec![walk(&sink.kept, predicted[0])?])
+        } else {
+            predicted
+                .iter()
+                .enumerate()
+                .map(|(b, &predicted)| walk(&sink.kept.slice_batch(b)?, predicted))
+                .collect::<Result<Vec<_>>>()
+        }
+    })
+    .map(|samples| (samples, sink.retained_bytes))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
     use super::*;
     use ptolemy_nn::layer::{Dense, Flatten, ReLU};
     use ptolemy_nn::Layer;
     use ptolemy_tensor::{Rng64, Tensor};
 
-    /// [`select_contributors`]' picks, in selection order.
+    /// [`select_contributors`]' picks, in selection order, as the first
+    /// elements of `pairs`.
     fn select(pairs: &[(usize, f32)], target: f32, threshold: ThresholdKind) -> Vec<usize> {
+        let mut values: Vec<f32> = pairs.iter().map(|p| p.1).collect();
         let mut picks = Vec::new();
-        select_contributors(pairs, target, threshold, &mut Vec::new(), |i| picks.push(i));
+        select_contributors(&mut values, target, threshold, &mut Vec::new(), |at| {
+            picks.push(pairs[at].0)
+        });
         picks
     }
 
@@ -1012,55 +1012,21 @@ mod tests {
         assert!(select(&[], 1.0, ThresholdKind::Cumulative { theta: 0.5 }).is_empty());
     }
 
+    /// Selection ranks the way the ranking kernel does: with a goal out of
+    /// reach every partial sum is selected, in stable descending order, and a
+    /// non-positive target selects the single largest — across ties, ±0 and
+    /// the scan/sort switch.
     #[test]
-    fn lazy_ranking_is_the_stable_descending_sort() {
-        // Few distinct values, so ties (and -0.0 vs 0.0, equal under
-        // `partial_cmp`) are everywhere: ties must keep input order.  The
-        // lengths straddle the scan/sort switch, a conv decomposition (145)
-        // and a wide forward mask (2048); one scratch serves every ranking,
-        // as in a walk.
+    fn cumulative_selection_follows_the_stable_descending_order() {
         let mut rng = Rng64::new(5);
-        let palette = [
-            f32::NEG_INFINITY,
-            -1.5f32,
-            -0.0,
-            0.0,
-            0.25,
-            0.25,
-            3.0,
-            f32::INFINITY,
-        ];
-        let mut scratch = Vec::new();
-        for len in [0usize, 1, 2, 7, 73, 145, 2048] {
-            let values: Vec<f32> = (0..len)
-                .map(|_| palette[rng.below(palette.len())])
+        let palette = [-1.5f32, -0.0, 0.0, 0.25, 0.25, 3.0];
+        for len in [0usize, 1, 2, 7, 73, 145] {
+            let pairs: Vec<(usize, f32)> = (0..len)
+                .map(|at| (1000 + at, palette[rng.below(palette.len())]))
                 .collect();
-            let sorted = stable_descending(&values);
-            let ranked: Vec<(usize, f32)> =
-                descending(values.iter().copied(), &mut scratch).collect();
-            assert_eq!(ranked.len(), sorted.len());
-            for (r, s) in ranked.iter().zip(&sorted) {
-                assert_eq!((r.0, r.1.to_bits()), (s.0, s.1.to_bits()), "len {len}");
-            }
-            // A prefix stops early, past the switch, and agrees.
-            let prefix = descending(values.iter().copied(), &mut scratch).take(SCAN_PICKS + 2);
-            assert!(prefix
-                .map(|r| r.0)
-                .eq(sorted.iter().map(|s| s.0).take(SCAN_PICKS + 2)));
-
-            // Selection ranks the same way.  With +inf capped, a goal of
-            // `f32::MAX` is out of reach: every pair is selected, in ranking
-            // order.  A non-positive target selects the single largest.
-            let capped: Vec<f32> = values.iter().map(|v| v.min(3.0)).collect();
-            let pairs: Vec<(usize, f32)> = capped
-                .iter()
-                .enumerate()
-                .map(|(at, v)| (1000 + at, *v))
-                .collect();
-            let in_rank_order: Vec<usize> = stable_descending(&capped)
-                .iter()
-                .map(|s| 1000 + s.0)
-                .collect();
+            let mut in_rank_order = pairs.clone();
+            in_rank_order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
+            let in_rank_order: Vec<usize> = in_rank_order.iter().map(|p| p.0).collect();
             let cumulative = ThresholdKind::Cumulative { theta: 1.0 };
             assert_eq!(select(&pairs, f32::MAX, cumulative), in_rank_order);
             for target in [0.0, -0.0, -2.0, f32::NEG_INFINITY] {
@@ -1071,13 +1037,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `(position, value)` in the order of std's stable sort, descending.
-    fn stable_descending(values: &[f32]) -> Vec<(usize, f32)> {
-        let mut sorted: Vec<(usize, f32)> = values.iter().copied().enumerate().collect();
-        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
-        sorted
     }
 
     #[test]
@@ -1129,16 +1088,12 @@ mod tests {
             ForwardTrace::from_activations(boundaries).unwrap_err(),
             NnError::NonFinite { boundary: 3 }
         );
-        // Infinities stay ordered like any other value in the ranking itself.
-        let cumulative = ThresholdKind::Cumulative { theta: 0.5 };
-        let saturated = [(0usize, f32::INFINITY), (1, 1.0), (2, f32::NEG_INFINITY)];
-        assert_eq!(select(&saturated, 1.0, cumulative), vec![0]);
     }
 
     /// The indices [`mask_from_activations`] marks, ascending.
     fn selected(values: &[f32], threshold: ThresholdKind) -> Vec<usize> {
         let mut mask = BitVec::new(values.len());
-        mask_from_activations(values, threshold, &mut mask, &mut Vec::new());
+        mask_from_activations(values, threshold, &mut mask, &mut RankScratch::default());
         mask.iter_ones().collect()
     }
 
@@ -1299,9 +1254,9 @@ mod tests {
         assert_eq!(
             plan.roles,
             vec![
-                LayerRole::PassThrough { input_len: 4 },
+                LayerRole::Identity,
                 LayerRole::Disabled,
-                LayerRole::PassThrough { input_len: 3 },
+                LayerRole::Identity,
                 LayerRole::Enabled {
                     threshold: ThresholdKind::Cumulative { theta: 0.5 },
                     segment: 0

@@ -114,6 +114,7 @@ pub use ptolemy_obs::json;
 mod path;
 mod profile;
 mod program;
+mod ranking;
 pub mod variants;
 
 pub use bits::BitVec;
@@ -129,6 +130,7 @@ pub use profile::{class_similarity_matrix, similarity_stats, Profiler, Similarit
 pub use program::{
     DetectionProgram, DetectionProgramBuilder, Direction, ExtractionSpec, ThresholdKind,
 };
+pub use ranking::Ranking;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -150,6 +150,91 @@ impl DecisionTree {
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     num_features: usize,
+    /// The whole forest as a step function of its one feature; `None` for a
+    /// forest of more than one feature, which walks its trees.
+    steps: Option<StepTable>,
+}
+
+/// A one-feature forest's mean score as a step function.  The sorted union
+/// `T` of every tree's split thresholds cuts the line into intervals
+/// `(T[i-1], T[i]]` (`T[-1] = -∞`, `T[n] = +∞`); every `x` of one interval
+/// takes the same side of every split, so the same leaf in every tree, and
+/// `scores[i]` is that interval's leaf fractions summed over the trees in
+/// tree order, then divided by the tree count — bit for bit the mean
+/// [`DecisionTree::predict_proba`] walk.  A NaN takes the right branch of
+/// every split, as `+∞` does: the last interval.
+#[derive(Debug, Clone)]
+struct StepTable {
+    thresholds: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+impl StepTable {
+    /// The table of `trees`, in O(trees × intervals): each tree's leaves
+    /// cover the intervals once, adding their fraction to each.
+    fn new(trees: &[DecisionTree]) -> Self {
+        fn thresholds_of(node: &Node, out: &mut Vec<f32>) {
+            if let Node::Split {
+                threshold,
+                left,
+                right,
+                ..
+            } = node
+            {
+                out.push(*threshold);
+                thresholds_of(left, out);
+                thresholds_of(right, out);
+            }
+        }
+        /// Adds the leaf fractions of `node` over intervals `lo..hi`.
+        fn add(node: &Node, lo: usize, hi: usize, thresholds: &[f32], totals: &mut [f32]) {
+            match node {
+                Node::Leaf { positive_fraction } => {
+                    for total in &mut totals[lo..hi] {
+                        *total += positive_fraction;
+                    }
+                }
+                Node::Split {
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => {
+                    // Intervals up to the threshold's own go left.
+                    let own = thresholds.partition_point(|t| t < threshold);
+                    let cut = (own + 1).clamp(lo, hi);
+                    add(left, lo, cut, thresholds, totals);
+                    add(right, cut, hi, thresholds, totals);
+                }
+            }
+        }
+        let mut thresholds = Vec::new();
+        for tree in trees {
+            thresholds_of(&tree.root, &mut thresholds);
+        }
+        // `-0.0` and `0.0` split alike: keep one of them.
+        thresholds.sort_by(f32::total_cmp);
+        thresholds.dedup_by(|later, kept| *later <= *kept);
+        let mut scores = vec![0.0f32; thresholds.len() + 1];
+        for tree in trees {
+            add(&tree.root, 0, scores.len(), &thresholds, &mut scores);
+        }
+        let count = trees.len() as f32;
+        for score in &mut scores {
+            *score /= count;
+        }
+        StepTable { thresholds, scores }
+    }
+
+    /// The score of `x`: one binary search for its interval.
+    fn score(&self, x: f32) -> f32 {
+        let interval = if x.is_nan() {
+            self.thresholds.len()
+        } else {
+            self.thresholds.partition_point(|t| *t < x)
+        };
+        self.scores[interval]
+    }
 }
 
 impl RandomForest {
@@ -186,19 +271,28 @@ impl RandomForest {
                 &mut rng,
             )?);
         }
+        let num_features = features[0].len();
+        let steps = (num_features == 1).then(|| StepTable::new(&trees));
         Ok(RandomForest {
             trees,
-            num_features: features[0].len(),
+            num_features,
+            steps,
         })
     }
 
-    /// Mean positive-class probability over all trees.
+    /// Mean positive-class probability over all trees: their scores summed
+    /// in tree order, then divided by the tree count.  A one-feature forest
+    /// reads it from a table built at [`RandomForest::fit`] (one binary
+    /// search, bit for bit the walk); a wider one walks every tree.
     ///
     /// # Errors
     ///
     /// Returns [`ForestError::FeatureCountMismatch`] if `sample` has the wrong
     /// number of features.
     pub fn predict_proba(&self, sample: &[f32]) -> Result<f32> {
+        if let (Some(steps), [x]) = (&self.steps, sample) {
+            return Ok(steps.score(*x));
+        }
         let mut total = 0.0;
         for tree in &self.trees {
             total += tree.predict_proba(sample)?;
@@ -484,6 +578,57 @@ mod tests {
         )
         .unwrap();
         assert_eq!(forest.predict_proba(&[0.5]).unwrap(), 1.0);
+    }
+
+    /// The step table is the tree walk, bit for bit, at every split
+    /// threshold, at the floats either side of it, and at ±0, ±∞ and NaN.
+    #[test]
+    fn step_table_is_the_tree_walk() {
+        let mut rng = Rng64::new(17);
+        let features: Vec<Vec<f32>> = (0..400)
+            .map(|i| match i % 50 {
+                0 => vec![0.0],
+                1 => vec![-0.0],
+                _ => vec![rng.normal() * 3.0],
+            })
+            .collect();
+        let labels: Vec<bool> = features.iter().map(|f| f[0] + rng.normal() > 0.5).collect();
+        let forest = RandomForest::fit(&features, &labels, &ForestConfig::default()).unwrap();
+        assert_eq!(forest.num_trees(), 100);
+        let steps = forest.steps.as_ref().unwrap();
+        let walk = |x: f32| {
+            let mut total = 0.0;
+            for tree in &forest.trees {
+                total += tree.predict_proba(&[x]).unwrap();
+            }
+            total / forest.trees.len() as f32
+        };
+        let adjacent = |x: f32| {
+            let up = f32::from_bits(if x >= 0.0 {
+                x.to_bits() + 1
+            } else {
+                x.to_bits() - 1
+            });
+            let down = f32::from_bits(if x > 0.0 {
+                x.to_bits() - 1
+            } else {
+                x.to_bits() + 1
+            });
+            [down, x, up]
+        };
+        let mut probes = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for &t in &steps.thresholds {
+            probes.extend(adjacent(t));
+        }
+        assert!(steps.thresholds.len() > 100, "{}", steps.thresholds.len());
+        for x in probes {
+            let (table, walked) = (forest.predict_proba(&[x]).unwrap(), walk(x));
+            assert_eq!(table.to_bits(), walked.to_bits(), "x = {x}");
+        }
+        // A wider forest walks its trees.
+        let (features, labels) = separable_data(50);
+        let wide = RandomForest::fit(&features, &labels, &ForestConfig::default()).unwrap();
+        assert!(wide.steps.is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use ptolemy_tensor::Tensor;
 
 use crate::layer::{check_len, grad_batch, missing, Saved};
-use crate::{Decompositions, Layer, LayerKind, NnError, Result};
+use crate::{Layer, LayerKind, Result};
 
 /// The gradient through a ReLU: `grad` where the recorded activation — its
 /// input `x` or its output `max(x, 0)`, both are positive at the same
@@ -28,17 +28,6 @@ impl ReLU {
         ReLU {
             shape: shape.to_vec(),
         }
-    }
-
-    fn check(&self, input: &Tensor) -> Result<()> {
-        if input.dims() != self.shape.as_slice() {
-            return Err(NnError::InvalidConfig(format!(
-                "relu expects shape {:?}, got {:?}",
-                self.shape,
-                input.dims()
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -94,38 +83,6 @@ impl Layer for ReLU {
         Vec::new()
     }
 
-    fn contributions_many(
-        &self,
-        input: &Tensor,
-        _interior: Option<&Tensor>,
-        out_idxs: &[usize],
-        out: &mut Decompositions,
-    ) -> Result<()> {
-        self.check(input)?;
-        let x = input.as_slice();
-        for &out_idx in out_idxs {
-            let value = x.get(out_idx).ok_or_else(|| {
-                NnError::InvalidConfig(format!("relu output index {out_idx} out of range"))
-            })?;
-            out.push([(out_idx, *value)]);
-        }
-        Ok(())
-    }
-
-    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
-        let len: usize = self.shape.iter().product();
-        for &out_idx in out_idxs {
-            if out_idx >= len {
-                return Err(NnError::InvalidConfig(format!(
-                    "relu output index {out_idx} out of range"
-                )));
-            }
-            // Identity routing, the index `contributions_many` lists.
-            out.push([(out_idx, 0.0)]);
-        }
-        Ok(true)
-    }
-
     fn kind(&self) -> LayerKind {
         LayerKind::Activation
     }
@@ -154,12 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn contributions_pass_through() {
+    fn importance_passes_through_by_identity() {
         let relu = ReLU::new(&[3]);
-        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
-        // The routed input value rides along, negative or not.
-        assert_eq!(decompose(&relu, &x, 1).unwrap(), vec![(1, -2.0)]);
-        assert!(decompose(&relu, &x, 3).is_err());
+        assert!(relu.kind().routes_by_identity());
+        // The walk never asks it for partial sums or routes.
+        assert!(decompose(&relu, &Tensor::ones(&[3]), 1).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ptolemy_tensor::{
 
 use crate::batch::check_batch;
 use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
-use crate::{Decompositions, Layer, LayerKind, NnError, Result};
+use crate::{Layer, LayerKind, NnError, Result, Sources};
 
 /// 2-D convolution over CHW activations: one fused kernel
 /// ([`conv2d_forward`]) over a stacked batch (a single sample is the batch of
@@ -56,6 +56,9 @@ pub struct Conv2d {
     packed: OnceLock<PackedWeights>,
     /// `weightᵀ` packed for the backward kernel, under the same rule.
     packed_t: OnceLock<PackedWeights>,
+    /// The receptive fields' tap lists, built by the first decomposition:
+    /// they depend on the geometry alone.
+    taps: OnceLock<TapLists>,
 }
 
 impl Conv2d {
@@ -96,6 +99,7 @@ impl Conv2d {
             out_channels,
             packed: OnceLock::new(),
             packed_t: OnceLock::new(),
+            taps: OnceLock::new(),
         })
     }
 
@@ -148,7 +152,86 @@ impl Conv2d {
 /// land inside an input dimension of `len`: [`Conv2dGeometry::patch_source`]'s
 /// bounds check, hoisted out of the tap loop.
 fn taps(at: usize, len: usize, g: &Conv2dGeometry) -> std::ops::Range<usize> {
-    g.padding.saturating_sub(at)..(len + g.padding).saturating_sub(at).min(g.kernel)
+    let start = g.padding.saturating_sub(at);
+    start
+        ..(len + g.padding)
+            .saturating_sub(at)
+            .min(g.kernel)
+            .max(start)
+}
+
+/// Every receptive field's valid taps, one list per **clip class**: output
+/// positions whose windows lose the same kernel rows and columns to padding
+/// share one list (a 3×3, pad-1 kernel has at most 9 classes — the corners,
+/// the edges and the interior).  A list holds its taps in patch order
+/// (channel, kernel row, kernel column) with the padded ones left out:
+/// `weights[t]` is tap `t`'s index in the flattened kernel, `inputs[t]` its
+/// input flat index relative to the window's corner before padding.
+#[derive(Debug, Clone)]
+struct TapLists {
+    /// Each output row's row class, and each output column's column class.
+    row_class: Vec<usize>,
+    col_class: Vec<usize>,
+    col_classes: usize,
+    /// Class `c`'s taps are `starts[c]..starts[c + 1]`.
+    starts: Vec<usize>,
+    weights: Vec<usize>,
+    inputs: Vec<usize>,
+}
+
+impl TapLists {
+    fn new(g: &Conv2dGeometry) -> Self {
+        // The distinct kernel-offset ranges along one dimension, and the
+        // range each output coordinate takes.
+        let classes = |out: usize, len: usize| {
+            let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
+            let class = (0..out)
+                .map(|o| {
+                    let range = taps(o * g.stride, len, g);
+                    match ranges.iter().position(|r| *r == range) {
+                        Some(class) => class,
+                        None => {
+                            ranges.push(range);
+                            ranges.len() - 1
+                        }
+                    }
+                })
+                .collect();
+            (ranges, class)
+        };
+        let (row_ranges, row_class) = classes(g.out_h, g.in_h);
+        let (col_ranges, col_class) = classes(g.out_w, g.in_w);
+        let (mut starts, mut weights, mut inputs) = (vec![0], Vec::new(), Vec::new());
+        for ys in &row_ranges {
+            for xs in &col_ranges {
+                for c in 0..g.in_channels {
+                    for ky in ys.clone() {
+                        for kx in xs.clone() {
+                            weights.push((c * g.kernel + ky) * g.kernel + kx);
+                            inputs.push((c * g.in_h + ky) * g.in_w + kx);
+                        }
+                    }
+                }
+                starts.push(weights.len());
+            }
+        }
+        TapLists {
+            row_class,
+            col_class,
+            col_classes: col_ranges.len(),
+            starts,
+            weights,
+            inputs,
+        }
+    }
+
+    /// The tap list of output position `(oy, ox)`: its weight indices and
+    /// input offsets.
+    fn at(&self, oy: usize, ox: usize) -> (&[usize], &[usize]) {
+        let class = self.row_class[oy] * self.col_classes + self.col_class[ox];
+        let taps = self.starts[class]..self.starts[class + 1];
+        (&self.weights[taps.clone()], &self.inputs[taps])
+    }
 }
 
 impl Layer for Conv2d {
@@ -235,16 +318,19 @@ impl Layer for Conv2d {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn contributions_many(
+    fn partial_sums(
         &self,
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-        out: &mut Decompositions,
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
     ) -> Result<()> {
         self.check_input(input)?;
-        let patches = self.geom.num_patches();
-        let patch_len = self.geom.patch_len();
+        let g = &self.geom;
+        let patches = g.num_patches();
+        let patch_len = g.patch_len();
+        let lists = self.taps.get_or_init(|| TapLists::new(g));
         let x = input.as_slice();
         for &out_idx in out_idxs {
             if out_idx >= self.out_channels * patches {
@@ -252,30 +338,22 @@ impl Layer for Conv2d {
                     "conv2d output index {out_idx} out of range"
                 )));
             }
-            let oc = out_idx / patches;
-            let pos = out_idx % patches;
-            let oy = pos / self.geom.out_w;
-            let ox = pos % self.geom.out_w;
+            let (oc, pos) = (out_idx / patches, out_idx % patches);
+            let (oy, ox) = (pos / g.out_w, pos % g.out_w);
             let w_row = &self.weight.as_slice()[oc * patch_len..(oc + 1) * patch_len];
-            let g = &self.geom;
-            // Window corner before padding; tap (ky, kx) reads input row
-            // `y0 + ky - padding`, column `x0 + kx - padding`.
-            let (y0, x0) = (oy * g.stride, ox * g.stride);
-            let (ys, xs) = (taps(y0, g.in_h, g), taps(x0, g.in_w, g));
-            // Patch order (channel, kernel row, kernel column), padding
-            // skipped: `patch_source`'s order and products, bit for bit.
-            out.push_with(|pairs| {
-                for c in 0..g.in_channels {
-                    for ky in ys.clone() {
-                        let row = (c * g.in_h + y0 + ky - g.padding) * g.in_w;
-                        let w = &w_row[(c * g.kernel + ky) * g.kernel..];
-                        for kx in xs.clone() {
-                            let idx = row + x0 + kx - g.padding;
-                            pairs.push((idx, x[idx] * w[kx]));
-                        }
-                    }
-                }
-            });
+            let (weights, inputs) = lists.at(oy, ox);
+            // The window's corner before padding: a padded window's corner
+            // lies before the input, so the offsets wrap back into it.
+            let base = (oy * g.stride * g.in_w + ox * g.stride)
+                .wrapping_sub(g.padding * g.in_w + g.padding);
+            values.clear();
+            values.extend(
+                weights
+                    .iter()
+                    .zip(inputs)
+                    .map(|(&k, &at)| x[base.wrapping_add(at)] * w_row[k]),
+            );
+            visit(out_idx, values, Sources::taps(base, inputs));
         }
         Ok(())
     }

@@ -4,7 +4,7 @@ use ptolemy_tensor::{gemm_nn_into, par_row_chunks, Initializer, Rng64, Tensor};
 
 use crate::batch::check_batch;
 use crate::layer::{check_len, check_param_grads, grad_batch, Saved};
-use crate::{Decompositions, Layer, LayerKind, NnError, Result};
+use crate::{Layer, LayerKind, NnError, Result, Sources};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
 ///
@@ -207,12 +207,13 @@ impl Layer for Dense {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn contributions_many(
+    fn partial_sums(
         &self,
         input: &Tensor,
         _interior: Option<&Tensor>,
         out_idxs: &[usize],
-        out: &mut Decompositions,
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
     ) -> Result<()> {
         self.check_input(input)?;
         let x = input.as_slice();
@@ -224,7 +225,9 @@ impl Layer for Dense {
                 )));
             }
             let row = &self.weight.as_slice()[out_idx * self.inputs..(out_idx + 1) * self.inputs];
-            out.push(x.iter().zip(row).map(|(xi, wi)| xi * wi).enumerate());
+            values.clear();
+            values.extend(x.iter().zip(row).map(|(xi, wi)| xi * wi));
+            visit(out_idx, values, Sources::identity(self.inputs));
         }
         Ok(())
     }

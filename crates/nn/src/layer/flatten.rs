@@ -1,7 +1,7 @@
 use ptolemy_tensor::Tensor;
 
 use crate::layer::{grad_batch, Saved};
-use crate::{Decompositions, Layer, LayerKind, NnError, Result};
+use crate::{Layer, LayerKind, Result};
 
 /// Flattens a multi-dimensional activation into a vector.
 ///
@@ -18,17 +18,6 @@ impl Flatten {
         Flatten {
             input_shape: input_shape.to_vec(),
         }
-    }
-
-    fn check(&self, input: &Tensor) -> Result<()> {
-        if input.dims() != self.input_shape.as_slice() {
-            return Err(NnError::InvalidConfig(format!(
-                "flatten expects shape {:?}, got {:?}",
-                self.input_shape,
-                input.dims()
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -74,38 +63,6 @@ impl Layer for Flatten {
         Vec::new()
     }
 
-    fn contributions_many(
-        &self,
-        input: &Tensor,
-        _interior: Option<&Tensor>,
-        out_idxs: &[usize],
-        out: &mut Decompositions,
-    ) -> Result<()> {
-        self.check(input)?;
-        let x = input.as_slice();
-        for &out_idx in out_idxs {
-            let value = x.get(out_idx).ok_or_else(|| {
-                NnError::InvalidConfig(format!("flatten output index {out_idx} out of range"))
-            })?;
-            out.push([(out_idx, *value)]);
-        }
-        Ok(())
-    }
-
-    fn static_routing(&self, out_idxs: &[usize], out: &mut Decompositions) -> Result<bool> {
-        let len: usize = self.input_shape.iter().product();
-        for &out_idx in out_idxs {
-            if out_idx >= len {
-                return Err(NnError::InvalidConfig(format!(
-                    "flatten output index {out_idx} out of range"
-                )));
-            }
-            // Identity routing, the index `contributions_many` lists.
-            out.push([(out_idx, 0.0)]);
-        }
-        Ok(true)
-    }
-
     fn kind(&self) -> LayerKind {
         LayerKind::Reshape
     }
@@ -136,11 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn contributions_pass_through() {
+    fn importance_passes_through_by_identity() {
         let f = Flatten::new(&[2, 2]);
-        let x = Tensor::ones(&[2, 2]);
-        assert_eq!(decompose(&f, &x, 3).unwrap(), vec![(3, 1.0)]);
-        assert!(decompose(&f, &x, 4).is_err());
         assert_eq!(f.kind(), LayerKind::Reshape);
+        assert!(f.kind().routes_by_identity());
+        assert!(decompose(&f, &Tensor::ones(&[2, 2]), 3).is_err());
     }
 }

@@ -6,7 +6,8 @@
 //! batch of one, unstacked.  The backward kernel, [`Layer::backward_batch`],
 //! takes the same stacked batch and reads the activations the forward pass
 //! recorded ([`Saved`]), computing only the gradients the caller asks for.
-//! Partial-sum decompositions work on a **single sample** (no batch
+//! Partial sums ([`Layer::partial_sums`]) and pooling routes
+//! ([`Layer::contributions_many`]) work on a **single sample** (no batch
 //! dimension): the extraction algorithms decompose one input's path at a
 //! time, exactly mirroring the per-input path semantics of the paper.
 
@@ -103,19 +104,16 @@ pub(crate) fn check_param_grads(grads: &[Tensor], params: &[&Tensor], layer: &st
     Ok(())
 }
 
-/// Partial-sum decompositions of a run of output neurons (paper Fig. 3), in
-/// one flat buffer: [`Decompositions::iter`] yields each neuron's
-/// `(input flat index, partial sum)` pairs, in the order they were pushed.
-///
-/// A weight layer's partial sums add up to the neuron's value, up to the bias
-/// term.  A layer that only routes activations (ReLU, pooling, flatten) lists
-/// the input elements the neuron's importance passes to, each with the routed
-/// input value — `0.0` for a [`Layer::static_routing`] route, which reads no
-/// input.
+/// The importance routes of a run of a pass-through layer's output neurons,
+/// in one flat buffer: [`Decompositions::iter`] yields each neuron's
+/// `(input flat index, routed input value)` pairs, in the order they were
+/// pushed — `0.0` for a [`Layer::static_routing`] route, which reads no
+/// input.  Weight layers hand over partial sums instead
+/// ([`Layer::partial_sums`]).
 ///
 /// The buffer belongs to the caller, and [`Decompositions::clear`] keeps its
-/// capacity: one buffer serves every layer of a reverse walk, which then
-/// allocates nothing per neuron.
+/// capacity: one buffer serves every pooling layer of a reverse walk, which
+/// then allocates nothing per neuron.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Decompositions {
     pairs: Vec<(usize, f32)>,
@@ -132,23 +130,8 @@ impl Decompositions {
 
     /// Appends one neuron made of `pairs`.
     pub fn push(&mut self, pairs: impl IntoIterator<Item = (usize, f32)>) {
-        self.push_with(|buffer| buffer.extend(pairs));
-    }
-
-    /// Appends one neuron whose pairs `fill` pushes onto the flat buffer (it
-    /// must only append): a hot loop's form of [`Decompositions::push`].
-    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<(usize, f32)>)) {
-        fill(&mut self.pairs);
+        self.pairs.extend(pairs);
         self.ends.push(self.pairs.len());
-    }
-
-    /// Appends `pair` to the last neuron pushed (a residual block's
-    /// shortcut); a no-op while the buffer is empty.
-    fn extend_last(&mut self, pair: (usize, f32)) {
-        if let Some(end) = self.ends.last_mut() {
-            self.pairs.push(pair);
-            *end += 1;
-        }
     }
 
     /// Each neuron's pairs, in push order.
@@ -157,6 +140,77 @@ impl Decompositions {
         starts
             .zip(&self.ends)
             .map(|(start, &end)| &self.pairs[start..end])
+    }
+}
+
+/// Where one output neuron's partial sums come from: position `p` of the
+/// values [`Layer::partial_sums`] hands over is the product of one weight and
+/// input element [`Sources::input`]`(p)`, or — one past the layer's own
+/// terms — a residual block's shortcut, which carries its input unweighted.
+///
+/// The mapping is derived, not stored per term: a convolution's terms are a
+/// per-geometry tap list offset by the window's corner, a dense layer's are
+/// the identity.  The reverse walk maps only the positions it picks.
+#[derive(Debug, Clone, Copy)]
+pub struct Sources<'a> {
+    /// The layer's own terms: input `base + offsets[p]` (wrapping: `base`
+    /// may sit in the padding) — or input `p` when `offsets` is `None`.
+    offsets: Option<&'a [usize]>,
+    base: usize,
+    /// Number of the layer's own terms.
+    terms: usize,
+    /// The input of position `terms`, a residual block's shortcut.
+    shortcut: Option<usize>,
+}
+
+impl<'a> Sources<'a> {
+    /// `terms` terms, term `p` reading input `p` (a dense layer).
+    pub(crate) fn identity(terms: usize) -> Self {
+        Sources {
+            offsets: None,
+            base: 0,
+            terms,
+            shortcut: None,
+        }
+    }
+
+    /// Term `p` reading input `base + offsets[p]` (a convolution's tap list).
+    pub(crate) fn taps(base: usize, offsets: &'a [usize]) -> Self {
+        Sources {
+            offsets: Some(offsets),
+            base,
+            terms: offsets.len(),
+            shortcut: None,
+        }
+    }
+
+    /// These terms followed by one reading input `index` (a residual
+    /// block's shortcut).
+    pub(crate) fn with_shortcut(self, index: usize) -> Self {
+        Sources {
+            shortcut: Some(index),
+            ..self
+        }
+    }
+
+    /// The number of positions: the layer's own terms, plus the shortcut.
+    pub fn len(&self) -> usize {
+        self.terms + usize::from(self.shortcut.is_some())
+    }
+
+    /// `true` if there are no positions at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The input flat index position `position` reads; `position` must be
+    /// below [`Sources::len`] (an index past a tap list panics).
+    pub fn input(&self, position: usize) -> usize {
+        match (self.offsets, self.shortcut) {
+            (_, Some(index)) if position == self.terms => index,
+            (Some(offsets), _) => self.base.wrapping_add(offsets[position]),
+            (None, _) => position,
+        }
     }
 }
 
@@ -177,13 +231,13 @@ pub enum LayerKind {
         /// Number of output channels.
         out_channels: usize,
     },
-    /// Element-wise activation (ReLU).
+    /// Element-wise activation (ReLU): output `i` reads input `i` alone.
     Activation,
     /// Max pooling.
     MaxPool,
     /// Average pooling.
     AvgPool,
-    /// Shape-only change.
+    /// Shape-only change: output `i` is input `i`.
     Reshape,
     /// Residual block wrapping inner layers.
     Residual {
@@ -200,6 +254,13 @@ impl LayerKind {
             self,
             LayerKind::Dense { .. } | LayerKind::Conv2d { .. } | LayerKind::Residual { .. }
         )
+    }
+
+    /// `true` if output `i` routes its importance to input `i` alone
+    /// (activations and reshapes): the reverse walk carries the important
+    /// indices through such a layer unchanged, asking the layer nothing.
+    pub fn routes_by_identity(&self) -> bool {
+        matches!(self, LayerKind::Activation | LayerKind::Reshape)
     }
 
     /// Number of multiply-accumulate operations one inference of this layer performs.
@@ -306,7 +367,7 @@ pub trait Layer: Send + Sync {
 
     /// [`Layer::forward_batch`] that also hands back the layer's stacked
     /// **interior activation** (`[B] ++ interior_shape`): the one intermediate
-    /// tensor [`Layer::contributions_many`] needs beyond the layer's own
+    /// tensor [`Layer::partial_sums`] needs beyond the layer's own
     /// input.  Only composite layers have one ([`Residual`]: the input of its
     /// last body layer); everything else returns `None`, which is the
     /// default.  Slice `b` is bit-for-bit the interior of sample `b` alone.
@@ -322,44 +383,90 @@ pub trait Layer: Send + Sync {
         Ok((self.forward_batch(batch)?, None))
     }
 
-    /// Appends the partial-sum decompositions of the output neurons
-    /// `out_idxs` (flat indices into the output) for the given input to
-    /// `out`, one neuron per index, in order.
+    /// Hands the partial sums of each output neuron of `out_idxs` (flat
+    /// indices into the output) for the given input to `visit`, one neuron
+    /// at a time and in order, as values only: `visit(out_idx, values,
+    /// sources)`, where position `p` of `values` is the partial sum
+    /// [`Sources::input`]`(p)` contributes (paper Fig. 3).  The partial sums
+    /// add up to the neuron's value, up to the bias term; their order is the
+    /// layer's:
     ///
-    /// `interior` is this `input`'s interior — slice `b` of what
-    /// [`Layer::forward_batch_interior`] returned — if the caller kept it.
-    /// Layers without an interior ignore it; a composite layer given `None`
-    /// recomputes it — **once per call**, not once per index, which is why the
-    /// reverse walk asks for all of a layer's important neurons together.
+    /// * dense: `x[i] * W[neuron][i]` for every input `i`, ascending;
+    /// * convolution: `x[tap] * w[k]` over the receptive field in patch order
+    ///   (channel, kernel row, kernel column), padding skipped;
+    /// * residual block: its last body layer's terms, then the shortcut
+    ///   `x[out_idx]`.
+    ///
+    /// `values` is the caller's scratch, refilled for every neuron, so a
+    /// reverse walk allocates nothing per neuron; `visit` may overwrite the
+    /// values it is handed.  `interior` is this `input`'s interior — slice
+    /// `b` of what [`Layer::forward_batch_interior`] returned — if the
+    /// caller kept it.  Layers without an interior ignore it; a composite
+    /// layer given `None` recomputes it — **once per call**, not once per
+    /// index, which is why the reverse walk asks for all of a layer's
+    /// important neurons together.  Layers without weights have no partial
+    /// sums and fail (the default).
     ///
     /// # Errors
     ///
     /// Returns an error if any index is out of range or `input` (or
-    /// `interior`) has the wrong shape; `out` may then hold the neurons
-    /// decomposed before the failure.
-    fn contributions_many(
+    /// `interior`) has the wrong shape; the neurons before the failing one
+    /// have then been visited.
+    fn partial_sums(
         &self,
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
+    ) -> Result<()> {
+        let _ = (input, interior, out_idxs, values, visit);
+        Err(NnError::InvalidConfig(format!(
+            "{} has no partial sums",
+            self.name()
+        )))
+    }
+
+    /// Appends the importance routes of the output neurons `out_idxs` (flat
+    /// indices into the output) of a **pooling** layer for the given input
+    /// to `out`, one neuron per index, in order: max pooling routes to the
+    /// window's arg-max, average pooling to every window member.  Weight
+    /// layers hand over partial sums instead ([`Layer::partial_sums`]);
+    /// activations and reshapes route by identity
+    /// ([`LayerKind::routes_by_identity`]) and are never asked.  The default
+    /// fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any index is out of range or `input` has the wrong
+    /// shape; `out` may then hold the neurons routed before the failure.
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        out_idxs: &[usize],
         out: &mut Decompositions,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let _ = (input, out_idxs, out);
+        Err(NnError::InvalidConfig(format!(
+            "{} routes no importance through its input",
+            self.name()
+        )))
+    }
 
     /// Appends the input indices each of `out_idxs` routes its importance
-    /// to, one neuron per index with every partial sum `0.0`, and returns
+    /// to, one neuron per index with every routed value `0.0`, and returns
     /// `true` — when that routing never depends on activation values.
     /// Otherwise appends nothing and returns `false` (the default): the
     /// routing needs the input, i.e. [`Layer::contributions_many`].  The
     /// answer is the same for every index list, the empty one included, so
     /// `static_routing(&[], ..)` asks the layer which kind it is.
     ///
-    /// ReLU and flatten route each output to the same-index input; average
-    /// pooling always routes to its fixed window members.  Max pooling routes
-    /// to the window's arg-max, which depends on the input, so it keeps the
-    /// default.  The streaming extraction pipeline in `ptolemy-core` uses
-    /// this to decide which layer inputs a backward program must retain:
-    /// statically-routed pass-through layers can have their activations
-    /// dropped the moment the next layer starts.
+    /// Average pooling always routes to its fixed window members.  Max
+    /// pooling routes to the window's arg-max, which depends on the input, so
+    /// it keeps the default.  The streaming extraction pipeline in
+    /// `ptolemy-core` uses this to decide which layer inputs a backward
+    /// program must retain: statically-routed pooling layers can have their
+    /// activations dropped the moment the next layer starts.
     ///
     /// Implementations must keep this bit-for-bit consistent with
     /// [`Layer::contributions_many`]: the routed indices are exactly the
@@ -397,14 +504,46 @@ pub trait Layer: Send + Sync {
 mod tests {
     use super::*;
 
-    /// One neuron's decomposition on its own: the layer tests' probe.
+    /// Each visited output index with its `(input flat index, value)` pairs.
+    type Neurons = Vec<(usize, Vec<(usize, f32)>)>;
+
+    /// Every partial sum of `out_idxs`, as `(input flat index, value)`
+    /// pairs, one list per neuron, with the visited output indices.
+    fn partial_sum_pairs(
+        layer: &dyn Layer,
+        input: &Tensor,
+        interior: Option<&Tensor>,
+        out_idxs: &[usize],
+    ) -> Result<Neurons> {
+        let mut neurons = Vec::new();
+        layer.partial_sums(
+            input,
+            interior,
+            out_idxs,
+            &mut Vec::new(),
+            &mut |n, values, at| {
+                assert_eq!(values.len(), at.len());
+                let pairs = values.iter().enumerate().map(|(p, v)| (at.input(p), *v));
+                neurons.push((n, pairs.collect()));
+            },
+        )?;
+        Ok(neurons)
+    }
+
+    /// One neuron's decomposition on its own, as `(input flat index, value)`
+    /// pairs — a weight layer's partial sums, a pooling layer's routes: the
+    /// layer tests' probe.
     pub(crate) fn decompose(
         layer: &dyn Layer,
         input: &Tensor,
         out_idx: usize,
     ) -> Result<Vec<(usize, f32)>> {
+        if layer.kind().is_weight_layer() {
+            let mut neurons = partial_sum_pairs(layer, input, None, &[out_idx])?;
+            return Ok(neurons.pop().map(|(_, pairs)| pairs).unwrap_or_default());
+        }
         let mut out = Decompositions::default();
-        layer.contributions_many(input, None, &[out_idx], &mut out)?;
+        layer.contributions_many(input, &[out_idx], &mut out)?;
         Ok(out.iter().flatten().copied().collect())
     }
 
@@ -433,12 +572,9 @@ mod tests {
     #[test]
     fn decompositions_are_flat_runs_of_neurons() {
         let mut d = Decompositions::default();
-        d.extend_last((9, 9.0));
-        assert_eq!(d, Decompositions::default());
         d.push([(3, 0.5), (7, 0.1)]);
         d.push([]);
-        d.push([(2, 1.0)]);
-        d.extend_last((4, -1.0));
+        d.push([(2, 1.0), (4, -1.0)]);
         let runs: Vec<&[(usize, f32)]> = d.iter().collect();
         assert_eq!(
             runs,
@@ -450,14 +586,30 @@ mod tests {
         assert_eq!(d.pairs.capacity(), capacity);
     }
 
+    #[test]
+    fn sources_map_positions_to_inputs() {
+        let dense = Sources::identity(3);
+        assert_eq!((dense.len(), dense.input(2)), (3, 2));
+        let offsets = [0, 1, 5];
+        // A padded window's corner lies before the input: the offsets wrap.
+        let conv = Sources::taps(usize::MAX, &offsets);
+        assert_eq!([0, 1, 2].map(|p| conv.input(p)), [usize::MAX, 0, 4]);
+        let block = Sources::taps(10, &offsets).with_shortcut(7);
+        assert_eq!(block.len(), 4);
+        assert_eq!([0, 1, 2, 3].map(|p| block.input(p)), [10, 11, 15, 7]);
+        assert!(Sources::identity(0).is_empty());
+    }
+
     /// For every layer kind the zoo builds (conv, dense, ReLU, flatten, max and
     /// average pooling, residual): a stack of three distinct samples slices
     /// back, outputs and interiors bit for bit, to three batches of one; one
-    /// batched decomposition call is exactly one call per neuron; and a
+    /// batched partial-sum (or route) call is exactly one call per neuron; a
     /// composite layer handed the interior its forward pass produced
-    /// decomposes exactly what it recomputes.
+    /// decomposes exactly what it recomputes; and each layer answers exactly
+    /// one of the walk's three questions — partial sums (weight layers),
+    /// routes (pooling), or none (identity routing).
     #[test]
-    fn contributions_many_is_the_per_neuron_decomposition() {
+    fn partial_sums_are_the_per_neuron_decomposition() {
         use crate::zoo;
         use ptolemy_tensor::Rng64;
 
@@ -466,6 +618,12 @@ mod tests {
             let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b), "{what}");
         }
+        let bits = |neurons: &Neurons| -> Vec<(usize, Vec<(usize, u32)>)> {
+            neurons
+                .iter()
+                .map(|(n, pairs)| (*n, pairs.iter().map(|(i, v)| (*i, v.to_bits())).collect()))
+                .collect()
+        };
 
         let mut rng = Rng64::new(23);
         let networks = [
@@ -514,44 +672,57 @@ mod tests {
                 // Every output neuron, in a scrambled order with a repeat.
                 let mut idxs: Vec<usize> = (0..layer.output_len()).rev().collect();
                 idxs.push(0);
-                let mut many = Decompositions::default();
-                layer
-                    .contributions_many(&cur, None, &idxs, &mut many)
-                    .unwrap();
-                assert_eq!(many.iter().count(), idxs.len());
-                for (&idx, batched) in idxs.iter().zip(many.iter()) {
-                    assert_eq!(batched, decompose(layer, &cur, idx).unwrap());
-                }
-                let mut kept = Decompositions::default();
-                layer
-                    .contributions_many(&cur, interior.as_ref(), &idxs, &mut kept)
-                    .unwrap();
-                assert_eq!(kept, many, "{}: kept interior != recomputed", layer.name());
-                // A static route lists exactly the decomposition's indices.
+                let past_end = [layer.output_len()];
+                let kind = layer.kind();
                 let mut routes = Decompositions::default();
-                let routed = layer.static_routing(&idxs, &mut routes).unwrap();
-                let kind = layer.static_routing(&[], &mut Decompositions::default());
-                assert_eq!(kind.unwrap(), routed, "{}", layer.name());
-                assert_eq!(routes.iter().count(), if routed { idxs.len() } else { 0 });
-                for (route, pairs) in routes.iter().zip(many.iter()) {
-                    assert!(route.iter().all(|&(_, partial)| partial == 0.0));
-                    assert!(route.iter().map(|p| p.0).eq(pairs.iter().map(|p| p.0)));
-                }
-                let mut rejected = Decompositions::default();
-                assert!(layer
-                    .contributions_many(&cur, None, &[layer.output_len()], &mut rejected)
-                    .is_err());
-                assert!(
-                    !routed
-                        || layer
-                            .static_routing(&[layer.output_len()], &mut rejected)
-                            .is_err()
+                let weighted = partial_sum_pairs(layer, &cur, None, &idxs);
+                let routed = layer.contributions_many(&cur, &idxs, &mut routes);
+                assert_eq!(weighted.is_ok(), kind.is_weight_layer(), "{}", layer.name());
+                assert_eq!(
+                    routed.is_ok(),
+                    !kind.is_weight_layer() && !kind.routes_by_identity(),
+                    "{}",
+                    layer.name()
                 );
-                let mut none = Decompositions::default();
-                layer
-                    .contributions_many(&cur, None, &[], &mut none)
-                    .unwrap();
-                assert_eq!(none, Decompositions::default());
+                if let Ok(many) = weighted {
+                    let visited: Vec<usize> = many.iter().map(|(n, _)| *n).collect();
+                    assert_eq!(visited, idxs);
+                    for (idx, pairs) in &many {
+                        assert_eq!(pairs, &decompose(layer, &cur, *idx).unwrap());
+                    }
+                    let kept = partial_sum_pairs(layer, &cur, interior.as_ref(), &idxs).unwrap();
+                    assert_eq!(
+                        bits(&kept),
+                        bits(&many),
+                        "{}: kept != recomputed",
+                        layer.name()
+                    );
+                    assert!(partial_sum_pairs(layer, &cur, None, &past_end).is_err());
+                    assert!(partial_sum_pairs(layer, &cur, None, &[])
+                        .unwrap()
+                        .is_empty());
+                }
+                if routed.is_ok() {
+                    assert_eq!(routes.iter().count(), idxs.len());
+                    for (&idx, pairs) in idxs.iter().zip(routes.iter()) {
+                        assert_eq!(pairs, decompose(layer, &cur, idx).unwrap());
+                    }
+                    // A static route lists exactly the routed indices.
+                    let mut fixed = Decompositions::default();
+                    let is_static = layer.static_routing(&idxs, &mut fixed).unwrap();
+                    let probe = layer.static_routing(&[], &mut Decompositions::default());
+                    assert_eq!(probe.unwrap(), is_static, "{}", layer.name());
+                    assert_eq!(fixed.iter().count(), if is_static { idxs.len() } else { 0 });
+                    for (route, pairs) in fixed.iter().zip(routes.iter()) {
+                        assert!(route.iter().all(|&(_, partial)| partial == 0.0));
+                        assert!(route.iter().map(|p| p.0).eq(pairs.iter().map(|p| p.0)));
+                    }
+                    let mut rejected = Decompositions::default();
+                    assert!(layer
+                        .contributions_many(&cur, &past_end, &mut rejected)
+                        .is_err());
+                    assert!(!is_static || layer.static_routing(&past_end, &mut rejected).is_err());
+                }
                 kinds_seen.insert(layer.name());
                 cur = out;
                 stacked = outs;

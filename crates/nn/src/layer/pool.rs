@@ -323,7 +323,6 @@ impl Layer for MaxPool2d {
     fn contributions_many(
         &self,
         input: &Tensor,
-        _interior: Option<&Tensor>,
         out_idxs: &[usize],
         out: &mut Decompositions,
     ) -> Result<()> {
@@ -433,7 +432,6 @@ impl Layer for AvgPool2d {
     fn contributions_many(
         &self,
         input: &Tensor,
-        _interior: Option<&Tensor>,
         out_idxs: &[usize],
         out: &mut Decompositions,
     ) -> Result<()> {

@@ -3,23 +3,23 @@ use ptolemy_tensor::Tensor;
 use crate::batch::check_finite;
 use crate::layer::activation::relu_mask;
 use crate::layer::{check_len, check_param_grads, grad_batch, missing, Saved};
-use crate::{Decompositions, Layer, LayerKind, NnError, Result};
+use crate::{Layer, LayerKind, NnError, Result, Sources};
 
 /// Residual block: `y = relu(body(x) + x)` where `body` is a short stack of inner
 /// layers whose output shape equals the input shape.
 ///
 /// The block is treated as a **single extraction unit** by the Ptolemy framework:
 /// paths index neurons per network layer, and a residual block is one network layer.
-/// The partial-sum decomposition of an output neuron combines the contributions of
-/// the last inner layer (computed on the body's intermediate activation) with the
-/// identity shortcut contribution `x[out_idx]` (paper Sec. III-A generalises
+/// The partial sums of an output neuron are those of the last inner layer
+/// (computed on the body's intermediate activation) followed by the identity
+/// shortcut contribution `x[out_idx]` (paper Sec. III-A generalises
 /// naturally: the shortcut is a partial sum with weight 1).
 ///
 /// That intermediate activation — the input of the last body layer — is the
 /// block's *interior* ([`Layer::forward_batch_interior`]): the forward pass produces
 /// it anyway, so a caller that keeps it decomposes any number of output neurons
 /// without re-running the body, and one that does not pays for the body's head
-/// once per [`Layer::contributions_many`] call.
+/// once per [`Layer::partial_sums`] call.
 pub struct Residual {
     body: Vec<Box<dyn Layer>>,
     shape: Vec<usize>,
@@ -223,12 +223,13 @@ impl Layer for Residual {
         self.body.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
 
-    fn contributions_many(
+    fn partial_sums(
         &self,
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-        out: &mut Decompositions,
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
     ) -> Result<()> {
         self.check(input)?;
         let x = input.as_slice();
@@ -250,13 +251,18 @@ impl Layer for Residual {
             recomputed = self.run_head(input, |layer, x| layer.forward(x))?;
             recomputed.as_ref().unwrap_or(input)
         };
-        for &out_idx in out_idxs {
-            last.contributions_many(last_input, None, std::slice::from_ref(&out_idx), out)?;
-            // Identity shortcut: the block input contributes its own value
-            // at the same position.
-            out.extend_last((out_idx, x[out_idx]));
-        }
-        Ok(())
+        last.partial_sums(
+            last_input,
+            None,
+            out_idxs,
+            values,
+            &mut |out_idx, values, sources| {
+                // Identity shortcut: the block input contributes its own value
+                // at the same position, after the body's terms.
+                values.push(x[out_idx]);
+                visit(out_idx, values, sources.with_shortcut(out_idx));
+            },
+        )
     }
 
     fn interior_len(&self) -> usize {

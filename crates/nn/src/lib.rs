@@ -8,14 +8,21 @@
 //! much?".  This crate therefore exposes, in addition to the usual
 //! forward/backward/training machinery:
 //!
-//! * [`Layer::contributions_many`] — the per-output-neuron partial-sum
-//!   decomposition used by the important-neuron extraction algorithms (paper
-//!   Fig. 3), asked for all of a layer's important neurons at once and
-//!   appended to one caller-owned flat [`Decompositions`] buffer, so a
-//!   composite layer never works per neuron and a reverse walk allocates
-//!   nothing per neuron; a [`layer::Residual`] block decomposes against the
-//!   interior activation its forward pass hands out
-//!   ([`Layer::forward_batch_interior`], [`TraceSink::on_interior`]);
+//! * [`Layer::partial_sums`] — the per-output-neuron partial sums the
+//!   important-neuron extraction algorithms rank (paper Fig. 3), asked for
+//!   all of a layer's important neurons at once and handed over one neuron
+//!   at a time as **values only**, in a caller-owned scratch buffer, with a
+//!   [`Sources`] that maps a position back to its input index on demand (a
+//!   convolution's per-geometry tap list offset by the window corner, the
+//!   identity for a dense layer, a residual block's shortcut last) — so a
+//!   composite layer never works per neuron, a reverse walk allocates
+//!   nothing per neuron, and only the picked positions are ever mapped; a
+//!   [`layer::Residual`] block decomposes against the interior activation
+//!   its forward pass hands out ([`Layer::forward_batch_interior`],
+//!   [`TraceSink::on_interior`]).  Pooling layers route importance instead
+//!   ([`Layer::contributions_many`] into a flat [`Decompositions`] buffer),
+//!   and activations and reshapes pass it on by identity
+//!   ([`LayerKind::routes_by_identity`]);
 //! * [`Network::forward_with_sink_batch`] — the one **streaming driver**: B
 //!   inputs are stacked into one `[B, C, H, W]` tensor and run layer by layer
 //!   through each layer's one forward kernel, [`Layer::forward_batch`] (the
@@ -118,7 +125,7 @@ mod train;
 pub mod zoo;
 
 pub use error::NnError;
-pub use layer::{Decompositions, Layer, LayerKind, Saved};
+pub use layer::{Decompositions, Layer, LayerKind, Saved, Sources};
 pub use loss::{cross_entropy_loss, softmax_cross_entropy_grad};
 pub use network::{ForwardProvider, Network};
 pub use quant::QuantizedNetwork;

@@ -159,7 +159,7 @@ pub fn predicted_class(logits: &[f32]) -> Result<usize> {
 /// algorithms consume this trace: backward extraction walks it from the last
 /// layer to the first, forward extraction walks it in layer order, and the
 /// per-layer partial sums are recomputed on demand from `input(i)` via
-/// [`crate::Layer::contributions_many`].
+/// [`crate::Layer::partial_sums`].
 ///
 /// A trace recorded by [`crate::Network::forward_trace`] also keeps each
 /// layer's *interior* ([`crate::Layer::forward_batch_interior`] — a residual

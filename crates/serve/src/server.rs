@@ -1634,7 +1634,7 @@ mod tests {
 
     use ptolemy_core::{variants, DetectionEngineBuilder, Profiler};
     use ptolemy_nn::layer::{Dense, ReLU};
-    use ptolemy_nn::{zoo, Decompositions, Layer, LayerKind, Network, Saved};
+    use ptolemy_nn::{zoo, Decompositions, Layer, LayerKind, Network, Saved, Sources};
     use ptolemy_nn::{TrainConfig, Trainer};
     use ptolemy_tensor::Rng64;
 
@@ -1766,15 +1766,24 @@ mod tests {
         fn params_mut(&mut self) -> Vec<&mut Tensor> {
             self.inner.params_mut()
         }
-        fn contributions_many(
+        fn partial_sums(
             &self,
             input: &Tensor,
             interior: Option<&Tensor>,
             out_idxs: &[usize],
-            out: &mut Decompositions,
+            values: &mut Vec<f32>,
+            visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
         ) -> ptolemy_nn::Result<()> {
             self.inner
-                .contributions_many(input, interior, out_idxs, out)
+                .partial_sums(input, interior, out_idxs, values, visit)
+        }
+        fn contributions_many(
+            &self,
+            input: &Tensor,
+            out_idxs: &[usize],
+            out: &mut Decompositions,
+        ) -> ptolemy_nn::Result<()> {
+            self.inner.contributions_many(input, out_idxs, out)
         }
         fn static_routing(
             &self,

@@ -2,8 +2,9 @@
 //!
 //! The walk reads partial sums the inference already produced (paper
 //! Sec. III-A), so what it allocates should not grow with the number of
-//! neurons it marks: decompositions go into one walk-owned buffer, ranking is
-//! a scan over reused scratch, and merges are a bitset.  Nor should keeping
+//! neurons it marks, nor with the number of detects: partial sums go into one
+//! reused values buffer, ranking is a scan over it, merges are a bitset, and
+//! the buffers are kept per thread from one walk to the next.  Nor should keeping
 //! activations cost a copy each: the forward driver hands every boundary and
 //! interior over by value once it is done with it, so `forward_trace` and the
 //! streamed walk's retention keep them by move.  A counting global allocator
@@ -14,8 +15,9 @@
 //!   [`TRACE_BEYOND_FORWARD`]: the trace's two vectors, less the forward's
 //!   reshape of the logits;
 //! * the θ 0.5 extraction allocates exactly what the forward pass does plus
-//!   [`WALK_BEYOND_FORWARD`]: the plan, the path and the walk's buffers —
-//!   no retained activation is copied;
+//!   [`WALK_BEYOND_FORWARD`]: the plan, the path and the retention
+//!   bookkeeping — no retained activation is copied, and the walk's buffers
+//!   were grown by the warm-up;
 //! * a larger θ marks more neurons, and the only extra allocations it may
 //!   cost are the walk's buffers growing, at most one per enabled layer.
 //!
@@ -72,7 +74,7 @@ const TRACE_BEYOND_FORWARD: usize = 1;
 
 /// Allocations of a streamed θ 0.5 BwCu extraction beyond a forward pass on
 /// the same input.  An optimised build elides 23 short-lived ones.
-const WALK_BEYOND_FORWARD: usize = if cfg!(debug_assertions) { 111 } else { 88 };
+const WALK_BEYOND_FORWARD: usize = if cfg!(debug_assertions) { 84 } else { 61 };
 
 /// Allocations made while `f` runs, all on this thread: fan-outs are forced
 /// to width 1.

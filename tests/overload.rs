@@ -22,7 +22,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use ptolemy::nn::{Decompositions, Layer, LayerKind, NnError};
+use ptolemy::nn::{Decompositions, Layer, LayerKind, NnError, Sources};
 use ptolemy::obs::{Clock, Registry};
 use ptolemy::prelude::*;
 
@@ -438,15 +438,24 @@ impl Layer for Borrowed {
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
         Vec::new() // borrowed weights are never trained
     }
-    fn contributions_many(
+    fn partial_sums(
         &self,
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-        out: &mut Decompositions,
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
     ) -> Result<(), NnError> {
         self.inner()
-            .contributions_many(input, interior, out_idxs, out)
+            .partial_sums(input, interior, out_idxs, values, visit)
+    }
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        out_idxs: &[usize],
+        out: &mut Decompositions,
+    ) -> Result<(), NnError> {
+        self.inner().contributions_many(input, out_idxs, out)
     }
     fn static_routing(
         &self,

@@ -27,7 +27,8 @@ use ptolemy::core::{
 };
 use ptolemy::nn::layer::{Conv2d, Dense, Flatten, ReLU, Residual};
 use ptolemy::nn::{
-    Decompositions, ForwardTrace, Layer, LayerKind, Network, NnError, Saved, TrainConfig, Trainer,
+    Decompositions, ForwardTrace, Layer, LayerKind, Network, NnError, Saved, Sources, TrainConfig,
+    Trainer,
 };
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::parallel::with_forced_width;
@@ -291,15 +292,24 @@ impl Layer for Counting {
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.inner.params_mut()
     }
-    fn contributions_many(
+    fn partial_sums(
         &self,
         input: &Tensor,
         interior: Option<&Tensor>,
         out_idxs: &[usize],
-        out: &mut Decompositions,
+        values: &mut Vec<f32>,
+        visit: &mut dyn FnMut(usize, &mut Vec<f32>, Sources<'_>),
     ) -> Result<(), NnError> {
         self.inner
-            .contributions_many(input, interior, out_idxs, out)
+            .partial_sums(input, interior, out_idxs, values, visit)
+    }
+    fn contributions_many(
+        &self,
+        input: &Tensor,
+        out_idxs: &[usize],
+        out: &mut Decompositions,
+    ) -> Result<(), NnError> {
+        self.inner.contributions_many(input, out_idxs, out)
     }
     fn static_routing(
         &self,
