@@ -152,12 +152,7 @@ impl Conv2d {
 /// land inside an input dimension of `len`: [`Conv2dGeometry::patch_source`]'s
 /// bounds check, hoisted out of the tap loop.
 fn taps(at: usize, len: usize, g: &Conv2dGeometry) -> std::ops::Range<usize> {
-    let start = g.padding.saturating_sub(at);
-    start
-        ..(len + g.padding)
-            .saturating_sub(at)
-            .min(g.kernel)
-            .max(start)
+    g.padding.saturating_sub(at)..(len + g.padding).saturating_sub(at).min(g.kernel)
 }
 
 /// Every receptive field's valid taps, one list per **clip class**: output
